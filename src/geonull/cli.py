@@ -23,6 +23,7 @@ import io
 import json as _json
 import math
 import os
+import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -130,7 +131,17 @@ def _timing(label: str, started: float) -> None:
 # flag plumbing
 
 
+# a comma-separated list of numbers whose first entry is negative; argparse
+# alone takes "-0.3" as a value but "-0.3,0.5" as an unknown flag
+_UNSIGNED = r"(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+_NEGATIVE_NUMBER_LIST = re.compile(rf"^-{_UNSIGNED}(?:,\s*[-+]?{_UNSIGNED})*$")
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER_LIST
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -261,6 +272,11 @@ def _sectional_extremes(rdown, g, dim, seed):
     return smin, smax
 
 
+def _splitting_defined(nullity) -> bool:
+    """A 1-dim kernel with a nonzero complement for the tensor to act on."""
+    return nullity.nullity == 1 and nullity.conullity > 0
+
+
 def cmd_analyze(args, parser) -> int:
     started = time.perf_counter()
     metric = _build_metric(args, parser)
@@ -269,7 +285,7 @@ def cmd_analyze(args, parser) -> int:
     data = curvature_data(metric, point, rel_tol=args.rel_tol)
     smin, smax = _sectional_extremes(data.rdown, data.g, metric.dim, seed)
     splitting = None
-    if data.nullity.nullity == 1:
+    if _splitting_defined(data.nullity):
         try:
             st = splitting_tensor(metric, point, h=args.fd_step, rel_tol=args.rel_tol)
             inv = classify(st.matrix, tol=CLASSIFY_TOL)
@@ -355,7 +371,7 @@ def _scan_worker(metric, point, rel_tol, fd_step):
     except (ChartDomainError, DomainError):
         return None
     kind = ""
-    if data.nullity.nullity == 1:
+    if _splitting_defined(data.nullity):
         try:
             st = splitting_tensor(metric, point, h=fd_step, rel_tol=rel_tol)
             kind = classify(st.matrix, tol=CLASSIFY_TOL).kind

@@ -7,6 +7,14 @@ truncated second-order Taylor arithmetic.  No finite differences are
 involved; derivatives are exact to machine precision for the supported
 operator set.
 
+Parsing compiles the tree once into two kernels, straight-line Python
+functions over plain floats with no per-node arrays.  The jet kernel behind
+:func:`eval_jet2` and :meth:`Expression.jet2` does the float operations of a
+tree walk over :class:`Jet2` in the same order, so it matches that walk bit
+for bit.  The value kernel behind :meth:`Expression.value` makes the same
+domain checks but computes no derivatives.  Kernels hold no state, so
+threads may share them.
+
 Grammar
 -------
 Binary operators ``+ - * / ^`` with the usual precedence, unary minus, and
@@ -21,8 +29,9 @@ from __future__ import annotations
 
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -83,6 +92,15 @@ class Jet2:
         object.__setattr__(self, "value", float(self.value))
         object.__setattr__(self, "gradient", g)
         object.__setattr__(self, "hessian", upper + upper.T - np.diag(np.diag(upper)))
+
+    @classmethod
+    def _from_normal_form(cls, value: float, gradient, hessian) -> "Jet2":
+        """Skip the constructor's rewrite of a Hessian already in its output form."""
+        jet = object.__new__(cls)
+        object.__setattr__(jet, "value", value)
+        object.__setattr__(jet, "gradient", np.array(gradient, dtype=float))
+        object.__setattr__(jet, "hessian", np.array(hessian, dtype=float))
+        return jet
 
     @staticmethod
     def constant(c: float, n: int) -> "Jet2":
@@ -315,11 +333,23 @@ class _Parser:
 
 @dataclass(frozen=True)
 class Expression:
-    """Parsed expression bound to an ordered coordinate list."""
+    """Parsed expression bound to an ordered coordinate list.
+
+    Construction compiles the tree once into two kernels over plain floats
+    (see :class:`_Compiler`); equality and hashing use only ``root``,
+    ``variables`` and ``source``.
+    """
 
     root: Node
     variables: tuple
     source: str
+    _jet_kernel: Callable = field(init=False, compare=False, repr=False)
+    _value_kernel: Callable = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        jet, value = _compile(self.root, len(self.variables), self.source)
+        object.__setattr__(self, "_jet_kernel", jet)
+        object.__setattr__(self, "_value_kernel", value)
 
     @property
     def n(self) -> int:
@@ -329,7 +359,12 @@ class Expression:
         return eval_jet2(self, point)
 
     def value(self, point) -> float:
-        return eval_jet2(self, point).value
+        """The value alone, with the domain checks of :meth:`jet2`.
+
+        No derivative is computed, so an overflow or a division by an
+        underflowed zero that only a derivative meets raises nothing here.
+        """
+        return self._value_kernel(*_coordinates(self, point))
 
     def to_source(self) -> str:
         return to_source(self.root)
@@ -378,12 +413,16 @@ def eval_jet2(expr: Expression, point) -> Jet2:
     non-integer power of a non-positive base) raise :class:`DomainError`
     naming the offending subexpression.
     """
+    return Jet2._from_normal_form(*expr._jet_kernel(*_coordinates(expr, point)))
+
+
+def _coordinates(expr: Expression, point) -> list:
     x = np.asarray(point, dtype=float)
     if x.shape != (len(expr.variables),):
         raise ValueError(
             f"point has shape {x.shape}, expected ({len(expr.variables)},) for variables {expr.variables}"
         )
-    return _eval(expr.root, x, len(expr.variables), expr.source)
+    return x.tolist()
 
 
 def _fragment(source: str, node: Node) -> str:
@@ -392,61 +431,260 @@ def _fragment(source: str, node: Node) -> str:
     return text if text else to_source(node)
 
 
-def _eval(node: Node, x: np.ndarray, n: int, source: str) -> Jet2:
-    if isinstance(node, Const):
-        return Jet2.constant(node.value, n)
-    if isinstance(node, Var):
-        return Jet2.variable(x[node.index], node.index, n)
-    if isinstance(node, Neg):
-        return -_eval(node.child, x, n, source)
-    if isinstance(node, Call):
-        arg = _eval(node.arg, x, n, source)
-        if node.fn in _POSITIVE_DOMAIN and arg.value <= 0.0:
-            raise DomainError(
-                f"{node.fn} of non-positive value {arg.value!r}",
-                _fragment(source, node),
-                node.span[0],
-            )
-        return arg.chain(*_FUNCTIONS[node.fn](arg.value))
-    if isinstance(node, Bin):
-        left = _eval(node.left, x, n, source)
-        if node.op == "^":
-            return _power(left, node, x, n, source)
-        right = _eval(node.right, x, n, source)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            if right.value == 0.0:
-                raise DomainError("division by zero", _fragment(source, node), node.span[0])
-            return left / right
-    raise TypeError(f"not an expression node: {node!r}")
+def _int_power(v: float, k: int) -> tuple:
+    """f, f' and f'' of ``v**k`` for an integer ``k``."""
+    f = v**k
+    f1 = k * v ** (k - 1)
+    f2 = k * (k - 1) * v ** (k - 2) if k * (k - 1) != 0 else 0.0
+    return f, f1, f2
 
 
-def _power(base: Jet2, node: Bin, x: np.ndarray, n: int, source: str) -> Jet2:
-    expo = _eval(node.right, x, n, source)
-    constant_exponent = not (np.any(expo.gradient) or np.any(expo.hessian))
-    if constant_exponent and float(expo.value).is_integer():
-        k = int(expo.value)
-        v = base.value
-        if k == 0:
-            return Jet2.constant(1.0, n)
-        if v == 0.0 and k < 0:
-            raise DomainError("zero base with negative exponent", _fragment(source, node), node.span[0])
-        f = v**k
-        f1 = k * v ** (k - 1)
-        f2 = k * (k - 1) * v ** (k - 2) if k * (k - 1) != 0 else 0.0
-        return base.chain(f, f1, f2)
-    if base.value <= 0.0:
-        raise DomainError(
-            "power with non-integer exponent requires positive base",
-            _fragment(source, node),
-            node.span[0],
+def _compile(root: Node, n: int, source: str) -> tuple:
+    """The jet kernel and the value kernel of ``root`` over ``n`` coordinates.
+
+    Both take the coordinates as ``n`` float arguments.  The jet kernel
+    returns the value, the gradient and the Hessian as tuples of floats, in
+    the form ``Jet2``'s constructor gives them; the value kernel returns the
+    value.
+    """
+    jet = _Compiler(n, source)
+    value, gradient, upper = jet.jet(root, final=True)
+    cell = dict(zip(jet.pairs, upper))
+    rows = [[cell[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    jet.emit(f"return {value}, {_tuple(gradient)}, {_tuple(_tuple(row) for row in rows)}")
+    scalar = _Compiler(n, source)
+    scalar.emit(f"return {scalar.value(root)}")
+    return jet.build(), scalar.build()
+
+
+def _tuple(items) -> str:
+    return "(" + "".join(f"{item}, " for item in items) + ")"
+
+
+class _Compiler:
+    """Emit one kernel as straight-line Python over float locals.
+
+    Per node the jet kernel performs the float operations of the matching
+    :class:`Jet2` operator in the same order, so its results equal a tree walk
+    over ``Jet2`` bit for bit.  That includes the rewrite ``d + d - d`` that
+    ``Jet2.__post_init__`` applies to each Hessian diagonal entry (it turns an
+    entry beyond half the float range into inf and inf into nan).  Inner
+    nodes skip the rewrite ``u + 0.0 - 0.0`` of off-diagonal entries: it only
+    changes the sign of a zero, which reaches no nonzero entry, and the
+    result gets it.
+
+    A node's jet is ``(value, gradient, upper)``: the names of its locals, or
+    literals for constants and coordinates.  The upper triangle of the Hessian
+    is listed row by row.  Domain checks run where the tree walk made them, so
+    the first violation raises the same :class:`DomainError`.
+    """
+
+    def __init__(self, n: int, source: str):
+        self.n = n
+        self.source = source
+        self.pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        self.namespace = {"DomainError": DomainError}
+        self.lines = []
+        self.indent = "    "
+        self.count = 0
+
+    def build(self) -> Callable:
+        params = ", ".join(f"x{i}" for i in range(self.n))
+        text = f"def kernel({params}):\n" + "\n".join(self.lines) + "\n"
+        exec(compile(text, f"<expression {self.source!r}>", "exec"), self.namespace)
+        return self.namespace.pop("kernel")  # no function <-> globals cycle
+
+    def emit(self, line: str) -> None:
+        self.lines.append(self.indent + line)
+
+    @contextmanager
+    def block(self, header: str):
+        self.emit(header)
+        self.indent += "    "
+        yield
+        self.indent = self.indent[:-4]
+
+    def bind(self, obj) -> str:
+        name = f"k{len(self.namespace)}"
+        self.namespace[name] = obj
+        return name
+
+    def fresh(self) -> str:
+        self.count += 1
+        return f"t{self.count}"
+
+    def literal(self, c: float) -> str:
+        return repr(c) if math.isfinite(c) else self.bind(c)
+
+    def fail_if(self, condition: str, message: str, node: Node) -> None:
+        """Raise ``node``'s DomainError when ``condition`` holds; ``message`` is code."""
+        with self.block(f"if {condition}:"):
+            fragment = self.bind(_fragment(self.source, node))
+            self.emit(f"raise DomainError({message}, {fragment}, {node.span[0]})")
+
+    def call(self, fn, arg: str) -> tuple:
+        t = self.fresh()
+        self.emit(f"{t}f, {t}f1, {t}f2 = {self.bind(fn)}({arg})")
+        return f"{t}f", f"{t}f1", f"{t}f2"
+
+    # -- jet kernel ----------------------------------------------------------
+
+    def store(self, value: str, gradient: list, upper: list, final: bool, name: str = None) -> tuple:
+        """Assign one Jet2 to locals named after ``name`` (fresh by default).
+
+        Then apply the constructor's rewrite ``upper + upper.T - diag``: to
+        the diagonal always, to the off-diagonal entries only for the result.
+        """
+        out = self.names(name or self.fresh())
+        for target, expr in zip([out[0]] + out[1] + out[2], [value] + gradient + upper):
+            self.emit(f"{target} = {expr}")
+        for h, (i, j) in zip(out[2], self.pairs):
+            if i == j:
+                self.emit(f"{h} = {h} + {h} - {h}")
+            elif final:
+                self.emit(f"{h} = {h} + 0.0 - 0.0")
+        return out
+
+    def names(self, t: str) -> tuple:
+        return f"{t}v", [f"{t}g{i}" for i in range(self.n)], [f"{t}h{k}" for k in range(len(self.pairs))]
+
+    def mul(self, a: tuple, b: tuple, final: bool) -> tuple:
+        (av, ag, ah), (bv, bg, bh) = a, b
+        gradient = [f"{av} * {bg[i]} + {bv} * {ag[i]}" for i in range(self.n)]
+        upper = [
+            f"{av} * {bh[k]} + {bv} * {ah[k]} + {ag[i]} * {bg[j]} + {bg[i]} * {ag[j]}"
+            for k, (i, j) in enumerate(self.pairs)
+        ]
+        return self.store(f"{av} * {bv}", gradient, upper, final)
+
+    def chain(self, a: tuple, f: str, f1: str, f2: str, final: bool, name: str = None) -> tuple:
+        _, ag, ah = a
+        upper = [f"{f1} * {ah[k]} + {f2} * ({ag[i]} * {ag[j]})" for k, (i, j) in enumerate(self.pairs)]
+        return self.store(f, [f"{f1} * {g}" for g in ag], upper, final, name)
+
+    def constant(self, value: str) -> tuple:
+        return value, ["0.0"] * self.n, ["0.0"] * len(self.pairs)
+
+    def jet(self, node: Node, final: bool = False) -> tuple:
+        if isinstance(node, Const):
+            return self.constant(self.literal(node.value))
+        if isinstance(node, Var):
+            value, gradient, upper = self.constant(f"x{node.index}")
+            gradient[node.index] = "1.0"
+            return value, gradient, upper
+        if isinstance(node, Neg):
+            v, g, h = self.jet(node.child)
+            return self.store(f"-{v}", [f"-{e}" for e in g], [f"-{e}" for e in h], final)
+        if isinstance(node, Call):
+            a = self.jet(node.arg)
+            if node.fn in _POSITIVE_DOMAIN:
+                self.fail_if(f"{a[0]} <= 0.0", self.domain_message(node, a[0]), node)
+            return self.chain(a, *self.call(_FUNCTIONS[node.fn], a[0]), final)
+        if isinstance(node, Bin):
+            a = self.jet(node.left)
+            if node.op == "^":
+                return self.power(node, a, final)
+            b = self.jet(node.right)
+            if node.op in ("+", "-"):
+                op = node.op
+                return self.store(
+                    f"{a[0]} {op} {b[0]}",
+                    [f"{x} {op} {y}" for x, y in zip(a[1], b[1])],
+                    [f"{x} {op} {y}" for x, y in zip(a[2], b[2])],
+                    final,
+                )
+            if node.op == "*":
+                return self.mul(a, b, final)
+            if node.op == "/":
+                bv = b[0]
+                self.fail_if(f"{bv} == 0.0", '"division by zero"', node)
+                t = self.fresh()
+                self.emit(f"{t}f = 1.0 / {bv}")
+                self.emit(f"{t}f1 = -1.0 / ({bv} * {bv})")
+                self.emit(f"{t}f2 = 2.0 / ({bv} * {bv} * {bv})")
+                return self.mul(a, self.chain(b, f"{t}f", f"{t}f1", f"{t}f2", False), final)
+        raise TypeError(f"not an expression node: {node!r}")
+
+    def power(self, node: Bin, base: tuple, final: bool) -> tuple:
+        expo = self.jet(node.right)
+        t = self.fresh()
+
+        def real():
+            log_base = self.chain(base, *self.call(_FUNCTIONS["log"], base[0]), False)
+            product = self.mul(expo, log_base, False)
+            self.chain(product, *self.call(_FUNCTIONS["exp"], product[0]), final, t)
+
+        self.power_rule(
+            node,
+            base[0],
+            expo,
+            t,
+            zero=lambda: self.store(*self.constant("1.0"), final, t),
+            integer=lambda: self.chain(base, *self.call(_int_power, f"{base[0]}, {t}k"), final, t),
+            real=real,
         )
-    # u^s = exp(s*log(u)) for u > 0
-    log_base = base.chain(*_FUNCTIONS["log"](base.value))
-    product = expo * log_base
-    return product.chain(*_FUNCTIONS["exp"](product.value))
+        return self.names(t)
+
+    def power_rule(self, node: Bin, base: str, expo: tuple, t: str, zero, integer, real) -> None:
+        """Emit the branches and checks of ``base ^ expo``; callbacks emit each result.
+
+        As in the tree walk, the integer rule applies when the exponent's jet
+        at the point is constant (all derivatives zero) with an integer value,
+        which ``{t}k`` then holds.
+        """
+        varying = [d for d in expo[1] + expo[2] if d != "0.0"]
+        constant = f"not ({' or '.join(varying)}) and " if varying else ""
+        with self.block(f"if {constant}({expo[0]}).is_integer():"):
+            self.emit(f"{t}k = int({expo[0]})")
+            with self.block(f"if {t}k == 0:"):
+                zero()
+            with self.block("else:"):
+                self.fail_if(f"{base} == 0.0 and {t}k < 0", '"zero base with negative exponent"', node)
+                integer()
+        with self.block("else:"):
+            self.fail_if(f"{base} <= 0.0", '"power with non-integer exponent requires positive base"', node)
+            real()
+
+    def domain_message(self, node: Call, arg: str) -> str:
+        return f"{self.bind(f'{node.fn} of non-positive value ')} + repr({arg})"
+
+    # -- value kernel --------------------------------------------------------
+
+    def value(self, node: Node) -> str:
+        if isinstance(node, Const):
+            return self.literal(node.value)
+        if isinstance(node, Var):
+            return f"x{node.index}"
+        t = self.fresh()
+        if isinstance(node, Neg):
+            self.emit(f"{t} = -{self.value(node.child)}")
+        elif isinstance(node, Call):
+            a = self.value(node.arg)
+            if node.fn in _POSITIVE_DOMAIN:
+                self.fail_if(f"{a} <= 0.0", self.domain_message(node, a), node)
+            self.emit(f"{t} = {self.bind(getattr(math, node.fn))}({a})")
+        elif isinstance(node, Bin):
+            a = self.value(node.left)
+            if node.op == "^":
+                # the integer-power test needs the exponent's derivatives
+                expo = self.jet(node.right)
+                exp, log = self.bind(math.exp), self.bind(math.log)
+                self.power_rule(
+                    node,
+                    a,
+                    expo,
+                    t,
+                    zero=lambda: self.emit(f"{t} = 1.0"),
+                    integer=lambda: self.emit(f"{t} = {a} ** {t}k"),
+                    real=lambda: self.emit(f"{t} = {exp}({expo[0]} * {log}({a}))"),
+                )
+                return t
+            b = self.value(node.right)
+            if node.op == "/":
+                self.fail_if(f"{b} == 0.0", '"division by zero"', node)
+                self.emit(f"{t} = {a} * (1.0 / {b})")
+            else:
+                self.emit(f"{t} = {a} {node.op} {b}")
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        return t

@@ -67,6 +67,33 @@ def test_analyze_seed_is_recorded(capsys):
     assert doc["curvature"]["sectional_max"] == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--metric", "sekigawa", "--point", "-0.3,0.5,1e-1"),
+        ("flow", "--metric", "conullity3", "--point", "-0.1,0,0,0.2", "--direction", "-0,0,1,0", "--steps", "32"),
+    ],
+)
+def test_negative_number_lists_are_option_values(capsys, argv):
+    spaced = run_cli(capsys, *argv)
+    joined = list(argv)
+    for flag in ("--point", "--direction"):
+        if flag in joined:
+            i = joined.index(flag)
+            joined[i : i + 2] = [f"{flag}={joined[i + 1]}"]
+    code, out, _ = run_cli(capsys, *joined)
+    assert spaced[0] == code == 0
+    assert spaced[1] == out
+
+
+def test_analyze_without_complement_has_no_splitting(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "--metric", "euclidean", "--dim", "1")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["nullity"]["nullity"], doc["nullity"]["conullity"]) == (1, 0)
+    assert doc["splitting"] is None
+
+
 def test_usage_errors_exit_one(capsys):
     assert run_cli(capsys)[0] == 1
     assert run_cli(capsys, "frobnicate")[0] == 1
@@ -114,6 +141,12 @@ def test_scan_csv_layout(capsys):
     assert set(statuses[4:]) == {"ok"}
     domain_row = lines[1].split(",")
     assert domain_row[3] == "" and domain_row[4] == ""
+
+
+def test_scan_without_complement_rows_are_ok(capsys):
+    code, out, _ = run_cli(capsys, "scan", "--metric", "euclidean", "--dim", "1", "--grid", "x0=0:1:2")
+    assert code == 0
+    assert out.split("\r\n")[1:] == ["0,0,1,0,,ok", "1,0,1,0,,ok", ""]
 
 
 def test_scan_thread_count_does_not_change_bytes(capsys, monkeypatch):

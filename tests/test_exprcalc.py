@@ -5,7 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geonull.exprcalc import DomainError, Jet2, ParseError, eval_jet2, parse, to_source
+from geonull.exprcalc import (
+    _FUNCTIONS,
+    _POSITIVE_DOMAIN,
+    Bin,
+    Call,
+    Const,
+    DomainError,
+    Jet2,
+    Neg,
+    ParseError,
+    Var,
+    eval_jet2,
+    parse,
+    to_source,
+)
 
 
 # independent 4th-order finite-difference oracle for value/gradient/hessian
@@ -200,3 +214,206 @@ def test_grammar_example_evaluates_everywhere(x, y):
     expr = parse("3 + cos(x) + cos(y)", ("x", "y"))
     value = expr.value((x, y))
     assert 1.0 <= value <= 5.0
+
+
+# ---------------------------------------------------------------------------
+# reference evaluator: the tree walk over Jet2 operators that the compiled
+# kernels replace; they must agree with it bit for bit
+
+
+def reference_jet2(expr, point):
+    x = np.asarray(point, dtype=float)
+    with np.errstate(all="ignore"):
+        return _reference_eval(expr.root, x, len(expr.variables), expr.source)
+
+
+def _reference_fragment(source, node):
+    lo, hi = node.span
+    return source[lo:hi] or to_source(node)
+
+
+def _reference_eval(node, x, n, source):
+    if isinstance(node, Const):
+        return Jet2.constant(node.value, n)
+    if isinstance(node, Var):
+        return Jet2.variable(x[node.index], node.index, n)
+    if isinstance(node, Neg):
+        return -_reference_eval(node.child, x, n, source)
+    if isinstance(node, Call):
+        arg = _reference_eval(node.arg, x, n, source)
+        if node.fn in _POSITIVE_DOMAIN and arg.value <= 0.0:
+            raise DomainError(
+                f"{node.fn} of non-positive value {arg.value!r}",
+                _reference_fragment(source, node),
+                node.span[0],
+            )
+        return arg.chain(*_FUNCTIONS[node.fn](arg.value))
+    if isinstance(node, Bin):
+        left = _reference_eval(node.left, x, n, source)
+        if node.op == "^":
+            return _reference_power(left, node, x, n, source)
+        right = _reference_eval(node.right, x, n, source)
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        if node.op == "*":
+            return left * right
+        if node.op == "/":
+            if right.value == 0.0:
+                raise DomainError("division by zero", _reference_fragment(source, node), node.span[0])
+            return left / right
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _reference_power(base, node, x, n, source):
+    expo = _reference_eval(node.right, x, n, source)
+    constant_exponent = not (np.any(expo.gradient) or np.any(expo.hessian))
+    if constant_exponent and float(expo.value).is_integer():
+        k = int(expo.value)
+        v = base.value
+        if k == 0:
+            return Jet2.constant(1.0, n)
+        if v == 0.0 and k < 0:
+            raise DomainError("zero base with negative exponent", _reference_fragment(source, node), node.span[0])
+        f = v**k
+        f1 = k * v ** (k - 1)
+        f2 = k * (k - 1) * v ** (k - 2) if k * (k - 1) != 0 else 0.0
+        return base.chain(f, f1, f2)
+    if base.value <= 0.0:
+        raise DomainError(
+            "power with non-integer exponent requires positive base",
+            _reference_fragment(source, node),
+            node.span[0],
+        )
+    log_base = base.chain(*_FUNCTIONS["log"](base.value))
+    product = expo * log_base
+    return product.chain(*_FUNCTIONS["exp"](product.value))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _outcome(fn):
+    """A result, or the error's class and fields, for exact comparison."""
+    try:
+        return "ok", fn()
+    except DomainError as exc:
+        return "DomainError", (exc.message, exc.fragment, exc.offset)
+    except ArithmeticError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_matches_reference(expr, point):
+    kind, want = _outcome(lambda: reference_jet2(expr, point))
+    got_kind, got = _outcome(lambda: expr.jet2(point))
+    assert got_kind == kind
+    if kind == "ok":
+        assert _bits(got.value) == _bits(want.value)
+        assert _bits(got.gradient) == _bits(want.gradient)
+        assert _bits(got.hessian) == _bits(want.hessian)
+        assert got.value == want.value or math.isnan(want.value)
+        assert np.array_equal(got.gradient, want.gradient, equal_nan=True)
+        assert np.array_equal(got.hessian, want.hessian, equal_nan=True)
+    else:
+        assert got == want
+    value_kind, value = _outcome(lambda: expr.value(point))
+    if kind == "ok":
+        assert value_kind == "ok" and _bits(value) == _bits(want.value)
+    elif kind == "DomainError":
+        assert (value_kind, value) == (kind, want)
+    # otherwise a derivative overflowed or divided by an underflowed zero,
+    # which value() never computes
+
+
+_ORACLE_VARIABLES = ("x", "y", "z")
+_oracle_literals = st.one_of(
+    st.sampled_from(["0", "1", "2", "3", "0.5", "2.5", "1e-3"]),
+    st.floats(min_value=0.0, max_value=9.0).map(lambda v: repr(round(v, 3))),
+)
+_oracle_atoms = st.one_of(st.sampled_from(_ORACLE_VARIABLES), _oracle_literals)
+_exponents = st.sampled_from(["0", "1", "2", "3", "-1", "-2", "0.5", "1.5", "-0.5", "1/3"])
+
+
+@st.composite
+def _oracle_expressions(draw, depth=0):
+    if depth >= 4 or draw(st.integers(0, 3)) == 0:
+        return draw(_oracle_atoms)
+    sub = _oracle_expressions(depth=depth + 1)
+    kind = draw(st.sampled_from(["neg", "bin", "bin", "call", "power"]))
+    if kind == "neg":
+        return f"-{draw(sub)}"
+    if kind == "bin":
+        op = draw(st.sampled_from(["+", "-", "*", "/"]))
+        return f"({draw(sub)} {op} {draw(sub)})"
+    if kind == "call":
+        fn = draw(st.sampled_from(["sin", "cos", "exp", "log", "sqrt"]))
+        return f"{fn}({draw(sub)})"
+    base = draw(sub)
+    exponent = draw(st.one_of(_exponents, sub))  # integer, fractional or variable
+    return f"({base})^({exponent})"
+
+
+_coordinate = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 0.5]),
+    st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_oracle_expressions(), st.tuples(_coordinate, _coordinate, _coordinate))
+def test_compiled_kernels_match_reference_bit_for_bit(source, point):
+    assert_matches_reference(parse(source, _ORACLE_VARIABLES), point)
+
+
+# products whose Hessian sums several nonzero terms, so any reordering of
+# the float operations shows in the last bits
+_DENSE = [
+    ("(x*y + z)*(x - y*z)/(2 + x*x)", ("x", "y", "z")),
+    ("sin(x*y)*exp(x - y)*cos(z*x)", ("x", "y", "z")),
+    ("(x*x + y*y)^1.5*sqrt(1 + z*z) - (x + z)^3", ("x", "y", "z")),
+]
+
+
+@pytest.mark.parametrize("source,variables", [case[:2] for case in CASES] + _DENSE)
+def test_sweep_matches_reference_bit_for_bit(source, variables):
+    expr = parse(source, variables)
+    rng = np.random.default_rng(20261017)
+    for _ in range(200):
+        assert_matches_reference(expr, rng.uniform(0.05, 3.0, size=len(variables)) * rng.choice([-1, 1]))
+
+
+@pytest.mark.parametrize(
+    "source,point",
+    [
+        ("x/(y-1)", (1.0, 1.0)),
+        ("1 + log(x - y)", (1.0, 2.0)),
+        ("sqrt(-x)", (2.0, 0.0)),
+        ("(x - 1)^(-2)", (1.0, 0.0)),
+        ("2 * (-x)^0.5", (1.0, 0.0)),
+        ("(x - 1)^y", (1.0, 0.5)),
+        ("(x - 1)^(y*y*y)", (-1.0, 0.0)),  # exponent's jet is constant 0 at y = 0
+        ("log(x)^2 + 1/(y - y)", (0.5, 0.0)),
+        ("1/(x*1e-170)", (1.0, 0.0)),  # derivative divides by an underflowed zero
+        ("exp(x)*y", (709.5, 1.0)),  # Hessian entry past half the float range
+        ("(1e999*x)^2 - y", (1.0, 1.0)),
+    ],
+)
+def test_domain_and_range_edges_match_reference(source, point):
+    assert_matches_reference(parse(source, ("x", "y")), point)
+
+
+def test_value_skips_derivatives():
+    # d^2/dx^2 log(x) = -1/x^2 divides by an underflowed zero; the value does not
+    expr = parse("log(x)", ("x",))
+    with pytest.raises(ZeroDivisionError):
+        expr.jet2((1e-170,))
+    assert expr.value((1e-170,)) == math.log(1e-170)
+
+
+def test_kernels_do_not_affect_equality():
+    a = parse("3+cos(u)", ("u",))
+    b = parse("3+cos(u)", ("u",))
+    assert a == b and hash(a) == hash(b)
+    assert "kernel" not in repr(a)
