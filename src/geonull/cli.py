@@ -22,18 +22,24 @@ import csv
 import io
 import json as _json
 import math
-import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
-from .curvature import curvature_data, nullity, scalar_curvature, sectional
+from .curvature import (
+    _default_rel_tol,
+    _plane_curvature,
+    curvature_data,
+    nullity,
+    scalar_curvature,
+    sectional,
+)
 from .exprcalc import DomainError, ParseError
 from .flows import (
+    LaunchError,
     flatness_probe,
     geodesic,
     incompleteness_probe,
@@ -49,7 +55,6 @@ from .metricspace import (
     catalog_sekigawa,
     catalog_sphere,
 )
-from .numcore import REL_TOL_ANALYTIC, REL_TOL_FINITE_DIFFERENCE
 from .splitting import (
     AlignmentError,
     KernelDimensionError,
@@ -148,15 +153,49 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _number(convert, ok, expected: str):
+    """argparse type: ``convert`` the text, then require a finite value passing ``ok``."""
+
+    def parse(raw: str):
+        try:
+            value = convert(raw)
+            valid = math.isfinite(value) and ok(value)
+        except ValueError:
+            valid = False
+        if not valid:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {raw!r}")
+        return value
+
+    return parse
+
+
+_finite = _number(float, lambda v: True, "a finite number")
+_positive = _number(float, lambda v: v > 0.0, "a positive finite number")
+_fraction = _number(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
+_count = _number(int, lambda v: v >= 1, "an integer >= 1")
+_seed = _number(int, lambda v: v >= 0, "a non-negative integer")
+
+
+def _floats(raw: str, flag: str, parser) -> list:
+    """Comma-separated finite floats of a list-valued flag, or a usage error."""
+    try:
+        values = [float(tok) for tok in raw.split(",")]
+    except ValueError:
+        parser.error(f"could not parse {flag} {raw!r}")
+    if not all(math.isfinite(v) for v in values):
+        parser.error(f"{flag} values must be finite, got {raw!r}")
+    return values
+
+
 def _add_metric_flags(sp):
     sp.add_argument("--metric", choices=sorted(CATALOG), help="catalog metric name")
     sp.add_argument("--p", help="warp expression for sekigawa/conullity3")
-    sp.add_argument("--radius", type=float, help="sphere radius")
+    sp.add_argument("--radius", type=_finite, help="sphere radius")
     sp.add_argument("--dim", type=int, help="dimension for euclidean/product")
     sp.add_argument("--point", help="comma-separated chart coordinates")
-    sp.add_argument("--rel-tol", type=float, default=None, help="rank tolerance override")
-    sp.add_argument("--fd-step", type=float, default=DEFAULT_FD_STEP, help="finite-difference step")
-    sp.add_argument("--seed", type=int, default=None, help="sampling seed")
+    sp.add_argument("--rel-tol", type=_fraction, default=None, help="rank tolerance override, in (0, 1)")
+    sp.add_argument("--fd-step", type=_positive, default=DEFAULT_FD_STEP, help="finite-difference step")
+    sp.add_argument("--seed", type=_seed, default=None, help="sampling seed")
     sp.add_argument("--json", action="store_true", help="force JSON output")
     sp.add_argument("--out", help="write output to a file instead of stdout")
 
@@ -178,13 +217,13 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("flow", help="splitting tensor along a kernel geodesic")
     _add_metric_flags(sp)
     sp.add_argument("--direction", help="custom launch direction (comma-separated components)")
-    sp.add_argument("--tmax", type=float, default=1.0, help="geodesic parameter length")
-    sp.add_argument("--steps", type=int, default=256, help="integration steps")
+    sp.add_argument("--tmax", type=_finite, default=1.0, help="geodesic parameter length")
+    sp.add_argument("--steps", type=_count, default=256, help="integration steps")
     sp.set_defaults(func=cmd_flow)
 
     sp = sub.add_parser("verify", help="run a named verification suite")
     sp.add_argument("--suite", choices=SUITE_ORDER + ("all",), default="all")
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=_seed, default=None)
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--out", help="write output to a file instead of stdout")
     sp.set_defaults(func=cmd_verify)
@@ -219,21 +258,10 @@ def _parse_point(args, metric, parser) -> np.ndarray:
     raw = getattr(args, "point", None)
     if raw is None:
         return np.zeros(metric.dim)
-    try:
-        values = [float(tok) for tok in raw.split(",")]
-    except ValueError:
-        parser.error(f"could not parse --point {raw!r}")
+    values = _floats(raw, "--point", parser)
     if len(values) != metric.dim:
         parser.error(f"--point has {len(values)} components, chart needs {metric.dim}")
     return np.asarray(values, dtype=float)
-
-
-def _effective_rel_tol(metric, rel_tol):
-    if rel_tol is not None:
-        return rel_tol
-    if metric.provenance.kind == "finite-difference":
-        return REL_TOL_FINITE_DIFFERENCE
-    return REL_TOL_ANALYTIC
 
 
 def _metric_doc(metric) -> dict:
@@ -256,15 +284,9 @@ def _sectional_extremes(rdown, g, dim, seed):
     smin = math.inf
     smax = -math.inf
     for _ in range(64):
-        X = rng.standard_normal(dim)
-        Y = rng.standard_normal(dim)
-        gxx = float(X @ g @ X)
-        gyy = float(Y @ g @ Y)
-        gxy = float(X @ g @ Y)
-        gram = gxx * gyy - gxy * gxy
-        if gram <= 1e-10 * gxx * gyy:
+        val, gram, scale = _plane_curvature(rdown, g, rng.standard_normal(dim), rng.standard_normal(dim))
+        if gram <= 1e-10 * scale:
             continue
-        val = float(np.einsum("ijkl,i,j,k,l->", rdown, X, Y, Y, X)) / gram
         smin = min(smin, val)
         smax = max(smax, val)
     if smin is math.inf:
@@ -328,7 +350,7 @@ def cmd_analyze(args, parser) -> int:
         },
         "splitting": splitting,
         "tolerances": {
-            "rel_tol": _effective_rel_tol(metric, args.rel_tol),
+            "rel_tol": args.rel_tol if args.rel_tol is not None else _default_rel_tol(metric),
             "fd_step": args.fd_step,
             "classify_tol": CLASSIFY_TOL,
         },
@@ -359,6 +381,8 @@ def _parse_grid(spec, metric, parser):
             lo, hi, count = float(pieces[0]), float(pieces[1]), int(pieces[2])
         except ValueError:
             parser.error(f"bad grid range {rng!r}")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            parser.error(f"grid range {rng!r} must be finite")
         if count < 1:
             parser.error("grid axis needs at least one sample")
         axes.append((metric.coordinates.index(name), np.linspace(lo, hi, count)))
@@ -398,23 +422,7 @@ def cmd_scan(args, parser) -> int:
             pt[coord] = values[rem % values.size]
             rem //= values.size
         points.append(pt)
-    env_cap = os.environ.get("GEONULL_THREADS", "").strip()
-    workers = min(8, os.cpu_count() or 1)
-    if env_cap:
-        try:
-            workers = max(1, int(env_cap))
-        except ValueError:
-            parser.error(f"GEONULL_THREADS must be an integer, got {env_cap!r}")
-    workers = max(1, min(workers, len(points)))
-
-    def job(pt):
-        return _scan_worker(metric, pt, args.rel_tol, args.fd_step)
-
-    if workers == 1:
-        results = [job(pt) for pt in points]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, points))
+    results = [_scan_worker(metric, pt, args.rel_tol, args.fd_step) for pt in points]
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
@@ -439,98 +447,53 @@ def cmd_flow(args, parser) -> int:
     started = time.perf_counter()
     metric = _build_metric(args, parser)
     point = _parse_point(args, metric, parser)
+    doc = {
+        "schema": SCHEMA,
+        "command": "flow",
+        "metric": _metric_doc(metric),
+        "point": point,
+        "tmax": args.tmax,
+        "steps": args.steps,
+    }
     if args.direction is not None:
-        try:
-            direction = [float(tok) for tok in args.direction.split(",")]
-        except ValueError:
-            parser.error(f"could not parse --direction {args.direction!r}")
+        direction = _floats(args.direction, "--direction", parser)
         if len(direction) != metric.dim:
             parser.error(f"--direction has {len(direction)} components, chart needs {metric.dim}")
         report = nullity_geodesic_check(
             metric, point, direction=direction, tmax=args.tmax, steps=args.steps,
             rel_tol=args.rel_tol,
         )
-        passed = report.constant_nullity and report.max_velocity_misalignment < 1e-6
-        doc = {
-            "schema": SCHEMA,
-            "command": "flow",
+        doc.update({
             "mode": "custom",
-            "metric": _metric_doc(metric),
-            "point": point,
             "direction": direction,
-            "tmax": args.tmax,
-            "steps": args.steps,
             "nullity_check": {
-                "passed": passed,
+                "passed": report.constant_nullity and report.max_velocity_misalignment < 1e-6,
                 "constant_nullity": report.constant_nullity,
                 "nullity_values": list(report.nullity_values),
                 "max_velocity_misalignment": report.max_velocity_misalignment,
             },
             "truncated": report.path.truncated,
-        }
-        _emit(_dumps(doc) + "\n", args)
-        _timing("flow", started)
-        return EXIT_OK
-
-    section, basis0 = kernel_section(metric, point, rel_tol=args.rel_tol)
-    k0 = basis0.shape[0]
-
-    def field(q, reference):
-        sec, bas = kernel_section(metric, q, reference=reference, rel_tol=args.rel_tol)
-        if bas.shape[0] != k0:
-            raise KernelDimensionError(k0, bas.shape[0], q)
-        return sec
-
-    start = splitting_tensor(
-        metric, point, field=lambda q: field(q, section), h=args.fd_step, rel_tol=args.rel_tol
-    )
-    path = geodesic(metric, point, section, args.tmax, steps=args.steps)
-    frame = parallel_transport(metric, path, start.basis)
-    m = path.times.size
-    samples = min(9, m)
-    if samples >= 2:
-        pick = np.unique(np.linspace(0, m - 1, samples).round().astype(int))
+        })
     else:
-        pick = np.array([0])
-    rows = []
-    aborted = None
-    max_dev = 0.0
-    for j in pick:
-        t_j = float(path.times[j])
-        q = path.points[j]
-        w = path.velocities[j]
-        try:
-            st = splitting_tensor(
-                metric,
-                q,
-                basis=frame.vectors[j],
-                field=lambda y, _w=w: field(y, _w),
-                h=args.fd_step,
-                rel_tol=args.rel_tol,
-            )
-            pred = riccati_closed_form(start.matrix, t_j)
-        except (KernelDimensionError, AlignmentError, RiccatiBlowupError) as exc:
-            aborted = str(exc)
-            break
-        dev = float(np.max(np.abs(st.matrix - pred)))
-        max_dev = max(max_dev, dev)
-        rows.append({"t": t_j, "C": st.matrix, "predicted": pred, "deviation": dev})
-    doc = {
-        "schema": SCHEMA,
-        "command": "flow",
-        "mode": "nullity",
-        "metric": _metric_doc(metric),
-        "point": point,
-        "tmax": args.tmax,
-        "steps": args.steps,
-        "kernel_dimension": k0,
-        "start_matrix": start.matrix,
-        "samples": rows,
-        "max_deviation": max_dev,
-        "aborted": aborted,
-        "truncated": path.truncated,
-        "basis_gram_drift": frame.gram_drift,
-    }
+        report = evolve_along_nullity_geodesic(
+            metric, point, tmax=args.tmax, steps=args.steps, h=args.fd_step,
+            rel_tol=args.rel_tol,
+        )
+        doc.update({
+            "mode": "nullity",
+            "kernel_dimension": report.kernel_dimension,
+            "start_matrix": report.start_matrix,
+            "samples": [
+                {"t": t, "C": c, "predicted": p, "deviation": d}
+                for t, c, p, d in zip(
+                    report.sample_times, report.measured, report.predicted, report.deviations
+                )
+            ],
+            "max_deviation": report.max_error,
+            "aborted": report.aborted,
+            "truncated": report.path.truncated,
+            "basis_gram_drift": report.basis_gram_drift,
+        })
     _emit(_dumps(doc) + "\n", args)
     _timing("flow", started)
     return EXIT_OK
@@ -731,8 +694,12 @@ def _suite_conullity3(seed: int) -> list:
     )
 
     report = evolve_along_nullity_geodesic(metric, origin, tmax=0.4, steps=128, samples=9)
-    checks.append(_check("riccati_evolution_matches", 0.0, report.max_error, 1e-4))
-    checks.append(_check("divergence_is_minus_trace", 0.0, report.divergence_residual, 1e-4))
+    # an aborted ride measured only its first samples, so its figures prove nothing
+    rode = report.aborted is None
+    checks.append(_check("riccati_evolution_matches", 0.0, report.max_error, 1e-4,
+                         passed=rode and report.max_error <= 1e-4))
+    checks.append(_check("divergence_is_minus_trace", 0.0, report.divergence_residual, 1e-4,
+                         passed=rode and report.divergence_residual <= 1e-4))
 
     incomplete = catalog_conullity3("4-u*u-w*w")
     probe2 = incompleteness_probe(incomplete, origin, np.array([0.0, 1.0, 0.0, 0.0]))
@@ -890,6 +857,11 @@ def cmd_catalog(args, parser) -> int:
     return EXIT_OK
 
 
+def _domain_error(exc: Exception) -> int:
+    print(f"geonull: error: {exc}", file=sys.stderr)
+    return EXIT_DOMAIN
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -900,10 +872,9 @@ def main(argv=None) -> int:
         return args.func(args, parser)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ChartDomainError, DomainError, KernelDimensionError,
-            AlignmentError, NonUnitFieldError, RiccatiBlowupError) as exc:
-        print(f"geonull: error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    except (ChartDomainError, DomainError, KernelDimensionError, AlignmentError,
+            NonUnitFieldError, RiccatiBlowupError, LaunchError) as exc:
+        return _domain_error(exc)
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ jets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,6 +33,8 @@ from .metricspace import MetricField
 from .numcore import (
     REL_TOL_ANALYTIC,
     REL_TOL_FINITE_DIFFERENCE,
+    _canonical_sign,
+    _g_gram_schmidt,
     invert,
     kernel,
 )
@@ -97,25 +100,37 @@ def riemann(metric: MetricField, x):
     return rup, rdown
 
 
+def _plane_curvature(rdown: np.ndarray, g: np.ndarray, X, Y):
+    """Sectional quotient R(X, Y, Y, X) / gram of span{X, Y}, with Gram data.
+
+    Returns ``(quotient, gram, gxx * gyy)`` where gram = gxx gyy - gxy^2.
+    The quotient is NaN when gram is not positive; each caller judges
+    degeneracy against its own threshold on the last two values.
+    """
+    gxx = float(X @ g @ X)
+    gyy = float(Y @ g @ Y)
+    gxy = float(X @ g @ Y)
+    gram = gxx * gyy - gxy * gxy
+    if gram <= 0.0:
+        return math.nan, gram, gxx * gyy
+    num = float(np.einsum("ijkl,i,j,k,l->", rdown, X, Y, Y, X))
+    return num / gram, gram, gxx * gyy
+
+
 def sectional(metric: MetricField, x, X, Y) -> float:
     """Sectional curvature of span{X, Y} at x.
 
     Raises :class:`DegeneratePlaneError` when the plane's Gram determinant is
     below 1e-12 relative to the product of the squared lengths.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
     g, dg, d2g = metric.jet(x)
     _, _, rdown = _riemann_from_jet(g, dg, d2g)
-    gxx = float(X @ g @ X)
-    gyy = float(Y @ g @ Y)
-    gxy = float(X @ g @ Y)
-    gram = gxx * gyy - gxy * gxy
-    scale = gxx * gyy
+    value, gram, scale = _plane_curvature(
+        rdown, g, np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    )
     if scale <= 0.0 or gram <= 1e-12 * scale:
         raise DegeneratePlaneError(gram)
-    num = float(np.einsum("ijkl,i,j,k,l->", rdown, X, Y, Y, X))
-    return num / gram
+    return value
 
 
 def scalar_curvature(metric: MetricField, x) -> float:
@@ -150,21 +165,24 @@ def _default_rel_tol(metric: MetricField) -> float:
     return REL_TOL_ANALYTIC
 
 
-def _g_orthonormalize(vectors: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt in the g inner product; rows in, rows out."""
-    out = []
-    for v in np.array(vectors, dtype=float):
-        for u in out:
-            v = v - float(u @ g @ v) * u
-        nrm = float(np.sqrt(v @ g @ v))
-        if nrm < 1e-10:
-            continue
-        v = v / nrm
-        pivot = int(np.argmax(np.abs(v)))
-        if v[pivot] < 0:
-            v = -v
-        out.append(v)
-    return np.array(out) if out else np.zeros((0, g.shape[0]))
+def _nullity_from(rdown: np.ndarray, g: np.ndarray, rel_tol: float) -> NullityResult:
+    """Kernel of v -> R(v, ., ., .) from a lowered curvature tensor already in hand."""
+    n = g.shape[0]
+    flat = rdown.reshape(n, n ** 3).T
+    kr = kernel(flat, rel_tol=rel_tol)
+    rows = _g_gram_schmidt(kr.basis.T, g, drop_tol=1e-10)
+    basis = np.array([_canonical_sign(v) for v in rows]).reshape(-1, n)
+    residuals = np.array(
+        [float(np.max(np.abs(np.einsum("ijkl,i->jkl", rdown, v)))) for v in basis]
+    )
+    return NullityResult(
+        nullity=basis.shape[0],
+        conullity=n - basis.shape[0],
+        basis=basis,
+        residuals=residuals,
+        singular_values=kr.singular_values,
+        tolerance_used=kr.tolerance_used,
+    )
 
 
 def nullity(metric: MetricField, x, rel_tol: Optional[float] = None) -> NullityResult:
@@ -173,22 +191,7 @@ def nullity(metric: MetricField, x, rel_tol: Optional[float] = None) -> NullityR
         rel_tol = _default_rel_tol(metric)
     g, dg, d2g = metric.jet(x)
     _, _, rdown = _riemann_from_jet(g, dg, d2g)
-    n = metric.dim
-    flat = rdown.reshape(n, n ** 3).T
-    kr = kernel(flat, rel_tol=rel_tol)
-    basis = _g_orthonormalize(kr.basis.T, g)
-    k = basis.shape[0]
-    residuals = np.array(
-        [float(np.max(np.abs(np.einsum("ijkl,i->jkl", rdown, v)))) for v in basis]
-    )
-    return NullityResult(
-        nullity=k,
-        conullity=n - k,
-        basis=basis,
-        residuals=residuals,
-        singular_values=kr.singular_values,
-        tolerance_used=kr.tolerance_used,
-    )
+    return _nullity_from(rdown, g, rel_tol)
 
 
 @dataclass(frozen=True)
@@ -212,25 +215,6 @@ class CurvatureData:
     nonflat_plane_curvature: Optional[float]
 
 
-def _kernel_complement(basis: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """g-orthonormal rows spanning the complement of the kernel rows."""
-    n = g.shape[0]
-    out = [v for v in basis]
-    comp = []
-    for i in range(n):
-        v = np.zeros(n)
-        v[i] = 1.0
-        for u in out:
-            v = v - float(u @ g @ v) * u
-        nrm = float(np.sqrt(max(v @ g @ v, 0.0)))
-        if nrm < 1e-6:
-            continue
-        v = v / nrm
-        out.append(v)
-        comp.append(v)
-    return np.array(comp) if comp else np.zeros((0, n))
-
-
 def curvature_data(metric: MetricField, x, rel_tol: Optional[float] = None) -> CurvatureData:
     if rel_tol is None:
         rel_tol = _default_rel_tol(metric)
@@ -239,25 +223,13 @@ def curvature_data(metric: MetricField, x, rel_tol: Optional[float] = None) -> C
     gamma, rup, rdown = _riemann_from_jet(g, dg, d2g)
     gi = invert(g)
     scal = float(np.einsum("il,jk,ijkl->", gi, gi, rdown))
-    n = metric.dim
-    flat = rdown.reshape(n, n ** 3).T
-    kr = kernel(flat, rel_tol=rel_tol)
-    basis = _g_orthonormalize(kr.basis.T, g)
-    k = basis.shape[0]
-    residuals = np.array(
-        [float(np.max(np.abs(np.einsum("ijkl,i->jkl", rdown, v)))) for v in basis]
-    )
-    nres = NullityResult(k, n - k, basis, residuals, kr.singular_values, kr.tolerance_used)
+    nres = _nullity_from(rdown, g, rel_tol)
     plane_curv = None
     if nres.conullity == 2:
-        comp = _kernel_complement(basis, g)
+        # coordinate directions off the kernel; 1e-6 drops those (nearly) inside it
+        comp = _g_gram_schmidt(np.eye(metric.dim), g, prior=nres.basis, drop_tol=1e-6)
         if comp.shape[0] == 2:
-            X, Y = comp
-            num = float(np.einsum("ijkl,i,j,k,l->", rdown, X, Y, Y, X))
-            gxx = float(X @ g @ X)
-            gyy = float(Y @ g @ Y)
-            gxy = float(X @ g @ Y)
-            plane_curv = num / (gxx * gyy - gxy * gxy)
+            plane_curv = _plane_curvature(rdown, g, comp[0], comp[1])[0]
     return CurvatureData(
         point=pt,
         g=g,

@@ -7,9 +7,10 @@ using cubic Hermite interpolation of the path for the midpoint stages.
 
 Paths truncate cleanly at the chart boundary instead of raising: the
 returned :class:`GeodesicPath` carries a ``truncated`` flag and the last
-parameter value that stayed inside.  Convergence is reported, not assumed:
-each geodesic is re-run at half resolution and the endpoint difference is
-stored (for RK4 the fine endpoint's error is roughly that difference / 15).
+parameter value that stayed inside.  Each geodesic is integrated once, at the
+requested step count; no error estimate is stored with the path.  Evenly
+spaced sample nodes of a path are picked by one rule, shared by
+:func:`sampled_path` and the splitting tensor's Riccati evolution.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ import numpy as np
 from .curvature import _christoffel_from_jet, _riemann_from_jet
 from .exprcalc import DomainError
 from .metricspace import ChartDomainError, MetricField
-from .numcore import SingularMatrixError, invert
+from .numcore import SingularMatrixError, _g_gram_schmidt, invert
 
 __all__ = [
+    "LaunchError",
     "GeodesicPath",
     "ParallelFrame",
     "NullityGeodesicReport",
@@ -40,12 +42,14 @@ __all__ = [
 ]
 
 
+class LaunchError(ValueError):
+    """No launch velocity: a trivial curvature kernel or a zero direction."""
+
+
 @dataclass(frozen=True)
 class GeodesicPath:
     """RK4 geodesic record: times (m+1,), points and velocities (m+1, n).
 
-    ``convergence_estimate`` is the max-abs endpoint difference against a
-    half-resolution integration (NaN when either run truncated early);
     ``exit_parameter`` is the last in-domain time when ``truncated``.
     """
 
@@ -54,7 +58,6 @@ class GeodesicPath:
     velocities: np.ndarray
     truncated: bool
     exit_parameter: Optional[float]
-    convergence_estimate: float
 
     @property
     def endpoint(self) -> np.ndarray:
@@ -76,7 +79,6 @@ def geodesic(
     v0,
     tmax: float,
     steps: int = 256,
-    _convergence: bool = True,
 ) -> GeodesicPath:
     """Integrate the geodesic equation from (x0, v0) for parameter tmax."""
     if steps < 1:
@@ -119,28 +121,25 @@ def geodesic(
         times.append((i + 1) * h)
         xs.append(x.copy())
         vs.append(v.copy())
-    estimate = math.nan
-    if _convergence and not truncated and steps >= 2:
-        coarse = geodesic(metric, x0, v0, tmax, steps=max(steps // 2, 1), _convergence=False)
-        if not coarse.truncated:
-            estimate = float(np.max(np.abs(coarse.points[-1] - xs[-1])))
     return GeodesicPath(
         times=np.array(times),
         points=np.array(xs),
         velocities=np.array(vs),
         truncated=truncated,
         exit_parameter=times[-1] if truncated else None,
-        convergence_estimate=estimate,
     )
+
+
+def _sample_indices(nodes: int, samples: int) -> np.ndarray:
+    """Indices of up to ``samples`` evenly spaced nodes, first and last included."""
+    if samples < 2 or nodes < 2:
+        return np.array([0, nodes - 1] if nodes > 1 else [0])
+    return np.unique(np.linspace(0, nodes - 1, samples).round().astype(int))
 
 
 def sampled_path(path: GeodesicPath, samples: int):
     """Evenly spaced (times, points, velocities) along a stored path."""
-    m = path.times.size
-    if samples < 2 or m < 2:
-        idx = np.array([0, m - 1] if m > 1 else [0])
-    else:
-        idx = np.unique(np.linspace(0, m - 1, samples).round().astype(int))
+    idx = _sample_indices(path.times.size, samples)
     return path.times[idx], path.points[idx], path.velocities[idx]
 
 
@@ -230,14 +229,15 @@ def nullity_geodesic_check(
     custom ``direction`` is g-normalized and used as given, so a direction
     outside the kernel yields a failing (not erroring) report.  At evenly
     spaced samples the report records the kernel dimension and the sine of
-    the angle between the velocity and the kernel subspace.
+    the angle between the velocity and the kernel subspace.  Raises
+    :class:`LaunchError` for a trivial kernel at x0 or a zero direction.
     """
     from .curvature import nullity as _nullity
 
     pt = np.asarray(x0, dtype=float)
     res0 = _nullity(metric, pt, rel_tol=rel_tol)
     if res0.nullity == 0:
-        raise ValueError(f"curvature kernel is trivial at the start point for {metric.name}")
+        raise LaunchError(f"curvature kernel is trivial at the start point for {metric.name}")
     g0 = metric.jet(pt, order=1, check=False)[0]
     if direction is None:
         v0 = res0.basis[0]
@@ -245,7 +245,7 @@ def nullity_geodesic_check(
         v0 = np.asarray(direction, dtype=float)
         nrm = float(np.sqrt(v0 @ g0 @ v0))
         if nrm < 1e-10:
-            raise ValueError("direction must be a nonzero tangent vector")
+            raise LaunchError("direction must be a nonzero tangent vector")
         v0 = v0 / nrm
     path = geodesic(metric, pt, v0, tmax, steps=steps)
     times, points, vels = sampled_path(path, samples)
@@ -334,7 +334,7 @@ def flatness_probe(
         d2gs = d2g[np.ix_(idx, idx, idx, idx)]
         rleaf = _riemann_from_jet(gs, dgs, d2gs)[2]
         max_curv = max(max_curv, float(np.max(np.abs(rleaf))))
-        tangent = _slice_tangent_frame(idx, g)
+        tangent = _g_gram_schmidt(np.eye(metric.dim)[idx], g)
         for a in idx:
             for b in idx:
                 vec = gamma[:, a, b]
@@ -343,19 +343,6 @@ def flatness_probe(
                 max_ii = max(max_ii, float(np.sqrt(max(vec @ g @ vec, 0.0))))
     coords = tuple(metric.coordinates[i] for i in idx)
     return FlatnessReport(coords, checked, max_curv, max_ii)
-
-
-def _slice_tangent_frame(idx, g):
-    n = g.shape[0]
-    frame = []
-    for i in idx:
-        v = np.zeros(n)
-        v[i] = 1.0
-        for u in frame:
-            v = v - float(u @ g @ v) * u
-        v = v / float(np.sqrt(v @ g @ v))
-        frame.append(v)
-    return frame
 
 
 @dataclass(frozen=True)

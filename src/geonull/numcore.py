@@ -84,6 +84,30 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
     return -v if v[lead] < 0 else v
 
 
+def _g_gram_schmidt(candidates, g: np.ndarray, prior=(), drop_tol: float = 0.0) -> np.ndarray:
+    """Modified Gram-Schmidt in the inner product ``g``; rows in, rows out.
+
+    Each candidate row is projected off the g-orthonormal rows of ``prior``
+    and off the rows accepted before it, then normalized.  A candidate whose
+    remaining g-norm is below ``drop_tol`` is dropped as dependent.  Returns
+    the accepted rows only, shape (k, n).  No sign is fixed.  Negating a row
+    leaves every projection off it bit for bit unchanged, so a caller may fix
+    the signs of the returned rows afterwards.
+    """
+    rows = [np.asarray(u, dtype=float) for u in prior]
+    out = []
+    for v in np.array(candidates, dtype=float):
+        for u in rows:
+            v = v - float(u @ g @ v) * u
+        nrm = float(np.sqrt(max(v @ g @ v, 0.0)))
+        if nrm < drop_tol:
+            continue
+        v = v / nrm
+        rows.append(v)
+        out.append(v)
+    return np.array(out) if out else np.zeros((0, g.shape[0]))
+
+
 def kernel(m, rel_tol: float = REL_TOL_ANALYTIC) -> KernelResult:
     """Kernel of ``m`` with singular values below ``rel_tol * sigma_max``.
 
@@ -97,17 +121,16 @@ def kernel(m, rel_tol: float = REL_TOL_ANALYTIC) -> KernelResult:
     rows, cols = a.shape
     if rows == 0 or cols == 0:
         raise ValueError(f"degenerate matrix shape {a.shape}")
-    s_full = np.linalg.svd(a, compute_uv=False)
-    smax = float(s_full[0]) if s_full.size else 0.0
-    if smax <= KERNEL_ABS_FLOOR:
-        return KernelResult(np.eye(cols), 0, np.asarray(s_full), KERNEL_ABS_FLOOR)
-    tol = rel_tol * smax
     # reduced SVD already carries all right singular vectors unless the
     # matrix is wide, in which case the padded V supplies the extra kernel
     _, s, vt = np.linalg.svd(a, full_matrices=rows < cols)
+    smax = float(s[0])
+    if smax <= KERNEL_ABS_FLOOR:
+        return KernelResult(np.eye(cols), 0, s, KERNEL_ABS_FLOOR)
+    tol = rel_tol * smax
     small = [i for i in range(cols) if i >= s.size or s[i] < tol]
     basis = np.column_stack([_canonical_sign(vt[i]) for i in small]) if small else np.zeros((cols, 0))
-    return KernelResult(basis, cols - len(small), np.asarray(s), tol)
+    return KernelResult(basis, cols - len(small), s, tol)
 
 
 # ---------------------------------------------------------------------------

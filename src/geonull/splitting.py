@@ -12,7 +12,12 @@ a parallel frame, satisfies the matrix Riccati equation C' = C^2, whose
 solution through C0 is C(t) = C0 (I - t C0)^{-1}.  ``riccati_closed_form``,
 ``riccati_ode`` and ``trace_det_evolution`` implement that law three ways,
 and ``evolve_along_nullity_geodesic`` checks the freshly measured tensor
-against it at sample points.
+against it at sample points; ``geonull flow`` prints its report.  A kernel
+that changes dimension, a reference orthogonal to the kernel or a Riccati
+pole at a sample ends that ride early: the report keeps the samples measured
+so far and the message in ``aborted``.  The divergence check
+|div T + tr C| costs a further finite-difference stencil per sample, so
+``EvolutionReport.divergence_residual`` computes it on first access only.
 
 T is obtained by finite differences of the pointwise curvature kernel, so
 classification tolerances must absorb FD noise: a nilpotent matrix perturbed
@@ -23,15 +28,16 @@ by eps shows spurious eigenvalues of size about eps^(1/2), which is why
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
 from .curvature import christoffel, nullity
-from .flows import GeodesicPath, geodesic, parallel_transport
+from .flows import GeodesicPath, _sample_indices, geodesic, parallel_transport
 from .metricspace import MetricField
-from .numcore import eigenvalues, invert
+from .numcore import _g_gram_schmidt, eigenvalues, invert
 
 __all__ = [
     "AlignmentError",
@@ -189,27 +195,19 @@ def _complement_basis(metric: MetricField, x: np.ndarray, t_vec: np.ndarray) -> 
     remaining directions independent of T; candidates are tried in order of
     decreasing component size in case the leading choice degenerates.
     """
-    g = metric.jet(x, order=1, check=False)[0]
     n = metric.dim
+    if n == 1:
+        raise AlignmentError(
+            f"T spans the tangent space at {np.array2string(x, precision=6)}: "
+            "the splitting tensor has no complement to act on"
+        )
+    g = metric.jet(x, order=1, check=False)[0]
     tn = t_vec / float(np.sqrt(t_vec @ g @ t_vec))
+    eye = np.eye(n)
     for drop in np.argsort(-np.abs(tn)):
-        rows = [tn]
-        comp = []
-        for i in range(n):
-            if i == drop:
-                continue
-            v = np.zeros(n)
-            v[i] = 1.0
-            for u in rows:
-                v = v - float(u @ g @ v) * u
-            nrm = float(np.sqrt(max(v @ g @ v, 0.0)))
-            if nrm < 1e-8:
-                break
-            v = v / nrm
-            rows.append(v)
-            comp.append(v)
-        if len(comp) == n - 1:
-            return np.array(comp)
+        comp = _g_gram_schmidt(np.delete(eye, drop, axis=0), g, prior=[tn], drop_tol=1e-8)
+        if comp.shape[0] == n - 1:
+            return comp
     raise AlignmentError(
         f"could not build a complement basis at {np.array2string(x, precision=6)}"
     )
@@ -380,18 +378,29 @@ class EvolutionReport:
     The geodesic starts with velocity T; the complement basis is parallel
     transported; at each sample time the tensor is re-measured in the
     transported basis and compared with the closed-form Riccati solution
-    seeded at t = 0.  ``divergence_residual`` is the worst over the samples
-    of |div T + tr C|, with div T from an independent finite-difference
-    divergence of the kernel field.
+    through ``start_matrix`` at t = 0.  ``measured``, ``predicted`` and
+    ``deviations`` (max-abs entry gaps) cover the samples reached: when
+    ``aborted`` holds a message, the ride stopped at the sample it names.
+    ``divergence_residual`` is the worst over those samples of
+    |div T + tr C|, with div T from an independent finite-difference
+    divergence of the kernel field, computed on first access.
     """
 
     path: GeodesicPath
+    kernel_dimension: int
+    start_matrix: np.ndarray
     sample_times: np.ndarray
     measured: tuple
     predicted: tuple
+    deviations: tuple
     max_error: float
-    divergence_residual: float
     basis_gram_drift: float
+    aborted: Optional[str]
+    _divergence: Callable[[], float] = dataclass_field(repr=False, compare=False)
+
+    @cached_property
+    def divergence_residual(self) -> float:
+        return self._divergence()
 
 
 def _fd_divergence(metric: MetricField, x: np.ndarray, field: Callable, h: float) -> float:
@@ -421,44 +430,75 @@ def evolve_along_nullity_geodesic(
     h: float = 1e-4,
     rel_tol: Optional[float] = None,
 ) -> EvolutionReport:
-    """Ride a kernel geodesic and compare C against the Riccati closed form."""
+    """Ride a kernel geodesic and compare C against the Riccati closed form.
+
+    T is the unit section of the curvature kernel along a reference vector
+    (:func:`kernel_section`): at x0 the first kernel basis vector, which is
+    also the launch velocity, and at each sample the geodesic's velocity
+    there.  The kernel must keep its dimension at x0 wherever T is taken.
+    Errors while measuring the start tensor, integrating or transporting
+    propagate; a :class:`KernelDimensionError`, :class:`AlignmentError` or
+    :class:`RiccatiBlowupError` at a sample ends the ride with a partial
+    report whose ``aborted`` holds the message.
+    """
     pt = np.asarray(x0, dtype=float)
-    t0 = nullity_field(metric, pt, rel_tol=rel_tol)
-    start = splitting_tensor(metric, pt, h=h, rel_tol=rel_tol)
-    path = geodesic(metric, pt, t0, tmax, steps=steps)
+    section, basis0 = kernel_section(metric, pt, rel_tol=rel_tol)
+    k0 = basis0.shape[0]
+
+    def field(q, reference):
+        sec, basis = kernel_section(metric, q, reference=reference, rel_tol=rel_tol)
+        if basis.shape[0] != k0:
+            raise KernelDimensionError(k0, basis.shape[0], q)
+        return sec
+
+    def field_along(i):
+        return lambda y: field(y, path.velocities[i])
+
+    start = splitting_tensor(
+        metric, pt, field=lambda q: field(q, section), h=h, rel_tol=rel_tol
+    )
+    path = geodesic(metric, pt, section, tmax, steps=steps)
     frame = parallel_transport(metric, path, start.basis)
-    m = path.times.size
-    if samples >= 2 and m >= 2:
-        idx = np.unique(np.linspace(0, m - 1, samples).round().astype(int))
-    else:
-        idx = np.array([0])
-    times = path.times[idx]
+    reached = []
     measured = []
     predicted = []
+    deviations = []
     max_err = 0.0
-    divergence_residual = 0.0
-    for j in range(idx.size):
-        ti, q, w = times[j], path.points[idx[j]], path.velocities[idx[j]]
-        transported = frame.vectors[idx[j]]
-
-        def field(y, _w=w):
-            return nullity_field(metric, y, reference=_w, rel_tol=rel_tol)
-
-        st = splitting_tensor(
-            metric, q, basis=transported, field=field, h=h, rel_tol=rel_tol
-        )
-        pred = riccati_closed_form(start.matrix, float(ti))
+    aborted = None
+    for i in _sample_indices(path.times.size, samples):
+        try:
+            st = splitting_tensor(
+                metric, path.points[i], basis=frame.vectors[i], field=field_along(i),
+                h=h, rel_tol=rel_tol,
+            )
+            pred = riccati_closed_form(start.matrix, float(path.times[i]))
+        except (KernelDimensionError, AlignmentError, RiccatiBlowupError) as exc:
+            aborted = str(exc)
+            break
+        dev = float(np.max(np.abs(st.matrix - pred)))
+        reached.append(i)
         measured.append(st.matrix)
         predicted.append(pred)
-        max_err = max(max_err, float(np.max(np.abs(st.matrix - pred))))
-        div_fd = _fd_divergence(metric, q, field, h)
-        divergence_residual = max(divergence_residual, abs(div_fd + st.trace))
+        deviations.append(dev)
+        max_err = max(max_err, dev)
+
+    def divergence_residual() -> float:
+        worst = 0.0
+        for i, c in zip(reached, measured):
+            div_fd = _fd_divergence(metric, path.points[i], field_along(i), h)
+            worst = max(worst, abs(div_fd + float(np.trace(c))))
+        return worst
+
     return EvolutionReport(
         path=path,
-        sample_times=times,
+        kernel_dimension=k0,
+        start_matrix=start.matrix,
+        sample_times=path.times[reached],
         measured=tuple(measured),
         predicted=tuple(predicted),
+        deviations=tuple(deviations),
         max_error=max_err,
-        divergence_residual=divergence_residual,
         basis_gram_drift=frame.gram_drift,
+        aborted=aborted,
+        _divergence=divergence_residual,
     )

@@ -246,4 +246,5 @@ def test_criterion_12_divergence_relation():
     with criterion(12, "trace equals negative divergence", budget=5.0):
         metric = catalog_conullity3("3+cos(u)+cos(w)")
         report = evolve_along_nullity_geodesic(metric, [0.0, 0.0, 0.0, 0.0], tmax=0.4)
+        assert report.aborted is None
         assert report.divergence_residual < 1e-4

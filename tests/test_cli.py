@@ -1,10 +1,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from geonull import cli
+from geonull import cli, splitting
 from geonull.cli import main
+from geonull.metricspace import catalog_conullity3
+from geonull.splitting import evolve_along_nullity_geodesic
 
 
 def run_cli(capsys, *argv):
@@ -108,6 +111,30 @@ def test_domain_errors_exit_two(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("flow", "--metric", "euclidean", "--dim", "1"), 2),
+        (("flow", "--metric", "conullity3", "--direction", "0,0,0,0"), 2),
+        (("flow", "--metric", "sphere", "--point", "1,0.5", "--direction", "1,0"), 2),
+        (("flow", "--metric", "conullity3", "--steps", "0"), 1),
+        (("analyze", "--metric", "conullity3", "--rel-tol", "2"), 1),
+        (("analyze", "--metric", "conullity3", "--rel-tol", "nan"), 1),
+        (("analyze", "--metric", "conullity3", "--fd-step", "0"), 1),
+        (("flow", "--metric", "conullity3", "--tmax", "nan"), 1),
+        (("analyze", "--metric", "euclidean", "--dim", "2", "--point", "inf,0"), 1),
+        (("scan", "--metric", "euclidean", "--dim", "2", "--grid", "x0=0:nan:2"), 1),
+        (("flow", "--metric", "conullity3", "--direction", "0,0,inf,0"), 1),
+        (("verify", "--suite", "riccati", "--seed", "-5"), 1),
+    ],
+)
+def test_rejected_input_exit_codes(capsys, argv, expected):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == expected
+    assert out == ""
+    assert "error" in err
+
+
 def test_version_flag(capsys):
     code, out, _ = run_cli(capsys, "--version")
     assert code == 0
@@ -149,7 +176,7 @@ def test_scan_without_complement_rows_are_ok(capsys):
     assert out.split("\r\n")[1:] == ["0,0,1,0,,ok", "1,0,1,0,,ok", ""]
 
 
-def test_scan_thread_count_does_not_change_bytes(capsys, monkeypatch):
+def test_scan_rerun_gives_identical_bytes(capsys):
     argv = (
         "scan",
         "--metric",
@@ -157,12 +184,10 @@ def test_scan_thread_count_does_not_change_bytes(capsys, monkeypatch):
         "--grid",
         "u=-1:1:3,w=-1:1:3",
     )
-    monkeypatch.setenv("GEONULL_THREADS", "1")
-    _, serial, _ = run_cli(capsys, *argv)
-    monkeypatch.setenv("GEONULL_THREADS", "4")
-    _, threaded, _ = run_cli(capsys, *argv)
-    assert serial == threaded
-    assert serial.count("\r\n") == 10
+    _, first, _ = run_cli(capsys, *argv)
+    _, second, _ = run_cli(capsys, *argv)
+    assert first == second
+    assert first.count("\r\n") == 10
 
 
 def test_scan_out_file(tmp_path, capsys):
@@ -202,6 +227,73 @@ def test_flow_nullity_mode(capsys):
     for sample in doc["samples"]:
         assert set(sample) == {"t", "C", "predicted", "deviation"}
         assert sample["deviation"] < 1e-4
+
+
+def test_flow_samples_are_the_library_evolution_bitwise(capsys):
+    point = [0.1, 0.2, -0.3, 0.4]
+    code, out, _ = run_cli(
+        capsys, "flow", "--metric", "conullity3", "--point", "0.1,0.2,-0.3,0.4",
+        "--tmax", "0.5", "--steps", "64",
+    )
+    assert code == 0
+    # "-0" must come back as a float for the signs of zeros to be compared
+    doc = json.loads(out, parse_int=float)
+    report = evolve_along_nullity_geodesic(catalog_conullity3("3+cos(u)+cos(w)"), point,
+                                           tmax=0.5, steps=64)
+    assert report.aborted is None
+    assert len(doc["samples"]) == len(report.measured) == 9
+    for sample, measured, t in zip(doc["samples"], report.measured, report.sample_times):
+        assert np.array(sample["C"]).tobytes() == measured.tobytes()
+        assert sample["t"] == t
+    assert np.array(doc["start_matrix"]).tobytes() == report.start_matrix.tobytes()
+
+
+def test_flow_reports_an_aborted_ride(capsys, monkeypatch):
+    closed_form = splitting.riccati_closed_form
+
+    def pole_past_quarter(c0, t):
+        if t > 0.25:
+            raise splitting.RiccatiBlowupError(t, "forced pole")
+        return closed_form(c0, t)
+
+    monkeypatch.setattr(splitting, "riccati_closed_form", pole_past_quarter)
+    code, out, _ = run_cli(
+        capsys, "flow", "--metric", "conullity3", "--tmax", "0.5", "--steps", "16"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert "forced pole" in doc["aborted"]
+    assert [s["t"] for s in doc["samples"]] == [0.0, 0.0625, 0.125, 0.1875, 0.25]
+
+
+def test_verify_fails_an_aborted_ride(capsys, monkeypatch):
+    closed_form = splitting.riccati_closed_form
+
+    def pole_past_tenth(c0, t):
+        if t > 0.1:
+            raise splitting.RiccatiBlowupError(t, "forced pole")
+        return closed_form(c0, t)
+
+    monkeypatch.setattr(splitting, "riccati_closed_form", pole_past_tenth)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "conullity3", "--json")
+    assert code == 3
+    checks = {c["name"]: c for c in json.loads(out)["suites"][0]["checks"]}
+    for name in ("riccati_evolution_matches", "divergence_is_minus_trace"):
+        assert checks[name]["computed"] <= 1e-4
+        assert not checks[name]["passed"]
+
+
+def test_flow_leaves_the_divergence_check_uncomputed(capsys, monkeypatch):
+    def no_stencil(*args):
+        raise AssertionError("flow computed the divergence")
+
+    monkeypatch.setattr(splitting, "_fd_divergence", no_stencil)
+    code, _, _ = run_cli(capsys, "flow", "--metric", "conullity3", "--tmax", "0.5", "--steps", "16")
+    assert code == 0
+    report = evolve_along_nullity_geodesic(catalog_conullity3("3+cos(u)+cos(w)"), [0.0] * 4,
+                                           tmax=0.5, steps=16)
+    with pytest.raises(AssertionError):
+        report.divergence_residual
 
 
 def test_flow_custom_direction_reports_failure(capsys):

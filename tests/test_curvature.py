@@ -5,6 +5,7 @@ import pytest
 
 from geonull.curvature import (
     DegeneratePlaneError,
+    _nullity_from,
     bianchi2_residual,
     christoffel,
     curvature_data,
@@ -123,6 +124,41 @@ def test_nullity_basis_is_g_orthonormal():
     g = metric.g(pt)
     gram = res.basis @ g @ res.basis.T
     assert np.allclose(gram, np.eye(res.nullity), atol=1e-12)
+
+
+def test_curvature_data_nullity_is_nullity_bitwise():
+    rng = np.random.default_rng(31)
+    cases = [
+        (catalog_euclidean(3), lambda: rng.uniform(-1.0, 1.0, 3)),
+        (catalog_sphere(1.0), lambda: np.array([rng.uniform(0.3, 2.8), rng.uniform(-3.0, 3.0)])),
+        (catalog_polar(), lambda: np.array([rng.uniform(0.5, 2.0), rng.uniform(-3.0, 3.0)])),
+        (catalog_product(catalog_sphere(1.0), catalog_euclidean(2)),
+         lambda: np.array([rng.uniform(0.3, 2.8), *rng.uniform(-1.0, 1.0, 3)])),
+        (catalog_sekigawa("exp(u)"), lambda: rng.uniform(-1.0, 1.0, 3)),
+        (catalog_conullity3("3+cos(u)+cos(w)"), lambda: rng.uniform(-1.0, 1.0, 4)),
+        (finite_difference_field(catalog_sekigawa("2+u*u")), lambda: rng.uniform(-1.0, 1.0, 3)),
+    ]
+    for metric, draw in cases:
+        for _ in range(4):
+            pt = draw()
+            via_data = curvature_data(metric, pt).nullity
+            direct = nullity(metric, pt)
+            assert (via_data.nullity, via_data.conullity) == (direct.nullity, direct.conullity)
+            for name in ("basis", "residuals", "singular_values"):
+                a, b = getattr(via_data, name), getattr(direct, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+            assert np.float64(via_data.tolerance_used).tobytes() == np.float64(
+                direct.tolerance_used
+            ).tobytes()
+
+
+def test_nullity_basis_has_canonical_signs():
+    # flat tensor, so the kernel is everything; in this g the second
+    # Gram-Schmidt row comes out as (-2, 1)/1 and must be flipped
+    g = np.array([[1.0, 2.0], [2.0, 5.0]])
+    res = _nullity_from(np.zeros((2, 2, 2, 2)), g, 1e-7)
+    assert np.allclose(res.basis @ g @ res.basis.T, np.eye(2), atol=1e-12)
+    assert res.basis.tolist() == [[1.0, 0.0], [2.0, -1.0]]
 
 
 def test_nullity_with_finite_difference_provenance():

@@ -5,6 +5,7 @@ import pytest
 
 from geonull.flows import (
     GeodesicPath,
+    LaunchError,
     flatness_probe,
     geodesic,
     incompleteness_probe,
@@ -59,21 +60,12 @@ def test_rk4_convergence_order():
     metric = catalog_sekigawa("2+sin(x)+u*u")
     x0, v0 = [0.1, 0.2, -0.3], [0.4, 0.5, 0.6]
     ends = {
-        n: geodesic(metric, x0, v0, tmax=2.0, steps=n, _convergence=False).endpoint
+        n: geodesic(metric, x0, v0, tmax=2.0, steps=n).endpoint
         for n in (16, 32, 64)
     }
     d1 = np.abs(ends[16] - ends[32]).max()
     d2 = np.abs(ends[32] - ends[64]).max()
     assert 12.0 < d1 / d2 < 20.0
-
-
-def test_convergence_estimate_reporting():
-    metric = catalog_polar()
-    path = geodesic(metric, [1.0, 0.0], [0.0, 1.0], tmax=1.0, steps=256)
-    assert path.convergence_estimate < 1e-9
-    truncated = geodesic(metric, [1.0, 0.0], [-1.0, 0.0], tmax=2.0, steps=256)
-    assert truncated.truncated
-    assert math.isnan(truncated.convergence_estimate)
 
 
 def test_truncation_at_chart_boundary():
@@ -142,7 +134,6 @@ def test_sphere_latitude_holonomy():
         velocities=velocities,
         truncated=False,
         exit_parameter=None,
-        convergence_estimate=0.0,
     )
     metric = catalog_sphere(1.0)
     frame = parallel_transport(metric, path, np.array([1.0, 0.0]))
@@ -165,6 +156,14 @@ def test_nullity_geodesic_custom_direction_can_fail():
         metric, [0.0, 0.0, 0.0, 0.0], direction=[0.0, 1.0, 0.0, 0.0], tmax=1.0
     )
     assert report.max_velocity_misalignment > 0.5
+
+
+def test_nullity_geodesic_without_launch_velocity():
+    with pytest.raises(LaunchError, match="nonzero"):
+        nullity_geodesic_check(catalog_conullity3("3+cos(u)+cos(w)"), [0.0] * 4,
+                               direction=[1e-300, 0.0, 0.0, 0.0])
+    with pytest.raises(LaunchError, match="trivial"):
+        nullity_geodesic_check(catalog_sphere(1.0), [1.0, 0.5], direction=[1.0, 0.0])
 
 
 def test_flatness_of_model_leaves():

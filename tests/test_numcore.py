@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from geonull.numcore import (
     KERNEL_ABS_FLOOR,
     SingularMatrixError,
+    _g_gram_schmidt,
     eigenvalues,
     invert,
     kernel,
@@ -129,3 +130,37 @@ def test_dimension_cap():
         invert(np.eye(9))
     with pytest.raises(ValueError):
         eigenvalues(np.eye(5))
+
+
+def test_g_gram_schmidt_orthonormal_and_drops_dependent_rows():
+    rng = np.random.default_rng(21)
+    a = rng.standard_normal((4, 4))
+    g = a @ a.T + 4.0 * np.eye(4)
+    c = rng.standard_normal((3, 4))
+    # the third candidate is a combination of the first two
+    candidates = np.vstack([c[0], c[1], 2.0 * c[0] - 0.5 * c[1], c[2]])
+    rows = _g_gram_schmidt(candidates, g, drop_tol=1e-8)
+    assert rows.shape == (3, 4)
+    assert np.allclose(rows @ g @ rows.T, np.eye(3), atol=1e-12)
+    # rows after the prior ones are g-orthogonal to them as well
+    more = _g_gram_schmidt(np.eye(4), g, prior=rows, drop_tol=1e-8)
+    assert more.shape == (1, 4)
+    assert np.allclose(more @ g @ rows.T, 0.0, atol=1e-12)
+    assert _g_gram_schmidt(np.zeros((0, 4)), g).shape == (0, 4)
+
+
+def test_g_gram_schmidt_ignores_the_sign_of_prior_rows():
+    rng = np.random.default_rng(22)
+    a = rng.standard_normal((5, 5))
+    g = a @ a.T + 5.0 * np.eye(5)
+    prior = _g_gram_schmidt(rng.standard_normal((2, 5)), g)
+    candidates = rng.standard_normal((3, 5))
+    base = _g_gram_schmidt(candidates, g, prior=prior)
+    for i in range(2):
+        flipped = prior.copy()
+        flipped[i] = -flipped[i]
+        assert _g_gram_schmidt(candidates, g, prior=flipped).tobytes() == base.tobytes()
+    # negating an accepted row before it is used leaves the later rows bitwise equal
+    first = _g_gram_schmidt(candidates[:1], g, prior=prior)
+    rest = _g_gram_schmidt(candidates[1:], g, prior=np.vstack([prior, -first]))
+    assert rest.tobytes() == base[1:].tobytes()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from geonull import splitting
 from geonull.metricspace import (
     catalog_conullity3,
     catalog_euclidean,
@@ -220,6 +221,7 @@ def test_trace_det_evolution_laws():
 
 def test_evolution_along_kernel_geodesic():
     report = evolve_along_nullity_geodesic(conullity3(), ORIGIN4, tmax=0.4)
+    assert report.aborted is None
     assert report.max_error < 1e-8
     assert report.divergence_residual < 1e-8
     assert report.basis_gram_drift < 1e-12
@@ -232,5 +234,23 @@ def test_evolution_from_generic_start():
     report = evolve_along_nullity_geodesic(
         conullity3(), [0.3, 0.1, -0.2, 0.2], tmax=0.4
     )
+    assert report.aborted is None
     assert report.max_error < 1e-8
+    assert report.divergence_residual < 1e-8
+
+
+def test_evolution_stops_where_the_kernel_changes_dimension(monkeypatch):
+    section_of = splitting.kernel_section
+
+    def grows_past_v(metric, q, reference=None, rel_tol=None):
+        section, basis = section_of(metric, q, reference=reference, rel_tol=rel_tol)
+        if q[2] > 0.28:  # the kernel geodesic from the origin runs along v = t
+            basis = np.vstack([basis, [1.0, 0.0, 0.0, 0.0]])
+        return section, basis
+
+    monkeypatch.setattr(splitting, "kernel_section", grows_past_v)
+    report = evolve_along_nullity_geodesic(conullity3(), ORIGIN4, tmax=0.5, steps=16)
+    assert report.aborted.startswith("curvature kernel has dimension 2, expected 1")
+    assert report.sample_times.tolist() == [0.0, 0.0625, 0.125, 0.1875, 0.25]
+    assert len(report.measured) == len(report.deviations) == 5
     assert report.divergence_residual < 1e-8
