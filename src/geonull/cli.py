@@ -63,7 +63,6 @@ from .splitting import (
     classify,
     evolve_along_nullity_geodesic,
     kernel_section,
-    nullity_field,
     riccati_closed_form,
     riccati_ode,
     splitting_tensor,
@@ -81,6 +80,9 @@ DEFAULT_FD_STEP = 1e-4
 # measured tensors inherit finite-difference noise; nilpotent spectra
 # amplify a perturbation eps to eigenvalues of order sqrt(eps)
 CLASSIFY_TOL = 2e-4
+
+# a scan builds its whole grid before writing the first row
+MAX_SCAN_POINTS = 10**6
 
 SUITE_ORDER = ("euclidean", "sphere", "product", "sekigawa", "conullity3", "riccati")
 
@@ -171,6 +173,7 @@ def _number(convert, ok, expected: str):
 
 _finite = _number(float, lambda v: True, "a finite number")
 _positive = _number(float, lambda v: v > 0.0, "a positive finite number")
+_nonzero = _number(float, lambda v: v != 0.0, "a nonzero finite number")
 _fraction = _number(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
 _count = _number(int, lambda v: v >= 1, "an integer >= 1")
 _seed = _number(int, lambda v: v >= 0, "a non-negative integer")
@@ -217,7 +220,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("flow", help="splitting tensor along a kernel geodesic")
     _add_metric_flags(sp)
     sp.add_argument("--direction", help="custom launch direction (comma-separated components)")
-    sp.add_argument("--tmax", type=_finite, default=1.0, help="geodesic parameter length")
+    sp.add_argument("--tmax", type=_nonzero, default=1.0, help="geodesic parameter length (nonzero)")
     sp.add_argument("--steps", type=_count, default=256, help="integration steps")
     sp.set_defaults(func=cmd_flow)
 
@@ -366,7 +369,7 @@ def cmd_analyze(args, parser) -> int:
 
 
 def _parse_grid(spec, metric, parser):
-    axes = []
+    ranges = []
     for part in spec.split(","):
         if "=" not in part:
             parser.error(f"bad grid axis {part!r} (expected var=lo:hi:n)")
@@ -385,8 +388,10 @@ def _parse_grid(spec, metric, parser):
             parser.error(f"grid range {rng!r} must be finite")
         if count < 1:
             parser.error("grid axis needs at least one sample")
-        axes.append((metric.coordinates.index(name), np.linspace(lo, hi, count)))
-    return axes
+        ranges.append((metric.coordinates.index(name), lo, hi, count))
+    if math.prod(count for *_, count in ranges) > MAX_SCAN_POINTS:
+        parser.error(f"grid {spec!r} has more than {MAX_SCAN_POINTS} points")
+    return [(coord, np.linspace(lo, hi, count)) for coord, lo, hi, count in ranges]
 
 
 def _scan_worker(metric, point, rel_tol, fd_step):
@@ -533,7 +538,7 @@ def _suite_euclidean(seed: int) -> list:
     checks.append(_check("riemann_vanishes", 0.0, worst_r, 1e-12))
     checks.append(_check("nullity_full", 4, worst_nullity, passed=worst_nullity == 4))
     try:
-        nullity_field(metric, pts[0])
+        splitting_tensor(metric, pts[0])
         outcome = "no error"
     except KernelDimensionError:
         outcome = "KernelDimensionError"

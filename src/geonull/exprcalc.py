@@ -12,7 +12,9 @@ functions over plain floats with no per-node arrays.  The jet kernel behind
 :func:`eval_jet2` and :meth:`Expression.jet2` does the float operations of a
 tree walk over :class:`Jet2` in the same order, so it matches that walk bit
 for bit.  The value kernel behind :meth:`Expression.value` makes the same
-domain checks but computes no derivatives.  Kernels hold no state, so
+domain checks but computes no derivatives.  A float overflow raised by a
+function or a power (``exp(exp(exp(u)))`` at u = 2.9) becomes a
+:class:`DomainError` naming that subexpression.  Kernels hold no state, so
 threads may share them.
 
 Grammar
@@ -56,7 +58,7 @@ class ParseError(ValueError):
 
 
 class DomainError(ArithmeticError):
-    """Raised when evaluation leaves a function's smooth domain.
+    """Raised when evaluation leaves a function's smooth domain or overflows.
 
     ``fragment`` is the offending subexpression text, ``offset`` its start.
     """
@@ -516,15 +518,26 @@ class _Compiler:
     def literal(self, c: float) -> str:
         return repr(c) if math.isfinite(c) else self.bind(c)
 
-    def fail_if(self, condition: str, message: str, node: Node) -> None:
-        """Raise ``node``'s DomainError when ``condition`` holds; ``message`` is code."""
-        with self.block(f"if {condition}:"):
-            fragment = self.bind(_fragment(self.source, node))
-            self.emit(f"raise DomainError({message}, {fragment}, {node.span[0]})")
+    def fail(self, message: str, node: Node) -> None:
+        """Raise ``node``'s DomainError; ``message`` is code."""
+        fragment = self.bind(_fragment(self.source, node))
+        self.emit(f"raise DomainError({message}, {fragment}, {node.span[0]}) from None")
 
-    def call(self, fn, arg: str) -> tuple:
+    def fail_if(self, condition: str, message: str, node: Node) -> None:
+        """Raise ``node``'s DomainError when ``condition`` holds."""
+        with self.block(f"if {condition}:"):
+            self.fail(message, node)
+
+    def guarded(self, line: str, node: Node) -> None:
+        """Emit ``line``; an OverflowError it raises becomes ``node``'s DomainError."""
+        with self.block("try:"):
+            self.emit(line)
+        with self.block("except OverflowError:"):
+            self.fail('"float overflow"', node)
+
+    def call(self, fn, arg: str, node: Node) -> tuple:
         t = self.fresh()
-        self.emit(f"{t}f, {t}f1, {t}f2 = {self.bind(fn)}({arg})")
+        self.guarded(f"{t}f, {t}f1, {t}f2 = {self.bind(fn)}({arg})", node)
         return f"{t}f", f"{t}f1", f"{t}f2"
 
     # -- jet kernel ----------------------------------------------------------
@@ -579,7 +592,7 @@ class _Compiler:
             a = self.jet(node.arg)
             if node.fn in _POSITIVE_DOMAIN:
                 self.fail_if(f"{a[0]} <= 0.0", self.domain_message(node, a[0]), node)
-            return self.chain(a, *self.call(_FUNCTIONS[node.fn], a[0]), final)
+            return self.chain(a, *self.call(_FUNCTIONS[node.fn], a[0], node), final)
         if isinstance(node, Bin):
             a = self.jet(node.left)
             if node.op == "^":
@@ -610,9 +623,9 @@ class _Compiler:
         t = self.fresh()
 
         def real():
-            log_base = self.chain(base, *self.call(_FUNCTIONS["log"], base[0]), False)
+            log_base = self.chain(base, *self.call(_FUNCTIONS["log"], base[0], node), False)
             product = self.mul(expo, log_base, False)
-            self.chain(product, *self.call(_FUNCTIONS["exp"], product[0]), final, t)
+            self.chain(product, *self.call(_FUNCTIONS["exp"], product[0], node), final, t)
 
         self.power_rule(
             node,
@@ -620,7 +633,7 @@ class _Compiler:
             expo,
             t,
             zero=lambda: self.store(*self.constant("1.0"), final, t),
-            integer=lambda: self.chain(base, *self.call(_int_power, f"{base[0]}, {t}k"), final, t),
+            integer=lambda: self.chain(base, *self.call(_int_power, f"{base[0]}, {t}k", node), final, t),
             real=real,
         )
         return self.names(t)
@@ -662,7 +675,7 @@ class _Compiler:
             a = self.value(node.arg)
             if node.fn in _POSITIVE_DOMAIN:
                 self.fail_if(f"{a} <= 0.0", self.domain_message(node, a), node)
-            self.emit(f"{t} = {self.bind(getattr(math, node.fn))}({a})")
+            self.guarded(f"{t} = {self.bind(getattr(math, node.fn))}({a})", node)
         elif isinstance(node, Bin):
             a = self.value(node.left)
             if node.op == "^":
@@ -675,8 +688,8 @@ class _Compiler:
                     expo,
                     t,
                     zero=lambda: self.emit(f"{t} = 1.0"),
-                    integer=lambda: self.emit(f"{t} = {a} ** {t}k"),
-                    real=lambda: self.emit(f"{t} = {exp}({expo[0]} * {log}({a}))"),
+                    integer=lambda: self.guarded(f"{t} = {a} ** {t}k", node),
+                    real=lambda: self.guarded(f"{t} = {exp}({expo[0]} * {log}({a}))", node),
                 )
                 return t
             b = self.value(node.right)

@@ -83,6 +83,8 @@ def geodesic(
     """Integrate the geodesic equation from (x0, v0) for parameter tmax."""
     if steps < 1:
         raise ValueError("steps must be positive")
+    if tmax == 0:
+        raise ValueError("tmax must be nonzero")
     x = np.asarray(x0, dtype=float).copy()
     v = np.asarray(v0, dtype=float).copy()
     if x.shape != (metric.dim,) or v.shape != (metric.dim,):

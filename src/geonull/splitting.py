@@ -19,10 +19,15 @@ so far and the message in ``aborted``.  The divergence check
 |div T + tr C| costs a further finite-difference stencil per sample, so
 ``EvolutionReport.divergence_residual`` computes it on first access only.
 
-T is obtained by finite differences of the pointwise curvature kernel, so
-classification tolerances must absorb FD noise: a nilpotent matrix perturbed
-by eps shows spurious eigenvalues of size about eps^(1/2), which is why
-``classify`` takes an explicit tolerance.
+One function picks T from the kernel: ``kernel_section`` projects a
+reference vector onto the kernel and normalizes it, from one metric jet per
+point.  ``splitting_tensor``'s default field is that section of a
+1-dimensional kernel, referenced to its value at x; the evolution references
+it to the geodesic's velocity.  The derivative of T is taken by finite
+differences of these pointwise sections, so classification tolerances must
+absorb FD noise: a nilpotent matrix perturbed by eps shows spurious
+eigenvalues of size about eps^(1/2), which is why ``classify`` takes an
+explicit tolerance.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .curvature import christoffel, nullity
+from .curvature import _christoffel_from_jet, _default_rel_tol, _nullity_from, _riemann_from_jet
 from .flows import GeodesicPath, _sample_indices, geodesic, parallel_transport
 from .metricspace import MetricField
 from .numcore import _g_gram_schmidt, eigenvalues, invert
@@ -47,7 +52,6 @@ __all__ = [
     "SplittingTensor",
     "BlockInvariants",
     "EvolutionReport",
-    "nullity_field",
     "kernel_section",
     "splitting_tensor",
     "classify",
@@ -89,37 +93,6 @@ class RiccatiBlowupError(ArithmeticError):
         self.t = t
 
 
-def nullity_field(
-    metric: MetricField,
-    x,
-    reference=None,
-    rel_tol: Optional[float] = None,
-) -> np.ndarray:
-    """Unit curvature-kernel vector at x, with a deterministic sign.
-
-    Requires a 1-dimensional kernel (:class:`KernelDimensionError` otherwise;
-    use :func:`kernel_section` when the kernel is larger).  The sign makes
-    the largest-magnitude component positive, or, when ``reference`` is
-    given, makes the metric inner product with it positive; a reference
-    nearly orthogonal to the kernel raises :class:`AlignmentError`.
-    """
-    pt = np.asarray(x, dtype=float)
-    res = nullity(metric, pt, rel_tol=rel_tol)
-    if res.nullity != 1:
-        raise KernelDimensionError(1, res.nullity, pt)
-    t_vec = res.basis[0]
-    if reference is None:
-        return t_vec
-    g = metric.jet(pt, order=1, check=False)[0]
-    align = float(np.asarray(reference, dtype=float) @ g @ t_vec)
-    if abs(align) < 1e-8:
-        raise AlignmentError(
-            f"reference vector is orthogonal to the curvature kernel at "
-            f"{np.array2string(pt, precision=6)} (inner product {align:.3e})"
-        )
-    return t_vec if align > 0 else -t_vec
-
-
 def kernel_section(
     metric: MetricField,
     x,
@@ -130,18 +103,24 @@ def kernel_section(
 
     Returns ``(section, basis)`` where ``basis`` rows are the g-orthonormal
     kernel vectors and ``section`` is the normalized projection of
-    ``reference`` onto the kernel (the first basis vector when no reference
-    is given).  Raises :class:`KernelDimensionError` for a trivial kernel.
+    ``reference`` onto the kernel (the first basis vector, with its canonical
+    sign, when no reference is given).  One metric jet at x feeds both the
+    kernel and the projection.  Raises :class:`KernelDimensionError` for a
+    trivial kernel and :class:`AlignmentError` for a reference orthogonal to
+    the kernel.
     """
     pt = np.asarray(x, dtype=float)
-    res = nullity(metric, pt, rel_tol=rel_tol)
+    if rel_tol is None:
+        rel_tol = _default_rel_tol(metric)
+    g, dg, d2g = metric.jet(pt)
+    res = _nullity_from(_riemann_from_jet(g, dg, d2g)[2], g, rel_tol)
     if res.nullity == 0:
         raise KernelDimensionError(1, 0, pt)
     if reference is None:
         return res.basis[0], res.basis
-    g = metric.jet(pt, order=1, check=False)[0]
     ref = np.asarray(reference, dtype=float)
-    section = sum(float(b @ g @ ref) * b for b in res.basis)
+    terms = [float(b @ g @ ref) * b for b in res.basis]
+    section = sum(terms[1:], terms[0])  # not 0 + ..., which turns -0.0 into +0.0
     nrm = float(np.sqrt(section @ g @ section))
     if nrm < 1e-8:
         raise AlignmentError(
@@ -149,6 +128,21 @@ def kernel_section(
             + np.array2string(pt, precision=6)
         )
     return section / nrm, res.basis
+
+
+def _kernel_field(metric: MetricField, reference, dimension: int, rel_tol) -> Callable:
+    """``q -> kernel_section(metric, q, reference, rel_tol)[0]`` on kernels of ``dimension``.
+
+    A kernel of any other dimension at q raises :class:`KernelDimensionError`.
+    """
+
+    def field(q):
+        section, basis = kernel_section(metric, q, reference=reference, rel_tol=rel_tol)
+        if basis.shape[0] != dimension:
+            raise KernelDimensionError(dimension, basis.shape[0], q)
+        return section
+
+    return field
 
 
 @dataclass(frozen=True)
@@ -179,29 +173,19 @@ class SplittingTensor:
         return 0.5 * (np.trace(m) ** 2 - np.trace(m @ m))
 
 
-def _default_field(metric: MetricField, x: np.ndarray, rel_tol) -> Callable:
-    t0 = nullity_field(metric, x, rel_tol=rel_tol)
-
-    def field(q):
-        return nullity_field(metric, q, reference=t0, rel_tol=rel_tol)
-
-    return field
-
-
-def _complement_basis(metric: MetricField, x: np.ndarray, t_vec: np.ndarray) -> np.ndarray:
+def _complement_basis(g: np.ndarray, x: np.ndarray, t_vec: np.ndarray) -> np.ndarray:
     """g-orthonormal complement of T from coordinate directions.
 
     Dropping the coordinate carrying T's largest component keeps the
     remaining directions independent of T; candidates are tried in order of
     decreasing component size in case the leading choice degenerates.
     """
-    n = metric.dim
+    n = g.shape[0]
     if n == 1:
         raise AlignmentError(
             f"T spans the tangent space at {np.array2string(x, precision=6)}: "
             "the splitting tensor has no complement to act on"
         )
-    g = metric.jet(x, order=1, check=False)[0]
     tn = t_vec / float(np.sqrt(t_vec @ g @ t_vec))
     eye = np.eye(n)
     for drop in np.argsort(-np.abs(tn)):
@@ -224,8 +208,10 @@ def splitting_tensor(
 ) -> SplittingTensor:
     """Measure C_T at x by Richardson-extrapolated central differences of T.
 
-    ``field`` maps points to kernel vectors (default: the curvature kernel
-    with sign aligned to its value at x); ``basis`` gives the complement
+    ``field`` maps points to kernel vectors (default: the
+    :func:`kernel_section` of a 1-dimensional curvature kernel, aligned to
+    its value at x; any other kernel dimension raises
+    :class:`KernelDimensionError`); ``basis`` gives the complement
     rows (default: the chart's preferred frame, else a coordinate-built
     complement).  A non-unit field raises :class:`NonUnitFieldError` unless
     ``allow_non_unit`` is set, since the splitting tensor is defined through
@@ -233,9 +219,9 @@ def splitting_tensor(
     """
     pt = np.asarray(x, dtype=float)
     n = metric.dim
-    g = metric.jet(pt, order=1, check=False)[0]
+    g, dg = metric.jet(pt, order=1)
     if field is None:
-        field = _default_field(metric, pt, rel_tol)
+        field = _kernel_field(metric, kernel_section(metric, pt, rel_tol=rel_tol)[0], 1, rel_tol)
     t0 = np.asarray(field(pt), dtype=float)
     t_norm = float(np.sqrt(t0 @ g @ t0))
     if abs(t_norm - 1.0) > 1e-6 and not allow_non_unit:
@@ -244,7 +230,7 @@ def splitting_tensor(
         if metric.preferred_frame is not None:
             basis = metric.preferred_frame(pt)
         else:
-            basis = _complement_basis(metric, pt, t0)
+            basis = _complement_basis(g, pt, t0)
     basis = np.asarray(basis, dtype=float)
     if basis.ndim != 2 or basis.shape[1] != n:
         raise ValueError("basis must be rows of chart-dimension vectors")
@@ -261,7 +247,7 @@ def splitting_tensor(
         d1 = central(h)
         d2 = central(2.0 * h)
         dT[:, j] = (4.0 * d1 - d2) / 3.0
-    gamma = christoffel(metric, pt)
+    gamma = _christoffel_from_jet(invert(g), dg)
     # nabla_{e_j} T = e_j^m (dT[., m] + Gamma[., m, a] T^a)
     full = dT + np.einsum("kma,a->km", gamma, t0)
     cov = np.einsum("km,jm->kj", full, basis)  # column j: nabla_{basis[j]} T
@@ -444,18 +430,8 @@ def evolve_along_nullity_geodesic(
     pt = np.asarray(x0, dtype=float)
     section, basis0 = kernel_section(metric, pt, rel_tol=rel_tol)
     k0 = basis0.shape[0]
-
-    def field(q, reference):
-        sec, basis = kernel_section(metric, q, reference=reference, rel_tol=rel_tol)
-        if basis.shape[0] != k0:
-            raise KernelDimensionError(k0, basis.shape[0], q)
-        return sec
-
-    def field_along(i):
-        return lambda y: field(y, path.velocities[i])
-
     start = splitting_tensor(
-        metric, pt, field=lambda q: field(q, section), h=h, rel_tol=rel_tol
+        metric, pt, field=_kernel_field(metric, section, k0, rel_tol), h=h, rel_tol=rel_tol
     )
     path = geodesic(metric, pt, section, tmax, steps=steps)
     frame = parallel_transport(metric, path, start.basis)
@@ -468,8 +444,8 @@ def evolve_along_nullity_geodesic(
     for i in _sample_indices(path.times.size, samples):
         try:
             st = splitting_tensor(
-                metric, path.points[i], basis=frame.vectors[i], field=field_along(i),
-                h=h, rel_tol=rel_tol,
+                metric, path.points[i], basis=frame.vectors[i],
+                field=_kernel_field(metric, path.velocities[i], k0, rel_tol), h=h, rel_tol=rel_tol,
             )
             pred = riccati_closed_form(start.matrix, float(path.times[i]))
         except (KernelDimensionError, AlignmentError, RiccatiBlowupError) as exc:
@@ -485,7 +461,8 @@ def evolve_along_nullity_geodesic(
     def divergence_residual() -> float:
         worst = 0.0
         for i, c in zip(reached, measured):
-            div_fd = _fd_divergence(metric, path.points[i], field_along(i), h)
+            field = _kernel_field(metric, path.velocities[i], k0, rel_tol)
+            div_fd = _fd_divergence(metric, path.points[i], field, h)
             worst = max(worst, abs(div_fd + float(np.trace(c))))
         return worst
 

@@ -126,6 +126,9 @@ def test_domain_errors_exit_two(capsys):
         (("scan", "--metric", "euclidean", "--dim", "2", "--grid", "x0=0:nan:2"), 1),
         (("flow", "--metric", "conullity3", "--direction", "0,0,inf,0"), 1),
         (("verify", "--suite", "riccati", "--seed", "-5"), 1),
+        (("flow", "--metric", "conullity3", "--tmax", "0", "--steps", "4"), 1),
+        (("analyze", "--metric", "sekigawa", "--p", "exp(exp(exp(u)))", "--point", "0,2.9,0"), 2),
+        (("scan", "--metric", "euclidean", "--dim", "2", "--grid", "x0=0:1:100000000"), 1),
     ],
 )
 def test_rejected_input_exit_codes(capsys, argv, expected):

@@ -86,6 +86,14 @@ def test_geodesic_start_outside_domain():
         geodesic(metric, [0.01, 0.0], [1.0, 0.0], tmax=1.0)
 
 
+def test_geodesic_rejects_empty_parameter_range():
+    metric = catalog_euclidean(2)
+    with pytest.raises(ValueError, match="tmax"):
+        geodesic(metric, [0.0, 0.0], [1.0, 0.0], tmax=0.0)
+    with pytest.raises(ValueError, match="steps"):
+        geodesic(metric, [0.0, 0.0], [1.0, 0.0], tmax=1.0, steps=0)
+
+
 def test_sampled_path_endpoints_and_count():
     metric = catalog_euclidean(2)
     path = geodesic(metric, [0.0, 0.0], [1.0, 0.5], tmax=1.0, steps=128)

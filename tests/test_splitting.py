@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from geonull import splitting
+from geonull.curvature import nullity
 from geonull.metricspace import (
+    MetricField,
     catalog_conullity3,
     catalog_euclidean,
     catalog_product,
@@ -19,7 +21,6 @@ from geonull.splitting import (
     classify,
     evolve_along_nullity_geodesic,
     kernel_section,
-    nullity_field,
     riccati_closed_form,
     riccati_ode,
     splitting_tensor,
@@ -33,24 +34,96 @@ def conullity3():
     return catalog_conullity3("3+cos(u)+cos(w)")
 
 
-def test_nullity_field_canonical_sign():
+def test_kernel_section_canonical_sign():
     metric = conullity3()
-    t = nullity_field(metric, ORIGIN4)
+    t, basis = kernel_section(metric, ORIGIN4)
+    assert basis.shape == (1, 4)
     assert np.allclose(t, [0.0, 0.0, 1.0, 0.0], atol=1e-12)
-    flipped = nullity_field(metric, ORIGIN4, reference=[0.0, 0.0, -1.0, 0.0])
+    flipped, _ = kernel_section(metric, ORIGIN4, reference=[0.0, 0.0, -1.0, 0.0])
     assert np.allclose(flipped, [0.0, 0.0, -1.0, 0.0], atol=1e-12)
 
 
-def test_nullity_field_rejects_orthogonal_reference():
+def test_kernel_section_rejects_orthogonal_reference():
     with pytest.raises(AlignmentError):
-        nullity_field(conullity3(), ORIGIN4, reference=[0.0, 1.0, 0.0, 0.0])
+        kernel_section(conullity3(), ORIGIN4, reference=[0.0, 1.0, 0.0, 0.0])
 
 
-def test_nullity_field_requires_line_kernel():
+def test_splitting_tensor_requires_line_kernel():
     with pytest.raises(KernelDimensionError) as exc:
-        nullity_field(catalog_euclidean(3), [0.0, 0.0, 0.0])
+        splitting_tensor(catalog_euclidean(3), [0.0, 0.0, 0.0])
     assert exc.value.expected == 1
     assert exc.value.found == 3
+
+
+def _sign_flip_field(metric, x):
+    """The unit kernel vector at each point, its sign set by the metric inner
+    product with the kernel vector at x: the default field before it became
+    a :func:`kernel_section` of the kernel."""
+    t0 = nullity(metric, x).basis[0]
+
+    def field(q):
+        res = nullity(metric, q)
+        assert res.nullity == 1
+        t = res.basis[0]
+        g = metric.jet(q, order=1, check=False)[0]
+        return t if float(t0 @ g @ t) > 0 else -t
+
+    return field
+
+
+@pytest.mark.parametrize(
+    "metric, dim",
+    [
+        (catalog_conullity3("3+cos(0.9*u)+cos(1.2*w)+0.3*sin(x)"), 4),
+        (catalog_sekigawa("2+sin(u)+0.4*cos(x*u)"), 3),
+    ],
+    ids=["conullity3", "sekigawa"],
+)
+def test_default_field_is_the_sign_flip_field_bitwise(metric, dim):
+    rng = np.random.default_rng(41)
+    for _ in range(12):
+        pt = rng.uniform(-0.9, 0.9, dim)
+        got = splitting_tensor(metric, pt)
+        want = splitting_tensor(metric, pt, field=_sign_flip_field(metric, pt))
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert got.basis.tobytes() == want.basis.tobytes()
+        assert got.field_value.tobytes() == want.field_value.tobytes()
+        assert got.triangular_residual == want.triangular_residual
+        assert got.normal_form_entries == want.normal_form_entries
+
+
+def _counting(metric):
+    """``metric`` behind a jet that records the order of every call."""
+    orders = []
+
+    def jet(x, order):
+        orders.append(order)
+        return metric.jet(x, order=order, check=False)
+
+    counted = MetricField(
+        metric.dim, metric.coordinates, jet,
+        provenance=metric.provenance, preferred_frame=metric.preferred_frame,
+    )
+    return counted, orders
+
+
+@pytest.mark.parametrize(
+    "metric, point",
+    [(conullity3(), [0.1, 0.2, -0.3, 0.4]), (catalog_sekigawa("exp(u)"), [0.2, -0.3, 0.1])],
+    ids=["preferred_frame", "built_complement"],
+)
+def test_jets_per_kernel_section_and_splitting_tensor(metric, point):
+    counted, orders = _counting(metric)
+    kernel_section(counted, point)
+    assert orders == [2]
+    orders.clear()
+    kernel_section(counted, point, reference=np.ones(metric.dim))
+    assert orders == [2]
+    orders.clear()
+    splitting_tensor(counted, point)
+    # base jet, kernel at x, the field at x, and 4 stencil points per axis
+    assert len(orders) == 4 * metric.dim + 3
+    assert orders.count(1) == 1
 
 
 def test_kernel_section_on_product():
@@ -114,7 +187,7 @@ def test_splitting_tensor_field_scaling():
     metric = conullity3()
 
     def doubled(q):
-        return 2.0 * nullity_field(metric, q)
+        return 2.0 * kernel_section(metric, q)[0]
 
     with pytest.raises(NonUnitFieldError) as exc:
         splitting_tensor(metric, ORIGIN4, field=doubled)
