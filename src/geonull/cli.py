@@ -11,8 +11,8 @@ Output contracts:
 * Identical invocations produce byte-identical stdout; wall-clock timings
   go to stderr only.
 
-Exit codes: 0 success, 1 usage error, 2 domain error, 3 verification
-failure.
+Exit codes: 0 success, 1 usage error, 2 domain error (a float overflow or
+a metric too ill-conditioned to invert included), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .curvature import (
     scalar_curvature,
     sectional,
 )
-from .exprcalc import DomainError, ParseError
+from .exprcalc import ParseError
 from .flows import (
     LaunchError,
     flatness_probe,
@@ -55,6 +55,7 @@ from .metricspace import (
     catalog_sekigawa,
     catalog_sphere,
 )
+from .numcore import SingularMatrixError
 from .splitting import (
     AlignmentError,
     KernelDimensionError,
@@ -198,8 +199,6 @@ def _add_metric_flags(sp):
     sp.add_argument("--point", help="comma-separated chart coordinates")
     sp.add_argument("--rel-tol", type=_fraction, default=None, help="rank tolerance override, in (0, 1)")
     sp.add_argument("--fd-step", type=_positive, default=DEFAULT_FD_STEP, help="finite-difference step")
-    sp.add_argument("--seed", type=_seed, default=None, help="sampling seed")
-    sp.add_argument("--json", action="store_true", help="force JSON output")
     sp.add_argument("--out", help="write output to a file instead of stdout")
 
 
@@ -210,6 +209,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("analyze", help="curvature, nullity, and splitting tensor at a point")
     _add_metric_flags(sp)
+    sp.add_argument("--seed", type=_seed, default=None, help="seed of the sampled sectional planes")
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("scan", help="grid scan to CSV")
@@ -397,14 +397,15 @@ def _parse_grid(spec, metric, parser):
 def _scan_worker(metric, point, rel_tol, fd_step):
     try:
         data = curvature_data(metric, point, rel_tol=rel_tol)
-    except (ChartDomainError, DomainError):
+    except (ChartDomainError, SingularMatrixError, ArithmeticError):
         return None
     kind = ""
     if _splitting_defined(data.nullity):
         try:
             st = splitting_tensor(metric, point, h=fd_step, rel_tol=rel_tol)
             kind = classify(st.matrix, tol=CLASSIFY_TOL).kind
-        except (ChartDomainError, DomainError, KernelDimensionError, AlignmentError, NonUnitFieldError):
+        except (ChartDomainError, SingularMatrixError, ArithmeticError,
+                KernelDimensionError, AlignmentError, NonUnitFieldError):
             kind = ""
     return data.scalar_trace, data.nullity.nullity, data.nullity.conullity, kind
 
@@ -874,11 +875,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args, parser)
+        # a float overflow or an invalid value (inf - inf) raises, not warns
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args, parser)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ChartDomainError, DomainError, KernelDimensionError, AlignmentError,
-            NonUnitFieldError, RiccatiBlowupError, LaunchError) as exc:
+    except (ChartDomainError, KernelDimensionError, AlignmentError, NonUnitFieldError,
+            LaunchError, SingularMatrixError, ArithmeticError) as exc:
+        # ArithmeticError takes in DomainError, RiccatiBlowupError, a float
+        # overflow (FloatingPointError) and a warp derivative that divides by
+        # an underflowed zero (ZeroDivisionError)
         return _domain_error(exc)
 
 

@@ -74,6 +74,7 @@ def christoffel(metric: MetricField, x) -> np.ndarray:
 
 
 def _riemann_from_jet(g, dg, d2g):
+    """``(gi, gamma, rup, rdown)``: the inverse metric and the tensors built on it."""
     gi = invert(g)
     gamma = _christoffel_from_jet(gi, dg)
     s = dg.transpose(2, 0, 1) + dg.transpose(0, 2, 1) - dg
@@ -90,14 +91,12 @@ def _riemann_from_jet(g, dg, d2g):
         - np.einsum("ljm,mik->lijk", gamma, gamma)
     )
     rdown = np.einsum("lm,mijk->ijkl", g, rup)
-    return gamma, rup, rdown
+    return gi, gamma, rup, rdown
 
 
 def riemann(metric: MetricField, x):
     """Curvature tensors ``(rup, rdown)`` at x (see module conventions)."""
-    g, dg, d2g = metric.jet(x)
-    _, rup, rdown = _riemann_from_jet(g, dg, d2g)
-    return rup, rdown
+    return _riemann_from_jet(*metric.jet(x))[2:]
 
 
 def _plane_curvature(rdown: np.ndarray, g: np.ndarray, X, Y):
@@ -124,7 +123,7 @@ def sectional(metric: MetricField, x, X, Y) -> float:
     below 1e-12 relative to the product of the squared lengths.
     """
     g, dg, d2g = metric.jet(x)
-    _, _, rdown = _riemann_from_jet(g, dg, d2g)
+    rdown = _riemann_from_jet(g, dg, d2g)[3]
     value, gram, scale = _plane_curvature(
         rdown, g, np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
     )
@@ -135,9 +134,7 @@ def sectional(metric: MetricField, x, X, Y) -> float:
 
 def scalar_curvature(metric: MetricField, x) -> float:
     """Double-trace scalar curvature g^{il} g^{jk} R_ijkl (unit sphere: +2)."""
-    g, dg, d2g = metric.jet(x)
-    _, _, rdown = _riemann_from_jet(g, dg, d2g)
-    gi = invert(g)
+    gi, _, _, rdown = _riemann_from_jet(*metric.jet(x))
     return float(np.einsum("il,jk,ijkl->", gi, gi, rdown))
 
 
@@ -185,13 +182,17 @@ def _nullity_from(rdown: np.ndarray, g: np.ndarray, rel_tol: float) -> NullityRe
     )
 
 
-def nullity(metric: MetricField, x, rel_tol: Optional[float] = None) -> NullityResult:
-    """Kernel of v -> R(v, ., ., .) at x via SVD of the flattened tensor."""
+def _nullity_at(metric: MetricField, x, rel_tol: Optional[float] = None):
+    """``(nullity, g, dg)`` at x: the kernel and the one metric jet it came from."""
     if rel_tol is None:
         rel_tol = _default_rel_tol(metric)
     g, dg, d2g = metric.jet(x)
-    _, _, rdown = _riemann_from_jet(g, dg, d2g)
-    return _nullity_from(rdown, g, rel_tol)
+    return _nullity_from(_riemann_from_jet(g, dg, d2g)[3], g, rel_tol), g, dg
+
+
+def nullity(metric: MetricField, x, rel_tol: Optional[float] = None) -> NullityResult:
+    """Kernel of v -> R(v, ., ., .) at x via SVD of the flattened tensor."""
+    return _nullity_at(metric, x, rel_tol)[0]
 
 
 @dataclass(frozen=True)
@@ -220,8 +221,7 @@ def curvature_data(metric: MetricField, x, rel_tol: Optional[float] = None) -> C
         rel_tol = _default_rel_tol(metric)
     pt = np.asarray(x, dtype=float)
     g, dg, d2g = metric.jet(pt)
-    gamma, rup, rdown = _riemann_from_jet(g, dg, d2g)
-    gi = invert(g)
+    gi, gamma, rup, rdown = _riemann_from_jet(g, dg, d2g)
     scal = float(np.einsum("il,jk,ijkl->", gi, gi, rdown))
     nres = _nullity_from(rdown, g, rel_tol)
     plane_curv = None
@@ -254,11 +254,11 @@ def bianchi2_residual(metric: MetricField, x, h: float = 1e-4) -> float:
     pt = np.asarray(x, dtype=float)
     n = metric.dim
     g, dg, d2g = metric.jet(pt)
-    gamma, _, r0 = _riemann_from_jet(g, dg, d2g)
+    _, gamma, _, r0 = _riemann_from_jet(g, dg, d2g)
 
     def rdown_at(q):
         gq, dgq, d2gq = metric.jet(q, check=False)
-        return _riemann_from_jet(gq, dgq, d2gq)[2]
+        return _riemann_from_jet(gq, dgq, d2gq)[3]
 
     dr = np.empty((n, n, n, n, n))
     eye = np.eye(n)

@@ -13,9 +13,9 @@ functions over plain floats with no per-node arrays.  The jet kernel behind
 tree walk over :class:`Jet2` in the same order, so it matches that walk bit
 for bit.  The value kernel behind :meth:`Expression.value` makes the same
 domain checks but computes no derivatives.  A float overflow raised by a
-function or a power (``exp(exp(exp(u)))`` at u = 2.9) becomes a
-:class:`DomainError` naming that subexpression.  Kernels hold no state, so
-threads may share them.
+function or a power (``exp(exp(exp(u)))`` at u = 2.9), and ``sin`` or
+``cos`` of an infinite argument, become a :class:`DomainError` naming that
+subexpression.  Kernels hold no state, so threads may share them.
 
 Grammar
 -------
@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -325,7 +325,8 @@ class _Parser:
             if closing.text != ")":
                 raise ParseError("unbalanced parentheses", closing.offset)
             self.advance()
-            return node
+            # the span takes in the parentheses, so an error names a balanced fragment
+            return replace(node, span=(tok.offset, closing.offset + 1))
         if tok.text == "-":
             self.advance()
             child = self.parse_expr(_UNARY_PRECEDENCE)
@@ -529,11 +530,17 @@ class _Compiler:
             self.fail(message, node)
 
     def guarded(self, line: str, node: Node) -> None:
-        """Emit ``line``; an OverflowError it raises becomes ``node``'s DomainError."""
+        """Emit ``line``; an error ``math`` raises there becomes ``node``'s DomainError.
+
+        That is an OverflowError, or the ValueError of ``sin`` and ``cos`` of
+        an infinite argument.
+        """
         with self.block("try:"):
             self.emit(line)
         with self.block("except OverflowError:"):
             self.fail('"float overflow"', node)
+        with self.block("except ValueError:"):
+            self.fail('"math domain error"', node)
 
     def call(self, fn, arg: str, node: Node) -> tuple:
         t = self.fresh()

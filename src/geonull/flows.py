@@ -7,10 +7,17 @@ using cubic Hermite interpolation of the path for the midpoint stages.
 
 Paths truncate cleanly at the chart boundary instead of raising: the
 returned :class:`GeodesicPath` carries a ``truncated`` flag and the last
-parameter value that stayed inside.  Each geodesic is integrated once, at the
-requested step count; no error estimate is stored with the path.  Evenly
-spaced sample nodes of a path are picked by one rule, shared by
-:func:`sampled_path` and the splitting tensor's Riccati evolution.
+parameter value that stayed inside; so does an RK4 stage whose numbers
+overflow while float errors raise (as the command line sets them).  Each
+geodesic is integrated once, at the requested step count; no error estimate
+is stored with the path.  Evenly spaced sample nodes of a path are picked by
+one rule, shared by :func:`sampled_path` and the splitting tensor's Riccati
+evolution.
+
+One metric jet serves all that a routine needs at a point: parallel
+transport takes g and Gamma at a path node from one order-1 jet, which also
+serves the gram-drift check, and the nullity check takes the kernel and g at
+a sample from one order-2 jet.
 """
 
 from __future__ import annotations
@@ -21,8 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .curvature import _christoffel_from_jet, _riemann_from_jet
-from .exprcalc import DomainError
+from .curvature import _christoffel_from_jet, _nullity_at, _riemann_from_jet
 from .metricspace import ChartDomainError, MetricField
 from .numcore import SingularMatrixError, _g_gram_schmidt, invert
 
@@ -64,13 +70,14 @@ class GeodesicPath:
         return self.points[-1]
 
 
-def _gamma_at(metric: MetricField, x: np.ndarray) -> np.ndarray:
+def _gamma_at(metric: MetricField, x: np.ndarray) -> tuple:
+    """``(g, Gamma)`` at x from one order-1 metric jet."""
     g, dg = metric.jet(x, order=1, check=False)
-    return _christoffel_from_jet(invert(g), dg)
+    return g, _christoffel_from_jet(invert(g), dg)
 
 
 def _accel(metric: MetricField, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return -np.einsum("kij,i,j->k", _gamma_at(metric, x), v, v)
+    return -np.einsum("kij,i,j->k", _gamma_at(metric, x)[1], v, v)
 
 
 def geodesic(
@@ -110,7 +117,7 @@ def geodesic(
             ax4 = _accel(metric, x4, v4)
             xn = x + (h / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
             vn = v + (h / 6.0) * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
-        except (ChartDomainError, DomainError, SingularMatrixError):
+        except (ChartDomainError, SingularMatrixError, ArithmeticError):  # a warp's DomainError too
             truncated = True
             break
         if not (np.all(np.isfinite(xn)) and np.all(np.isfinite(vn))):
@@ -175,7 +182,9 @@ def parallel_transport(metric: MetricField, path: GeodesicPath, v0) -> ParallelF
     m = times.size - 1
     out = np.empty((m + 1,) + V.shape)
     out[0] = V
-    gamma_right = _gamma_at(metric, xs[0])
+    # one jet per node serves both its Gamma and the gram-drift check
+    g_nodes = np.empty((m + 1, metric.dim, metric.dim))
+    g_nodes[0], gamma_right = _gamma_at(metric, xs[0])
 
     def rhs(gamma, w, vecs):
         return -np.einsum("kij,i,aj->ak", gamma, w, vecs)
@@ -185,22 +194,20 @@ def parallel_transport(metric: MetricField, path: GeodesicPath, v0) -> ParallelF
         x0c, x1c = xs[i], xs[i + 1]
         w0, w1 = vs[i], vs[i + 1]
         gamma0 = gamma_right
-        gamma_right = _gamma_at(metric, x1c)
+        g_nodes[i + 1], gamma_right = _gamma_at(metric, x1c)
         xm = 0.5 * (x0c + x1c) + (h / 8.0) * (w0 - w1)
         wm = 1.5 * (x1c - x0c) / h - 0.25 * (w0 + w1)
-        gamma_mid = _gamma_at(metric, xm)
+        gamma_mid = _gamma_at(metric, xm)[1]
         Vi = out[i]
         k1 = rhs(gamma0, w0, Vi)
         k2 = rhs(gamma_mid, wm, Vi + 0.5 * h * k1)
         k3 = rhs(gamma_mid, wm, Vi + 0.5 * h * k2)
         k4 = rhs(gamma_right, w1, Vi + h * k3)
         out[i + 1] = Vi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    g0 = metric.jet(xs[0], order=1, check=False)[0]
-    gram0 = out[0] @ g0 @ out[0].T
+    gram0 = out[0] @ g_nodes[0] @ out[0].T
     drift = 0.0
     for i in range(m + 1):
-        gi = metric.jet(xs[i], order=1, check=False)[0]
-        drift = max(drift, float(np.max(np.abs(out[i] @ gi @ out[i].T - gram0))))
+        drift = max(drift, float(np.max(np.abs(out[i] @ g_nodes[i] @ out[i].T - gram0))))
     vectors = out[:, 0, :] if single else out
     return ParallelFrame(times=times.copy(), vectors=vectors, gram_drift=drift)
 
@@ -234,13 +241,10 @@ def nullity_geodesic_check(
     the angle between the velocity and the kernel subspace.  Raises
     :class:`LaunchError` for a trivial kernel at x0 or a zero direction.
     """
-    from .curvature import nullity as _nullity
-
     pt = np.asarray(x0, dtype=float)
-    res0 = _nullity(metric, pt, rel_tol=rel_tol)
+    res0, g0, _ = _nullity_at(metric, pt, rel_tol)
     if res0.nullity == 0:
         raise LaunchError(f"curvature kernel is trivial at the start point for {metric.name}")
-    g0 = metric.jet(pt, order=1, check=False)[0]
     if direction is None:
         v0 = res0.basis[0]
     else:
@@ -254,9 +258,8 @@ def nullity_geodesic_check(
     dims = []
     worst = 0.0
     for q, w in zip(points, vels):
-        res = _nullity(metric, q, rel_tol=rel_tol)
+        res, gq, _ = _nullity_at(metric, q, rel_tol)
         dims.append(res.nullity)
-        gq = metric.jet(q, order=1, check=False)[0]
         wn = float(np.sqrt(w @ gq @ w))
         if res.nullity > 0 and wn > 0:
             proj = sum(float(b @ gq @ w) * b for b in res.basis)
@@ -329,12 +332,12 @@ def flatness_probe(
             continue
         checked += 1
         g, dg, d2g = metric.jet(q, check=False)
-        gamma = _riemann_from_jet(g, dg, d2g)[0]
+        gamma = _christoffel_from_jet(invert(g), dg)
         # induced metric jets are plain restrictions for a coordinate slice
         gs = g[sel]
         dgs = dg[np.ix_(idx, idx, idx)]
         d2gs = d2g[np.ix_(idx, idx, idx, idx)]
-        rleaf = _riemann_from_jet(gs, dgs, d2gs)[2]
+        rleaf = _riemann_from_jet(gs, dgs, d2gs)[3]
         max_curv = max(max_curv, float(np.max(np.abs(rleaf))))
         tangent = _g_gram_schmidt(np.eye(metric.dim)[idx], g)
         for a in idx:

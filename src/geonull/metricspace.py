@@ -18,7 +18,9 @@ positive function p:
 For both families the coframe 1-forms are the ground truth: the metric, its
 jets, and any orthonormal frame are derived from them rather than hard-coded,
 and the 2-jet of g is assembled exactly from the 2-jet of p by the product
-rule (analytic provenance, no finite differences).
+rule (analytic provenance, no finite differences).  The coframe matrix is
+affine in the coordinates except for its warp entry p, so a jet of g costs
+one expression jet of p plus a few dense contractions.
 """
 
 from __future__ import annotations
@@ -152,65 +154,37 @@ class MetricField:
 # coframe-driven analytic jets
 
 
-class _AffineEntry:
-    """Coframe coefficient c0 + coeffs . x (gradient constant, Hessian zero)."""
-
-    def __init__(self, n: int, c0: float = 0.0, coeffs: Optional[dict] = None):
-        self.c0 = float(c0)
-        self.grad = np.zeros(n)
-        for index, value in (coeffs or {}).items():
-            self.grad[index] = value
-
-    def jet(self, x: np.ndarray, order: int):
-        return self.c0 + float(self.grad @ x), self.grad, None
-
-
-class _ExprEntry:
-    """Coframe coefficient given by an expression over a subset of coordinates."""
-
-    def __init__(self, n: int, expr: Expression, chart_indices: Sequence[int]):
-        self.n = n
-        self.expr = expr
-        self.chart_indices = np.asarray(chart_indices, dtype=int)
-
-    def jet(self, x: np.ndarray, order: int):
-        j = self.expr.jet2(x[self.chart_indices])
-        grad = np.zeros(self.n)
-        grad[self.chart_indices] = j.gradient
-        hess = np.zeros((self.n, self.n))
-        hess[np.ix_(self.chart_indices, self.chart_indices)] = j.hessian
-        return j.value, grad, hess
-
-
 class _CoframeJet:
-    """Assemble (g, dg, d2g) for g = B^T B from jets of the coframe matrix B.
+    """Assemble (g, dg, d2g) for g = B^T B from the jet of the coframe matrix B.
 
-    ``base`` holds the constant entries of B; ``dynamic`` lists the varying
-    ones.  All products are einsum contractions, so a chart evaluation costs
-    one expression jet plus a handful of dense contractions.
+    B is the affine matrix ``I + affine @ x`` except for the warp entry
+    ``B[0, 0] = p(x[warp])``, whose gradient and Hessian come from one
+    expression jet; every other entry has a constant gradient and no
+    Hessian.  All products are einsum contractions.
     """
 
-    def __init__(self, n: int, base: np.ndarray, dynamic: list):
-        self.n = n
-        self.base = base
-        self.dynamic = dynamic  # list of (row, col, entry)
+    def __init__(self, affine: np.ndarray, expr: Expression, warp: Sequence[int]):
+        self.n = affine.shape[0]
+        self.identity = np.eye(self.n)
+        self.affine = affine
+        self.expr = expr
+        self.warp = np.asarray(warp, dtype=int)
+        self.warp_block = np.ix_(self.warp, self.warp)
 
     def __call__(self, x: np.ndarray, order: int):
         n = self.n
-        B = self.base.copy()
-        dB = np.zeros((n, n, n))
-        d2B = np.zeros((n, n, n, n)) if order == 2 else None
-        for row, col, entry in self.dynamic:
-            value, grad, hess = entry.jet(x, order)
-            B[row, col] = value
-            dB[row, col] = grad
-            if order == 2 and hess is not None:
-                d2B[row, col] = hess
+        p = self.expr.jet2(x[self.warp])
+        B = self.identity + self.affine @ x
+        B[0, 0] = p.value
+        dB = self.affine.copy()
+        dB[0, 0, self.warp] = p.gradient
         g = B.T @ B
         half = np.einsum("aik,aj->ijk", dB, B)
         dg = half + half.transpose(1, 0, 2)
         if order == 1:
             return g, dg
+        d2B = np.zeros((n, n, n, n))
+        d2B[0, 0][self.warp_block] = p.hessian
         s = np.einsum("aikl,aj->ijkl", d2B, B)
         d2g = s + s.transpose(1, 0, 2, 3)
         cross = np.einsum("aik,ajl->ijkl", dB, dB)
@@ -253,9 +227,9 @@ def catalog_sphere(radius: float) -> MetricField:
     Chart (theta, phi) with g = diag(r^2, r^2 sin^2 theta); theta is kept in
     (0.1, pi - 0.1) away from the coordinate degeneracy at the poles.
     """
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
     r2 = radius * radius
+    if not (radius > 0 and 0.0 < r2 < math.inf and 1.0 / r2 < math.inf):
+        raise ValueError(f"radius must be positive with a finite, nonzero square, got {radius}")
 
     def jet(x, order):
         theta = x[0]
@@ -371,14 +345,10 @@ def catalog_sekigawa(p, box: float = DEFAULT_BOX) -> MetricField:
     """
     expr = _as_expression(p, ("x", "u"))
     n = 3
-    base = np.eye(n)
-    base[0, 0] = 0.0
-    dynamic = [
-        (0, 0, _ExprEntry(n, expr, (0, 1))),       # p dx
-        (1, 0, _AffineEntry(n, 0.0, {2: -1.0})),   # du - v dx
-        (2, 0, _AffineEntry(n, 0.0, {1: 1.0})),    # dv + u dx
-    ]
-    jet = _CoframeJet(n, base, dynamic)
+    affine = np.zeros((n, n, n))  # affine[row, col, k]: coefficient of x^k
+    affine[1, 0, 2] = -1.0  # du - v dx
+    affine[2, 0, 1] = 1.0  # dv + u dx
+    jet = _CoframeJet(affine, expr, (0, 1))  # p dx
 
     def p_positive(x):
         return expr.value(x[:2]) > P_FLOOR
@@ -419,15 +389,11 @@ def catalog_conullity3(p, box: float = DEFAULT_BOX) -> MetricField:
     """
     expr = _as_expression(p, ("x", "u", "w"))
     n = 4
-    base = np.eye(n)
-    base[0, 0] = 0.0
-    dynamic = [
-        (0, 0, _ExprEntry(n, expr, (0, 1, 3))),                 # p dx
-        (1, 0, _AffineEntry(n, 0.0, {2: -1.0, 3: -1.0})),       # du - (v+w) dx
-        (2, 0, _AffineEntry(n, 0.0, {1: 1.0, 3: 1.0})),         # dv + (u+w) dx
-        (3, 0, _AffineEntry(n, 0.0, {2: -1.0, 1: 1.0})),        # dw - (v-u) dx
-    ]
-    jet = _CoframeJet(n, base, dynamic)
+    affine = np.zeros((n, n, n))  # affine[row, col, k]: coefficient of x^k
+    affine[1, 0, [2, 3]] = -1.0  # du - (v+w) dx
+    affine[2, 0, [1, 3]] = 1.0  # dv + (u+w) dx
+    affine[3, 0, [1, 2]] = [1.0, -1.0]  # dw - (v-u) dx
+    jet = _CoframeJet(affine, expr, (0, 1, 3))  # p dx
 
     def p_positive(x):
         return expr.value(x[[0, 1, 3]]) > P_FLOOR

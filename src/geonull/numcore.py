@@ -114,6 +114,7 @@ def kernel(m, rel_tol: float = REL_TOL_ANALYTIC) -> KernelResult:
     When sigma_max is below the absolute floor 1e-12 the whole column space
     is returned (kernel of a numerically zero map).  Rows are unrestricted;
     columns are capped at 8 since kernels here live in tangent spaces.
+    Raises ``FloatingPointError`` for a non-finite entry.
     """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
@@ -121,6 +122,9 @@ def kernel(m, rel_tol: float = REL_TOL_ANALYTIC) -> KernelResult:
     rows, cols = a.shape
     if rows == 0 or cols == 0:
         raise ValueError(f"degenerate matrix shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        # the SVD would return NaN singular values without an error
+        raise FloatingPointError("kernel of a matrix with a non-finite entry")
     # reduced SVD already carries all right singular vectors unless the
     # matrix is wide, in which case the padded V supplies the extra kernel
     _, s, vt = np.linalg.svd(a, full_matrices=rows < cols)

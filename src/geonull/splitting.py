@@ -22,8 +22,9 @@ so far and the message in ``aborted``.  The divergence check
 One function picks T from the kernel: ``kernel_section`` projects a
 reference vector onto the kernel and normalizes it, from one metric jet per
 point.  ``splitting_tensor``'s default field is that section of a
-1-dimensional kernel, referenced to its value at x; the evolution references
-it to the geodesic's velocity.  The derivative of T is taken by finite
+1-dimensional kernel, referenced to its value at x, and one jet at x gives
+it g, dg, the kernel and T there; the evolution references the section to
+the geodesic's velocity.  The derivative of T is taken by finite
 differences of these pointwise sections, so classification tolerances must
 absorb FD noise: a nilpotent matrix perturbed by eps shows spurious
 eigenvalues of size about eps^(1/2), which is why ``classify`` takes an
@@ -39,7 +40,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .curvature import _christoffel_from_jet, _default_rel_tol, _nullity_from, _riemann_from_jet
+from .curvature import _christoffel_from_jet, _nullity_at
 from .flows import GeodesicPath, _sample_indices, geodesic, parallel_transport
 from .metricspace import MetricField
 from .numcore import _g_gram_schmidt, eigenvalues, invert
@@ -110,16 +111,18 @@ def kernel_section(
     the kernel.
     """
     pt = np.asarray(x, dtype=float)
-    if rel_tol is None:
-        rel_tol = _default_rel_tol(metric)
-    g, dg, d2g = metric.jet(pt)
-    res = _nullity_from(_riemann_from_jet(g, dg, d2g)[2], g, rel_tol)
+    res, g, _ = _nullity_at(metric, pt, rel_tol)
     if res.nullity == 0:
         raise KernelDimensionError(1, 0, pt)
     if reference is None:
         return res.basis[0], res.basis
+    return _project(res.basis, g, reference, pt), res.basis
+
+
+def _project(basis: np.ndarray, g: np.ndarray, reference, pt: np.ndarray) -> np.ndarray:
+    """The g-projection of ``reference`` onto the rows of ``basis``, normalized."""
     ref = np.asarray(reference, dtype=float)
-    terms = [float(b @ g @ ref) * b for b in res.basis]
+    terms = [float(b @ g @ ref) * b for b in basis]
     section = sum(terms[1:], terms[0])  # not 0 + ..., which turns -0.0 into +0.0
     nrm = float(np.sqrt(section @ g @ section))
     if nrm < 1e-8:
@@ -127,7 +130,7 @@ def kernel_section(
             "reference vector is orthogonal to the curvature kernel at "
             + np.array2string(pt, precision=6)
         )
-    return section / nrm, res.basis
+    return section / nrm
 
 
 def _kernel_field(metric: MetricField, reference, dimension: int, rel_tol) -> Callable:
@@ -219,10 +222,16 @@ def splitting_tensor(
     """
     pt = np.asarray(x, dtype=float)
     n = metric.dim
-    g, dg = metric.jet(pt, order=1)
     if field is None:
-        field = _kernel_field(metric, kernel_section(metric, pt, rel_tol=rel_tol)[0], 1, rel_tol)
-    t0 = np.asarray(field(pt), dtype=float)
+        # one jet at x gives g, dg and T: the section referenced to itself
+        res, g, dg = _nullity_at(metric, pt, rel_tol)
+        if res.nullity != 1:
+            raise KernelDimensionError(1, res.nullity, pt)
+        field = _kernel_field(metric, res.basis[0], 1, rel_tol)
+        t0 = _project(res.basis, g, res.basis[0], pt)
+    else:
+        g, dg = metric.jet(pt, order=1)
+        t0 = np.asarray(field(pt), dtype=float)
     t_norm = float(np.sqrt(t0 @ g @ t0))
     if abs(t_norm - 1.0) > 1e-6 and not allow_non_unit:
         raise NonUnitFieldError(t_norm)

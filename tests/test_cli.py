@@ -129,6 +129,16 @@ def test_domain_errors_exit_two(capsys):
         (("flow", "--metric", "conullity3", "--tmax", "0", "--steps", "4"), 1),
         (("analyze", "--metric", "sekigawa", "--p", "exp(exp(exp(u)))", "--point", "0,2.9,0"), 2),
         (("scan", "--metric", "euclidean", "--dim", "2", "--grid", "x0=0:1:100000000"), 1),
+        (("analyze", "--metric", "sekigawa", "--p", "2+sin(1e999*u)", "--point", "0,0.5,0"), 2),
+        (("analyze", "--metric", "conullity3", "--json"), 1),
+        (("scan", "--metric", "euclidean", "--dim", "2", "--grid", "x0=0:1:2", "--json"), 1),
+        (("flow", "--metric", "conullity3", "--steps", "4", "--json"), 1),
+        (("scan", "--metric", "euclidean", "--dim", "2", "--grid", "x0=0:1:2", "--seed", "3"), 1),
+        (("flow", "--metric", "conullity3", "--steps", "4", "--seed", "3"), 1),
+        (("analyze", "--metric", "sphere", "--radius", "1e300", "--point", "1,0"), 1),
+        (("analyze", "--metric", "sekigawa", "--p", "1e10+u"), 2),
+        (("analyze", "--metric", "sekigawa", "--p", "1e300*u*u+1"), 2),
+        (("analyze", "--metric", "sekigawa", "--p", "2+u/1e-300"), 2),
     ],
 )
 def test_rejected_input_exit_codes(capsys, argv, expected):
@@ -177,6 +187,20 @@ def test_scan_without_complement_rows_are_ok(capsys):
     code, out, _ = run_cli(capsys, "scan", "--metric", "euclidean", "--dim", "1", "--grid", "x0=0:1:2")
     assert code == 0
     assert out.split("\r\n")[1:] == ["0,0,1,0,,ok", "1,0,1,0,,ok", ""]
+
+
+def test_scan_rows_that_overflow_are_domain_rows(capsys):
+    # p = 1e300 u^2 + 1: finite curvature at u = 0, an overflowing metric at u = 1
+    code, out, _ = run_cli(capsys, "scan", "--metric", "sekigawa", "--p", "1e300*u*u+1", "--grid", "u=0:1:2")
+    assert code == 0
+    rows = out.split("\r\n")[1:]
+    assert rows[0].endswith(",1,2,,ok") and rows[1:] == ["0,1,0,,,,,domain", ""]
+    # p = 1e10 + u: g is too ill-conditioned to invert anywhere; p = 2 + u/1e-300:
+    # the derivative of u/1e-300 divides by 1e-300^2, which underflows to zero
+    for p in ("1e10+u", "2+u/1e-300"):
+        code, out, _ = run_cli(capsys, "scan", "--metric", "sekigawa", "--p", p, "--grid", "u=0:1:2")
+        assert code == 0
+        assert out.split("\r\n")[1:] == ["0,0,0,,,,,domain", "0,1,0,,,,,domain", ""]
 
 
 def test_scan_rerun_gives_identical_bytes(capsys):

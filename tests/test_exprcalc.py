@@ -233,11 +233,14 @@ def _reference_fragment(source, node):
 
 
 def _reference_guarded(source, node, fn, *args):
-    """``fn(*args)``, with an OverflowError turned into ``node``'s DomainError."""
+    """``fn(*args)``, with an OverflowError or a ValueError (``sin(inf)``)
+    turned into ``node``'s DomainError."""
     try:
         return fn(*args)
     except OverflowError:
         raise DomainError("float overflow", _reference_fragment(source, node), node.span[0]) from None
+    except ValueError:
+        raise DomainError("math domain error", _reference_fragment(source, node), node.span[0]) from None
 
 
 def _reference_int_power(v, k):
@@ -334,9 +337,10 @@ def assert_matches_reference(expr, point):
     if kind == "ok":
         assert value_kind == "ok" and _bits(value) == _bits(want.value)
     elif kind == "DomainError":
-        # value() meets the same error, unless only a derivative overflowed
+        # value() meets the same error, unless only a derivative overflowed:
+        # then value() goes on, and finishes or meets a later DomainError
         assert (value_kind, value) == (kind, want) or (
-            want[0] == "float overflow" and value_kind == "ok"
+            want[0] == "float overflow" and value_kind in ("ok", "DomainError")
         )
     # otherwise a derivative divided by an underflowed zero, which value()
     # never computes
@@ -417,10 +421,27 @@ def test_sweep_matches_reference_bit_for_bit(source, variables):
         ("y*x^400", (10.0, 1.0)),  # overflow in an integer power
         ("y + 2^(x*x)", (40.0, 0.0)),  # overflow in a real power
         ("y + (x*1e-103)^(-2)", (1.0, 0.0)),  # only the second derivative overflows
+        ("y + sin(1e999*x)", (1.0, 0.0)),  # sin of inf
+        ("cos(x*y)", (math.inf, 2.0)),  # cos of an infinite coordinate product
+        ("sin(x + x^(-1) + x^(-1))", (1.1125369292536007e-308, 0.0)),  # jet: x^(-1)'s derivative; value: sin(inf)
+        ("-(-x^(-1) + -x^(-2))", (4.2054990575120866e-301, 0.0)),  # jet: x^(-1)'s derivative; value: x^(-2)
     ],
 )
 def test_domain_and_range_edges_match_reference(source, point):
     assert_matches_reference(parse(source, ("x", "y")), point)
+
+
+def test_domain_error_fragments_keep_their_parentheses():
+    cases = [
+        ("y + 2^(x*x)", (40.0, 0.0), "2^(x*x)"),
+        ("y + (x*1e-103)^(-2)", (1.0, 0.0), "(x*1e-103)^(-2)"),
+        ("y + sin((1e999*x))", (1.0, 0.0), "sin((1e999*x))"),
+    ]
+    for source, point, fragment in cases:
+        with pytest.raises(DomainError) as err:
+            parse(source, ("x", "y")).jet2(point)
+        assert err.value.fragment == fragment
+        assert err.value.offset == source.index(fragment)
 
 
 def test_value_skips_derivatives():

@@ -94,6 +94,14 @@ def test_geodesic_rejects_empty_parameter_range():
         geodesic(metric, [0.0, 0.0], [1.0, 0.0], tmax=1.0, steps=0)
 
 
+def test_geodesic_truncates_at_a_float_overflow():
+    # with overflow raising (as the command line sets it) an RK4 stage that
+    # overflows ends the path like a step that leaves the chart
+    with np.errstate(over="raise", invalid="raise"):
+        path = geodesic(catalog_polar(), [1.0, 0.0], [0.0, 1.0], tmax=1e300, steps=2)
+    assert path.truncated and path.times.size == 1
+
+
 def test_sampled_path_endpoints_and_count():
     metric = catalog_euclidean(2)
     path = geodesic(metric, [0.0, 0.0], [1.0, 0.5], tmax=1.0, steps=128)

@@ -49,6 +49,14 @@ def test_kernel_zero_matrix_uses_identity_basis():
     assert res.tolerance_used == KERNEL_ABS_FLOOR
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kernel_rejects_non_finite_entries(bad):
+    a = np.eye(3)
+    a[1, 2] = bad
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        kernel(a)
+
+
 def test_kernel_rectangular_and_residual():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((40, 4))

@@ -5,6 +5,7 @@ import pytest
 
 from geonull import splitting
 from geonull.curvature import nullity
+from geonull.flows import geodesic, nullity_geodesic_check, parallel_transport
 from geonull.metricspace import (
     MetricField,
     catalog_conullity3,
@@ -121,9 +122,25 @@ def test_jets_per_kernel_section_and_splitting_tensor(metric, point):
     assert orders == [2]
     orders.clear()
     splitting_tensor(counted, point)
-    # base jet, kernel at x, the field at x, and 4 stencil points per axis
-    assert len(orders) == 4 * metric.dim + 3
-    assert orders.count(1) == 1
+    # one jet at x for g, dg, the kernel and T, and 4 stencil points per axis
+    assert orders == [2] * (4 * metric.dim + 1)
+
+
+def test_jets_per_transport_and_nullity_geodesic_check():
+    metric, orders = _counting(conullity3())
+    start, m, s = [0.1, 0.2, -0.3, 0.4], 16, 5
+    path = geodesic(metric, start, [0.0, 0.0, 1.0, 0.0], tmax=0.5, steps=m)
+    assert not path.truncated and orders == [1] * (4 * m)
+    orders.clear()
+    parallel_transport(metric, path, np.eye(4))
+    # one jet per node serves its Gamma and the gram drift; one per midpoint
+    assert orders == [1] * (2 * m + 1)
+    orders.clear()
+    report = nullity_geodesic_check(metric, start, tmax=0.5, steps=m, samples=s)
+    assert report.sample_times.size == s
+    # one jet at the start and per sample gives the kernel and g; 4 per RK4 step
+    assert sorted(orders) == [1] * (4 * m) + [2] * (s + 1)
+    assert orders[0] == 2
 
 
 def test_kernel_section_on_product():
