@@ -37,7 +37,7 @@ from .curvature import (
     scalar_curvature,
     sectional,
 )
-from .exprcalc import ParseError
+from .exprcalc import DomainError, ParseError
 from .flows import (
     LaunchError,
     flatness_probe,
@@ -397,14 +397,14 @@ def _parse_grid(spec, metric, parser):
 def _scan_worker(metric, point, rel_tol, fd_step):
     try:
         data = curvature_data(metric, point, rel_tol=rel_tol)
-    except (ChartDomainError, SingularMatrixError, ArithmeticError):
+    except (ChartDomainError, DomainError, SingularMatrixError, FloatingPointError):
         return None
     kind = ""
     if _splitting_defined(data.nullity):
         try:
             st = splitting_tensor(metric, point, h=fd_step, rel_tol=rel_tol)
             kind = classify(st.matrix, tol=CLASSIFY_TOL).kind
-        except (ChartDomainError, SingularMatrixError, ArithmeticError,
+        except (ChartDomainError, DomainError, SingularMatrixError, FloatingPointError,
                 KernelDimensionError, AlignmentError, NonUnitFieldError):
             kind = ""
     return data.scalar_trace, data.nullity.nullity, data.nullity.conullity, kind
@@ -863,11 +863,6 @@ def cmd_catalog(args, parser) -> int:
     return EXIT_OK
 
 
-def _domain_error(exc: Exception) -> int:
-    print(f"geonull: error: {exc}", file=sys.stderr)
-    return EXIT_DOMAIN
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -880,12 +875,11 @@ def main(argv=None) -> int:
             return args.func(args, parser)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ChartDomainError, KernelDimensionError, AlignmentError, NonUnitFieldError,
-            LaunchError, SingularMatrixError, ArithmeticError) as exc:
-        # ArithmeticError takes in DomainError, RiccatiBlowupError, a float
-        # overflow (FloatingPointError) and a warp derivative that divides by
-        # an underflowed zero (ZeroDivisionError)
-        return _domain_error(exc)
+    except (ChartDomainError, DomainError, KernelDimensionError, AlignmentError, NonUnitFieldError,
+            RiccatiBlowupError, LaunchError, SingularMatrixError, FloatingPointError) as exc:
+        # FloatingPointError: a float fault under the errstate above
+        print(f"geonull: error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

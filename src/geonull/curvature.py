@@ -96,7 +96,9 @@ def _riemann_from_jet(g, dg, d2g):
 
 def riemann(metric: MetricField, x):
     """Curvature tensors ``(rup, rdown)`` at x (see module conventions)."""
-    return _riemann_from_jet(*metric.jet(x))[2:]
+    g, dg, d2g = metric.jet(x)
+    gi, gamma, rup, rdown = _riemann_from_jet(g, dg, d2g)
+    return rup, rdown
 
 
 def _plane_curvature(rdown: np.ndarray, g: np.ndarray, X, Y):
@@ -123,7 +125,7 @@ def sectional(metric: MetricField, x, X, Y) -> float:
     below 1e-12 relative to the product of the squared lengths.
     """
     g, dg, d2g = metric.jet(x)
-    rdown = _riemann_from_jet(g, dg, d2g)[3]
+    gi, gamma, rup, rdown = _riemann_from_jet(g, dg, d2g)
     value, gram, scale = _plane_curvature(
         rdown, g, np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
     )
@@ -134,7 +136,8 @@ def sectional(metric: MetricField, x, X, Y) -> float:
 
 def scalar_curvature(metric: MetricField, x) -> float:
     """Double-trace scalar curvature g^{il} g^{jk} R_ijkl (unit sphere: +2)."""
-    gi, _, _, rdown = _riemann_from_jet(*metric.jet(x))
+    g, dg, d2g = metric.jet(x)
+    gi, gamma, rup, rdown = _riemann_from_jet(g, dg, d2g)
     return float(np.einsum("il,jk,ijkl->", gi, gi, rdown))
 
 
@@ -187,7 +190,8 @@ def _nullity_at(metric: MetricField, x, rel_tol: Optional[float] = None):
     if rel_tol is None:
         rel_tol = _default_rel_tol(metric)
     g, dg, d2g = metric.jet(x)
-    return _nullity_from(_riemann_from_jet(g, dg, d2g)[3], g, rel_tol), g, dg
+    gi, gamma, rup, rdown = _riemann_from_jet(g, dg, d2g)
+    return _nullity_from(rdown, g, rel_tol), g, dg
 
 
 def nullity(metric: MetricField, x, rel_tol: Optional[float] = None) -> NullityResult:
@@ -254,11 +258,12 @@ def bianchi2_residual(metric: MetricField, x, h: float = 1e-4) -> float:
     pt = np.asarray(x, dtype=float)
     n = metric.dim
     g, dg, d2g = metric.jet(pt)
-    _, gamma, _, r0 = _riemann_from_jet(g, dg, d2g)
+    gi, gamma, rup, r0 = _riemann_from_jet(g, dg, d2g)
 
     def rdown_at(q):
         gq, dgq, d2gq = metric.jet(q, check=False)
-        return _riemann_from_jet(gq, dgq, d2gq)[3]
+        giq, gammaq, rupq, rdownq = _riemann_from_jet(gq, dgq, d2gq)
+        return rdownq
 
     dr = np.empty((n, n, n, n, n))
     eye = np.eye(n)

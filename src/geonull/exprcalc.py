@@ -13,8 +13,9 @@ functions over plain floats with no per-node arrays.  The jet kernel behind
 tree walk over :class:`Jet2` in the same order, so it matches that walk bit
 for bit.  The value kernel behind :meth:`Expression.value` makes the same
 domain checks but computes no derivatives.  A float overflow raised by a
-function or a power (``exp(exp(exp(u)))`` at u = 2.9), and ``sin`` or
-``cos`` of an infinite argument, become a :class:`DomainError` naming that
+function or a power (``exp(exp(exp(u)))`` at u = 2.9), ``sin`` or ``cos``
+of an infinite argument, and a derivative that divides by an underflowed
+zero (``log(u)`` at u = 1e-170) become a :class:`DomainError` naming that
 subexpression.  Kernels hold no state, so threads may share them.
 
 Grammar
@@ -532,8 +533,9 @@ class _Compiler:
     def guarded(self, line: str, node: Node) -> None:
         """Emit ``line``; an error ``math`` raises there becomes ``node``'s DomainError.
 
-        That is an OverflowError, or the ValueError of ``sin`` and ``cos`` of
-        an infinite argument.
+        That is an OverflowError, the ValueError of ``sin`` and ``cos`` of
+        an infinite argument, or the ZeroDivisionError of a derivative whose
+        divisor underflowed to zero.
         """
         with self.block("try:"):
             self.emit(line)
@@ -541,6 +543,8 @@ class _Compiler:
             self.fail('"float overflow"', node)
         with self.block("except ValueError:"):
             self.fail('"math domain error"', node)
+        with self.block("except ZeroDivisionError:"):
+            self.fail('"division by an underflowed zero"', node)
 
     def call(self, fn, arg: str, node: Node) -> tuple:
         t = self.fresh()
@@ -619,9 +623,8 @@ class _Compiler:
                 bv = b[0]
                 self.fail_if(f"{bv} == 0.0", '"division by zero"', node)
                 t = self.fresh()
-                self.emit(f"{t}f = 1.0 / {bv}")
-                self.emit(f"{t}f1 = -1.0 / ({bv} * {bv})")
-                self.emit(f"{t}f2 = 2.0 / ({bv} * {bv} * {bv})")
+                quotients = f"1.0 / {bv}, -1.0 / ({bv} * {bv}), 2.0 / ({bv} * {bv} * {bv})"
+                self.guarded(f"{t}f, {t}f1, {t}f2 = {quotients}", node)
                 return self.mul(a, self.chain(b, f"{t}f", f"{t}f1", f"{t}f2", False), final)
         raise TypeError(f"not an expression node: {node!r}")
 

@@ -29,6 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .curvature import _christoffel_from_jet, _nullity_at, _riemann_from_jet
+from .exprcalc import DomainError
 from .metricspace import ChartDomainError, MetricField
 from .numcore import SingularMatrixError, _g_gram_schmidt, invert
 
@@ -117,7 +118,7 @@ def geodesic(
             ax4 = _accel(metric, x4, v4)
             xn = x + (h / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
             vn = v + (h / 6.0) * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
-        except (ChartDomainError, SingularMatrixError, ArithmeticError):  # a warp's DomainError too
+        except (ChartDomainError, DomainError, SingularMatrixError, FloatingPointError):
             truncated = True
             break
         if not (np.all(np.isfinite(xn)) and np.all(np.isfinite(vn))):
@@ -337,7 +338,7 @@ def flatness_probe(
         gs = g[sel]
         dgs = dg[np.ix_(idx, idx, idx)]
         d2gs = d2g[np.ix_(idx, idx, idx, idx)]
-        rleaf = _riemann_from_jet(gs, dgs, d2gs)[3]
+        gi_leaf, gamma_leaf, rup_leaf, rleaf = _riemann_from_jet(gs, dgs, d2gs)
         max_curv = max(max_curv, float(np.max(np.abs(rleaf))))
         tangent = _g_gram_schmidt(np.eye(metric.dim)[idx], g)
         for a in idx:

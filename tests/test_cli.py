@@ -415,6 +415,17 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert out.splitlines()[-1] == "overall: FAIL"
 
 
+def test_a_fault_outside_the_warp_kernels_is_not_a_domain_error(monkeypatch):
+    # exit 2 is for the listed domain errors; any other ZeroDivisionError is
+    # a fault in geonull and must surface as a traceback
+    def faulty_suite(name, seed=cli.DEFAULT_SEED):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(cli, "run_suite", faulty_suite)
+    with pytest.raises(ZeroDivisionError):
+        main(["verify", "--suite", "sphere"])
+
+
 def test_catalog_listing(capsys):
     code, out, _ = run_cli(capsys, "catalog")
     assert code == 0
