@@ -31,11 +31,11 @@ import numpy as np
 from . import __version__
 from .curvature import (
     _default_rel_tol,
-    _plane_curvature,
     curvature_data,
     nullity,
     scalar_curvature,
     sectional,
+    sectional_range,
 )
 from .exprcalc import DomainError, ParseError
 from .flows import (
@@ -209,7 +209,6 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("analyze", help="curvature, nullity, and splitting tensor at a point")
     _add_metric_flags(sp)
-    sp.add_argument("--seed", type=_seed, default=None, help="seed of the sampled sectional planes")
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("scan", help="grid scan to CSV")
@@ -280,23 +279,6 @@ def _metric_doc(metric) -> dict:
 # analyze
 
 
-def _sectional_extremes(rdown, g, dim, seed):
-    if dim < 2:
-        return None, None
-    rng = np.random.default_rng((seed, 99))
-    smin = math.inf
-    smax = -math.inf
-    for _ in range(64):
-        val, gram, scale = _plane_curvature(rdown, g, rng.standard_normal(dim), rng.standard_normal(dim))
-        if gram <= 1e-10 * scale:
-            continue
-        smin = min(smin, val)
-        smax = max(smax, val)
-    if smin is math.inf:
-        return None, None
-    return smin, smax
-
-
 def _splitting_defined(nullity) -> bool:
     """A 1-dim kernel with a nonzero complement for the tensor to act on."""
     return nullity.nullity == 1 and nullity.conullity > 0
@@ -306,9 +288,8 @@ def cmd_analyze(args, parser) -> int:
     started = time.perf_counter()
     metric = _build_metric(args, parser)
     point = _parse_point(args, metric, parser)
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
     data = curvature_data(metric, point, rel_tol=args.rel_tol)
-    smin, smax = _sectional_extremes(data.rdown, data.g, metric.dim, seed)
+    smin, smax = sectional_range(data)
     splitting = None
     if _splitting_defined(data.nullity):
         try:
@@ -357,7 +338,6 @@ def cmd_analyze(args, parser) -> int:
             "fd_step": args.fd_step,
             "classify_tol": CLASSIFY_TOL,
         },
-        "seed": seed,
     }
     _emit(_dumps(doc) + "\n", args)
     _timing("analyze", started)
@@ -710,6 +690,18 @@ def _suite_conullity3(seed: int) -> list:
     incomplete = catalog_conullity3("4-u*u-w*w")
     probe2 = incompleteness_probe(incomplete, origin, np.array([0.0, 1.0, 0.0, 0.0]))
     checks.append(_check("degeneracy_parameter", 2.0, probe2.exit_parameter, 1e-3))
+
+    # the paper's hypothesis: the concave warp has non-negative sectional curvature
+    worst_min = 0.0
+    nullity_one = True
+    for pt in rng.uniform(-1.2, 1.2, (6, 4)):  # p = 4 - u^2 - w^2 >= 1.12 here
+        data = curvature_data(incomplete, pt)
+        if data.nullity.nullity != 1:
+            nullity_one = False
+            continue
+        worst_min = min(worst_min, sectional_range(data)[0])
+    checks.append(_check("sectional_nonnegative[4-u*u-w*w]", 0.0, worst_min, 1e-12,
+                         passed=nullity_one and worst_min >= -1e-12))
 
     wide = catalog_conullity3("3+cos(u)+cos(w)", box=4.0)
     flat_iff = True

@@ -13,12 +13,10 @@ Conventions (all index placement follows these throughout the package):
 * The scalar curvature is the double trace g^{il} g^{jk} R_ijkl, which is
   +2 on the unit sphere.
 
-``nullity`` computes the kernel of v -> R(v, ., ., .) by flattening the
-lowered tensor to an n^3 x n matrix and calling the rank-revealing kernel
-from :mod:`geonull.numcore`; the returned basis is orthonormalized in the
-metric inner product.  The relative rank tolerance defaults off the metric's
-provenance: analytic jets use a much tighter cutoff than finite-difference
-jets.
+``nullity`` takes the kernel of v -> R(v, ., ., .) from an SVD of the lowered
+tensor flattened to n^3 x n (a tighter rank cutoff for analytic than for
+finite-difference jets) and g-orthonormalizes it; ``sectional_range`` reads
+the exact sectional range off the curvature operator on its complement.
 """
 
 from __future__ import annotations
@@ -49,6 +47,7 @@ __all__ = [
     "scalar_curvature",
     "nullity",
     "curvature_data",
+    "sectional_range",
     "bianchi2_residual",
 ]
 
@@ -203,10 +202,10 @@ def nullity(metric: MetricField, x, rel_tol: Optional[float] = None) -> NullityR
 class CurvatureData:
     """One-stop curvature summary at a point.
 
-    ``scalar_trace`` is the double-trace scalar curvature and ``half_trace``
-    is half of it; when the conullity is exactly 2 the complement of the
-    kernel is a single plane and ``nonflat_plane_curvature`` holds its
-    sectional curvature (None otherwise).
+    ``scalar_trace`` is the double-trace scalar curvature, ``half_trace``
+    half of it.  At conullity 2 the kernel's complement is one plane and
+    ``nonflat_plane_curvature`` is its sectional curvature (else None);
+    :func:`sectional_range` gives the range over all planes.
     """
 
     point: np.ndarray
@@ -220,6 +219,11 @@ class CurvatureData:
     nonflat_plane_curvature: Optional[float]
 
 
+def _complement(g: np.ndarray, kernel_basis: np.ndarray) -> np.ndarray:
+    # coordinate directions off the kernel; 1e-6 drops those (nearly) inside it
+    return _g_gram_schmidt(np.eye(g.shape[0]), g, prior=kernel_basis, drop_tol=1e-6)
+
+
 def curvature_data(metric: MetricField, x, rel_tol: Optional[float] = None) -> CurvatureData:
     if rel_tol is None:
         rel_tol = _default_rel_tol(metric)
@@ -230,8 +234,7 @@ def curvature_data(metric: MetricField, x, rel_tol: Optional[float] = None) -> C
     nres = _nullity_from(rdown, g, rel_tol)
     plane_curv = None
     if nres.conullity == 2:
-        # coordinate directions off the kernel; 1e-6 drops those (nearly) inside it
-        comp = _g_gram_schmidt(np.eye(metric.dim), g, prior=nres.basis, drop_tol=1e-6)
+        comp = _complement(g, nres.basis)
         if comp.shape[0] == 2:
             plane_curv = _plane_curvature(rdown, g, comp[0], comp[1])[0]
     return CurvatureData(
@@ -245,6 +248,23 @@ def curvature_data(metric: MetricField, x, rel_tol: Optional[float] = None) -> C
         nullity=nres,
         nonflat_plane_curvature=plane_curv,
     )
+
+
+def sectional_range(data: CurvatureData):
+    """Exact ``(min, max)`` of the sectional curvature at ``data.point``.
+
+    R vanishes on the kernel: the range spans the curvature operator's
+    eigenvalues on the 2-vectors of its complement H, and 0 if it is nonzero.
+    ``(None, None)`` when n < 2, or dim H >= 4 where 2-vectors need not be planes.
+    """
+    frame = _complement(data.g, data.nullity.basis)
+    n, k = data.g.shape[0], frame.shape[0]
+    if n < 2 or k >= 4:
+        return None, None
+    a, b = np.triu_indices(k, 1)  # the 2-vectors e_a ^ e_b of H, a < b
+    rh = np.einsum("ijkl,ai,bj,ck,dl->abcd", data.rdown, frame, frame, frame, frame)
+    lam = list(np.linalg.eigvalsh(rh[a[:, None], b[:, None], b, a])) + [0.0] * (k < n)
+    return float(min(lam)), float(max(lam))
 
 
 def bianchi2_residual(metric: MetricField, x, h: float = 1e-4) -> float:

@@ -250,6 +250,10 @@ def nullity_geodesic_check(
         v0 = res0.basis[0]
     else:
         v0 = np.asarray(direction, dtype=float)
+        # scale by max|v| first, so sqrt(v g v) neither overflows nor underflows
+        scale = float(np.max(np.abs(v0)))
+        if scale > 0.0:
+            v0 = v0 / scale
         nrm = float(np.sqrt(v0 @ g0 @ v0))
         if nrm < 1e-10:
             raise LaunchError("direction must be a nonzero tangent vector")

@@ -59,15 +59,13 @@ def test_analyze_conullity_two_family(capsys):
     assert doc["curvature"]["nonflat_plane_curvature"] == pytest.approx(-1.0, abs=1e-8)
 
 
-def test_analyze_seed_is_recorded(capsys):
-    code, out, _ = run_cli(
-        capsys, "analyze", "--metric", "sphere", "--point", "1,0", "--seed", "7"
-    )
+def test_analyze_sphere_sectional_range_is_exact(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "--metric", "sphere", "--point", "1,0")
     assert code == 0
     doc = json.loads(out)
-    assert doc["seed"] == 7
-    assert doc["curvature"]["sectional_min"] == pytest.approx(1.0, abs=1e-9)
-    assert doc["curvature"]["sectional_max"] == pytest.approx(1.0, abs=1e-9)
+    assert "seed" not in doc
+    assert doc["curvature"]["sectional_min"] == pytest.approx(1.0, abs=1e-12)
+    assert doc["curvature"]["sectional_max"] == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -139,6 +137,7 @@ def test_domain_errors_exit_two(capsys):
         (("analyze", "--metric", "sekigawa", "--p", "1e10+u"), 2),
         (("analyze", "--metric", "sekigawa", "--p", "1e300*u*u+1"), 2),
         (("analyze", "--metric", "sekigawa", "--p", "2+u/1e-300"), 2),
+        (("analyze", "--metric", "sphere", "--point", "1,0", "--seed", "7"), 1),
     ],
 )
 def test_rejected_input_exit_codes(capsys, argv, expected):
@@ -146,6 +145,23 @@ def test_rejected_input_exit_codes(capsys, argv, expected):
     assert code == expected
     assert out == ""
     assert "error" in err
+
+
+@pytest.mark.parametrize("axis", [0, 2])
+def test_flow_direction_scale_does_not_matter(capsys, axis):
+    # a huge or tiny direction is scaled before sqrt(v g v) can overflow or underflow
+    results = []
+    for size in ("1", "1e300", "1e-300"):
+        direction = ["0"] * 4
+        direction[axis] = size
+        code, out, _ = run_cli(
+            capsys, "flow", "--metric", "conullity3", "--direction", ",".join(direction),
+            "--steps", "2",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        results.append((doc["nullity_check"], doc["truncated"]))
+    assert results[1] == results[0] and results[2] == results[0]
 
 
 def test_version_flag(capsys):

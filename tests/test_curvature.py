@@ -5,6 +5,7 @@ import pytest
 
 from geonull.curvature import (
     DegeneratePlaneError,
+    _complement,
     _nullity_from,
     bianchi2_residual,
     christoffel,
@@ -13,6 +14,7 @@ from geonull.curvature import (
     riemann,
     scalar_curvature,
     sectional,
+    sectional_range,
 )
 from geonull.metricspace import (
     catalog_conullity3,
@@ -216,3 +218,97 @@ def test_pointwise_scalar_formula_conullity3():
         p_ww = -math.cos(w)
         expected = -2.0 * (p_uu + p_ww) / p
         assert abs(scalar_curvature(metric, pt) - expected) < 1e-10
+
+
+def _range_cases():
+    """(label, metric, point) at the stdout-digest points, plus two more charts."""
+    return (
+        ("euclidean", catalog_euclidean(3), [0.1, -0.2, 0.3]),
+        ("sphere", catalog_sphere(2.0), [1.1, 0.4]),
+        ("polar", catalog_polar(), [1.3, 0.7]),
+        ("product", catalog_product(catalog_sphere(1.0), catalog_euclidean(2)), [1.0, 0.5, 0.2, -0.1]),
+        ("sekigawa", catalog_sekigawa("exp(u)"), [0.2, -0.3, 0.1]),
+        ("conullity3", catalog_conullity3("3+cos(u)+cos(w)"), [0.1, 0.2, -0.3, 0.4]),
+        ("concave", catalog_conullity3("4-u*u-w*w"), [0.1, 0.2, -0.3, 0.4]),
+        ("euclidean1", catalog_euclidean(1), [0.3]),
+        ("sphere2", catalog_product(catalog_sphere(1.0), catalog_sphere(1.0)), [1.0, 0.5, 1.2, -0.1]),
+    )
+
+
+def test_sectional_range_closed_forms():
+    # the curved planes of the warped families have curvature -p_uu/p and
+    # -p_ww/p; a kernel adds the planes through it, at curvature 0
+    p3 = 3.0 + math.cos(0.2) + math.cos(0.4)
+    expected = {
+        "euclidean": (0.0, 0.0),
+        "sphere": (0.25, 0.25),
+        "polar": (0.0, 0.0),
+        "product": (0.0, 1.0),
+        "sekigawa": (-1.0, 0.0),
+        "conullity3": (0.0, math.cos(0.2) / p3),
+        "concave": (0.0, 2.0 / (4.0 - 0.2**2 - 0.4**2)),
+    }
+    for label, metric, pt in _range_cases():
+        lo, hi = sectional_range(curvature_data(metric, pt))
+        if label in ("euclidean1", "sphere2"):  # no planes; a 4-dim complement
+            assert (lo, hi) == (None, None), label
+            continue
+        assert abs(lo - expected[label][0]) <= 1e-12, label
+        assert abs(hi - expected[label][1]) <= 1e-12, label
+    lo, _ = sectional_range(curvature_data(catalog_conullity3("3+cos(u)+cos(w)"), [0.1, 0.2, -0.3, 0.4]))
+    assert abs(lo) <= 1e-15
+
+
+def test_sectional_range_bounds_random_planes():
+    rng = np.random.default_rng(41)
+    for label, metric, pt in _range_cases():
+        lo, hi = sectional_range(curvature_data(metric, pt))
+        if lo is None:
+            continue
+        tol = 1e-9 * max(1.0, abs(lo), abs(hi))
+        g = metric.g(pt)
+        checked = 0
+        while checked < 200:
+            X, Y = rng.standard_normal((2, metric.dim))
+            gxx, gyy, gxy = X @ g @ X, Y @ g @ Y, X @ g @ Y
+            if gxx * gyy - gxy * gxy <= 1e-6 * gxx * gyy:
+                continue
+            checked += 1
+            k = sectional(metric, pt, X, Y)
+            assert lo - tol <= k <= hi + tol, (label, k, lo, hi)
+
+
+def _eigen_planes(rdown, frame):
+    """(eigenvalue, X, Y): one spanning pair per curvature-operator eigenvector."""
+    rh = np.einsum("ijkl,ai,bj,ck,dl->abcd", rdown, frame, frame, frame, frame)
+    pairs = [(a, b) for a in range(len(frame)) for b in range(a + 1, len(frame))]
+    op = np.array([[rh[a, b, d, c] for c, d in pairs] for a, b in pairs])
+    values, vectors = np.linalg.eigh(op)
+    planes = []
+    for lam, w in zip(values, vectors.T):
+        if frame.shape[0] == 2:
+            coeffs = np.eye(2)
+        else:
+            # w on e0^e1, e0^e2, e1^e2; its plane is orthogonal to the Hodge dual
+            dual = np.array([w[2], -w[1], w[0]])
+            coeffs = np.linalg.svd(dual[None, :])[2][1:]
+        planes.append((lam, coeffs[0] @ frame, coeffs[1] @ frame))
+    return planes
+
+
+def test_sectional_range_ends_are_reached():
+    for label, metric, pt in _range_cases():
+        data = curvature_data(metric, pt)
+        lo, hi = sectional_range(data)
+        frame = _complement(data.g, data.nullity.basis)
+        if lo is None or frame.shape[0] < 2:
+            continue
+        reached = []
+        for lam, X, Y in _eigen_planes(data.rdown, frame):
+            k = sectional(metric, pt, X, Y)
+            assert abs(k - lam) <= 1e-12, label
+            reached.append(k)
+        if data.nullity.nullity:
+            reached.append(sectional(metric, pt, data.nullity.basis[0], frame[0]))
+        assert abs(min(reached) - lo) <= 1e-12, label
+        assert abs(max(reached) - hi) <= 1e-12, label

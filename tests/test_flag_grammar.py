@@ -2,10 +2,12 @@
 
 Every argv drawn here, valid or not, must end with a documented exit code
 (0 success, 1 usage error, 2 domain error, 3 verification failure) and
-never raise.  Stdout is empty or one document that parses:
-JSON for ``analyze`` and ``flow``, CSV for ``scan``.  An exit-0 document
-holds ``null`` only where the schema allows one, and a rerun prints the
-same bytes.  Steps and grids stay small, so each example costs milliseconds.
+never raise.  Stdout is empty after exit 1 or 2.  Otherwise it is one
+document that parses: JSON for ``analyze``, ``flow`` and ``--json`` on
+``verify`` or ``catalog``, CSV for ``scan``, or the text report.  A JSON
+document holds ``null`` only where the schema allows one, and a rerun
+prints the same bytes.  Steps, grids and suites stay small, so each example
+costs milliseconds.
 
 The draw is derandomized, so every run checks the same argvs.  A wider
 search is a manual run: draw from ``_argvs()`` under other seeds and more
@@ -50,7 +52,11 @@ ALLOWED_NULLS = {
     "normal_form_entries",
     "nilpotency_index",
     "aborted",
+    "tolerance",  # _check stores None when it is given ``passed``
 }
+# the verify suites that run in milliseconds, and one that does not exist
+SUITES = ("euclidean", "product", "sekigawa", "bogus")
+SEEDS = ("0", "7", "-5", "1e999", "nan", str(2**70))
 
 numbers = st.sampled_from(NUMBERS)
 
@@ -61,7 +67,16 @@ def _number_list(size):
 
 @st.composite
 def _argvs(draw):
-    command = draw(st.sampled_from(("analyze", "scan", "flow")))
+    command = draw(st.sampled_from(("analyze", "scan", "flow", "verify", "catalog")))
+    if command in ("verify", "catalog"):
+        argv = [command]
+        if command == "verify":
+            argv += ["--suite", draw(st.sampled_from(SUITES))]
+            if draw(st.booleans()):
+                argv += ["--seed", draw(st.sampled_from(SEEDS))]
+        if draw(st.booleans()):
+            argv.append("--json")
+        return argv
     metric = draw(st.sampled_from(sorted(COORDINATES)))
     coords = COORDINATES[metric]
     argv = [command, "--metric", metric]
@@ -78,8 +93,6 @@ def _argvs(draw):
     for flag in ("--rel-tol", "--fd-step"):
         if draw(st.booleans()):
             argv += [flag, draw(numbers)]
-    if command == "analyze" and draw(st.booleans()):
-        argv += ["--seed", draw(st.sampled_from(("0", "7", "-5", "1e999", "nan", str(2**70))))]
     if command == "scan":
         axes = []
         for coord in draw(st.lists(st.sampled_from(coords + ("bogus",)), min_size=1, max_size=2)):
@@ -130,13 +143,14 @@ def _check_csv(out):
 def test_every_argv_keeps_the_output_contract(argv):
     code, out = _run(argv)
     assert code in (0, 1, 2, 3)
-    if code != 0:
+    if code in (1, 2):
         assert out == ""
-    else:
+    else:  # exit 3 is a verify report that names its failed checks
+        assert code == 0 or argv[0] == "verify"
         assert out
         if argv[0] == "scan":
             _check_csv(out)
-        else:
+        elif argv[0] in ("analyze", "flow") or "--json" in argv:
             doc = json.loads(out)
             assert _unexpected_nulls(doc) == []
     assert _run(argv) == (code, out)

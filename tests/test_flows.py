@@ -175,9 +175,13 @@ def test_nullity_geodesic_custom_direction_can_fail():
 
 
 def test_nullity_geodesic_without_launch_velocity():
+    metric = catalog_conullity3("3+cos(u)+cos(w)")
     with pytest.raises(LaunchError, match="nonzero"):
-        nullity_geodesic_check(catalog_conullity3("3+cos(u)+cos(w)"), [0.0] * 4,
-                               direction=[1e-300, 0.0, 0.0, 0.0])
+        nullity_geodesic_check(metric, [0.0] * 4, direction=[0.0] * 4)
+    # a tiny direction is nonzero: it is scaled up before its g-norm underflows
+    tiny = nullity_geodesic_check(metric, [0.0] * 4, direction=[0.0, 0.0, 1e-300, 0.0], steps=4)
+    unit = nullity_geodesic_check(metric, [0.0] * 4, direction=[0.0, 0.0, 1.0, 0.0], steps=4)
+    assert tiny.path.points.tobytes() == unit.path.points.tobytes()
     with pytest.raises(LaunchError, match="trivial"):
         nullity_geodesic_check(catalog_sphere(1.0), [1.0, 0.5], direction=[1.0, 0.0])
 

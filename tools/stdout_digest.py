@@ -1,6 +1,7 @@
 """Print one ``sha256  argv`` line per command of the stdout-equivalence set.
 
-The set is ``analyze`` on all six catalog families, ``scan``, ``flow`` in
+The set is ``analyze`` on all six catalog families and on the concave
+conullity3 warp (non-negative sectional curvature), ``scan``, ``flow`` in
 both modes and ``verify --suite all --json``.  Each argv runs in-process
 through ``geonull.cli.main`` against the sources next to this script;
 stderr (timings) is discarded.  A refactor that claims identical output
@@ -31,6 +32,7 @@ ARGVS = (
     ("analyze", "--metric", "product", "--point", "1,0.5,0.2,-0.1"),
     ("analyze", "--metric", "sekigawa", "--p", "exp(u)", "--point", "0.2,-0.3,0.1"),
     ("analyze", "--metric", "conullity3", "--point", "0.1,0.2,-0.3,0.4"),
+    ("analyze", "--metric", "conullity3", "--p", "4-u*u-w*w", "--point", "0.1,0.2,-0.3,0.4"),
     ("scan", "--metric", "conullity3", "--grid", "u=-1.5:1.5:4,w=-1.5:1.5:4"),
     ("flow", "--metric", "conullity3", "--point", "0.1,0.2,-0.3,0.4", "--tmax", "1"),
     ("flow", "--metric", "product", "--point", "1,0.5,0.2,-0.1", "--tmax", "0.5"),
