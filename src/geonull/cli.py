@@ -57,6 +57,7 @@ from .metricspace import (
 )
 from .numcore import SingularMatrixError
 from .splitting import (
+    SMOOTH_KERNEL_RESIDUAL,
     AlignmentError,
     KernelDimensionError,
     NonUnitFieldError,
@@ -67,6 +68,7 @@ from .splitting import (
     riccati_closed_form,
     riccati_ode,
     splitting_tensor,
+    splitting_tensor_from_curvature,
     trace_det_evolution,
 )
 
@@ -382,10 +384,10 @@ def _scan_worker(metric, point, rel_tol, fd_step):
     kind = ""
     if _splitting_defined(data.nullity):
         try:
-            st = splitting_tensor(metric, point, h=fd_step, rel_tol=rel_tol)
-            kind = classify(st.matrix, tol=CLASSIFY_TOL).kind
-        except (ChartDomainError, DomainError, SingularMatrixError, FloatingPointError,
-                KernelDimensionError, AlignmentError, NonUnitFieldError):
+            matrix, residual = splitting_tensor_from_curvature(metric, data, h=fd_step)
+            if residual <= SMOOTH_KERNEL_RESIDUAL:
+                kind = classify(matrix, tol=CLASSIFY_TOL).kind
+        except (ChartDomainError, DomainError, SingularMatrixError, FloatingPointError):
             kind = ""
     return data.scalar_trace, data.nullity.nullity, data.nullity.conullity, kind
 
@@ -855,6 +857,18 @@ def cmd_catalog(args, parser) -> int:
     return EXIT_OK
 
 
+def _fault_site(args) -> str:
+    """The command and the grid or point it was evaluating, as given on the command line."""
+    words = [args.command]
+    if getattr(args, "grid", None) is not None:
+        words.append(f"--grid {args.grid}")
+    if getattr(args, "point", None) is not None:
+        words.append(f"--point {args.point}")
+    elif args.command in ("analyze", "flow"):
+        words.append("at the origin")
+    return " ".join(words)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -867,9 +881,12 @@ def main(argv=None) -> int:
             return args.func(args, parser)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except FloatingPointError as exc:
+        # a float fault under the errstate above; numpy's text says only what overflowed
+        print(f"geonull: error: {_fault_site(args)}: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
     except (ChartDomainError, DomainError, KernelDimensionError, AlignmentError, NonUnitFieldError,
-            RiccatiBlowupError, LaunchError, SingularMatrixError, FloatingPointError) as exc:
-        # FloatingPointError: a float fault under the errstate above
+            RiccatiBlowupError, LaunchError, SingularMatrixError) as exc:
         print(f"geonull: error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

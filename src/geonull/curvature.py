@@ -17,6 +17,9 @@ Conventions (all index placement follows these throughout the package):
 tensor flattened to n^3 x n (a tighter rank cutoff for analytic than for
 finite-difference jets) and g-orthonormalizes it; ``sectional_range`` reads
 the exact sectional range off the curvature operator on its complement.
+``_covariant_dr`` builds nabla R from central differences of the lowered
+tensor plus the four Christoffel corrections; ``bianchi2_residual`` and the
+splitting tensor of ``geonull scan`` use it.
 """
 
 from __future__ import annotations
@@ -267,34 +270,41 @@ def sectional_range(data: CurvatureData):
     return float(min(lam)), float(max(lam))
 
 
-def bianchi2_residual(metric: MetricField, x, h: float = 1e-4) -> float:
-    """Max-abs residual of the differential Bianchi identity at x.
+def _covariant_dr(metric: MetricField, pt: np.ndarray, gamma, r0, h: float, check: bool):
+    """``cov[m, i, j, k, l]`` = (nabla_m R)_ijkl at pt from ``gamma`` and ``r0`` there.
 
-    The covariant derivative of the lowered curvature tensor is formed with a
-    central difference for the partial term plus the four Christoffel
-    corrections, then summed cyclically over the first three slots.  For an
-    exact curvature tensor the result is O(h^2) plus rounding noise.
+    The partial term is a central difference of the lowered tensor at
+    pt +/- h e_m (2n metric jets, domain-checked when ``check`` is set); the
+    four Christoffel corrections make it covariant.
     """
-    pt = np.asarray(x, dtype=float)
     n = metric.dim
-    g, dg, d2g = metric.jet(pt)
-    gi, gamma, rup, r0 = _riemann_from_jet(g, dg, d2g)
 
     def rdown_at(q):
-        gq, dgq, d2gq = metric.jet(q, check=False)
-        giq, gammaq, rupq, rdownq = _riemann_from_jet(gq, dgq, d2gq)
-        return rdownq
+        return _riemann_from_jet(*metric.jet(q, check=check))[3]
 
     dr = np.empty((n, n, n, n, n))
     eye = np.eye(n)
     for m in range(n):
         dr[m] = (rdown_at(pt + h * eye[m]) - rdown_at(pt - h * eye[m])) / (2.0 * h)
-    cov = (
+    return (
         dr
         - np.einsum("pmi,pjkl->mijkl", gamma, r0)
         - np.einsum("pmj,ipkl->mijkl", gamma, r0)
         - np.einsum("pmk,ijpl->mijkl", gamma, r0)
         - np.einsum("pml,ijkp->mijkl", gamma, r0)
     )
+
+
+def bianchi2_residual(metric: MetricField, x, h: float = 1e-4) -> float:
+    """Max-abs residual of the differential Bianchi identity at x.
+
+    nabla R (:func:`_covariant_dr`, stencil points unchecked) is summed
+    cyclically over its first three slots.  For an exact curvature tensor the
+    result is O(h^2) plus rounding noise.
+    """
+    pt = np.asarray(x, dtype=float)
+    g, dg, d2g = metric.jet(pt)
+    gi, gamma, rup, r0 = _riemann_from_jet(g, dg, d2g)
+    cov = _covariant_dr(metric, pt, gamma, r0, h, check=False)
     cyc = cov + cov.transpose(1, 2, 0, 3, 4) + cov.transpose(2, 0, 1, 3, 4)
     return float(np.max(np.abs(cyc)))

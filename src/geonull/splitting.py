@@ -29,6 +29,12 @@ differences of these pointwise sections, so classification tolerances must
 absorb FD noise: a nilpotent matrix perturbed by eps shows spurious
 eigenvalues of size about eps^(1/2), which is why ``classify`` takes an
 explicit tolerance.
+
+``splitting_tensor_from_curvature`` gets C without a kernel field: R(T, ...)
+vanishes along the kernel line, so R(nabla_X T, ...) = -(nabla_X R)(T, ...),
+solved by least squares over the complement with nabla R from central
+differences of R (no kernel at the difference points).  ``geonull scan``
+classifies that tensor; ``splitting_tensor`` is its test oracle.
 """
 
 from __future__ import annotations
@@ -40,7 +46,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .curvature import _christoffel_from_jet, _nullity_at
+from .curvature import (
+    CurvatureData,
+    _christoffel_from_jet,
+    _complement,
+    _covariant_dr,
+    _nullity_at,
+)
 from .flows import GeodesicPath, _sample_indices, geodesic, parallel_transport
 from .metricspace import MetricField
 from .numcore import _g_gram_schmidt, eigenvalues, invert
@@ -55,6 +67,7 @@ __all__ = [
     "EvolutionReport",
     "kernel_section",
     "splitting_tensor",
+    "splitting_tensor_from_curvature",
     "classify",
     "riccati_closed_form",
     "riccati_ode",
@@ -63,6 +76,9 @@ __all__ = [
 ]
 
 BLOWUP_LIMIT = 1e8
+# relative residual of the nabla R solve above which the kernel is not
+# taken to be a smooth line field near the point
+SMOOTH_KERNEL_RESIDUAL = 1e-5
 
 
 class KernelDimensionError(ValueError):
@@ -280,6 +296,35 @@ def splitting_tensor(
         triangular_residual=residual,
         normal_form_entries=normal_form,
     )
+
+
+def splitting_tensor_from_curvature(metric: MetricField, data: CurvatureData, h: float = 1e-4):
+    """``(matrix, residual)``: C_T at ``data.point`` from nabla R, T the first kernel vector.
+
+    Differentiating R(T, ., ., .) = 0 along X gives R(nabla_X T, ., ., .) =
+    -(nabla_X R)(T, ., ., .), and the flattened R is injective on the
+    kernel's complement.  One least-squares solve over the complement basis
+    (the chart's preferred frame, else the g-orthonormal complement of the
+    kernel) gives <nabla_{d_m} T, e_a> for every m; nabla R comes from
+    central differences of R at x +/- h e_m, whose jets are domain-checked.
+    ``residual`` is the solve's residual relative to the right-hand side: above
+    :data:`SMOOTH_KERNEL_RESIDUAL` the kernel does not extend as a smooth line
+    field and the matrix means nothing.  The caller checks that the kernel
+    at x is a line.
+    """
+    n = metric.dim
+    t_vec = data.nullity.basis[0]
+    if metric.preferred_frame is not None:
+        basis = np.asarray(metric.preferred_frame(data.point), dtype=float)
+    else:
+        basis = _complement(data.g, data.nullity.basis)
+    cov = _covariant_dr(metric, data.point, data.christoffel, data.rdown, h, check=True)
+    lhs = np.einsum("ijkl,ai->jkla", data.rdown, basis).reshape(n ** 3, -1)
+    rhs = -np.einsum("mijkl,i->jklm", cov, t_vec).reshape(n ** 3, n)
+    coef = np.linalg.lstsq(lhs, rhs, rcond=None)[0]  # coef[a, m] = <nabla_{d_m} T, e_a>
+    scale = float(np.linalg.norm(rhs))
+    residual = float(np.linalg.norm(lhs @ coef - rhs)) / scale if scale > 0.0 else 0.0
+    return -coef @ basis.T, residual
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -147,6 +148,24 @@ def test_rejected_input_exit_codes(capsys, argv, expected):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv, site",
+    [
+        (("analyze", "--metric", "sekigawa", "--p", "1e300*u*u+1", "--point", "0,1,0"),
+         "analyze --point 0,1,0"),
+        (("analyze", "--metric", "sekigawa", "--p", "1e300*u*u+1"), "analyze at the origin"),
+        (("flow", "--metric", "sekigawa", "--p", "1e300*u*u+1", "--point", "0,0.5,0"),
+         "flow --point 0,0.5,0"),
+        (("flow", "--metric", "conullity3", "--p", "1e200*u*u+1", "--point", "0,1,0,0",
+          "--direction", "0,1,0,0"), "flow --point 0,1,0,0"),
+    ],
+)
+def test_float_fault_message_names_command_and_point(capsys, argv, site):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert re.fullmatch(rf"geonull: error: {re.escape(site)}: overflow encountered in \w+\n", err)
+
+
 @pytest.mark.parametrize("axis", [0, 2])
 def test_flow_direction_scale_does_not_matter(capsys, axis):
     # a huge or tiny direction is scaled before sqrt(v g v) can overflow or underflow
@@ -217,6 +236,16 @@ def test_scan_rows_that_overflow_are_domain_rows(capsys):
         code, out, _ = run_cli(capsys, "scan", "--metric", "sekigawa", "--p", p, "--grid", "u=0:1:2")
         assert code == 0
         assert out.split("\r\n")[1:] == ["0,0,0,,,,,domain", "0,1,0,,,,,domain", ""]
+
+
+def test_scan_point_whose_stencil_leaves_the_chart_has_no_kind(capsys):
+    # the box is |w| <= 3 and nabla R is differenced at w +/- 1e-4: a point
+    # 0.5e-4 from the edge gets no kind, one 1.5e-4 from it does
+    code, out, _ = run_cli(capsys, "scan", "--metric", "conullity3", "--grid", "w=2.99995:2.99985:2")
+    assert code == 0
+    rows = [row.split(",") for row in out.split("\r\n")[1:-1]]
+    assert [row[3] for row in rows] == ["2.9999500000000001", "2.9998499999999999"]
+    assert [row[5:] for row in rows] == [["1", "3", "", "ok"], ["1", "3", "nilpotent", "ok"]]
 
 
 def test_scan_rerun_gives_identical_bytes(capsys):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from geonull import splitting
-from geonull.curvature import nullity
+from geonull import cli, splitting
+from geonull.curvature import _complement, curvature_data, nullity
 from geonull.flows import geodesic, nullity_geodesic_check, parallel_transport
 from geonull.metricspace import (
     MetricField,
@@ -25,6 +25,7 @@ from geonull.splitting import (
     riccati_closed_form,
     riccati_ode,
     splitting_tensor,
+    splitting_tensor_from_curvature,
     trace_det_evolution,
 )
 
@@ -220,6 +221,135 @@ def test_splitting_tensor_custom_basis_transforms_covariantly():
     q = np.array([[0.8, 0.6, 0.0], [-0.6, 0.8, 0.0], [0.0, 0.0, 1.0]])
     rotated = splitting_tensor(metric, ORIGIN4, basis=q @ st.basis)
     assert np.allclose(rotated.matrix, q @ st.matrix @ q.T, atol=1e-9)
+
+
+def _both_tensors(metric, point):
+    """(nabla R matrix, its residual, stencil matrix) in the same complement basis."""
+    data = curvature_data(metric, point)
+    matrix, residual = splitting_tensor_from_curvature(metric, data)
+    basis = None
+    if metric.preferred_frame is None:
+        basis = _complement(data.g, data.nullity.basis)
+    return matrix, residual, splitting_tensor(metric, point, basis=basis).matrix
+
+
+@pytest.mark.parametrize(
+    "metric, point",
+    [
+        (conullity3(), [0.1, 0.2, -0.3, 0.4]),
+        (catalog_conullity3("4-u*u-w*w"), [0.1, 0.2, -0.3, 0.4]),
+        (catalog_sekigawa("exp(u)"), [0.2, -0.3, 0.1]),
+        (catalog_product(catalog_sphere(1.0), catalog_euclidean(1)), [1.0, 0.5, 0.2]),
+    ],
+    ids=["conullity3", "concave_warp", "sekigawa", "product3"],
+)
+def test_nabla_r_tensor_matches_stencil(metric, point):
+    matrix, residual, stencil = _both_tensors(metric, point)
+    assert matrix.shape == stencil.shape == (metric.dim - 1,) * 2
+    assert np.max(np.abs(matrix - stencil)) < 1e-9
+    # the solve is consistent to rounding on a smooth kernel line field
+    assert residual < 1e-10
+    if "product" in metric.name:  # T = d/dz makes both sides of the solve exactly 0
+        assert not matrix.any() and residual == 0.0
+
+
+def test_nabla_r_tensor_closed_form_in_preferred_frame():
+    rng = np.random.default_rng(23)
+    for p_src in ("3+cos(u)+cos(w)", "4-u*u-w*w"):
+        metric = catalog_conullity3(p_src)
+        p_expr = metric.annotations["p_expression"]
+        for pt in rng.uniform(-1.2, 1.2, (4, 4)):
+            matrix, residual = splitting_tensor_from_curvature(metric, curvature_data(metric, pt))
+            expected = np.zeros((3, 3))
+            expected[0, 1] = math.sqrt(2.0) / p_expr.value(pt[[0, 1, 3]])
+            assert np.max(np.abs(matrix - expected)) < 1e-8
+            assert residual < 1e-9
+
+
+def _warp(rng, x, y):
+    a, b, c = rng.uniform(2.5, 4.0), rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5)
+    return f"{a:.6f}+cos({b:.6f}*{x})+cos({c:.6f}*{y})"
+
+
+@pytest.mark.parametrize("family", ["conullity3", "sekigawa"])
+def test_nabla_r_kind_matches_stencil_kind(family):
+    # benchmark-style warps on the scan workload's square; tools/scan_kind_agreement.py
+    # runs the same comparison on 10^3 points per family over the whole chart
+    rng = np.random.default_rng(29)
+    for _ in range(3):
+        if family == "conullity3":
+            metric = catalog_conullity3(_warp(rng, "u", "w"))
+        else:
+            metric = catalog_sekigawa(_warp(rng, "u", "x"))
+        for pt in rng.uniform(-1.5, 1.5, (4, metric.dim)):
+            matrix, residual, stencil = _both_tensors(metric, pt)
+            kinds = {classify(m, tol=cli.CLASSIFY_TOL).kind for m in (matrix, stencil)}
+            assert kinds == {"nilpotent"}
+            assert cli._scan_worker(metric, pt, None, cli.DEFAULT_FD_STEP)[3] == "nilpotent"
+            assert residual <= 1e-7
+
+
+def test_nabla_r_kind_near_the_warp_floor_is_nilpotent_or_none():
+    # p = exp(u) near e^-2 and |x|, |v| up to 3: g is ill-conditioned and R carries
+    # noise; the stencil then names wrong kinds, the residual gate names none
+    metric = catalog_sekigawa("exp(u)")
+    rng = np.random.default_rng(31)
+    kinds = []
+    for _ in range(40):
+        pt = np.array([rng.uniform(-3.0, 3.0), rng.uniform(-2.5, -1.5), rng.uniform(-3.0, 3.0)])
+        kinds.append(cli._scan_worker(metric, pt, None, cli.DEFAULT_FD_STEP)[3])
+    assert set(kinds) == {"nilpotent", ""}
+    assert kinds.count("nilpotent") >= 20
+
+
+def _hessian_line_warp():
+    """g = dx^2 + dy^2 + f^2 dz^2 with f = 1 + x^2/2 + y^3/6, so Hess f = diag(1, y, 0).
+
+    R lives on the planes X ^ dz through Hess f, so the kernel is the line of
+    dy on y = 0 and trivial elsewhere: a line that is no smooth field.
+    """
+
+    def jet(pt, order):
+        x, y, _ = pt
+        f = 1.0 + x * x / 2.0 + y ** 3 / 6.0
+        df = np.array([x, y * y / 2.0, 0.0])
+        g = np.diag([1.0, 1.0, f * f])
+        dg = np.zeros((3, 3, 3))
+        dg[2, 2] = 2.0 * f * df
+        if order == 1:
+            return g, dg
+        d2g = np.zeros((3, 3, 3, 3))
+        d2g[2, 2] = 2.0 * (np.outer(df, df) + f * np.diag([1.0, y, 0.0]))
+        return g, dg, d2g
+
+    return MetricField(3, ("x", "y", "z"), jet, name="hessian_line_warp")
+
+
+def test_residual_gate_rejects_a_kernel_line_that_is_no_field():
+    metric = _hessian_line_warp()
+    pt = np.array([0.3, 0.0, 0.1])
+    data = curvature_data(metric, pt)
+    assert data.nullity.nullity == 1
+    assert np.allclose(np.abs(data.nullity.basis[0]), [0.0, 1.0, 0.0], atol=1e-12)
+    _, residual = splitting_tensor_from_curvature(metric, data)
+    assert residual > 0.5 > splitting.SMOOTH_KERNEL_RESIDUAL
+    assert cli._scan_worker(metric, pt, None, cli.DEFAULT_FD_STEP)[3] == ""
+    with pytest.raises(KernelDimensionError):  # the stencil meets the trivial kernel at y = h
+        splitting_tensor(metric, pt)
+
+
+@pytest.mark.parametrize(
+    "metric, point",
+    [(conullity3(), [0.1, 0.2, -0.3, 0.4]), (catalog_sekigawa("exp(u)"), [0.2, -0.3, 0.1])],
+    ids=["preferred_frame", "built_complement"],
+)
+def test_jets_per_nabla_r_tensor(metric, point):
+    counted, orders = _counting(metric)
+    data = curvature_data(counted, point)
+    orders.clear()
+    splitting_tensor_from_curvature(counted, data)
+    # two stencil points per axis; g, Gamma, R and the kernel at x come from data
+    assert orders == [2] * (2 * metric.dim)
 
 
 def test_classify_kinds():

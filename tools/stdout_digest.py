@@ -1,12 +1,13 @@
 """Print one ``sha256  argv`` line per command of the stdout-equivalence set.
 
 The set is ``analyze`` on all six catalog families and on the concave
-conullity3 warp (non-negative sectional curvature), ``scan``, ``flow`` in
-both modes and ``verify --suite all --json``.  Each argv runs in-process
-through ``geonull.cli.main`` against the sources next to this script;
-stderr (timings) is discarded.  A refactor that claims identical output
-shows identical lines before and after; a line that moves names the
-command whose bytes moved.
+conullity3 warp (non-negative sectional curvature), ``scan`` on conullity3,
+on sekigawa (no preferred frame) and on the concave warp (domain rows and
+points near p -> 0), ``flow`` in both modes and ``verify --suite all
+--json``.  Each argv runs in-process through ``geonull.cli.main`` against
+the sources next to this script; stderr (timings) is discarded.  A refactor
+that claims identical output shows identical lines before and after; a line
+that moves names the command whose bytes moved.
 
 Run:  python3 tools/stdout_digest.py
 
@@ -34,6 +35,8 @@ ARGVS = (
     ("analyze", "--metric", "conullity3", "--point", "0.1,0.2,-0.3,0.4"),
     ("analyze", "--metric", "conullity3", "--p", "4-u*u-w*w", "--point", "0.1,0.2,-0.3,0.4"),
     ("scan", "--metric", "conullity3", "--grid", "u=-1.5:1.5:4,w=-1.5:1.5:4"),
+    ("scan", "--metric", "sekigawa", "--p", "exp(u)", "--grid", "x=-1:1:4,u=-1:1:4"),
+    ("scan", "--metric", "conullity3", "--p", "4-u*u-w*w", "--grid", "u=-1.5:1.5:4,w=-1.5:1.5:4"),
     ("flow", "--metric", "conullity3", "--point", "0.1,0.2,-0.3,0.4", "--tmax", "1"),
     ("flow", "--metric", "product", "--point", "1,0.5,0.2,-0.1", "--tmax", "0.5"),
     ("flow", "--metric", "conullity3", "--point", "0,0,0,0", "--direction", "0,1,0,0"),
