@@ -1,16 +1,14 @@
 """Small dense linear algebra: inverses, rank-revealing kernels, eigenvalues.
 
 Everything here targets the tiny matrices this package produces (metric
-blocks up to 8x8, splitting tensors up to 4x4, flattened curvature maps with
-at most 8 columns).  Eigenvalues are computed by closed-form characteristic
-polynomial solvers, polished with two Newton steps, so that the structural
-complex-pair / nilpotent distinction downstream does not depend on an
-iterative solver's stopping rule.
+blocks, splitting tensors and curvature operators up to 8x8, flattened
+curvature maps with at most 8 columns).  Eigenvalues come from LAPACK's
+Hessenberg QR; the complex-pair / nilpotent decision on them is
+``splitting.classify``'s, at an explicit tolerance.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,130 +135,14 @@ def kernel(m, rel_tol: float = REL_TOL_ANALYTIC) -> KernelResult:
     return KernelResult(basis, cols - len(small), s, tol)
 
 
-# ---------------------------------------------------------------------------
-# Closed-form eigenvalues (sizes 1..4)
-
-
-def _char_coeffs(a: np.ndarray) -> list:
-    """Monic characteristic polynomial coefficients [c1, ..., cn] with
-    p(x) = x^n + c1 x^(n-1) + ... + cn, from traces of powers and det."""
-    n = a.shape[0]
-    if n == 1:
-        return [-float(a[0, 0])]
-    t1 = float(np.trace(a))
-    if n == 2:
-        return [-t1, float(np.linalg.det(a))]
-    a2 = a @ a
-    t2 = float(np.trace(a2))
-    e2 = (t1 * t1 - t2) / 2.0
-    if n == 3:
-        return [-t1, e2, -float(np.linalg.det(a))]
-    t3 = float(np.trace(a2 @ a))
-    e3 = (t1**3 - 3.0 * t1 * t2 + 2.0 * t3) / 6.0
-    return [-t1, e2, -e3, float(np.linalg.det(a))]
-
-
-def _poly_eval(coeffs: list, x: complex) -> tuple:
-    """Horner evaluation of the monic polynomial and its derivative."""
-    p = complex(1.0)
-    dp = complex(0.0)
-    for c in coeffs:
-        dp = dp * x + p
-        p = p * x + c
-    return p, dp
-
-
-def _roots_quadratic(b: complex, c: complex) -> list:
-    # x^2 + b x + c
-    d = cmath.sqrt(b * b - 4.0 * c)
-    if (b.conjugate() * d).real > 0.0:
-        d = -d
-    q = (-b + d) / 2.0
-    if q == 0:
-        return [(-b + d) / 2.0, (-b - d) / 2.0]
-    return [q, c / q]
-
-
-def _roots_cubic(a: complex, b: complex, c: complex) -> list:
-    # x^3 + a x^2 + b x + c, Cardano in complex arithmetic
-    shift = a / 3.0
-    p = b - a * a / 3.0
-    q = 2.0 * a**3 / 27.0 - a * b / 3.0 + c
-    if abs(p) < 1e-300 and abs(q) < 1e-300:
-        return [-shift] * 3
-    d = cmath.sqrt((q / 2.0) ** 2 + (p / 3.0) ** 3)
-    u3 = -q / 2.0 + d
-    if abs(u3) < 1e-30 * max(abs(q), abs(p)):
-        u3 = -q / 2.0 - d
-    if u3 == 0:
-        # q == 0 exactly: roots of t(t^2 + p)
-        sq = cmath.sqrt(-p)
-        return [-shift, sq - shift, -sq - shift]
-    u = u3 ** (1.0 / 3.0)
-    v = -p / (3.0 * u)
-    w = complex(-0.5, math_sqrt3_over_2)
-    ts = [u + v, u * w + v * w.conjugate(), u * w.conjugate() + v * w]
-    return [t - shift for t in ts]
-
-
-math_sqrt3_over_2 = 3.0**0.5 / 2.0
-
-
-def _roots_quartic(a: complex, b: complex, c: complex, d: complex) -> list:
-    # x^4 + a x^3 + b x^2 + c x + d via a resolvent cubic and two quadratics
-    shift = a / 4.0
-    p = b - 3.0 * a * a / 8.0
-    q = c - a * b / 2.0 + a**3 / 8.0
-    r = d - a * c / 4.0 + a * a * b / 16.0 - 3.0 * a**4 / 256.0
-    scale = max(abs(p), abs(q), abs(r), 1.0)
-    if abs(q) < 1e-14 * scale:
-        zs = _roots_quadratic(p, r)
-        ys = []
-        for z in zs:
-            s = cmath.sqrt(z)
-            ys.extend([s, -s])
-    else:
-        ts = _roots_cubic(2.0 * p, p * p - 4.0 * r, -q * q)
-        t1 = max(ts, key=abs)
-        s = cmath.sqrt(t1)
-        c1 = (p + t1 - q / s) / 2.0
-        c2 = (p + t1 + q / s) / 2.0
-        ys = _roots_quadratic(s, c1) + _roots_quadratic(-s, c2)
-    return [y - shift for y in ys]
-
-
 def eigenvalues(m) -> np.ndarray:
-    """Eigenvalues (with multiplicity) of a matrix of size at most 4x4.
+    """Eigenvalues (with multiplicity) of a square matrix of size at most 8x8.
 
-    Closed-form characteristic polynomial roots, each polished with two
-    Newton steps; returned sorted by (real part, imaginary part).
+    One LAPACK call (``np.linalg.eigvals``); returned as complex numbers
+    sorted by (real part, imaginary part).  A real matrix gets exactly
+    conjugate pairs and exactly zero imaginary parts elsewhere.
     """
-    a = _as_matrix(m, max_rows=4, max_cols=4)
+    a = _as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"eigenvalues need a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    scale = float(np.max(np.abs(a)))
-    if scale == 0.0:
-        return np.zeros(n, dtype=complex)
-    b = a / scale
-    cb = _char_coeffs(b)
-    if n == 1:
-        roots = [complex(-cb[0])]
-    elif n == 2:
-        roots = _roots_quadratic(cb[0], cb[1])
-    elif n == 3:
-        roots = _roots_cubic(cb[0], cb[1], cb[2])
-    else:
-        roots = _roots_quartic(cb[0], cb[1], cb[2], cb[3])
-    ca = _char_coeffs(a)
-    polished = []
-    for root in roots:
-        lam = complex(root) * scale
-        for _ in range(2):
-            p, dp = _poly_eval(ca, lam)
-            if abs(dp) < 1e-300:
-                break
-            lam = lam - p / dp
-        polished.append(lam)
-    out = np.array(sorted(polished, key=lambda z: (z.real, z.imag)), dtype=complex)
-    return out
+    return np.sort_complex(np.linalg.eigvals(a))

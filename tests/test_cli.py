@@ -60,6 +60,19 @@ def test_analyze_conullity_two_family(capsys):
     assert doc["curvature"]["nonflat_plane_curvature"] == pytest.approx(-1.0, abs=1e-8)
 
 
+def test_analyze_nilpotent_tensor_on_a_sekigawa_warp(capsys):
+    # a nearly degenerate nilpotent tensor: eigenvalues about 4e-10 against entries about 0.3
+    code, out, _ = run_cli(
+        capsys, "analyze", "--metric", "sekigawa", "--p", "3.671764+cos(0.522086*u)+cos(0.998341*x)",
+        "--point=-2.0041042190169085,2.8281637094573053,0.48334047502308763",
+    )
+    assert code == 0
+    classification = json.loads(out)["splitting"]["classification"]
+    assert classification["kind"] == "nilpotent"
+    assert classification["nilpotency_index"] == 2
+    assert max(map(abs, classification["eigenvalues_re"] + classification["eigenvalues_im"])) < 1e-8
+
+
 def test_analyze_sphere_sectional_range_is_exact(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--metric", "sphere", "--point", "1,0")
     assert code == 0

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geonull.curvature import _complement, curvature_data
+from geonull.metricspace import catalog_conullity3
 from geonull.numcore import (
     KERNEL_ABS_FLOOR,
     SingularMatrixError,
@@ -133,11 +135,33 @@ def test_eigenvalues_scale_invariance():
     assert np.allclose(eig.imag, [-1e-8, 1e-8], rtol=1e-9)
 
 
+def test_eigenvalues_nilpotent_splitting_tensor_stays_small():
+    # analyze's splitting tensor on a sekigawa warp (trace -7.6e-17, det -2.5e-19);
+    # the closed-form quadratic returned +/-1.7e-3 here, i.e. kind "real"
+    m = [[-0.042214771794348925, -0.0060925594198504044], [0.2925021874784951, 0.04221477179434885]]
+    assert np.max(np.abs(eigenvalues(m))) < 1e-8
+
+
+def test_eigenvalues_repeated_root_of_a_curvature_operator():
+    # the operator on 2-vectors of the complement that sectional_range builds for
+    # conullity3 --p 4-u*u-w*w at 0.1,0.2,-0.3,0.4; its eigenvalue 2/3.8 is double
+    data = curvature_data(catalog_conullity3("4-u*u-w*w"), np.array([0.1, 0.2, -0.3, 0.4]))
+    frame = _complement(data.g, data.nullity.basis)
+    a, b = np.triu_indices(frame.shape[0], 1)
+    rh = np.einsum("ijkl,ai,bj,ck,dl->abcd", data.rdown, frame, frame, frame, frame)
+    op = rh[a[:, None], b[:, None], b, a]
+    eig = eigenvalues(op)
+    assert np.array_equal(eig.imag, np.zeros(3))
+    assert np.max(np.abs(eig.real - np.linalg.eigvalsh(op))) < 1e-12
+    assert eig[2].real == pytest.approx(2.0 / 3.8, abs=1e-12)
+
+
 def test_dimension_cap():
     with pytest.raises(ValueError):
         invert(np.eye(9))
     with pytest.raises(ValueError):
-        eigenvalues(np.eye(5))
+        eigenvalues(np.eye(9))
+    assert np.array_equal(eigenvalues(np.diag(np.arange(8.0, 0.0, -1.0))), np.arange(1.0, 9.0))
 
 
 def test_g_gram_schmidt_orthonormal_and_drops_dependent_rows():

@@ -372,6 +372,13 @@ def test_classify_kinds():
     assert sorted(pair.eigenvalues.imag) == pytest.approx([-2.0, 2.0])
 
 
+def test_classify_five_by_five_jordan_block():
+    jordan = np.eye(5, k=1) + 0.5 * np.eye(5, k=2)
+    inv = classify(jordan)
+    assert inv.kind == "nilpotent" and inv.nilpotency_index == 5
+    assert np.array_equal(inv.eigenvalues, np.zeros(5))
+
+
 def test_classify_tolerance_switch():
     tiny = [[0.0, 1e-9], [0.0, 0.0]]
     assert classify(tiny, tol=1e-8).kind == "zero"

@@ -1,7 +1,8 @@
 """Print one ``sha256  argv`` line per command of the stdout-equivalence set.
 
-The set is ``analyze`` on all six catalog families and on the concave
-conullity3 warp (non-negative sectional curvature), ``scan`` on conullity3,
+The set is ``analyze`` on all six catalog families, on the concave
+conullity3 warp (non-negative sectional curvature) and at a nearly
+degenerate nilpotent splitting tensor of a sekigawa warp, ``scan`` on conullity3,
 on sekigawa (no preferred frame) and on the concave warp (domain rows and
 points near p -> 0), ``flow`` in both modes and ``verify --suite all
 --json``.  Each argv runs in-process through ``geonull.cli.main`` against
@@ -34,6 +35,10 @@ ARGVS = (
     ("analyze", "--metric", "sekigawa", "--p", "exp(u)", "--point", "0.2,-0.3,0.1"),
     ("analyze", "--metric", "conullity3", "--point", "0.1,0.2,-0.3,0.4"),
     ("analyze", "--metric", "conullity3", "--p", "4-u*u-w*w", "--point", "0.1,0.2,-0.3,0.4"),
+    (
+        "analyze", "--metric", "sekigawa", "--p", "3.671764+cos(0.522086*u)+cos(0.998341*x)",
+        "--point=-2.0041042190169085,2.8281637094573053,0.48334047502308763",
+    ),
     ("scan", "--metric", "conullity3", "--grid", "u=-1.5:1.5:4,w=-1.5:1.5:4"),
     ("scan", "--metric", "sekigawa", "--p", "exp(u)", "--grid", "x=-1:1:4,u=-1:1:4"),
     ("scan", "--metric", "conullity3", "--p", "4-u*u-w*w", "--grid", "u=-1.5:1.5:4,w=-1.5:1.5:4"),
