@@ -44,7 +44,6 @@ from .flows import (
     geodesic,
     incompleteness_probe,
     nullity_geodesic_check,
-    parallel_transport,
 )
 from .metricspace import (
     CATALOG,
@@ -553,9 +552,8 @@ def _suite_sphere(seed: int) -> list:
     start = np.array([math.pi / 2, 0.0])
     v0 = np.array([0.3, 1.0])
     v0 = v0 / math.sqrt(float(v0 @ metric.g(start) @ v0))
-    path = geodesic(metric, start, v0, 2.0, steps=256)
-    frame = parallel_transport(metric, path, np.eye(2))
-    checks.append(_check("transport_preserves_gram", 0.0, frame.gram_drift, 1e-8))
+    path = geodesic(metric, start, v0, 2.0, steps=256, frame=np.eye(2))
+    checks.append(_check("transport_preserves_gram", 0.0, path.gram_drift, 1e-8))
     return checks
 
 

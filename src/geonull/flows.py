@@ -1,9 +1,9 @@
 """Geodesics, parallel transport, and geometric probes along flows.
 
 All integration is classical fixed-step RK4.  Geodesics integrate the
-first-order system (x, v) with v'^k = -Gamma^k_ij v^i v^j; parallel
-transport integrates w'^k = -Gamma^k_ij gamma'^i w^j along a stored path,
-using cubic Hermite interpolation of the path for the midpoint stages.
+first-order system (x, v) with v'^k = -Gamma^k_ij v^i v^j; rows W to be
+parallel transported ride in the same system, W'^k = -Gamma^k_ij v^i W^j,
+so each RK4 stage takes Gamma once, from one order-1 jet, for both.
 
 Paths truncate cleanly at the chart boundary instead of raising: the
 returned :class:`GeodesicPath` carries a ``truncated`` flag and the last
@@ -14,10 +14,10 @@ is stored with the path.  Evenly spaced sample nodes of a path are picked by
 one rule, shared by :func:`sampled_path` and the splitting tensor's Riccati
 evolution.
 
-One metric jet serves all that a routine needs at a point: parallel
-transport takes g and Gamma at a path node from one order-1 jet, which also
-serves the gram-drift check, and the nullity check takes the kernel and g at
-a sample from one order-2 jet.
+One metric jet serves all that a routine needs at a point: the gram-drift
+check of a transported frame takes g at a node from the jet of that node's
+first RK4 stage, and the nullity check takes the kernel and g at a sample
+from one order-2 jet.
 """
 
 from __future__ import annotations
@@ -36,13 +36,11 @@ from .numcore import SingularMatrixError, _g_gram_schmidt, invert
 __all__ = [
     "LaunchError",
     "GeodesicPath",
-    "ParallelFrame",
     "NullityGeodesicReport",
     "FlatnessReport",
     "IncompletenessReport",
     "geodesic",
     "sampled_path",
-    "parallel_transport",
     "nullity_geodesic_check",
     "flatness_probe",
     "incompleteness_probe",
@@ -57,12 +55,18 @@ class LaunchError(ValueError):
 class GeodesicPath:
     """RK4 geodesic record: times (m+1,), points and velocities (m+1, n).
 
-    ``exit_parameter`` is the last in-domain time when ``truncated``.
+    ``frame`` (m+1, k, n) holds the k rows transported along the path (k = 0
+    without a frame); ``gram_drift`` is the max-abs deviation of their metric
+    Gram matrix from its value at the start, a quality measure since parallel
+    transport is an isometry (0.0 without a frame).  ``exit_parameter`` is
+    the last in-domain time when ``truncated``.
     """
 
     times: np.ndarray
     points: np.ndarray
     velocities: np.ndarray
+    frame: np.ndarray
+    gram_drift: float
     truncated: bool
     exit_parameter: Optional[float]
 
@@ -71,70 +75,89 @@ class GeodesicPath:
         return self.points[-1]
 
 
-def _gamma_at(metric: MetricField, x: np.ndarray) -> tuple:
-    """``(g, Gamma)`` at x from one order-1 metric jet."""
-    g, dg = metric.jet(x, order=1, check=False)
-    return g, _christoffel_from_jet(invert(g), dg)
-
-
-def _accel(metric: MetricField, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return -np.einsum("kij,i,j->k", _gamma_at(metric, x)[1], v, v)
-
-
 def geodesic(
     metric: MetricField,
     x0,
     v0,
     tmax: float,
     steps: int = 256,
+    frame=None,
 ) -> GeodesicPath:
-    """Integrate the geodesic equation from (x0, v0) for parameter tmax."""
+    """Integrate the geodesic equation from (x0, v0) for parameter tmax.
+
+    The rows of ``frame`` (k, n) are transported along the path in the same
+    RK4 steps, W' = -Gamma(x)(v, W), each stage taking Gamma from the jet
+    that gives the acceleration there.
+    """
     if steps < 1:
         raise ValueError("steps must be positive")
     if tmax == 0:
         raise ValueError("tmax must be nonzero")
+    n = metric.dim
     x = np.asarray(x0, dtype=float).copy()
     v = np.asarray(v0, dtype=float).copy()
-    if x.shape != (metric.dim,) or v.shape != (metric.dim,):
+    if x.shape != (n,) or v.shape != (n,):
         raise ValueError("x0 and v0 must match the chart dimension")
+    W = np.empty((0, n)) if frame is None else np.array(frame, dtype=float)
+    if W.ndim != 2 or W.shape[1] != n:
+        raise ValueError("frame must be rows of chart-dimension vectors")
     if not metric.contains(x):
         raise ChartDomainError(f"geodesic start outside domain of {metric.name}", x)
+
+    def rates(y, w, vecs):
+        """(g, acceleration, frame rate) at y from one order-1 jet."""
+        g, dg = metric.jet(y, order=1, check=False)
+        gamma = _christoffel_from_jet(invert(g), dg)
+        frame_rate = -np.einsum("kij,i,aj->ak", gamma, w, vecs) if len(vecs) else vecs
+        return g, -np.einsum("kij,i,j->k", gamma, w, w), frame_rate
+
     h = tmax / steps
     times = [0.0]
-    xs = [x.copy()]
-    vs = [v.copy()]
+    xs = [x]
+    vs = [v]
+    ws = [W]
+    gs = []  # g at each node, from the stage-1 jet of the step leaving it
     truncated = False
     for i in range(steps):
         try:
-            ax1 = _accel(metric, x, v)
+            g1, ax1, k1 = rates(x, v, W)
+            gs.append(g1)
             x2 = x + 0.5 * h * v
             v2 = v + 0.5 * h * ax1
-            ax2 = _accel(metric, x2, v2)
+            _, ax2, k2 = rates(x2, v2, W + 0.5 * h * k1)
             x3 = x + 0.5 * h * v2
             v3 = v + 0.5 * h * ax2
-            ax3 = _accel(metric, x3, v3)
+            _, ax3, k3 = rates(x3, v3, W + 0.5 * h * k2)
             x4 = x + h * v3
             v4 = v + h * ax3
-            ax4 = _accel(metric, x4, v4)
+            _, ax4, k4 = rates(x4, v4, W + h * k3)
             xn = x + (h / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
             vn = v + (h / 6.0) * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
+            Wn = W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         except (ChartDomainError, DomainError, SingularMatrixError, FloatingPointError):
             truncated = True
             break
-        if not (np.all(np.isfinite(xn)) and np.all(np.isfinite(vn))):
+        if not (np.all(np.isfinite(xn)) and np.all(np.isfinite(vn)) and metric.contains(xn)):
             truncated = True
             break
-        if not metric.contains(xn):
-            truncated = True
-            break
-        x, v = xn, vn
+        x, v, W = xn, vn, Wn
         times.append((i + 1) * h)
-        xs.append(x.copy())
-        vs.append(v.copy())
+        xs.append(x)
+        vs.append(v)
+        ws.append(W)
+    frames = np.array(ws)
+    drift = 0.0
+    if len(W):
+        if len(gs) < len(xs):
+            gs.append(metric.jet(x, order=1, check=False)[0])
+        grams = frames @ np.array(gs) @ frames.transpose(0, 2, 1)
+        drift = float(np.max(np.abs(grams - grams[0])))
     return GeodesicPath(
         times=np.array(times),
         points=np.array(xs),
         velocities=np.array(vs),
+        frame=frames,
+        gram_drift=drift,
         truncated=truncated,
         exit_parameter=times[-1] if truncated else None,
     )
@@ -151,66 +174,6 @@ def sampled_path(path: GeodesicPath, samples: int):
     """Evenly spaced (times, points, velocities) along a stored path."""
     idx = _sample_indices(path.times.size, samples)
     return path.times[idx], path.points[idx], path.velocities[idx]
-
-
-@dataclass(frozen=True)
-class ParallelFrame:
-    """Parallel-transported vectors along a path.
-
-    ``vectors`` has shape (m+1, n) for a single transported vector or
-    (m+1, k, n) for a stack; ``gram_drift`` is the max-abs deviation of the
-    metric Gram matrix of the transported vectors from its initial value, a
-    direct quality measure since parallel transport is a metric isometry.
-    """
-
-    times: np.ndarray
-    vectors: np.ndarray
-    gram_drift: float
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.vectors[-1]
-
-
-def parallel_transport(metric: MetricField, path: GeodesicPath, v0) -> ParallelFrame:
-    """Transport v0 (one vector or a stack of row vectors) along the path."""
-    V = np.asarray(v0, dtype=float)
-    single = V.ndim == 1
-    V = np.atleast_2d(V).copy()
-    if V.shape[1] != metric.dim:
-        raise ValueError("vector length must match the chart dimension")
-    times, xs, vs = path.times, path.points, path.velocities
-    m = times.size - 1
-    out = np.empty((m + 1,) + V.shape)
-    out[0] = V
-    # one jet per node serves both its Gamma and the gram-drift check
-    g_nodes = np.empty((m + 1, metric.dim, metric.dim))
-    g_nodes[0], gamma_right = _gamma_at(metric, xs[0])
-
-    def rhs(gamma, w, vecs):
-        return -np.einsum("kij,i,aj->ak", gamma, w, vecs)
-
-    for i in range(m):
-        h = times[i + 1] - times[i]
-        x0c, x1c = xs[i], xs[i + 1]
-        w0, w1 = vs[i], vs[i + 1]
-        gamma0 = gamma_right
-        g_nodes[i + 1], gamma_right = _gamma_at(metric, x1c)
-        xm = 0.5 * (x0c + x1c) + (h / 8.0) * (w0 - w1)
-        wm = 1.5 * (x1c - x0c) / h - 0.25 * (w0 + w1)
-        gamma_mid = _gamma_at(metric, xm)[1]
-        Vi = out[i]
-        k1 = rhs(gamma0, w0, Vi)
-        k2 = rhs(gamma_mid, wm, Vi + 0.5 * h * k1)
-        k3 = rhs(gamma_mid, wm, Vi + 0.5 * h * k2)
-        k4 = rhs(gamma_right, w1, Vi + h * k3)
-        out[i + 1] = Vi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    gram0 = out[0] @ g_nodes[0] @ out[0].T
-    drift = 0.0
-    for i in range(m + 1):
-        drift = max(drift, float(np.max(np.abs(out[i] @ g_nodes[i] @ out[i].T - gram0))))
-    vectors = out[:, 0, :] if single else out
-    return ParallelFrame(times=times.copy(), vectors=vectors, gram_drift=drift)
 
 
 @dataclass(frozen=True)

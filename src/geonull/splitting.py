@@ -53,7 +53,7 @@ from .curvature import (
     _covariant_dr,
     _nullity_at,
 )
-from .flows import GeodesicPath, _sample_indices, geodesic, parallel_transport
+from .flows import GeodesicPath, _sample_indices, geodesic
 from .metricspace import MetricField
 from .numcore import _g_gram_schmidt, eigenvalues, invert
 
@@ -216,6 +216,17 @@ def _complement_basis(g: np.ndarray, x: np.ndarray, t_vec: np.ndarray) -> np.nda
     )
 
 
+def _richardson(f: Callable, x: np.ndarray, e: np.ndarray, h: float) -> np.ndarray:
+    """d f(x + s e)/ds at 0 as (4 D_h - D_2h) / 3, D_s the central difference of step s."""
+
+    def central(step):
+        fp = np.asarray(f(x + step * e), dtype=float)
+        fm = np.asarray(f(x - step * e), dtype=float)
+        return (fp - fm) / (2.0 * step)
+
+    return (4.0 * central(h) - central(2.0 * h)) / 3.0
+
+
 def splitting_tensor(
     metric: MetricField,
     x,
@@ -260,18 +271,11 @@ def splitting_tensor(
     if basis.ndim != 2 or basis.shape[1] != n:
         raise ValueError("basis must be rows of chart-dimension vectors")
 
-    # dT[k, j] ~ d T^k / d x^j, one Richardson level on the central difference
+    # dT[k, j] ~ d T^k / d x^j
     eye = np.eye(n)
     dT = np.empty((n, n))
     for j in range(n):
-        def central(step):
-            fp = np.asarray(field(pt + step * eye[j]), dtype=float)
-            fm = np.asarray(field(pt - step * eye[j]), dtype=float)
-            return (fp - fm) / (2.0 * step)
-
-        d1 = central(h)
-        d2 = central(2.0 * h)
-        dT[:, j] = (4.0 * d1 - d2) / 3.0
+        dT[:, j] = _richardson(field, pt, eye[j], h)
     gamma = _christoffel_from_jet(invert(g), dg)
     # nabla_{e_j} T = e_j^m (dT[., m] + Gamma[., m, a] T^a)
     full = dT + np.einsum("kma,a->km", gamma, t0)
@@ -454,9 +458,7 @@ def _fd_divergence(metric: MetricField, x: np.ndarray, field: Callable, h: float
 
     total = 0.0
     for k in range(n):
-        d1 = (weighted(x + h * eye[k])[k] - weighted(x - h * eye[k])[k]) / (2.0 * h)
-        d2 = (weighted(x + 2 * h * eye[k])[k] - weighted(x - 2 * h * eye[k])[k]) / (4.0 * h)
-        total += (4.0 * d1 - d2) / 3.0
+        total += _richardson(weighted, x, eye[k], h)[k]
     g0 = metric.jet(x, order=1, check=False)[0]
     return total / math.sqrt(float(np.linalg.det(g0)))
 
@@ -476,8 +478,8 @@ def evolve_along_nullity_geodesic(
     (:func:`kernel_section`): at x0 the first kernel basis vector, which is
     also the launch velocity, and at each sample the geodesic's velocity
     there.  The kernel must keep its dimension at x0 wherever T is taken.
-    Errors while measuring the start tensor, integrating or transporting
-    propagate; a :class:`KernelDimensionError`, :class:`AlignmentError` or
+    Errors while measuring the start tensor or integrating propagate; a
+    :class:`KernelDimensionError`, :class:`AlignmentError` or
     :class:`RiccatiBlowupError` at a sample ends the ride with a partial
     report whose ``aborted`` holds the message.
     """
@@ -487,8 +489,7 @@ def evolve_along_nullity_geodesic(
     start = splitting_tensor(
         metric, pt, field=_kernel_field(metric, section, k0, rel_tol), h=h, rel_tol=rel_tol
     )
-    path = geodesic(metric, pt, section, tmax, steps=steps)
-    frame = parallel_transport(metric, path, start.basis)
+    path = geodesic(metric, pt, section, tmax, steps=steps, frame=start.basis)
     reached = []
     measured = []
     predicted = []
@@ -498,7 +499,7 @@ def evolve_along_nullity_geodesic(
     for i in _sample_indices(path.times.size, samples):
         try:
             st = splitting_tensor(
-                metric, path.points[i], basis=frame.vectors[i],
+                metric, path.points[i], basis=path.frame[i],
                 field=_kernel_field(metric, path.velocities[i], k0, rel_tol), h=h, rel_tol=rel_tol,
             )
             pred = riccati_closed_form(start.matrix, float(path.times[i]))
@@ -529,7 +530,7 @@ def evolve_along_nullity_geodesic(
         predicted=tuple(predicted),
         deviations=tuple(deviations),
         max_error=max_err,
-        basis_gram_drift=frame.gram_drift,
+        basis_gram_drift=path.gram_drift,
         aborted=aborted,
         _divergence=divergence_residual,
     )

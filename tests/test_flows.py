@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from geonull.flows import (
-    GeodesicPath,
     LaunchError,
     flatness_probe,
     geodesic,
     incompleteness_probe,
     nullity_geodesic_check,
-    parallel_transport,
     sampled_path,
 )
 from geonull.metricspace import (
@@ -113,48 +111,63 @@ def test_sampled_path_endpoints_and_count():
 
 
 def test_parallel_transport_matches_velocity_along_geodesic():
-    # the velocity field of a geodesic is itself parallel, giving an
-    # independent route to the same transport
+    # the velocity of a geodesic is itself parallel: a frame row started at
+    # v0 tracks it, and another row keeps its metric pairing with it
     metric = catalog_sekigawa("exp(u)")
-    path = geodesic(metric, [0.1, 0.2, -0.3], [0.3, 0.4, 0.5], tmax=1.5, steps=512)
+    v0 = np.array([0.3, 0.4, 0.5])
+    path = geodesic(metric, [0.1, 0.2, -0.3], v0, tmax=1.5, steps=512, frame=[v0, [1.0, -0.5, 0.2]])
     assert not path.truncated
-    frame = parallel_transport(metric, path, path.velocities[0])
-    assert np.allclose(frame.final, path.velocities[-1], atol=1e-8)
-    assert frame.gram_drift < 1e-10
+    assert np.allclose(path.frame[-1, 0], path.velocities[-1], atol=1e-8)
+    pairing = [w[1] @ metric.g(x) @ v for x, v, w in zip(path.points, path.velocities, path.frame)]
+    assert np.allclose(pairing, pairing[0], atol=1e-10)
+    assert path.gram_drift < 1e-10
 
 
 def test_parallel_transport_stack_preserves_gram():
     metric = catalog_conullity3("3+cos(u)+cos(w)")
-    path = geodesic(metric, [0.1, 0.2, 0.3, -0.1], [0.2, 0.1, 0.8, 0.1], tmax=1.0, steps=256)
-    frame = parallel_transport(metric, path, np.eye(4))
-    assert frame.vectors.shape == (path.times.size, 4, 4)
-    assert frame.gram_drift < 1e-10
+    path = geodesic(
+        metric, [0.1, 0.2, 0.3, -0.1], [0.2, 0.1, 0.8, 0.1], tmax=1.0, steps=256, frame=np.eye(4)
+    )
+    assert path.frame.shape == (path.times.size, 4, 4)
+    assert path.gram_drift < 1e-10
     g0 = metric.g(path.points[0])
     g1 = metric.g(path.endpoint)
-    gram0 = frame.vectors[0] @ g0 @ frame.vectors[0].T
-    gram1 = frame.final @ g1 @ frame.final.T
+    gram0 = path.frame[0] @ g0 @ path.frame[0].T
+    gram1 = path.frame[-1] @ g1 @ path.frame[-1].T
     assert np.allclose(gram0, gram1, atol=1e-10)
 
 
-def test_sphere_latitude_holonomy():
-    # transport around the latitude circle theta = pi/3: the classical
-    # holonomy angle is 2*pi*cos(theta) = pi, so the vector returns negated
-    theta0 = math.pi / 3.0
-    m = 4096
-    times = np.linspace(0.0, 2.0 * math.pi, m + 1)
-    points = np.column_stack([np.full(m + 1, theta0), times])
-    velocities = np.column_stack([np.zeros(m + 1), np.ones(m + 1)])
-    path = GeodesicPath(
-        times=times,
-        points=points,
-        velocities=velocities,
-        truncated=False,
-        exit_parameter=None,
-    )
+def test_geodesic_without_frame_carries_an_empty_one():
+    path = geodesic(catalog_polar(), [1.0, 0.0], [0.0, 1.0], tmax=1.0, steps=8)
+    assert path.frame.shape == (9, 0, 2)
+    assert path.gram_drift == 0.0
+
+
+def test_geodesic_rejects_a_frame_of_the_wrong_width():
     metric = catalog_sphere(1.0)
-    frame = parallel_transport(metric, path, np.array([1.0, 0.0]))
-    assert frame.gram_drift < 1e-9
-    assert np.allclose(frame.final, [-1.0, 0.0], atol=1e-6)
+    with pytest.raises(ValueError, match="frame"):
+        geodesic(metric, [1.0, 0.0], [0.0, 1.0], tmax=1.0, frame=[[1.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="frame"):
+        geodesic(metric, [1.0, 0.0], [0.0, 1.0], tmax=1.0, frame=[1.0, 0.0])
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.6, 1.0])
+def test_sphere_lune_holonomy(alpha):
+    # from A = (pi/2, 0) the equator and the great circle tilted north by
+    # alpha meet again at the antipode A' = (pi/2, pi) after t = pi; the
+    # lune between them has area 2 alpha, so by Gauss-Bonnet the vectors
+    # transported along the two sides differ there by a rotation of 2 alpha
+    metric = catalog_sphere(1.0)
+    start = [math.pi / 2.0, 0.0]
+    ends = []
+    for v0 in ([0.0, 1.0], [-math.sin(alpha), math.cos(alpha)]):
+        path = geodesic(metric, start, v0, tmax=math.pi, steps=512, frame=[[1.0, 0.0]])
+        assert not path.truncated
+        assert np.max(np.abs(path.endpoint - [math.pi / 2.0, math.pi])) < 1e-9
+        ends.append(path.frame[-1, 0])
+    # g is the identity at A', so the coordinate angle is the metric angle
+    (a0, a1), (b0, b1) = ends
+    assert abs(math.atan2(a0 * b1 - a1 * b0, a0 * b0 + a1 * b1) + 2.0 * alpha) < 1e-10
 
 
 def test_nullity_geodesic_stays_in_kernel():

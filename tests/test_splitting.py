@@ -5,7 +5,7 @@ import pytest
 
 from geonull import cli, splitting
 from geonull.curvature import _complement, curvature_data, nullity
-from geonull.flows import geodesic, nullity_geodesic_check, parallel_transport
+from geonull.flows import geodesic, nullity_geodesic_check
 from geonull.metricspace import (
     MetricField,
     catalog_conullity3,
@@ -133,15 +133,28 @@ def test_jets_per_transport_and_nullity_geodesic_check():
     path = geodesic(metric, start, [0.0, 0.0, 1.0, 0.0], tmax=0.5, steps=m)
     assert not path.truncated and orders == [1] * (4 * m)
     orders.clear()
-    parallel_transport(metric, path, np.eye(4))
-    # one jet per node serves its Gamma and the gram drift; one per midpoint
-    assert orders == [1] * (2 * m + 1)
+    path = geodesic(metric, start, [0.0, 0.0, 1.0, 0.0], tmax=0.5, steps=m, frame=np.eye(4))
+    # each stage's jet serves the frame too; the gram drift takes g at a node
+    # from its stage-1 jet, and at the last node from one more jet
+    assert not path.truncated and orders == [1] * (4 * m + 1)
     orders.clear()
     report = nullity_geodesic_check(metric, start, tmax=0.5, steps=m, samples=s)
     assert report.sample_times.size == s
     # one jet at the start and per sample gives the kernel and g; 4 per RK4 step
     assert sorted(orders) == [1] * (4 * m) + [2] * (s + 1)
     assert orders[0] == 2
+
+
+@pytest.mark.parametrize("m, s", [(16, 5), (256, 9)])
+def test_jets_per_evolution(m, s):
+    metric, orders = _counting(conullity3())
+    report = evolve_along_nullity_geodesic(metric, [0.1, 0.2, -0.3, 0.4], tmax=0.5, steps=m, samples=s)
+    assert report.aborted is None and report.sample_times.size == s
+    # the section at x0; per tensor (the start and s samples) one order-1 jet
+    # at the point and 17 kernel sections (the point and 16 stencil points);
+    # 4m + 1 for the geodesic with its frame
+    assert sorted(orders) == [1] * ((s + 1) + 4 * m + 1) + [2] * (1 + 17 * (s + 1))
+    assert len(orders) == 1 + 18 * (s + 1) + 4 * m + 1
 
 
 def test_kernel_section_on_product():

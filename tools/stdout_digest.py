@@ -14,15 +14,30 @@ Run:  python3 tools/stdout_digest.py
 
 Exits 1 if any command exits nonzero, since every argv here is expected to
 succeed.
+
+Field report:  python3 tools/stdout_digest.py --base DIR
+
+runs each argv against ``DIR/src`` in a subprocess and against this tree,
+and for every output that differs prints the fields that moved: each JSON
+path (a scan row's CSV column) with list indices collapsed to ``[]``, how
+many values moved there, the largest absolute change and the largest change
+in ulps.  Exits 1 if any output differs or any command exits nonzero.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import csv
 import hashlib
 import io
+import itertools
+import json
+import math
 import os
 import shlex
+import struct
+import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -59,7 +74,105 @@ def run(argv) -> tuple:
     return code, out.getvalue()
 
 
+# run in a subprocess against another tree's sources: DIR/src, then the argv
+BASE_RUNNER = (
+    "import sys; sys.path.insert(0, sys.argv[1]); from geonull.cli import main; "
+    "sys.exit(main(sys.argv[2:]))"
+)
+
+
+def run_base(base: str, argv) -> tuple:
+    """(exit code, stdout text) of one ``geonull`` call against ``base/src``."""
+    cmd = [sys.executable, *(f"-W{w}" for w in sys.warnoptions), "-c", BASE_RUNNER]
+    proc = subprocess.run(
+        cmd + [os.path.join(base, "src"), *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+    )
+    return proc.returncode, proc.stdout.decode("utf-8")  # keep scan's \r\n
+
+
+def _parse(text: str):
+    """A JSON document, or a CSV table as a list of row dicts."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return list(csv.DictReader(io.StringIO(text)))
+
+
+def _leaves(obj, path: str = ""):
+    """(path, value) for every scalar, list indices collapsed to ``[]``."""
+    if isinstance(obj, dict):
+        for key in obj:
+            yield from _leaves(obj[key], f"{path}.{key}" if path else str(key))
+    elif isinstance(obj, list):
+        for item in obj:
+            yield from _leaves(item, path + "[]")
+    else:
+        yield path, obj
+
+
+def _number(value):
+    """``value`` as a float when it reads as a number (not a bool), else None."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def _ordinal(x: float) -> int:
+    """Position of x in the ordered doubles, so ulps apart is a difference."""
+    i = struct.unpack("<q", struct.pack("<d", x))[0]
+    return i if i >= 0 else -(2**63) - i
+
+
+def moved_fields(old_text: str, new_text: str) -> dict:
+    """path -> [values moved, max |change|, max ulps] over the leaves that differ.
+
+    A value present on one side only counts as moved with no size; so does a
+    non-numeric value that changed.
+    """
+    old = _leaves(_parse(old_text))
+    new = _leaves(_parse(new_text))
+    report = {}
+    for (po, a), (pn, b) in itertools.zip_longest(old, new, fillvalue=(None, None)):
+        if po == pn and repr(a) == repr(b):  # repr tells -0.0 from 0.0 and 1 from 1.0
+            continue
+        for path in {po, pn} - {None}:
+            entry = report.setdefault(path, [0, None, None])
+            entry[0] += 1
+            x, y = _number(a), _number(b)
+            if po == pn and x is not None and y is not None and math.isfinite(x) and math.isfinite(y):
+                entry[1] = max(entry[1] or 0.0, abs(x - y))
+                entry[2] = max(entry[2] or 0, abs(_ordinal(x) - _ordinal(y)))
+    return report
+
+
+def field_report(base: str) -> int:
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    status = 0
+    for argv in ARGVS:
+        (code_old, old), (code_new, new) = run_base(base, argv), run(argv)
+        if code_old or code_new:
+            print(f"exit {code_old} -> {code_new}: geonull {shlex.join(argv)}")
+            status = 1
+        if old == new:
+            continue
+        status = 1
+        print(f"moved: geonull {shlex.join(argv)}")
+        for path, (count, change, ulps) in sorted(moved_fields(old, new).items()):
+            size = "" if change is None else f", max |change| {change:.3g}, max {ulps} ulps"
+            print(f"  {path}: {count} value{'s' if count != 1 else ''}{size}")
+    return status
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", metavar="DIR", help="report the fields that moved against DIR/src")
+    args = parser.parse_args()
+    if args.base is not None:
+        return field_report(args.base)
     sys.path.insert(0, os.path.join(ROOT, "src"))
     status = 0
     for argv in ARGVS:
