@@ -63,10 +63,15 @@ class DegeneratePlaneError(ValueError):
         self.gram_det = gram_det
 
 
+def _t(a: np.ndarray, *axes: int) -> np.ndarray:
+    """``a`` with its trailing axes permuted as ``axes`` (negative), leading batch axes kept."""
+    return a.transpose(*range(a.ndim - len(axes)), *axes)
+
+
 def _christoffel_from_jet(gi: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """Gamma[l, j, k] from the inverse metric and first metric derivatives."""
-    s = dg.transpose(2, 0, 1) + dg.transpose(0, 2, 1) - dg
-    return 0.5 * np.einsum("lm,jkm->ljk", gi, s)
+    """Gamma[..., l, j, k] from the inverse metric and first metric derivatives."""
+    s = _t(dg, -1, -3, -2) + _t(dg, -3, -1, -2) - dg
+    return 0.5 * np.einsum("...lm,...jkm->...ljk", gi, s)
 
 
 def christoffel(metric: MetricField, x) -> np.ndarray:
@@ -76,23 +81,27 @@ def christoffel(metric: MetricField, x) -> np.ndarray:
 
 
 def _riemann_from_jet(g, dg, d2g):
-    """``(gi, gamma, rup, rdown)``: the inverse metric and the tensors built on it."""
+    """``(gi, gamma, rup, rdown)``: the inverse metric and the tensors built on it.
+
+    Leading axes of the jet are a batch of points; each point's tensors are
+    bitwise those of the point alone.
+    """
     gi = invert(g)
     gamma = _christoffel_from_jet(gi, dg)
-    s = dg.transpose(2, 0, 1) + dg.transpose(0, 2, 1) - dg
-    # ds[j, k, m, i] = d_i s[j, k, m]
-    ds = d2g.transpose(2, 0, 1, 3) + d2g.transpose(0, 2, 1, 3) - d2g
-    dgi = -np.einsum("ap,pqd,qb->abd", gi, dg, gi)
+    s = _t(dg, -1, -3, -2) + _t(dg, -3, -1, -2) - dg
+    # ds[..., j, k, m, i] = d_i s[..., j, k, m]
+    ds = _t(d2g, -2, -4, -3, -1) + _t(d2g, -4, -2, -3, -1) - d2g
+    dgi = -np.einsum("...ap,...pqd,...qb->...abd", gi, dg, gi)
     dgamma = 0.5 * (
-        np.einsum("lmi,jkm->iljk", dgi, s) + np.einsum("lm,jkmi->iljk", gi, ds)
+        np.einsum("...lmi,...jkm->...iljk", dgi, s) + np.einsum("...lm,...jkmi->...iljk", gi, ds)
     )
     rup = (
-        dgamma.transpose(1, 0, 2, 3)
-        - dgamma.transpose(1, 2, 0, 3)
-        + np.einsum("lim,mjk->lijk", gamma, gamma)
-        - np.einsum("ljm,mik->lijk", gamma, gamma)
+        _t(dgamma, -3, -4, -2, -1)
+        - _t(dgamma, -3, -2, -4, -1)
+        + np.einsum("...lim,...mjk->...lijk", gamma, gamma)
+        - np.einsum("...ljm,...mik->...lijk", gamma, gamma)
     )
-    rdown = np.einsum("lm,mijk->ijkl", g, rup)
+    rdown = np.einsum("...lm,...mijk->...ijkl", g, rup)
     return gi, gamma, rup, rdown
 
 
@@ -167,24 +176,32 @@ def _default_rel_tol(metric: MetricField) -> float:
     return REL_TOL_ANALYTIC
 
 
+def _nullities_from(rdown: np.ndarray, g: np.ndarray, rel_tol: float) -> list:
+    """Kernels of v -> R(v, ., ., .) at a stack of points (leading axes), one SVD for all."""
+    n = g.shape[-1]
+    flat = rdown.reshape(-1, n, n ** 3).swapaxes(1, 2)
+    kernels = kernel(flat, rel_tol=rel_tol)
+    results = []
+    for kr, gq, rq in zip(kernels, g.reshape(-1, n, n), rdown.reshape(-1, n, n, n, n)):
+        rows = _g_gram_schmidt(kr.basis.T, gq, drop_tol=1e-10)
+        basis = np.array([_canonical_sign(v) for v in rows]).reshape(-1, n)
+        residuals = np.array(
+            [float(np.max(np.abs(np.einsum("ijkl,i->jkl", rq, v)))) for v in basis]
+        )
+        results.append(NullityResult(
+            nullity=basis.shape[0],
+            conullity=n - basis.shape[0],
+            basis=basis,
+            residuals=residuals,
+            singular_values=kr.singular_values,
+            tolerance_used=kr.tolerance_used,
+        ))
+    return results
+
+
 def _nullity_from(rdown: np.ndarray, g: np.ndarray, rel_tol: float) -> NullityResult:
     """Kernel of v -> R(v, ., ., .) from a lowered curvature tensor already in hand."""
-    n = g.shape[0]
-    flat = rdown.reshape(n, n ** 3).T
-    kr = kernel(flat, rel_tol=rel_tol)
-    rows = _g_gram_schmidt(kr.basis.T, g, drop_tol=1e-10)
-    basis = np.array([_canonical_sign(v) for v in rows]).reshape(-1, n)
-    residuals = np.array(
-        [float(np.max(np.abs(np.einsum("ijkl,i->jkl", rdown, v)))) for v in basis]
-    )
-    return NullityResult(
-        nullity=basis.shape[0],
-        conullity=n - basis.shape[0],
-        basis=basis,
-        residuals=residuals,
-        singular_values=kr.singular_values,
-        tolerance_used=kr.tolerance_used,
-    )
+    return _nullities_from(rdown, g, rel_tol)[0]
 
 
 def _nullity_at(metric: MetricField, x, rel_tol: Optional[float] = None):

@@ -37,30 +37,31 @@ class SingularMatrixError(ValueError):
         self.smallest_singular_value = smallest_singular_value
 
 
-def _as_matrix(m, max_rows: int = MAX_DIM, max_cols: int = MAX_DIM) -> np.ndarray:
+def _as_matrix(m, max_rows: int = MAX_DIM, max_cols: int = MAX_DIM, stack: bool = False):
+    """``m`` as a float matrix, or with ``stack`` as matrices (..., rows, cols)."""
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2:
+    if a.ndim != 2 and not (stack and a.ndim > 2):
         raise ValueError(f"expected a matrix, got shape {a.shape}")
-    if a.shape[0] > max_rows or a.shape[1] > max_cols:
-        raise ValueError(f"matrix shape {a.shape} exceeds ({max_rows}, {max_cols})")
+    if a.shape[-2] > max_rows or a.shape[-1] > max_cols:
+        raise ValueError(f"matrix shape {a.shape[-2:]} exceeds ({max_rows}, {max_cols})")
     return a
 
 
 def invert(m) -> np.ndarray:
-    """Inverse of a small well-conditioned square matrix.
+    """Inverse of a small well-conditioned square matrix, or of each in a stack (..., n, n).
 
     Raises :class:`SingularMatrixError` (carrying the smallest singular
-    value) when the condition number exceeds 1e12.
+    value) when the condition number exceeds 1e12; in a stack, the first
+    such matrix in C order raises.
     """
-    a = _as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"cannot invert non-square matrix of shape {a.shape}")
+    a = _as_matrix(m, stack=True)
+    if a.shape[-2] != a.shape[-1]:
+        raise ValueError(f"cannot invert non-square matrix of shape {a.shape[-2:]}")
     s = np.linalg.svd(a, compute_uv=False)
-    smin = float(s[-1])
-    smax = float(s[0])
-    if smin <= 0.0 or smax / smin > COND_LIMIT:
-        raise SingularMatrixError("matrix is singular or ill-conditioned", smin)
-    return np.linalg.solve(a, np.eye(a.shape[0]))
+    for smin, smax in zip(s[..., -1].ravel().tolist(), s[..., 0].ravel().tolist()):
+        if smin <= 0.0 or smax / smin > COND_LIMIT:
+            raise SingularMatrixError("matrix is singular or ill-conditioned", smin)
+    return np.linalg.inv(a)
 
 
 @dataclass(frozen=True)
@@ -106,33 +107,39 @@ def _g_gram_schmidt(candidates, g: np.ndarray, prior=(), drop_tol: float = 0.0) 
     return np.array(out) if out else np.zeros((0, g.shape[0]))
 
 
-def kernel(m, rel_tol: float = REL_TOL_ANALYTIC) -> KernelResult:
+def kernel(m, rel_tol: float = REL_TOL_ANALYTIC):
     """Kernel of ``m`` with singular values below ``rel_tol * sigma_max``.
 
     When sigma_max is below the absolute floor 1e-12 the whole column space
     is returned (kernel of a numerically zero map).  Rows are unrestricted;
     columns are capped at 8 since kernels here live in tangent spaces.
-    Raises ``FloatingPointError`` for a non-finite entry.
+    A stack (..., rows, cols) takes one SVD call and gives a list of
+    results in C order.  Raises ``FloatingPointError`` for a non-finite
+    entry.
     """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
-    a = _as_matrix(m, max_rows=MAX_DIM**3, max_cols=MAX_DIM)
-    rows, cols = a.shape
+    a = _as_matrix(m, max_rows=MAX_DIM**3, max_cols=MAX_DIM, stack=True)
+    rows, cols = a.shape[-2:]
     if rows == 0 or cols == 0:
-        raise ValueError(f"degenerate matrix shape {a.shape}")
+        raise ValueError(f"degenerate matrix shape {a.shape[-2:]}")
     if not np.all(np.isfinite(a)):
         # the SVD would return NaN singular values without an error
         raise FloatingPointError("kernel of a matrix with a non-finite entry")
     # reduced SVD already carries all right singular vectors unless the
     # matrix is wide, in which case the padded V supplies the extra kernel
-    _, s, vt = np.linalg.svd(a, full_matrices=rows < cols)
-    smax = float(s[0])
-    if smax <= KERNEL_ABS_FLOOR:
-        return KernelResult(np.eye(cols), 0, s, KERNEL_ABS_FLOOR)
-    tol = rel_tol * smax
-    small = [i for i in range(cols) if i >= s.size or s[i] < tol]
-    basis = np.column_stack([_canonical_sign(vt[i]) for i in small]) if small else np.zeros((cols, 0))
-    return KernelResult(basis, cols - len(small), s, tol)
+    _, sv, vts = np.linalg.svd(a, full_matrices=rows < cols)
+    results = []
+    for s, vt in zip(sv.reshape(-1, sv.shape[-1]), vts.reshape(-1, cols, cols)):
+        smax = float(s[0])
+        if smax <= KERNEL_ABS_FLOOR:
+            results.append(KernelResult(np.eye(cols), 0, s, KERNEL_ABS_FLOOR))
+            continue
+        tol = rel_tol * smax
+        small = [i for i in range(cols) if i >= s.size or s[i] < tol]
+        basis = np.column_stack([_canonical_sign(vt[i]) for i in small]) if small else np.zeros((cols, 0))
+        results.append(KernelResult(basis, cols - len(small), s, tol))
+    return results[0] if a.ndim == 2 else results
 
 
 def eigenvalues(m) -> np.ndarray:

@@ -28,7 +28,12 @@ the geodesic's velocity.  The derivative of T is taken by finite
 differences of these pointwise sections, so classification tolerances must
 absorb FD noise: a nilpotent matrix perturbed by eps shows spurious
 eigenvalues of size about eps^(1/2), which is why ``classify`` takes an
-explicit tolerance.
+explicit tolerance.  The sections on a tensor's 4n stencil points are one
+stacked evaluation (the jets in stencil order, then the curvature and the
+kernel SVDs of all points at once), bitwise equal to ``kernel_section`` at
+each point; the first point that fails, in stencil order, raises.  A
+kernel-mode ``geonull flow`` request (256 steps, 9 samples) makes 694
+metric jets: 2m+1 for the kernel geodesic, 18 per tensor and one at x0.
 
 ``splitting_tensor_from_curvature`` gets C without a kernel field: R(T, ...)
 vanishes along the kernel line, so R(nabla_X T, ...) = -(nabla_X R)(T, ...),
@@ -51,7 +56,10 @@ from .curvature import (
     _christoffel_from_jet,
     _complement,
     _covariant_dr,
+    _default_rel_tol,
+    _nullities_from,
     _nullity_at,
+    _riemann_from_jet,
 )
 from .flows import GeodesicPath, _sample_indices, geodesic
 from .metricspace import MetricField
@@ -128,11 +136,16 @@ def kernel_section(
     """
     pt = np.asarray(x, dtype=float)
     res, g, _ = _nullity_at(metric, pt, rel_tol)
+    return _section(res, g, reference, pt), res.basis
+
+
+def _section(res, g: np.ndarray, reference, pt: np.ndarray) -> np.ndarray:
+    """:func:`kernel_section`'s section from the kernel ``res`` and g at pt."""
     if res.nullity == 0:
         raise KernelDimensionError(1, 0, pt)
     if reference is None:
-        return res.basis[0], res.basis
-    return _project(res.basis, g, reference, pt), res.basis
+        return res.basis[0]
+    return _project(res.basis, g, reference, pt)
 
 
 def _project(basis: np.ndarray, g: np.ndarray, reference, pt: np.ndarray) -> np.ndarray:
@@ -150,16 +163,46 @@ def _project(basis: np.ndarray, g: np.ndarray, reference, pt: np.ndarray) -> np.
 
 
 def _kernel_field(metric: MetricField, reference, dimension: int, rel_tol) -> Callable:
-    """``q -> kernel_section(metric, q, reference, rel_tol)[0]`` on kernels of ``dimension``.
+    """``points -> rows kernel_section(metric, q, reference, rel_tol)[0]``, q in points.
 
-    A kernel of any other dimension at q raises :class:`KernelDimensionError`.
+    A kernel of any other ``dimension`` at q raises :class:`KernelDimensionError`.
+    The jets are taken in order, then one stacked evaluation gives the
+    curvature and the kernel SVDs of all points; the Gram-Schmidt, the
+    projection and the checks stay per point.  The first point that fails,
+    in order, raises what ``kernel_section`` and the dimension check raise
+    there.
     """
+    if rel_tol is None:
+        rel_tol = _default_rel_tol(metric)
 
-    def field(q):
-        section, basis = kernel_section(metric, q, reference=reference, rel_tol=rel_tol)
-        if basis.shape[0] != dimension:
-            raise KernelDimensionError(dimension, basis.shape[0], q)
-        return section
+    def sections(points, jets):
+        g, dg, d2g = (np.array(a) for a in zip(*jets))
+        try:
+            rdown = _riemann_from_jet(g, dg, d2g)[3]
+            kernels = _nullities_from(rdown, g, rel_tol)
+        except Exception:
+            if len(jets) == 1:
+                raise
+            # a point failed inside the stack: point by point, the first one raises
+            return np.concatenate([sections(points[i:i + 1], [jet]) for i, jet in enumerate(jets)])
+        out = []
+        for q, gq, res in zip(points, g, kernels):
+            out.append(_section(res, gq, reference, q))
+            if res.nullity != dimension:
+                raise KernelDimensionError(dimension, res.nullity, q)
+        return np.array(out)
+
+    def field(points):
+        points = np.asarray(points, dtype=float)
+        jets = []
+        for q in points:
+            try:
+                jets.append(metric.jet(q))
+            except Exception:
+                if jets:
+                    sections(points, jets)  # a failure at an earlier point comes first
+                raise
+        return sections(points, jets)
 
     return field
 
@@ -216,15 +259,27 @@ def _complement_basis(g: np.ndarray, x: np.ndarray, t_vec: np.ndarray) -> np.nda
     )
 
 
-def _richardson(f: Callable, x: np.ndarray, e: np.ndarray, h: float) -> np.ndarray:
-    """d f(x + s e)/ds at 0 as (4 D_h - D_2h) / 3, D_s the central difference of step s."""
+def _stencil(x: np.ndarray, h: float) -> np.ndarray:
+    """The 4n stencil points, per axis e: x + h e, x - h e, x + 2h e, x - 2h e."""
+    points = []
+    for e in np.eye(x.size):
+        for step in (h, 2.0 * h):
+            points += [x + step * e, x - step * e]
+    return np.array(points)
 
-    def central(step):
-        fp = np.asarray(f(x + step * e), dtype=float)
-        fm = np.asarray(f(x - step * e), dtype=float)
-        return (fp - fm) / (2.0 * step)
 
-    return (4.0 * central(h) - central(2.0 * h)) / 3.0
+def _richardson(values: np.ndarray, h: float) -> np.ndarray:
+    """d f(x + s e)/ds at 0 as (4 D_h - D_2h) / 3 from f on the 4 stencil points of e.
+
+    D_s is the central difference of step s.
+    """
+    fp, fm, fp2, fm2 = values
+    return (4.0 * ((fp - fm) / (2.0 * h)) - (fp2 - fm2) / (2.0 * (2.0 * h))) / 3.0
+
+
+def _pointwise(field: Callable) -> Callable:
+    """A field of one point as a field of stacked points."""
+    return lambda points: np.array([np.asarray(field(q), dtype=float) for q in points])
 
 
 def splitting_tensor(
@@ -245,20 +300,30 @@ def splitting_tensor(
     rows (default: the chart's preferred frame, else a coordinate-built
     complement).  A non-unit field raises :class:`NonUnitFieldError` unless
     ``allow_non_unit`` is set, since the splitting tensor is defined through
-    a unit T.
+    a unit T.  The default field takes the 4n stencil points in one stacked
+    evaluation; a given field is called once per point.
     """
     pt = np.asarray(x, dtype=float)
-    n = metric.dim
     if field is None:
         # one jet at x gives g, dg and T: the section referenced to itself
         res, g, dg = _nullity_at(metric, pt, rel_tol)
         if res.nullity != 1:
             raise KernelDimensionError(1, res.nullity, pt)
-        field = _kernel_field(metric, res.basis[0], 1, rel_tol)
         t0 = _project(res.basis, g, res.basis[0], pt)
-    else:
+        field = _kernel_field(metric, res.basis[0], 1, rel_tol)
+        return _measure(metric, pt, field, basis, h, allow_non_unit, g, dg, t0)
+    return _measure(metric, pt, _pointwise(field), basis, h, allow_non_unit)
+
+
+def _measure(metric, pt, field, basis, h, allow_non_unit, g=None, dg=None, t0=None):
+    """C_T at pt from ``field``, which maps stacked points to T there.
+
+    g, dg and T at pt come from an order-1 jet and the field unless given.
+    """
+    n = metric.dim
+    if g is None:
         g, dg = metric.jet(pt, order=1)
-        t0 = np.asarray(field(pt), dtype=float)
+        t0 = field(pt[None])[0]
     t_norm = float(np.sqrt(t0 @ g @ t0))
     if abs(t_norm - 1.0) > 1e-6 and not allow_non_unit:
         raise NonUnitFieldError(t_norm)
@@ -272,10 +337,10 @@ def splitting_tensor(
         raise ValueError("basis must be rows of chart-dimension vectors")
 
     # dT[k, j] ~ d T^k / d x^j
-    eye = np.eye(n)
+    values = field(_stencil(pt, h)).reshape(n, 4, n)
     dT = np.empty((n, n))
     for j in range(n):
-        dT[:, j] = _richardson(field, pt, eye[j], h)
+        dT[:, j] = _richardson(values[j], h)
     gamma = _christoffel_from_jet(invert(g), dg)
     # nabla_{e_j} T = e_j^m (dT[., m] + Gamma[., m, a] T^a)
     full = dT + np.einsum("kma,a->km", gamma, t0)
@@ -450,15 +515,15 @@ class EvolutionReport:
 def _fd_divergence(metric: MetricField, x: np.ndarray, field: Callable, h: float) -> float:
     """(1/sqrt(det g)) d_k (sqrt(det g) T^k) by central differences."""
     n = metric.dim
-    eye = np.eye(n)
 
     def weighted(q):
         g = metric.jet(q, order=1, check=False)[0]
-        return math.sqrt(float(np.linalg.det(g))) * np.asarray(field(q), dtype=float)
+        return math.sqrt(float(np.linalg.det(g))) * field(q[None])[0]
 
+    values = np.array([weighted(q) for q in _stencil(x, h)]).reshape(n, 4, n)
     total = 0.0
     for k in range(n):
-        total += _richardson(weighted, x, eye[k], h)[k]
+        total += _richardson(values[k], h)[k]
     g0 = metric.jet(x, order=1, check=False)[0]
     return total / math.sqrt(float(np.linalg.det(g0)))
 
@@ -486,9 +551,7 @@ def evolve_along_nullity_geodesic(
     pt = np.asarray(x0, dtype=float)
     section, basis0 = kernel_section(metric, pt, rel_tol=rel_tol)
     k0 = basis0.shape[0]
-    start = splitting_tensor(
-        metric, pt, field=_kernel_field(metric, section, k0, rel_tol), h=h, rel_tol=rel_tol
-    )
+    start = _measure(metric, pt, _kernel_field(metric, section, k0, rel_tol), None, h, False)
     path = geodesic(metric, pt, section, tmax, steps=steps, frame=start.basis)
     reached = []
     measured = []
@@ -498,10 +561,8 @@ def evolve_along_nullity_geodesic(
     aborted = None
     for i in _sample_indices(path.times.size, samples):
         try:
-            st = splitting_tensor(
-                metric, path.points[i], basis=path.frame[i],
-                field=_kernel_field(metric, path.velocities[i], k0, rel_tol), h=h, rel_tol=rel_tol,
-            )
+            field = _kernel_field(metric, path.velocities[i], k0, rel_tol)
+            st = _measure(metric, path.points[i], field, path.frame[i], h, False)
             pred = riccati_closed_form(start.matrix, float(path.times[i]))
         except (KernelDimensionError, AlignmentError, RiccatiBlowupError) as exc:
             aborted = str(exc)

@@ -417,6 +417,20 @@ def test_flow_kernel_direction_passes(capsys):
     assert doc["nullity_check"]["max_velocity_misalignment"] < 1e-8
 
 
+def test_flow_names_the_first_stencil_point_outside_the_domain(capsys):
+    # the start tensor's stencil along v reaches 2.99995 + 1e-4 first (+h, then
+    # -h, +2h, -2h per axis), past the box edge at 3
+    code, out, err = run_cli(
+        capsys, "flow", "--metric", "conullity3", "--point=0.1,0.2,2.99995,0.4",
+        "--tmax", "1", "--steps", "64",
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        "geonull: error: point outside domain of conullity3(p=3+cos(u)+cos(w)): "
+        "point [0.1     0.2     3.00005 0.4    ]\n"
+    )
+
+
 def test_verify_text_output(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "riccati")
     assert code == 0

@@ -7,6 +7,7 @@ from geonull.curvature import (
     DegeneratePlaneError,
     _complement,
     _nullity_from,
+    _riemann_from_jet,
     bianchi2_residual,
     christoffel,
     curvature_data,
@@ -312,3 +313,22 @@ def test_sectional_range_ends_are_reached():
             reached.append(sectional(metric, pt, data.nullity.basis[0], frame[0]))
         assert abs(min(reached) - lo) <= 1e-12, label
         assert abs(max(reached) - hi) <= 1e-12, label
+
+
+@pytest.mark.parametrize(
+    "metric, low",
+    [
+        (catalog_conullity3("3+cos(u)+cos(w)"), [-0.9] * 4),
+        (catalog_sekigawa("exp(u)"), [-0.9] * 3),
+        (catalog_product(catalog_sphere(1.0), catalog_euclidean(2)), [0.3, -0.9, -0.9, -0.9]),
+    ],
+    ids=["conullity3", "sekigawa", "product"],
+)
+def test_riemann_of_a_stack_is_each_point_bitwise(metric, low):
+    # leading axes of the jet are a batch; a single point is the batch of no axes
+    pts = np.random.default_rng(31).uniform(low, 0.9, (200, metric.dim))
+    jets = [metric.jet(p) for p in pts]
+    stacked = _riemann_from_jet(*(np.array(a) for a in zip(*jets)))
+    for i, jet in enumerate(jets):
+        for many, one in zip(stacked, _riemann_from_jet(*jet)):
+            assert many[i].tobytes() == one.tobytes()

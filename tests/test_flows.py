@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from geonull.curvature import _christoffel_from_jet
 from geonull.flows import (
     LaunchError,
     flatness_probe,
@@ -13,12 +14,14 @@ from geonull.flows import (
 )
 from geonull.metricspace import (
     ChartDomainError,
+    MetricField,
     catalog_conullity3,
     catalog_euclidean,
     catalog_polar,
     catalog_sekigawa,
     catalog_sphere,
 )
+from geonull.numcore import invert
 
 
 def test_polar_geodesic_matches_straight_line():
@@ -135,6 +138,74 @@ def test_parallel_transport_stack_preserves_gram():
     gram0 = path.frame[0] @ g0 @ path.frame[0].T
     gram1 = path.frame[-1] @ g1 @ path.frame[-1].T
     assert np.allclose(gram0, gram1, atol=1e-10)
+
+
+def _reference_geodesic(metric, x, v, frame, tmax, steps):
+    """(points, velocities, frames, gram drift) of RK4 with a fresh jet at every stage."""
+
+    def rates(y, w, vecs):
+        g, dg = metric.jet(y, order=1, check=False)
+        gamma = _christoffel_from_jet(invert(g), dg)
+        return -np.einsum("kij,i,j->k", gamma, w, w), -np.einsum("kij,i,aj->ak", gamma, w, vecs)
+
+    h = tmax / steps
+    x, v, W = (np.array(a, dtype=float) for a in (x, v, frame))
+    xs, vs, ws = [x], [v], [W]
+    for _ in range(steps):
+        ax1, k1 = rates(x, v, W)
+        x2, v2 = x + 0.5 * h * v, v + 0.5 * h * ax1
+        ax2, k2 = rates(x2, v2, W + 0.5 * h * k1)
+        x3, v3 = x + 0.5 * h * v2, v + 0.5 * h * ax2
+        ax3, k3 = rates(x3, v3, W + 0.5 * h * k2)
+        x4, v4 = x + h * v3, v + h * ax3
+        ax4, k4 = rates(x4, v4, W + h * k3)
+        x, v, W = (
+            x + (h / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4),
+            v + (h / 6.0) * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4),
+            W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
+        )
+        xs.append(x)
+        vs.append(v)
+        ws.append(W)
+    frames = np.array(ws)
+    grams = frames @ np.array([metric.jet(q, order=1)[0] for q in xs]) @ frames.transpose(0, 2, 1)
+    return np.array(xs), np.array(vs), frames, float(np.max(np.abs(grams - grams[0])))
+
+
+@pytest.mark.parametrize(
+    "metric, x0, v0, jets",
+    [
+        # nonzero acceleration: no two stages share a point, so 4 jets per
+        # step (m = 32) and, with a frame, one more for g at the last node
+        (catalog_sphere(1.0), [1.1, 0.4], [0.3, 0.8], (4 * 32 + 1, 4 * 32)),
+        (catalog_polar(), [1.0, 0.3], [0.2, 1.0], (4 * 32 + 1, 4 * 32)),
+        # a kernel geodesic: zero acceleration, so stage 3 lands on stage 2's
+        # point and stage 4 on the next node, and both reuse the jet there
+        (catalog_conullity3("3+cos(u)+cos(w)"), [0.1, 0.2, -0.3, 0.4], [0.0, 0.0, 1.0, 0.0],
+         (2 * 32 + 1, 2 * 32 + 1)),
+    ],
+    ids=["sphere", "polar", "conullity3_kernel"],
+)
+def test_geodesic_reuses_only_repeated_stage_points(metric, x0, v0, jets):
+    calls = []
+
+    def jet(x, order):
+        calls.append(order)
+        return metric.jet(x, order=order, check=False)
+
+    counted = MetricField(metric.dim, metric.coordinates, jet, domain=metric.contains)
+    m, frame = 32, np.eye(metric.dim)
+    path = geodesic(counted, x0, v0, tmax=0.5, steps=m, frame=frame)
+    assert not path.truncated and len(calls) == jets[0]
+    points, velocities, frames, drift = _reference_geodesic(metric, x0, v0, frame, 0.5, m)
+    assert path.points.tobytes() == points.tobytes()
+    assert path.velocities.tobytes() == velocities.tobytes()
+    assert path.frame.tobytes() == frames.tobytes()
+    assert path.gram_drift == drift
+    calls.clear()
+    bare = geodesic(counted, x0, v0, tmax=0.5, steps=m)
+    assert bare.points.tobytes() == points.tobytes()
+    assert len(calls) == jets[1]
 
 
 def test_geodesic_without_frame_carries_an_empty_one():

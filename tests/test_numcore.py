@@ -36,6 +36,41 @@ def test_invert_rejects_ill_conditioned():
         invert(np.diag([1.0, 1e-15]))
 
 
+def test_invert_of_a_stack_is_each_inverse_bitwise():
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((2, 3, 4, 4))
+    stack = a @ a.transpose(0, 1, 3, 2) + 4.0 * np.eye(4)
+    inverses = invert(stack)
+    assert inverses.shape == stack.shape
+    for idx in np.ndindex(2, 3):
+        assert inverses[idx].tobytes() == invert(stack[idx]).tobytes()
+        # inv and a solve against the identity run the same LAPACK gesv
+        assert inverses[idx].tobytes() == np.linalg.solve(stack[idx], np.eye(4)).tobytes()
+
+
+def test_invert_of_a_stack_reports_its_first_failing_matrix():
+    stack = np.array([np.eye(2), np.diag([1.0, 1e-14]), np.diag([1.0, 1e-15]), np.eye(2)])
+    with pytest.raises(SingularMatrixError) as err:
+        invert(stack)
+    assert err.value.smallest_singular_value == 1e-14
+    with pytest.raises(ValueError, match="non-square"):
+        invert(np.zeros((3, 2, 3)))
+
+
+def test_kernel_of_a_stack_is_each_kernel_bitwise():
+    rng = np.random.default_rng(13)
+    stack = rng.standard_normal((5, 64, 4))
+    stack[:, :, 3] = stack[:, :, 0] - 2.0 * stack[:, :, 1]  # one kernel vector each
+    stack[2] = 0.0  # a numerically zero map: everything is kernel
+    results = kernel(stack)
+    assert [r.basis.shape[1] for r in results] == [1, 1, 4, 1, 1]
+    for m, res in zip(stack, results):
+        one = kernel(m)
+        assert res.basis.tobytes() == one.basis.tobytes()
+        assert res.singular_values.tobytes() == one.singular_values.tobytes()
+        assert (res.rank, res.tolerance_used) == (one.rank, one.tolerance_used)
+
+
 def test_kernel_jordan_block_powers():
     # 3x3 nilpotent Jordan block: dim ker C = 1, dim ker C^2 = 2
     c = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])

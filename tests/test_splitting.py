@@ -7,6 +7,7 @@ from geonull import cli, splitting
 from geonull.curvature import _complement, curvature_data, nullity
 from geonull.flows import geodesic, nullity_geodesic_check
 from geonull.metricspace import (
+    ChartDomainError,
     MetricField,
     catalog_conullity3,
     catalog_euclidean,
@@ -14,6 +15,7 @@ from geonull.metricspace import (
     catalog_sekigawa,
     catalog_sphere,
 )
+from geonull.numcore import SingularMatrixError
 from geonull.splitting import (
     AlignmentError,
     KernelDimensionError,
@@ -131,17 +133,21 @@ def test_jets_per_transport_and_nullity_geodesic_check():
     metric, orders = _counting(conullity3())
     start, m, s = [0.1, 0.2, -0.3, 0.4], 16, 5
     path = geodesic(metric, start, [0.0, 0.0, 1.0, 0.0], tmax=0.5, steps=m)
-    assert not path.truncated and orders == [1] * (4 * m)
+    # along the kernel line the acceleration is exactly zero, so RK4 stage 3
+    # lands on stage 2's point and the next step's stage 1 on stage 4's, and
+    # each reuses the jet taken there: 3 jets in the first step, 2 in each
+    # later one, 2m + 1 in all
+    assert not path.truncated and orders == [1] * (2 * m + 1)
     orders.clear()
     path = geodesic(metric, start, [0.0, 0.0, 1.0, 0.0], tmax=0.5, steps=m, frame=np.eye(4))
     # each stage's jet serves the frame too; the gram drift takes g at a node
-    # from its stage-1 jet, and at the last node from one more jet
-    assert not path.truncated and orders == [1] * (4 * m + 1)
+    # from its stage-1 jet, and at the last node from the last stage 4 there
+    assert not path.truncated and orders == [1] * (2 * m + 1)
     orders.clear()
     report = nullity_geodesic_check(metric, start, tmax=0.5, steps=m, samples=s)
     assert report.sample_times.size == s
-    # one jet at the start and per sample gives the kernel and g; 4 per RK4 step
-    assert sorted(orders) == [1] * (4 * m) + [2] * (s + 1)
+    # one jet at the start and per sample gives the kernel and g; 2m + 1 for the path
+    assert sorted(orders) == [1] * (2 * m + 1) + [2] * (s + 1)
     assert orders[0] == 2
 
 
@@ -152,9 +158,10 @@ def test_jets_per_evolution(m, s):
     assert report.aborted is None and report.sample_times.size == s
     # the section at x0; per tensor (the start and s samples) one order-1 jet
     # at the point and 17 kernel sections (the point and 16 stencil points);
-    # 4m + 1 for the geodesic with its frame
-    assert sorted(orders) == [1] * ((s + 1) + 4 * m + 1) + [2] * (1 + 17 * (s + 1))
-    assert len(orders) == 1 + 18 * (s + 1) + 4 * m + 1
+    # 2m + 1 for the kernel geodesic with its frame (stage repeats reuse their
+    # jet, see above): 694 at m = 256, s = 9, as in a kernel-mode flow request
+    assert sorted(orders) == [1] * ((s + 1) + 2 * m + 1) + [2] * (1 + 17 * (s + 1))
+    assert len(orders) == 1 + 18 * (s + 1) + 2 * m + 1
 
 
 def test_kernel_section_on_product():
@@ -479,18 +486,87 @@ def test_evolution_from_generic_start():
     assert report.divergence_residual < 1e-8
 
 
-def test_evolution_stops_where_the_kernel_changes_dimension(monkeypatch):
-    section_of = splitting.kernel_section
+def test_evolution_stops_where_the_kernel_changes_dimension():
+    base = conullity3()
+    plane_kernel = catalog_product(catalog_sphere(1.0), catalog_euclidean(2))
 
-    def grows_past_v(metric, q, reference=None, rel_tol=None):
-        section, basis = section_of(metric, q, reference=reference, rel_tol=rel_tol)
-        if q[2] > 0.28:  # the kernel geodesic from the origin runs along v = t
-            basis = np.vstack([basis, [1.0, 0.0, 0.0, 0.0]])
-        return section, basis
+    def grows_past_v(q, order):
+        # the kernel geodesic from the origin runs along v = t; past v = 0.28
+        # the curvature (order-2 jets only, so the path is unchanged) is that
+        # of S^2 x R^2, whose kernel is the (v, w) plane
+        if order == 2 and q[2] > 0.28:
+            return plane_kernel.jet([1.0, 0.5, q[2], q[3]], check=False)
+        return base.jet(q, order=order, check=False)
 
-    monkeypatch.setattr(splitting, "kernel_section", grows_past_v)
-    report = evolve_along_nullity_geodesic(conullity3(), ORIGIN4, tmax=0.5, steps=16)
+    metric = MetricField(4, base.coordinates, grows_past_v, domain=base.contains)
+    report = evolve_along_nullity_geodesic(metric, ORIGIN4, tmax=0.5, steps=16)
     assert report.aborted.startswith("curvature kernel has dimension 2, expected 1")
     assert report.sample_times.tolist() == [0.0, 0.0625, 0.125, 0.1875, 0.25]
     assert len(report.measured) == len(report.deviations) == 5
     assert report.divergence_residual < 1e-8
+
+
+@pytest.mark.parametrize(
+    "metric, low, reference, dimension",
+    [
+        (conullity3(), [-0.9] * 4, np.ones(4), 1),
+        (catalog_sekigawa("exp(u)"), [-0.9] * 3, np.ones(3), 1),
+        (catalog_product(catalog_sphere(1.0), catalog_euclidean(2)), [0.3, -0.9, -0.9, -0.9],
+         [0.0, 0.0, 3.0, 4.0], 2),
+    ],
+    ids=["conullity3", "sekigawa", "product"],
+)
+def test_stacked_kernel_sections_are_each_point_bitwise(metric, low, reference, dimension):
+    pts = np.random.default_rng(32).uniform(low, 0.9, (200, metric.dim))
+    field = splitting._kernel_field(metric, reference, dimension, None)
+    sections = field(pts)
+    for q, section in zip(pts, sections):
+        assert section.tobytes() == kernel_section(metric, q, reference)[0].tobytes()
+        assert section.tobytes() == field(q[None])[0].tobytes()
+
+
+def _faulty(metric, faults):
+    """``metric`` whose jets at the given call indices fail: a point outside
+    the domain, a singular g, or a flat jet (the kernel is everything)."""
+    calls = []
+    n = metric.dim
+
+    def jet(x, order):
+        kind = faults.get(len(calls))
+        calls.append(x)
+        if kind == "domain":
+            raise ChartDomainError("forced domain error", x)
+        if kind == "singular":
+            g = np.diag([1.0] * (n - 1) + [10.0 ** -(13 + len(calls))])
+            return g, np.zeros((n, n, n)), np.zeros((n, n, n, n))
+        if kind == "flat":
+            return np.eye(n), np.zeros((n, n, n)), np.zeros((n, n, n, n))
+        return metric.jet(x, order=order, check=False)
+
+    faulty = MetricField(n, metric.coordinates, jet, domain=metric.contains,
+                         preferred_frame=metric.preferred_frame)
+    return faulty, calls
+
+
+@pytest.mark.parametrize(
+    "faults, error, first",
+    [
+        ({3: "flat", 5: "singular"}, KernelDimensionError, 3),
+        ({2: "singular", 6: "domain"}, SingularMatrixError, 2),
+        ({1: "domain", 4: "singular"}, ChartDomainError, 1),
+        ({7: "singular", 9: "flat"}, SingularMatrixError, 7),
+        ({4: "flat", 16: "domain"}, KernelDimensionError, 4),
+    ],
+)
+def test_stencil_reports_its_first_failing_point(faults, error, first):
+    # jet 0 is the base point; jets 1..16 the stencil, per axis +h, -h, +2h, -2h
+    metric, calls = _faulty(conullity3(), faults)
+    with pytest.raises(error) as exc:
+        splitting_tensor(metric, [0.1, 0.2, -0.3, 0.4])
+    failing = calls[first]
+    if error is SingularMatrixError:
+        assert exc.value.smallest_singular_value == 10.0 ** -(14 + first)
+    else:
+        assert np.array2string(failing, precision=6) in str(exc.value)
+    stencil = splitting._stencil(np.array([0.1, 0.2, -0.3, 0.4]), 1e-4)
+    assert failing.tolist() == stencil[first - 1].tolist()

@@ -4,8 +4,9 @@ The set is ``analyze`` on all six catalog families, on the concave
 conullity3 warp (non-negative sectional curvature) and at a nearly
 degenerate nilpotent splitting tensor of a sekigawa warp, ``scan`` on conullity3,
 on sekigawa (no preferred frame) and on the concave warp (domain rows and
-points near p -> 0), ``flow`` in both modes and ``verify --suite all
---json``.  Each argv runs in-process through ``geonull.cli.main`` against
+points near p -> 0), ``flow`` in both modes (kernel mode also on
+sekigawa, whose splitting-tensor stencil builds its complement, having no
+preferred frame) and ``verify --suite all --json``.  Each argv runs in-process through ``geonull.cli.main`` against
 the sources next to this script; stderr (timings) is discarded.  A refactor
 that claims identical output shows identical lines before and after; a line
 that moves names the command whose bytes moved.
@@ -60,6 +61,7 @@ ARGVS = (
     ("flow", "--metric", "conullity3", "--point", "0.1,0.2,-0.3,0.4", "--tmax", "1"),
     ("flow", "--metric", "product", "--point", "1,0.5,0.2,-0.1", "--tmax", "0.5"),
     ("flow", "--metric", "conullity3", "--point", "0,0,0,0", "--direction", "0,1,0,0"),
+    ("flow", "--metric", "sekigawa", "--p", "2+u*u", "--point", "0.2,0.3,0.1", "--tmax", "0.5"),
     ("verify", "--suite", "all", "--json"),
 )
 
