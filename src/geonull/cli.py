@@ -19,12 +19,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json as _json
 import math
+import os
 import re
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -203,7 +206,19 @@ def _add_metric_flags(sp):
     sp.add_argument("--out", help="write output to a file instead of stdout")
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """The ``geonull`` parser, built on the first call and shared by every later one.
+
+    Sharing it keeps no state from one :func:`main` call to the next:
+    ``_Parser.error``, ``--help`` and ``--version`` look up ``sys.stderr`` or
+    ``sys.stdout`` when they write, not when the parser is built; the
+    ``type=`` converters made by :func:`_number` are pure functions of their
+    text; argparse copies each subcommand's defaults, ``func`` included, into
+    a fresh ``Namespace`` on every parse, and every default is immutable; the
+    ``choices`` come from ``CATALOG`` and ``SUITE_ORDER``, module constants
+    that nothing changes at runtime.
+    """
     parser = _Parser(prog="geonull", description="curvature-kernel geometry toolkit")
     parser.add_argument("--version", action="version", version=f"geonull {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -867,6 +882,22 @@ def _fault_site(args) -> str:
     return " ".join(words)
 
 
+def _fault_function(exc: BaseException) -> str:
+    """``module.function`` of the innermost geonull frame that ``exc`` passed through.
+
+    A method is named with its class where Python records it (3.11 on).
+    """
+    package = os.path.dirname(os.path.abspath(__file__))
+    codes = [
+        frame.f_code
+        for frame, _ in traceback.walk_tb(exc.__traceback__)
+        if os.path.dirname(frame.f_code.co_filename) == package
+    ]
+    code = codes[-1]  # main's own frame is always there
+    module = os.path.splitext(os.path.basename(code.co_filename))[0]
+    return f"{module}.{getattr(code, 'co_qualname', code.co_name)}"
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -880,8 +911,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     except FloatingPointError as exc:
-        # a float fault under the errstate above; numpy's text says only what overflowed
-        print(f"geonull: error: {_fault_site(args)}: {exc}", file=sys.stderr)
+        # a float fault under the errstate above; numpy's text says only what
+        # overflowed, so name the function it overflowed in
+        print(f"geonull: error: {_fault_site(args)}: {exc} (in {_fault_function(exc)})", file=sys.stderr)
         return EXIT_DOMAIN
     except (ChartDomainError, DomainError, KernelDimensionError, AlignmentError, NonUnitFieldError,
             RiccatiBlowupError, LaunchError, SingularMatrixError) as exc:

@@ -415,7 +415,8 @@ def eval_jet2(expr: Expression, point) -> Jet2:
     ``point`` is indexed positionally against ``expr.variables``.  Domain
     violations (log/sqrt of a non-positive value, division by zero,
     non-integer power of a non-positive base) raise :class:`DomainError`
-    naming the offending subexpression.
+    naming the offending subexpression; a non-finite coordinate raises it
+    naming the coordinate, with the whole source as the fragment.
     """
     return Jet2._from_normal_form(*expr._jet_kernel(*_coordinates(expr, point)))
 
@@ -426,7 +427,11 @@ def _coordinates(expr: Expression, point) -> list:
         raise ValueError(
             f"point has shape {x.shape}, expected ({len(expr.variables)},) for variables {expr.variables}"
         )
-    return x.tolist()
+    coords = x.tolist()
+    if not all(map(math.isfinite, coords)):
+        name, c = next((name, c) for name, c in zip(expr.variables, coords) if not math.isfinite(c))
+        raise DomainError(f"non-finite coordinate {name} = {c!r}", expr.source, 0)
+    return coords
 
 
 def _fragment(source: str, node: Node) -> str:

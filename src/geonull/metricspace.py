@@ -194,7 +194,7 @@ class _CoframeJet:
 
 def _box_domain(box: float, extra: Optional[Callable] = None) -> Callable:
     def inside(x: np.ndarray) -> bool:
-        if np.max(np.abs(x)) > box:
+        if not (np.abs(x) <= box).all():  # a NaN coordinate is outside too
             return False
         return True if extra is None else bool(extra(x))
 

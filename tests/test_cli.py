@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +14,8 @@ from geonull import cli, splitting
 from geonull.cli import main
 from geonull.metricspace import catalog_conullity3
 from geonull.splitting import evolve_along_nullity_geodesic
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_cli(capsys, *argv):
@@ -176,7 +183,22 @@ def test_rejected_input_exit_codes(capsys, argv, expected):
 def test_float_fault_message_names_command_and_point(capsys, argv, site):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert re.fullmatch(rf"geonull: error: {re.escape(site)}: overflow encountered in \w+\n", err)
+    assert re.fullmatch(
+        rf"geonull: error: {re.escape(site)}: overflow encountered in \w+ \(in \w+(?:\.\w+)+\)\n", err
+    )
+
+
+def test_float_fault_message_names_the_function_that_faulted(capsys):
+    code, out, err = run_cli(
+        capsys, "flow", "--metric", "conullity3", "--p", "exp(400*u)", "--point=0,0.9,0,0"
+    )
+    assert code == 2 and out == ""
+    # g = B^T B overflows; before 3.11 Python records no class in a code object
+    function = "_CoframeJet.__call__" if sys.version_info >= (3, 11) else "__call__"
+    assert err == (
+        "geonull: error: flow --point 0,0.9,0,0: overflow encountered in matmul"
+        f" (in metricspace.{function})\n"
+    )
 
 
 @pytest.mark.parametrize("axis", [0, 2])
@@ -520,3 +542,46 @@ def test_json_out_matches_stdout(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text() == stdout_doc
+
+
+def _without_timings(err):
+    return "".join(line for line in err.splitlines(True) if not re.match(r"geonull: .* took ", line))
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
+    # the parser is built once per process; a call must not see what an
+    # earlier one parsed, printed or failed on, nor the streams it was built under
+    cli._build_parser.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        parser = cli._build_parser()
+    assert cli._build_parser() is parser
+    out_file = tmp_path / "sphere.json"
+    sequence = [
+        # the chart origin is the sphere's pole, outside its domain, hence --point
+        ("analyze", "--metric", "sphere", "--point", "1,0", "--out", str(out_file)),
+        ("analyze", "--metric", "sphere", "--point", "1,0"),  # --out does not leak into this call
+        ("scan", "--metric", "conullity3"),  # usage error: no --grid
+        ("--version",),
+        ("analyze", "--metric", "conullity3", "--p", "1e10+u"),  # domain error
+        ("verify", "--suite", "sphere", "--json"),
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    results = []
+    for argv in sequence:
+        code, out, err = run_cli(capsys, *argv)
+        written = out_file.read_text() if out_file.exists() else None
+        out_file.unlink(missing_ok=True)
+        proc = subprocess.run(
+            [sys.executable, "-m", "geonull.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        fresh_written = out_file.read_text() if out_file.exists() else None
+        out_file.unlink(missing_ok=True)
+        assert (code, out, _without_timings(err), written) == (
+            proc.returncode, proc.stdout, _without_timings(proc.stderr), fresh_written
+        ), argv
+        results.append((code, out, written))
+    assert [code for code, _, _ in results] == [0, 0, 1, 0, 2, 0]
+    assert results[0][1] == "" and results[0][2].startswith('{"command":"analyze"')
+    assert results[1] == (0, results[0][2], None)

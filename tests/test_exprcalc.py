@@ -377,6 +377,14 @@ def _outcome(fn):
 
 
 def assert_matches_reference(expr, point):
+    bad = [name for name, c in zip(expr.variables, point) if not math.isfinite(c)]
+    if bad:
+        # outside every expression's domain: both kernels refuse the point,
+        # naming its first non-finite coordinate
+        for evaluate in (expr.jet2, expr.value):
+            with pytest.raises(DomainError, match=rf"^non-finite coordinate {bad[0]} = "):
+                evaluate(point)
+        return
     kind, want = _outcome(lambda: reference_jet2(expr, point))
     got_kind, got = _outcome(lambda: expr.jet2(point))
     assert got_kind == kind
@@ -434,12 +442,32 @@ _coordinate = st.one_of(
     st.sampled_from([0.0, 1.0, -1.0, 0.5]),
     st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
 )
+_maybe_finite = st.one_of(_coordinate, st.sampled_from([math.inf, -math.inf, math.nan]))
+# about half the points are finite, compared bit for bit; the rest hold one or
+# more non-finite coordinates, which both kernels refuse
+_oracle_points = st.one_of(
+    st.tuples(_coordinate, _coordinate, _coordinate),
+    st.tuples(_maybe_finite, _maybe_finite, _maybe_finite),
+)
 
 
-@settings(max_examples=400, deadline=None)
-@given(_oracle_expressions(), st.tuples(_coordinate, _coordinate, _coordinate))
+@settings(max_examples=600, deadline=None)
+@given(_oracle_expressions(), _oracle_points)
 def test_compiled_kernels_match_reference_bit_for_bit(source, point):
     assert_matches_reference(parse(source, _ORACLE_VARIABLES), point)
+
+
+def test_non_finite_coordinate_is_a_domain_error():
+    # the compiled jet and the tree walk once differed in the sign bit of a
+    # NaN derivative here
+    expr = parse("-(x * -exp(z))", _ORACLE_VARIABLES)
+    for point, name, text in (((0.0, 0.0, math.inf), "z", "inf"), ((0.0, math.nan, -math.inf), "y", "nan")):
+        for evaluate in (expr.jet2, expr.value):
+            with pytest.raises(DomainError) as err:
+                evaluate(point)
+            assert (err.value.message, err.value.fragment, err.value.offset) == (
+                f"non-finite coordinate {name} = {text}", "-(x * -exp(z))", 0
+            )
 
 
 # products whose Hessian sums several nonzero terms, so any reordering of
@@ -478,7 +506,7 @@ def test_sweep_matches_reference_bit_for_bit(source, variables):
         ("y + 2^(x*x)", (40.0, 0.0)),  # overflow in a real power
         ("y + (x*1e-103)^(-2)", (1.0, 0.0)),  # only the second derivative overflows
         ("y + sin(1e999*x)", (1.0, 0.0)),  # sin of inf
-        ("cos(x*y)", (math.inf, 2.0)),  # cos of an infinite coordinate product
+        ("cos(x*y)", (math.inf, 2.0)),  # an infinite coordinate
         ("sin(x + x^(-1) + x^(-1))", (1.1125369292536007e-308, 0.0)),  # jet: x^(-1)'s derivative; value: sin(inf)
         ("-(-x^(-1) + -x^(-2))", (4.2054990575120866e-301, 0.0)),  # jet: x^(-1)'s derivative; value: x^(-2)
     ],

@@ -118,6 +118,26 @@ def test_domain_enforcement():
     assert not box.contains([3.5, 0.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize(
+    "metric, axis",
+    [
+        (catalog_conullity3("3+cos(u)+cos(w)"), 2),  # v, the kernel coordinate p does not read
+        (catalog_conullity3("3+cos(u)+cos(w)"), 1),
+        (catalog_sekigawa("2+u*u"), 2),  # v, which p does not read
+        (catalog_sekigawa("2+u*u"), 0),
+    ],
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_warped_charts_reject_non_finite_points(metric, axis, bad):
+    point = [0.0] * metric.dim
+    point[axis] = bad
+    assert not metric.contains(point)
+    with pytest.raises(ChartDomainError):
+        metric.jet(point)
+    with pytest.raises(ChartDomainError):
+        metric.g(point)
+
+
 def test_point_shape_validation():
     metric = catalog_euclidean(3)
     with pytest.raises(ValueError):
