@@ -195,14 +195,19 @@ def _floats(raw: str, flag: str, parser) -> list:
     return values
 
 
-def _add_metric_flags(sp):
+def _add_metric_flags(sp, fd_step: bool = True):
     sp.add_argument("--metric", choices=sorted(CATALOG), help="catalog metric name")
     sp.add_argument("--p", help="warp expression for sekigawa/conullity3")
     sp.add_argument("--radius", type=_finite, help="sphere radius")
     sp.add_argument("--dim", type=int, help="dimension for euclidean/product")
-    sp.add_argument("--point", help="comma-separated chart coordinates")
+    sp.add_argument(
+        "--point",
+        help="comma-separated chart coordinates (default: the origin; theta = pi/2 on sphere "
+        "and product, r = 1 on polar)",
+    )
     sp.add_argument("--rel-tol", type=_fraction, default=None, help="rank tolerance override, in (0, 1)")
-    sp.add_argument("--fd-step", type=_positive, default=DEFAULT_FD_STEP, help="finite-difference step")
+    if fd_step:
+        sp.add_argument("--fd-step", type=_positive, default=DEFAULT_FD_STEP, help="finite-difference step")
     sp.add_argument("--out", help="write output to a file instead of stdout")
 
 
@@ -228,7 +233,7 @@ def _build_parser() -> _Parser:
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("scan", help="grid scan to CSV")
-    _add_metric_flags(sp)
+    _add_metric_flags(sp, fd_step=False)  # nabla R comes from each point's 3-jet
     sp.add_argument("--grid", required=True, help='grid spec "var=lo:hi:n,..."')
     sp.set_defaults(func=cmd_scan)
 
@@ -275,7 +280,10 @@ def _build_metric(args, parser):
 def _parse_point(args, metric, parser) -> np.ndarray:
     raw = getattr(args, "point", None)
     if raw is None:
-        return np.zeros(metric.dim)
+        point = np.zeros(metric.dim)
+        lead = CATALOG[args.metric].default_point
+        point[: len(lead)] = lead
+        return point
     values = _floats(raw, "--point", parser)
     if len(values) != metric.dim:
         parser.error(f"--point has {len(values)} components, chart needs {metric.dim}")
@@ -390,9 +398,14 @@ def _parse_grid(spec, metric, parser):
     return [(coord, np.linspace(lo, hi, count)) for coord, lo, hi, count in ranges]
 
 
-def _scan_worker(metric, point, rel_tol, fd_step):
+def _scan_worker(metric, point, rel_tol, fd_step=DEFAULT_FD_STEP):
+    """``(scal, nullity, conullity, kind)`` at one grid point, or None for a domain row.
+
+    One 3-jet gives the curvature and nabla R; ``fd_step`` is the stencil
+    step of a metric without 3-jets, which no catalog family is.
+    """
     try:
-        data = curvature_data(metric, point, rel_tol=rel_tol)
+        data = curvature_data(metric, point, rel_tol=rel_tol, nabla_r=True)
     except (ChartDomainError, DomainError, SingularMatrixError, FloatingPointError):
         return None
     kind = ""
@@ -424,7 +437,7 @@ def cmd_scan(args, parser) -> int:
             pt[coord] = values[rem % values.size]
             rem //= values.size
         points.append(pt)
-    results = [_scan_worker(metric, pt, args.rel_tol, args.fd_step) for pt in points]
+    results = [_scan_worker(metric, pt, args.rel_tol) for pt in points]
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
@@ -878,7 +891,7 @@ def _fault_site(args) -> str:
     if getattr(args, "point", None) is not None:
         words.append(f"--point {args.point}")
     elif args.command in ("analyze", "flow"):
-        words.append("at the origin")
+        words.append("at the default point" if CATALOG[args.metric].default_point else "at the origin")
     return " ".join(words)
 
 

@@ -2,7 +2,8 @@
 
 Conventions (all index placement follows these throughout the package):
 
-* ``dg[i, j, k] = d g_ij / d x^k`` and ``d2g[i, j, k, l]`` adds ``d/d x^l``.
+* ``dg[i, j, k] = d g_ij / d x^k``, ``d2g[i, j, k, l]`` adds ``d/d x^l`` and
+  ``d3g[i, j, k, l, m]`` adds ``d/d x^m``.
 * Christoffel symbols ``Gamma[l, j, k]`` mean Gamma^l_jk with
   Gamma^l_jk = 1/2 g^{lm} (d_j g_km + d_k g_jm - d_m g_jk).
 * ``rup[l, i, j, k]`` is R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik
@@ -12,14 +13,20 @@ Conventions (all index placement follows these throughout the package):
   sphere comes out at +1.
 * The scalar curvature is the double trace g^{il} g^{jk} R_ijkl, which is
   +2 on the unit sphere.
+* ``cov[m, i, j, k, l]`` is (nabla_m R)_ijkl.
 
 ``nullity`` takes the kernel of v -> R(v, ., ., .) from an SVD of the lowered
 tensor flattened to n^3 x n (a tighter rank cutoff for analytic than for
 finite-difference jets) and g-orthonormalizes it; ``sectional_range`` reads
 the exact sectional range off the curvature operator on its complement.
-``_covariant_dr`` builds nabla R from central differences of the lowered
-tensor plus the four Christoffel corrections; ``bianchi2_residual`` and the
-splitting tensor of ``geonull scan`` use it.
+nabla R comes in closed form from a metric 3-jet: the derivatives of
+Gamma (d Gamma, d^2 Gamma) and of R (d R) follow from the jet by the product
+rule, and four Christoffel corrections make d R covariant.  So a point needs
+one jet.  For a metric without a 3-jet (``finite_difference_field``, a user
+field) ``_covariant_dr`` takes d R from central differences of R at
+x +/- h e_m instead, 2n more jets.  ``bianchi2_residual``,
+``covariant_riemann`` and the splitting tensor of ``geonull scan`` use
+whichever the metric supports.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ __all__ = [
     "nullity",
     "curvature_data",
     "sectional_range",
+    "covariant_riemann",
     "bianchi2_residual",
 ]
 
@@ -86,6 +94,16 @@ def _riemann_from_jet(g, dg, d2g):
     Leading axes of the jet are a batch of points; each point's tensors are
     bitwise those of the point alone.
     """
+    return _riemann_parts(g, dg, d2g)[:4]
+
+
+def _riemann_parts(g, dg, d2g):
+    """:func:`_riemann_from_jet`'s tensors, then ``ds``, ``dgi`` and ``dgamma``.
+
+    ``ds[..., j, k, m, i]`` is d_i of the bracket s_jkm = d_j g_km + d_k g_jm
+    - d_m g_jk, ``dgi[..., a, b, i]`` = d_i g^ab and ``dgamma[..., i, l, j, k]``
+    = d_i Gamma^l_jk.
+    """
     gi = invert(g)
     gamma = _christoffel_from_jet(gi, dg)
     s = _t(dg, -1, -3, -2) + _t(dg, -3, -1, -2) - dg
@@ -102,7 +120,50 @@ def _riemann_from_jet(g, dg, d2g):
         - np.einsum("...ljm,...mik->...lijk", gamma, gamma)
     )
     rdown = np.einsum("...lm,...mijk->...ijkl", g, rup)
-    return gi, gamma, rup, rdown
+    return gi, gamma, rup, rdown, ds, dgi, dgamma
+
+
+def _nabla_riemann_from_jet(g, dg, d2g, d3g):
+    """``(gi, gamma, rup, rdown, cov)``: :func:`_riemann_from_jet`'s tensors and nabla R.
+
+    From a 3-jet, by the product rule: with X[a, j, k, i] = s_jka,i / 2 -
+    d_i g_ab Gamma^b_jk, d_i Gamma^l_jk = g^la X[a, j, k, i], so d_n d_i
+    Gamma^l_jk = d_n g^la X[a, j, k, i] + g^la d_n X[a, j, k, i].  The
+    derivative of R^l_ijk is then that of its defining sum, d R_ijkl lowers
+    it, and the Christoffel corrections make it covariant.  Leading axes of
+    the jet are a batch of points.
+    """
+    gi, gamma, rup, rdown, ds, dgi, dgamma = _riemann_parts(g, dg, d2g)
+    # d2s[..., j, k, m, i, n] = d_n d_i s[..., j, k, m]
+    d2s = _t(d3g, -3, -5, -4, -2, -1) + _t(d3g, -5, -3, -4, -2, -1) - d3g
+    x = 0.5 * _t(ds, -2, -4, -3, -1) - np.einsum("...abi,...bjk->...ajki", dg, gamma)
+    dx = (
+        0.5 * _t(d2s, -3, -5, -4, -2, -1)
+        - np.einsum("...abin,...bjk->...ajkin", d2g, gamma)
+        - np.einsum("...abi,...nbjk->...ajkin", dg, dgamma)
+    )
+    # d2gamma[..., n, i, l, j, k] = d_n d_i Gamma^l_jk
+    d2gamma = np.einsum("...lan,...ajki->...niljk", dgi, x) + np.einsum("...la,...ajkin->...niljk", gi, dx)
+    # w[..., n, l, i, j, k]: d_n of the terms of R^l_ijk that the antisymmetry in i, j pairs up
+    w = (
+        _t(d2gamma, -5, -3, -4, -2, -1)
+        + np.einsum("...nlim,...mjk->...nlijk", dgamma, gamma)
+        + np.einsum("...lim,...nmjk->...nlijk", gamma, dgamma)
+    )
+    drup = w - _t(w, -5, -4, -2, -3, -1)
+    drdown = np.einsum("...lmn,...mijk->...nijkl", dg, rup) + np.einsum("...lm,...nmijk->...nijkl", g, drup)
+    return gi, gamma, rup, rdown, _christoffel_corrected(drdown, gamma, rdown)
+
+
+def _christoffel_corrected(dr, gamma, rdown):
+    """nabla R from the partial derivatives ``dr[..., m, i, j, k, l]`` = d_m R_ijkl."""
+    return (
+        dr
+        - np.einsum("...pmi,...pjkl->...mijkl", gamma, rdown)
+        - np.einsum("...pmj,...ipkl->...mijkl", gamma, rdown)
+        - np.einsum("...pmk,...ijpl->...mijkl", gamma, rdown)
+        - np.einsum("...pml,...ijkp->...mijkl", gamma, rdown)
+    )
 
 
 def riemann(metric: MetricField, x):
@@ -225,7 +286,9 @@ class CurvatureData:
     ``scalar_trace`` is the double-trace scalar curvature, ``half_trace``
     half of it.  At conullity 2 the kernel's complement is one plane and
     ``nonflat_plane_curvature`` is its sectional curvature (else None);
-    :func:`sectional_range` gives the range over all planes.
+    :func:`sectional_range` gives the range over all planes.  ``nabla_r`` is
+    nabla R from the same jet when it was asked for and the metric has a
+    3-jet, else None.
     """
 
     point: np.ndarray
@@ -237,6 +300,7 @@ class CurvatureData:
     half_trace: float
     nullity: NullityResult
     nonflat_plane_curvature: Optional[float]
+    nabla_r: Optional[np.ndarray] = None
 
 
 def _complement(g: np.ndarray, kernel_basis: np.ndarray) -> np.ndarray:
@@ -244,12 +308,25 @@ def _complement(g: np.ndarray, kernel_basis: np.ndarray) -> np.ndarray:
     return _g_gram_schmidt(np.eye(g.shape[0]), g, prior=kernel_basis, drop_tol=1e-6)
 
 
-def curvature_data(metric: MetricField, x, rel_tol: Optional[float] = None) -> CurvatureData:
+def curvature_data(
+    metric: MetricField, x, rel_tol: Optional[float] = None, nabla_r: bool = False
+) -> CurvatureData:
+    """The curvature summary at x from one metric jet.
+
+    With ``nabla_r`` set and a metric that has 3-jets that jet is of order
+    3 and the summary carries nabla R too; its other fields are bitwise
+    those of the order-2 jet.
+    """
     if rel_tol is None:
         rel_tol = _default_rel_tol(metric)
     pt = np.asarray(x, dtype=float)
-    g, dg, d2g = metric.jet(pt)
-    gi, gamma, rup, rdown = _riemann_from_jet(g, dg, d2g)
+    cov = None
+    if nabla_r and metric.max_order >= 3:
+        g, dg, d2g, d3g = metric.jet(pt, order=3)
+        gi, gamma, rup, rdown, cov = _nabla_riemann_from_jet(g, dg, d2g, d3g)
+    else:
+        g, dg, d2g = metric.jet(pt)
+        gi, gamma, rup, rdown = _riemann_from_jet(g, dg, d2g)
     scal = float(np.einsum("il,jk,ijkl->", gi, gi, rdown))
     nres = _nullity_from(rdown, g, rel_tol)
     plane_curv = None
@@ -267,6 +344,7 @@ def curvature_data(metric: MetricField, x, rel_tol: Optional[float] = None) -> C
         half_trace=0.5 * scal,
         nullity=nres,
         nonflat_plane_curvature=plane_curv,
+        nabla_r=cov,
     )
 
 
@@ -290,9 +368,11 @@ def sectional_range(data: CurvatureData):
 def _covariant_dr(metric: MetricField, pt: np.ndarray, gamma, r0, h: float, check: bool):
     """``cov[m, i, j, k, l]`` = (nabla_m R)_ijkl at pt from ``gamma`` and ``r0`` there.
 
-    The partial term is a central difference of the lowered tensor at
-    pt +/- h e_m (2n metric jets, domain-checked when ``check`` is set); the
-    four Christoffel corrections make it covariant.
+    The fallback for a metric without a 3-jet, and the test oracle of the
+    closed form: the partial term is a central difference of the lowered
+    tensor at pt +/- h e_m (2n metric jets, domain-checked when ``check`` is
+    set), accurate to O(h^2); the four Christoffel corrections make it
+    covariant.
     """
     n = metric.dim
 
@@ -303,25 +383,25 @@ def _covariant_dr(metric: MetricField, pt: np.ndarray, gamma, r0, h: float, chec
     eye = np.eye(n)
     for m in range(n):
         dr[m] = (rdown_at(pt + h * eye[m]) - rdown_at(pt - h * eye[m])) / (2.0 * h)
-    return (
-        dr
-        - np.einsum("pmi,pjkl->mijkl", gamma, r0)
-        - np.einsum("pmj,ipkl->mijkl", gamma, r0)
-        - np.einsum("pmk,ijpl->mijkl", gamma, r0)
-        - np.einsum("pml,ijkp->mijkl", gamma, r0)
-    )
+    return _christoffel_corrected(dr, gamma, r0)
+
+
+def covariant_riemann(metric: MetricField, x, h: float = 1e-4) -> np.ndarray:
+    """nabla R at x: closed form from one 3-jet, else the stencil of step h (points unchecked)."""
+    pt = np.asarray(x, dtype=float)
+    if metric.max_order >= 3:
+        return _nabla_riemann_from_jet(*metric.jet(pt, order=3))[4]
+    gi, gamma, rup, r0 = _riemann_from_jet(*metric.jet(pt))
+    return _covariant_dr(metric, pt, gamma, r0, h, check=False)
 
 
 def bianchi2_residual(metric: MetricField, x, h: float = 1e-4) -> float:
     """Max-abs residual of the differential Bianchi identity at x.
 
-    nabla R (:func:`_covariant_dr`, stencil points unchecked) is summed
-    cyclically over its first three slots.  For an exact curvature tensor the
-    result is O(h^2) plus rounding noise.
+    nabla R (:func:`covariant_riemann`) is summed cyclically over its first
+    three slots.  From a 3-jet the result is rounding noise; from the
+    stencil of a metric without one it is O(h^2) plus rounding noise.
     """
-    pt = np.asarray(x, dtype=float)
-    g, dg, d2g = metric.jet(pt)
-    gi, gamma, rup, r0 = _riemann_from_jet(g, dg, d2g)
-    cov = _covariant_dr(metric, pt, gamma, r0, h, check=False)
+    cov = covariant_riemann(metric, x, h)
     cyc = cov + cov.transpose(1, 2, 0, 3, 4) + cov.transpose(2, 0, 1, 3, 4)
     return float(np.max(np.abs(cyc)))

@@ -1,22 +1,26 @@
-"""Expression parsing and second-order forward-mode evaluation.
+"""Expression parsing and forward-mode evaluation up to third order.
 
 Scalar expressions over named chart coordinates (for example the warping
 function ``"3 + cos(u) + cos(w)"``) are parsed into an immutable AST and
-evaluated with exact first and second partial derivatives carried by
-truncated second-order Taylor arithmetic.  No finite differences are
-involved; derivatives are exact to machine precision for the supported
-operator set.
+evaluated with exact first, second and third partial derivatives carried by
+truncated Taylor arithmetic.  No finite differences are involved;
+derivatives are exact to machine precision for the supported operator set.
 
-Parsing compiles the tree once into two kernels, straight-line Python
-functions over plain floats with no per-node arrays.  The jet kernel behind
+An expression compiles its tree into up to three kernels, straight-line
+Python functions over plain floats with no per-node arrays, each on its
+first use; parsing compiles nothing.  The 2-jet kernel behind
 :func:`eval_jet2` and :meth:`Expression.jet2` does the float operations of a
 tree walk over :class:`Jet2` in the same order, so it matches that walk bit
-for bit.  The value kernel behind :meth:`Expression.value` makes the same
-domain checks but computes no derivatives.  A float overflow raised by a
-function or a power (``exp(exp(exp(u)))`` at u = 2.9), ``sin`` or ``cos``
-of an infinite argument, and a derivative that divides by an underflowed
-zero (``log(u)`` at u = 1e-170) become a :class:`DomainError` naming that
-subexpression.  Kernels hold no state, so threads may share them.
+for bit.  The 3-jet kernel behind :meth:`Expression.jet3` adds the third
+derivatives; its value, gradient and Hessian come from the float operations
+of the 2-jet kernel, so they are bitwise equal to its results.  The value
+kernel behind :meth:`Expression.value` makes the same domain checks but
+computes no derivatives.  A float overflow raised by a function or a power
+(``exp(exp(exp(u)))`` at u = 2.9), ``sin`` or ``cos`` of an infinite
+argument, and a derivative that divides by an underflowed zero (``log(u)``
+at u = 1e-170) become a :class:`DomainError` naming that subexpression; a
+third derivative can meet one where the first two do not.  Kernels hold no
+state, so threads may share them.
 
 Grammar
 -------
@@ -30,10 +34,12 @@ so ``-u^2`` parses as ``-(u^2)``.  ``abs`` is deliberately unsupported
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -218,6 +224,16 @@ _FUNCTIONS = {
     "log": lambda v: (math.log(v), 1.0 / v, -1.0 / (v * v)),
     "sqrt": lambda v: (math.sqrt(v), 0.5 / math.sqrt(v), -0.25 / math.sqrt(v) ** 3),
 }
+# the same with f'''(v) appended, for the 3-jet kernel
+_FUNCTIONS3 = {
+    "sin": lambda v: (math.sin(v), math.cos(v), -math.sin(v), -math.cos(v)),
+    "cos": lambda v: (math.cos(v), -math.sin(v), -math.cos(v), math.sin(v)),
+    "exp": lambda v: (math.exp(v), math.exp(v), math.exp(v), math.exp(v)),
+    "log": lambda v: (math.log(v), 1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v)),
+    "sqrt": lambda v: (
+        math.sqrt(v), 0.5 / math.sqrt(v), -0.25 / math.sqrt(v) ** 3, 0.375 / math.sqrt(v) ** 5
+    ),
+}
 _POSITIVE_DOMAIN = {"log", "sqrt"}
 
 
@@ -339,28 +355,43 @@ class _Parser:
 class Expression:
     """Parsed expression bound to an ordered coordinate list.
 
-    Construction compiles the tree once into two kernels over plain floats
-    (see :class:`_Compiler`); equality and hashing use only ``root``,
+    Each kernel over plain floats (see :class:`_Compiler`) is compiled by
+    the first call that needs it; equality and hashing use only ``root``,
     ``variables`` and ``source``.
     """
 
     root: Node
     variables: tuple
     source: str
-    _jet_kernel: Callable = field(init=False, compare=False, repr=False)
-    _value_kernel: Callable = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        jet, value = _compile(self.root, len(self.variables), self.source)
-        object.__setattr__(self, "_jet_kernel", jet)
-        object.__setattr__(self, "_value_kernel", value)
 
     @property
     def n(self) -> int:
         return len(self.variables)
 
+    @cached_property
+    def _value_kernel(self) -> Callable:
+        return _compile_value(self.root, self.n, self.source)
+
+    @cached_property
+    def _jet_kernel(self) -> Callable:
+        return _compile_jet(self.root, self.n, self.source, 2)
+
+    @cached_property
+    def _jet3_kernel(self) -> Callable:
+        return _compile_jet(self.root, self.n, self.source, 3)
+
     def jet2(self, point) -> Jet2:
         return eval_jet2(self, point)
+
+    def jet3(self, point) -> tuple:
+        """``(value, gradient, hessian, third)``, ``third[i, j, k]`` the third partials.
+
+        The first three are bitwise those of :meth:`jet2`, and ``third`` is
+        exactly symmetric.  Raises :meth:`jet2`'s :class:`DomainError`, or
+        one that only a third derivative meets.
+        """
+        value, gradient, hessian, third = self._jet3_kernel(*_coordinates(self, point))
+        return value, np.array(gradient), np.array(hessian), np.array(third)
 
     def value(self, point) -> float:
         """The value alone, with the domain checks of :meth:`jet2`.
@@ -448,22 +479,43 @@ def _int_power(v: float, k: int) -> tuple:
     return f, f1, f2
 
 
-def _compile(root: Node, n: int, source: str) -> tuple:
-    """The jet kernel and the value kernel of ``root`` over ``n`` coordinates.
+def _int_power3(v: float, k: int) -> tuple:
+    """:func:`_int_power` with f''' appended."""
+    low = _int_power(v, k)
+    return low + (k * (k - 1) * (k - 2) * v ** (k - 3) if k * (k - 1) * (k - 2) != 0 else 0.0,)
 
-    Both take the coordinates as ``n`` float arguments.  The jet kernel
-    returns the value, the gradient and the Hessian as tuples of floats, in
-    the form ``Jet2``'s constructor gives them; the value kernel returns the
-    value.
+
+def _compile_jet(root: Node, n: int, source: str, order: int) -> Callable:
+    """The jet kernel of ``root`` over ``n`` coordinates, of order 2 or 3.
+
+    It takes the coordinates as ``n`` float arguments.  It returns the value,
+    the gradient and the Hessian as tuples of floats, in the form ``Jet2``'s
+    constructor gives them, and at order 3 the third derivatives as an
+    n x n x n nested tuple mirrored from the entries i <= j <= k.
     """
-    jet = _Compiler(n, source)
-    value, gradient, upper = jet.jet(root, final=True)
-    cell = dict(zip(jet.pairs, upper))
+    jet = _Compiler(n, source, order)
+    parts = jet.jet(root, final=True)
+    cell = dict(zip(jet.pairs, parts[2]))
     rows = [[cell[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
-    jet.emit(f"return {value}, {_tuple(gradient)}, {_tuple(_tuple(row) for row in rows)}")
+    result = [parts[0], _tuple(parts[1]), _tuple(_tuple(row) for row in rows)]
+    if order == 3:
+        for d in parts[3]:
+            if d != "0.0":  # a local, not a constant's zero: give a zero the + sign
+                jet.emit(f"{d} = {d} + 0.0 - 0.0")
+        cube = dict(zip(jet.triples, parts[3]))
+        result.append(_tuple(
+            _tuple(_tuple(cube[tuple(sorted((i, j, k)))] for k in range(n)) for j in range(n))
+            for i in range(n)
+        ))
+    jet.emit(f"return {', '.join(result)}")
+    return jet.build()
+
+
+def _compile_value(root: Node, n: int, source: str) -> Callable:
+    """The value kernel of ``root``: ``n`` float arguments in, the value out."""
     scalar = _Compiler(n, source)
     scalar.emit(f"return {scalar.value(root)}")
-    return jet.build(), scalar.build()
+    return scalar.build()
 
 
 def _tuple(items) -> str:
@@ -480,18 +532,24 @@ class _Compiler:
     entry beyond half the float range into inf and inf into nan).  Inner
     nodes skip the rewrite ``u + 0.0 - 0.0`` of off-diagonal entries: it only
     changes the sign of a zero, which reaches no nonzero entry, and the
-    result gets it.
+    result gets it.  At order 3 the third derivatives ride along in their own
+    locals; the lower orders are emitted exactly as at order 2, and the
+    result's third derivatives get the same zero-sign rewrite.
 
-    A node's jet is ``(value, gradient, upper)``: the names of its locals, or
-    literals for constants and coordinates.  The upper triangle of the Hessian
-    is listed row by row.  Domain checks run where the tree walk made them, so
-    the first violation raises the same :class:`DomainError`.
+    A node's jet is ``(value, gradient, upper)``, plus ``third`` at order 3:
+    the names of its locals, or literals for constants and coordinates.  The
+    upper triangle of the Hessian is listed row by row, the third derivatives
+    at the sorted triples i <= j <= k.  Domain checks run where the tree walk
+    made them, so the first violation raises the same :class:`DomainError`.
     """
 
-    def __init__(self, n: int, source: str):
+    def __init__(self, n: int, source: str, order: int = 2):
         self.n = n
         self.source = source
+        self.order = order
         self.pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        self.triples = list(itertools.combinations_with_replacement(range(n), 3)) if order == 3 else []
+        self.pair_index = {pair: k for k, pair in enumerate(self.pairs)}
         self.namespace = {"DomainError": DomainError}
         self.lines = []
         self.indent = "    "
@@ -551,21 +609,23 @@ class _Compiler:
         with self.block("except ZeroDivisionError:"):
             self.fail('"division by an underflowed zero"', node)
 
-    def call(self, fn, arg: str, node: Node) -> tuple:
+    def call(self, fn, arg: str, node: Node) -> list:
+        """Locals holding f(arg) and its derivatives up to the kernel's order."""
         t = self.fresh()
-        self.guarded(f"{t}f, {t}f1, {t}f2 = {self.bind(fn)}({arg})", node)
-        return f"{t}f", f"{t}f1", f"{t}f2"
+        out = [f"{t}f{d}" for d in range(self.order + 1)]
+        self.guarded(f"{', '.join(out)} = {self.bind(fn)}({arg})", node)
+        return out
 
     # -- jet kernel ----------------------------------------------------------
 
-    def store(self, value: str, gradient: list, upper: list, final: bool, name: str = None) -> tuple:
-        """Assign one Jet2 to locals named after ``name`` (fresh by default).
+    def store(self, jet: tuple, final: bool, name: str = None) -> tuple:
+        """Assign one jet to locals named after ``name`` (fresh by default).
 
         Then apply the constructor's rewrite ``upper + upper.T - diag``: to
         the diagonal always, to the off-diagonal entries only for the result.
         """
         out = self.names(name or self.fresh())
-        for target, expr in zip([out[0]] + out[1] + out[2], [value] + gradient + upper):
+        for target, expr in zip(_entries(out), _entries(jet)):
             self.emit(f"{target} = {expr}")
         for h, (i, j) in zip(out[2], self.pairs):
             if i == j:
@@ -575,40 +635,65 @@ class _Compiler:
         return out
 
     def names(self, t: str) -> tuple:
-        return f"{t}v", [f"{t}g{i}" for i in range(self.n)], [f"{t}h{k}" for k in range(len(self.pairs))]
+        jet = f"{t}v", [f"{t}g{i}" for i in range(self.n)], [f"{t}h{k}" for k in range(len(self.pairs))]
+        return jet + ([f"{t}d{k}" for k in range(len(self.triples))],) if self.order == 3 else jet
+
+    def hess(self, upper: list, i: int, j: int) -> str:
+        return upper[self.pair_index[i, j]]
 
     def mul(self, a: tuple, b: tuple, final: bool) -> tuple:
-        (av, ag, ah), (bv, bg, bh) = a, b
+        (av, ag, ah), (bv, bg, bh) = a[:3], b[:3]
         gradient = [f"{av} * {bg[i]} + {bv} * {ag[i]}" for i in range(self.n)]
         upper = [
             f"{av} * {bh[k]} + {bv} * {ah[k]} + {ag[i]} * {bg[j]} + {bg[i]} * {ag[j]}"
             for k, (i, j) in enumerate(self.pairs)
         ]
-        return self.store(f"{av} * {bv}", gradient, upper, final)
+        jet = (f"{av} * {bv}", gradient, upper)
+        if self.order == 3:
+            h = self.hess
+            jet += ([
+                f"{av} * {b[3][m]} + {bv} * {a[3][m]}"
+                f" + {ag[i]} * {h(bh, j, k)} + {ag[j]} * {h(bh, i, k)} + {ag[k]} * {h(bh, i, j)}"
+                f" + {bg[i]} * {h(ah, j, k)} + {bg[j]} * {h(ah, i, k)} + {bg[k]} * {h(ah, i, j)}"
+                for m, (i, j, k) in enumerate(self.triples)
+            ],)
+        return self.store(jet, final)
 
-    def chain(self, a: tuple, f: str, f1: str, f2: str, final: bool, name: str = None) -> tuple:
-        _, ag, ah = a
+    def chain(self, a: tuple, fs: list, final: bool, name: str = None) -> tuple:
+        """Compose ``a`` with a scalar function whose value and derivatives are ``fs``."""
+        ag, ah = a[1], a[2]
+        f, f1, f2 = fs[:3]
         upper = [f"{f1} * {ah[k]} + {f2} * ({ag[i]} * {ag[j]})" for k, (i, j) in enumerate(self.pairs)]
-        return self.store(f, [f"{f1} * {g}" for g in ag], upper, final, name)
+        jet = (f, [f"{f1} * {g}" for g in ag], upper)
+        if self.order == 3:
+            h = self.hess
+            jet += ([
+                f"{f1} * {a[3][m]}"
+                f" + {f2} * ({ag[i]} * {h(ah, j, k)} + {ag[j]} * {h(ah, i, k)} + {ag[k]} * {h(ah, i, j)})"
+                f" + {fs[3]} * ({ag[i]} * {ag[j]} * {ag[k]})"
+                for m, (i, j, k) in enumerate(self.triples)
+            ],)
+        return self.store(jet, final, name)
 
     def constant(self, value: str) -> tuple:
-        return value, ["0.0"] * self.n, ["0.0"] * len(self.pairs)
+        jet = value, ["0.0"] * self.n, ["0.0"] * len(self.pairs)
+        return jet + (["0.0"] * len(self.triples),) if self.order == 3 else jet
 
     def jet(self, node: Node, final: bool = False) -> tuple:
         if isinstance(node, Const):
             return self.constant(self.literal(node.value))
         if isinstance(node, Var):
-            value, gradient, upper = self.constant(f"x{node.index}")
-            gradient[node.index] = "1.0"
-            return value, gradient, upper
+            jet = self.constant(f"x{node.index}")
+            jet[1][node.index] = "1.0"
+            return jet
         if isinstance(node, Neg):
-            v, g, h = self.jet(node.child)
-            return self.store(f"-{v}", [f"-{e}" for e in g], [f"-{e}" for e in h], final)
+            return self.store(_entrywise(lambda e: f"-{e}", self.jet(node.child)), final)
         if isinstance(node, Call):
             a = self.jet(node.arg)
             if node.fn in _POSITIVE_DOMAIN:
                 self.fail_if(f"{a[0]} <= 0.0", self.domain_message(node, a[0]), node)
-            return self.chain(a, *self.call(_FUNCTIONS[node.fn], a[0], node), final)
+            table = _FUNCTIONS3 if self.order == 3 else _FUNCTIONS
+            return self.chain(a, self.call(table[node.fn], a[0], node), final)
         if isinstance(node, Bin):
             a = self.jet(node.left)
             if node.op == "^":
@@ -616,48 +701,67 @@ class _Compiler:
             b = self.jet(node.right)
             if node.op in ("+", "-"):
                 op = node.op
-                return self.store(
-                    f"{a[0]} {op} {b[0]}",
-                    [f"{x} {op} {y}" for x, y in zip(a[1], b[1])],
-                    [f"{x} {op} {y}" for x, y in zip(a[2], b[2])],
-                    final,
-                )
+                return self.store(_entrywise(lambda x, y: f"{x} {op} {y}", a, b), final)
             if node.op == "*":
                 return self.mul(a, b, final)
             if node.op == "/":
                 bv = b[0]
                 self.fail_if(f"{bv} == 0.0", '"division by zero"', node)
                 t = self.fresh()
-                quotients = f"1.0 / {bv}, -1.0 / ({bv} * {bv}), 2.0 / ({bv} * {bv} * {bv})"
-                self.guarded(f"{t}f, {t}f1, {t}f2 = {quotients}", node)
-                return self.mul(a, self.chain(b, f"{t}f", f"{t}f1", f"{t}f2", False), final)
+                out = [f"{t}f{d}" for d in range(self.order + 1)]
+                quotients = [
+                    f"1.0 / {bv}",
+                    f"-1.0 / ({bv} * {bv})",
+                    f"2.0 / ({bv} * {bv} * {bv})",
+                    f"-6.0 / ({bv} * {bv} * {bv} * {bv})",
+                ][: self.order + 1]
+                self.guarded(f"{', '.join(out)} = {', '.join(quotients)}", node)
+                return self.mul(a, self.chain(b, out, False), final)
         raise TypeError(f"not an expression node: {node!r}")
 
     def power(self, node: Bin, base: tuple, final: bool) -> tuple:
         expo = self.jet(node.right)
         t = self.fresh()
+        table = _FUNCTIONS3 if self.order == 3 else _FUNCTIONS
 
         def real():
-            log_base = self.chain(base, *self.call(_FUNCTIONS["log"], base[0], node), False)
+            log_base = self.chain(base, self.call(table["log"], base[0], node), False)
             product = self.mul(expo, log_base, False)
-            self.chain(product, *self.call(_FUNCTIONS["exp"], product[0], node), final, t)
+            self.chain(product, self.call(table["exp"], product[0], node), final, t)
 
+        int_power = _int_power3 if self.order == 3 else _int_power
         self.power_rule(
             node,
             base[0],
             expo,
             t,
-            zero=lambda: self.store(*self.constant("1.0"), final, t),
-            integer=lambda: self.chain(base, *self.call(_int_power, f"{base[0]}, {t}k", node), final, t),
+            zero=lambda: self.store(self.constant("1.0"), final, t),
+            integer=lambda: self.chain(base, self.call(int_power, f"{base[0]}, {t}k", node), final, t),
             real=real,
         )
         return self.names(t)
 
+    def third_of_exponent(self, node: Bin, base: str, expo: tuple, t: str) -> None:
+        """At order 3, add b^e log(b) d3e to the integer rule's third derivatives of ``b ^ e``.
+
+        The integer rule holds e constant, as its gradient and Hessian vanish
+        at the point; its third derivatives need not, and then e is no
+        integer near the point, so b must be positive.
+        """
+        varying = [d for d in expo[3] if d != "0.0"] if self.order == 3 else []
+        if not varying:
+            return
+        with self.block(f"if {' or '.join(varying)}:"):
+            self.fail_if(f"{base} <= 0.0", '"power with non-integer exponent requires positive base"', node)
+            self.emit(f"{t}L = {self.bind(math.log)}({base})")
+            for d, e in zip(self.names(t)[3], expo[3]):
+                self.emit(f"{d} = {d} + {t}v * {t}L * {e}")
+
     def power_rule(self, node: Bin, base: str, expo: tuple, t: str, zero, integer, real) -> None:
         """Emit the branches and checks of ``base ^ expo``; callbacks emit each result.
 
-        As in the tree walk, the integer rule applies when the exponent's jet
-        at the point is constant (all derivatives zero) with an integer value,
+        As in the tree walk, the integer rule applies when the exponent's
+        gradient and Hessian at the point are zero and its value an integer,
         which ``{t}k`` then holds.
         """
         varying = [d for d in expo[1] + expo[2] if d != "0.0"]
@@ -669,6 +773,7 @@ class _Compiler:
             with self.block("else:"):
                 self.fail_if(f"{base} == 0.0 and {t}k < 0", '"zero base with negative exponent"', node)
                 integer()
+            self.third_of_exponent(node, base, expo, t)
         with self.block("else:"):
             self.fail_if(f"{base} <= 0.0", '"power with non-integer exponent requires positive base"', node)
             real()
@@ -716,3 +821,15 @@ class _Compiler:
         else:
             raise TypeError(f"not an expression node: {node!r}")
         return t
+
+
+def _entries(jet: tuple) -> list:
+    """The value, then every derivative entry of ``jet``, as one list."""
+    return [jet[0]] + [e for part in jet[1:] for e in part]
+
+
+def _entrywise(op, *jets) -> tuple:
+    """The jet of strings ``op`` makes from the matching entries of ``jets``."""
+    return (op(*(j[0] for j in jets)),) + tuple(
+        [op(*es) for es in zip(*parts)] for parts in zip(*(j[1:] for j in jets))
+    )

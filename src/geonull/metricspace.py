@@ -1,10 +1,12 @@
-"""Metric charts with 2-jet access, plus the example-metric catalog.
+"""Metric charts with 2-jet and 3-jet access, plus the example-metric catalog.
 
 A :class:`MetricField` is a single coordinate chart: a map from points to
-symmetric positive-definite matrices, together with first and second
-derivative access (the 2-jet of g) and a domain predicate.  Charts are
-immutable after construction and evaluation is pure, so fields can be shared
-freely across threads.
+symmetric positive-definite matrices, together with derivative access (the
+2-jet of g, and the 3-jet where ``max_order`` is 3) and a domain predicate
+that also rejects non-finite points.  Charts are immutable after
+construction and evaluation is pure, so fields can be shared freely across
+threads.  Every catalog family has closed-form 3-jets; a field built from
+finite differences, and a user field by default, has 2-jets only.
 
 The catalog contains flat space, the round sphere, a polar-coordinate flat
 plane, block products, and two warped families driven by a user-supplied
@@ -17,7 +19,7 @@ positive function p:
 
 For both families the coframe 1-forms are the ground truth: the metric, its
 jets, and any orthonormal frame are derived from them rather than hard-coded,
-and the 2-jet of g is assembled exactly from the 2-jet of p by the product
+and the jets of g are assembled exactly from the jets of p by the product
 rule (analytic provenance, no finite differences).  The coframe matrix is
 affine in the coordinates except for its warp entry p, so a jet of g costs
 one expression jet of p plus a few dense contractions.
@@ -71,7 +73,7 @@ class Provenance:
 
 
 class MetricField:
-    """A Riemannian metric on one coordinate chart with 2-jet access.
+    """A Riemannian metric on one coordinate chart with 2-jet (or 3-jet) access.
 
     Parameters
     ----------
@@ -80,11 +82,14 @@ class MetricField:
     coordinates : sequence of str
         Ordered coordinate names; fixes the meaning of point components.
     jet : callable
-        ``jet(x, order)`` returning ``(g, dg)`` for order 1 and
-        ``(g, dg, d2g)`` for order 2, with ``dg[i, j, k] = d g_ij / d x^k``
-        and ``d2g[i, j, k, l] = d^2 g_ij / d x^k d x^l``.
+        ``jet(x, order)`` returning ``(g, dg)`` for order 1,
+        ``(g, dg, d2g)`` for order 2 and ``(g, dg, d2g, d3g)`` for order 3,
+        with ``dg[i, j, k] = d g_ij / d x^k``, ``d2g[i, j, k, l] = d^2 g_ij /
+        d x^k d x^l`` and ``d3g`` adding ``d / d x^m`` as a fifth axis.  Each
+        order's leading outputs are bitwise those of the lower orders.
     domain : callable, optional
-        Predicate on points; defaults to all of R^n.
+        Predicate on finite points; defaults to all of R^n.  A point with a
+        non-finite coordinate is outside every chart.
     provenance : Provenance
         Whether derivatives are analytic or finite-difference; downstream
         rank tolerances key off this.
@@ -93,6 +98,8 @@ class MetricField:
     preferred_frame : callable, optional
         ``x -> (k, n)`` array of g-orthonormal rows spanning the complement
         of the expected kernel, used as the default splitting-tensor basis.
+    max_order : int
+        The highest order ``jet`` supports, 2 or 3 (read-only).
     """
 
     def __init__(
@@ -105,11 +112,14 @@ class MetricField:
         name: str = "",
         annotations: Optional[dict] = None,
         preferred_frame: Optional[Callable] = None,
+        max_order: int = 2,
     ):
         if not 1 <= dim <= 6:
             raise ValueError(f"dimension {dim} outside supported range 1..6")
         if len(coordinates) != dim:
             raise ValueError(f"{len(coordinates)} coordinate names for dimension {dim}")
+        if max_order not in (2, 3):
+            raise ValueError(f"max_order must be 2 or 3, got {max_order}")
         self.dim = dim
         self.coordinates = tuple(coordinates)
         self._jet = jet
@@ -118,6 +128,11 @@ class MetricField:
         self.name = name or "metric"
         self.annotations = dict(annotations or {})
         self.preferred_frame = preferred_frame
+        self._max_order = max_order
+
+    @property
+    def max_order(self) -> int:
+        return self._max_order
 
     def __repr__(self) -> str:
         return f"MetricField({self.name!r}, dim={self.dim}, coords={self.coordinates})"
@@ -128,21 +143,24 @@ class MetricField:
             raise ValueError(f"point shape {pt.shape} does not match dimension {self.dim}")
         return pt
 
+    def _inside(self, pt: np.ndarray) -> bool:
+        return all(map(math.isfinite, pt.tolist())) and bool(self._domain(pt))
+
     def contains(self, x) -> bool:
-        return bool(self._domain(self._point(x)))
+        return self._inside(self._point(x))
 
     def g(self, x, check: bool = True) -> np.ndarray:
         pt = self._point(x)
-        if check and not self._domain(pt):
+        if check and not self._inside(pt):
             raise ChartDomainError(f"point outside domain of {self.name}", pt)
         return self._jet(pt, 1)[0]
 
     def jet(self, x, order: int = 2, check: bool = True):
-        """2-jet of g at x: ``(g, dg, d2g)``; ``order=1`` skips d2g."""
-        if order not in (1, 2):
-            raise ValueError(f"order must be 1 or 2, got {order}")
+        """Jet of g at x: ``(g, dg, d2g)``; ``order=1`` skips d2g, ``order=3`` adds d3g."""
+        if not 1 <= order <= self._max_order:
+            raise ValueError(f"order must be 1..{self._max_order} for {self.name}, got {order}")
         pt = self._point(x)
-        if check and not self._domain(pt):
+        if check and not self._inside(pt):
             raise ChartDomainError(f"point outside domain of {self.name}", pt)
         return self._jet(pt, order)
 
@@ -155,12 +173,14 @@ class MetricField:
 
 
 class _CoframeJet:
-    """Assemble (g, dg, d2g) for g = B^T B from the jet of the coframe matrix B.
+    """Assemble the jet of g = B^T B from the jet of the coframe matrix B.
 
     B is the affine matrix ``I + affine @ x`` except for the warp entry
-    ``B[0, 0] = p(x[warp])``, whose gradient and Hessian come from one
-    expression jet; every other entry has a constant gradient and no
-    Hessian.  All products are einsum contractions.
+    ``B[0, 0] = p(x[warp])``, whose derivatives come from one expression jet
+    (:meth:`Expression.jet2`, or :meth:`Expression.jet3` at order 3, whose
+    lower orders are the same bits); every other entry has a constant
+    gradient and no higher derivative.  So d3g is the symmetrized products
+    of d3B, d2B and dB with B and dB in row 0 only.
     """
 
     def __init__(self, affine: np.ndarray, expr: Expression, warp: Sequence[int]):
@@ -173,28 +193,48 @@ class _CoframeJet:
 
     def __call__(self, x: np.ndarray, order: int):
         n = self.n
-        p = self.expr.jet2(x[self.warp])
+        if order == 3:
+            value, gradient, hessian, third = self.expr.jet3(x[self.warp])
+        else:
+            p = self.expr.jet2(x[self.warp])
+            value, gradient, hessian = p.value, p.gradient, p.hessian
         B = self.identity + self.affine @ x
-        B[0, 0] = p.value
+        B[0, 0] = value
         dB = self.affine.copy()
-        dB[0, 0, self.warp] = p.gradient
+        dB[0, 0, self.warp] = gradient
         g = B.T @ B
         half = np.einsum("aik,aj->ijk", dB, B)
         dg = half + half.transpose(1, 0, 2)
         if order == 1:
             return g, dg
         d2B = np.zeros((n, n, n, n))
-        d2B[0, 0][self.warp_block] = p.hessian
+        d2B[0, 0][self.warp_block] = hessian
         s = np.einsum("aikl,aj->ijkl", d2B, B)
         d2g = s + s.transpose(1, 0, 2, 3)
         cross = np.einsum("aik,ajl->ijkl", dB, dB)
         d2g = d2g + cross + cross.transpose(0, 1, 3, 2)
-        return g, dg, d2g
+        if order == 2:
+            return g, dg, d2g
+        d2p = d2B[0, 0]
+        d3p = np.zeros((n, n, n))
+        d3p[np.ix_(self.warp, self.warp, self.warp)] = third
+        b, db = B[0], dB[0]
+        # row[j, k, l, m]: the terms of d_klm g_0j with the derivatives of B[0, 0] on the left
+        row = (
+            b[:, None, None, None] * d3p
+            + d2p[None, :, :, None] * db[:, None, None, :]
+            + d2p[None, :, None, :] * db[:, None, :, None]
+            + d2p[None, None, :, :] * db[:, :, None, None]
+        )
+        d3g = np.zeros((n,) * 5)
+        d3g[0] = row
+        d3g[:, 0] += row
+        return g, dg, d2g, d3g
 
 
 def _box_domain(box: float, extra: Optional[Callable] = None) -> Callable:
     def inside(x: np.ndarray) -> bool:
-        if not (np.abs(x) <= box).all():  # a NaN coordinate is outside too
+        if not (np.abs(x) <= box).all():
             return False
         return True if extra is None else bool(extra(x))
 
@@ -209,15 +249,13 @@ def catalog_euclidean(n: int) -> MetricField:
     """Flat R^n with the identity metric; the zero-curvature baseline."""
     if not 1 <= n <= 6:
         raise ValueError(f"dimension {n} outside supported range 1..6")
-    eye = np.eye(n)
-    zero3 = np.zeros((n, n, n))
-    zero4 = np.zeros((n, n, n, n))
+    zeros = (np.eye(n), np.zeros((n,) * 3), np.zeros((n,) * 4), np.zeros((n,) * 5))
 
     def jet(x, order):
-        return (eye, zero3) if order == 1 else (eye, zero3, zero4)
+        return zeros[: order + 1]
 
     coords = tuple(f"x{i}" for i in range(n))
-    return MetricField(n, coords, jet, name=f"euclidean({n})",
+    return MetricField(n, coords, jet, name=f"euclidean({n})", max_order=3,
                        annotations={"expected_nullity": n, "expected_conullity": 0})
 
 
@@ -240,7 +278,11 @@ def catalog_sphere(radius: float) -> MetricField:
             return g, dg
         d2g = np.zeros((2, 2, 2, 2))
         d2g[1, 1, 0, 0] = 2.0 * r2 * math.cos(2.0 * theta)
-        return g, dg, d2g
+        if order == 2:
+            return g, dg, d2g
+        d3g = np.zeros((2,) * 5)
+        d3g[1, 1, 0, 0, 0] = -4.0 * r2 * math.sin(2.0 * theta)
+        return g, dg, d2g, d3g
 
     def domain(x):
         return 0.1 < x[0] < math.pi - 0.1
@@ -251,6 +293,7 @@ def catalog_sphere(radius: float) -> MetricField:
         jet,
         domain=domain,
         name=f"sphere({radius:g})",
+        max_order=3,
         annotations={"expected_sectional": 1.0 / r2, "expected_scalar_trace": 2.0 / r2},
     )
 
@@ -271,17 +314,17 @@ def catalog_polar() -> MetricField:
             return g, dg
         d2g = np.zeros((2, 2, 2, 2))
         d2g[1, 1, 0, 0] = 2.0
-        return g, dg, d2g
+        return (g, dg, d2g) if order == 2 else (g, dg, d2g, np.zeros((2,) * 5))
 
     def domain(x):
         return x[0] > 0.05
 
-    return MetricField(2, ("r", "phi"), jet, domain=domain, name="polar",
+    return MetricField(2, ("r", "phi"), jet, domain=domain, name="polar", max_order=3,
                        annotations={"expected_scalar_trace": 0.0})
 
 
 def catalog_product(a: MetricField, b: MetricField) -> MetricField:
-    """Block-diagonal product metric; jets assembled blockwise."""
+    """Block-diagonal product metric; jets assembled blockwise, to the lower factor order."""
     n = a.dim + b.dim
     if n > 6:
         raise ValueError(f"product dimension {n} exceeds 6")
@@ -302,7 +345,12 @@ def catalog_product(a: MetricField, b: MetricField) -> MetricField:
         d2g = np.zeros((n, n, n, n))
         d2g[:na, :na, :na, :na] = ja[2]
         d2g[na:, na:, na:, na:] = jb[2]
-        return g, dg, d2g
+        if order == 2:
+            return g, dg, d2g
+        d3g = np.zeros((n,) * 5)
+        d3g[:na, :na, :na, :na, :na] = ja[3]
+        d3g[na:, na:, na:, na:, na:] = jb[3]
+        return g, dg, d2g, d3g
 
     def domain(x):
         return a.contains(x[:na]) and b.contains(x[na:])
@@ -322,6 +370,7 @@ def catalog_product(a: MetricField, b: MetricField) -> MetricField:
         provenance=provenance,
         name=f"product({a.name}, {b.name})",
         annotations={"factor_dims": (a.dim, b.dim)},
+        max_order=min(a.max_order, b.max_order),
     )
 
 
@@ -371,6 +420,7 @@ def catalog_sekigawa(p, box: float = DEFAULT_BOX) -> MetricField:
         domain=_box_domain(box, p_positive),
         name=f"sekigawa(p={expr.source})",
         annotations=annotations,
+        max_order=3,
     )
 
 
@@ -428,6 +478,7 @@ def catalog_conullity3(p, box: float = DEFAULT_BOX) -> MetricField:
         name=f"conullity3(p={expr.source})",
         annotations=annotations,
         preferred_frame=preferred_frame,
+        max_order=3,
     )
 
 
@@ -494,6 +545,7 @@ class CatalogEntry:
     parameters: tuple
     build: Callable
     expectations: tuple  # (fact, operation that checks it) pairs
+    default_point: tuple = ()  # leading coordinates of a point inside the chart; the rest are 0
 
 
 CATALOG = {
@@ -516,6 +568,7 @@ CATALOG = {
             ("sectional curvature 1/r^2", "curvature.sectional"),
             ("double-trace scalar curvature 2/r^2", "curvature.scalar_curvature"),
         ),
+        (math.pi / 2,),  # the origin is the pole theta = 0, outside the chart
     ),
     "polar": CatalogEntry(
         "polar",
@@ -525,6 +578,7 @@ CATALOG = {
         (
             ("curvature vanishes; straight lines solve the geodesic equation", "flows.geodesic"),
         ),
+        (1.0,),  # the origin is r = 0, outside the chart
     ),
     "product": CatalogEntry(
         "product",
@@ -537,6 +591,7 @@ CATALOG = {
             ("kernel of curvature = flat factor, conullity 2", "curvature.nullity"),
             ("splitting tensor vanishes", "splitting.splitting_tensor"),
         ),
+        (math.pi / 2,),
     ),
     "sekigawa": CatalogEntry(
         "sekigawa",

@@ -37,9 +37,11 @@ metric jets: 2m+1 for the kernel geodesic, 18 per tensor and one at x0.
 
 ``splitting_tensor_from_curvature`` gets C without a kernel field: R(T, ...)
 vanishes along the kernel line, so R(nabla_X T, ...) = -(nabla_X R)(T, ...),
-solved by least squares over the complement with nabla R from central
-differences of R (no kernel at the difference points).  ``geonull scan``
-classifies that tensor; ``splitting_tensor`` is its test oracle.
+solved by least squares over the complement.  nabla R is the closed form
+that ``curvature_data(..., nabla_r=True)`` takes from the point's one 3-jet;
+for a metric without a 3-jet it is the central difference of R (2n more
+jets, no kernel at the difference points).  ``geonull scan`` classifies that
+tensor; ``splitting_tensor`` is its test oracle.
 """
 
 from __future__ import annotations
@@ -374,8 +376,9 @@ def splitting_tensor_from_curvature(metric: MetricField, data: CurvatureData, h:
     -(nabla_X R)(T, ., ., .), and the flattened R is injective on the
     kernel's complement.  One least-squares solve over the complement basis
     (the chart's preferred frame, else the g-orthonormal complement of the
-    kernel) gives <nabla_{d_m} T, e_a> for every m; nabla R comes from
-    central differences of R at x +/- h e_m, whose jets are domain-checked.
+    kernel) gives <nabla_{d_m} T, e_a> for every m.  nabla R is
+    ``data.nabla_r`` where ``data`` has it; else it comes from central
+    differences of R at x +/- h e_m, whose jets are domain-checked.
     ``residual`` is the solve's residual relative to the right-hand side: above
     :data:`SMOOTH_KERNEL_RESIDUAL` the kernel does not extend as a smooth line
     field and the matrix means nothing.  The caller checks that the kernel
@@ -387,7 +390,9 @@ def splitting_tensor_from_curvature(metric: MetricField, data: CurvatureData, h:
         basis = np.asarray(metric.preferred_frame(data.point), dtype=float)
     else:
         basis = _complement(data.g, data.nullity.basis)
-    cov = _covariant_dr(metric, data.point, data.christoffel, data.rdown, h, check=True)
+    cov = data.nabla_r
+    if cov is None:
+        cov = _covariant_dr(metric, data.point, data.christoffel, data.rdown, h, check=True)
     lhs = np.einsum("ijkl,ai->jkla", data.rdown, basis).reshape(n ** 3, -1)
     rhs = -np.einsum("mijkl,i->jklm", cov, t_vec).reshape(n ** 3, n)
     coef = np.linalg.lstsq(lhs, rhs, rcond=None)[0]  # coef[a, m] = <nabla_{d_m} T, e_a>

@@ -108,6 +108,23 @@ def test_negative_number_lists_are_option_values(capsys, argv):
     assert spaced[1] == out
 
 
+@pytest.mark.parametrize(
+    "argv, point",
+    [
+        (("analyze", "--metric", "sphere"), [math.pi / 2, 0.0]),
+        (("analyze", "--metric", "polar"), [1.0, 0.0]),
+        (("analyze", "--metric", "product"), [math.pi / 2, 0.0, 0.0, 0.0]),
+        (("analyze", "--metric", "product", "--dim", "3"), [math.pi / 2, 0.0, 0.0]),
+        (("analyze", "--metric", "euclidean", "--dim", "2"), [0.0, 0.0]),
+        (("flow", "--metric", "product", "--steps", "4", "--tmax", "0.1"), [math.pi / 2, 0.0, 0.0, 0.0]),
+    ],
+)
+def test_default_point_is_inside_the_chart(capsys, argv, point):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["point"] == point
+
+
 def test_analyze_without_complement_has_no_splitting(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--metric", "euclidean", "--dim", "1")
     assert code == 0
@@ -159,6 +176,7 @@ def test_domain_errors_exit_two(capsys):
         (("analyze", "--metric", "sekigawa", "--p", "1e300*u*u+1"), 2),
         (("analyze", "--metric", "sekigawa", "--p", "2+u/1e-300"), 2),
         (("analyze", "--metric", "sphere", "--point", "1,0", "--seed", "7"), 1),
+        (("scan", "--metric", "conullity3", "--grid", "u=0:1:2", "--fd-step", "1e-4"), 1),
     ],
 )
 def test_rejected_input_exit_codes(capsys, argv, expected):
@@ -273,14 +291,16 @@ def test_scan_rows_that_overflow_are_domain_rows(capsys):
         assert out.split("\r\n")[1:] == ["0,0,0,,,,,domain", "0,1,0,,,,,domain", ""]
 
 
-def test_scan_point_whose_stencil_leaves_the_chart_has_no_kind(capsys):
-    # the box is |w| <= 3 and nabla R is differenced at w +/- 1e-4: a point
-    # 0.5e-4 from the edge gets no kind, one 1.5e-4 from it does
-    code, out, _ = run_cli(capsys, "scan", "--metric", "conullity3", "--grid", "w=2.99995:2.99985:2")
+def test_scan_point_at_the_chart_edge_has_a_kind(capsys):
+    # the box is |u|, |w| <= 3, and nabla R comes from each point's own
+    # 3-jet, with no difference points to leave it
+    code, out, _ = run_cli(capsys, "scan", "--metric", "conullity3", "--grid", "u=2.9999:3:2,w=0:3:2")
     assert code == 0
     rows = [row.split(",") for row in out.split("\r\n")[1:-1]]
-    assert [row[3] for row in rows] == ["2.9999500000000001", "2.9998499999999999"]
-    assert [row[5:] for row in rows] == [["1", "3", "", "ok"], ["1", "3", "nilpotent", "ok"]]
+    assert [(row[1], row[3]) for row in rows] == [
+        ("2.9998999999999998", "0"), ("2.9998999999999998", "3"), ("3", "0"), ("3", "3")
+    ]
+    assert [row[5:] for row in rows] == [["1", "3", "nilpotent", "ok"]] * 4
 
 
 def test_scan_rerun_gives_identical_bytes(capsys):

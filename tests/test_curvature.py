@@ -6,9 +6,11 @@ import pytest
 from geonull.curvature import (
     DegeneratePlaneError,
     _complement,
+    _covariant_dr,
     _nullity_from,
     _riemann_from_jet,
     bianchi2_residual,
+    covariant_riemann,
     christoffel,
     curvature_data,
     nullity,
@@ -93,12 +95,52 @@ def test_riemann_symmetries_at_random_points():
             assert np.allclose(cyclic, 0.0, atol=1e-12 * scale)
 
 
+CATALOG_POINTS = [
+    (catalog_euclidean(3), [0.1, -0.2, 0.3]),
+    (catalog_sphere(1.3), [1.1, 0.4]),
+    (catalog_polar(), [1.3, 0.7]),
+    (catalog_product(catalog_sphere(1.0), catalog_euclidean(2)), [1.0, 0.5, 0.2, -0.1]),
+    (catalog_sekigawa("exp(u)"), [0.3, -0.2, 0.5]),
+    (catalog_conullity3("3+cos(u)+cos(w)"), [0.1, 0.4, -0.3, 0.2]),
+    (catalog_conullity3("3+cos(u)+cos(w)+0.3*x*u*w"), [0.1, 0.2, -0.3, 0.4]),
+]
+
+
 def test_second_bianchi_residual_is_small():
-    for metric, pt in (
-        (catalog_sekigawa("exp(u)"), [0.3, -0.2, 0.5]),
-        (catalog_conullity3("3+cos(u)+cos(w)"), [0.1, 0.4, -0.3, 0.2]),
-    ):
-        assert bianchi2_residual(metric, pt) < 1e-5
+    # nabla R from the 3-jet satisfies the identity to rounding
+    for metric, pt in CATALOG_POINTS:
+        scale = max(1.0, float(np.abs(covariant_riemann(metric, pt)).max()))
+        assert bianchi2_residual(metric, pt) <= 1e-12 * scale, metric.name
+    # the stencil of a field without a 3-jet only to O(h^2)
+    fd = finite_difference_field(catalog_sekigawa("exp(u)"), h=1e-3)
+    assert fd.max_order == 2
+    assert bianchi2_residual(fd, [0.3, -0.2, 0.5]) < 1e-3
+
+
+@pytest.mark.parametrize("metric, pt", CATALOG_POINTS, ids=lambda v: getattr(v, "name", ""))
+def test_analytic_nabla_r_matches_the_stencil_to_second_order(metric, pt):
+    pt = np.asarray(pt, dtype=float)
+    cov = covariant_riemann(metric, pt)
+    gi, gamma, rup, rdown = _riemann_from_jet(*metric.jet(pt))
+    errors = [np.abs(_covariant_dr(metric, pt, gamma, rdown, h, check=False) - cov).max() for h in (2e-4, 1e-4)]
+    scale = max(1.0, float(np.abs(cov).max()))
+    assert errors[1] <= 1e-7 * scale
+    if errors[0] > 1e-9 * scale:  # above the rounding floor, halving h quarters the error
+        assert 3.0 < errors[0] / errors[1] < 5.0
+
+
+def test_curvature_data_with_nabla_r_shares_the_point_jet():
+    metric = catalog_conullity3("3+cos(u)+cos(w)")
+    pt = [0.1, 0.2, -0.3, 0.4]
+    plain = curvature_data(metric, pt)
+    full = curvature_data(metric, pt, nabla_r=True)
+    assert plain.nabla_r is None
+    assert np.array_equal(full.nabla_r, covariant_riemann(metric, pt))
+    for name in ("g", "christoffel", "rup", "rdown"):
+        assert getattr(full, name).tobytes() == getattr(plain, name).tobytes()
+    assert (full.scalar_trace, full.nullity.basis.tobytes()) == (plain.scalar_trace, plain.nullity.basis.tobytes())
+    # a field without a 3-jet leaves nabla R to the caller's stencil
+    assert curvature_data(finite_difference_field(metric), pt, nabla_r=True).nabla_r is None
 
 
 def test_nullity_of_model_families():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from geonull.exprcalc import (
     _FUNCTIONS,
+    _FUNCTIONS3,
     _POSITIVE_DOMAIN,
     Bin,
     Call,
@@ -89,6 +90,19 @@ def test_jet2_matches_finite_differences(source, variables, mirror, point):
     hess = fd_hessian(lambda q: mirror(*q), point)
     assert np.allclose(jet.gradient, grad, rtol=1e-7, atol=1e-8)
     assert np.allclose(jet.hessian, hess, rtol=1e-5, atol=1e-5)
+
+
+@pytest.mark.parametrize("source,variables,mirror,point", CASES)
+def test_jet3_third_derivatives_match_finite_differences_of_the_hessian(source, variables, mirror, point):
+    expr = parse(source, variables)
+    third = expr.jet3(point)[3]
+    h = 1e-5
+    for k in range(len(point)):
+        step = h * np.eye(len(point))[k]
+        fd = (expr.jet2(np.add(point, step)).hessian - expr.jet2(np.subtract(point, step)).hessian) / (2 * h)
+        assert np.allclose(third[:, :, k], fd, rtol=1e-6, atol=1e-6)
+    assert np.array_equal(third, third.transpose(1, 0, 2))
+    assert np.array_equal(third, third.transpose(0, 2, 1))
 
 
 def test_hessian_is_exactly_symmetric():
@@ -310,6 +324,151 @@ def _reference_power(base, node, x, n, source):
     return product.chain(*_reference_guarded(source, node, _FUNCTIONS["exp"], product.value))
 
 
+class Jet3:
+    """The tree walk's 3-jet: a :class:`Jet2` plus the third derivatives.
+
+    ``third`` is mirrored from its entries at i <= j <= k, the ones the
+    compiled kernel computes.  Each operator sums its terms in the order of
+    the kernel's emitted code, one array operation per float operation.
+    """
+
+    def __init__(self, low, third):
+        n = low.gradient.shape[0]
+        i, j, k = np.sort(np.indices((n, n, n)).reshape(3, -1), axis=0)
+        self.low = low
+        self.third = np.asarray(third, dtype=float)[i, j, k].reshape(n, n, n)
+
+    @staticmethod
+    def constant(c, n):
+        return Jet3(Jet2.constant(c, n), np.zeros((n, n, n)))
+
+    @staticmethod
+    def variable(value, index, n):
+        return Jet3(Jet2.variable(value, index, n), np.zeros((n, n, n)))
+
+    def chain(self, f, f1, f2, f3):
+        g, h = self.low.gradient, self.low.hessian
+        third = f1 * self.third + f2 * _fold(_three(g, h)) + f3 * (
+            g[:, None, None] * g[None, :, None] * g[None, None, :]
+        )
+        return Jet3(self.low.chain(f, f1, f2), third)
+
+    def __neg__(self):
+        return Jet3(-self.low, -self.third)
+
+    def __add__(self, other):
+        return Jet3(self.low + other.low, self.third + other.third)
+
+    def __sub__(self, other):
+        return Jet3(self.low - other.low, self.third - other.third)
+
+    def __mul__(self, other):
+        a, b = self.low, other.low
+        terms = [a.value * other.third, b.value * self.third]
+        third = _fold(terms + _three(a.gradient, b.hessian) + _three(b.gradient, a.hessian))
+        return Jet3(a * b, third)
+
+    def reciprocal(self):
+        v = self.low.value
+        return self.chain(1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v), -6.0 / (v * v * v * v))
+
+
+def _three(g, h):
+    """The products g_i h_jk, g_j h_ik and g_k h_ij as n x n x n arrays."""
+    return [
+        g[:, None, None] * h[None, :, :],
+        g[None, :, None] * h[:, None, :],
+        g[None, None, :] * h[:, :, None],
+    ]
+
+
+def _fold(terms):
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+def reference_jet3(expr, point):
+    """``(value, gradient, hessian, third)`` of the 3-jet tree walk."""
+    x = np.asarray(point, dtype=float)
+    with np.errstate(all="ignore"):
+        jet = _reference3_eval(expr.root, x, len(expr.variables), expr.source)
+        return jet.low.value, jet.low.gradient, jet.low.hessian, jet.third + 0.0 - 0.0
+
+
+def _reference3_eval(node, x, n, source):
+    if isinstance(node, Const):
+        return Jet3.constant(node.value, n)
+    if isinstance(node, Var):
+        return Jet3.variable(x[node.index], node.index, n)
+    if isinstance(node, Neg):
+        return -_reference3_eval(node.child, x, n, source)
+    if isinstance(node, Call):
+        arg = _reference3_eval(node.arg, x, n, source)
+        if node.fn in _POSITIVE_DOMAIN and arg.low.value <= 0.0:
+            raise DomainError(
+                f"{node.fn} of non-positive value {arg.low.value!r}",
+                _reference_fragment(source, node),
+                node.span[0],
+            )
+        return arg.chain(*_reference_guarded(source, node, _FUNCTIONS3[node.fn], arg.low.value))
+    if isinstance(node, Bin):
+        left = _reference3_eval(node.left, x, n, source)
+        if node.op == "^":
+            return _reference3_power(left, node, x, n, source)
+        right = _reference3_eval(node.right, x, n, source)
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        if node.op == "*":
+            return left * right
+        if node.op == "/":
+            if right.low.value == 0.0:
+                raise DomainError("division by zero", _reference_fragment(source, node), node.span[0])
+            return left * _reference_guarded(source, node, right.reciprocal)
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _reference_int_power3(v, k):
+    low = _reference_int_power(v, k)
+    return low + (k * (k - 1) * (k - 2) * v ** (k - 3) if k * (k - 1) * (k - 2) != 0 else 0.0,)
+
+
+def _reference3_power(base, node, x, n, source):
+    expo = _reference3_eval(node.right, x, n, source)
+    v = base.low.value
+    constant_exponent = not (np.any(expo.low.gradient) or np.any(expo.low.hessian))
+    if constant_exponent and float(expo.low.value).is_integer():
+        k = int(expo.low.value)
+        if k == 0:
+            result = Jet3.constant(1.0, n)
+        else:
+            if v == 0.0 and k < 0:
+                raise DomainError("zero base with negative exponent", _reference_fragment(source, node), node.span[0])
+            result = base.chain(*_reference_guarded(source, node, _reference_int_power3, v, k))
+        if np.any(expo.third):
+            # the exponent is an integer at the point but varies at third order
+            if v <= 0.0:
+                raise DomainError(
+                    "power with non-integer exponent requires positive base",
+                    _reference_fragment(source, node),
+                    node.span[0],
+                )
+            result = Jet3(result.low, result.third + result.low.value * math.log(v) * expo.third)
+        return result
+    if v <= 0.0:
+        raise DomainError(
+            "power with non-integer exponent requires positive base",
+            _reference_fragment(source, node),
+            node.span[0],
+        )
+    log_base = base.chain(*_reference_guarded(source, node, _FUNCTIONS3["log"], v))
+    product = expo * log_base
+    return product.chain(*_reference_guarded(source, node, _FUNCTIONS3["exp"], product.low.value))
+
+
 def reference_value(expr, point):
     """The tree walk of :meth:`Expression.value`: values only, same checks."""
     x = [float(c) for c in point]
@@ -379,9 +538,9 @@ def _outcome(fn):
 def assert_matches_reference(expr, point):
     bad = [name for name, c in zip(expr.variables, point) if not math.isfinite(c)]
     if bad:
-        # outside every expression's domain: both kernels refuse the point,
+        # outside every expression's domain: all kernels refuse the point,
         # naming its first non-finite coordinate
-        for evaluate in (expr.jet2, expr.value):
+        for evaluate in (expr.jet2, expr.jet3, expr.value):
             with pytest.raises(DomainError, match=rf"^non-finite coordinate {bad[0]} = "):
                 evaluate(point)
         return
@@ -408,6 +567,17 @@ def assert_matches_reference(expr, point):
         assert value == want_value
     if kind == "ok":
         assert value_kind == "ok" and _bits(value) == _bits(want.value)
+    # the 3-jet kernel matches the 3-jet walk, errors included, and where
+    # both kernels finish its lower orders are the 2-jet kernel's bits
+    kind3, want3 = _outcome(lambda: reference_jet3(expr, point))
+    got_kind3, got3 = _outcome(lambda: expr.jet3(point))
+    assert got_kind3 == kind3
+    if kind3 == "ok":
+        assert [_bits(part) for part in got3] == [_bits(part) for part in want3]
+        if got_kind == "ok":
+            assert [_bits(part) for part in got3[:3]] == [_bits(got.value), _bits(got.gradient), _bits(got.hessian)]
+    else:
+        assert got3 == want3
 
 
 _ORACLE_VARIABLES = ("x", "y", "z")
@@ -509,6 +679,9 @@ def test_sweep_matches_reference_bit_for_bit(source, variables):
         ("cos(x*y)", (math.inf, 2.0)),  # an infinite coordinate
         ("sin(x + x^(-1) + x^(-1))", (1.1125369292536007e-308, 0.0)),  # jet: x^(-1)'s derivative; value: sin(inf)
         ("-(-x^(-1) + -x^(-2))", (4.2054990575120866e-301, 0.0)),  # jet: x^(-1)'s derivative; value: x^(-2)
+        ("sqrt(x) + y", (1e-200, 0.0)),  # only the third derivative divides by an underflowed zero
+        ("2^(y*y*y) + x", (1.0, 0.0)),  # exponent integer, flat to second order, not to third
+        ("(x - 2)^(y*y*y)", (1.0, 0.0)),  # the same on a negative base: no 3-jet
     ],
 )
 def test_domain_and_range_edges_match_reference(source, point):
@@ -534,6 +707,45 @@ def test_value_skips_derivatives():
     with pytest.raises(DomainError, match="division by an underflowed zero in 'log\\(x\\)'"):
         expr.jet2((1e-170,))
     assert expr.value((1e-170,)) == math.log(1e-170)
+
+
+def test_jet3_lower_orders_are_jet2_bitwise():
+    for source, variables in [case[:2] for case in CASES] + _DENSE:
+        expr = parse(source, variables)
+        rng = np.random.default_rng(7)
+        for point in rng.uniform(0.05, 3.0, size=(50, len(variables))):
+            value, gradient, hessian, _ = expr.jet3(point)
+            jet = expr.jet2(point)
+            assert _bits(value) == _bits(jet.value)
+            assert _bits(gradient) == _bits(jet.gradient)
+            assert _bits(hessian) == _bits(jet.hessian)
+
+
+def test_jet3_of_an_exponent_flat_to_second_order():
+    # d^3/dy^3 2^(y^3) at y = 0 is 6 log 2, though the exponent's gradient and
+    # Hessian vanish there and the lower orders take the integer-power rule
+    expr = parse("2^(y*y*y)", ("x", "y"))
+    value, gradient, hessian, third = expr.jet3((0.0, 0.0))
+    assert (value, gradient.tolist(), hessian.tolist()) == (1.0, [0.0, 0.0], [[0.0, 0.0], [0.0, 0.0]])
+    assert third[1, 1, 1] == pytest.approx(6.0 * math.log(2.0), rel=1e-15)
+    assert not np.delete(third.ravel(), 7).any()
+    # on a negative base the function is undefined off the point's y = 0
+    negative = parse("(x - 2)^(y*y*y)", ("x", "y"))
+    assert negative.jet2((1.0, 0.0)).value == 1.0
+    with pytest.raises(DomainError, match="requires positive base"):
+        negative.jet3((1.0, 0.0))
+
+
+def test_kernels_compile_on_first_use():
+    expr = parse("3+cos(u)+cos(w)", ("u", "w"))
+    compiled = lambda: sorted(k for k in vars(expr) if k.endswith("_kernel"))  # noqa: E731
+    assert compiled() == []
+    expr.value((0.1, 0.2))
+    assert compiled() == ["_value_kernel"]
+    expr.jet3((0.1, 0.2))
+    assert compiled() == ["_jet3_kernel", "_value_kernel"]
+    expr.jet2((0.1, 0.2))
+    assert compiled() == ["_jet3_kernel", "_jet_kernel", "_value_kernel"]
 
 
 def test_kernels_do_not_affect_equality():

@@ -7,6 +7,7 @@ from geonull.exprcalc import parse
 from geonull.metricspace import (
     CATALOG,
     ChartDomainError,
+    MetricField,
     Provenance,
     catalog_conullity3,
     catalog_euclidean,
@@ -103,7 +104,70 @@ def test_jet_order_one_matches_order_two_prefix():
     assert np.array_equal(g1, g2)
     assert np.array_equal(dg1, dg2)
     with pytest.raises(ValueError):
-        metric.jet(pt, order=3)
+        metric.jet(pt, order=4)
+    with pytest.raises(ValueError):  # a finite-difference field has 2-jets only
+        finite_difference_field(metric).jet(pt, order=3)
+
+
+# the six families, each at a point inside its chart
+FAMILIES = [
+    (catalog_euclidean(3), [0.1, -0.2, 0.3]),
+    (catalog_sphere(1.3), [1.1, 0.4]),
+    (catalog_polar(), [1.3, 0.7]),
+    (catalog_product(catalog_sphere(1.0), catalog_euclidean(2)), [1.0, 0.5, 0.2, -0.1]),
+    (catalog_sekigawa("exp(u)*(2+sin(x*u))"), [0.2, -0.3, 0.1]),
+    (catalog_conullity3("3+cos(u)+cos(w)+0.3*x*u*w"), [0.1, 0.2, -0.3, 0.4]),
+]
+FAMILY_IDS = ["euclidean", "sphere", "polar", "product", "sekigawa", "conullity3"]
+
+
+@pytest.mark.parametrize("metric, point", FAMILIES, ids=FAMILY_IDS)
+def test_third_order_jet_prefix_is_the_second_order_jet_bitwise(metric, point):
+    assert metric.max_order == 3
+    jet3 = metric.jet(point, order=3)
+    jet2 = metric.jet(point)
+    assert len(jet3) == 4 and jet3[3].shape == (metric.dim,) * 5
+    for a, b in zip(jet3[:3], jet2):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("metric, point", FAMILIES, ids=FAMILY_IDS)
+def test_third_order_jets_match_differences_of_the_hessian(metric, point):
+    d3g = metric.jet(point, order=3)[3]
+    h = 1e-5
+    for m in range(metric.dim):
+        step = h * np.eye(metric.dim)[m]
+        fd = (metric.jet(np.add(point, step))[2] - metric.jet(np.subtract(point, step))[2]) / (2 * h)
+        assert np.allclose(d3g[..., m], fd, atol=1e-8 * max(1.0, np.abs(d3g).max()))
+    # symmetric in the pair (i, j) exactly and in the derivative slots to rounding
+    assert np.array_equal(d3g, d3g.transpose(1, 0, 2, 3, 4))
+    for axes in ((0, 1, 3, 2, 4), (0, 1, 2, 4, 3), (0, 1, 4, 3, 2)):
+        assert np.allclose(d3g, d3g.transpose(axes), rtol=0, atol=1e-13 * max(1.0, np.abs(d3g).max()))
+
+
+def test_max_order_records_third_order_support():
+    sek = catalog_sekigawa("exp(u)")
+    user = MetricField(2, ("a", "b"), lambda x, order: (np.eye(2), np.zeros((2, 2, 2)), np.zeros((2,) * 4))[: order + 1])
+    assert (sek.max_order, finite_difference_field(sek).max_order, user.max_order) == (3, 2, 2)
+    assert catalog_product(catalog_sphere(1.0), finite_difference_field(catalog_euclidean(2))).max_order == 2
+    with pytest.raises(AttributeError):
+        sek.max_order = 2
+    with pytest.raises(ValueError):
+        MetricField(2, ("a", "b"), user._jet, max_order=4)
+
+
+@pytest.mark.parametrize("metric, point", FAMILIES, ids=FAMILY_IDS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_every_chart_rejects_non_finite_points(metric, point, bad):
+    assert metric.contains(point)
+    for axis in range(metric.dim):
+        pt = list(point)
+        pt[axis] = bad
+        assert not metric.contains(pt)
+        with pytest.raises(ChartDomainError):
+            metric.jet(pt, order=3)
+        with pytest.raises(ChartDomainError):
+            metric.g(pt)
 
 
 def test_domain_enforcement():
@@ -234,3 +298,15 @@ def test_catalog_registry_is_complete():
         metric = entry.build()
         assert metric.dim >= 1
         assert entry.expectations
+
+
+def test_catalog_default_points_are_inside_their_charts():
+    for entry in CATALOG.values():
+        metric = entry.build()
+        point = np.zeros(metric.dim)
+        point[: len(entry.default_point)] = entry.default_point
+        assert metric.contains(point), entry.name
+    # the origin is outside these three: the sphere's pole, polar's r = 0
+    assert [name for name, e in CATALOG.items() if not e.build().contains(np.zeros(e.build().dim))] == [
+        "sphere", "polar", "product"
+    ]

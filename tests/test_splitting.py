@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from geonull import cli, splitting
+from geonull import cli, exprcalc, splitting
 from geonull.curvature import _complement, curvature_data, nullity
 from geonull.flows import geodesic, nullity_geodesic_check
 from geonull.metricspace import (
@@ -96,7 +96,7 @@ def test_default_field_is_the_sign_flip_field_bitwise(metric, dim):
         assert got.normal_form_entries == want.normal_form_entries
 
 
-def _counting(metric):
+def _counting(metric, max_order=2):
     """``metric`` behind a jet that records the order of every call."""
     orders = []
 
@@ -106,7 +106,7 @@ def _counting(metric):
 
     counted = MetricField(
         metric.dim, metric.coordinates, jet,
-        provenance=metric.provenance, preferred_frame=metric.preferred_frame,
+        provenance=metric.provenance, preferred_frame=metric.preferred_frame, max_order=max_order,
     )
     return counted, orders
 
@@ -245,7 +245,7 @@ def test_splitting_tensor_custom_basis_transforms_covariantly():
 
 def _both_tensors(metric, point):
     """(nabla R matrix, its residual, stencil matrix) in the same complement basis."""
-    data = curvature_data(metric, point)
+    data = curvature_data(metric, point, nabla_r=True)
     matrix, residual = splitting_tensor_from_curvature(metric, data)
     basis = None
     if metric.preferred_frame is None:
@@ -279,7 +279,7 @@ def test_nabla_r_tensor_closed_form_in_preferred_frame():
         metric = catalog_conullity3(p_src)
         p_expr = metric.annotations["p_expression"]
         for pt in rng.uniform(-1.2, 1.2, (4, 4)):
-            matrix, residual = splitting_tensor_from_curvature(metric, curvature_data(metric, pt))
+            matrix, residual = splitting_tensor_from_curvature(metric, curvature_data(metric, pt, nabla_r=True))
             expected = np.zeros((3, 3))
             expected[0, 1] = math.sqrt(2.0) / p_expr.value(pt[[0, 1, 3]])
             assert np.max(np.abs(matrix - expected)) < 1e-8
@@ -368,8 +368,44 @@ def test_jets_per_nabla_r_tensor(metric, point):
     data = curvature_data(counted, point)
     orders.clear()
     splitting_tensor_from_curvature(counted, data)
-    # two stencil points per axis; g, Gamma, R and the kernel at x come from data
+    # without a 3-jet: two stencil points per axis; g, Gamma, R and the
+    # kernel at x come from data
     assert orders == [2] * (2 * metric.dim)
+    # with one, the point's 3-jet gives nabla R too, and the tensor no jet
+    counted, orders = _counting(metric, max_order=3)
+    data = curvature_data(counted, point, nabla_r=True)
+    assert orders == [3]
+    splitting_tensor_from_curvature(counted, data)
+    assert orders == [3]
+
+
+def test_nabla_r_tensor_from_the_3_jet_matches_the_stencil_of_r():
+    metric = conullity3()
+    pt = [0.1, 0.2, -0.3, 0.4]
+    analytic = splitting_tensor_from_curvature(metric, curvature_data(metric, pt, nabla_r=True))
+    stencil = splitting_tensor_from_curvature(metric, curvature_data(metric, pt))
+    assert np.max(np.abs(analytic[0] - stencil[0])) < 1e-8
+    assert analytic[1] < 1e-13  # no step noise in the right-hand side
+
+
+def test_scan_request_makes_one_third_order_jet_per_point(monkeypatch, capsys):
+    orders, compiled = [], []
+    jet, compile_jet = MetricField.jet, exprcalc._compile_jet
+
+    def counted(self, x, order=2, check=True):
+        orders.append(order)
+        return jet(self, x, order=order, check=check)
+
+    def counted_compile(root, n, source, order):
+        compiled.append(order)
+        return compile_jet(root, n, source, order)
+
+    monkeypatch.setattr(MetricField, "jet", counted)
+    monkeypatch.setattr(exprcalc, "_compile_jet", counted_compile)
+    assert cli.main(["scan", "--metric", "conullity3", "--grid", "u=-1.5:1.5:4,w=-1.5:1.5:4"]) == 0
+    assert capsys.readouterr().out.count("nilpotent") == 16
+    assert orders == [3] * 16
+    assert compiled == [3]  # the warp's jet3 kernel, never its jet2 kernel
 
 
 def test_classify_kinds():

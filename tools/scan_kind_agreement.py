@@ -1,15 +1,26 @@
-"""Compare ``scan``'s classification from nabla R with the finite-difference stencil's.
+"""Compare ``scan``'s classification with two finite-difference ones.
 
 ``geonull scan`` classifies the splitting tensor that
-``splitting.splitting_tensor_from_curvature`` solves from nabla R; before,
-it classified the Richardson stencil of ``splitting.splitting_tensor``.  For
-random points of each warped catalog family (uniform in the chart box,
-points outside the chart skipped) this prints how often each pair of kinds
-(stencil, nabla R) occurs, then one line per disagreement: the point, the
-warp p there, the nabla R solve's relative residual and the catalog's
-closed-form kind (``nilpotent`` wherever the curvature is nonzero).  An
-empty kind means the point got no classification.  Exits 1 if nabla R ever
-names a kind other than the closed-form one.
+``splitting.splitting_tensor_from_curvature`` solves from nabla R, taken in
+closed form from the point's metric 3-jet.  This compares three kinds per
+point:
+
+* ``richardson``: the kernel-field stencil of ``splitting.splitting_tensor``
+  (what ``analyze`` prints);
+* ``stencil``: the same solve with nabla R from central differences of R
+  (``curvature._covariant_dr``, step ``--fd-step``), under scan's residual
+  gate;
+* ``analytic``: scan's own kind.
+
+For random points of each warped catalog family (uniform in the chart box,
+points outside the chart skipped) it prints how often each triple of kinds
+occurs, how many points each method leaves unclassified, then one line per
+disagreement: the point, the warp p there, the relative residuals of both
+solves and the catalog's closed-form kind (``nilpotent`` wherever the
+curvature is nonzero).  An empty kind (``-``) means the point got no
+classification.  Exits 1 if the analytic kind is ever other than the closed
+form, or if it leaves more points of a family unclassified than the stencil
+does.
 
 Run:  python3 tools/scan_kind_agreement.py [--points 1000] [--seed 2027]
 
@@ -23,6 +34,7 @@ import os
 import random
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 
@@ -40,6 +52,7 @@ from geonull.metricspace import (  # noqa: E402
 )
 from geonull.numcore import SingularMatrixError  # noqa: E402
 from geonull.splitting import (  # noqa: E402
+    SMOOTH_KERNEL_RESIDUAL,
     AlignmentError,
     KernelDimensionError,
     NonUnitFieldError,
@@ -52,24 +65,37 @@ FAULTS = (ChartDomainError, DomainError, SingularMatrixError, FloatingPointError
 WARPS_EVERY = 50
 
 
-def _compare(metric, point, h):
-    """``(stencil kind, nabla R kind, residual, closed-form kind)``, or None off a line kernel."""
+def _solve(metric, data, h):
+    """``(kind, residual)`` of the nabla R solve on ``data``, as scan gates it."""
     try:
-        data = curvature_data(metric, point)
+        matrix, residual = splitting_tensor_from_curvature(metric, data, h)
+    except FAULTS:
+        return "", None
+    kind = classify(matrix, tol=cli.CLASSIFY_TOL).kind if residual <= SMOOTH_KERNEL_RESIDUAL else ""
+    return kind, residual
+
+
+def _compare(metric, point, h):
+    """``((richardson, stencil, analytic) kinds, residuals, closed-form kind)``, or None off a line kernel."""
+    try:
+        data = curvature_data(metric, point, nabla_r=True)
     except FAULTS:
         return None
     if not cli._splitting_defined(data.nullity):
         return None
-    try:  # what the stencil-based scan printed
-        old_kind = classify(splitting_tensor(metric, point, h=h).matrix, tol=cli.CLASSIFY_TOL).kind
-    except FAULTS + (KernelDimensionError, AlignmentError, NonUnitFieldError):
-        old_kind = ""
     try:
-        residual = splitting_tensor_from_curvature(metric, data, h)[1]
-    except FAULTS:
-        residual = None
-    new_kind = cli._scan_worker(metric, point, None, h)[3]
-    return old_kind, new_kind, residual, "nilpotent" if abs(data.scalar_trace) > 1e-8 else "zero"
+        richardson = classify(splitting_tensor(metric, point, h=h).matrix, tol=cli.CLASSIFY_TOL).kind
+    except FAULTS + (KernelDimensionError, AlignmentError, NonUnitFieldError):
+        richardson = ""
+    stencil, stencil_residual = _solve(metric, replace(data, nabla_r=None), h)
+    analytic_residual = _solve(metric, data, h)[1]
+    analytic = cli._scan_worker(metric, point, None)[3]
+    closed = "nilpotent" if abs(data.scalar_trace) > 1e-8 else "zero"
+    return (richardson, stencil, analytic), (stencil_residual, analytic_residual), closed
+
+
+def _residual(value) -> str:
+    return "-" if value is None else "%.2e" % value
 
 
 def _families(rng: random.Random, points: int):
@@ -107,27 +133,32 @@ def main() -> int:
                 if record is None:
                     tally["skipped"] += 1
                     continue
-                old_kind, new_kind, residual, closed = record
-                tally[(old_kind, new_kind)] += 1
-                if new_kind not in ("", closed):
+                kinds, residuals, closed = record
+                tally[kinds] += 1
+                if kinds[2] not in ("", closed):
                     wrong += 1
-                if old_kind != new_kind:
+                if len(set(kinds)) > 1:
                     p = metric.annotations["p_expression"].value(point[list(p_vars)])
                     lines.append(
                         f"{label}: point {','.join('%.17g' % c for c in point)} p={p:.3g} "
-                        f"stencil={old_kind or '-'} nablaR={new_kind or '-'} closed_form={closed} "
-                        f"residual={residual if residual is None else '%.2e' % residual}"
+                        f"richardson/stencil/analytic={'/'.join(k or '-' for k in kinds)} closed_form={closed} "
+                        f"residuals stencil={_residual(residuals[0])} analytic={_residual(residuals[1])}"
                     )
+    worse = []
     for label, tally in tallies.items():
-        pairs = ", ".join(
-            f"{k[0] or '-'}/{k[1] or '-'}: {v}" for k, v in sorted(tally.items(), key=str) if k != "skipped"
-        )
-        print(f"{label}: {pairs}; skipped {tally['skipped']} (off the chart or no line kernel)")
-    print(f"{len(lines)} disagreements (stencil/nablaR, '-' = no kind):")
+        triples = {k: v for k, v in tally.items() if k != "skipped"}
+        pairs = ", ".join(f"{'/'.join(c or '-' for c in k)}: {v}" for k, v in sorted(triples.items()))
+        unclassified = [sum(v for k, v in triples.items() if not k[i]) for i in range(3)]
+        print(f"{label}: {pairs}; skipped {tally['skipped']} (off the chart or no line kernel); "
+              f"unclassified richardson {unclassified[0]}, stencil {unclassified[1]}, analytic {unclassified[2]}")
+        if unclassified[2] > unclassified[1]:
+            worse.append(label)
+    print(f"{len(lines)} disagreements (richardson/stencil/analytic, '-' = no kind):")
     for line in lines:
         print("  " + line)
-    print(f"nabla R kinds other than the closed form: {wrong}")
-    return 1 if wrong else 0
+    print(f"analytic kinds other than the closed form: {wrong}")
+    print(f"families the analytic kind leaves more unclassified than the stencil: {len(worse)}")
+    return 1 if wrong or worse else 0
 
 
 if __name__ == "__main__":
