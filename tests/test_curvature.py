@@ -117,7 +117,7 @@ def test_second_bianchi_residual_is_small():
     assert bianchi2_residual(fd, [0.3, -0.2, 0.5]) < 1e-3
 
 
-@pytest.mark.parametrize("metric, pt", CATALOG_POINTS, ids=lambda v: getattr(v, "name", ""))
+@pytest.mark.parametrize("metric, pt", CATALOG_POINTS, ids=[m.name for m, _ in CATALOG_POINTS])
 def test_analytic_nabla_r_matches_the_stencil_to_second_order(metric, pt):
     pt = np.asarray(pt, dtype=float)
     cov = covariant_riemann(metric, pt)
