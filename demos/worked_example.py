@@ -14,7 +14,7 @@ import numpy as np
 
 from geonull.curvature import curvature_data
 from geonull.metricspace import catalog_conullity3
-from geonull.splitting import classify, evolve_along_nullity_geodesic, splitting_tensor
+from geonull.splitting import classify, evolve_along_nullity_geodesic, splitting_tensor_from_curvature
 
 np.set_printoptions(precision=6, suppress=True)
 
@@ -23,16 +23,16 @@ origin = np.zeros(4)
 
 print(f"chart: {metric.name}, coordinates {metric.coordinates}")
 
-data = curvature_data(metric, origin)
+data = curvature_data(metric, origin, nabla_r=True)
 print(f"\nscalar curvature (double trace): {data.scalar_trace:+.6f}")
 print(f"kernel dimension {data.nullity.nullity}, conullity {data.nullity.conullity}")
 print(f"kernel direction: {data.nullity.basis[0]}")
 
-st = splitting_tensor(metric, origin)
-print("\nsplitting tensor in the adapted frame:")
-print(st.matrix)
-print(f"expected corner entry sqrt(2)/5 = {math.sqrt(2.0) / 5.0:.6f}")
-print(f"classification: {classify(st.matrix, tol=2e-4).kind}")
+matrix, residual = splitting_tensor_from_curvature(metric, data)
+print("\nsplitting tensor in the adapted frame, solved from nabla R:")
+print(matrix)
+print(f"expected corner entry sqrt(2)/5 = {math.sqrt(2.0) / 5.0:.6f}; solve residual {residual:.1e}")
+print(f"classification: {classify(matrix, tol=2e-4).kind}")
 
 report = evolve_along_nullity_geodesic(metric, origin, tmax=0.4)
 print("\nriding the kernel geodesic for t in [0, 0.4]:")

@@ -11,6 +11,12 @@ Output contracts:
 * Identical invocations produce byte-identical stdout; wall-clock timings
   go to stderr only.
 
+``analyze``, ``scan`` and kernel-mode ``flow`` solve the splitting tensor
+from nabla R (``splitting.splitting_tensor_from_curvature``), so ``analyze``
+makes one metric jet per request and ``scan`` one per grid point; a
+kernel-mode ``flow`` makes 2m+1 for its kernel geodesic of m steps and one per
+tensor (the start and 9 samples), 523 at the default 256 steps.
+
 Exit codes: 0 success, 1 usage error, 2 domain error (a float overflow or
 a metric too ill-conditioned to invert included), 3 verification failure.
 """
@@ -62,8 +68,10 @@ from .splitting import (
     SMOOTH_KERNEL_RESIDUAL,
     AlignmentError,
     KernelDimensionError,
+    KernelFieldError,
     NonUnitFieldError,
     RiccatiBlowupError,
+    _normal_form,
     classify,
     evolve_along_nullity_geodesic,
     kernel_section,
@@ -81,9 +89,8 @@ EXIT_VERIFY = 3
 
 SCHEMA = "geonull/1"
 DEFAULT_SEED = 1729
-DEFAULT_FD_STEP = 1e-4
-# measured tensors inherit finite-difference noise; nilpotent spectra
-# amplify a perturbation eps to eigenvalues of order sqrt(eps)
+# a tensor solved from nabla R carries noise up to the residual gate's;
+# nilpotent spectra amplify a perturbation eps to eigenvalues of order sqrt(eps)
 CLASSIFY_TOL = 2e-4
 
 # a scan builds its whole grid before writing the first row
@@ -177,7 +184,6 @@ def _number(convert, ok, expected: str):
 
 
 _finite = _number(float, lambda v: True, "a finite number")
-_positive = _number(float, lambda v: v > 0.0, "a positive finite number")
 _nonzero = _number(float, lambda v: v != 0.0, "a nonzero finite number")
 _fraction = _number(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
 _count = _number(int, lambda v: v >= 1, "an integer >= 1")
@@ -195,7 +201,7 @@ def _floats(raw: str, flag: str, parser) -> list:
     return values
 
 
-def _add_metric_flags(sp, fd_step: bool = True):
+def _add_metric_flags(sp):
     sp.add_argument("--metric", choices=sorted(CATALOG), help="catalog metric name")
     sp.add_argument("--p", help="warp expression for sekigawa/conullity3")
     sp.add_argument("--radius", type=_finite, help="sphere radius")
@@ -206,8 +212,6 @@ def _add_metric_flags(sp, fd_step: bool = True):
         "and product, r = 1 on polar)",
     )
     sp.add_argument("--rel-tol", type=_fraction, default=None, help="rank tolerance override, in (0, 1)")
-    if fd_step:
-        sp.add_argument("--fd-step", type=_positive, default=DEFAULT_FD_STEP, help="finite-difference step")
     sp.add_argument("--out", help="write output to a file instead of stdout")
 
 
@@ -233,7 +237,7 @@ def _build_parser() -> _Parser:
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("scan", help="grid scan to CSV")
-    _add_metric_flags(sp, fd_step=False)  # nabla R comes from each point's 3-jet
+    _add_metric_flags(sp)
     sp.add_argument("--grid", required=True, help='grid spec "var=lo:hi:n,..."')
     sp.set_defaults(func=cmd_scan)
 
@@ -312,19 +316,21 @@ def cmd_analyze(args, parser) -> int:
     started = time.perf_counter()
     metric = _build_metric(args, parser)
     point = _parse_point(args, metric, parser)
-    data = curvature_data(metric, point, rel_tol=args.rel_tol)
+    data = curvature_data(metric, point, rel_tol=args.rel_tol, nabla_r=True)
     smin, smax = sectional_range(data)
     splitting = None
     if _splitting_defined(data.nullity):
-        try:
-            st = splitting_tensor(metric, point, h=args.fd_step, rel_tol=args.rel_tol)
-            inv = classify(st.matrix, tol=CLASSIFY_TOL)
+        matrix, residual = splitting_tensor_from_curvature(metric, data)
+        if residual > SMOOTH_KERNEL_RESIDUAL:
+            splitting = {"error": str(KernelFieldError(residual, point))}
+        else:
+            inv = classify(matrix, tol=CLASSIFY_TOL)
+            # the gate bounds the solve's error: smaller entries on or below the diagonal are noise
+            triangular_residual, normal_form = _normal_form(matrix, SMOOTH_KERNEL_RESIDUAL)
             splitting = {
-                "matrix": st.matrix,
-                "normal_form_entries": list(st.normal_form_entries)
-                if st.normal_form_entries is not None
-                else None,
-                "triangular_residual": st.triangular_residual,
+                "matrix": matrix,
+                "normal_form_entries": None if normal_form is None else list(normal_form),
+                "triangular_residual": triangular_residual,
                 "classification": {
                     "kind": inv.kind,
                     "trace": inv.trace,
@@ -334,8 +340,6 @@ def cmd_analyze(args, parser) -> int:
                     "nilpotency_index": inv.nilpotency_index,
                 },
             }
-        except (KernelDimensionError, AlignmentError, NonUnitFieldError) as exc:
-            splitting = {"error": str(exc)}
     doc = {
         "schema": SCHEMA,
         "command": "analyze",
@@ -359,7 +363,6 @@ def cmd_analyze(args, parser) -> int:
         "splitting": splitting,
         "tolerances": {
             "rel_tol": args.rel_tol if args.rel_tol is not None else _default_rel_tol(metric),
-            "fd_step": args.fd_step,
             "classify_tol": CLASSIFY_TOL,
         },
     }
@@ -398,11 +401,10 @@ def _parse_grid(spec, metric, parser):
     return [(coord, np.linspace(lo, hi, count)) for coord, lo, hi, count in ranges]
 
 
-def _scan_worker(metric, point, rel_tol, fd_step=DEFAULT_FD_STEP):
+def _scan_worker(metric, point, rel_tol):
     """``(scal, nullity, conullity, kind)`` at one grid point, or None for a domain row.
 
-    One 3-jet gives the curvature and nabla R; ``fd_step`` is the stencil
-    step of a metric without 3-jets, which no catalog family is.
+    One 3-jet gives the curvature and nabla R.
     """
     try:
         data = curvature_data(metric, point, rel_tol=rel_tol, nabla_r=True)
@@ -411,7 +413,7 @@ def _scan_worker(metric, point, rel_tol, fd_step=DEFAULT_FD_STEP):
     kind = ""
     if _splitting_defined(data.nullity):
         try:
-            matrix, residual = splitting_tensor_from_curvature(metric, data, h=fd_step)
+            matrix, residual = splitting_tensor_from_curvature(metric, data)
             if residual <= SMOOTH_KERNEL_RESIDUAL:
                 kind = classify(matrix, tol=CLASSIFY_TOL).kind
         except (ChartDomainError, DomainError, SingularMatrixError, FloatingPointError):
@@ -491,8 +493,7 @@ def cmd_flow(args, parser) -> int:
         })
     else:
         report = evolve_along_nullity_geodesic(
-            metric, point, tmax=args.tmax, steps=args.steps, h=args.fd_step,
-            rel_tol=args.rel_tol,
+            metric, point, tmax=args.tmax, steps=args.steps, rel_tol=args.rel_tol,
         )
         doc.update({
             "mode": "nullity",
@@ -928,8 +929,8 @@ def main(argv=None) -> int:
         # overflowed, so name the function it overflowed in
         print(f"geonull: error: {_fault_site(args)}: {exc} (in {_fault_function(exc)})", file=sys.stderr)
         return EXIT_DOMAIN
-    except (ChartDomainError, DomainError, KernelDimensionError, AlignmentError, NonUnitFieldError,
-            RiccatiBlowupError, LaunchError, SingularMatrixError) as exc:
+    except (ChartDomainError, DomainError, KernelDimensionError, AlignmentError, KernelFieldError,
+            NonUnitFieldError, RiccatiBlowupError, LaunchError, SingularMatrixError) as exc:
         print(f"geonull: error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -25,15 +25,17 @@ rule, and four Christoffel corrections make d R covariant.  So a point needs
 one jet.  For a metric without a 3-jet (``finite_difference_field``, a user
 field) ``_covariant_dr`` takes d R from central differences of R at
 x +/- h e_m instead, 2n more jets.  ``bianchi2_residual``,
-``covariant_riemann`` and the splitting tensor of ``geonull scan`` use
-whichever the metric supports.
+``covariant_riemann`` and the splitting tensor of every command use
+whichever the metric supports; ``CurvatureData.nabla_r`` is contracted on
+first access only, so a point without a splitting tensor never pays for it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property, partial
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -123,17 +125,17 @@ def _riemann_parts(g, dg, d2g):
     return gi, gamma, rup, rdown, ds, dgi, dgamma
 
 
-def _nabla_riemann_from_jet(g, dg, d2g, d3g):
-    """``(gi, gamma, rup, rdown, cov)``: :func:`_riemann_from_jet`'s tensors and nabla R.
+def _nabla_riemann(g, dg, d2g, d3g, parts):
+    """nabla R from a 3-jet and :func:`_riemann_parts` of its 2-jet.
 
-    From a 3-jet, by the product rule: with X[a, j, k, i] = s_jka,i / 2 -
-    d_i g_ab Gamma^b_jk, d_i Gamma^l_jk = g^la X[a, j, k, i], so d_n d_i
-    Gamma^l_jk = d_n g^la X[a, j, k, i] + g^la d_n X[a, j, k, i].  The
-    derivative of R^l_ijk is then that of its defining sum, d R_ijkl lowers
-    it, and the Christoffel corrections make it covariant.  Leading axes of
-    the jet are a batch of points.
+    By the product rule: with X[a, j, k, i] = s_jka,i / 2 - d_i g_ab
+    Gamma^b_jk, d_i Gamma^l_jk = g^la X[a, j, k, i], so d_n d_i Gamma^l_jk =
+    d_n g^la X[a, j, k, i] + g^la d_n X[a, j, k, i].  The derivative of
+    R^l_ijk is then that of its defining sum, d R_ijkl lowers it, and the
+    Christoffel corrections make it covariant.  Leading axes of the jet are
+    a batch of points.
     """
-    gi, gamma, rup, rdown, ds, dgi, dgamma = _riemann_parts(g, dg, d2g)
+    gi, gamma, rup, rdown, ds, dgi, dgamma = parts
     # d2s[..., j, k, m, i, n] = d_n d_i s[..., j, k, m]
     d2s = _t(d3g, -3, -5, -4, -2, -1) + _t(d3g, -5, -3, -4, -2, -1) - d3g
     x = 0.5 * _t(ds, -2, -4, -3, -1) - np.einsum("...abi,...bjk->...ajki", dg, gamma)
@@ -152,7 +154,7 @@ def _nabla_riemann_from_jet(g, dg, d2g, d3g):
     )
     drup = w - _t(w, -5, -4, -2, -3, -1)
     drdown = np.einsum("...lmn,...mijk->...nijkl", dg, rup) + np.einsum("...lm,...nmijk->...nijkl", g, drup)
-    return gi, gamma, rup, rdown, _christoffel_corrected(drdown, gamma, rdown)
+    return _christoffel_corrected(drdown, gamma, rdown)
 
 
 def _christoffel_corrected(dr, gamma, rdown):
@@ -288,7 +290,8 @@ class CurvatureData:
     ``nonflat_plane_curvature`` is its sectional curvature (else None);
     :func:`sectional_range` gives the range over all planes.  ``nabla_r`` is
     nabla R from the same jet when it was asked for and the metric has a
-    3-jet, else None.
+    3-jet, else None; it is computed on first access, from that jet and the
+    terms R was built from.
     """
 
     point: np.ndarray
@@ -300,7 +303,11 @@ class CurvatureData:
     half_trace: float
     nullity: NullityResult
     nonflat_plane_curvature: Optional[float]
-    nabla_r: Optional[np.ndarray] = None
+    _nabla_r: Optional[Callable[[], np.ndarray]] = dataclass_field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def nabla_r(self) -> Optional[np.ndarray]:
+        return None if self._nabla_r is None else self._nabla_r()
 
 
 def _complement(g: np.ndarray, kernel_basis: np.ndarray) -> np.ndarray:
@@ -320,13 +327,10 @@ def curvature_data(
     if rel_tol is None:
         rel_tol = _default_rel_tol(metric)
     pt = np.asarray(x, dtype=float)
-    cov = None
-    if nabla_r and metric.max_order >= 3:
-        g, dg, d2g, d3g = metric.jet(pt, order=3)
-        gi, gamma, rup, rdown, cov = _nabla_riemann_from_jet(g, dg, d2g, d3g)
-    else:
-        g, dg, d2g = metric.jet(pt)
-        gi, gamma, rup, rdown = _riemann_from_jet(g, dg, d2g)
+    order = 3 if nabla_r and metric.max_order >= 3 else 2
+    jet = metric.jet(pt, order=order)
+    parts = _riemann_parts(*jet[:3])
+    g, (gi, gamma, rup, rdown) = jet[0], parts[:4]
     scal = float(np.einsum("il,jk,ijkl->", gi, gi, rdown))
     nres = _nullity_from(rdown, g, rel_tol)
     plane_curv = None
@@ -344,7 +348,7 @@ def curvature_data(
         half_trace=0.5 * scal,
         nullity=nres,
         nonflat_plane_curvature=plane_curv,
-        nabla_r=cov,
+        _nabla_r=partial(_nabla_riemann, *jet, parts) if order == 3 else None,
     )
 
 
@@ -390,7 +394,8 @@ def covariant_riemann(metric: MetricField, x, h: float = 1e-4) -> np.ndarray:
     """nabla R at x: closed form from one 3-jet, else the stencil of step h (points unchecked)."""
     pt = np.asarray(x, dtype=float)
     if metric.max_order >= 3:
-        return _nabla_riemann_from_jet(*metric.jet(pt, order=3))[4]
+        jet = metric.jet(pt, order=3)
+        return _nabla_riemann(*jet, _riemann_parts(*jet[:3]))
     gi, gamma, rup, r0 = _riemann_from_jet(*metric.jet(pt))
     return _covariant_dr(metric, pt, gamma, r0, h, check=False)
 

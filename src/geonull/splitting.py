@@ -13,35 +13,28 @@ solution through C0 is C(t) = C0 (I - t C0)^{-1}.  ``riccati_closed_form``,
 ``riccati_ode`` and ``trace_det_evolution`` implement that law three ways,
 and ``evolve_along_nullity_geodesic`` checks the freshly measured tensor
 against it at sample points; ``geonull flow`` prints its report.  A kernel
-that changes dimension, a reference orthogonal to the kernel or a Riccati
-pole at a sample ends that ride early: the report keeps the samples measured
-so far and the message in ``aborted``.  The divergence check
-|div T + tr C| costs a further finite-difference stencil per sample, so
+that changes dimension or is no smooth field, a reference orthogonal to the
+kernel or a Riccati pole at a sample ends that ride early: the report keeps
+the samples measured so far and the message in ``aborted``.
+
+Every command takes C from nabla R: R(T, ...) vanishes along the kernel, so
+R(nabla_X T, ...) = -(nabla_X R)(T, ...), solved by least squares over the
+kernel's complement.  nabla R is the closed form that ``curvature_data(...,
+nabla_r=True)`` takes from the point's one 3-jet (for a metric without a
+3-jet, central differences of R: 2n more jets).  A solve residual above
+``SMOOTH_KERNEL_RESIDUAL`` means the kernel is no smooth line field there.
+A kernel-mode ``geonull flow`` request (256 steps, 9 samples) makes 523
+metric jets: 2m+1 of order 1 for the kernel geodesic, one of order 3 per
+tensor (the start and each sample).
+
+``splitting_tensor`` is the reference that the tests compare the solve
+with and that ``verify`` runs: Richardson-extrapolated central differences
+of the unit projection of a reference vector onto the kernel
+(``kernel_section``) on 4n stencil points, one metric jet each.  The
+divergence check |div T + tr C| uses the same stencil, so
 ``EvolutionReport.divergence_residual`` computes it on first access only.
-
-One function picks T from the kernel: ``kernel_section`` projects a
-reference vector onto the kernel and normalizes it, from one metric jet per
-point.  ``splitting_tensor``'s default field is that section of a
-1-dimensional kernel, referenced to its value at x, and one jet at x gives
-it g, dg, the kernel and T there; the evolution references the section to
-the geodesic's velocity.  The derivative of T is taken by finite
-differences of these pointwise sections, so classification tolerances must
-absorb FD noise: a nilpotent matrix perturbed by eps shows spurious
-eigenvalues of size about eps^(1/2), which is why ``classify`` takes an
-explicit tolerance.  The sections on a tensor's 4n stencil points are one
-stacked evaluation (the jets in stencil order, then the curvature and the
-kernel SVDs of all points at once), bitwise equal to ``kernel_section`` at
-each point; the first point that fails, in stencil order, raises.  A
-kernel-mode ``geonull flow`` request (256 steps, 9 samples) makes 694
-metric jets: 2m+1 for the kernel geodesic, 18 per tensor and one at x0.
-
-``splitting_tensor_from_curvature`` gets C without a kernel field: R(T, ...)
-vanishes along the kernel line, so R(nabla_X T, ...) = -(nabla_X R)(T, ...),
-solved by least squares over the complement.  nabla R is the closed form
-that ``curvature_data(..., nabla_r=True)`` takes from the point's one 3-jet;
-for a metric without a 3-jet it is the central difference of R (2n more
-jets, no kernel at the difference points).  ``geonull scan`` classifies that
-tensor; ``splitting_tensor`` is its test oracle.
+Either way a nilpotent matrix perturbed by eps shows spurious eigenvalues of
+size about eps^(1/2), which is why ``classify`` takes an explicit tolerance.
 """
 
 from __future__ import annotations
@@ -58,18 +51,17 @@ from .curvature import (
     _christoffel_from_jet,
     _complement,
     _covariant_dr,
-    _default_rel_tol,
-    _nullities_from,
     _nullity_at,
-    _riemann_from_jet,
+    curvature_data,
 )
 from .flows import GeodesicPath, _sample_indices, geodesic
 from .metricspace import MetricField
-from .numcore import _g_gram_schmidt, eigenvalues, invert
+from .numcore import eigenvalues, invert
 
 __all__ = [
     "AlignmentError",
     "KernelDimensionError",
+    "KernelFieldError",
     "NonUnitFieldError",
     "RiccatiBlowupError",
     "SplittingTensor",
@@ -103,6 +95,16 @@ class KernelDimensionError(ValueError):
 
 class AlignmentError(ValueError):
     pass
+
+
+class KernelFieldError(ValueError):
+    def __init__(self, residual: float, point):
+        super().__init__(
+            "curvature kernel is not a smooth line field near point "
+            f"{np.array2string(np.asarray(point, dtype=float), precision=6)}: nabla R solve "
+            f"residual {residual:.3e} exceeds {SMOOTH_KERNEL_RESIDUAL:g}"
+        )
+        self.residual = residual
 
 
 class NonUnitFieldError(ValueError):
@@ -164,49 +166,26 @@ def _project(basis: np.ndarray, g: np.ndarray, reference, pt: np.ndarray) -> np.
     return section / nrm
 
 
+def _pointwise(field: Callable) -> Callable:
+    """A field of one point as a field of stacked points."""
+    return lambda points: np.array([np.asarray(field(q), dtype=float) for q in points])
+
+
 def _kernel_field(metric: MetricField, reference, dimension: int, rel_tol) -> Callable:
     """``points -> rows kernel_section(metric, q, reference, rel_tol)[0]``, q in points.
 
     A kernel of any other ``dimension`` at q raises :class:`KernelDimensionError`.
-    The jets are taken in order, then one stacked evaluation gives the
-    curvature and the kernel SVDs of all points; the Gram-Schmidt, the
-    projection and the checks stay per point.  The first point that fails,
-    in order, raises what ``kernel_section`` and the dimension check raise
-    there.
+    The points are taken in order, so the first one that fails raises.
     """
-    if rel_tol is None:
-        rel_tol = _default_rel_tol(metric)
 
-    def sections(points, jets):
-        g, dg, d2g = (np.array(a) for a in zip(*jets))
-        try:
-            rdown = _riemann_from_jet(g, dg, d2g)[3]
-            kernels = _nullities_from(rdown, g, rel_tol)
-        except Exception:
-            if len(jets) == 1:
-                raise
-            # a point failed inside the stack: point by point, the first one raises
-            return np.concatenate([sections(points[i:i + 1], [jet]) for i, jet in enumerate(jets)])
-        out = []
-        for q, gq, res in zip(points, g, kernels):
-            out.append(_section(res, gq, reference, q))
-            if res.nullity != dimension:
-                raise KernelDimensionError(dimension, res.nullity, q)
-        return np.array(out)
+    def section(q):
+        res, g, _ = _nullity_at(metric, q, rel_tol)
+        t = _section(res, g, reference, q)
+        if res.nullity != dimension:
+            raise KernelDimensionError(dimension, res.nullity, q)
+        return t
 
-    def field(points):
-        points = np.asarray(points, dtype=float)
-        jets = []
-        for q in points:
-            try:
-                jets.append(metric.jet(q))
-            except Exception:
-                if jets:
-                    sections(points, jets)  # a failure at an earlier point comes first
-                raise
-        return sections(points, jets)
-
-    return field
+    return _pointwise(section)
 
 
 @dataclass(frozen=True)
@@ -237,28 +216,20 @@ class SplittingTensor:
         return 0.5 * (np.trace(m) ** 2 - np.trace(m @ m))
 
 
-def _complement_basis(g: np.ndarray, x: np.ndarray, t_vec: np.ndarray) -> np.ndarray:
-    """g-orthonormal complement of T from coordinate directions.
+def _frame(metric: MetricField, pt: np.ndarray, g: np.ndarray, t_vec: np.ndarray) -> np.ndarray:
+    """Rows spanning the complement of the unit ``t_vec`` at pt.
 
-    Dropping the coordinate carrying T's largest component keeps the
-    remaining directions independent of T; candidates are tried in order of
-    decreasing component size in case the leading choice degenerates.
+    The chart's preferred frame, else the g-orthonormal complement of
+    ``t_vec`` built from coordinate directions.
     """
-    n = g.shape[0]
-    if n == 1:
+    if metric.preferred_frame is not None:
+        return np.asarray(metric.preferred_frame(pt), dtype=float)
+    if g.shape[0] == 1:
         raise AlignmentError(
-            f"T spans the tangent space at {np.array2string(x, precision=6)}: "
+            f"T spans the tangent space at {np.array2string(pt, precision=6)}: "
             "the splitting tensor has no complement to act on"
         )
-    tn = t_vec / float(np.sqrt(t_vec @ g @ t_vec))
-    eye = np.eye(n)
-    for drop in np.argsort(-np.abs(tn)):
-        comp = _g_gram_schmidt(np.delete(eye, drop, axis=0), g, prior=[tn], drop_tol=1e-8)
-        if comp.shape[0] == n - 1:
-            return comp
-    raise AlignmentError(
-        f"could not build a complement basis at {np.array2string(x, precision=6)}"
-    )
+    return _complement(g, t_vec[None])
 
 
 def _stencil(x: np.ndarray, h: float) -> np.ndarray:
@@ -279,11 +250,6 @@ def _richardson(values: np.ndarray, h: float) -> np.ndarray:
     return (4.0 * ((fp - fm) / (2.0 * h)) - (fp2 - fm2) / (2.0 * (2.0 * h))) / 3.0
 
 
-def _pointwise(field: Callable) -> Callable:
-    """A field of one point as a field of stacked points."""
-    return lambda points: np.array([np.asarray(field(q), dtype=float) for q in points])
-
-
 def splitting_tensor(
     metric: MetricField,
     x,
@@ -302,44 +268,31 @@ def splitting_tensor(
     rows (default: the chart's preferred frame, else a coordinate-built
     complement).  A non-unit field raises :class:`NonUnitFieldError` unless
     ``allow_non_unit`` is set, since the splitting tensor is defined through
-    a unit T.  The default field takes the 4n stencil points in one stacked
-    evaluation; a given field is called once per point.
+    a unit T.  One jet at x gives g, dg and, for the default field, the
+    kernel and T there (an order-1 jet, for a given field); the field is
+    then called once per stencil point.
     """
     pt = np.asarray(x, dtype=float)
+    n = metric.dim
     if field is None:
-        # one jet at x gives g, dg and T: the section referenced to itself
         res, g, dg = _nullity_at(metric, pt, rel_tol)
         if res.nullity != 1:
             raise KernelDimensionError(1, res.nullity, pt)
-        t0 = _project(res.basis, g, res.basis[0], pt)
-        field = _kernel_field(metric, res.basis[0], 1, rel_tol)
-        return _measure(metric, pt, field, basis, h, allow_non_unit, g, dg, t0)
-    return _measure(metric, pt, _pointwise(field), basis, h, allow_non_unit)
-
-
-def _measure(metric, pt, field, basis, h, allow_non_unit, g=None, dg=None, t0=None):
-    """C_T at pt from ``field``, which maps stacked points to T there.
-
-    g, dg and T at pt come from an order-1 jet and the field unless given.
-    """
-    n = metric.dim
-    if g is None:
+        t0 = _project(res.basis, g, res.basis[0], pt)  # the section referenced to itself
+        sections = _kernel_field(metric, res.basis[0], 1, rel_tol)
+    else:
         g, dg = metric.jet(pt, order=1)
-        t0 = field(pt[None])[0]
+        sections = _pointwise(field)
+        t0 = sections(pt[None])[0]
     t_norm = float(np.sqrt(t0 @ g @ t0))
     if abs(t_norm - 1.0) > 1e-6 and not allow_non_unit:
         raise NonUnitFieldError(t_norm)
-    if basis is None:
-        if metric.preferred_frame is not None:
-            basis = metric.preferred_frame(pt)
-        else:
-            basis = _complement_basis(g, pt, t0)
-    basis = np.asarray(basis, dtype=float)
+    basis = _frame(metric, pt, g, t0 / t_norm) if basis is None else np.asarray(basis, dtype=float)
     if basis.ndim != 2 or basis.shape[1] != n:
         raise ValueError("basis must be rows of chart-dimension vectors")
 
     # dT[k, j] ~ d T^k / d x^j
-    values = field(_stencil(pt, h)).reshape(n, 4, n)
+    values = sections(_stencil(pt, h)).reshape(n, 4, n)
     dT = np.empty((n, n))
     for j in range(n):
         dT[:, j] = _richardson(values[j], h)
@@ -348,16 +301,7 @@ def _measure(metric, pt, field, basis, h, allow_non_unit, g=None, dg=None, t0=No
     full = dT + np.einsum("kma,a->km", gamma, t0)
     cov = np.einsum("km,jm->kj", full, basis)  # column j: nabla_{basis[j]} T
     matrix = -np.einsum("ik,kj->ij", basis @ g, cov)
-    k = basis.shape[0]
-    strict_upper = np.triu(matrix, k=1)
-    residual = float(np.max(np.abs(matrix - strict_upper)))
-    normal_form = None
-    if k == 3 and residual < 50.0 * h * h + 1e-8:
-        normal_form = (
-            float(strict_upper[0, 1]),
-            float(strict_upper[1, 2]),
-            float(strict_upper[0, 2]),
-        )
+    residual, normal_form = _normal_form(matrix, 50.0 * h * h + 1e-8)
     return SplittingTensor(
         point=pt,
         matrix=matrix,
@@ -367,6 +311,19 @@ def _measure(metric, pt, field, basis, h, allow_non_unit, g=None, dg=None, t0=No
         triangular_residual=residual,
         normal_form_entries=normal_form,
     )
+
+
+def _normal_form(matrix: np.ndarray, tol: float):
+    """``(triangular_residual, normal_form_entries)`` of :class:`SplittingTensor` for ``matrix``.
+
+    The entries are (C[0,1], C[1,2], C[0,2]) when the matrix is 3x3 and its
+    largest entry on or below the diagonal is below ``tol``, else None.
+    """
+    strict_upper = np.triu(matrix, k=1)
+    residual = float(np.max(np.abs(matrix - strict_upper)))
+    if matrix.shape[0] == 3 and residual < tol:
+        return residual, (float(strict_upper[0, 1]), float(strict_upper[1, 2]), float(strict_upper[0, 2]))
+    return residual, None
 
 
 def splitting_tensor_from_curvature(metric: MetricField, data: CurvatureData, h: float = 1e-4):
@@ -384,21 +341,48 @@ def splitting_tensor_from_curvature(metric: MetricField, data: CurvatureData, h:
     field and the matrix means nothing.  The caller checks that the kernel
     at x is a line.
     """
+    basis = _frame(metric, data.point, data.g, data.nullity.basis[0])
+    coef, residual = _solve(metric, data, data.nullity.basis[0], basis, h)
+    return -coef @ basis.T, residual
+
+
+def _solve(metric: MetricField, data: CurvatureData, t_vec, basis, h: float = 1e-4):
+    """``(coef, residual)``: :func:`splitting_tensor_from_curvature`'s solve for T = ``t_vec``.
+
+    ``coef[a, m]`` = <nabla_{d_m} T, e_a> for the rows e_a of ``basis``,
+    which span the kernel's complement.
+    """
     n = metric.dim
-    t_vec = data.nullity.basis[0]
-    if metric.preferred_frame is not None:
-        basis = np.asarray(metric.preferred_frame(data.point), dtype=float)
-    else:
-        basis = _complement(data.g, data.nullity.basis)
     cov = data.nabla_r
     if cov is None:
         cov = _covariant_dr(metric, data.point, data.christoffel, data.rdown, h, check=True)
     lhs = np.einsum("ijkl,ai->jkla", data.rdown, basis).reshape(n ** 3, -1)
     rhs = -np.einsum("mijkl,i->jklm", cov, t_vec).reshape(n ** 3, n)
-    coef = np.linalg.lstsq(lhs, rhs, rcond=None)[0]  # coef[a, m] = <nabla_{d_m} T, e_a>
+    coef = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
     scale = float(np.linalg.norm(rhs))
     residual = float(np.linalg.norm(lhs @ coef - rhs)) / scale if scale > 0.0 else 0.0
-    return -coef @ basis.T, residual
+    return coef, residual
+
+
+def _frame_tensor(metric: MetricField, data: CurvatureData, reference, frame, dimension: int):
+    """C_T at ``data.point`` in the rows of ``frame`` (spanning T's complement), from nabla R.
+
+    T is the unit g-projection of ``reference`` onto the kernel, which must
+    have ``dimension``.  The solve runs over the kernel's complement H, so
+    C's rows along kernel directions inside T's complement are 0.  Raises
+    :class:`KernelDimensionError`, :class:`AlignmentError`, or
+    :class:`KernelFieldError` when the solve's residual is above
+    :data:`SMOOTH_KERNEL_RESIDUAL`.
+    """
+    res = data.nullity
+    if res.nullity != dimension:
+        raise KernelDimensionError(dimension, res.nullity, data.point)
+    t_vec = _project(res.basis, data.g, reference, data.point)
+    basis = _complement(data.g, res.basis)
+    coef, residual = _solve(metric, data, t_vec, basis)
+    if residual > SMOOTH_KERNEL_RESIDUAL:
+        raise KernelFieldError(residual, data.point)
+    return -(frame @ data.g @ basis.T) @ coef @ frame.T
 
 
 @dataclass(frozen=True)
@@ -547,37 +531,35 @@ def evolve_along_nullity_geodesic(
     T is the unit section of the curvature kernel along a reference vector
     (:func:`kernel_section`): at x0 the first kernel basis vector, which is
     also the launch velocity, and at each sample the geodesic's velocity
-    there.  The kernel must keep its dimension at x0 wherever T is taken.
+    there.  Each tensor comes from the nabla R solve of one
+    ``curvature_data(..., nabla_r=True)`` (:func:`_frame_tensor`), in the
+    transported frame; ``h`` is the step of the divergence check only.
     Errors while measuring the start tensor or integrating propagate; a
-    :class:`KernelDimensionError`, :class:`AlignmentError` or
-    :class:`RiccatiBlowupError` at a sample ends the ride with a partial
-    report whose ``aborted`` holds the message.
+    :class:`KernelDimensionError`, :class:`AlignmentError`,
+    :class:`KernelFieldError` or :class:`RiccatiBlowupError` at a sample
+    ends the ride with a partial report whose ``aborted`` holds the message.
     """
     pt = np.asarray(x0, dtype=float)
-    section, basis0 = kernel_section(metric, pt, rel_tol=rel_tol)
-    k0 = basis0.shape[0]
-    start = _measure(metric, pt, _kernel_field(metric, section, k0, rel_tol), None, h, False)
-    path = geodesic(metric, pt, section, tmax, steps=steps, frame=start.basis)
-    reached = []
-    measured = []
-    predicted = []
-    deviations = []
-    max_err = 0.0
+    data = curvature_data(metric, pt, rel_tol, nabla_r=True)
+    section = _section(data.nullity, data.g, None, pt)
+    k0 = data.nullity.nullity
+    frame = _frame(metric, pt, data.g, section)
+    start = _frame_tensor(metric, data, section, frame, k0)
+    path = geodesic(metric, pt, section, tmax, steps=steps, frame=frame)
+    reached, measured, predicted, deviations = [], [], [], []
     aborted = None
     for i in _sample_indices(path.times.size, samples):
         try:
-            field = _kernel_field(metric, path.velocities[i], k0, rel_tol)
-            st = _measure(metric, path.points[i], field, path.frame[i], h, False)
-            pred = riccati_closed_form(start.matrix, float(path.times[i]))
-        except (KernelDimensionError, AlignmentError, RiccatiBlowupError) as exc:
+            data = curvature_data(metric, path.points[i], rel_tol, nabla_r=True)
+            c = _frame_tensor(metric, data, path.velocities[i], path.frame[i], k0)
+            pred = riccati_closed_form(start, float(path.times[i]))
+        except (KernelDimensionError, AlignmentError, KernelFieldError, RiccatiBlowupError) as exc:
             aborted = str(exc)
             break
-        dev = float(np.max(np.abs(st.matrix - pred)))
         reached.append(i)
-        measured.append(st.matrix)
+        measured.append(c)
         predicted.append(pred)
-        deviations.append(dev)
-        max_err = max(max_err, dev)
+        deviations.append(float(np.max(np.abs(c - pred))))
 
     def divergence_residual() -> float:
         worst = 0.0
@@ -590,12 +572,12 @@ def evolve_along_nullity_geodesic(
     return EvolutionReport(
         path=path,
         kernel_dimension=k0,
-        start_matrix=start.matrix,
+        start_matrix=start,
         sample_times=path.times[reached],
         measured=tuple(measured),
         predicted=tuple(predicted),
         deviations=tuple(deviations),
-        max_error=max_err,
+        max_error=max([0.0, *deviations]),
         basis_gram_drift=path.gram_drift,
         aborted=aborted,
         _divergence=divergence_residual,

@@ -80,6 +80,17 @@ def test_analyze_nilpotent_tensor_on_a_sekigawa_warp(capsys):
     assert max(map(abs, classification["eigenvalues_re"] + classification["eigenvalues_im"])) < 1e-8
 
 
+def test_analyze_kind_where_g_is_ill_conditioned(capsys):
+    # p = exp(u) near e^-2.5: the closed form is nilpotent; the kernel-field
+    # stencil named complex_pair here (eigenvalues +/-0.0056i)
+    code, out, _ = run_cli(
+        capsys, "analyze", "--metric", "sekigawa", "--p", "exp(u)",
+        "--point=-0.5129016867312783,-2.5422821854087916,1.0267175751331235",
+    )
+    assert code == 0
+    assert json.loads(out)["splitting"]["classification"]["kind"] == "nilpotent"
+
+
 def test_analyze_sphere_sectional_range_is_exact(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--metric", "sphere", "--point", "1,0")
     assert code == 0
@@ -177,6 +188,7 @@ def test_domain_errors_exit_two(capsys):
         (("analyze", "--metric", "sekigawa", "--p", "2+u/1e-300"), 2),
         (("analyze", "--metric", "sphere", "--point", "1,0", "--seed", "7"), 1),
         (("scan", "--metric", "conullity3", "--grid", "u=0:1:2", "--fd-step", "1e-4"), 1),
+        (("flow", "--metric", "conullity3", "--steps", "4", "--fd-step", "1e-4"), 1),
     ],
 )
 def test_rejected_input_exit_codes(capsys, argv, expected):
@@ -459,18 +471,19 @@ def test_flow_kernel_direction_passes(capsys):
     assert doc["nullity_check"]["max_velocity_misalignment"] < 1e-8
 
 
-def test_flow_names_the_first_stencil_point_outside_the_domain(capsys):
-    # the start tensor's stencil along v reaches 2.99995 + 1e-4 first (+h, then
-    # -h, +2h, -2h per axis), past the box edge at 3
-    code, out, err = run_cli(
+def test_flow_measures_its_start_tensor_at_the_chart_edge(capsys):
+    # 5e-5 inside the box edge at v = 3: the start tensor needs only the
+    # point's own jet, and the first RK4 step leaves the chart
+    code, out, _ = run_cli(
         capsys, "flow", "--metric", "conullity3", "--point=0.1,0.2,2.99995,0.4",
         "--tmax", "1", "--steps", "64",
     )
-    assert code == 2 and out == ""
-    assert err == (
-        "geonull: error: point outside domain of conullity3(p=3+cos(u)+cos(w)): "
-        "point [0.1     0.2     3.00005 0.4    ]\n"
-    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["truncated"] and doc["aborted"] is None
+    assert [s["t"] for s in doc["samples"]] == [0.0]
+    p = 3.0 + math.cos(0.2) + math.cos(0.4)
+    assert doc["start_matrix"][0][1] == pytest.approx(math.sqrt(2.0) / p, abs=1e-12)
 
 
 def test_verify_text_output(capsys):

@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from geonull import cli, exprcalc, splitting
+from geonull import cli, curvature, exprcalc, splitting
 from geonull.curvature import _complement, curvature_data, nullity
 from geonull.flows import geodesic, nullity_geodesic_check
 from geonull.metricspace import (
@@ -153,15 +154,15 @@ def test_jets_per_transport_and_nullity_geodesic_check():
 
 @pytest.mark.parametrize("m, s", [(16, 5), (256, 9)])
 def test_jets_per_evolution(m, s):
-    metric, orders = _counting(conullity3())
+    metric, orders = _counting(conullity3(), max_order=3)
     report = evolve_along_nullity_geodesic(metric, [0.1, 0.2, -0.3, 0.4], tmax=0.5, steps=m, samples=s)
     assert report.aborted is None and report.sample_times.size == s
-    # the section at x0; per tensor (the start and s samples) one order-1 jet
-    # at the point and 17 kernel sections (the point and 16 stencil points);
-    # 2m + 1 for the kernel geodesic with its frame (stage repeats reuse their
-    # jet, see above): 694 at m = 256, s = 9, as in a kernel-mode flow request
-    assert sorted(orders) == [1] * ((s + 1) + 2 * m + 1) + [2] * (1 + 17 * (s + 1))
-    assert len(orders) == 1 + 18 * (s + 1) + 2 * m + 1
+    # per tensor (the start and s samples) one order-3 jet gives the kernel,
+    # T and nabla R; 2m + 1 for the kernel geodesic with its frame (stage
+    # repeats reuse their jet, see above): 523 at m = 256, s = 9, as in a
+    # kernel-mode flow request
+    assert sorted(orders) == [1] * (2 * m + 1) + [3] * (s + 1)
+    assert orders[0] == 3
 
 
 def test_kernel_section_on_product():
@@ -305,7 +306,7 @@ def test_nabla_r_kind_matches_stencil_kind(family):
             matrix, residual, stencil = _both_tensors(metric, pt)
             kinds = {classify(m, tol=cli.CLASSIFY_TOL).kind for m in (matrix, stencil)}
             assert kinds == {"nilpotent"}
-            assert cli._scan_worker(metric, pt, None, cli.DEFAULT_FD_STEP)[3] == "nilpotent"
+            assert cli._scan_worker(metric, pt, None)[3] == "nilpotent"
             assert residual <= 1e-7
 
 
@@ -317,7 +318,7 @@ def test_nabla_r_kind_near_the_warp_floor_is_nilpotent_or_none():
     kinds = []
     for _ in range(40):
         pt = np.array([rng.uniform(-3.0, 3.0), rng.uniform(-2.5, -1.5), rng.uniform(-3.0, 3.0)])
-        kinds.append(cli._scan_worker(metric, pt, None, cli.DEFAULT_FD_STEP)[3])
+        kinds.append(cli._scan_worker(metric, pt, None)[3])
     assert set(kinds) == {"nilpotent", ""}
     assert kinds.count("nilpotent") >= 20
 
@@ -345,7 +346,7 @@ def _hessian_line_warp():
     return MetricField(3, ("x", "y", "z"), jet, name="hessian_line_warp")
 
 
-def test_residual_gate_rejects_a_kernel_line_that_is_no_field():
+def test_residual_gate_rejects_a_kernel_line_that_is_no_field(monkeypatch, capsys):
     metric = _hessian_line_warp()
     pt = np.array([0.3, 0.0, 0.1])
     data = curvature_data(metric, pt)
@@ -353,7 +354,11 @@ def test_residual_gate_rejects_a_kernel_line_that_is_no_field():
     assert np.allclose(np.abs(data.nullity.basis[0]), [0.0, 1.0, 0.0], atol=1e-12)
     _, residual = splitting_tensor_from_curvature(metric, data)
     assert residual > 0.5 > splitting.SMOOTH_KERNEL_RESIDUAL
-    assert cli._scan_worker(metric, pt, None, cli.DEFAULT_FD_STEP)[3] == ""
+    assert cli._scan_worker(metric, pt, None)[3] == ""
+    monkeypatch.setattr(cli, "_build_metric", lambda args, parser: metric)
+    assert cli.main(["analyze", "--metric", "euclidean", "--point", "0.3,0,0.1"]) == 0
+    error = json.loads(capsys.readouterr().out)["splitting"]["error"]
+    assert error.startswith("curvature kernel is not a smooth line field near point [0.3 0.  0.1]")
     with pytest.raises(KernelDimensionError):  # the stencil meets the trivial kernel at y = h
         splitting_tensor(metric, pt)
 
@@ -406,6 +411,54 @@ def test_scan_request_makes_one_third_order_jet_per_point(monkeypatch, capsys):
     assert capsys.readouterr().out.count("nilpotent") == 16
     assert orders == [3] * 16
     assert compiled == [3]  # the warp's jet3 kernel, never its jet2 kernel
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--metric", "conullity3", "--point", "0.1,0.2,-0.3,0.4"),
+        ("--metric", "sekigawa", "--p", "exp(u)", "--point", "0.2,-0.3,0.1"),
+        ("--metric", "sphere", "--point", "1.1,0.4"),
+        ("--metric", "product", "--point", "1,0.5,0.2,-0.1"),
+        ("--metric", "euclidean", "--dim", "3"),
+    ],
+    ids=["conullity3", "sekigawa", "sphere", "product", "euclidean"],
+)
+def test_analyze_request_makes_one_metric_jet(monkeypatch, capsys, argv):
+    calls = []
+    jet = MetricField.jet
+
+    def counted(self, x, order=2, check=True):
+        calls.append((self, order))
+        return jet(self, x, order=order, check=check)
+
+    monkeypatch.setattr(MetricField, "jet", counted)
+    assert cli.main(["analyze", *argv]) == 0
+    requested = calls[0][0]  # a product's jet takes its factors' jets too
+    assert [order for metric, order in calls if metric is requested] == [3]
+
+
+@pytest.mark.parametrize(
+    "argv, contractions",
+    [
+        (("--metric", "sphere", "--point", "1.1,0.4"), 0),
+        (("--metric", "product", "--point", "1,0.5,0.2,-0.1"), 0),
+        (("--metric", "euclidean", "--dim", "3"), 0),
+        (("--metric", "conullity3", "--point", "0.1,0.2,-0.3,0.4"), 1),
+    ],
+    ids=["sphere", "product", "euclidean", "conullity3"],
+)
+def test_analyze_contracts_nabla_r_only_for_a_splitting_tensor(monkeypatch, capsys, argv, contractions):
+    calls = []
+    nabla_riemann = curvature._nabla_riemann
+
+    def counted(*args):
+        calls.append(1)
+        return nabla_riemann(*args)
+
+    monkeypatch.setattr(curvature, "_nabla_riemann", counted)
+    assert cli.main(["analyze", *argv]) == 0
+    assert len(calls) == contractions
 
 
 def test_classify_kinds():
@@ -540,6 +593,59 @@ def test_evolution_stops_where_the_kernel_changes_dimension():
     assert report.sample_times.tolist() == [0.0, 0.0625, 0.125, 0.1875, 0.25]
     assert len(report.measured) == len(report.deviations) == 5
     assert report.divergence_residual < 1e-8
+
+
+@pytest.mark.parametrize(
+    "metric, point",
+    [
+        (conullity3(), [0.1, 0.2, -0.3, 0.4]),
+        (catalog_sekigawa("2+u*u"), [0.2, 0.3, 0.1]),
+        (catalog_product(catalog_sphere(1.0), catalog_euclidean(2)), [1.0, 0.5, 0.2, -0.1]),
+    ],
+    ids=["conullity3", "sekigawa", "product"],
+)
+def test_evolution_tensors_match_the_stencil_in_the_transported_frame(metric, point):
+    report = evolve_along_nullity_geodesic(metric, point, tmax=0.5, steps=64, samples=5)
+    assert report.aborted is None and report.sample_times.size == 5
+    path = report.path
+    for t, c in zip(report.sample_times, report.measured):
+        i = int(np.flatnonzero(path.times == t)[0])
+        v = path.velocities[i]
+        stencil = splitting_tensor(metric, path.points[i], basis=path.frame[i],
+                                   field=lambda q: kernel_section(metric, q, reference=v)[0])
+        assert c.shape == (metric.dim - 1,) * 2
+        assert np.max(np.abs(c - stencil.matrix)) < 1e-9
+
+
+def test_evolution_tensor_takes_t_along_the_velocity():
+    # C_{-T} = -C_T: a sample's T is the velocity's projection onto the kernel
+    metric = conullity3()
+    data = curvature_data(metric, [0.1, 0.2, -0.3, 0.4], nabla_r=True)
+    frame = metric.preferred_frame(data.point)
+    t = data.nullity.basis[0]
+    along = splitting._frame_tensor(metric, data, 3.0 * t, frame, 1)
+    against = splitting._frame_tensor(metric, data, -t, frame, 1)
+    p = 3.0 + math.cos(0.2) + math.cos(0.4)
+    assert along[0, 1] == pytest.approx(math.sqrt(2.0) / p, abs=1e-12)
+    assert np.max(np.abs(along + against)) < 1e-15
+
+
+def test_evolution_gates_the_nabla_r_residual(monkeypatch):
+    # the start tensor past the gate raises; a sample past it ends the ride
+    with pytest.raises(splitting.KernelFieldError) as exc:
+        evolve_along_nullity_geodesic(_hessian_line_warp(), [0.3, 0.0, 0.1], tmax=0.2, steps=8)
+    assert exc.value.residual > 0.5
+    solve = splitting._solve
+    rough = np.array([0.1, 0.2, 0.25 + 1e-9, 0.4])
+
+    def rough_past_quarter(metric, data, *args):
+        coef, residual = solve(metric, data, *args)
+        return coef, (1.0 if data.point[2] > rough[2] else residual)
+
+    monkeypatch.setattr(splitting, "_solve", rough_past_quarter)
+    report = evolve_along_nullity_geodesic(conullity3(), [0.1, 0.2, 0.0, 0.4], tmax=0.5, steps=16)
+    assert report.aborted.startswith("curvature kernel is not a smooth line field near point")
+    assert report.sample_times.tolist() == [0.0, 0.0625, 0.125, 0.1875, 0.25]
 
 
 @pytest.mark.parametrize(

@@ -1,15 +1,15 @@
 """Compare ``scan``'s classification with two finite-difference ones.
 
-``geonull scan`` classifies the splitting tensor that
-``splitting.splitting_tensor_from_curvature`` solves from nabla R, taken in
-closed form from the point's metric 3-jet.  This compares three kinds per
-point:
+``geonull scan``, ``analyze`` and ``flow`` take the splitting tensor from
+``splitting.splitting_tensor_from_curvature``, which solves it from nabla R
+in closed form from the point's metric 3-jet.  This compares three kinds
+per point:
 
 * ``richardson``: the kernel-field stencil of ``splitting.splitting_tensor``
-  (what ``analyze`` prints);
+  (the reference the tests compare the solve with);
 * ``stencil``: the same solve with nabla R from central differences of R
-  (``curvature._covariant_dr``, step ``--fd-step``), under scan's residual
-  gate;
+  (``curvature._covariant_dr``, the solve's default step), under scan's
+  residual gate;
 * ``analytic``: scan's own kind.
 
 For random points of each warped catalog family (uniform in the chart box,
@@ -65,17 +65,17 @@ FAULTS = (ChartDomainError, DomainError, SingularMatrixError, FloatingPointError
 WARPS_EVERY = 50
 
 
-def _solve(metric, data, h):
+def _solve(metric, data):
     """``(kind, residual)`` of the nabla R solve on ``data``, as scan gates it."""
     try:
-        matrix, residual = splitting_tensor_from_curvature(metric, data, h)
+        matrix, residual = splitting_tensor_from_curvature(metric, data)
     except FAULTS:
         return "", None
     kind = classify(matrix, tol=cli.CLASSIFY_TOL).kind if residual <= SMOOTH_KERNEL_RESIDUAL else ""
     return kind, residual
 
 
-def _compare(metric, point, h):
+def _compare(metric, point):
     """``((richardson, stencil, analytic) kinds, residuals, closed-form kind)``, or None off a line kernel."""
     try:
         data = curvature_data(metric, point, nabla_r=True)
@@ -84,11 +84,11 @@ def _compare(metric, point, h):
     if not cli._splitting_defined(data.nullity):
         return None
     try:
-        richardson = classify(splitting_tensor(metric, point, h=h).matrix, tol=cli.CLASSIFY_TOL).kind
+        richardson = classify(splitting_tensor(metric, point).matrix, tol=cli.CLASSIFY_TOL).kind
     except FAULTS + (KernelDimensionError, AlignmentError, NonUnitFieldError):
         richardson = ""
-    stencil, stencil_residual = _solve(metric, replace(data, nabla_r=None), h)
-    analytic_residual = _solve(metric, data, h)[1]
+    stencil, stencil_residual = _solve(metric, replace(data, _nabla_r=None))
+    analytic_residual = _solve(metric, data)[1]
     analytic = cli._scan_worker(metric, point, None)[3]
     closed = "nilpotent" if abs(data.scalar_trace) > 1e-8 else "zero"
     return (richardson, stencil, analytic), (stencil_residual, analytic_residual), closed
@@ -118,7 +118,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--points", type=int, default=1000, help="points per family")
     ap.add_argument("--seed", type=int, default=2027)
-    ap.add_argument("--fd-step", type=float, default=cli.DEFAULT_FD_STEP)
     args = ap.parse_args()
     rng = random.Random(args.seed)
     tallies: dict = {}
@@ -129,7 +128,7 @@ def main() -> int:
             tally = tallies.setdefault(label, Counter())
             for _ in range(count):
                 point = np.array([rng.uniform(-DEFAULT_BOX, DEFAULT_BOX) for _ in range(metric.dim)])
-                record = _compare(metric, point, args.fd_step)
+                record = _compare(metric, point)
                 if record is None:
                     tally["skipped"] += 1
                     continue

@@ -1,11 +1,12 @@
 """Print one ``sha256  argv`` line per command of the stdout-equivalence set.
 
 The set is ``analyze`` on all six catalog families, on the concave
-conullity3 warp (non-negative sectional curvature) and at a nearly
-degenerate nilpotent splitting tensor of a sekigawa warp, ``scan`` on conullity3,
+conullity3 warp (non-negative sectional curvature), at a nearly
+degenerate nilpotent splitting tensor of a sekigawa warp and at an
+ill-conditioned g of sekigawa ``exp(u)``, ``scan`` on conullity3,
 on sekigawa (no preferred frame) and on the concave warp (domain rows and
 points near p -> 0), ``flow`` in both modes (kernel mode also on
-sekigawa, whose splitting-tensor stencil builds its complement, having no
+sekigawa, whose transported frame starts from a built complement, having no
 preferred frame) and ``verify --suite all --json``.  Each argv runs in-process through ``geonull.cli.main`` against
 the sources next to this script; stderr (timings) is discarded.  A refactor
 that claims identical output shows identical lines before and after; a line
@@ -55,6 +56,10 @@ ARGVS = (
         "analyze", "--metric", "sekigawa", "--p", "3.671764+cos(0.522086*u)+cos(0.998341*x)",
         "--point=-2.0041042190169085,2.8281637094573053,0.48334047502308763",
     ),
+    (
+        "analyze", "--metric", "sekigawa", "--p", "exp(u)",
+        "--point=-0.5129016867312783,-2.5422821854087916,1.0267175751331235",
+    ),
     ("scan", "--metric", "conullity3", "--grid", "u=-1.5:1.5:4,w=-1.5:1.5:4"),
     ("scan", "--metric", "sekigawa", "--p", "exp(u)", "--grid", "x=-1:1:4,u=-1:1:4"),
     ("scan", "--metric", "conullity3", "--p", "4-u*u-w*w", "--grid", "u=-1.5:1.5:4,w=-1.5:1.5:4"),
@@ -94,9 +99,9 @@ def run_base(base: str, argv) -> tuple:
 
 
 def _parse(text: str):
-    """A JSON document, or a CSV table as a list of row dicts."""
+    """A JSON document (numbers as floats, so -0 keeps its sign), or a CSV table as a list of row dicts."""
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=float)
     except ValueError:
         return list(csv.DictReader(io.StringIO(text)))
 
@@ -111,6 +116,14 @@ def _leaves(obj, path: str = ""):
             yield from _leaves(item, path + "[]")
     else:
         yield path, obj
+
+
+def _by_path(obj) -> dict:
+    """path -> the values of :func:`_leaves` at that path, in document order."""
+    values = {}
+    for path, value in _leaves(obj):
+        values.setdefault(path, []).append(value)
+    return values
 
 
 def _number(value):
@@ -129,23 +142,27 @@ def _ordinal(x: float) -> int:
     return i if i >= 0 else -(2**63) - i
 
 
+_ABSENT = object()
+
+
 def moved_fields(old_text: str, new_text: str) -> dict:
     """path -> [values moved, max |change|, max ulps] over the leaves that differ.
 
-    A value present on one side only counts as moved with no size; so does a
-    non-numeric value that changed.
+    The values at one path are paired in document order.  A value present
+    on one side only counts as moved with no size; so does a non-numeric
+    value that changed.
     """
-    old = _leaves(_parse(old_text))
-    new = _leaves(_parse(new_text))
+    old = _by_path(_parse(old_text))
+    new = _by_path(_parse(new_text))
     report = {}
-    for (po, a), (pn, b) in itertools.zip_longest(old, new, fillvalue=(None, None)):
-        if po == pn and repr(a) == repr(b):  # repr tells -0.0 from 0.0 and 1 from 1.0
-            continue
-        for path in {po, pn} - {None}:
+    for path in sorted(old.keys() | new.keys()):
+        for a, b in itertools.zip_longest(old.get(path, ()), new.get(path, ()), fillvalue=_ABSENT):
+            if repr(a) == repr(b):  # repr tells -0.0 from 0.0
+                continue
             entry = report.setdefault(path, [0, None, None])
             entry[0] += 1
             x, y = _number(a), _number(b)
-            if po == pn and x is not None and y is not None and math.isfinite(x) and math.isfinite(y):
+            if x is not None and y is not None and math.isfinite(x) and math.isfinite(y):
                 entry[1] = max(entry[1] or 0.0, abs(x - y))
                 entry[2] = max(entry[2] or 0, abs(_ordinal(x) - _ordinal(y)))
     return report
