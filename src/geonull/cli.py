@@ -15,7 +15,9 @@ Output contracts:
 from nabla R (``splitting.splitting_tensor_from_curvature``), so ``analyze``
 makes one metric jet per request and ``scan`` one per grid point; a
 kernel-mode ``flow`` makes 2m+1 for its kernel geodesic of m steps and one per
-tensor (the start and 9 samples), 523 at the default 256 steps.
+tensor (the start and 9 samples), 523 at the default 256 steps.  ``scan``
+runs the rest of its curvature pipeline once per chunk of grid points, each
+stage stacked over the chunk (:func:`_scan_chunk`).
 
 Exit codes: 0 success, 1 usage error, 2 domain error (a float overflow or
 a metric too ill-conditioned to invert included), 3 verification failure.
@@ -39,7 +41,10 @@ import numpy as np
 
 from . import __version__
 from .curvature import (
+    _covariant_dr,
+    _curvatures,
     _default_rel_tol,
+    _nabla_riemann,
     curvature_data,
     nullity,
     scalar_curvature,
@@ -63,7 +68,7 @@ from .metricspace import (
     catalog_sekigawa,
     catalog_sphere,
 )
-from .numcore import SingularMatrixError
+from .numcore import SingularMatrixError, eigenvalues
 from .splitting import (
     SMOOTH_KERNEL_RESIDUAL,
     AlignmentError,
@@ -71,6 +76,9 @@ from .splitting import (
     KernelFieldError,
     NonUnitFieldError,
     RiccatiBlowupError,
+    _frame,
+    _kinds,
+    _least_squares,
     _normal_form,
     classify,
     evolve_along_nullity_geodesic,
@@ -95,6 +103,12 @@ CLASSIFY_TOL = 2e-4
 
 # a scan builds its whole grid before writing the first row
 MAX_SCAN_POINTS = 10**6
+# a scan stacks as many points as keep nabla R, its largest stacked array at
+# n^5 floats per point, within this many bytes
+SCAN_CHUNK_BYTES = 1 << 18
+# a scan point whose jet or R meets one of these is a domain row; one whose
+# frame, nabla R or solve meets one is an ok row without a kind
+_SCAN_FAULTS = (ChartDomainError, DomainError, SingularMatrixError, FloatingPointError)
 
 SUITE_ORDER = ("euclidean", "sphere", "product", "sekigawa", "conullity3", "riccati")
 
@@ -384,6 +398,8 @@ def _parse_grid(spec, metric, parser):
         name = name.strip()
         if name not in metric.coordinates:
             parser.error(f"unknown grid coordinate {name!r} for {metric.name}")
+        if any(metric.coordinates[coord] == name for coord, *_ in ranges):
+            parser.error(f"grid coordinate {name!r} given twice")
         pieces = rng.split(":")
         if len(pieces) != 3:
             parser.error(f"bad grid range {rng!r} (expected lo:hi:n)")
@@ -401,24 +417,114 @@ def _parse_grid(spec, metric, parser):
     return [(coord, np.linspace(lo, hi, count)) for coord, lo, hi, count in ranges]
 
 
+def _each_alone(stage, items, failed):
+    """``stage(items)``, one result per item; if that raises a fault, each item on its own.
+
+    An item that raises on its own gets ``failed``, so a fault changes only
+    its own result.
+    """
+    if not items:
+        return []
+    try:
+        return stage(items)
+    except _SCAN_FAULTS:
+        if len(items) == 1:
+            return [failed]
+    return [_each_alone(stage, [item], failed)[0] for item in items]
+
+
+def _stack(rows) -> list:
+    """Tuples of arrays, one per point, as one stacked array per tuple position."""
+    return [np.stack(column) for column in zip(*rows)]
+
+
+def _scan_rows(metric, points, rel_tol) -> list:
+    """``(scal, nullity, conullity, kind)`` at each point, or None for a domain row.
+
+    The points go through :func:`_scan_chunk` in chunks whose nabla R, the
+    largest stacked array at n^5 floats per point, fits
+    :data:`SCAN_CHUNK_BYTES`.
+    """
+    size = max(1, SCAN_CHUNK_BYTES // (8 * metric.dim ** 5))
+    return [
+        row for start in range(0, len(points), size)
+        for row in _scan_chunk(metric, points[start:start + size], rel_tol)
+    ]
+
+
+def _scan_chunk(metric, points, rel_tol) -> list:
+    """:func:`_scan_rows` for one chunk: each curvature stage stacked over its points.
+
+    Each point makes one metric jet, of order 3 where the metric has one.
+    R, the scalar trace and the kernels are stacked over the points with a
+    jet; nabla R, both sides of the solve and the eigenvalues over those
+    with a line kernel (for a metric without a 3-jet, nabla R is each
+    point's stencil).  The frames and the least-squares solves run point by
+    point.  A stacked stage that raises is redone one point at a time: a
+    point whose jet or R fails is a domain row, one whose frame, nabla R or
+    solve fails an ok row without a kind.
+    """
+    if rel_tol is None:
+        rel_tol = _default_rel_tol(metric)
+    order = metric.max_order
+    jets = {}
+    for i, pt in enumerate(points):
+        try:
+            jets[i] = metric.jet(pt, order=order)
+        except _SCAN_FAULTS:
+            pass
+
+    def curvature(idx):
+        parts, scal, kernels = _curvatures(*_stack(jets[i][:3] for i in idx), rel_tol)
+        return [(float(s), res, [p[j] for p in parts]) for j, (s, res) in enumerate(zip(scal, kernels))]
+
+    curved = {i: c for i, c in zip(jets, _each_alone(curvature, list(jets), None)) if c is not None}
+    frames = {}
+    for i, (_, res, _) in curved.items():
+        if _splitting_defined(res):
+            try:
+                frames[i] = _frame(metric, points[i], jets[i][0], res.basis[0])
+            except _SCAN_FAULTS:
+                pass
+
+    def classified(idx):
+        parts = _stack(curved[i][2] for i in idx)
+        if order == 3:
+            cov = _nabla_riemann(*_stack(jets[i] for i in idx), parts)
+        else:  # the stencil step of splitting_tensor_from_curvature
+            cov = np.stack([
+                _covariant_dr(metric, points[i], gamma, rdown, h=1e-4, check=True)
+                for i, gamma, rdown in zip(idx, parts[1], parts[3])
+            ])
+        t_vecs = np.stack([curved[i][1].basis[0] for i in idx])
+        solves = _least_squares(parts[3], cov, t_vecs, np.stack([frames[i] for i in idx]))
+        gated = [j for j, (_, residual) in enumerate(solves) if residual <= SMOOTH_KERNEL_RESIDUAL]
+        kinds = [""] * len(idx)
+        if gated:
+            matrices = np.stack([-solves[j][0] @ frames[idx[j]].T for j in gated])
+            for j, kind in zip(gated, _kinds(matrices, eigenvalues(matrices), CLASSIFY_TOL).tolist()):
+                kinds[j] = kind
+        return kinds
+
+    # frames of one shape stack; a built complement may have lost a row
+    by_shape = {}
+    for i, frame in frames.items():
+        by_shape.setdefault(frame.shape, []).append(i)
+    kinds = {}
+    for idx in by_shape.values():
+        kinds.update(zip(idx, _each_alone(classified, idx, "")))
+    return [
+        (curved[i][0], curved[i][1].nullity, curved[i][1].conullity, kinds.get(i, "")) if i in curved else None
+        for i in range(len(points))
+    ]
+
+
 def _scan_worker(metric, point, rel_tol):
     """``(scal, nullity, conullity, kind)`` at one grid point, or None for a domain row.
 
-    One 3-jet gives the curvature and nabla R.
+    The one-point case of :func:`_scan_rows`.
     """
-    try:
-        data = curvature_data(metric, point, rel_tol=rel_tol, nabla_r=True)
-    except (ChartDomainError, DomainError, SingularMatrixError, FloatingPointError):
-        return None
-    kind = ""
-    if _splitting_defined(data.nullity):
-        try:
-            matrix, residual = splitting_tensor_from_curvature(metric, data)
-            if residual <= SMOOTH_KERNEL_RESIDUAL:
-                kind = classify(matrix, tol=CLASSIFY_TOL).kind
-        except (ChartDomainError, DomainError, SingularMatrixError, FloatingPointError):
-            kind = ""
-    return data.scalar_trace, data.nullity.nullity, data.nullity.conullity, kind
+    return _scan_rows(metric, [point], rel_tol)[0]
 
 
 def cmd_scan(args, parser) -> int:
@@ -439,7 +545,7 @@ def cmd_scan(args, parser) -> int:
             pt[coord] = values[rem % values.size]
             rem //= values.size
         points.append(pt)
-    results = [_scan_worker(metric, pt, args.rel_tol) for pt in points]
+    results = _scan_rows(metric, points, args.rel_tol)
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")

@@ -262,6 +262,19 @@ def _nullities_from(rdown: np.ndarray, g: np.ndarray, rel_tol: float) -> list:
     return results
 
 
+def _curvatures(g, dg, d2g, rel_tol: float):
+    """``(parts, scalar traces, nullities)`` from 2-jets whose leading axes are a stack of points.
+
+    ``parts`` are :func:`_riemann_parts`' tensors.  One inversion of g, one
+    scalar-trace contraction and one kernel SVD serve the whole stack; each
+    point's results are bitwise those of the point alone.
+    """
+    parts = _riemann_parts(g, dg, d2g)
+    gi, rdown = parts[0], parts[3]
+    scal = np.einsum("...il,...jk,...ijkl->...", gi, gi, rdown)
+    return parts, scal, _nullities_from(rdown, g, rel_tol)
+
+
 def _nullity_from(rdown: np.ndarray, g: np.ndarray, rel_tol: float) -> NullityResult:
     """Kernel of v -> R(v, ., ., .) from a lowered curvature tensor already in hand."""
     return _nullities_from(rdown, g, rel_tol)[0]
@@ -329,10 +342,8 @@ def curvature_data(
     pt = np.asarray(x, dtype=float)
     order = 3 if nabla_r and metric.max_order >= 3 else 2
     jet = metric.jet(pt, order=order)
-    parts = _riemann_parts(*jet[:3])
-    g, (gi, gamma, rup, rdown) = jet[0], parts[:4]
-    scal = float(np.einsum("il,jk,ijkl->", gi, gi, rdown))
-    nres = _nullity_from(rdown, g, rel_tol)
+    parts, scal, (nres,) = _curvatures(*jet[:3], rel_tol)
+    g, (gi, gamma, rup, rdown), scal = jet[0], parts[:4], float(scal)
     plane_curv = None
     if nres.conullity == 2:
         comp = _complement(g, nres.basis)

@@ -143,13 +143,14 @@ def kernel(m, rel_tol: float = REL_TOL_ANALYTIC):
 
 
 def eigenvalues(m) -> np.ndarray:
-    """Eigenvalues (with multiplicity) of a square matrix of size at most 8x8.
+    """Eigenvalues (with multiplicity) of a square matrix of size at most 8x8, or of each in a stack.
 
-    One LAPACK call (``np.linalg.eigvals``); returned as complex numbers
-    sorted by (real part, imaginary part).  A real matrix gets exactly
+    One LAPACK call (``np.linalg.eigvals``) for the matrix or the whole
+    stack (..., n, n); returned as complex numbers sorted by (real part,
+    imaginary part) along the last axis.  A real matrix gets exactly
     conjugate pairs and exactly zero imaginary parts elsewhere.
     """
-    a = _as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"eigenvalues need a square matrix, got shape {a.shape}")
+    a = _as_matrix(m, stack=True)
+    if a.shape[-2] != a.shape[-1]:
+        raise ValueError(f"eigenvalues need a square matrix, got shape {a.shape[-2:]}")
     return np.sort_complex(np.linalg.eigvals(a))

@@ -78,6 +78,8 @@ __all__ = [
 ]
 
 BLOWUP_LIMIT = 1e8
+# classify's kinds, indexed by the code _kinds computes
+_KINDS = np.array(["real", "nilpotent", "complex_pair", "zero"])
 # relative residual of the nabla R solve above which the kernel is not
 # taken to be a smooth line field near the point
 SMOOTH_KERNEL_RESIDUAL = 1e-5
@@ -352,16 +354,27 @@ def _solve(metric: MetricField, data: CurvatureData, t_vec, basis, h: float = 1e
     ``coef[a, m]`` = <nabla_{d_m} T, e_a> for the rows e_a of ``basis``,
     which span the kernel's complement.
     """
-    n = metric.dim
     cov = data.nabla_r
     if cov is None:
         cov = _covariant_dr(metric, data.point, data.christoffel, data.rdown, h, check=True)
-    lhs = np.einsum("ijkl,ai->jkla", data.rdown, basis).reshape(n ** 3, -1)
-    rhs = -np.einsum("mijkl,i->jklm", cov, t_vec).reshape(n ** 3, n)
-    coef = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
-    scale = float(np.linalg.norm(rhs))
-    residual = float(np.linalg.norm(lhs @ coef - rhs)) / scale if scale > 0.0 else 0.0
-    return coef, residual
+    return _least_squares(data.rdown, cov, t_vec, basis)[0]
+
+
+def _least_squares(rdown, cov, t_vec, basis) -> list:
+    """``[(coef, residual)]``: :func:`_solve` at each point of a stack (leading axes).
+
+    Both sides of every point's system come from one contraction each over
+    the stack; ``np.linalg.lstsq`` has no stacked form, so it runs per point.
+    """
+    n, points = rdown.shape[-1], math.prod(rdown.shape[:-4])
+    lhs = np.einsum("...ijkl,...ai->...jkla", rdown, basis).reshape(points, n ** 3, basis.shape[-2])
+    rhs = -np.einsum("...mijkl,...i->...jklm", cov, t_vec).reshape(points, n ** 3, n)
+    out = []
+    for a, b in zip(lhs, rhs):
+        coef = np.linalg.lstsq(a, b, rcond=None)[0]
+        scale = float(np.linalg.norm(b))
+        out.append((coef, float(np.linalg.norm(a @ coef - b)) / scale if scale > 0.0 else 0.0))
+    return out
 
 
 def _frame_tensor(metric: MetricField, data: CurvatureData, reference, frame, dimension: int):
@@ -408,21 +421,33 @@ def classify(matrix, tol: float = 1e-8) -> BlockInvariants:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
     eig = eigenvalues(m)
+    kind = str(_kinds(m, eig, tol))
     tr = float(np.trace(m))
     det_block = 0.5 * (tr * tr - float(np.trace(m @ m)))
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if float(np.max(np.abs(m))) <= tol:
-        return BlockInvariants("zero", eig, tr, det_block, 1)
-    if np.max(np.abs(eig.imag)) > tol * scale:
-        return BlockInvariants("complex_pair", eig, tr, det_block, None)
-    if np.max(np.abs(eig)) <= tol * scale:
+    index = 1 if kind == "zero" else None
+    if kind == "nilpotent":
+        scale = max(1.0, float(np.max(np.abs(m))))
         power = m.copy()
         index = 1
         while np.max(np.abs(power)) > tol * scale and index <= m.shape[0]:
             power = power @ m
             index += 1
-        return BlockInvariants("nilpotent", eig, tr, det_block, index)
-    return BlockInvariants("real", eig, tr, det_block, None)
+    return BlockInvariants(kind, eig, tr, det_block, index)
+
+
+def _kinds(m: np.ndarray, eig: np.ndarray, tol: float) -> np.ndarray:
+    """:func:`classify`'s kind of a square matrix, or of each in a stack (..., k, k), from its eigenvalues.
+
+    ``zero`` when every entry is within ``tol``; otherwise, relative to the
+    largest entry (at least 1), ``complex_pair`` for an imaginary part above
+    ``tol``, ``nilpotent`` when every eigenvalue is within ``tol``, else
+    ``real``.
+    """
+    size = np.max(np.abs(m), axis=(-2, -1))
+    bound = tol * np.maximum(1.0, size)
+    pair = np.max(np.abs(eig.imag), axis=-1) > bound
+    nilpotent = np.max(np.abs(eig), axis=-1) <= bound
+    return _KINDS[np.where(size <= tol, 3, np.where(pair, 2, nilpotent.astype(int)))]
 
 
 def riccati_closed_form(c0, t: float) -> np.ndarray:

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -12,7 +13,8 @@ import pytest
 
 from geonull import cli, splitting
 from geonull.cli import main
-from geonull.metricspace import catalog_conullity3
+from geonull.exprcalc import DomainError
+from geonull.metricspace import CATALOG, MetricField, catalog_conullity3, finite_difference_field
 from geonull.splitting import evolve_along_nullity_geodesic
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -189,6 +191,7 @@ def test_domain_errors_exit_two(capsys):
         (("analyze", "--metric", "sphere", "--point", "1,0", "--seed", "7"), 1),
         (("scan", "--metric", "conullity3", "--grid", "u=0:1:2", "--fd-step", "1e-4"), 1),
         (("flow", "--metric", "conullity3", "--steps", "4", "--fd-step", "1e-4"), 1),
+        (("scan", "--metric", "conullity3", "--grid", "u=0:1:2,u=0:1:2"), 1),
     ],
 )
 def test_rejected_input_exit_codes(capsys, argv, expected):
@@ -313,6 +316,94 @@ def test_scan_point_at_the_chart_edge_has_a_kind(capsys):
         ("2.9998999999999998", "0"), ("2.9998999999999998", "3"), ("3", "0"), ("3", "3")
     ]
     assert [row[5:] for row in rows] == [["1", "3", "nilpotent", "ok"]] * 4
+
+
+def _scan_points(metric, **axes):
+    """The origin with the named coordinates over the product of their values, last fastest."""
+    points = []
+    for values in itertools.product(*axes.values()):
+        pt = np.zeros(metric.dim)
+        for name, value in zip(axes, values):
+            pt[metric.coordinates.index(name)] = value
+        points.append(pt)
+    return points
+
+
+def _bitwise(rows):
+    return [None if row is None else (row[0].hex(),) + row[1:] for row in rows]
+
+
+def _stacked_and_alone(metric, points):
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        return cli._scan_rows(metric, points, None), [cli._scan_worker(metric, pt, None) for pt in points]
+
+
+_SIDE = np.linspace(-1.5, 1.5, 4)
+_CHUNK_4D = cli.SCAN_CHUNK_BYTES // (8 * 4 ** 5)
+
+
+@pytest.mark.parametrize(
+    "metric, axes",
+    [
+        (catalog_conullity3("1+u*u*w"), {"u": np.linspace(-1, 1, 3), "w": np.linspace(-1, 1, 3)}),
+        (CATALOG["euclidean"].build(), {"x0": _SIDE, "x2": _SIDE}),
+        (CATALOG["sphere"].build(), {"theta": np.linspace(0.0, 3.0, 4), "phi": _SIDE}),
+        (CATALOG["polar"].build(), {"r": np.linspace(0.0, 2.0, 4), "phi": _SIDE}),
+        (CATALOG["product"].build(), {"theta": np.linspace(0.0, 3.0, 4), "x0": _SIDE}),
+        (CATALOG["sekigawa"].build(p="exp(u)"), {"x": _SIDE, "u": np.linspace(-3.0, 1.5, 4)}),
+        (CATALOG["conullity3"].build(p="4-u*u-w*w"), {"u": _SIDE, "w": _SIDE}),
+        (CATALOG["conullity3"].build(), {"u": np.linspace(-3, 3, 9), "w": np.linspace(-3, 3, 9)}),
+        # no 3-jet: nabla R from each point's stencil of R
+        (finite_difference_field(catalog_conullity3("3+cos(u)+cos(w)")), {"u": _SIDE[1:], "w": _SIDE[1:]}),
+    ],
+    ids=[
+        "mixed", "euclidean", "sphere", "polar", "product", "sekigawa", "conullity3", "three_chunks",
+        "without_3_jet",
+    ],
+)
+def test_stacked_scan_rows_are_the_one_point_rows(metric, axes):
+    points = _scan_points(metric, **axes)
+    stacked, alone = _stacked_and_alone(metric, points)
+    assert _bitwise(stacked) == _bitwise(alone)
+    if len(points) == 81:
+        assert len(points) > _CHUNK_4D
+    if metric.name == "conullity3(p=1+u*u*w)":
+        assert None in stacked and {row[1] for row in stacked if row} == {1, 2, 4}
+
+
+def _faulty(metric, target, fault):
+    """``metric`` with one fault at ``target``: its jet raises, its g cannot be inverted
+    or its 3-jet makes nabla R overflow."""
+
+    def jet(x, order):
+        out = metric.jet(x, order=order, check=False)
+        if not np.array_equal(x, target):
+            return out
+        if fault == "jet":
+            raise DomainError("injected fault", "p", 0)
+        g, dg, d2g, d3g = out
+        if fault == "invert":
+            return np.diag([1.0, 1.0, 1.0, 1e-13]), dg, d2g, d3g
+        return g, dg, d2g, np.full_like(d3g, 1.5e308)
+
+    return MetricField(
+        metric.dim, metric.coordinates, jet, domain=metric.contains,
+        preferred_frame=metric.preferred_frame, max_order=3,
+    )
+
+
+@pytest.mark.parametrize("fault", ["jet", "invert", "nabla_r"])
+def test_a_fault_inside_a_scan_chunk_changes_only_its_own_row(fault):
+    metric = catalog_conullity3("3+cos(u)+cos(w)")
+    points = _scan_points(metric, u=_SIDE, w=_SIDE)
+    target = 5
+    clean = _stacked_and_alone(metric, points)[0]
+    stacked, alone = _stacked_and_alone(_faulty(metric, points[target], fault), points)
+    assert clean[target][3] == "nilpotent"
+    # a jet or R that fails makes a domain row; a nabla R that fails, a row without a kind
+    expected = list(clean)
+    expected[target] = clean[target][:3] + ("",) if fault == "nabla_r" else None
+    assert _bitwise(stacked) == _bitwise(alone) == _bitwise(expected)
 
 
 def test_scan_rerun_gives_identical_bytes(capsys):

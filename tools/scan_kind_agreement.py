@@ -10,7 +10,8 @@ per point:
 * ``stencil``: the same solve with nabla R from central differences of R
   (``curvature._covariant_dr``, the solve's default step), under scan's
   residual gate;
-* ``analytic``: scan's own kind.
+* ``analytic``: scan's own kind, from ``cli._scan_rows`` on all the points
+  of a warp (or of a fixed family) at once, as ``scan`` stacks a grid.
 
 For random points of each warped catalog family (uniform in the chart box,
 points outside the chart skipped) it prints how often each triple of kinds
@@ -75,8 +76,11 @@ def _solve(metric, data):
     return kind, residual
 
 
-def _compare(metric, point):
-    """``((richardson, stencil, analytic) kinds, residuals, closed-form kind)``, or None off a line kernel."""
+def _compare(metric, point, analytic):
+    """``((richardson, stencil, analytic) kinds, residuals, closed-form kind)``, or None off a line kernel.
+
+    ``analytic`` is scan's kind at the point.
+    """
     try:
         data = curvature_data(metric, point, nabla_r=True)
     except FAULTS:
@@ -89,7 +93,6 @@ def _compare(metric, point):
         richardson = ""
     stencil, stencil_residual = _solve(metric, replace(data, _nabla_r=None))
     analytic_residual = _solve(metric, data)[1]
-    analytic = cli._scan_worker(metric, point, None)[3]
     closed = "nilpotent" if abs(data.scalar_trace) > 1e-8 else "zero"
     return (richardson, stencil, analytic), (stencil_residual, analytic_residual), closed
 
@@ -126,9 +129,12 @@ def main() -> int:
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         for label, metric, p_vars, count in _families(rng, args.points):
             tally = tallies.setdefault(label, Counter())
-            for _ in range(count):
-                point = np.array([rng.uniform(-DEFAULT_BOX, DEFAULT_BOX) for _ in range(metric.dim)])
-                record = _compare(metric, point)
+            points = [np.array([rng.uniform(-DEFAULT_BOX, DEFAULT_BOX) for _ in range(metric.dim)])
+                      for _ in range(count)]
+            # scan's rows for the whole batch, through its stacked pipeline
+            rows = cli._scan_rows(metric, points, None)
+            for point, row in zip(points, rows):
+                record = _compare(metric, point, "" if row is None else row[3])
                 if record is None:
                     tally["skipped"] += 1
                     continue

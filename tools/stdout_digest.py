@@ -3,14 +3,19 @@
 The set is ``analyze`` on all six catalog families, on the concave
 conullity3 warp (non-negative sectional curvature), at a nearly
 degenerate nilpotent splitting tensor of a sekigawa warp and at an
-ill-conditioned g of sekigawa ``exp(u)``, ``scan`` on conullity3,
-on sekigawa (no preferred frame) and on the concave warp (domain rows and
-points near p -> 0), ``flow`` in both modes (kernel mode also on
-sekigawa, whose transported frame starts from a built complement, having no
-preferred frame) and ``verify --suite all --json``.  Each argv runs in-process through ``geonull.cli.main`` against
-the sources next to this script; stderr (timings) is discarded.  A refactor
-that claims identical output shows identical lines before and after; a line
-that moves names the command whose bytes moved.
+ill-conditioned g of sekigawa ``exp(u)``; ``scan`` on conullity3, on
+sekigawa (no preferred frame), on the concave warp (domain rows and points
+near p -> 0), on a grid mixing domain rows with nullity 1, 2 and 4, on
+sekigawa ``1e300*u*u+1`` (an overflowing domain row after an ok row whose
+nabla R overflows) and on a grid of three scan chunks where g cannot be
+inverted at some points of each (the stacked stages redone point by
+point); ``flow`` in both modes (kernel mode also on sekigawa, whose
+transported frame starts from a built complement, having no preferred
+frame) and ``verify --suite all --json``.  Each argv runs in-process
+through ``geonull.cli.main`` against the sources next to this script;
+stderr (timings) is discarded.  A refactor that claims identical output
+shows identical lines before and after; a line that moves names the
+command whose bytes moved.
 
 Run:  python3 tools/stdout_digest.py
 
@@ -63,6 +68,9 @@ ARGVS = (
     ("scan", "--metric", "conullity3", "--grid", "u=-1.5:1.5:4,w=-1.5:1.5:4"),
     ("scan", "--metric", "sekigawa", "--p", "exp(u)", "--grid", "x=-1:1:4,u=-1:1:4"),
     ("scan", "--metric", "conullity3", "--p", "4-u*u-w*w", "--grid", "u=-1.5:1.5:4,w=-1.5:1.5:4"),
+    ("scan", "--metric", "conullity3", "--p", "1+u*u*w", "--grid", "u=-1:1:3,w=-1:1:3"),
+    ("scan", "--metric", "sekigawa", "--p", "1e300*u*u+1", "--grid", "u=0:1:2"),
+    ("scan", "--metric", "conullity3", "--p", "exp(7*u*w)", "--grid", "u=-2:2:9,w=-2:2:9"),
     ("flow", "--metric", "conullity3", "--point", "0.1,0.2,-0.3,0.4", "--tmax", "1"),
     ("flow", "--metric", "product", "--point", "1,0.5,0.2,-0.1", "--tmax", "0.5"),
     ("flow", "--metric", "conullity3", "--point", "0,0,0,0", "--direction", "0,1,0,0"),
