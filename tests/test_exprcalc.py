@@ -701,6 +701,31 @@ def test_domain_error_fragments_keep_their_parentheses():
         assert err.value.offset == source.index(fragment)
 
 
+# each pair has one shape, so its kernels share their code; the constants,
+# fragments and offsets that differ must still reach each result and error
+@pytest.mark.parametrize(
+    "sources,points",
+    [
+        (("2*u+3", "1e999*u+3"), [(0.5, 0.2)]),  # a finite and a non-finite constant
+        (("u^2+w", "u^2.5+w"), [(0.5, 0.2), (-0.5, 0.2)]),  # integer and real power
+        (("1+log(0.5-u)", "1.25+log(0.25-u)"), [(0.7, 0.0)]),  # own fragment and offset
+        (("u/0", "u/0.5"), [(0.3, 0.0)]),
+        (("exp(7*u)", "exp(700*u)"), [(1.5, 0.0)]),  # only one overflows
+    ],
+    ids=["non_finite_constant", "power_branch", "fragment_and_offset", "division_by_zero", "overflow"],
+)
+def test_same_shape_kernels_share_code_and_keep_their_constants(sources, points):
+    for first, second in (sources, sources[::-1]):
+        partner, expr = parse(first, ("u", "w")), parse(second, ("u", "w"))
+        for point in points:
+            for evaluate in (partner.jet2, partner.jet3, partner.value):
+                _outcome(lambda: evaluate(point))
+        for point in points:
+            assert_matches_reference(expr, point)
+        for kernel in ("_jet_kernel", "_jet3_kernel", "_value_kernel"):
+            assert getattr(expr, kernel).__code__ is getattr(partner, kernel).__code__
+
+
 def test_value_skips_derivatives():
     # d^2/dx^2 log(x) = -1/x^2 divides by an underflowed zero; the value does not
     expr = parse("log(x)", ("x",))

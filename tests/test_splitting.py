@@ -413,6 +413,47 @@ def test_scan_request_makes_one_third_order_jet_per_point(monkeypatch, capsys):
     assert compiled == [3]  # the warp's jet3 kernel, never its jet2 kernel
 
 
+def test_same_shape_warps_compile_their_kernel_code_once(monkeypatch, capsys):
+    code = exprcalc._kernel_code
+    compiled = []
+
+    def spying(build, kind):
+        def spy(*args):
+            misses = code.cache_info().misses
+            kernel = build(*args)
+            compiled.extend([kind(*args)] * (code.cache_info().misses - misses))
+            return kernel
+        return spy
+
+    monkeypatch.setattr(exprcalc, "_compile_jet", spying(exprcalc._compile_jet, lambda *args: f"jet{args[-1]}"))
+    monkeypatch.setattr(exprcalc, "_compile_value", spying(exprcalc._compile_value, lambda *args: "value"))
+    warps = [f"{a}+cos({b}*u)+cos({c}*w)" for a, b, c in [(3.1, 0.9, 1.2), (2.7, 1.3, 0.6), (3.6, 0.7, 1.4)]]
+    point = ["--point", "0.1,0.2,-0.3,0.4"]
+    commands = [
+        ["scan", "--grid", "u=-1.5:1.5:4,w=-1.5:1.5:4"],
+        ["analyze", *point],
+        ["flow", *point, "--tmax", "0.5", "--steps", "16"],
+    ]
+
+    def run(command, warp):
+        assert cli.main([command[0], "--metric", "conullity3", "--p", warp, *command[1:]]) == 0
+        return capsys.readouterr().out
+
+    code.cache_clear()
+    warm = []
+    for command in commands:
+        warm.append(run(command, warps[0]))
+        before = list(compiled)
+        for warp in warps[1:]:
+            assert run(command, warp)
+        assert compiled == before  # a new warp of the same shape compiles nothing
+    assert sorted(compiled) == ["jet2", "jet3", "value"]  # flow's path jets take jet2
+    # evicted code is compiled again, to the same output bytes
+    code.cache_clear()
+    assert [run(command, warps[0]) for command in commands] == warm
+    assert sorted(compiled) == ["jet2", "jet2", "jet3", "jet3", "value", "value"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
