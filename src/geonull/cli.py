@@ -14,7 +14,8 @@ Output contracts:
 ``analyze``, ``scan`` and kernel-mode ``flow`` solve the splitting tensor
 from nabla R (``splitting.splitting_tensor_from_curvature``), so ``analyze``
 makes one metric jet per request and ``scan`` one per grid point; a
-kernel-mode ``flow`` makes 2m+1 for its kernel geodesic of m steps and one per
+kernel-mode ``flow`` makes 2m+1 for its kernel geodesic of m steps, whose g it
+inverts once per stacked block of steps (``flows.geodesic``), and one per
 tensor (the start and 9 samples), 523 at the default 256 steps.  ``scan``
 runs the rest of its curvature pipeline once per chunk of grid points, each
 stage stacked over the chunk (:func:`_scan_chunk`).

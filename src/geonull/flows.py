@@ -9,6 +9,25 @@ Gamma: on a kernel geodesic the acceleration is exactly zero, stage 3 lands
 on stage 2's point and the next step's stage 1 on stage 4's, so an m-step
 path costs 2m+1 jets where it costs 4m+1 in general (with a frame).
 
+Where the acceleration is exactly zero every stage point is known before
+the ride: RK4's own float operations with Gamma = 0 give the velocity and
+the stage offsets, and the nodes are their sequential sum, bitwise the step
+loop's.  :func:`geodesic` rides such steps in stacked blocks, each holding
+at most :data:`RIDE_BLOCK_BYTES` of Gamma.  A block jets each new stage
+point, the same jets as point by point.  It then inverts g and builds Gamma
+in one stacked call each, checks that -Gamma(v, v) at every stage is
+bitwise the acceleration assumed, and transports the frame step by step on
+that Gamma.  A block stops jetting at a node outside the chart, at a jet
+that raises, and at a point whose Christoffel bracket d_j g_km + d_k g_jm -
+d_m g_jk is not exactly zero on the velocity's nonzero entries (the only
+ones Gamma(v, v) is built from).  The first step it cannot vouch for (one
+of those, a failed check, or a stacked call or transport step that raises)
+is handed over: the point-by-point loop resumes at that step's node and
+takes the points the block jetted before jetting anew.  So a curved path,
+or one leaving the chart, keeps its bytes and its jets.  Only a stacked
+call that raises, or a check that fails where the bracket is zero, can
+leave a path having jetted points of its block that it never reaches.
+
 Paths truncate cleanly at the chart boundary instead of raising: the
 returned :class:`GeodesicPath` carries a ``truncated`` flag and the last
 parameter value that stayed inside; so does an RK4 stage whose numbers
@@ -28,6 +47,7 @@ jet.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,6 +70,13 @@ __all__ = [
     "flatness_probe",
     "incompleteness_probe",
 ]
+
+# a stacked block of a ride takes as many RK4 steps as keep its largest
+# array, Gamma at the four stages of each step (4 n^3 floats), within this
+# many bytes
+RIDE_BLOCK_BYTES = 1 << 16
+# an RK4 stage meeting one of these ends the path, truncated, instead of raising
+_STAGE_FAULTS = (ChartDomainError, DomainError, SingularMatrixError, FloatingPointError)
 
 
 class LaunchError(ValueError):
@@ -92,7 +119,9 @@ def geodesic(
 
     The rows of ``frame`` (k, n) are transported along the path in the same
     RK4 steps, W' = -Gamma(x)(v, W), each stage taking Gamma from the jet
-    that gives the acceleration there.
+    that gives the acceleration there.  Steps of exactly zero acceleration
+    are ridden in stacked blocks, the rest point by point, to the same bits
+    (see the module docstring).
     """
     if steps < 1:
         raise ValueError("steps must be positive")
@@ -108,69 +137,268 @@ def geodesic(
         raise ValueError("frame must be rows of chart-dimension vectors")
     if not metric.contains(x):
         raise ChartDomainError(f"geodesic start outside domain of {metric.name}", x)
+    ride = _Ride(metric, tmax / steps, x, v, W)
+    ride.coast(steps)
+    ride.integrate(steps)
+    return ride.path()
 
-    held = [None, None, None]  # bytes, g and Gamma of the last point jetted
 
-    def rates(y, w, vecs):
+def _coasting(v, h: float, steps: int):
+    """RK4's stage figures under zero Gamma: ``(velocities, accelerations, offsets)``, one row a step.
+
+    Row r, each (4, n), is step r's: the velocity and the acceleration
+    -Gamma(w, w) at its four stages, and the offsets of stages 2-4 and of
+    the next node from the step's node, each computed with the float
+    operations :meth:`_Ride.integrate` makes.  Zero plus a zero of either
+    sign can flip a velocity's zeros, so the rows stop at the first step
+    that leaves the velocity unchanged to the bit: every later step repeats
+    the last row, and node i has velocity ``velocities[min(i, rows - 1),
+    0]``.
+    """
+    zero = np.zeros((v.size,) * 3)
+
+    def accel(w):
+        return -np.einsum("kij,i,j->k", zero, w, w)
+
+    rows = []
+    while len(rows) <= steps:
+        ax1 = accel(v)
+        v2 = v + 0.5 * h * ax1
+        ax2 = accel(v2)
+        v3 = v + 0.5 * h * ax2
+        ax3 = accel(v3)
+        v4 = v + h * ax3
+        ax4 = accel(v4)
+        vn = v + (h / 6.0) * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
+        offsets = (0.5 * h * v, 0.5 * h * v2, h * v3, (h / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4))
+        rows.append(((v, v2, v3, v4), (ax1, ax2, ax3, ax4), offsets))
+        if vn.tobytes() == v.tobytes():
+            break
+        v = vn
+    return tuple(np.array(part) for part in zip(*rows))
+
+
+def _straight(dg, bracket) -> bool:
+    """Whether the Christoffel bracket of ``dg`` is exactly zero at every entry ``bracket`` marks.
+
+    The bracket is s[j, k, m] = d_j g_km + d_k g_jm - d_m g_jk.  A float
+    fault counts as not straight.
+    """
+    try:
+        s = dg.transpose(2, 0, 1) + dg.transpose(0, 2, 1) - dg
+    except (FloatingPointError, RuntimeWarning):
+        return False
+    return not np.count_nonzero(s[bracket])
+
+
+def _in_chart(metric: MetricField, x) -> bool:
+    """``metric.contains(x)``, False where it raises (:meth:`_Ride.integrate` meets the error again)."""
+    try:
+        return metric.contains(x)
+    except Exception:
+        return False
+
+
+class _Ride:
+    """One RK4 path being ridden: the nodes reached so far and the jets held for the stages ahead."""
+
+    def __init__(self, metric: MetricField, h: float, x, v, W):
+        self.metric = metric
+        self.h = h
+        self.times, self.xs, self.vs, self.ws = [0.0], [x], [v], [W]
+        self.gs = []  # g at each node, from the stage-1 jet of the step leaving it
+        self.truncated = False
+        self.held = (None, None, None)  # bytes, (g, dg) and Gamma of the last point jetted
+        # (bytes, (g, dg) or the error raised) of the points a stacked block
+        # jetted past the node it handed over at, in stage order
+        self.ahead = deque()
+
+    def rates(self, y, w, vecs):
         """(g, acceleration, frame rate) at y from one order-1 jet, reused while y repeats."""
         key = y.tobytes()
-        if key != held[0]:
-            g, dg = metric.jet(y, order=1, check=False)
-            held[:] = key, g, _christoffel_from_jet(invert(g), dg)
-        _, g, gamma = held
+        if key != self.held[0]:
+            if self.ahead and self.ahead[0][0] == key:
+                jet = self.ahead.popleft()[1]
+                if isinstance(jet, Exception):
+                    raise jet
+            else:
+                self.ahead.clear()
+                jet = self.metric.jet(y, order=1, check=False)
+            self.held = (key, jet, _christoffel_from_jet(invert(jet[0]), jet[1]))
+        _, (g, _), gamma = self.held
         frame_rate = -np.einsum("kij,i,aj->ak", gamma, w, vecs) if len(vecs) else vecs
         return g, -np.einsum("kij,i,j->k", gamma, w, w), frame_rate
 
-    h = tmax / steps
-    times = [0.0]
-    xs = [x]
-    vs = [v]
-    ws = [W]
-    gs = []  # g at each node, from the stage-1 jet of the step leaving it
-    truncated = False
-    for i in range(steps):
+    def coast(self, steps: int) -> None:
+        """Ride stacked blocks of zero-acceleration steps, up to the first step it cannot vouch for."""
+        v = self.vs[0]
+        if not np.all(np.isfinite(v)):  # a NaN raises no float error in _coasting
+            return
         try:
-            g1, ax1, k1 = rates(x, v, W)
-            gs.append(g1)
-            x2 = x + 0.5 * h * v
-            v2 = v + 0.5 * h * ax1
-            _, ax2, k2 = rates(x2, v2, W + 0.5 * h * k1)
-            x3 = x + 0.5 * h * v2
-            v3 = v + 0.5 * h * ax2
-            _, ax3, k3 = rates(x3, v3, W + 0.5 * h * k2)
-            x4 = x + h * v3
-            v4 = v + h * ax3
-            _, ax4, k4 = rates(x4, v4, W + h * k3)
-            xn = x + (h / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
-            vn = v + (h / 6.0) * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
-            Wn = W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        except (ChartDomainError, DomainError, SingularMatrixError, FloatingPointError):
-            truncated = True
-            break
-        if not (np.all(np.isfinite(xn)) and np.all(np.isfinite(vn)) and metric.contains(xn)):
-            truncated = True
-            break
-        x, v, W = xn, vn, Wn
-        times.append((i + 1) * h)
-        xs.append(x)
-        vs.append(v)
-        ws.append(W)
-    frames = np.array(ws)
-    drift = 0.0
-    if len(W):
-        if len(gs) < len(xs):
-            gs.append(held[1] if x.tobytes() == held[0] else metric.jet(x, order=1, check=False)[0])
-        grams = frames @ np.array(gs) @ frames.transpose(0, 2, 1)
-        drift = float(np.max(np.abs(grams - grams[0])))
-    return GeodesicPath(
-        times=np.array(times),
-        points=np.array(xs),
-        velocities=np.array(vs),
-        frame=frames,
-        gram_drift=drift,
-        truncated=truncated,
-        exit_parameter=times[-1] if truncated else None,
-    )
+            with np.errstate(all="raise"):
+                table = _coasting(v, self.h, steps)
+        except FloatingPointError:
+            return
+        n = v.size
+        moving = v != 0.0  # the same entries at every stage of the ride
+        # the bracket entries that Gamma(v, v) is built from
+        bracket = moving[:, None, None] & moving[None, :, None] & np.ones(n, dtype=bool)
+        size = max(1, RIDE_BLOCK_BYTES // (32 * n**3))
+        start = 0
+        while start < steps and self._block(start, min(steps, start + size), table, bracket):
+            start += size
+
+    def _block(self, b: int, e: int, table, bracket) -> bool:
+        """Ride steps b..e-1 stacked; False when it handed over at one it could not vouch for."""
+        velocities, accelerations, offsets = table
+        rows = np.minimum(np.arange(b, e), len(velocities) - 1)
+        n = velocities.shape[-1]
+        try:
+            with np.errstate(all="raise"):
+                # a sequential sum, so node i+1 is bitwise node i plus its offset
+                nodes = np.add.accumulate(np.concatenate([self.xs[-1][None], offsets[rows, 3]]))
+                points = np.concatenate([nodes[:-1, None], nodes[:-1, None] + offsets[rows, :3]], axis=1)
+        except FloatingPointError:
+            return False
+        points = points.reshape(-1, n)  # in stage order
+        # a stage point is jetted unless it repeats the one before it
+        bits = points.view(np.uint64)
+        new = np.empty(len(points), dtype=bool)
+        new[0] = points[0].tobytes() != self.held[0]
+        new[1:] = np.any(bits[1:] != bits[:-1], axis=1)
+        jets = []  # (bytes, (g, dg) or the error raised) of the points jetted, in stage order
+        ridden = self._jet_steps(points, new.tolist(), nodes, jets, bracket)
+        # the held point where stage 1 repeats it, then the points jetted
+        carried = int(not new[0])
+        entries = [self.held[:2]] * carried + jets
+        index = np.cumsum(new[: 4 * ridden]) - 1 + carried  # stage -> entry
+        if ridden:
+            used = [jet for _, jet in entries[: index[-1] + 1]]
+            try:
+                g = np.array([jet[0] for jet in used])
+                gamma = _christoffel_from_jet(invert(g), np.array([jet[1] for jet in used]))
+                stage_gamma = gamma[index]
+                stage_v = velocities[rows[:ridden]].reshape(-1, n)
+                accel = -np.einsum("...kij,...i,...j->...k", stage_gamma, stage_v, stage_v)
+            except _STAGE_FAULTS:
+                ridden = 0
+            else:
+                assumed = accelerations[rows[:ridden]].reshape(-1, n)
+                vouched = np.all(accel.view(np.uint64) == assumed.view(np.uint64), axis=1)
+                vouched = vouched.reshape(ridden, 4).all(axis=1)
+                if not vouched.all():
+                    ridden = int(np.argmin(vouched))
+        if ridden and len(self.ws[-1]):
+            frames = self._transport(stage_gamma, stage_v, ridden)
+            ridden = len(frames)
+        else:
+            frames = self.ws[-1:] * ridden
+        self.times += [(i + 1) * self.h for i in range(b, b + ridden)]
+        self.xs += list(nodes[1: ridden + 1])
+        self.vs += list(velocities[np.minimum(np.arange(b + 1, b + ridden + 1), len(velocities) - 1), 0])
+        self.ws += frames
+        last = carried - 1
+        if ridden:
+            self.gs += list(g[index[: 4 * ridden: 4]])
+            last = int(index[4 * ridden - 1])
+            self.held = (*entries[last], gamma[last])
+        self.ahead.extend(entries[last + 1:])
+        return ridden == e - b
+
+    def _jet_steps(self, points, new: list, nodes, jets: list, bracket) -> int:
+        """Jet the new stage points step by step; the number of steps that stay straight and inside.
+
+        Stops at the first jet that raises (its error kept in ``jets``) or
+        whose bracket is not zero where ``bracket`` marks, and at the first
+        step whose next node leaves the chart, returning that step's number.
+        """
+        for i in range(len(nodes) - 1):
+            for s in range(4 * i, 4 * i + 4):
+                if not new[s]:
+                    continue
+                key = points[s].tobytes()
+                try:
+                    jet = self.metric.jet(points[s], order=1, check=False)
+                except Exception as exc:  # raised again when integrate reaches this stage
+                    jets.append((key, exc))
+                    return i
+                jets.append((key, jet))
+                if not _straight(jet[1], bracket):
+                    return i
+            if not _in_chart(self.metric, nodes[i + 1]):
+                return i
+        return len(nodes) - 1
+
+    def _transport(self, stage_gamma, stage_v, steps: int) -> list:
+        """The frames W after each of the first ``steps`` steps of a block, fewer at a float fault."""
+        h = self.h
+        W = self.ws[-1]
+        frames = []
+        for i in range(steps):
+            g1, g2, g3, g4 = stage_gamma[4 * i: 4 * i + 4]
+            v1, v2, v3, v4 = stage_v[4 * i: 4 * i + 4]
+            try:
+                k1 = -np.einsum("kij,i,aj->ak", g1, v1, W)
+                k2 = -np.einsum("kij,i,aj->ak", g2, v2, W + 0.5 * h * k1)
+                k3 = -np.einsum("kij,i,aj->ak", g3, v3, W + 0.5 * h * k2)
+                k4 = -np.einsum("kij,i,aj->ak", g4, v4, W + h * k3)
+                W = W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            except FloatingPointError:  # integrate meets it again and truncates there
+                break
+            frames.append(W)
+        return frames
+
+    def integrate(self, steps: int) -> None:
+        """RK4 point by point from the last node reached, each stage taking Gamma from its own jet."""
+        h = self.h
+        x, v, W = self.xs[-1], self.vs[-1], self.ws[-1]
+        for i in range(len(self.xs) - 1, steps):
+            try:
+                g1, ax1, k1 = self.rates(x, v, W)
+                self.gs.append(g1)
+                x2 = x + 0.5 * h * v
+                v2 = v + 0.5 * h * ax1
+                _, ax2, k2 = self.rates(x2, v2, W + 0.5 * h * k1)
+                x3 = x + 0.5 * h * v2
+                v3 = v + 0.5 * h * ax2
+                _, ax3, k3 = self.rates(x3, v3, W + 0.5 * h * k2)
+                x4 = x + h * v3
+                v4 = v + h * ax3
+                _, ax4, k4 = self.rates(x4, v4, W + h * k3)
+                xn = x + (h / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
+                vn = v + (h / 6.0) * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
+                Wn = W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            except _STAGE_FAULTS:
+                self.truncated = True
+                break
+            if not (np.all(np.isfinite(xn)) and np.all(np.isfinite(vn)) and self.metric.contains(xn)):
+                self.truncated = True
+                break
+            x, v, W = xn, vn, Wn
+            self.times.append((i + 1) * h)
+            self.xs.append(x)
+            self.vs.append(v)
+            self.ws.append(W)
+
+    def path(self) -> GeodesicPath:
+        frames = np.array(self.ws)
+        drift = 0.0
+        if frames.shape[1]:
+            x = self.xs[-1]
+            if len(self.gs) < len(self.xs):
+                key, jet, _ = self.held
+                self.gs.append(jet[0] if x.tobytes() == key else self.metric.jet(x, order=1, check=False)[0])
+            grams = frames @ np.array(self.gs) @ frames.transpose(0, 2, 1)
+            drift = float(np.max(np.abs(grams - grams[0])))
+        return GeodesicPath(
+            times=np.array(self.times),
+            points=np.array(self.xs),
+            velocities=np.array(self.vs),
+            frame=frames,
+            gram_drift=drift,
+            truncated=self.truncated,
+            exit_parameter=self.times[-1] if self.truncated else None,
+        )
 
 
 def _sample_indices(nodes: int, samples: int) -> np.ndarray:

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from geonull import flows
 from geonull.curvature import _christoffel_from_jet
+from geonull.exprcalc import DomainError
 from geonull.flows import (
     LaunchError,
     flatness_probe,
@@ -21,7 +23,7 @@ from geonull.metricspace import (
     catalog_sekigawa,
     catalog_sphere,
 )
-from geonull.numcore import invert
+from geonull.numcore import SingularMatrixError, invert
 
 
 def test_polar_geodesic_matches_straight_line():
@@ -140,36 +142,76 @@ def test_parallel_transport_stack_preserves_gram():
     assert np.allclose(gram0, gram1, atol=1e-10)
 
 
+_STAGE_FAULTS = (ChartDomainError, DomainError, SingularMatrixError, FloatingPointError)
+
+
 def _reference_geodesic(metric, x, v, frame, tmax, steps):
-    """(points, velocities, frames, gram drift) of RK4 with a fresh jet at every stage."""
+    """RK4 with a fresh jet at every stage, truncating where ``geodesic`` does.
+
+    Returns (points, velocities, frames, gram drift, exit parameter or None,
+    jets).  ``jets`` counts the jets of the documented reuse rule: a stage
+    jets unless its point repeats the last point whose Gamma was built, and
+    with a frame, g at the last node, when no step left it, comes from that
+    point's jet or from one more.
+    """
+    built = [None]  # bytes of the last point whose Gamma was built
+    jets = [0]
 
     def rates(y, w, vecs):
+        jets[0] += y.tobytes() != built[0]
         g, dg = metric.jet(y, order=1, check=False)
         gamma = _christoffel_from_jet(invert(g), dg)
-        return -np.einsum("kij,i,j->k", gamma, w, w), -np.einsum("kij,i,aj->ak", gamma, w, vecs)
+        built[0] = y.tobytes()
+        return g, -np.einsum("kij,i,j->k", gamma, w, w), -np.einsum("kij,i,aj->ak", gamma, w, vecs)
 
     h = tmax / steps
     x, v, W = (np.array(a, dtype=float) for a in (x, v, frame))
-    xs, vs, ws = [x], [v], [W]
-    for _ in range(steps):
-        ax1, k1 = rates(x, v, W)
-        x2, v2 = x + 0.5 * h * v, v + 0.5 * h * ax1
-        ax2, k2 = rates(x2, v2, W + 0.5 * h * k1)
-        x3, v3 = x + 0.5 * h * v2, v + 0.5 * h * ax2
-        ax3, k3 = rates(x3, v3, W + 0.5 * h * k2)
-        x4, v4 = x + h * v3, v + h * ax3
-        ax4, k4 = rates(x4, v4, W + h * k3)
-        x, v, W = (
-            x + (h / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4),
-            v + (h / 6.0) * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4),
-            W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
-        )
+    times, xs, vs, ws, gs = [0.0], [x], [v], [W], []
+    truncated = False
+    for i in range(steps):
+        try:
+            g1, ax1, k1 = rates(x, v, W)
+            gs.append(g1)
+            x2, v2 = x + 0.5 * h * v, v + 0.5 * h * ax1
+            _, ax2, k2 = rates(x2, v2, W + 0.5 * h * k1)
+            x3, v3 = x + 0.5 * h * v2, v + 0.5 * h * ax2
+            _, ax3, k3 = rates(x3, v3, W + 0.5 * h * k2)
+            x4, v4 = x + h * v3, v + h * ax3
+            _, ax4, k4 = rates(x4, v4, W + h * k3)
+            xn = x + (h / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
+            vn = v + (h / 6.0) * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
+            Wn = W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        except _STAGE_FAULTS:
+            truncated = True
+            break
+        if not (np.all(np.isfinite(xn)) and np.all(np.isfinite(vn)) and metric.contains(xn)):
+            truncated = True
+            break
+        x, v, W = xn, vn, Wn
+        times.append((i + 1) * h)
         xs.append(x)
         vs.append(v)
         ws.append(W)
     frames = np.array(ws)
-    grams = frames @ np.array([metric.jet(q, order=1)[0] for q in xs]) @ frames.transpose(0, 2, 1)
-    return np.array(xs), np.array(vs), frames, float(np.max(np.abs(grams - grams[0])))
+    drift = 0.0
+    if len(W):
+        if len(gs) < len(xs):
+            jets[0] += x.tobytes() != built[0]
+            gs.append(metric.jet(x, order=1, check=False)[0])
+        grams = frames @ np.array(gs) @ frames.transpose(0, 2, 1)
+        drift = float(np.max(np.abs(grams - grams[0])))
+    return np.array(xs), np.array(vs), frames, drift, times[-1] if truncated else None, jets[0]
+
+
+def _counted(metric):
+    """``metric`` with each jet call appended (its order) to the returned list."""
+    calls = []
+
+    def jet(x, order):
+        calls.append(order)
+        return metric.jet(x, order=order, check=False)
+
+    return MetricField(metric.dim, metric.coordinates, jet, domain=metric.contains), calls
 
 
 @pytest.mark.parametrize(
@@ -187,17 +229,12 @@ def _reference_geodesic(metric, x, v, frame, tmax, steps):
     ids=["sphere", "polar", "conullity3_kernel"],
 )
 def test_geodesic_reuses_only_repeated_stage_points(metric, x0, v0, jets):
-    calls = []
-
-    def jet(x, order):
-        calls.append(order)
-        return metric.jet(x, order=order, check=False)
-
-    counted = MetricField(metric.dim, metric.coordinates, jet, domain=metric.contains)
+    counted, calls = _counted(metric)
     m, frame = 32, np.eye(metric.dim)
     path = geodesic(counted, x0, v0, tmax=0.5, steps=m, frame=frame)
     assert not path.truncated and len(calls) == jets[0]
-    points, velocities, frames, drift = _reference_geodesic(metric, x0, v0, frame, 0.5, m)
+    points, velocities, frames, drift, _, reference_jets = _reference_geodesic(metric, x0, v0, frame, 0.5, m)
+    assert reference_jets == jets[0]
     assert path.points.tobytes() == points.tobytes()
     assert path.velocities.tobytes() == velocities.tobytes()
     assert path.frame.tobytes() == frames.tobytes()
@@ -206,6 +243,189 @@ def test_geodesic_reuses_only_repeated_stage_points(metric, x0, v0, jets):
     bare = geodesic(counted, x0, v0, tmax=0.5, steps=m)
     assert bare.points.tobytes() == points.tobytes()
     assert len(calls) == jets[1]
+
+
+def _bending_field(a: float) -> MetricField:
+    """The (x, y) plane with g_xx = 1 + y c^2, c = max(x - a, 0), the rest Euclidean.
+
+    Along y = 0 with velocity (1, 0) the acceleration -Gamma^y_xx = c^2 / 2
+    is exactly zero up to x = a and nonzero past it, where the path bends.
+    """
+
+    def jet(p, order):
+        x, y = p
+        c = max(x - a, 0.0)
+        dg = np.zeros((2, 2, 2))
+        dg[0, 0] = [2.0 * y * c, c * c]
+        return np.array([[1.0 + y * c * c, 0.0], [0.0, 1.0]]), dg
+
+    return MetricField(2, ("x", "y"), jet, name="bending")
+
+
+def _pinched_field() -> MetricField:
+    """The (x, y) plane with g = diag(1, (1 - x)^2): lines along x are straight, g is singular at x = 1."""
+
+    def jet(p, order):
+        dg = np.zeros((2, 2, 2))
+        dg[1, 1, 0] = -2.0 * (1.0 - p[0])
+        return np.diag([1.0, (1.0 - p[0]) ** 2]), dg
+
+    return MetricField(2, ("x", "y"), jet, name="pinched")
+
+
+# rides geodesic takes in stacked blocks, for as long as the acceleration
+# stays exactly zero: (metric, x0, v0, tmax, steps, truncated)
+STRAIGHT_RIDES = {
+    "conullity3_kernel": (catalog_conullity3("3+cos(u)+cos(w)"), [0.1, 0.2, -0.3, 0.4],
+                          [0.0, 0.0, 1.0, 0.0], 1.0, 64, False),
+    # the first kernel basis vector: tiny entries off the v axis, one a -0.0
+    "conullity3_section": (catalog_conullity3("3.2+cos(0.7*u)+cos(1.1*w)"), [0.1, 0.2, -0.3, 0.4],
+                           [-0.0, -2.58975342e-17, 1.0, 1.32501136e-17], 1.0, 64, False),
+    "euclidean": (catalog_euclidean(3), [0.1, -0.2, 0.3], [0.5, 0.0, -1.0], 1.0, 48, False),
+    # h < 0 turns the -0.0 entries of v into +0.0 after one step, and moves
+    # the zero coordinates of x by signed zeros: stage 3 no longer lands on
+    # stage 2's bytes in the first step
+    "backward": (catalog_conullity3("3+cos(u)+cos(w)"), [0.1, 0.0, -0.3, -0.0],
+                 [-0.0, 0.0, 1.0, -0.0], -1.0, 40, False),
+    # polar's inward radial ray is straight and leaves the chart at r = 0.05
+    "polar_inward": (catalog_polar(), [1.0, 0.0], [-1.0, 0.0], 2.0, 400, True),
+    # straight up to x = 0.37, then bent: the ride hands over mid-path
+    "bends_midway": (_bending_field(0.37), [0.0, 0.0], [1.0, 0.0], 1.0, 50, False),
+    "conullity3_leaves_chart": (catalog_conullity3("3+cos(u)+cos(w)"), [0.1, 0.2, 2.9, 0.4],
+                                [0.0, 0.0, 1.0, 0.0], 1.0, 64, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRAIGHT_RIDES))
+@pytest.mark.parametrize("with_frame", [True, False], ids=["frame", "bare"])
+def test_stacked_ride_matches_the_reference(name, with_frame):
+    metric, x0, v0, tmax, steps, truncated = STRAIGHT_RIDES[name]
+    frame = np.eye(metric.dim) if with_frame else np.empty((0, metric.dim))
+    points, velocities, frames, drift, exit_parameter, jets = _reference_geodesic(
+        metric, x0, v0, frame, tmax, steps
+    )
+    counted, calls = _counted(metric)
+    path = geodesic(counted, x0, v0, tmax, steps=steps, frame=frame if with_frame else None)
+    assert path.truncated == truncated
+    assert path.exit_parameter == exit_parameter
+    assert path.points.tobytes() == points.tobytes()
+    assert path.velocities.tobytes() == velocities.tobytes()
+    assert path.frame.tobytes() == frames.tobytes()
+    assert path.gram_drift == drift
+    assert len(calls) == jets
+
+
+def test_stacked_ride_bends_where_the_reference_bends():
+    # the reference path leaves y = 0 past x = 0.37; the stacked one must too
+    metric, x0, v0, tmax, steps, _ = STRAIGHT_RIDES["bends_midway"]
+    path = geodesic(metric, x0, v0, tmax, steps=steps)
+    bent = path.points[:, 1] != 0.0
+    assert bent.any() and not bent[path.points[:, 0] <= 0.37].any()
+
+
+def test_polar_inward_ride_truncates_at_the_cutoff():
+    metric, x0, v0, tmax, steps, _ = STRAIGHT_RIDES["polar_inward"]
+    path = geodesic(metric, x0, v0, tmax, steps=steps)
+    assert path.truncated and abs(path.exit_parameter - 0.95) < 0.01
+    assert metric.contains(path.endpoint)
+
+
+@pytest.mark.parametrize("with_frame", [True, False], ids=["frame", "bare"])
+def test_stacked_ride_truncates_at_a_singular_g_like_the_reference(with_frame, monkeypatch):
+    # g is singular at x = 1, which stage 2 of step 7 lands on exactly (h =
+    # 1/8 from x = 1/16): the path ends at node 7 either way
+    metric, steps = _pinched_field(), 16
+    frame = np.eye(2) if with_frame else np.empty((0, 2))
+    points, velocities, frames, drift, exit_parameter, jets = _reference_geodesic(
+        metric, [0.0625, 0.3], [1.0, 0.0], frame, 2.0, steps
+    )
+    assert exit_parameter == 7 / 8 and jets == 1 + 2 * 7 + 1
+    for budget, block_steps in ((flows.RIDE_BLOCK_BYTES, steps), (1, 1)):
+        monkeypatch.setattr(flows, "RIDE_BLOCK_BYTES", budget)
+        counted, calls = _counted(metric)
+        path = geodesic(counted, [0.0625, 0.3], [1.0, 0.0], 2.0, steps=steps,
+                        frame=frame if with_frame else None)
+        assert path.truncated and path.exit_parameter == exit_parameter
+        assert path.points.tobytes() == points.tobytes()
+        assert path.velocities.tobytes() == velocities.tobytes()
+        assert path.frame.tobytes() == frames.tobytes()
+        assert path.gram_drift == drift
+        # the stacked inverse that raises has jetted its whole block: here
+        # the rest of the ride, or with one step a block, stage 4 of step 7
+        assert len(calls) == (2 * steps + 1 if block_steps == steps else jets + 1)
+
+
+@pytest.mark.parametrize("name", ["conullity3_section", "backward", "polar_inward", "bends_midway"])
+def test_ride_in_small_blocks_gives_the_bits_of_one_block(name, monkeypatch):
+    metric, x0, v0, tmax, steps, _ = STRAIGHT_RIDES[name]
+    frame = np.eye(metric.dim)
+    counted, calls = _counted(metric)
+    whole = geodesic(counted, x0, v0, tmax, steps=steps, frame=frame)
+    jets = len(calls)
+    # one step a block, then three
+    for budget in (1, 3 * 32 * metric.dim**3):
+        monkeypatch.setattr(flows, "RIDE_BLOCK_BYTES", budget)
+        calls.clear()
+        path = geodesic(counted, x0, v0, tmax, steps=steps, frame=frame)
+        assert len(calls) == jets
+        for field in ("times", "points", "velocities", "frame"):
+            assert getattr(path, field).tobytes() == getattr(whole, field).tobytes()
+        assert (path.gram_drift, path.truncated, path.exit_parameter) == (
+            whole.gram_drift, whole.truncated, whole.exit_parameter)
+
+
+@pytest.mark.parametrize(
+    "name, stacks",
+    [
+        # blocks of 2**16 bytes of Gamma hold 32 steps at n = 4: the first
+        # inverts its 2 * 32 + 1 points, the second the held point and 2 * 32
+        ("conullity3_kernel", [(2 * 32 + 1, 4, 4)] * 2),
+        # 256 steps a block at n = 2; the stacked pass stops at step 189,
+        # whose next node is past the cutoff, and the point-by-point loop
+        # redoes that step from its two jets already made
+        ("polar_inward", [(2 * 189 + 1, 2, 2), (2, 2), (2, 2)]),
+        # the sphere bends from the first stage: all point by point
+        ("sphere", [(2, 2)] * (4 * 8)),
+    ],
+)
+def test_ride_inverts_g_once_per_block(name, stacks, monkeypatch):
+    seen = []
+    real = flows.invert
+
+    def counted_invert(m):
+        seen.append(np.shape(m))
+        return real(m)
+
+    monkeypatch.setattr(flows, "invert", counted_invert)
+    if name == "sphere":
+        geodesic(catalog_sphere(1.0), [1.1, 0.4], [0.3, 0.8], 0.5, steps=8)
+    else:
+        metric, x0, v0, tmax, steps, _ = STRAIGHT_RIDES[name]
+        geodesic(metric, x0, v0, tmax, steps=steps)
+    assert seen == stacks
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_stacked_ride_primitives_match_each_point(n):
+    # the stacked ride's bytes rest on these: a stacked invert, Christoffel
+    # pass and acceleration einsum (on Gamma gathered per stage) give each
+    # matrix's own result bit for bit
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(24, n, n))
+    g = a @ a.transpose(0, 2, 1) + n * np.eye(n)
+    dg = rng.normal(size=(24, n, n, n))
+    dg = dg + dg.transpose(0, 2, 1, 3)
+    v = rng.normal(size=(24, n))
+    v[:, 0] = -0.0
+    gi = invert(g)
+    gamma = _christoffel_from_jet(gi, dg)
+    index = rng.integers(0, 24, size=96)
+    accel = -np.einsum("...kij,...i,...j->...k", gamma[index], v[index], v[index])
+    for i in range(24):
+        assert invert(g[i]).tobytes() == gi[i].tobytes()
+        assert _christoffel_from_jet(gi[i], dg[i]).tobytes() == gamma[i].tobytes()
+    for stage, i in enumerate(index):
+        assert (-np.einsum("kij,i,j->k", gamma[i], v[i], v[i])).tobytes() == accel[stage].tobytes()
 
 
 def test_geodesic_without_frame_carries_an_empty_one():

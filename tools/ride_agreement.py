@@ -1,0 +1,125 @@
+"""Compare ``flows.geodesic``'s stacked ride with the point-by-point RK4 loop.
+
+``flows.geodesic`` rides steps of exactly zero acceleration in stacked
+blocks and hands the first step it cannot vouch for to the point-by-point
+loop.  This draws seeded rides on warped conullity3 and sekigawa charts
+(warp ``a+cos(b*s)+cos(c*t)``, a in [2.5, 4], b and c in [0.5, 1.5]; points
+uniform in the chart box, those off the chart skipped), launched along the
+curvature kernel as ``flow`` launches them, or one time in four along a
+random direction, with a transported frame, a random step count and ``tmax``
+of either sign.  Each ride runs twice: through ``geodesic``, and through the
+point-by-point loop alone from node 0.  Both must give the same bytes for
+every field of the path, and make the same number of metric jets.
+
+It prints one line per ride that differs, then how many rides the stacked
+pass took to the end, how many it handed over part-way or at the start, and
+how many were truncated.  Exits 1 if any ride differs.
+
+Run:  python3 tools/ride_agreement.py [--rides 100] [--seed 2031]
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import random
+import sys
+from collections import Counter
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from geonull import flows  # noqa: E402
+from geonull.metricspace import DEFAULT_BOX, MetricField, catalog_conullity3, catalog_sekigawa  # noqa: E402
+from geonull.splitting import kernel_section  # noqa: E402
+
+FIELDS = ("times", "points", "velocities", "frame")
+
+
+def _counted(metric):
+    """``metric`` with its jets counted in the returned list."""
+    calls = []
+
+    def jet(x, order):
+        calls.append(order)
+        return metric.jet(x, order=order, check=False)
+
+    return MetricField(metric.dim, metric.coordinates, jet, domain=metric.contains), calls
+
+
+def _ride(rng: random.Random):
+    """(label, metric, x0, v0, frame, tmax, steps) of one drawn ride, or None off the chart."""
+    a, b, c = rng.uniform(2.5, 4.0), rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5)
+    if rng.random() < 0.5:
+        label, metric = "conullity3", catalog_conullity3(f"{a:.6f}+cos({b:.6f}*u)+cos({c:.6f}*w)")
+    else:
+        label, metric = "sekigawa", catalog_sekigawa(f"{a:.6f}+cos({b:.6f}*u)+cos({c:.6f}*x)")
+    n = metric.dim
+    x0 = np.array([rng.uniform(-DEFAULT_BOX, DEFAULT_BOX) for _ in range(n)])
+    if not metric.contains(x0):
+        return None
+    if rng.random() < 0.25:
+        label += " off-kernel"
+        v0 = np.array([rng.uniform(-1.0, 1.0) for _ in range(n)])
+    else:
+        v0 = kernel_section(metric, x0)[0]
+    frame = np.eye(n)[rng.sample(range(n), rng.randint(1, n))]
+    tmax = rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 4.0)
+    return label, metric, x0, v0, frame, tmax, rng.randint(1, 300)
+
+
+def _fields(path) -> tuple:
+    return tuple(getattr(path, f).tobytes() for f in FIELDS) + (
+        repr(path.gram_drift), path.truncated, repr(path.exit_parameter))
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--rides", type=int, default=100)
+    ap.add_argument("--seed", type=int, default=2031)
+    args = ap.parse_args()
+    rng = random.Random(args.seed)
+    stacks = []
+    real_invert = flows.invert
+
+    def invert(m):
+        stacks.append(np.ndim(m) == 3)
+        return real_invert(m)
+
+    flows.invert = invert
+    tally = Counter()
+    differ = 0
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        while sum(tally.values()) < args.rides:
+            drawn = _ride(rng)
+            if drawn is None:
+                continue
+            label, metric, x0, v0, frame, tmax, steps = drawn
+            counted, calls = _counted(metric)
+            stacks.clear()
+            path = flows.geodesic(counted, x0, v0, tmax, steps=steps, frame=frame)
+            jets = len(calls)
+            stacked, per_point = stacks.count(True), stacks.count(False)
+            calls.clear()
+            ride = flows._Ride(counted, tmax / steps, x0.copy(), v0.copy(), frame.copy())
+            ride.integrate(steps)
+            reference = ride.path()
+            kind = ("stacked to the end" if not per_point else
+                    "handed over part-way" if stacked else "handed over at the start")
+            tally[kind + (", truncated" if path.truncated else "")] += 1
+            moved = [f for f, x, y in zip(FIELDS + ("gram_drift", "truncated", "exit_parameter"),
+                                          _fields(path), _fields(reference)) if x != y]
+            if moved or jets != len(calls):
+                differ += 1
+                print(f"{label}: x0 {','.join('%.17g' % c for c in x0)} v0 {','.join('%.17g' % c for c in v0)} "
+                      f"tmax {tmax!r} steps {steps}: moved {moved or '-'}, jets {jets} vs {len(calls)}")
+    for kind, count in sorted(tally.items()):
+        print(f"{kind}: {count}")
+    print(f"rides differing from the point-by-point loop: {differ}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,7 +11,11 @@ nabla R overflows) and on a grid of three scan chunks where g cannot be
 inverted at some points of each (the stacked stages redone point by
 point); ``flow`` in both modes (kernel mode also on sekigawa, whose
 transported frame starts from a built complement, having no preferred
-frame) and ``verify --suite all --json``.  Each argv runs in-process
+frame) and ``verify --suite all --json``; then three straight rides that
+``flows.geodesic`` takes in stacked blocks: a conullity3 kernel ride that
+leaves the chart, one backward (``--tmax -1``) and polar's inward radial
+ray in custom mode, which stops at the r > 0.05 cutoff.  Argvs are only
+ever appended, so every line of an earlier set stays.  Each argv runs in-process
 through ``geonull.cli.main`` against the sources next to this script;
 stderr (timings) is discarded.  A refactor that claims identical output
 shows identical lines before and after; a line that moves names the
@@ -76,6 +80,9 @@ ARGVS = (
     ("flow", "--metric", "conullity3", "--point", "0,0,0,0", "--direction", "0,1,0,0"),
     ("flow", "--metric", "sekigawa", "--p", "2+u*u", "--point", "0.2,0.3,0.1", "--tmax", "0.5"),
     ("verify", "--suite", "all", "--json"),
+    ("flow", "--metric", "conullity3", "--point=0.1,0.2,2.9,0.4", "--tmax", "1"),
+    ("flow", "--metric", "conullity3", "--point", "0.1,0.2,-0.3,0.4", "--tmax", "-1"),
+    ("flow", "--metric", "polar", "--point", "1,0", "--direction", "-1,0", "--tmax", "2"),
 )
 
 
