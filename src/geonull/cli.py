@@ -14,11 +14,12 @@ Output contracts:
 ``analyze``, ``scan`` and kernel-mode ``flow`` solve the splitting tensor
 from nabla R (``splitting.splitting_tensor_from_curvature``), so ``analyze``
 makes one metric jet per request and ``scan`` one per grid point; a
-kernel-mode ``flow`` makes 2m+1 for its kernel geodesic of m steps, whose g it
-inverts once per stacked block of steps (``flows.geodesic``), and one per
-tensor (the start and 9 samples), 523 at the default 256 steps.  ``scan``
-runs the rest of its curvature pipeline once per chunk of grid points, each
-stage stacked over the chunk (:func:`_scan_chunk`).
+kernel-mode ``flow`` makes 2m+1 for its kernel geodesic of m steps, which it
+jets and whose g it inverts in one stacked call per block of steps
+(``flows.geodesic``), and one per tensor (the start and 9 samples), 523 at
+the default 256 steps.  ``scan`` takes each chunk of grid points' jets from
+one stacked call and runs the rest of its curvature pipeline once per chunk,
+each stage stacked over the chunk (:func:`_scan_chunk`).
 
 Exit codes: 0 success, 1 usage error, 2 domain error (a float overflow or
 a metric too ill-conditioned to invert included), 3 verification failure.
@@ -69,7 +70,7 @@ from .metricspace import (
     catalog_sekigawa,
     catalog_sphere,
 )
-from .numcore import SingularMatrixError, eigenvalues
+from .numcore import SingularMatrixError, _invert_each, eigenvalues
 from .splitting import (
     SMOOTH_KERNEL_RESIDUAL,
     AlignmentError,
@@ -453,45 +454,62 @@ def _scan_rows(metric, points, rel_tol) -> list:
     ]
 
 
+def _curvature_rows(jets, rel_tol, idx) -> list:
+    """R's stage of :func:`_scan_chunk` at the points ``idx`` of ``jets``: ``(scal, kernel, parts of R)`` each.
+
+    Where some g fails ``invert``'s condition test, those points get None,
+    as each fails alone too, and the rest are redone stacked.
+    """
+    try:
+        parts, scal, kernels = _curvatures(*(a[idx] for a in jets[:3]), rel_tol)
+    except SingularMatrixError:
+        passed = _invert_each(jets[0][idx])[1].tolist()
+        if all(passed):
+            raise
+        kept = [i for i, ok in zip(idx, passed) if ok]
+        rows = iter(_each_alone(functools.partial(_curvature_rows, jets, rel_tol), kept, None))
+        return [next(rows) if ok else None for ok in passed]
+    return [(float(s), res, [p[j] for p in parts]) for j, (s, res) in enumerate(zip(scal, kernels))]
+
+
 def _scan_chunk(metric, points, rel_tol) -> list:
     """:func:`_scan_rows` for one chunk: each curvature stage stacked over its points.
 
-    Each point makes one metric jet, of order 3 where the metric has one.
-    R, the scalar trace and the kernels are stacked over the points with a
+    The chunk's jets, of order 3 where the metric has one, come from one
+    ``MetricField.jets`` call, which jets no point outside the chart.  R,
+    the scalar trace and the kernels are stacked over the points with a
     jet; nabla R, both sides of the solve and the eigenvalues over those
     with a line kernel (for a metric without a 3-jet, nabla R is each
     point's stencil).  The frames and the least-squares solves run point by
     point.  A stacked stage that raises is redone one point at a time: a
     point whose jet or R fails is a domain row, one whose frame, nabla R or
-    solve fails an ok row without a kind.
+    solve fails an ok row without a kind.  Where R's stage raises because
+    some g fails ``invert``'s condition test, only those points are left
+    out (domain rows) and the rest are redone stacked.
     """
     if rel_tol is None:
         rel_tol = _default_rel_tol(metric)
     order = metric.max_order
-    jets = {}
-    for i, pt in enumerate(points):
-        try:
-            jets[i] = metric.jet(pt, order=order)
-        except _SCAN_FAULTS:
-            pass
+    jets, faults = metric.jets(points, order=order)
+    for exc in faults.values():
+        if not isinstance(exc, _SCAN_FAULTS):
+            raise exc
+    jetted = [i for i in range(len(points)) if i not in faults]
 
-    def curvature(idx):
-        parts, scal, kernels = _curvatures(*_stack(jets[i][:3] for i in idx), rel_tol)
-        return [(float(s), res, [p[j] for p in parts]) for j, (s, res) in enumerate(zip(scal, kernels))]
-
-    curved = {i: c for i, c in zip(jets, _each_alone(curvature, list(jets), None)) if c is not None}
+    rows = _each_alone(functools.partial(_curvature_rows, jets, rel_tol), jetted, None)
+    curved = {i: c for i, c in zip(jetted, rows) if c is not None}
     frames = {}
     for i, (_, res, _) in curved.items():
         if _splitting_defined(res):
             try:
-                frames[i] = _frame(metric, points[i], jets[i][0], res.basis[0])
+                frames[i] = _frame(metric, points[i], jets[0][i], res.basis[0])
             except _SCAN_FAULTS:
                 pass
 
     def classified(idx):
         parts = _stack(curved[i][2] for i in idx)
         if order == 3:
-            cov = _nabla_riemann(*_stack(jets[i] for i in idx), parts)
+            cov = _nabla_riemann(*(a[idx] for a in jets), parts)
         else:  # the stencil step of splitting_tensor_from_curvature
             cov = np.stack([
                 _covariant_dr(metric, points[i], gamma, rdown, h=1e-4, check=True)

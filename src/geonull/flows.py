@@ -13,20 +13,27 @@ Where the acceleration is exactly zero every stage point is known before
 the ride: RK4's own float operations with Gamma = 0 give the velocity and
 the stage offsets, and the nodes are their sequential sum, bitwise the step
 loop's.  :func:`geodesic` rides such steps in stacked blocks, each holding
-at most :data:`RIDE_BLOCK_BYTES` of Gamma.  A block jets each new stage
-point, the same jets as point by point.  It then inverts g and builds Gamma
-in one stacked call each, checks that -Gamma(v, v) at every stage is
-bitwise the acceleration assumed, and transports the frame step by step on
-that Gamma.  A block stops jetting at a node outside the chart, at a jet
-that raises, and at a point whose Christoffel bracket d_j g_km + d_k g_jm -
-d_m g_jk is not exactly zero on the velocity's nonzero entries (the only
-ones Gamma(v, v) is built from).  The first step it cannot vouch for (one
-of those, a failed check, or a stacked call or transport step that raises)
-is handed over: the point-by-point loop resumes at that step's node and
-takes the points the block jetted before jetting anew.  So a curved path,
-or one leaving the chart, keeps its bytes and its jets.  Only a stacked
-call that raises, or a check that fails where the bracket is zero, can
-leave a path having jetted points of its block that it never reaches.
+at most :data:`RIDE_BLOCK_BYTES` of Gamma.  A block tests its nodes against
+the chart in one stacked call (:meth:`MetricField.contains_each`), jets the
+new stage points of its steps up to the first node outside the chart in one
+:meth:`MetricField.jets` call, and screens them stacked: a step is ridden
+only if each of its jets is made without raising and has a Christoffel
+bracket d_j g_km + d_k g_jm - d_m g_jk exactly zero on the velocity's
+nonzero entries (the only ones Gamma(v, v) is built from).  A ride's first
+step is jetted point by point, each jet screened before the next is made,
+and so is every step on a chart without a stacked jet form.  The block then
+inverts g and builds Gamma in one stacked call each, checks that -Gamma(v,
+v) at every stage is bitwise the acceleration assumed, and transports the
+frame step by step on that Gamma.  The first step it cannot vouch for (one
+that fails the screen or leaves the chart, a g that fails the inverse's
+condition test, a failed check, or a stacked call or transport step that
+raises) is handed over: the point-by-point loop resumes at that step's node
+and takes the points the block jetted before jetting anew.  So every path
+keeps its bytes.  A path that stays straight, that leaves the chart, or
+that is curved from its first stage makes the jets of the point-by-point
+loop.  One that bends mid-block, or whose g or check fails there, may have
+jetted the rest of that block: at most one block of stage points that the
+path never reaches.
 
 Paths truncate cleanly at the chart boundary instead of raising: the
 returned :class:`GeodesicPath` carries a ``truncated`` flag and the last
@@ -56,7 +63,7 @@ import numpy as np
 from .curvature import _christoffel_from_jet, _nullity_at, _riemann_from_jet
 from .exprcalc import DomainError
 from .metricspace import ChartDomainError, MetricField
-from .numcore import SingularMatrixError, _g_gram_schmidt, invert
+from .numcore import SingularMatrixError, _g_gram_schmidt, _invert_each, invert
 
 __all__ = [
     "LaunchError",
@@ -178,25 +185,34 @@ def _coasting(v, h: float, steps: int):
     return tuple(np.array(part) for part in zip(*rows))
 
 
-def _straight(dg, bracket) -> bool:
-    """Whether the Christoffel bracket of ``dg`` is exactly zero at every entry ``bracket`` marks.
+def _each_row(test, rows, faults) -> np.ndarray:
+    """``test(rows)``, a bool per row; if that raises one of ``faults``, each row alone, False where it raises."""
+    try:
+        return test(rows)
+    except faults:
+        if len(rows) == 1:
+            return np.zeros(1, dtype=bool)
+        return np.concatenate([_each_row(test, row[None], faults) for row in rows])
 
-    The bracket is s[j, k, m] = d_j g_km + d_k g_jm - d_m g_jk.  A float
-    fault counts as not straight.
+
+def _straight(dg, bracket) -> np.ndarray:
+    """Whether the Christoffel bracket is exactly zero at every entry ``bracket`` marks, at each point of a stack.
+
+    ``dg`` is (m, n, n, n); the bracket is s[j, k, m] = d_j g_km + d_k
+    g_jm - d_m g_jk.  A float fault counts as not straight, at its own
+    point.
     """
-    try:
-        s = dg.transpose(2, 0, 1) + dg.transpose(0, 2, 1) - dg
-    except (FloatingPointError, RuntimeWarning):
-        return False
-    return not np.count_nonzero(s[bracket])
+
+    def zero(dg):
+        s = dg.transpose(0, 3, 1, 2) + dg.transpose(0, 1, 3, 2) - dg
+        return np.count_nonzero(s[:, bracket], axis=1) == 0
+
+    return _each_row(zero, dg, (FloatingPointError, RuntimeWarning))
 
 
-def _in_chart(metric: MetricField, x) -> bool:
-    """``metric.contains(x)``, False where it raises (:meth:`_Ride.integrate` meets the error again)."""
-    try:
-        return metric.contains(x)
-    except Exception:
-        return False
+def _in_chart(metric: MetricField, xs) -> np.ndarray:
+    """``metric.contains`` at each row of ``xs``, False where it raises (:meth:`_Ride.integrate` meets the error again)."""
+    return _each_row(metric.contains_each, xs, Exception)
 
 
 class _Ride:
@@ -267,7 +283,10 @@ class _Ride:
         new[0] = points[0].tobytes() != self.held[0]
         new[1:] = np.any(bits[1:] != bits[:-1], axis=1)
         jets = []  # (bytes, (g, dg) or the error raised) of the points jetted, in stage order
-        ridden = self._jet_steps(points, new.tolist(), nodes, jets, bracket)
+        # a ride's first step is jetted point by point, so a ride curved from
+        # its first stage jets what the point-by-point loop jets
+        alone = int(b == 0) if self.metric.stacked else e - b
+        ridden = self._jet_steps(points, new.tolist(), nodes, jets, bracket, alone)
         # the held point where stage 1 repeats it, then the points jetted
         carried = int(not new[0])
         entries = [self.held[:2]] * carried + jets
@@ -276,8 +295,13 @@ class _Ride:
             used = [jet for _, jet in entries[: index[-1] + 1]]
             try:
                 g = np.array([jet[0] for jet in used])
-                gamma = _christoffel_from_jet(invert(g), np.array([jet[1] for jet in used]))
-                stage_gamma = gamma[index]
+                try:
+                    gi = invert(g)
+                except SingularMatrixError:  # ride the steps before the first stage whose g fails
+                    gi, passed, _ = _invert_each(g)
+                    ridden = int(np.argmin(passed[index])) // 4
+                gamma = _christoffel_from_jet(gi, np.array([jet[1] for jet in used]))
+                stage_gamma = gamma[index[: 4 * ridden]]
                 stage_v = velocities[rows[:ridden]].reshape(-1, n)
                 accel = -np.einsum("...kij,...i,...j->...k", stage_gamma, stage_v, stage_v)
             except _STAGE_FAULTS:
@@ -305,14 +329,20 @@ class _Ride:
         self.ahead.extend(entries[last + 1:])
         return ridden == e - b
 
-    def _jet_steps(self, points, new: list, nodes, jets: list, bracket) -> int:
-        """Jet the new stage points step by step; the number of steps that stay straight and inside.
+    def _jet_steps(self, points, new: list, nodes, jets: list, bracket, alone: int) -> int:
+        """Jet the new stage points; the number of steps that stay straight and inside.
 
         Stops at the first jet that raises (its error kept in ``jets``) or
         whose bracket is not zero where ``bracket`` marks, and at the first
         step whose next node leaves the chart, returning that step's number.
+        The first ``alone`` steps are jetted point by point, each jet
+        screened before the next is made.  The rest are jetted in one
+        :meth:`MetricField.jets` call, up to the first step whose next node
+        leaves the chart (one stacked domain test for their nodes), and
+        screened stacked; every point of that call is kept in ``jets``.
         """
-        for i in range(len(nodes) - 1):
+        steps = len(nodes) - 1
+        for i in range(alone):
             for s in range(4 * i, 4 * i + 4):
                 if not new[s]:
                     continue
@@ -323,11 +353,26 @@ class _Ride:
                     jets.append((key, exc))
                     return i
                 jets.append((key, jet))
-                if not _straight(jet[1], bracket):
+                if not _straight(jet[1][None], bracket)[0]:
                     return i
-            if not _in_chart(self.metric, nodes[i + 1]):
+            if not _in_chart(self.metric, nodes[i + 1: i + 2])[0]:
                 return i
-        return len(nodes) - 1
+        if alone == steps:
+            return steps
+        inside = _in_chart(self.metric, nodes[alone + 1:])
+        # jet up to the step whose next node leaves the chart, which is not ridden
+        end = steps if inside.all() else alone + int(np.argmin(inside)) + 1
+        stages = [s for s in range(4 * alone, 4 * end) if new[s]]
+        (g, dg), faults = self.metric.jets(points[stages], order=1, check=False)
+        straight = _straight(dg, bracket)
+        stop = None
+        for k, s in enumerate(stages):
+            jets.append((points[s].tobytes(), faults[k] if k in faults else (g[k], dg[k])))
+            if stop is None and (k in faults or not straight[k]):
+                stop = s // 4
+        if stop is not None:
+            return stop
+        return steps if inside.all() else end - 1
 
     def _transport(self, stage_gamma, stage_v, steps: int) -> list:
         """The frames W after each of the first ``steps`` steps of a block, fewer at a float fault."""

@@ -7,6 +7,11 @@ that also rejects non-finite points.  Charts are immutable after
 construction and evaluation is pure, so fields can be shared freely across
 threads.  Every catalog family has closed-form 3-jets; a field built from
 finite differences, and a user field by default, has 2-jets only.
+:meth:`MetricField.jets` jets a stack of points, each bitwise as
+:meth:`MetricField.jet` jets it or with the error it raises there.  The two
+warped families have a stacked form, which calls the warp's compiled jet
+kernel once per point and assembles each array of the jet once per stack;
+every other field loops over ``jet``.
 
 The catalog contains flat space, the round sphere, a polar-coordinate flat
 plane, block products, and two warped families driven by a user-supplied
@@ -75,6 +80,12 @@ class Provenance:
 class MetricField:
     """A Riemannian metric on one coordinate chart with 2-jet (or 3-jet) access.
 
+    :meth:`jet` jets one point and :meth:`jets` a stack of them;
+    :meth:`contains` and :meth:`contains_each` are the domain tests likewise.
+    The stacked calls have a stacked form on the two warped catalog charts,
+    whose ``jet`` is a coframe jet and ``domain`` its own chart test, and
+    loop over the points on every other field.
+
     Parameters
     ----------
     dim : int
@@ -129,6 +140,9 @@ class MetricField:
         self.annotations = dict(annotations or {})
         self.preferred_frame = preferred_frame
         self._max_order = max_order
+        # the stacked form of jet and domain, where both are a coframe jet's
+        coframe = isinstance(jet, _CoframeJet) and domain == jet.inside
+        self._stacked = jet if coframe else None
 
     @property
     def max_order(self) -> int:
@@ -137,11 +151,29 @@ class MetricField:
     def __repr__(self) -> str:
         return f"MetricField({self.name!r}, dim={self.dim}, coords={self.coordinates})"
 
+    @property
+    def stacked(self) -> bool:
+        """Whether :meth:`jets` has a stacked form; without one it loops over :meth:`jet`."""
+        return self._stacked is not None
+
     def _point(self, x) -> np.ndarray:
         pt = np.asarray(x, dtype=float)
         if pt.shape != (self.dim,):
             raise ValueError(f"point shape {pt.shape} does not match dimension {self.dim}")
         return pt
+
+    def _points(self, points) -> np.ndarray:
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise ValueError(f"points shape {pts.shape} is not (m, {self.dim})")
+        return pts
+
+    def _order(self, order: int) -> None:
+        if not 1 <= order <= self._max_order:
+            raise ValueError(f"order must be 1..{self._max_order} for {self.name}, got {order}")
+
+    def _outside(self, pt: np.ndarray) -> ChartDomainError:
+        return ChartDomainError(f"point outside domain of {self.name}", pt)
 
     def _inside(self, pt: np.ndarray) -> bool:
         return all(map(math.isfinite, pt.tolist())) and bool(self._domain(pt))
@@ -149,20 +181,77 @@ class MetricField:
     def contains(self, x) -> bool:
         return self._inside(self._point(x))
 
+    def contains_each(self, points) -> np.ndarray:
+        """:meth:`contains` at each row of ``points`` (m, n), as a bool array; raises where it raises."""
+        pts = self._points(points)
+        if self._stacked is None:
+            return np.array([self._inside(pt) for pt in pts], dtype=bool)
+        inside = np.isfinite(pts).all(axis=1)
+        if inside.any():
+            inside[inside] = self._stacked.insides(pts[inside])
+        return inside
+
     def g(self, x, check: bool = True) -> np.ndarray:
         pt = self._point(x)
         if check and not self._inside(pt):
-            raise ChartDomainError(f"point outside domain of {self.name}", pt)
+            raise self._outside(pt)
         return self._jet(pt, 1)[0]
 
     def jet(self, x, order: int = 2, check: bool = True):
         """Jet of g at x: ``(g, dg, d2g)``; ``order=1`` skips d2g, ``order=3`` adds d3g."""
-        if not 1 <= order <= self._max_order:
-            raise ValueError(f"order must be 1..{self._max_order} for {self.name}, got {order}")
+        self._order(order)
         pt = self._point(x)
         if check and not self._inside(pt):
-            raise ChartDomainError(f"point outside domain of {self.name}", pt)
+            raise self._outside(pt)
         return self._jet(pt, order)
+
+    def jets(self, points, order: int = 2, check: bool = True):
+        """Jets of g at each row of ``points`` (m, n): ``(arrays, faults)``.
+
+        ``arrays`` is :meth:`jet`'s tuple with each array stacked over the
+        points, each point's rows bitwise its own :meth:`jet`.  ``faults``
+        maps the index of each point where :meth:`jet` raises, in index
+        order, to the error it raises there; that point's rows are NaN.  A
+        point outside the chart is not jetted under ``check``.  The stacked
+        form, where the field has one, assembles each array once per stack;
+        a float fault there redoes the stack point by point, so the fault
+        stays with its point and is raised from where :meth:`jet` raises it.
+        """
+        self._order(order)
+        pts = self._points(points)
+        if self._stacked is None:
+            return self._each_jet(pts, order, check)
+        try:
+            arrays, outside, alone = self._stacked.jets(pts, order, check)
+        except (FloatingPointError, RuntimeWarning):
+            return self._each_jet(pts, order, check)
+        faults = {}
+        for i in np.flatnonzero(outside | alone).tolist():
+            if outside[i]:
+                faults[i] = self._outside(pts[i])
+                continue
+            try:  # jet raises the kernel's error again, from where it raises it
+                jet = self.jet(pts[i], order, check)
+            except Exception as exc:
+                faults[i] = exc
+                continue
+            for a, part in zip(arrays, jet):  # a coordinate p does not read may only warn
+                a[i] = part
+        return arrays, faults
+
+    def _each_jet(self, pts: np.ndarray, order: int, check: bool):
+        """:meth:`jets` by one :meth:`jet` call per point."""
+        arrays = tuple(np.full((len(pts),) + (self.dim,) * (k + 2), np.nan) for k in range(order + 1))
+        faults = {}
+        for i, pt in enumerate(pts):
+            try:
+                jet = self.jet(pt, order, check)
+            except Exception as exc:
+                faults[i] = exc
+                continue
+            for a, part in zip(arrays, jet):
+                a[i] = part
+        return arrays, faults
 
     def smallest_metric_eigenvalue(self, x, check: bool = True) -> float:
         return float(np.linalg.eigvalsh(self.g(x, check=check))[0])
@@ -180,16 +269,22 @@ class _CoframeJet:
     (:meth:`Expression.jet2`, or :meth:`Expression.jet3` at order 3, whose
     lower orders are the same bits); every other entry has a constant
     gradient and no higher derivative.  So d3g is the symmetrized products
-    of d3B, d2B and dB with B and dB in row 0 only.
+    of d3B, d2B and dB with B and dB in row 0 only.  The chart is the box
+    ``|x^i| <= box`` where ``p > P_FLOOR``.
+
+    :meth:`jets` is the stacked form: one raw kernel call per point, and
+    each array assembled once for the stack by the same operations, so each
+    point's arrays are bitwise :meth:`__call__`'s.
     """
 
-    def __init__(self, affine: np.ndarray, expr: Expression, warp: Sequence[int]):
+    def __init__(self, affine: np.ndarray, expr: Expression, warp: Sequence[int], box: float):
         self.n = affine.shape[0]
         self.identity = np.eye(self.n)
         self.affine = affine
         self.expr = expr
         self.warp = np.asarray(warp, dtype=int)
         self.warp_block = np.ix_(self.warp, self.warp)
+        self.box = box
 
     def __call__(self, x: np.ndarray, order: int):
         n = self.n
@@ -231,14 +326,90 @@ class _CoframeJet:
         d3g[:, 0] += row
         return g, dg, d2g, d3g
 
+    def inside(self, x: np.ndarray) -> bool:
+        """The chart's domain at a finite point."""
+        return bool(self.insides(x[None])[0])
 
-def _box_domain(box: float, extra: Optional[Callable] = None) -> Callable:
-    def inside(x: np.ndarray) -> bool:
-        if not (np.abs(x) <= box).all():
-            return False
-        return True if extra is None else bool(extra(x))
+    def insides(self, pts: np.ndarray) -> np.ndarray:
+        """The chart's domain at each finite row of ``pts``: the box test stacked, then p's value kernel per point."""
+        inside = (np.abs(pts) <= self.box).all(axis=1)
+        value = self.expr._value_kernel
+        for i, coords in zip(np.flatnonzero(inside).tolist(), pts[inside][:, self.warp].tolist()):
+            inside[i] = value(*coords) > P_FLOOR
+        return inside
 
-    return inside
+    def jets(self, pts: np.ndarray, order: int, check: bool):
+        """``(arrays, outside, alone)`` at the rows of ``pts``, the stacked form :class:`MetricField` takes.
+
+        With ``check`` a point outside the box is not jetted, and p's floor
+        is applied to the value its jet kernel returns (bitwise the value
+        kernel's).  A point with a non-finite coordinate, or whose kernel
+        raises, is left NaN and marked in ``alone``, for
+        :meth:`MetricField.jets` to jet alone.
+        """
+        m = len(pts)
+        finite = np.isfinite(pts).all(axis=1)
+        outside = np.zeros(m, dtype=bool)
+        if check:
+            outside[finite] = ~(np.abs(pts[finite]) <= self.box).all(axis=1)
+            outside[~finite] = True
+        alone = ~(finite | outside)
+        jetted = finite & ~outside
+        kernel = self.expr._jet3_kernel if order == 3 else self.expr._jet_kernel
+        rows = []
+        for i, coords in zip(np.flatnonzero(jetted).tolist(), pts[jetted][:, self.warp].tolist()):
+            try:
+                row = kernel(*coords)
+            except Exception:  # MetricField.jets has jet raise it again, in the point's own slot
+                jetted[i], alone[i] = False, True
+                continue
+            if check and not row[0] > P_FLOOR:
+                jetted[i], outside[i] = False, True
+                continue
+            rows.append(row)
+        arrays = self._assemble(pts[jetted], rows, order)
+        if not jetted.all():
+            full = tuple(np.full((m,) + a.shape[1:], np.nan) for a in arrays)
+            for f, a in zip(full, arrays):
+                f[jetted] = a
+            arrays = full
+        return arrays, outside, alone
+
+    def _assemble(self, x: np.ndarray, rows: list, order: int) -> tuple:
+        """:meth:`__call__`'s arrays at the rows of ``x``, stacked, from their kernel rows."""
+        n, m, w = self.n, len(x), self.warp
+        columns = list(zip(*rows)) or [()] * (order + 1)
+        B = self.identity + (self.affine @ x[:, None, :, None])[..., 0]
+        B[:, 0, 0] = columns[0]
+        dB = np.repeat(self.affine[None], m, axis=0)
+        dB[:, 0, 0, w] = np.reshape(columns[1], (m, w.size))
+        g = B.transpose(0, 2, 1) @ B
+        half = np.einsum("maik,maj->mijk", dB, B)
+        dg = half + half.transpose(0, 2, 1, 3)
+        if order == 1:
+            return g, dg
+        d2B = np.zeros((m, n, n, n, n))
+        d2B[:, 0, 0, w[:, None], w] = np.reshape(columns[2], (m, w.size, w.size))
+        s = np.einsum("maikl,maj->mijkl", d2B, B)
+        d2g = s + s.transpose(0, 2, 1, 3, 4)
+        cross = np.einsum("maik,majl->mijkl", dB, dB)
+        d2g = d2g + cross + cross.transpose(0, 1, 2, 4, 3)
+        if order == 2:
+            return g, dg, d2g
+        d2p = d2B[:, 0, 0]
+        d3p = np.zeros((m, n, n, n))
+        d3p[:, w[:, None, None], w[:, None], w] = np.reshape(columns[3], (m,) + (w.size,) * 3)
+        b, db = B[:, 0], dB[:, 0]
+        row = (
+            b[:, :, None, None, None] * d3p[:, None]
+            + d2p[:, None, :, :, None] * db[:, :, None, None, :]
+            + d2p[:, None, :, None, :] * db[:, :, None, :, None]
+            + d2p[:, None, None, :, :] * db[:, :, :, None, None]
+        )
+        d3g = np.zeros((m,) + (n,) * 5)
+        d3g[:, 0] = row
+        d3g[:, :, 0] += row
+        return g, dg, d2g, d3g
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +568,7 @@ def catalog_sekigawa(p, box: float = DEFAULT_BOX) -> MetricField:
     affine = np.zeros((n, n, n))  # affine[row, col, k]: coefficient of x^k
     affine[1, 0, 2] = -1.0  # du - v dx
     affine[2, 0, 1] = 1.0  # dv + u dx
-    jet = _CoframeJet(affine, expr, (0, 1))  # p dx
-
-    def p_positive(x):
-        return expr.value(x[:2]) > P_FLOOR
+    jet = _CoframeJet(affine, expr, (0, 1), box)  # p dx
 
     def plane_scal(x):
         j = expr.jet2(np.asarray(x, dtype=float)[:2])
@@ -417,7 +585,7 @@ def catalog_sekigawa(p, box: float = DEFAULT_BOX) -> MetricField:
         n,
         ("x", "u", "v"),
         jet,
-        domain=_box_domain(box, p_positive),
+        domain=jet.inside,
         name=f"sekigawa(p={expr.source})",
         annotations=annotations,
         max_order=3,
@@ -443,10 +611,7 @@ def catalog_conullity3(p, box: float = DEFAULT_BOX) -> MetricField:
     affine[1, 0, [2, 3]] = -1.0  # du - (v+w) dx
     affine[2, 0, [1, 3]] = 1.0  # dv + (u+w) dx
     affine[3, 0, [1, 2]] = [1.0, -1.0]  # dw - (v-u) dx
-    jet = _CoframeJet(affine, expr, (0, 1, 3))  # p dx
-
-    def p_positive(x):
-        return expr.value(x[[0, 1, 3]]) > P_FLOOR
+    jet = _CoframeJet(affine, expr, (0, 1, 3), box)  # p dx
 
     def trace_scal(x):
         j = expr.jet2(np.asarray(x, dtype=float)[[0, 1, 3]])
@@ -474,7 +639,7 @@ def catalog_conullity3(p, box: float = DEFAULT_BOX) -> MetricField:
         n,
         ("x", "u", "v", "w"),
         jet,
-        domain=_box_domain(box, p_positive),
+        domain=jet.inside,
         name=f"conullity3(p={expr.source})",
         annotations=annotations,
         preferred_frame=preferred_frame,

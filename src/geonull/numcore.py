@@ -54,14 +54,35 @@ def invert(m) -> np.ndarray:
     value) when the condition number exceeds 1e12; in a stack, the first
     such matrix in C order raises.
     """
+    inverse, passed, smallest = _invert_each(m)
+    if not passed.all():
+        first = int(np.argmin(passed.ravel()))
+        raise SingularMatrixError("matrix is singular or ill-conditioned", float(smallest.ravel()[first]))
+    return inverse
+
+
+def _invert_each(m):
+    """``(inverse, passed, smallest)``: :func:`invert` for each matrix that passes its condition test.
+
+    ``passed`` marks, over the leading axes, the matrices whose condition
+    number is at most 1e12, and ``smallest`` holds each one's smallest
+    singular value.  A passing matrix's inverse is bitwise what
+    :func:`invert` gives it alone; a failing one's is left zero.  One SVD
+    serves the whole stack.
+    """
     a = _as_matrix(m, stack=True)
     if a.shape[-2] != a.shape[-1]:
         raise ValueError(f"cannot invert non-square matrix of shape {a.shape[-2:]}")
     s = np.linalg.svd(a, compute_uv=False)
-    for smin, smax in zip(s[..., -1].ravel().tolist(), s[..., 0].ravel().tolist()):
-        if smin <= 0.0 or smax / smin > COND_LIMIT:
-            raise SingularMatrixError("matrix is singular or ill-conditioned", smin)
-    return np.linalg.inv(a)
+    smallest = s[..., -1]
+    # a NaN singular value passes, as it passes Python's comparisons
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        passed = ~((smallest <= 0.0) | (s[..., 0] / smallest > COND_LIMIT))
+    if passed.all():
+        return np.linalg.inv(a), passed, smallest
+    inverse = np.zeros_like(a)
+    inverse[passed] = np.linalg.inv(a[passed])
+    return inverse, passed, smallest
 
 
 @dataclass(frozen=True)

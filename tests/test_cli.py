@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import itertools
 import json
@@ -404,6 +405,45 @@ def test_a_fault_inside_a_scan_chunk_changes_only_its_own_row(fault):
     expected = list(clean)
     expected[target] = clean[target][:3] + ("",) if fault == "nabla_r" else None
     assert _bitwise(stacked) == _bitwise(alone) == _bitwise(expected)
+
+
+def test_scan_redoes_stacked_the_points_whose_g_can_be_inverted(monkeypatch):
+    # exp(7 u w) leaves g too ill-conditioned to invert at points of each of the three chunks
+    metric = catalog_conullity3("exp(7*u*w)")
+    points = _scan_points(metric, u=np.linspace(-2, 2, 9), w=np.linspace(-2, 2, 9))
+    alone = [cli._scan_worker(metric, pt, None) for pt in points]
+    sizes = []
+    curvatures = cli._curvatures
+
+    def counted(g, *rest):
+        sizes.append(len(g))
+        return curvatures(g, *rest)
+
+    monkeypatch.setattr(cli, "_curvatures", counted)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        stacked = cli._scan_rows(metric, points, None)
+    assert _bitwise(stacked) == _bitwise(alone)
+    # each chunk's points with a jet, then those whose g passes, and none alone
+    assert sizes == [22, 16, 26, 25, 11, 6]
+    assert stacked.count(None) == 81 - 16 - 25 - 6
+
+
+@pytest.mark.parametrize("p, grid", [
+    ("3+cos(u)+cos(w)", np.linspace(-1.5, 1.5, 4)),  # the benchmark's grid shape
+    ("exp(7*u*w)", np.linspace(-2, 2, 9)),  # R's stage redone on the points whose g passes
+])
+def test_a_scan_leaves_no_cyclic_garbage(p, grid):
+    # a chunk's stacked jets must be freed when it returns, not when the
+    # cycle collector next runs: held until then, they raise peak memory
+    metric = catalog_conullity3(p)
+    points = _scan_points(metric, u=grid, w=grid)
+    gc.collect()
+    gc.disable()
+    try:
+        cli._scan_rows(metric, points, None)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_scan_rerun_gives_identical_bytes(capsys):

@@ -778,3 +778,40 @@ def test_kernels_do_not_affect_equality():
     b = parse("3+cos(u)", ("u",))
     assert a == b and hash(a) == hash(b)
     assert "kernel" not in repr(a)
+
+
+@pytest.mark.parametrize(
+    "source, variables",
+    [
+        ("2+u*u", ("x", "u")),  # the catalog's sekigawa warp
+        ("3+cos(u)+cos(w)", ("x", "u", "w")),  # the catalog's conullity3 warp
+        ("3.1+cos(0.9*u)+cos(1.2*w)", ("x", "u", "w")),
+        ("exp(7*u*w)", ("x", "u", "w")),
+        ("4-u*u-w*w", ("x", "u", "w")),
+        ("2+log(1.5+u)*x", ("x", "u")),
+        ("sqrt(4-u*w)+x", ("x", "u", "w")),
+    ],
+)
+def test_value_is_the_value_of_each_jet_bitwise(source, variables):
+    # a warped chart's domain test may take p from the point's jet instead of the value kernel
+    expr = parse(source, variables)
+    rng = np.random.default_rng(2024)
+    points = rng.uniform(-3.0, 3.0, size=(2000, len(variables)))
+    points[::50, 1] = -1.5  # log(0) and its neighbours
+    raised = 0
+    for point in points:
+        try:
+            value = expr.value(point)
+        except DomainError:
+            raised += 1
+            with pytest.raises(DomainError):
+                expr.jet2(point)
+            with pytest.raises(DomainError):
+                expr.jet3(point)
+            continue
+        for jet in (lambda: expr.jet2(point).value, lambda: expr.jet3(point)[0]):
+            try:
+                assert _bits(jet()) == _bits(value)
+            except DomainError:  # a derivative the value does not take
+                pass
+    assert raised < len(points)

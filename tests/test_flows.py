@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from geonull import flows
+from geonull import flows, metricspace
 from geonull.curvature import _christoffel_from_jet
 from geonull.exprcalc import DomainError
 from geonull.flows import (
@@ -24,6 +24,7 @@ from geonull.metricspace import (
     catalog_sphere,
 )
 from geonull.numcore import SingularMatrixError, invert
+from geonull.splitting import kernel_section
 
 
 def test_polar_geodesic_matches_straight_line():
@@ -535,3 +536,88 @@ def test_incompleteness_requires_an_exit():
     metric = catalog_euclidean(2)
     with pytest.raises(ValueError):
         incompleteness_probe(metric, [0.0, 0.0], [1.0, 0.0], tmax=4.0)
+
+
+# ---------------------------------------------------------------------------
+# rides on a chart with stacked jets
+
+
+class _Jetted:
+    """Points the coframe jets: ``alone`` by its per-point form, ``stacked`` through its stacked form."""
+
+    def __init__(self, monkeypatch):
+        self.alone = self.stacked = 0
+        call, stack = metricspace._CoframeJet.__call__, metricspace._CoframeJet.jets
+        spies = self
+
+        def counted_call(self, x, order):
+            spies.alone += 1
+            return call(self, x, order)
+
+        def counted_stack(self, pts, order, check):
+            spies.stacked += len(pts)
+            return stack(self, pts, order, check)
+
+        monkeypatch.setattr(metricspace._CoframeJet, "__call__", counted_call)
+        monkeypatch.setattr(metricspace._CoframeJet, "jets", counted_stack)
+
+    @property
+    def points(self) -> int:
+        return self.alone + self.stacked
+
+
+def _ride_against_the_reference(metric, x0, v0, tmax, steps, frame, jetted):
+    """``geodesic``'s path in the reference's bytes: ``(points it jetted, the reference's)``."""
+    points, velocities, frames, drift, exit_parameter, jets = _reference_geodesic(
+        metric, x0, v0, frame, tmax, steps
+    )
+    jetted.alone = jetted.stacked = 0
+    path = geodesic(metric, x0, v0, tmax, steps=steps, frame=frame)
+    assert path.points.tobytes() == points.tobytes()
+    assert path.velocities.tobytes() == velocities.tobytes()
+    assert path.frame.tobytes() == frames.tobytes()
+    assert (path.gram_drift, path.exit_parameter) == (drift, exit_parameter)
+    return jetted.points, jets
+
+
+def test_benchmark_shaped_kernel_ride_jets_its_path_once(monkeypatch):
+    metric = catalog_conullity3("3.1+cos(0.9*u)+cos(1.2*w)")
+    x0 = np.array([0.31, -0.42, 0.17, 0.38])
+    v0 = kernel_section(metric, x0)[0]
+    jetted = _Jetted(monkeypatch)
+    points, reference = _ride_against_the_reference(metric, x0, v0, 1.0, 256, np.eye(4)[[0, 1, 3]], jetted)
+    # the first step's stages 1, 2 and 4 alone, then the rest of the path stacked
+    assert points == reference == 2 * 256 + 1
+    assert (jetted.alone, jetted.stacked) == (3, 510)
+
+
+@pytest.mark.parametrize("name", ["conullity3_leaves_chart", "conullity3_kernel", "backward"])
+def test_stacked_ride_jets_what_the_reference_jets(name, monkeypatch):
+    metric, x0, v0, tmax, steps, truncated = STRAIGHT_RIDES[name]
+    jetted = _Jetted(monkeypatch)
+    points, reference = _ride_against_the_reference(metric, x0, v0, tmax, steps, np.eye(4), jetted)
+    assert points == reference and jetted.stacked > 0
+
+
+def test_ride_curved_from_its_first_stage_jets_what_the_reference_jets(monkeypatch):
+    # flow --direction off the kernel: the first step's first jet fails the bracket screen
+    metric = catalog_conullity3("3+cos(u)+cos(w)")
+    jetted = _Jetted(monkeypatch)
+    points, reference = _ride_against_the_reference(
+        metric, [0.1, 0.2, -0.3, 0.4], [0.6, -0.3, 0.5, 0.2], 1.0, 64, np.eye(4), jetted
+    )
+    assert points == reference and jetted.stacked == 0
+
+
+def test_ride_bending_mid_block_jets_at_most_the_rest_of_that_block(monkeypatch):
+    # exp(-1/x^2) and its derivatives are exactly zero for |x| < 0.0366, so
+    # the ride along x is straight up to there; past it the acceleration
+    # grows until it moves the velocity's bits, within the first block of
+    # 32 steps (x up to 0.22)
+    metric = catalog_conullity3("3+cos(u)+cos(w)+exp(-1/(x*x))")
+    jetted = _Jetted(monkeypatch)
+    points, reference = _ride_against_the_reference(
+        metric, [-0.0301, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], 0.5, 64, np.eye(4), jetted
+    )
+    block = max(1, flows.RIDE_BLOCK_BYTES // (32 * 4**3))
+    assert 0 < points - reference <= 4 * block

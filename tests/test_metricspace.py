@@ -1,9 +1,11 @@
 import math
+import traceback
+import warnings
 
 import numpy as np
 import pytest
 
-from geonull.exprcalc import parse
+from geonull.exprcalc import DomainError, parse
 from geonull.metricspace import (
     CATALOG,
     ChartDomainError,
@@ -310,3 +312,164 @@ def test_catalog_default_points_are_inside_their_charts():
     assert [name for name, e in CATALOG.items() if not e.build().contains(np.zeros(e.build().dim))] == [
         "sphere", "polar", "product"
     ]
+
+
+# ---------------------------------------------------------------------------
+# stacked jets
+
+
+def _user_field() -> MetricField:
+    """A user chart, r > 0.2 in (r, s), with g = diag(1 + s^2, r^2); no stacked form."""
+
+    def jet(x, order):
+        r, s = x
+        dg = np.zeros((2, 2, 2))
+        dg[0, 0, 1], dg[1, 1, 0] = 2.0 * s, 2.0 * r
+        d2g = np.zeros((2,) * 4)
+        d2g[0, 0, 1, 1], d2g[1, 1, 0, 0] = 2.0, 2.0
+        return (np.diag([1.0 + s * s, r * r]), dg, d2g)[: order + 1]
+
+    return MetricField(2, ("r", "s"), jet, domain=lambda x: x[0] > 0.2, name="user")
+
+
+STACKED_FIELDS = FAMILIES + [
+    (finite_difference_field(catalog_sekigawa("exp(u)")), [0.2, -0.1, 0.4]),
+    (_user_field(), [0.7, 0.3]),
+]
+STACKED_IDS = FAMILY_IDS + ["finite_difference", "user"]
+
+
+def _assert_jets_are_jet(metric, points, order, check=True):
+    """``metric.jets`` is ``metric.jet`` at each point: the same bits, or the same error."""
+    arrays, faults = metric.jets(points, order=order, check=check)
+    assert len(arrays) == order + 1
+    assert list(faults) == sorted(faults)
+    for i, pt in enumerate(points):
+        try:
+            jet = metric.jet(pt, order=order, check=check)
+        except Exception as exc:
+            assert (type(faults.get(i)), str(faults.get(i))) == (type(exc), str(exc)), i
+            assert all(np.isnan(a[i]).all() for a in arrays)
+            continue
+        assert i not in faults, (i, faults.get(i))
+        for a, b in zip(arrays, jet):
+            assert a[i].tobytes() == b.tobytes(), i
+    return faults
+
+
+@pytest.mark.parametrize("metric, point", STACKED_FIELDS, ids=STACKED_IDS)
+def test_jets_are_each_points_jet_bitwise(metric, point):
+    rng = np.random.default_rng(metric.dim)
+    # near the family's point, with signed zeros, a repeat and one point off the chart
+    points = point + rng.uniform(-0.3, 0.3, size=(12, metric.dim))
+    points[3] = point
+    points[4] = points[2]
+    points[5, -1] = -0.0
+    points[6, 0] = 0.0
+    points[7] = -1e3
+    assert metric.stacked == metric.name.startswith(("sekigawa", "conullity3"))
+    for order in range(1, metric.max_order + 1):
+        for check in (True, False):
+            if metric.name == "user" and not check:
+                continue  # a user field's jet is not defined off its chart
+            _assert_jets_are_jet(metric, points, order, check)
+    assert metric.contains_each(points).tolist() == [metric.contains(pt) for pt in points]
+
+
+def test_jets_keep_each_fault_with_its_point():
+    nan, inf = math.nan, math.inf
+    metric = catalog_sekigawa("2+log(u)")
+    points = np.array([
+        [0.1, 0.5, 0.2],  # inside
+        [0.1, -0.5, 0.2],  # log of a negative: the kernel raises
+        [0.1, 0.0, 0.2],  # log(0)
+        [0.1, 1e-200, 0.2],  # p far below the floor; d2/du2 log(u) divides by an underflowed zero
+        [0.1, 2.0, 5.0],  # outside the box
+        [nan, 0.5, 0.2],  # non-finite, where p reads it
+        [0.1, 0.5, inf],  # non-finite, where p does not read it
+        [-0.2, 2.5, -0.1],  # inside
+    ])
+    for order in (1, 2, 3):
+        for check in (True, False):
+            faults = _assert_jets_are_jet(metric, points, order, check)
+            # unchecked, the infinite v raises RuntimeWarning (an error under this suite) in I + affine @ x
+            assert list(faults) == ([1, 2, 3, 4, 5, 6] if check else [1, 2, 3, 5, 6])
+            if not check:
+                assert "non-finite coordinate x" in str(faults[5])
+    assert metric.contains_each(points[[0, 3, 4, 5, 6, 7]]).tolist() == [True, False, False, False, False, True]
+    with pytest.raises(DomainError):  # contains raises there, so contains_each does too
+        metric.contains_each(points[:2])
+
+
+def test_jets_keep_the_jet_of_a_coordinate_that_only_warns():
+    # p does not read v, so an infinite v only warns in I + affine @ x: jet returns NaN-laden arrays
+    metric = catalog_sekigawa("2+u*u")
+    points = np.array([[0.1, 0.5, math.inf], [0.1, 0.5, 0.2], [math.nan, 0.5, 0.2]])
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for order in (1, 2, 3):
+            faults = _assert_jets_are_jet(metric, points, order, check=False)
+            assert list(faults) == [2]  # p reads x, so the NaN x raises
+        # 0 * inf leaves g, dg and d2g NaN, but not all of d3g
+        assert not np.isnan(metric.jets(points, order=3, check=False)[0][3][0]).all()
+
+
+def test_only_a_coframe_jet_on_its_own_domain_is_stacked():
+    metric = catalog_conullity3("3+cos(u)+cos(w)")
+    coframe = metric._jet
+    assert MetricField(4, metric.coordinates, coframe, domain=coframe.inside, max_order=3).stacked
+    # a narrower domain than the coframe's own chart must be tested, and jetted, point by point
+    narrow = MetricField(4, metric.coordinates, coframe, domain=lambda x: x[1] > 0.0, max_order=3)
+    assert not narrow.stacked
+    points = np.array([[0.1, 0.2, 0.3, 0.4], [0.1, -0.2, 0.3, 0.4]])
+    for order in (1, 2, 3):
+        assert list(_assert_jets_are_jet(narrow, points, order)) == [1]
+    assert narrow.contains_each(points).tolist() == [True, False]
+
+
+def test_jets_fault_only_where_the_third_derivative_underflows():
+    # d^3/du^3 sqrt(u) = 0.375 u^-5/2 divides by an underflowed zero at u = 1e-200
+    metric = catalog_sekigawa("sqrt(u)")
+    points = np.array([[0.0, 1e-200, 0.0], [0.0, 0.5, 0.0], [0.0, 2.0, 1.0]])
+    for order in (1, 2, 3):
+        faults = _assert_jets_are_jet(metric, points, order, check=False)
+        assert list(faults) == ([0] if order == 3 else [])
+        assert list(_assert_jets_are_jet(metric, points, order)) == [0]  # p = 1e-100 is below the floor
+    with pytest.raises(DomainError, match="division by an underflowed zero"):
+        metric.jet(points[0], order=3, check=False)
+
+
+def test_jets_redo_a_float_fault_point_by_point():
+    metric = catalog_sekigawa("1e300*u*u+1")
+    points = np.array([[0.1, 0.0, 0.2], [0.1, 1.0, 0.2], [0.3, -0.0, -0.5]])  # p^2 overflows at u = 1
+    calls = []
+    real = metric._stacked.jets
+
+    def counted(pts, order, check):
+        calls.append(len(pts))
+        return real(pts, order, check)
+
+    metric._stacked.jets = counted
+    with np.errstate(all="raise"):
+        for order in (1, 2, 3):
+            faults = _assert_jets_are_jet(metric, points, order)
+            assert list(faults) == [1] and isinstance(faults[1], FloatingPointError)
+            # the fault is raised where jet raises it
+            assert traceback.extract_tb(faults[1].__traceback__)[-1].name == "__call__"
+    assert calls == [3, 3, 3]
+    # without the float errors raised, the same stack is one stacked call and no fault
+    with np.errstate(all="ignore"):
+        assert not metric.jets(points, order=1)[1]
+
+
+def test_jets_validate_order_and_shape():
+    metric = catalog_conullity3("3+cos(u)+cos(w)")
+    with pytest.raises(ValueError):
+        metric.jets(np.zeros((2, 4)), order=4)
+    with pytest.raises(ValueError):
+        metric.jets(np.zeros(4))
+    with pytest.raises(ValueError):
+        metric.jets(np.zeros((2, 3)))
+    arrays, faults = metric.jets(np.zeros((0, 4)), order=3)
+    assert [a.shape for a in arrays] == [(0, 4, 4), (0,) + (4,) * 3, (0,) + (4,) * 4, (0,) + (4,) * 5]
+    assert faults == {}

@@ -395,22 +395,42 @@ def test_nabla_r_tensor_from_the_3_jet_matches_the_stencil_of_r():
 
 def test_scan_request_makes_one_third_order_jet_per_point(monkeypatch, capsys):
     orders, compiled = [], []
-    jet, compile_jet = MetricField.jet, exprcalc._compile_jet
+    jet, jets, compile_jet = MetricField.jet, MetricField.jets, exprcalc._compile_jet
 
     def counted(self, x, order=2, check=True):
         orders.append(order)
         return jet(self, x, order=order, check=check)
+
+    def counted_stack(self, points, order=2, check=True):
+        orders.extend([order] * len(points))
+        return jets(self, points, order=order, check=check)
 
     def counted_compile(root, n, source, order):
         compiled.append(order)
         return compile_jet(root, n, source, order)
 
     monkeypatch.setattr(MetricField, "jet", counted)
+    monkeypatch.setattr(MetricField, "jets", counted_stack)
     monkeypatch.setattr(exprcalc, "_compile_jet", counted_compile)
     assert cli.main(["scan", "--metric", "conullity3", "--grid", "u=-1.5:1.5:4,w=-1.5:1.5:4"]) == 0
     assert capsys.readouterr().out.count("nilpotent") == 16
     assert orders == [3] * 16
     assert compiled == [3]  # the warp's jet3 kernel, never its jet2 kernel
+
+
+def test_scan_domain_test_takes_p_from_the_jet(monkeypatch, capsys):
+    values = []
+    value = exprcalc.Expression.value
+
+    def counted(self, point):
+        values.append(tuple(point))
+        return value(self, point)
+
+    monkeypatch.setattr(exprcalc.Expression, "value", counted)
+    assert cli.main(["scan", "--metric", "conullity3", "--grid", "u=-1.5:1.5:4,w=-1.5:1.5:4"]) == 0
+    assert capsys.readouterr().out.count("nilpotent") == 16
+    # only the preferred frame evaluates p apart from the jet, once per point
+    assert len(values) == len(set(values)) == 16
 
 
 def test_same_shape_warps_compile_their_kernel_code_once(monkeypatch, capsys):
