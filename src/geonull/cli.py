@@ -16,10 +16,13 @@ from nabla R (``splitting.splitting_tensor_from_curvature``), so ``analyze``
 makes one metric jet per request and ``scan`` one per grid point; a
 kernel-mode ``flow`` makes 2m+1 for its kernel geodesic of m steps, which it
 jets and whose g it inverts in one stacked call per block of steps
-(``flows.geodesic``), and one per tensor (the start and 9 samples), 523 at
-the default 256 steps.  ``scan`` takes each chunk of grid points' jets from
-one stacked call and runs the rest of its curvature pipeline once per chunk,
-each stage stacked over the chunk (:func:`_scan_chunk`).
+(``flows.geodesic``), one for the start tensor, which sample 0 (the start
+itself) reuses, and one for each of the 8 later samples: 522 at the default
+256 steps.  ``scan`` takes each chunk of grid points' jets from one stacked
+call and runs the rest of its curvature pipeline once per chunk, each stage
+stacked over the chunk (:func:`_scan_chunk`); ``flow``'s 8 later samples go
+through the same stacked stages together (``splitting._sample_tensors``), so
+a ride that aborts at a sample has jetted the samples past it too.
 
 Exit codes: 0 success, 1 usage error, 2 domain error (a float overflow or
 a metric too ill-conditioned to invert included), 3 verification failure.
@@ -41,7 +44,7 @@ import traceback
 
 import numpy as np
 
-from . import __version__
+from . import __version__, numcore
 from .curvature import (
     _covariant_dr,
     _curvatures,
@@ -105,6 +108,8 @@ CLASSIFY_TOL = 2e-4
 
 # a scan builds its whole grid before writing the first row
 MAX_SCAN_POINTS = 10**6
+# a flow keeps every node of its path, about 1.2 KB a step with the frame
+MAX_FLOW_STEPS = 10**6
 # a scan stacks as many points as keep nabla R, its largest stacked array at
 # n^5 floats per point, within this many bytes
 SCAN_CHUNK_BYTES = 1 << 18
@@ -202,7 +207,7 @@ def _number(convert, ok, expected: str):
 _finite = _number(float, lambda v: True, "a finite number")
 _nonzero = _number(float, lambda v: v != 0.0, "a nonzero finite number")
 _fraction = _number(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
-_count = _number(int, lambda v: v >= 1, "an integer >= 1")
+_steps = _number(int, lambda v: 1 <= v <= MAX_FLOW_STEPS, f"an integer in 1..{MAX_FLOW_STEPS}")
 _seed = _number(int, lambda v: v >= 0, "a non-negative integer")
 
 
@@ -261,7 +266,7 @@ def _build_parser() -> _Parser:
     _add_metric_flags(sp)
     sp.add_argument("--direction", help="custom launch direction (comma-separated components)")
     sp.add_argument("--tmax", type=_nonzero, default=1.0, help="geodesic parameter length (nonzero)")
-    sp.add_argument("--steps", type=_count, default=256, help="integration steps")
+    sp.add_argument("--steps", type=_steps, default=256, help=f"integration steps, at most {MAX_FLOW_STEPS}")
     sp.set_defaults(func=cmd_flow)
 
     sp = sub.add_parser("verify", help="run a named verification suite")
@@ -419,27 +424,6 @@ def _parse_grid(spec, metric, parser):
     return [(coord, np.linspace(lo, hi, count)) for coord, lo, hi, count in ranges]
 
 
-def _each_alone(stage, items, failed):
-    """``stage(items)``, one result per item; if that raises a fault, each item on its own.
-
-    An item that raises on its own gets ``failed``, so a fault changes only
-    its own result.
-    """
-    if not items:
-        return []
-    try:
-        return stage(items)
-    except _SCAN_FAULTS:
-        if len(items) == 1:
-            return [failed]
-    return [_each_alone(stage, [item], failed)[0] for item in items]
-
-
-def _stack(rows) -> list:
-    """Tuples of arrays, one per point, as one stacked array per tuple position."""
-    return [np.stack(column) for column in zip(*rows)]
-
-
 def _scan_rows(metric, points, rel_tol) -> list:
     """``(scal, nullity, conullity, kind)`` at each point, or None for a domain row.
 
@@ -467,7 +451,8 @@ def _curvature_rows(jets, rel_tol, idx) -> list:
         if all(passed):
             raise
         kept = [i for i, ok in zip(idx, passed) if ok]
-        rows = iter(_each_alone(functools.partial(_curvature_rows, jets, rel_tol), kept, None))
+        stage = functools.partial(_curvature_rows, jets, rel_tol)
+        rows = iter(numcore._each_alone(stage, kept, _SCAN_FAULTS, lambda exc: None))
         return [next(rows) if ok else None for ok in passed]
     return [(float(s), res, [p[j] for p in parts]) for j, (s, res) in enumerate(zip(scal, kernels))]
 
@@ -496,7 +481,9 @@ def _scan_chunk(metric, points, rel_tol) -> list:
             raise exc
     jetted = [i for i in range(len(points)) if i not in faults]
 
-    rows = _each_alone(functools.partial(_curvature_rows, jets, rel_tol), jetted, None)
+    rows = numcore._each_alone(
+        functools.partial(_curvature_rows, jets, rel_tol), jetted, _SCAN_FAULTS, lambda exc: None
+    )
     curved = {i: c for i, c in zip(jetted, rows) if c is not None}
     frames = {}
     for i, (_, res, _) in curved.items():
@@ -507,7 +494,7 @@ def _scan_chunk(metric, points, rel_tol) -> list:
                 pass
 
     def classified(idx):
-        parts = _stack(curved[i][2] for i in idx)
+        parts = numcore._stack(curved[i][2] for i in idx)
         if order == 3:
             cov = _nabla_riemann(*(a[idx] for a in jets), parts)
         else:  # the stencil step of splitting_tensor_from_curvature
@@ -531,7 +518,7 @@ def _scan_chunk(metric, points, rel_tol) -> list:
         by_shape.setdefault(frame.shape, []).append(i)
     kinds = {}
     for idx in by_shape.values():
-        kinds.update(zip(idx, _each_alone(classified, idx, "")))
+        kinds.update(zip(idx, numcore._each_alone(classified, idx, _SCAN_FAULTS, lambda exc: "")))
     return [
         (curved[i][0], curved[i][1].nullity, curved[i][1].conullity, kinds.get(i, "")) if i in curved else None
         for i in range(len(points))

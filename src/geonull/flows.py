@@ -3,11 +3,13 @@
 All integration is classical fixed-step RK4.  Geodesics integrate the
 first-order system (x, v) with v'^k = -Gamma^k_ij v^i v^j; rows W to be
 parallel transported ride in the same system, W'^k = -Gamma^k_ij v^i W^j,
-so each RK4 stage takes Gamma once, from one order-1 jet, for both.  A stage
-at the bit-identical point of the stage before it reuses that jet's g and
-Gamma: on a kernel geodesic the acceleration is exactly zero, stage 3 lands
-on stage 2's point and the next step's stage 1 on stage 4's, so an m-step
-path costs 2m+1 jets where it costs 4m+1 in general (with a frame).
+so each RK4 stage takes Gamma once, from one order-1 jet, for both; one
+frame step (:func:`_frame_step`) moves W on the four stages' Gamma in both
+the stacked blocks and the point-by-point loop.  A stage at the
+bit-identical point of the stage before it reuses that jet's g and Gamma:
+on a kernel geodesic the acceleration is exactly zero, stage 3 lands on
+stage 2's point and the next step's stage 1 on stage 4's, so an m-step path
+costs 2m+1 jets where it costs 4m+1 in general (with a frame).
 
 Where the acceleration is exactly zero every stage point is known before
 the ride: RK4's own float operations with Gamma = 0 give the velocity and
@@ -60,6 +62,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import numcore
 from .curvature import _christoffel_from_jet, _nullity_at, _riemann_from_jet
 from .exprcalc import DomainError
 from .metricspace import ChartDomainError, MetricField
@@ -185,16 +188,6 @@ def _coasting(v, h: float, steps: int):
     return tuple(np.array(part) for part in zip(*rows))
 
 
-def _each_row(test, rows, faults) -> np.ndarray:
-    """``test(rows)``, a bool per row; if that raises one of ``faults``, each row alone, False where it raises."""
-    try:
-        return test(rows)
-    except faults:
-        if len(rows) == 1:
-            return np.zeros(1, dtype=bool)
-        return np.concatenate([_each_row(test, row[None], faults) for row in rows])
-
-
 def _straight(dg, bracket) -> np.ndarray:
     """Whether the Christoffel bracket is exactly zero at every entry ``bracket`` marks, at each point of a stack.
 
@@ -207,12 +200,36 @@ def _straight(dg, bracket) -> np.ndarray:
         s = dg.transpose(0, 3, 1, 2) + dg.transpose(0, 1, 3, 2) - dg
         return np.count_nonzero(s[:, bracket], axis=1) == 0
 
-    return _each_row(zero, dg, (FloatingPointError, RuntimeWarning))
+    faults = (FloatingPointError, RuntimeWarning)
+    return np.array(numcore._each_alone(zero, dg, faults, lambda exc: False), dtype=bool)
 
 
 def _in_chart(metric: MetricField, xs) -> np.ndarray:
     """``metric.contains`` at each row of ``xs``, False where it raises (:meth:`_Ride.integrate` meets the error again)."""
-    return _each_row(metric.contains_each, xs, Exception)
+    return np.array(numcore._each_alone(metric.contains_each, xs, Exception, lambda exc: False), dtype=bool)
+
+
+def _frame_step(W, gammas, velocities, h: float) -> np.ndarray:
+    """The rows W after one RK4 step of W' = -Gamma(v, W), from Gamma and v at the step's four stages.
+
+    Bitwise the step with the stage rates k = -Gamma(v, W): this takes
+    e = Gamma(v, W) and folds each negation into a step constant or turns
+    an addition into a subtraction, both exact since negation commutes with
+    rounding, and sums k1 + 2 k2 + 2 k3 + k4 in place in that order.
+    """
+    (g1, g2, g3, g4), (v1, v2, v3, v4) = gammas, velocities
+    e1 = np.einsum("kij,i,aj->ak", g1, v1, W)
+    e2 = np.einsum("kij,i,aj->ak", g2, v2, W + (-0.5 * h) * e1)
+    e3 = np.einsum("kij,i,aj->ak", g3, v3, W + (-0.5 * h) * e2)
+    e4 = np.einsum("kij,i,aj->ak", g4, v4, W + (-h) * e3)
+    step = -2.0 * e2
+    step -= e1
+    e3 *= -2.0
+    step += e3
+    step -= e4
+    step *= h / 6.0
+    step += W
+    return step
 
 
 class _Ride:
@@ -229,8 +246,8 @@ class _Ride:
         # jetted past the node it handed over at, in stage order
         self.ahead = deque()
 
-    def rates(self, y, w, vecs):
-        """(g, acceleration, frame rate) at y from one order-1 jet, reused while y repeats."""
+    def rates(self, y, w):
+        """(g, acceleration, Gamma) at y from one order-1 jet, reused while y repeats."""
         key = y.tobytes()
         if key != self.held[0]:
             if self.ahead and self.ahead[0][0] == key:
@@ -242,8 +259,7 @@ class _Ride:
                 jet = self.metric.jet(y, order=1, check=False)
             self.held = (key, jet, _christoffel_from_jet(invert(jet[0]), jet[1]))
         _, (g, _), gamma = self.held
-        frame_rate = -np.einsum("kij,i,aj->ak", gamma, w, vecs) if len(vecs) else vecs
-        return g, -np.einsum("kij,i,j->k", gamma, w, w), frame_rate
+        return g, -np.einsum("kij,i,j->k", gamma, w, w), gamma
 
     def coast(self, steps: int) -> None:
         """Ride stacked blocks of zero-acceleration steps, up to the first step it cannot vouch for."""
@@ -376,18 +392,11 @@ class _Ride:
 
     def _transport(self, stage_gamma, stage_v, steps: int) -> list:
         """The frames W after each of the first ``steps`` steps of a block, fewer at a float fault."""
-        h = self.h
         W = self.ws[-1]
         frames = []
         for i in range(steps):
-            g1, g2, g3, g4 = stage_gamma[4 * i: 4 * i + 4]
-            v1, v2, v3, v4 = stage_v[4 * i: 4 * i + 4]
             try:
-                k1 = -np.einsum("kij,i,aj->ak", g1, v1, W)
-                k2 = -np.einsum("kij,i,aj->ak", g2, v2, W + 0.5 * h * k1)
-                k3 = -np.einsum("kij,i,aj->ak", g3, v3, W + 0.5 * h * k2)
-                k4 = -np.einsum("kij,i,aj->ak", g4, v4, W + h * k3)
-                W = W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                W = _frame_step(W, stage_gamma[4 * i: 4 * i + 4], stage_v[4 * i: 4 * i + 4], self.h)
             except FloatingPointError:  # integrate meets it again and truncates there
                 break
             frames.append(W)
@@ -399,20 +408,20 @@ class _Ride:
         x, v, W = self.xs[-1], self.vs[-1], self.ws[-1]
         for i in range(len(self.xs) - 1, steps):
             try:
-                g1, ax1, k1 = self.rates(x, v, W)
+                g1, ax1, gamma1 = self.rates(x, v)
                 self.gs.append(g1)
                 x2 = x + 0.5 * h * v
                 v2 = v + 0.5 * h * ax1
-                _, ax2, k2 = self.rates(x2, v2, W + 0.5 * h * k1)
+                _, ax2, gamma2 = self.rates(x2, v2)
                 x3 = x + 0.5 * h * v2
                 v3 = v + 0.5 * h * ax2
-                _, ax3, k3 = self.rates(x3, v3, W + 0.5 * h * k2)
+                _, ax3, gamma3 = self.rates(x3, v3)
                 x4 = x + h * v3
                 v4 = v + h * ax3
-                _, ax4, k4 = self.rates(x4, v4, W + h * k3)
+                _, ax4, gamma4 = self.rates(x4, v4)
                 xn = x + (h / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
                 vn = v + (h / 6.0) * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
-                Wn = W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                Wn = _frame_step(W, (gamma1, gamma2, gamma3, gamma4), (v, v2, v3, v4), h) if len(W) else W
             except _STAGE_FAULTS:
                 self.truncated = True
                 break

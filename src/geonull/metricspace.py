@@ -701,6 +701,14 @@ def finite_difference_field(field: MetricField, h: float = 2e-4) -> MetricField:
 # registry for the CLI
 
 
+def _catalog_product_entry(radius: float, dim: int) -> MetricField:
+    """sphere(radius) x euclidean(dim - 2), the catalog's product; ``dim`` is the product's own, 3..6."""
+    sphere = catalog_sphere(radius)
+    if not 3 <= dim <= 6:
+        raise ValueError(f"product dimension {dim} outside supported range 3..6")
+    return catalog_product(sphere, catalog_euclidean(dim - 2))
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     """A named metric family with its checkable expected facts."""
@@ -749,9 +757,7 @@ CATALOG = {
         "product",
         "sphere(radius) x euclidean(dim-2), block-diagonal",
         ("radius", "dim"),
-        lambda radius=1.0, dim=4, **_: catalog_product(
-            catalog_sphere(float(radius)), catalog_euclidean(int(dim) - 2)
-        ),
+        lambda radius=1.0, dim=4, **_: _catalog_product_entry(float(radius), int(dim)),
         (
             ("kernel of curvature = flat factor, conullity 2", "curvature.nullity"),
             ("splitting tensor vanishes", "splitting.splitting_tensor"),

@@ -4,7 +4,13 @@ Everything here targets the tiny matrices this package produces (metric
 blocks, splitting tensors and curvature operators up to 8x8, flattened
 curvature maps with at most 8 columns).  Eigenvalues come from LAPACK's
 Hessenberg QR; the complex-pair / nilpotent decision on them is
-``splitting.classify``'s, at an explicit tolerance.
+``splitting.classify``'s, at an explicit tolerance.  The stacked stages of
+the package share one fallback, ``_each_alone``: a stage over a stack that
+raises is redone one item at a time, so each fault stays with its own item
+(``_stack`` stacks the items' results again for the next stage).  They are
+control flow inside a layer, not calls into this one, so other modules
+reach them through the module (``numcore._each_alone``): a tracer that
+takes every helper imported by name for a layer boundary leaves them be.
 """
 
 from __future__ import annotations
@@ -83,6 +89,28 @@ def _invert_each(m):
     inverse = np.zeros_like(a)
     inverse[passed] = np.linalg.inv(a[passed])
     return inverse, passed, smallest
+
+
+def _each_alone(stage, items, faults=Exception, failed=lambda exc: exc) -> list:
+    """``stage(items)``, one result per item; if that raises one of ``faults``, each item on its own.
+
+    ``items`` is a list or an array of rows.  An item that raises one of
+    ``faults`` on its own gets ``failed(error)``, by default the error
+    itself, so a fault changes only its own result.
+    """
+    if not len(items):
+        return []
+    try:
+        return stage(items)
+    except faults as exc:
+        if len(items) == 1:
+            return [failed(exc)]
+    return [_each_alone(stage, items[i: i + 1], faults, failed)[0] for i in range(len(items))]
+
+
+def _stack(rows) -> list:
+    """Tuples of arrays, one per point, as one stacked array per tuple position."""
+    return [np.stack(column) for column in zip(*rows)]
 
 
 @dataclass(frozen=True)

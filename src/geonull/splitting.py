@@ -23,9 +23,13 @@ kernel's complement.  nabla R is the closed form that ``curvature_data(...,
 nabla_r=True)`` takes from the point's one 3-jet (for a metric without a
 3-jet, central differences of R: 2n more jets).  A solve residual above
 ``SMOOTH_KERNEL_RESIDUAL`` means the kernel is no smooth line field there.
-A kernel-mode ``geonull flow`` request (256 steps, 9 samples) makes 523
-metric jets: 2m+1 of order 1 for the kernel geodesic, one of order 3 per
-tensor (the start and each sample).
+A kernel-mode ``geonull flow`` request (256 steps, 9 samples) makes 522
+metric jets: 2m+1 of order 1 for the kernel geodesic and one of order 3 per
+tensor, the start's serving sample 0 (the start itself).  The 8 later
+samples are jetted in one call and measured together through ``scan``'s
+stacked stages (``_sample_tensors``), bitwise each sample's own, so a ride
+that aborts at a sample has jetted the samples past it too, at most 8 in
+all.
 
 ``splitting_tensor`` is the reference that the tests compare the solve
 with and that ``verify`` runs: Richardson-extrapolated central differences
@@ -46,11 +50,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import numcore
 from .curvature import (
     CurvatureData,
     _christoffel_from_jet,
     _complement,
     _covariant_dr,
+    _curvatures,
+    _default_rel_tol,
+    _nabla_riemann,
     _nullity_at,
     curvature_data,
 )
@@ -387,15 +395,94 @@ def _frame_tensor(metric: MetricField, data: CurvatureData, reference, frame, di
     :class:`KernelFieldError` when the solve's residual is above
     :data:`SMOOTH_KERNEL_RESIDUAL`.
     """
-    res = data.nullity
-    if res.nullity != dimension:
-        raise KernelDimensionError(dimension, res.nullity, data.point)
-    t_vec = _project(res.basis, data.g, reference, data.point)
-    basis = _complement(data.g, res.basis)
+    t_vec, basis = _t_and_complement(data.nullity, data.g, reference, data.point, dimension)
     coef, residual = _solve(metric, data, t_vec, basis)
+    return _in_frame(coef, residual, data.g, basis, frame, data.point)
+
+
+def _t_and_complement(res, g: np.ndarray, reference, pt: np.ndarray, dimension: int):
+    """``(t_vec, basis)``: :func:`_frame_tensor`'s T and the complement H of the kernel ``res``."""
+    if res.nullity != dimension:
+        raise KernelDimensionError(dimension, res.nullity, pt)
+    return _project(res.basis, g, reference, pt), _complement(g, res.basis)
+
+
+def _in_frame(coef, residual: float, g: np.ndarray, basis, frame, pt: np.ndarray) -> np.ndarray:
+    """:func:`_frame_tensor`'s C from the solve over H = rows of ``basis``, gated on its residual."""
     if residual > SMOOTH_KERNEL_RESIDUAL:
-        raise KernelFieldError(residual, data.point)
-    return -(frame @ data.g @ basis.T) @ coef @ frame.T
+        raise KernelFieldError(residual, pt)
+    return -(frame @ g @ basis.T) @ coef @ frame.T
+
+
+def _sample_tensors(metric: MetricField, path: GeodesicPath, indices, dimension: int, rel_tol) -> list:
+    """:func:`_frame_tensor` at each path node of ``indices``, T along its velocity, or the error it raises.
+
+    Each entry is bitwise ``_frame_tensor(metric, curvature_data(metric, q,
+    rel_tol, nabla_r=True), velocity, frame, dimension)`` at node q, or the
+    error that raises there (``curvature_data``'s plane curvature at a
+    conullity-2 kernel, which C does not use, is left out).  The jets come
+    from one :meth:`MetricField.jets` call, R and the kernels from one
+    stacked ``_curvatures``, and nabla R and both sides of the solve from
+    one stacked call per complement shape, as ``scan`` stacks its grid
+    points (for a metric without a 3-jet, nabla R is each node's stencil).
+    T, the complement, the least-squares solves and C in the frame are each
+    node's own.  A stage that raises is redone one node at a time, so each
+    error stays with its own node.
+    """
+    if not len(indices):
+        return []
+    if rel_tol is None:
+        rel_tol = _default_rel_tol(metric)
+    order = 3 if metric.max_order >= 3 else 2
+    points = path.points[indices]
+    jets, out = metric.jets(points, order=order)  # out: node -> C or the error raised
+    curved, lines, solved = {}, {}, {}
+
+    def advance(stage, idx, into: dict) -> list:
+        """The nodes of ``idx`` that ``stage`` passes, their results put ``into``; the rest go to ``out``."""
+        passed = []
+        for j, result in zip(idx, numcore._each_alone(stage, idx)):
+            if isinstance(result, Exception):
+                out[j] = result
+            else:
+                into[j] = result
+                passed.append(j)
+        return passed
+
+    def curvatures(idx):
+        parts, _, kernels = _curvatures(*(a[idx] for a in jets[:3]), rel_tol)
+        return [([p[k] for p in parts], res) for k, res in enumerate(kernels)]
+
+    def solves(idx):
+        parts = numcore._stack(curved[j][0] for j in idx)
+        if order == 3:
+            cov = _nabla_riemann(*(a[idx] for a in jets), parts)
+        else:  # _solve's stencil
+            cov = np.stack([
+                _covariant_dr(metric, points[j], gamma, rdown, h=1e-4, check=True)
+                for j, gamma, rdown in zip(idx, parts[1], parts[3])
+            ])
+        t_vecs, bases = (np.stack([lines[j][k] for j in idx]) for k in (0, 1))
+        return _least_squares(parts[3], cov, t_vecs, bases)
+
+    live = advance(curvatures, [j for j in range(len(points)) if j not in out], curved)
+    velocities = path.velocities[indices]
+    live = advance(
+        lambda idx: [
+            _t_and_complement(curved[j][1], jets[0][j], velocities[j], points[j], dimension) for j in idx
+        ],
+        live, lines,
+    )
+    by_shape = {}  # a built complement may have lost a row
+    for j in live:
+        by_shape.setdefault(lines[j][1].shape, []).append(j)
+    live = [j for idx in by_shape.values() for j in advance(solves, idx, solved)]
+    frames = path.frame[indices]
+    advance(
+        lambda idx: [_in_frame(*solved[j], jets[0][j], lines[j][1], frames[j], points[j]) for j in idx],
+        live, out,
+    )
+    return [out[j] for j in range(len(points))]
 
 
 @dataclass(frozen=True)
@@ -556,13 +643,17 @@ def evolve_along_nullity_geodesic(
     T is the unit section of the curvature kernel along a reference vector
     (:func:`kernel_section`): at x0 the first kernel basis vector, which is
     also the launch velocity, and at each sample the geodesic's velocity
-    there.  Each tensor comes from the nabla R solve of one
-    ``curvature_data(..., nabla_r=True)`` (:func:`_frame_tensor`), in the
-    transported frame; ``h`` is the step of the divergence check only.
-    Errors while measuring the start tensor or integrating propagate; a
-    :class:`KernelDimensionError`, :class:`AlignmentError`,
-    :class:`KernelFieldError` or :class:`RiccatiBlowupError` at a sample
-    ends the ride with a partial report whose ``aborted`` holds the message.
+    there.  Each tensor comes from the nabla R solve of one metric 3-jet
+    (:func:`_frame_tensor`), in the transported frame; ``h`` is the step of
+    the divergence check only.  Sample 0 is x0 with its velocity and frame,
+    so its tensor is the start tensor; the others are measured together
+    (:func:`_sample_tensors`), bitwise each sample's own.  Errors while
+    measuring the start tensor or integrating propagate.  The samples are
+    taken in order: a :class:`KernelDimensionError`,
+    :class:`AlignmentError`, :class:`KernelFieldError` or
+    :class:`RiccatiBlowupError` at a sample ends the ride with a partial
+    report whose ``aborted`` holds the message, and any other error at a
+    sample propagates once that sample is reached.
     """
     pt = np.asarray(x0, dtype=float)
     data = curvature_data(metric, pt, rel_tol, nabla_r=True)
@@ -571,12 +662,14 @@ def evolve_along_nullity_geodesic(
     frame = _frame(metric, pt, data.g, section)
     start = _frame_tensor(metric, data, section, frame, k0)
     path = geodesic(metric, pt, section, tmax, steps=steps, frame=frame)
+    indices = _sample_indices(path.times.size, samples)  # node 0 first
+    tensors = [start] + _sample_tensors(metric, path, indices[1:], k0, rel_tol)
     reached, measured, predicted, deviations = [], [], [], []
     aborted = None
-    for i in _sample_indices(path.times.size, samples):
+    for i, c in zip(indices, tensors):
         try:
-            data = curvature_data(metric, path.points[i], rel_tol, nabla_r=True)
-            c = _frame_tensor(metric, data, path.velocities[i], path.frame[i], k0)
+            if isinstance(c, Exception):
+                raise c
             pred = riccati_closed_form(start, float(path.times[i]))
         except (KernelDimensionError, AlignmentError, KernelFieldError, RiccatiBlowupError) as exc:
             aborted = str(exc)

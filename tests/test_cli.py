@@ -193,6 +193,8 @@ def test_domain_errors_exit_two(capsys):
         (("scan", "--metric", "conullity3", "--grid", "u=0:1:2", "--fd-step", "1e-4"), 1),
         (("flow", "--metric", "conullity3", "--steps", "4", "--fd-step", "1e-4"), 1),
         (("scan", "--metric", "conullity3", "--grid", "u=0:1:2,u=0:1:2"), 1),
+        (("flow", "--metric", "conullity3", "--steps", "1000001"), 1),
+        (("analyze", "--metric", "product", "--dim", "2"), 1),
     ],
 )
 def test_rejected_input_exit_codes(capsys, argv, expected):
@@ -749,3 +751,19 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
     assert [code for code, _, _ in results] == [0, 0, 1, 0, 2, 0]
     assert results[0][1] == "" and results[0][2].startswith('{"command":"analyze"')
     assert results[1] == (0, results[0][2], None)
+
+
+def test_flow_steps_are_capped_by_the_parser():
+    # parsed only: a run of that many steps is never started
+    parser = cli._build_parser()
+    assert parser.parse_args(["flow", "--steps", str(cli.MAX_FLOW_STEPS)]).steps == cli.MAX_FLOW_STEPS
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["flow", "--steps", str(cli.MAX_FLOW_STEPS + 1)])
+    assert exc.value.code == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("dim", ["0", "2", "7", "9"])
+def test_product_dimension_error_names_the_products_range(capsys, dim):
+    code, out, err = run_cli(capsys, "analyze", "--metric", "product", "--dim", dim)
+    assert code == 1 and out == ""
+    assert f"product dimension {dim} outside supported range 3..6" in err

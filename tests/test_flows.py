@@ -429,6 +429,43 @@ def test_stacked_ride_primitives_match_each_point(n):
         assert (-np.einsum("kij,i,j->k", gamma[i], v[i], v[i])).tobytes() == accel[stage].tobytes()
 
 
+def _four_einsum_step(W, gammas, velocities, h):
+    """The reference frame step: the rates k = -Gamma(v, W) at the four stages, summed as RK4 writes them."""
+    (g1, g2, g3, g4), (v1, v2, v3, v4) = gammas, velocities
+    k1 = -np.einsum("kij,i,aj->ak", g1, v1, W)
+    k2 = -np.einsum("kij,i,aj->ak", g2, v2, W + 0.5 * h * k1)
+    k3 = -np.einsum("kij,i,aj->ak", g3, v3, W + 0.5 * h * k2)
+    k4 = -np.einsum("kij,i,aj->ak", g4, v4, W + h * k3)
+    return W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_frame_step_is_the_four_einsum_step_bitwise(n):
+    rng = np.random.default_rng(70 + n)
+    for trial in range(200):
+        gammas = rng.normal(size=(4, n, n, n)) * (rng.random((4, n, n, n)) < 0.6)
+        velocities = rng.normal(size=(4, n)) * (rng.random((4, n)) < 0.7)
+        W = rng.normal(size=(rng.integers(1, n + 1), n)) * (rng.random(n) < 0.6)
+        W[rng.random(W.shape) < 0.3] = -0.0
+        if trial % 4 == 0:
+            # stages 2 and 3 without Gamma and stage 4 undoing stage 1: the
+            # rates' sum cancels to an exact zero on W's -0.0 entries
+            gammas[1:3] = 0.0
+            gammas[3], velocities[3] = gammas[0], -velocities[0]
+        h = rng.choice([1.0, -1.0]) * rng.uniform(1e-3, 1.0)
+        want = _four_einsum_step(W, gammas, velocities, h)
+        got = flows._frame_step(W, gammas, velocities, h)
+        assert got.tobytes() == want.tobytes()
+    # a -0.0 entry that the old step turned into +0.0 stays that way
+    W = np.array([[-0.0, 1.0]])
+    gammas = np.zeros((4, 2, 2, 2))
+    gammas[0, 0, 0, 1] = gammas[3, 0, 0, 1] = 1.0
+    velocities = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]])
+    want = _four_einsum_step(W, gammas, velocities, 0.5)
+    assert want[0, 0] == 0.0 and not np.signbit(want[0, 0])
+    assert flows._frame_step(W, gammas, velocities, 0.5).tobytes() == want.tobytes()
+
+
 def test_geodesic_without_frame_carries_an_empty_one():
     path = geodesic(catalog_polar(), [1.0, 0.0], [0.0, 1.0], tmax=1.0, steps=8)
     assert path.frame.shape == (9, 0, 2)

@@ -8,6 +8,7 @@ from geonull.metricspace import catalog_conullity3
 from geonull.numcore import (
     KERNEL_ABS_FLOOR,
     SingularMatrixError,
+    _each_alone,
     _g_gram_schmidt,
     eigenvalues,
     invert,
@@ -231,3 +232,25 @@ def test_g_gram_schmidt_ignores_the_sign_of_prior_rows():
     first = _g_gram_schmidt(candidates[:1], g, prior=prior)
     rest = _g_gram_schmidt(candidates[1:], g, prior=np.vstack([prior, -first]))
     assert rest.tobytes() == base[1:].tobytes()
+
+
+def test_each_alone_redoes_a_raising_stage_item_by_item():
+    calls = []
+
+    def halves(items):
+        calls.append(list(items))
+        if any(x == 0 for x in items):
+            raise ZeroDivisionError("zero")
+        return [1 / x for x in items]
+
+    assert _each_alone(halves, [1, 2, 4]) == [1.0, 0.5, 0.25] and calls == [[1, 2, 4]]
+    calls.clear()
+    got = _each_alone(halves, [2, 0, 4])
+    assert got[0] == 0.5 and got[2] == 0.25 and isinstance(got[1], ZeroDivisionError)
+    assert calls == [[2, 0, 4], [2], [0], [4]]
+    rows = np.array([[1.0, 2.0], [0.0, 1.0]])
+    with np.errstate(divide="raise"):
+        assert _each_alone(lambda r: 1.0 / r[:, 0], rows, FloatingPointError, lambda exc: -1.0) == [1.0, -1.0]
+    with pytest.raises(ZeroDivisionError):  # a fault not listed is raised
+        _each_alone(halves, [0], KeyError)
+    assert _each_alone(halves, []) == []

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from geonull import cli, curvature, exprcalc, splitting
+from geonull import cli, curvature, exprcalc, flows, splitting
 from geonull.curvature import _complement, curvature_data, nullity
 from geonull.flows import geodesic, nullity_geodesic_check
 from geonull.metricspace import (
@@ -157,11 +157,11 @@ def test_jets_per_evolution(m, s):
     metric, orders = _counting(conullity3(), max_order=3)
     report = evolve_along_nullity_geodesic(metric, [0.1, 0.2, -0.3, 0.4], tmax=0.5, steps=m, samples=s)
     assert report.aborted is None and report.sample_times.size == s
-    # per tensor (the start and s samples) one order-3 jet gives the kernel,
-    # T and nabla R; 2m + 1 for the kernel geodesic with its frame (stage
-    # repeats reuse their jet, see above): 523 at m = 256, s = 9, as in a
-    # kernel-mode flow request
-    assert sorted(orders) == [1] * (2 * m + 1) + [3] * (s + 1)
+    # per tensor one order-3 jet gives the kernel, T and nabla R: the start's,
+    # which sample 0 (x0 itself) reuses, and one per later sample; 2m + 1 for
+    # the kernel geodesic with its frame (stage repeats reuse their jet, see
+    # above): 522 at m = 256, s = 9, as in a kernel-mode flow request
+    assert sorted(orders) == [1] * (2 * m + 1) + [3] * s
     assert orders[0] == 3
 
 
@@ -696,17 +696,156 @@ def test_evolution_gates_the_nabla_r_residual(monkeypatch):
     with pytest.raises(splitting.KernelFieldError) as exc:
         evolve_along_nullity_geodesic(_hessian_line_warp(), [0.3, 0.0, 0.1], tmax=0.2, steps=8)
     assert exc.value.residual > 0.5
-    solve = splitting._solve
+    gate = splitting._in_frame  # the start tensor and every sample pass it
     rough = np.array([0.1, 0.2, 0.25 + 1e-9, 0.4])
 
-    def rough_past_quarter(metric, data, *args):
-        coef, residual = solve(metric, data, *args)
-        return coef, (1.0 if data.point[2] > rough[2] else residual)
+    def rough_past_quarter(coef, residual, g, basis, frame, pt):
+        return gate(coef, 1.0 if pt[2] > rough[2] else residual, g, basis, frame, pt)
 
-    monkeypatch.setattr(splitting, "_solve", rough_past_quarter)
+    monkeypatch.setattr(splitting, "_in_frame", rough_past_quarter)
     report = evolve_along_nullity_geodesic(conullity3(), [0.1, 0.2, 0.0, 0.4], tmax=0.5, steps=16)
     assert report.aborted.startswith("curvature kernel is not a smooth line field near point")
     assert report.sample_times.tolist() == [0.0, 0.0625, 0.125, 0.1875, 0.25]
+
+
+_ABORTS = (KernelDimensionError, AlignmentError, splitting.KernelFieldError, RiccatiBlowupError)
+
+
+def _each_sample(metric, report, samples=9):
+    """``(times, measured, predicted, deviations, aborted)`` bytes of the ride's samples, each measured alone.
+
+    The reference for the stacked samples: one ``curvature_data`` and one
+    ``_frame_tensor`` per sample, in order, stopping at the first abort
+    error and raising any other error.
+    """
+    path, start = report.path, report.start_matrix
+    times, measured, predicted, deviations, aborted = [], [], [], [], None
+    for i in flows._sample_indices(path.times.size, samples):
+        try:
+            data = curvature_data(metric, path.points[i], nabla_r=True)
+            c = splitting._frame_tensor(metric, data, path.velocities[i], path.frame[i], report.kernel_dimension)
+            pred = riccati_closed_form(start, float(path.times[i]))
+        except _ABORTS as exc:
+            aborted = str(exc)
+            break
+        times.append(path.times[i])
+        measured.append(c.tobytes())
+        predicted.append(pred.tobytes())
+        deviations.append(float(np.max(np.abs(c - pred))))
+    return np.array(times).tobytes(), measured, predicted, deviations, aborted
+
+
+def _samples_of(report):
+    """:func:`_each_sample`'s fields of ``report``."""
+    return (report.sample_times.tobytes(), [c.tobytes() for c in report.measured],
+            [p.tobytes() for p in report.predicted], list(report.deviations), report.aborted)
+
+
+_SAMPLED_RIDES = [
+    (catalog_conullity3("3+cos(0.9*u)+cos(1.2*w)+0.3*sin(x)"), [0.1, 0.2, -0.3, 0.4]),
+    (catalog_sekigawa("2+u*u"), [0.2, 0.3, 0.1]),
+    (_counting(conullity3(), max_order=2)[0], [0.1, 0.2, -0.3, 0.4]),
+]
+_SAMPLED_IDS = ["conullity3", "sekigawa_built_complement", "no_3_jet"]
+
+
+@pytest.mark.parametrize("metric, point", _SAMPLED_RIDES, ids=_SAMPLED_IDS)
+def test_stacked_sample_tensors_are_each_samples_own_bitwise(metric, point):
+    report = evolve_along_nullity_geodesic(metric, point, tmax=0.5, steps=32)
+    assert report.aborted is None and report.sample_times.size == 9
+    assert (metric.preferred_frame is None) == (metric.dim == 3)
+    path = report.path
+    indices = flows._sample_indices(path.times.size, 9)
+    stacked = splitting._sample_tensors(metric, path, indices, 1, None)
+    for i, c in zip(indices, stacked):
+        data = curvature_data(metric, path.points[i], nabla_r=True)
+        alone = splitting._frame_tensor(metric, data, path.velocities[i], path.frame[i], 1)
+        assert c.tobytes() == alone.tobytes()
+    assert [c.tobytes() for c in report.measured[1:]] == [c.tobytes() for c in stacked[1:]]
+    assert _samples_of(report) == _each_sample(metric, report)
+
+
+@pytest.mark.parametrize("metric, point", _SAMPLED_RIDES, ids=_SAMPLED_IDS)
+def test_sample_zero_is_the_start_tensor_bitwise(metric, point):
+    # x0 with its launch velocity and frame: measured alone, it is the start tensor
+    report = evolve_along_nullity_geodesic(metric, point, tmax=0.5, steps=8)
+    path = report.path
+    data = curvature_data(metric, path.points[0], nabla_r=True)
+    alone = splitting._frame_tensor(metric, data, path.velocities[0], path.frame[0], 1)
+    assert report.sample_times[0] == 0.0
+    assert report.measured[0].tobytes() == report.start_matrix.tobytes() == alone.tobytes()
+
+
+def _kernel_grows_past(v_grow, v_fail, max_order):
+    """conullity3 whose order-2+ jets past v = ``v_grow`` are those of S^2 x R^2 (kernel the (v, w)
+    plane) and past v = ``v_fail`` raise; the order-1 jets, and so the kernel ride from the origin
+    along v = t, are unchanged."""
+    base = conullity3()
+    plane_kernel = catalog_product(catalog_sphere(1.0), catalog_euclidean(2))
+
+    def jet(q, order):
+        if order >= 2 and q[2] > v_fail:
+            raise ValueError(f"no jet at v = {q[2]}")
+        if order >= 2 and q[2] > v_grow:
+            return plane_kernel.jet([1.0, 0.5, q[2], q[3]], order=order, check=False)
+        return base.jet(q, order=order, check=False)
+
+    return MetricField(4, base.coordinates, jet, domain=base.contains, max_order=max_order)
+
+
+@pytest.mark.parametrize("max_order", [2, 3])
+def test_ride_aborting_at_a_middle_sample_reports_each_sample_alone(max_order):
+    # samples every 0.0625 in v: the one at 0.3125 aborts, the last (0.5) cannot be jetted
+    metric = _kernel_grows_past(0.28, 0.45, max_order)
+    report = evolve_along_nullity_geodesic(metric, ORIGIN4, tmax=0.5, steps=16)
+    assert report.aborted.startswith("curvature kernel has dimension 2, expected 1")
+    assert report.sample_times.tolist() == [0.0, 0.0625, 0.125, 0.1875, 0.25]
+    assert _samples_of(report) == _each_sample(metric, report)
+    # a sample's error that no abort comes before is raised, as measured alone
+    metric = _kernel_grows_past(math.inf, 0.28, max_order)
+    with pytest.raises(ValueError, match="no jet at v = 0.3125"):
+        evolve_along_nullity_geodesic(metric, ORIGIN4, tmax=0.5, steps=16)
+
+
+@pytest.mark.parametrize("stage, ndim", [("_curvatures", 3), ("_nabla_riemann", 3), ("_least_squares", 5)])
+def test_sample_stage_that_raises_is_redone_per_sample(monkeypatch, stage, ndim):
+    metric, point = _SAMPLED_RIDES[0]
+    want = _samples_of(evolve_along_nullity_geodesic(metric, point, tmax=0.5, steps=32))
+    real = getattr(splitting, stage)
+    sizes = []
+
+    def stacked_fails(*args):
+        if args[0].ndim == ndim:  # the start's tensor is no stack
+            sizes.append(len(args[0]))
+            if len(args[0]) > 1:
+                raise FloatingPointError("forced")
+        return real(*args)
+
+    monkeypatch.setattr(splitting, stage, stacked_fails)
+    report = evolve_along_nullity_geodesic(metric, point, tmax=0.5, steps=32)
+    assert sizes == [8] + [1] * 8
+    assert _samples_of(report) == want
+
+
+def test_sample_fault_stays_with_its_sample(monkeypatch):
+    # a float fault in one sample's R: the stacked stage is redone per sample,
+    # and the ride raises the fault where it reaches that sample
+    metric, point = _SAMPLED_RIDES[0]
+    report = evolve_along_nullity_geodesic(metric, point, tmax=0.5, steps=32)
+    bad = metric.jet(report.path.points[20], order=1)[0]
+    real = curvature._curvatures
+
+    def faulty(g, *args):
+        if any(q.tobytes() == bad.tobytes() for q in g.reshape(-1, 4, 4)):
+            raise FloatingPointError("forced fault")
+        return real(g, *args)
+
+    monkeypatch.setattr(curvature, "_curvatures", faulty)
+    monkeypatch.setattr(splitting, "_curvatures", faulty)
+    with pytest.raises(FloatingPointError, match="forced fault"):
+        _each_sample(metric, report)
+    with pytest.raises(FloatingPointError, match="forced fault"):
+        evolve_along_nullity_geodesic(metric, point, tmax=0.5, steps=32)
 
 
 @pytest.mark.parametrize(

@@ -18,12 +18,21 @@ failed the Christoffel-bracket screen, must jet what the loop jets; any
 other may jet more, up to one block's stage points (a block jets its stage
 points in one call, past a bend it does not know of yet), and never fewer.
 
+Each ride launched along the kernel also runs ``flow``'s Riccati check,
+``splitting.evolve_along_nullity_geodesic``, which measures its samples
+together, and the same check with each sample measured alone (one
+``curvature_data`` and one ``_frame_tensor`` per sample, in order, up to
+the first error).  Both must give the same bytes for the start tensor and
+every sample's time, tensor, prediction and deviation, and the same
+``aborted`` message, or raise the same error.
+
 It prints one line per ride, with the points it jetted stacked and point
-by point, marking those that differ, then how many rides the stacked
-pass took to the end, how many it handed over part-way or at the start, and
-how many were truncated, then the points jetted by the stacked rides and
-by the loop, in all and on the rides that jetted more.  Exits 1 if any ride
-differs.
+by point, marking those that differ, and for a kernel ride how its samples
+ended, then how many rides the stacked pass took to the end, how many it
+handed over part-way or at the start, and how many were truncated, then
+the points jetted by the stacked rides and by the loop, in all and on the
+rides that jetted more, and how many kernel rides' samples differ.  Exits 1
+if any ride differs.
 
 Run:  python3 tools/ride_agreement.py [--rides 100] [--seed 2031]
 """
@@ -41,9 +50,10 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from geonull import flows, metricspace  # noqa: E402
+from geonull import flows, metricspace, splitting  # noqa: E402
+from geonull.curvature import curvature_data  # noqa: E402
 from geonull.metricspace import DEFAULT_BOX, catalog_conullity3, catalog_sekigawa  # noqa: E402
-from geonull.splitting import kernel_section  # noqa: E402
+from geonull.splitting import evolve_along_nullity_geodesic, kernel_section  # noqa: E402
 
 FIELDS = ("times", "points", "velocities", "frame")
 
@@ -101,6 +111,48 @@ def _ride(rng: random.Random):
     return label, metric, x0, v0, frame, tmax, rng.randint(1, 300)
 
 
+_ABORTS = (splitting.KernelDimensionError, splitting.AlignmentError, splitting.KernelFieldError,
+           splitting.RiccatiBlowupError)
+
+
+def _outcome(run) -> tuple:
+    """``("report", fields)`` of the sample fields ``run()`` returns, or ``("raised", type, message)``."""
+    try:
+        return ("report",) + run()
+    except Exception as exc:  # both sides must raise the same error
+        return ("raised", type(exc).__name__, str(exc))
+
+
+def _report_fields(report) -> tuple:
+    return (report.start_matrix.tobytes(), report.sample_times.tobytes(),
+            [c.tobytes() for c in report.measured], [p.tobytes() for p in report.predicted],
+            list(report.deviations), report.aborted)
+
+
+def _each_sample(metric, x0, tmax: float, steps: int, samples: int = 9) -> tuple:
+    """:func:`_report_fields` of ``evolve_along_nullity_geodesic`` with each sample measured alone."""
+    data = curvature_data(metric, x0, nabla_r=True)
+    section = splitting._section(data.nullity, data.g, None, x0)
+    k0 = data.nullity.nullity
+    frame = splitting._frame(metric, x0, data.g, section)
+    start = splitting._frame_tensor(metric, data, section, frame, k0)
+    path = flows.geodesic(metric, x0, section, tmax, steps=steps, frame=frame)
+    times, measured, predicted, deviations, aborted = [], [], [], [], None
+    for i in flows._sample_indices(path.times.size, samples):
+        try:
+            data = curvature_data(metric, path.points[i], nabla_r=True)
+            c = splitting._frame_tensor(metric, data, path.velocities[i], path.frame[i], k0)
+            pred = splitting.riccati_closed_form(start, float(path.times[i]))
+        except _ABORTS as exc:
+            aborted = str(exc)
+            break
+        times.append(path.times[i])
+        measured.append(c.tobytes())
+        predicted.append(pred.tobytes())
+        deviations.append(float(np.max(np.abs(c - pred))))
+    return start.tobytes(), np.array(times).tobytes(), measured, predicted, deviations, aborted
+
+
 def _fields(path) -> tuple:
     return tuple(getattr(path, f).tobytes() for f in FIELDS) + (
         repr(path.gram_drift), path.truncated, repr(path.exit_parameter))
@@ -124,6 +176,7 @@ def main() -> int:
     tally = Counter()
     jetted = Counter()
     differ = 0
+    samples_differ = 0
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         while sum(tally.values()) < args.rides:
             drawn = _ride(rng)
@@ -153,14 +206,25 @@ def main() -> int:
             block = 4 * max(1, flows.RIDE_BLOCK_BYTES // (32 * metric.dim**3))
             exact = not per_point or (path.truncated and not bent)
             differs = moved or jets < spies.jetted or jets > spies.jetted + (0 if exact else block)
+            looped = spies.jetted  # before the sample checks jet more
+            sampled = ""
+            if not label.endswith("off-kernel"):
+                together = _outcome(lambda: _report_fields(evolve_along_nullity_geodesic(metric, x0, tmax, steps)))
+                alone = _outcome(lambda: _each_sample(metric, x0, tmax, steps))
+                samples_differ += together != alone
+                differs = differs or together != alone
+                ended = (f"raised {together[1]}" if together[0] == "raised" else
+                         f"{len(together[3])} reached" + (", aborted" if together[6] else ""))
+                sampled = f", samples {ended}{'' if together == alone else ' DIFFER'}"
             differ += bool(differs)
             print(f"{'DIFFERS ' if differs else ''}{label}: x0 {','.join('%.17g' % c for c in x0)} "
                   f"v0 {','.join('%.17g' % c for c in v0)} tmax {tmax!r} steps {steps}: {kind}, "
-                  f"moved {moved or '-'}, jetted {jets} vs {spies.jetted}")
+                  f"moved {moved or '-'}, jetted {jets} vs {looped}{sampled}")
     for kind, count in sorted(tally.items()):
         print(f"{kind}: {count}")
     for kind in ("stacked", "loop", "stacked, rides jetting more", "loop, rides jetting more"):
         print(f"points jetted, {kind}: {jetted[kind]}")
+    print(f"kernel rides whose samples differ from each sample measured alone: {samples_differ}")
     print(f"rides differing from the point-by-point loop: {differ}")
     return 1 if differ else 0
 
