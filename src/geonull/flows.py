@@ -3,13 +3,16 @@
 All integration is classical fixed-step RK4.  Geodesics integrate the
 first-order system (x, v) with v'^k = -Gamma^k_ij v^i v^j; rows W to be
 parallel transported ride in the same system, W'^k = -Gamma^k_ij v^i W^j,
-so each RK4 stage takes Gamma once, from one order-1 jet, for both; one
-frame step (:func:`_frame_step`) moves W on the four stages' Gamma in both
-the stacked blocks and the point-by-point loop.  A stage at the
-bit-identical point of the stage before it reuses that jet's g and Gamma:
-on a kernel geodesic the acceleration is exactly zero, stage 3 lands on
-stage 2's point and the next step's stage 1 on stage 4's, so an m-step path
-costs 2m+1 jets where it costs 4m+1 in general (with a frame).
+so each RK4 stage takes Gamma once, from one order-1 jet, for both.  The
+transport is linear, so one RK4 step moves W by one matrix, W -> W P^T,
+with P built from B = -Gamma(v, .) at the step's four stages
+(:func:`_frame_propagators`): the stacked blocks build their steps' P in
+one call, the point-by-point loop one step at a time (:func:`_frame_step`),
+to the same bits.  A stage at the bit-identical point of the stage before
+it reuses that jet's g and Gamma: on a kernel geodesic the acceleration is
+exactly zero, stage 3 lands on stage 2's point and the next step's stage 1
+on stage 4's, so an m-step path costs 2m+1 jets where it costs 4m+1 in
+general (with a frame).
 
 Where the acceleration is exactly zero every stage point is known before
 the ride: RK4's own float operations with Gamma = 0 give the velocity and
@@ -25,17 +28,18 @@ nonzero entries (the only ones Gamma(v, v) is built from).  A ride's first
 step is jetted point by point, each jet screened before the next is made,
 and so is every step on a chart without a stacked jet form.  The block then
 inverts g and builds Gamma in one stacked call each, checks that -Gamma(v,
-v) at every stage is bitwise the acceleration assumed, and transports the
-frame step by step on that Gamma.  The first step it cannot vouch for (one
-that fails the screen or leaves the chart, a g that fails the inverse's
-condition test, a failed check, or a stacked call or transport step that
-raises) is handed over: the point-by-point loop resumes at that step's node
-and takes the points the block jetted before jetting anew.  So every path
-keeps its bytes.  A path that stays straight, that leaves the chart, or
-that is curved from its first stage makes the jets of the point-by-point
-loop.  One that bends mid-block, or whose g or check fails there, may have
-jetted the rest of that block: at most one block of stage points that the
-path never reaches.
+v) at every stage is bitwise the acceleration assumed, builds the frame's
+step matrices from that Gamma in one stacked call and moves the frame by
+one small matmul a step.  The first step it cannot vouch for (one that
+fails the screen or leaves the chart, a g that fails the inverse's
+condition test, a failed check, or a stacked call, step matrix or frame
+product that raises) is handed over: the point-by-point loop resumes at
+that step's node and takes the points the block jetted before jetting anew.
+So every path keeps its bytes.  A path that stays straight, that leaves the
+chart, or that is curved from its first stage makes the jets of the
+point-by-point loop.  One that bends mid-block, or whose g or check fails
+there, may have jetted the rest of that block: at most one block of stage
+points that the path never reaches.
 
 Paths truncate cleanly at the chart boundary instead of raising: the
 returned :class:`GeodesicPath` carries a ``truncated`` flag and the last
@@ -209,27 +213,32 @@ def _in_chart(metric: MetricField, xs) -> np.ndarray:
     return np.array(numcore._each_alone(metric.contains_each, xs, Exception, lambda exc: False), dtype=bool)
 
 
+def _frame_propagators(gammas, velocities, h: float) -> np.ndarray:
+    """The RK4 step matrices P (m, n, n) of W' = -Gamma(v, W), from Gamma (m, 4, n, n, n) and v (m, 4, n) at each step's four stages.
+
+    The transport is linear, W' = W B^T with B[k, j] = -Gamma[k, i, j] v[i],
+    so one RK4 step is W -> W P^T with P = I + h/6 (S1 + 2 S2 + 2 S3 + S4),
+    S1 = B1, S2 = B2 (I + h/2 S1), S3 = B3 (I + h/2 S2) and S4 = B4 (I + h
+    S3).  One einsum makes every B of the stack and one matmul each S, so
+    each step's P is bitwise the one built for that step alone.
+    """
+    b = -np.einsum("...skij,...si->...skj", gammas, velocities)
+    eye = np.eye(b.shape[-1])
+    s1 = b[:, 0]
+    s2 = b[:, 1] @ (eye + (0.5 * h) * s1)
+    s3 = b[:, 2] @ (eye + (0.5 * h) * s2)
+    s4 = b[:, 3] @ (eye + h * s3)
+    return eye + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+
+
 def _frame_step(W, gammas, velocities, h: float) -> np.ndarray:
     """The rows W after one RK4 step of W' = -Gamma(v, W), from Gamma and v at the step's four stages.
 
-    Bitwise the step with the stage rates k = -Gamma(v, W): this takes
-    e = Gamma(v, W) and folds each negation into a step constant or turns
-    an addition into a subtraction, both exact since negation commutes with
-    rounding, and sums k1 + 2 k2 + 2 k3 + k4 in place in that order.
+    W P^T, with P the step's matrix from :func:`_frame_propagators` on a
+    stack of one: bitwise what a stacked block's transport makes of the
+    same step.
     """
-    (g1, g2, g3, g4), (v1, v2, v3, v4) = gammas, velocities
-    e1 = np.einsum("kij,i,aj->ak", g1, v1, W)
-    e2 = np.einsum("kij,i,aj->ak", g2, v2, W + (-0.5 * h) * e1)
-    e3 = np.einsum("kij,i,aj->ak", g3, v3, W + (-0.5 * h) * e2)
-    e4 = np.einsum("kij,i,aj->ak", g4, v4, W + (-h) * e3)
-    step = -2.0 * e2
-    step -= e1
-    e3 *= -2.0
-    step += e3
-    step -= e4
-    step *= h / 6.0
-    step += W
-    return step
+    return W @ _frame_propagators(np.array(gammas)[None], np.array(velocities)[None], h)[0].T
 
 
 class _Ride:
@@ -391,13 +400,27 @@ class _Ride:
         return steps if inside.all() else end - 1
 
     def _transport(self, stage_gamma, stage_v, steps: int) -> list:
-        """The frames W after each of the first ``steps`` steps of a block, fewer at a float fault."""
+        """The frames W after each of the first ``steps`` steps of a block, fewer at a float fault.
+
+        The steps' matrices are built in one stacked call, redone step by
+        step if it raises; the first step whose matrix or product raises
+        ends the block, and :meth:`integrate` meets the fault again there.
+        """
+        n = stage_v.shape[-1]
+        gammas = stage_gamma[: 4 * steps].reshape(steps, 4, n, n, n)
+        velocities = stage_v[: 4 * steps].reshape(steps, 4, n)
+        propagators = numcore._each_alone(
+            lambda i: _frame_propagators(gammas[i], velocities[i], self.h),
+            np.arange(steps), FloatingPointError, lambda exc: None,
+        )
         W = self.ws[-1]
         frames = []
-        for i in range(steps):
+        for P in propagators:
+            if P is None:
+                break
             try:
-                W = _frame_step(W, stage_gamma[4 * i: 4 * i + 4], stage_v[4 * i: 4 * i + 4], self.h)
-            except FloatingPointError:  # integrate meets it again and truncates there
+                W = W @ P.T
+            except FloatingPointError:
                 break
             frames.append(W)
         return frames

@@ -29,7 +29,8 @@ tensor, the start's serving sample 0 (the start itself).  The 8 later
 samples are jetted in one call and measured together through ``scan``'s
 stacked stages (``_sample_tensors``), bitwise each sample's own, so a ride
 that aborts at a sample has jetted the samples past it too, at most 8 in
-all.
+all.  The 9 closed-form predictions share one stacked pole test and one
+stacked inverse (``_riccati_predictions``), also bitwise each time's own.
 
 ``splitting_tensor`` is the reference that the tests compare the solve
 with and that ``verify`` runs: Richardson-extrapolated central differences
@@ -548,6 +549,33 @@ def riccati_closed_form(c0, t: float) -> np.ndarray:
     return c0 @ invert(denom)
 
 
+def _riccati_predictions(c0, times) -> list:
+    """:func:`riccati_closed_form` at each of ``times``: C(t), or the error it raises there.
+
+    One stacked pole test and one stacked inverse serve every time, each
+    prediction bitwise the time's own.  A time that fails either test, or
+    every time when a stacked call raises, is redone alone.
+    """
+    c0 = np.asarray(c0, dtype=float)
+    times = np.asarray(times, dtype=float)
+
+    def alone(t):
+        try:
+            return riccati_closed_form(c0, float(t))
+        except Exception as exc:  # raised when its sample is reached
+            return exc
+
+    try:
+        denom = np.eye(c0.shape[0]) - times[:, None, None] * c0
+        sv = np.linalg.svd(denom, compute_uv=False)
+        inverse, passed, _ = numcore._invert_each(denom)
+        predictions = c0 @ inverse
+    except Exception:
+        return [alone(t) for t in times]
+    passed &= sv[:, -1] >= 1e-12 * np.maximum(sv[:, 0], 1.0)
+    return [c if ok else alone(t) for t, c, ok in zip(times, predictions, passed)]
+
+
 def riccati_ode(c0, tmax: float, steps: int = 200) -> np.ndarray:
     """RK4 integration of C' = C^2 from C(0) = c0 up to tmax."""
     c = np.asarray(c0, dtype=float).copy()
@@ -647,7 +675,8 @@ def evolve_along_nullity_geodesic(
     (:func:`_frame_tensor`), in the transported frame; ``h`` is the step of
     the divergence check only.  Sample 0 is x0 with its velocity and frame,
     so its tensor is the start tensor; the others are measured together
-    (:func:`_sample_tensors`), bitwise each sample's own.  Errors while
+    (:func:`_sample_tensors`), bitwise each sample's own, and so are the
+    closed-form predictions (:func:`_riccati_predictions`).  Errors while
     measuring the start tensor or integrating propagate.  The samples are
     taken in order: a :class:`KernelDimensionError`,
     :class:`AlignmentError`, :class:`KernelFieldError` or
@@ -664,13 +693,15 @@ def evolve_along_nullity_geodesic(
     path = geodesic(metric, pt, section, tmax, steps=steps, frame=frame)
     indices = _sample_indices(path.times.size, samples)  # node 0 first
     tensors = [start] + _sample_tensors(metric, path, indices[1:], k0, rel_tol)
+    predictions = _riccati_predictions(start, path.times[indices])
     reached, measured, predicted, deviations = [], [], [], []
     aborted = None
-    for i, c in zip(indices, tensors):
+    for i, c, pred in zip(indices, tensors, predictions):
         try:
             if isinstance(c, Exception):
                 raise c
-            pred = riccati_closed_form(start, float(path.times[i]))
+            if isinstance(pred, Exception):
+                raise pred
         except (KernelDimensionError, AlignmentError, KernelFieldError, RiccatiBlowupError) as exc:
             aborted = str(exc)
             break

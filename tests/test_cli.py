@@ -521,14 +521,13 @@ def test_flow_samples_are_the_library_evolution_bitwise(capsys):
 
 
 def test_flow_reports_an_aborted_ride(capsys, monkeypatch):
-    closed_form = splitting.riccati_closed_form
+    predictions = splitting._riccati_predictions
 
-    def pole_past_quarter(c0, t):
-        if t > 0.25:
-            raise splitting.RiccatiBlowupError(t, "forced pole")
-        return closed_form(c0, t)
+    def pole_past_quarter(c0, times):
+        return [splitting.RiccatiBlowupError(t, "forced pole") if t > 0.25 else c
+                for t, c in zip(times, predictions(c0, times))]
 
-    monkeypatch.setattr(splitting, "riccati_closed_form", pole_past_quarter)
+    monkeypatch.setattr(splitting, "_riccati_predictions", pole_past_quarter)
     code, out, _ = run_cli(
         capsys, "flow", "--metric", "conullity3", "--tmax", "0.5", "--steps", "16"
     )
@@ -539,14 +538,13 @@ def test_flow_reports_an_aborted_ride(capsys, monkeypatch):
 
 
 def test_verify_fails_an_aborted_ride(capsys, monkeypatch):
-    closed_form = splitting.riccati_closed_form
+    predictions = splitting._riccati_predictions
 
-    def pole_past_tenth(c0, t):
-        if t > 0.1:
-            raise splitting.RiccatiBlowupError(t, "forced pole")
-        return closed_form(c0, t)
+    def pole_past_tenth(c0, times):
+        return [splitting.RiccatiBlowupError(t, "forced pole") if t > 0.1 else c
+                for t, c in zip(times, predictions(c0, times))]
 
-    monkeypatch.setattr(splitting, "riccati_closed_form", pole_past_tenth)
+    monkeypatch.setattr(splitting, "_riccati_predictions", pole_past_tenth)
     code, out, _ = run_cli(capsys, "verify", "--suite", "conullity3", "--json")
     assert code == 3
     checks = {c["name"]: c for c in json.loads(out)["suites"][0]["checks"]}

@@ -146,9 +146,31 @@ def test_parallel_transport_stack_preserves_gram():
 _STAGE_FAULTS = (ChartDomainError, DomainError, SingularMatrixError, FloatingPointError)
 
 
-def _reference_geodesic(metric, x, v, frame, tmax, steps):
+def _step_matrix_step(W, gammas, velocities, h):
+    """The documented frame step: W P^T, P = I + h/6 (S1 + 2 S2 + 2 S3 + S4) from B = -Gamma(v, .) at the four stages."""
+    eye = np.eye(W.shape[1])
+    b1, b2, b3, b4 = (-np.einsum("kij,i->kj", g, v) for g, v in zip(gammas, velocities))
+    s1 = b1
+    s2 = b2 @ (eye + 0.5 * h * s1)
+    s3 = b3 @ (eye + 0.5 * h * s2)
+    s4 = b4 @ (eye + h * s3)
+    return W @ (eye + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)).T
+
+
+def _four_einsum_step(W, gammas, velocities, h):
+    """The frame step before the step matrix: the rates k = -Gamma(v, W) at the four stages, summed as RK4 writes them."""
+    (g1, g2, g3, g4), (v1, v2, v3, v4) = gammas, velocities
+    k1 = -np.einsum("kij,i,aj->ak", g1, v1, W)
+    k2 = -np.einsum("kij,i,aj->ak", g2, v2, W + 0.5 * h * k1)
+    k3 = -np.einsum("kij,i,aj->ak", g3, v3, W + 0.5 * h * k2)
+    k4 = -np.einsum("kij,i,aj->ak", g4, v4, W + h * k3)
+    return W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _reference_geodesic(metric, x, v, frame, tmax, steps, frame_step=_step_matrix_step):
     """RK4 with a fresh jet at every stage, truncating where ``geodesic`` does.
 
+    The frame moves by ``frame_step`` on the four stages' Gamma and v.
     Returns (points, velocities, frames, gram drift, exit parameter or None,
     jets).  ``jets`` counts the jets of the documented reuse rule: a stage
     jets unless its point repeats the last point whose Gamma was built, and
@@ -158,12 +180,12 @@ def _reference_geodesic(metric, x, v, frame, tmax, steps):
     built = [None]  # bytes of the last point whose Gamma was built
     jets = [0]
 
-    def rates(y, w, vecs):
+    def rates(y, w):
         jets[0] += y.tobytes() != built[0]
         g, dg = metric.jet(y, order=1, check=False)
         gamma = _christoffel_from_jet(invert(g), dg)
         built[0] = y.tobytes()
-        return g, -np.einsum("kij,i,j->k", gamma, w, w), -np.einsum("kij,i,aj->ak", gamma, w, vecs)
+        return g, -np.einsum("kij,i,j->k", gamma, w, w), gamma
 
     h = tmax / steps
     x, v, W = (np.array(a, dtype=float) for a in (x, v, frame))
@@ -171,17 +193,17 @@ def _reference_geodesic(metric, x, v, frame, tmax, steps):
     truncated = False
     for i in range(steps):
         try:
-            g1, ax1, k1 = rates(x, v, W)
+            g1, ax1, gamma1 = rates(x, v)
             gs.append(g1)
             x2, v2 = x + 0.5 * h * v, v + 0.5 * h * ax1
-            _, ax2, k2 = rates(x2, v2, W + 0.5 * h * k1)
+            _, ax2, gamma2 = rates(x2, v2)
             x3, v3 = x + 0.5 * h * v2, v + 0.5 * h * ax2
-            _, ax3, k3 = rates(x3, v3, W + 0.5 * h * k2)
+            _, ax3, gamma3 = rates(x3, v3)
             x4, v4 = x + h * v3, v + h * ax3
-            _, ax4, k4 = rates(x4, v4, W + h * k3)
+            _, ax4, gamma4 = rates(x4, v4)
             xn = x + (h / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
             vn = v + (h / 6.0) * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
-            Wn = W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            Wn = frame_step(W, (gamma1, gamma2, gamma3, gamma4), (v, v2, v3, v4), h)
         except _STAGE_FAULTS:
             truncated = True
             break
@@ -429,41 +451,136 @@ def test_stacked_ride_primitives_match_each_point(n):
         assert (-np.einsum("kij,i,j->k", gamma[i], v[i], v[i])).tobytes() == accel[stage].tobytes()
 
 
-def _four_einsum_step(W, gammas, velocities, h):
-    """The reference frame step: the rates k = -Gamma(v, W) at the four stages, summed as RK4 writes them."""
-    (g1, g2, g3, g4), (v1, v2, v3, v4) = gammas, velocities
-    k1 = -np.einsum("kij,i,aj->ak", g1, v1, W)
-    k2 = -np.einsum("kij,i,aj->ak", g2, v2, W + 0.5 * h * k1)
-    k3 = -np.einsum("kij,i,aj->ak", g3, v3, W + 0.5 * h * k2)
-    k4 = -np.einsum("kij,i,aj->ak", g4, v4, W + h * k3)
-    return W + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _random_stages(rng, n, m=None):
+    """Sparse random Gamma (4, n, n, n) and v (4, n) at a step's stages, or at each of ``m`` steps'."""
+    shape = (4,) if m is None else (m, 4)
+    gammas = rng.normal(size=shape + (n, n, n)) * (rng.random(shape + (n, n, n)) < 0.6)
+    velocities = rng.normal(size=shape + (n,)) * (rng.random(shape + (n,)) < 0.7)
+    return gammas, velocities
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_frame_step_is_the_four_einsum_step_bitwise(n):
+def test_stacked_frame_propagators_are_each_steps_own(n):
+    rng = np.random.default_rng(40 + n)
+    eye = np.eye(n)
+    for m in (1, 5, 32):
+        gammas, velocities = _random_stages(rng, n, m)
+        h = rng.choice([1.0, -1.0]) * rng.uniform(1e-3, 1.0)
+        stacked = flows._frame_propagators(gammas, velocities, h)
+        assert stacked.shape == (m, n, n)
+        for i in range(m):
+            alone = flows._frame_propagators(gammas[i: i + 1], velocities[i: i + 1], h)[0]
+            assert stacked[i].tobytes() == alone.tobytes()
+            # the step matrix is the one the documented step applies
+            assert stacked[i].tobytes() == _step_matrix_step(eye, gammas[i], velocities[i], h).T.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_frame_step_is_the_step_matrix_bitwise(n):
     rng = np.random.default_rng(70 + n)
     for trial in range(200):
-        gammas = rng.normal(size=(4, n, n, n)) * (rng.random((4, n, n, n)) < 0.6)
-        velocities = rng.normal(size=(4, n)) * (rng.random((4, n)) < 0.7)
+        gammas, velocities = _random_stages(rng, n)
         W = rng.normal(size=(rng.integers(1, n + 1), n)) * (rng.random(n) < 0.6)
         W[rng.random(W.shape) < 0.3] = -0.0
         if trial % 4 == 0:
             # stages 2 and 3 without Gamma and stage 4 undoing stage 1: the
-            # rates' sum cancels to an exact zero on W's -0.0 entries
+            # stage matrices' sum cancels to exact zeros
             gammas[1:3] = 0.0
             gammas[3], velocities[3] = gammas[0], -velocities[0]
         h = rng.choice([1.0, -1.0]) * rng.uniform(1e-3, 1.0)
-        want = _four_einsum_step(W, gammas, velocities, h)
+        P = flows._frame_propagators(gammas[None], velocities[None], h)[0]
         got = flows._frame_step(W, gammas, velocities, h)
-        assert got.tobytes() == want.tobytes()
-    # a -0.0 entry that the old step turned into +0.0 stays that way
+        assert got.tobytes() == (W @ P.T).tobytes()
+        assert got.tobytes() == _step_matrix_step(W, gammas, velocities, h).tobytes()
+    # a -0.0 entry of W whose step cancels exactly comes out as the written-out step's zero
     W = np.array([[-0.0, 1.0]])
     gammas = np.zeros((4, 2, 2, 2))
     gammas[0, 0, 0, 1] = gammas[3, 0, 0, 1] = 1.0
     velocities = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]])
-    want = _four_einsum_step(W, gammas, velocities, 0.5)
-    assert want[0, 0] == 0.0 and not np.signbit(want[0, 0])
-    assert flows._frame_step(W, gammas, velocities, 0.5).tobytes() == want.tobytes()
+    assert flows._frame_step(W, gammas, velocities, 0.5).tobytes() == _step_matrix_step(
+        W, gammas, velocities, 0.5).tobytes()
+
+
+# 256-step rides, kernel rides (stacked) and curved ones (point by point):
+# (metric, x0, v0 or None for the kernel section, tmax)
+FRAME_RIDES = {
+    "conullity3_kernel": (catalog_conullity3("3+cos(u)+cos(w)"), [0.1, 0.2, -0.3, 0.4], None, 1.0),
+    "conullity3_curved": (catalog_conullity3("3+cos(u)+cos(w)"), [0.1, 0.2, -0.3, 0.4],
+                          [0.6, -0.3, 0.5, 0.2], 1.0),
+    "sekigawa_kernel": (catalog_sekigawa("2+u*u"), [0.2, 0.3, 0.1], None, 0.5),
+    "sekigawa_curved": (catalog_sekigawa("2+sin(x)+u*u"), [0.1, 0.2, -0.3], [0.4, 0.5, 0.6], 1.0),
+    "sphere": (catalog_sphere(1.0), [1.1, 0.4], [0.3, 0.8], 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_RIDES))
+def test_frame_stays_near_the_four_einsum_step(name):
+    # the step matrix sums the frame's products in another order than the
+    # four per-stage rates did: the frame moves by rounding, nothing else does
+    metric, x0, v0, tmax = FRAME_RIDES[name]
+    x0 = np.array(x0)
+    v0 = kernel_section(metric, x0)[0] if v0 is None else np.array(v0)
+    frame = np.eye(metric.dim)
+    path = geodesic(metric, x0, v0, tmax, steps=256, frame=frame)
+    points, velocities, frames, drift, exit_parameter, _ = _reference_geodesic(
+        metric, x0, v0, frame, tmax, 256, frame_step=_four_einsum_step
+    )
+    assert not path.truncated and exit_parameter is None
+    assert path.points.tobytes() == points.tobytes()
+    assert path.velocities.tobytes() == velocities.tobytes()
+    scale = np.spacing(np.max(np.abs(frames), axis=(1, 2)))
+    assert np.all(np.max(np.abs(path.frame - frames), axis=(1, 2)) <= 64 * scale)
+    assert path.gram_drift == pytest.approx(drift, rel=1e-2, abs=1e-15)
+
+
+def _overflowing_transport_field(a: float) -> MetricField:
+    """The (x, y) plane with g = I and Gamma^x_xy = c past x = a, a c so large that a frame step's sum overflows.
+
+    The jet is no metric's: d_y g_xx = 2c and d_x g_xy = c keep the
+    acceleration along y = 0 with velocity (1, 0) exactly zero and the
+    Christoffel bracket on it zero, so the ride is stacked, while
+    S1 + 2 S2 + 2 S3 + S4 of a step matrix reaches 6c.
+    """
+    c = 0.5e308
+
+    def jet(p, order):
+        dg = np.zeros((2, 2, 2))
+        if p[0] > a:
+            dg[0, 0, 1] = 2.0 * c
+            dg[0, 1, 0] = dg[1, 0, 0] = c
+        return np.eye(2), dg
+
+    return MetricField(2, ("x", "y"), jet, name="overflowing transport")
+
+
+def test_a_fault_in_a_blocks_step_matrices_truncates_where_integrate_does(monkeypatch):
+    metric, steps = _overflowing_transport_field(0.37), 50
+    x0, v0, frame = [0.0, 0.0], [1.0, 0.0], np.eye(2)
+    built = []
+    real = flows._frame_propagators
+
+    def spied(gammas, velocities, h):
+        try:
+            return real(gammas, velocities, h)
+        except FloatingPointError:
+            built.append(len(gammas))
+            raise
+
+    monkeypatch.setattr(flows, "_frame_propagators", spied)
+    with np.errstate(over="raise", invalid="raise"):
+        path = geodesic(metric, x0, v0, 1.0, steps=steps, frame=frame)
+        ride = flows._Ride(metric, 1.0 / steps, np.array(x0), np.array(v0), frame)
+        ride.integrate(steps)
+        alone = ride.path()
+        reference = _reference_geodesic(metric, x0, v0, frame, 1.0, steps)
+    # the block's stacked build raised, then the faulting step alone
+    assert built[0] == steps and 1 in built[1:]
+    assert path.truncated and alone.truncated
+    assert path.exit_parameter == alone.exit_parameter == reference[4]
+    assert 0.3 < path.exit_parameter < 0.37
+    for field in ("times", "points", "velocities", "frame"):
+        assert getattr(path, field).tobytes() == getattr(alone, field).tobytes()
+    assert path.frame.tobytes() == reference[2].tobytes()
 
 
 def test_geodesic_without_frame_carries_an_empty_one():

@@ -594,6 +594,67 @@ def test_riccati_blowup_detection():
         riccati_ode([[2.0]], 1.0)
 
 
+def _closed_form_or_error(c0, t):
+    try:
+        return riccati_closed_form(c0, t)
+    except Exception as exc:
+        return exc
+
+
+def _same_outcome(got, want) -> bool:
+    if isinstance(want, Exception):
+        return type(got) is type(want) and str(got) == str(want)
+    return isinstance(got, np.ndarray) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_stacked_riccati_predictions_are_each_times_own_bitwise(k, monkeypatch):
+    rng = np.random.default_rng(90 + k)
+    c0 = rng.standard_normal((k, k))
+    c0[rng.random((k, k)) < 0.3] = -0.0
+    times = np.concatenate([[0.0], np.sort(rng.uniform(-1.0, 1.0, 8))])
+    svds = []
+    real_svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: svds.append(1) or real_svd(*a, **kw))
+    predictions = splitting._riccati_predictions(c0, times)
+    # one pole test and one inverse's condition test for all nine times
+    assert len(svds) == 2
+    monkeypatch.undo()
+    for t, got in zip(times, predictions):
+        assert _same_outcome(got, _closed_form_or_error(c0, float(t)))
+
+
+def test_stacked_riccati_predictions_keep_each_pole_at_its_time():
+    # C = 2 / (1 - 2t): a pole at t = 0.5 between finite predictions, one
+    # just before it that passes the inverse's condition test but not the
+    # pole test, and a product t C0 that overflows at t = 1e308 (the stacked
+    # call redone per time)
+    c0 = np.array([[2.0]])
+    times = [0.0, 0.25, 0.5 - 1e-13, 0.5, 0.75]
+    predictions = splitting._riccati_predictions(c0, times)
+    assert [type(p) for p in predictions[2:4]] == [RiccatiBlowupError] * 2 and predictions[3].t == 0.5
+    for t, got in zip(times, predictions):
+        assert _same_outcome(got, _closed_form_or_error(c0, t))
+    with np.errstate(over="raise", invalid="raise"):
+        times = [0.0, 0.25, 1e308]
+        predictions = splitting._riccati_predictions(c0, times)
+        assert isinstance(predictions[2], FloatingPointError)
+        for t, got in zip(times, predictions):
+            assert _same_outcome(got, _closed_form_or_error(c0, t))
+
+
+def test_evolution_aborts_at_a_sample_on_a_pole(monkeypatch):
+    # a start tensor with a pole at the sample t = 0.25: the walk stops there
+    start = np.diag([4.0, 0.0, 0.0])
+    monkeypatch.setattr(splitting, "_frame_tensor", lambda *args: start)
+    monkeypatch.setattr(splitting, "_sample_tensors", lambda metric, path, indices, k0, rel_tol: [start] * len(indices))
+    report = evolve_along_nullity_geodesic(conullity3(), [0.1, 0.2, 0.0, 0.4], tmax=0.5, steps=16)
+    assert report.sample_times.tolist() == [0.0, 0.0625, 0.125, 0.1875]
+    with pytest.raises(RiccatiBlowupError) as exc:
+        riccati_closed_form(start, 0.25)
+    assert report.aborted == str(exc.value)
+
+
 def test_riccati_ode_matches_closed_form():
     rng = np.random.default_rng(14)
     c0 = 0.5 * rng.standard_normal((3, 3))

@@ -7,7 +7,10 @@ loop.  This draws seeded rides on warped conullity3 and sekigawa charts
 uniform in the chart box, those off the chart skipped), launched along the
 curvature kernel as ``flow`` launches them, or one time in four along a
 random direction, with a transported frame, a random step count and ``tmax``
-of either sign.  Each ride runs twice: through ``geodesic``, and through the
+of either sign.  Half the conullity3 kernel rides run on a chart whose
+kernel grows to dimension 2 part-way along the ride, or whose higher jets
+raise further on, so that samples abort, or raise, or both, the error past
+the abort.  Each ride runs twice: through ``geodesic``, and through the
 point-by-point loop alone from node 0.  Both must give the same bytes for
 every field of the path.
 
@@ -40,6 +43,7 @@ Run:  python3 tools/ride_agreement.py [--rides 100] [--seed 2031]
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import random
 import sys
@@ -52,7 +56,15 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from geonull import flows, metricspace, splitting  # noqa: E402
 from geonull.curvature import curvature_data  # noqa: E402
-from geonull.metricspace import DEFAULT_BOX, catalog_conullity3, catalog_sekigawa  # noqa: E402
+from geonull.metricspace import (  # noqa: E402
+    DEFAULT_BOX,
+    MetricField,
+    catalog_conullity3,
+    catalog_euclidean,
+    catalog_product,
+    catalog_sekigawa,
+    catalog_sphere,
+)
 from geonull.splitting import evolve_along_nullity_geodesic, kernel_section  # noqa: E402
 
 FIELDS = ("times", "points", "velocities", "frame")
@@ -108,7 +120,36 @@ def _ride(rng: random.Random):
         v0 = kernel_section(metric, x0)[0]
     frame = np.eye(n)[rng.sample(range(n), rng.randint(1, n))]
     tmax = rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 4.0)
-    return label, metric, x0, v0, frame, tmax, rng.randint(1, 300)
+    steps = rng.randint(1, 300)
+    if label == "conullity3" and rng.random() < 0.5:
+        label += " kernel grows"
+        metric = _kernel_grows(metric, x0[2], tmax * v0[2], rng)
+    return label, metric, x0, v0, frame, tmax, steps
+
+
+def _kernel_grows(base, v_start: float, travel: float, rng: random.Random):
+    """``base`` with a kernel of dimension 2 past a drawn share of a kernel ride along v, and no jet further on.
+
+    The ride moves v from ``v_start`` by ``travel``.  Past one drawn share
+    of it (three times in four) the order-2+ jets are those of S^2 x R^2,
+    whose kernel is the (v, w) plane, so a sample there aborts; past another
+    (two times in three), before or after the first, they raise.  The
+    order-1 jets, and so the path, are the base's.
+    """
+    grow = rng.uniform(0.15, 0.85) if rng.random() < 0.75 else math.inf
+    fail = rng.uniform(0.15, 1.0) if rng.random() < 2 / 3 else math.inf
+    plane_kernel = catalog_product(catalog_sphere(1.0), catalog_euclidean(2))
+
+    def jet(q, order):
+        share = (q[2] - v_start) / travel
+        if order >= 2 and share > fail:
+            raise ValueError(f"no jet at v = {q[2]!r}")
+        if order >= 2 and share > grow:
+            return plane_kernel.jet([1.0, 0.5, q[2], q[3]], order=order, check=False)
+        return base.jet(q, order=order, check=False)
+
+    return MetricField(base.dim, base.coordinates, jet, domain=base.contains,
+                       preferred_frame=base.preferred_frame, max_order=rng.choice((2, 3)))
 
 
 _ABORTS = (splitting.KernelDimensionError, splitting.AlignmentError, splitting.KernelFieldError,

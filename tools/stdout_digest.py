@@ -31,8 +31,11 @@ Field report:  python3 tools/stdout_digest.py --base DIR
 runs each argv against ``DIR/src`` in a subprocess and against this tree,
 and for every output that differs prints the fields that moved: each JSON
 path (a scan row's CSV column) with list indices collapsed to ``[]``, how
-many values moved there, the largest absolute change and the largest change
-in ulps.  Exits 1 if any output differs or any command exits nonzero.
+many values moved there, the largest absolute change, the largest change
+in ulps of the value itself and the largest in ulps of the largest |value|
+at that path (on either side), which sizes a move on a near-zero entry of a
+larger tensor at that tensor's rounding.  Exits 1 if any output differs or
+any command exits nonzero.
 """
 
 from __future__ import annotations
@@ -160,26 +163,35 @@ def _ordinal(x: float) -> int:
 _ABSENT = object()
 
 
+def _largest(values) -> float:
+    """The largest finite |number| among ``values``, 0.0 without one."""
+    numbers = (_number(value) for value in values)
+    return max((abs(x) for x in numbers if x is not None and math.isfinite(x)), default=0.0)
+
+
 def moved_fields(old_text: str, new_text: str) -> dict:
-    """path -> [values moved, max |change|, max ulps] over the leaves that differ.
+    """path -> [values moved, max |change|, max ulps, max ulps of the largest |value|, that value] over the leaves that differ.
 
     The values at one path are paired in document order.  A value present
     on one side only counts as moved with no size; so does a non-numeric
-    value that changed.
+    value that changed.  The largest |value| is taken over every value at
+    the path, on both sides.
     """
     old = _by_path(_parse(old_text))
     new = _by_path(_parse(new_text))
     report = {}
     for path in sorted(old.keys() | new.keys()):
+        largest = max(_largest(old.get(path, ())), _largest(new.get(path, ())))
         for a, b in itertools.zip_longest(old.get(path, ()), new.get(path, ()), fillvalue=_ABSENT):
             if repr(a) == repr(b):  # repr tells -0.0 from 0.0
                 continue
-            entry = report.setdefault(path, [0, None, None])
+            entry = report.setdefault(path, [0, None, None, None, largest])
             entry[0] += 1
             x, y = _number(a), _number(b)
             if x is not None and y is not None and math.isfinite(x) and math.isfinite(y):
                 entry[1] = max(entry[1] or 0.0, abs(x - y))
                 entry[2] = max(entry[2] or 0, abs(_ordinal(x) - _ordinal(y)))
+                entry[3] = max(entry[3] or 0.0, abs(x - y) / math.ulp(largest))
     return report
 
 
@@ -195,8 +207,10 @@ def field_report(base: str) -> int:
             continue
         status = 1
         print(f"moved: geonull {shlex.join(argv)}")
-        for path, (count, change, ulps) in sorted(moved_fields(old, new).items()):
-            size = "" if change is None else f", max |change| {change:.3g}, max {ulps} ulps"
+        for path, (count, change, ulps, scaled, largest) in sorted(moved_fields(old, new).items()):
+            size = "" if change is None else (
+                f", max |change| {change:.3g}, max {ulps} ulps"
+                f", max {scaled:.3g} ulps of the largest |value| {largest:.3g}")
             print(f"  {path}: {count} value{'s' if count != 1 else ''}{size}")
     return status
 
