@@ -141,7 +141,7 @@ def _dumps(obj) -> str:
     if isinstance(obj, (float, np.floating)):
         return _float_repr(float(obj))
     if isinstance(obj, str):
-        return _json.dumps(obj, ensure_ascii=False)
+        return _json.encoder.encode_basestring(obj)  # json.dumps(obj, ensure_ascii=False), unwrapped
     if isinstance(obj, np.ndarray):
         return _dumps(obj.tolist())
     if isinstance(obj, (list, tuple)):
@@ -149,7 +149,7 @@ def _dumps(obj) -> str:
     if isinstance(obj, dict):
         parts = []
         for key in sorted(obj):
-            parts.append(_json.dumps(str(key), ensure_ascii=False) + ":" + _dumps(obj[key]))
+            parts.append(_json.encoder.encode_basestring(str(key)) + ":" + _dumps(obj[key]))
         return "{" + ",".join(parts) + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 

@@ -21,12 +21,15 @@ at u = 1e-170) become a :class:`DomainError` naming that subexpression; a
 third derivative can meet one where the first two do not.
 
 A kernel's text holds no number of its expression: constants, error
-fragments and offsets are globals of the kernel, so the text depends only on
-the expression's shape (``a+cos(b*u)+cos(c*w)`` for any a, b, c), and its
-code is compiled once per shape and process.  The bits are those of
-literals, which CPython folds with the IEEE operations the kernel makes at
-run time.  Kernels hold no state, so threads may share them: the code is
-immutable and each expression's function has its own globals.
+fragments and offsets are globals of the kernel, and the emitter branches on
+no constant, so the text depends only on the expression's shape
+(``a+cos(b*u)+cos(c*w)`` for any a, b, c).  Each shape's kernel is emitted
+and compiled once per process, with a plan naming the node whose constant,
+fragment or offset each global holds; a new expression of a known shape
+costs its parse and one walk of its tree that binds its own.  The bits are
+those of literals, which CPython folds with the IEEE operations the kernel
+makes at run time.  Kernels hold no state, so threads may share them: the
+code is immutable and each expression's function has its own globals.
 
 Grammar
 -------
@@ -224,23 +227,22 @@ class Call:
 
 Node = Union[Const, Var, Neg, Bin, Call]
 
-# f(v), f'(v), f''(v); None marks a domain restriction checked at call time
+# f(v), f'(v), f''(v), each math function called once; the first call raises
+# what math raises outside the domain (log and sqrt are checked before the call)
 _FUNCTIONS = {
-    "sin": lambda v: (math.sin(v), math.cos(v), -math.sin(v)),
-    "cos": lambda v: (math.cos(v), -math.sin(v), -math.cos(v)),
-    "exp": lambda v: (math.exp(v), math.exp(v), math.exp(v)),
+    "sin": lambda v: (s := math.sin(v), math.cos(v), -s),
+    "cos": lambda v: (c := math.cos(v), -math.sin(v), -c),
+    "exp": lambda v: (e := math.exp(v), e, e),
     "log": lambda v: (math.log(v), 1.0 / v, -1.0 / (v * v)),
-    "sqrt": lambda v: (math.sqrt(v), 0.5 / math.sqrt(v), -0.25 / math.sqrt(v) ** 3),
+    "sqrt": lambda v: (r := math.sqrt(v), 0.5 / r, -0.25 / r**3),
 }
 # the same with f'''(v) appended, for the 3-jet kernel
 _FUNCTIONS3 = {
-    "sin": lambda v: (math.sin(v), math.cos(v), -math.sin(v), -math.cos(v)),
-    "cos": lambda v: (math.cos(v), -math.sin(v), -math.cos(v), math.sin(v)),
-    "exp": lambda v: (math.exp(v), math.exp(v), math.exp(v), math.exp(v)),
+    "sin": lambda v: (s := math.sin(v), c := math.cos(v), -s, -c),
+    "cos": lambda v: (c := math.cos(v), -(s := math.sin(v)), -c, s),
+    "exp": lambda v: (e := math.exp(v), e, e, e),
     "log": lambda v: (math.log(v), 1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v)),
-    "sqrt": lambda v: (
-        math.sqrt(v), 0.5 / math.sqrt(v), -0.25 / math.sqrt(v) ** 3, 0.375 / math.sqrt(v) ** 5
-    ),
+    "sqrt": lambda v: (r := math.sqrt(v), 0.5 / r, -0.25 / r**3, 0.375 / r**5),
 }
 _POSITIVE_DOMAIN = {"log", "sqrt"}
 
@@ -501,36 +503,92 @@ def _compile_jet(root: Node, n: int, source: str, order: int) -> Callable:
     constructor gives them, and at order 3 the third derivatives as an
     n x n x n nested tuple mirrored from the entries i <= j <= k.
     """
-    jet = _Compiler(n, source, order)
-    parts = jet.jet(root, final=True)
-    cell = dict(zip(jet.pairs, parts[2]))
-    rows = [[cell[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
-    result = [parts[0], _tuple(parts[1]), _tuple(_tuple(row) for row in rows)]
-    if order == 3:
-        for d in parts[3]:
-            if d != "0.0":  # a local, not a constant's zero: give a zero the + sign
-                jet.emit(f"{d} = {d} + 0.0 - 0.0")
-        cube = dict(zip(jet.triples, parts[3]))
-        result.append(_tuple(
-            _tuple(_tuple(cube[tuple(sorted((i, j, k)))] for k in range(n)) for j in range(n))
-            for i in range(n)
-        ))
-    jet.emit(f"return {', '.join(result)}")
-    return jet.build()
+    return _bind(_Shape(root, n, order), source)
 
 
 def _compile_value(root: Node, n: int, source: str) -> Callable:
     """The value kernel of ``root``: ``n`` float arguments in, the value out."""
-    scalar = _Compiler(n, source)
-    scalar.emit(f"return {scalar.value(root)}")
-    return scalar.build()
+    return _bind(_Shape(root, n, 0), source)
 
 
-@lru_cache(maxsize=64)  # kernel texts; a run meets a handful of shapes
-def _kernel_code(text: str) -> types.CodeType:
-    """The code of the ``def kernel`` in ``text``, compiled once per text."""
+class _Shape:
+    """A kernel's cache key: its order (0 for the value kernel), ``n`` and its tree's shape.
+
+    The shape is the preorder list of node labels (:func:`_label`), which
+    hold no constant, so trees that differ only in their constants and
+    spans have equal keys.  The preorder ``nodes`` ride along, for the
+    emitter and for :func:`_bind`.
+    """
+
+    def __init__(self, root: Node, n: int, order: int):
+        self.nodes = _preorder(root)
+        self.n = n
+        self.order = order
+        self.key = (order, n, tuple(map(_label, self.nodes)))
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def __eq__(self, other) -> bool:
+        return self.key == other.key
+
+
+def _preorder(root: Node) -> list:
+    nodes, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if isinstance(node, Bin):
+            stack += (node.right, node.left)
+        elif isinstance(node, Neg):
+            stack.append(node.child)
+        elif isinstance(node, Call):
+            stack.append(node.arg)
+    return nodes
+
+
+def _label(node: Node):
+    """A node's kind with what a kernel's text takes from it: its operator, function or variable index."""
+    if isinstance(node, Bin):
+        return Bin, node.op
+    if isinstance(node, Call):
+        return Call, node.fn
+    if isinstance(node, Var):
+        return Var, node.index
+    return type(node)
+
+
+@lru_cache(maxsize=64)  # kernel shapes; a run meets a handful
+def _kernel_plan(shape: _Shape) -> tuple:
+    """``(code, statics, bound)`` of ``shape``'s kernel, emitted and compiled once per shape.
+
+    ``statics`` maps the kernel's globals that hold the same object for
+    every tree of the shape.  ``bound`` lists ``(name, j, part)`` for the
+    rest: global ``name`` holds the ``part`` (``"value"``, ``"fragment"`` or
+    ``"offset"``) of the node at preorder index ``j``.
+    """
+    kernel = _Compiler(shape)
+    kernel.body(shape.nodes[0])
+    params = ", ".join(f"x{i}" for i in range(shape.n))
+    text = f"def kernel({params}):\n" + "\n".join(kernel.lines) + "\n"
     module = compile(text, "<expression kernel>", "exec")
-    return next(c for c in module.co_consts if isinstance(c, types.CodeType))
+    code = next(c for c in module.co_consts if isinstance(c, types.CodeType))
+    return code, kernel.statics, tuple(kernel.bound)
+
+
+def _bind(shape: _Shape, source: str) -> Callable:
+    """The kernel of ``shape``'s own tree: its shape's code, with its own constants, fragments and offsets."""
+    code, statics, bound = _kernel_plan(shape)
+    namespace = dict(statics)
+    for name, j, part in bound:
+        node = shape.nodes[j]
+        if part == "value":
+            namespace[name] = node.value
+        elif part == "offset":
+            namespace[name] = node.span[0]
+        else:
+            namespace[name] = _fragment(source, node)
+    return types.FunctionType(code, namespace)
 
 
 def _tuple(items) -> str:
@@ -557,26 +615,47 @@ class _Compiler:
     of the Hessian is listed row by row, the third derivatives at the sorted
     triples i <= j <= k.  Domain checks run where the tree walk made them, so
     the first violation raises the same :class:`DomainError`, whose fragment
-    and offset are globals too.  :meth:`build` binds the text's shared code
-    (:func:`_kernel_code`) to this expression's globals.
+    and offset are globals too.  The emitter reads a tree's shape only: no
+    branch looks at a constant (the integer-power test runs in the kernel),
+    and a constant, fragment or offset is a global :meth:`bind_node` names by
+    its node's preorder index, for :func:`_bind` to fill in from each tree
+    of the shape.
     """
 
-    def __init__(self, n: int, source: str, order: int = 2):
-        self.n = n
-        self.source = source
-        self.order = order
+    def __init__(self, shape: _Shape):
+        n = self.n = shape.n
+        self.order = max(shape.order, 2)  # a value kernel's exponents take 2-jets, for the integer-power test
+        self.value_kernel = shape.order == 0
         self.pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        self.triples = list(itertools.combinations_with_replacement(range(n), 3)) if order == 3 else []
+        self.triples = list(itertools.combinations_with_replacement(range(n), 3)) if self.order == 3 else []
         self.pair_index = {pair: k for k, pair in enumerate(self.pairs)}
-        self.namespace = {"__builtins__": builtins, "DomainError": DomainError}
+        self.index = {id(node): j for j, node in enumerate(shape.nodes)}
+        self.statics = {"__builtins__": builtins, "DomainError": DomainError}
+        self.bound = []
         self.lines = []
         self.indent = "    "
         self.count = 0
 
-    def build(self) -> Callable:
-        params = ", ".join(f"x{i}" for i in range(self.n))
-        text = f"def kernel({params}):\n" + "\n".join(self.lines) + "\n"
-        return types.FunctionType(_kernel_code(text), self.namespace)
+    def body(self, root: Node) -> None:
+        """Emit the kernel of ``root``: its value kernel, or its jet kernel (see :func:`_compile_jet`)."""
+        if self.value_kernel:
+            self.emit(f"return {self.value(root)}")
+            return
+        n = self.n
+        parts = self.jet(root, final=True)
+        cell = dict(zip(self.pairs, parts[2]))
+        rows = [[cell[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+        result = [parts[0], _tuple(parts[1]), _tuple(_tuple(row) for row in rows)]
+        if self.order == 3:
+            for d in parts[3]:
+                if d != "0.0":  # a local, not a constant's zero: give a zero the + sign
+                    self.emit(f"{d} = {d} + 0.0 - 0.0")
+            cube = dict(zip(self.triples, parts[3]))
+            result.append(_tuple(
+                _tuple(_tuple(cube[tuple(sorted((i, j, k)))] for k in range(n)) for j in range(n))
+                for i in range(n)
+            ))
+        self.emit(f"return {', '.join(result)}")
 
     def emit(self, line: str) -> None:
         self.lines.append(self.indent + line)
@@ -588,9 +667,19 @@ class _Compiler:
         yield
         self.indent = self.indent[:-4]
 
+    def global_name(self) -> str:
+        return f"k{len(self.statics) + len(self.bound)}"
+
     def bind(self, obj) -> str:
-        name = f"k{len(self.namespace)}"
-        self.namespace[name] = obj
+        """A global holding ``obj``, the same for every tree of the shape."""
+        name = self.global_name()
+        self.statics[name] = obj
+        return name
+
+    def bind_node(self, node: Node, part: str) -> str:
+        """A global holding ``node``'s ``part``: its ``"value"``, ``"fragment"`` or ``"offset"``."""
+        name = self.global_name()
+        self.bound.append((name, self.index[id(node)], part))
         return name
 
     def fresh(self) -> str:
@@ -599,8 +688,8 @@ class _Compiler:
 
     def fail(self, message: str, node: Node) -> None:
         """Raise ``node``'s DomainError; ``message`` is code."""
-        fragment = self.bind(_fragment(self.source, node))
-        self.emit(f"raise DomainError({message}, {fragment}, {self.bind(node.span[0])}) from None")
+        fragment = self.bind_node(node, "fragment")
+        self.emit(f"raise DomainError({message}, {fragment}, {self.bind_node(node, 'offset')}) from None")
 
     def fail_if(self, condition: str, message: str, node: Node) -> None:
         """Raise ``node``'s DomainError when ``condition`` holds."""
@@ -695,7 +784,7 @@ class _Compiler:
 
     def jet(self, node: Node, final: bool = False) -> tuple:
         if isinstance(node, Const):
-            return self.constant(self.bind(node.value))
+            return self.constant(self.bind_node(node, "value"))
         if isinstance(node, Var):
             jet = self.constant(f"x{node.index}")
             jet[1][node.index] = "1.0"
@@ -799,7 +888,7 @@ class _Compiler:
 
     def value(self, node: Node) -> str:
         if isinstance(node, Const):
-            return self.bind(node.value)
+            return self.bind_node(node, "value")
         if isinstance(node, Var):
             return f"x{node.index}"
         t = self.fresh()

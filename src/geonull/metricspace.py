@@ -272,9 +272,12 @@ class _CoframeJet:
     of d3B, d2B and dB with B and dB in row 0 only.  The chart is the box
     ``|x^i| <= box`` where ``p > P_FLOOR``.
 
-    :meth:`jets` is the stacked form: one raw kernel call per point, and
-    each array assembled once for the stack by the same operations, so each
-    point's arrays are bitwise :meth:`__call__`'s.
+    :meth:`jets` is the stacked form: one raw kernel call per distinct warp
+    argument ``x[warp]`` (by its bits), its row shared by the points that
+    share the argument, and each array assembled once for the stack by the
+    same operations, so each point's arrays are bitwise :meth:`__call__`'s.
+    A kernel ride moves v, which p does not read, and mostly keeps the bits
+    of its warp argument, so its stack mostly makes one kernel call.
     """
 
     def __init__(self, affine: np.ndarray, expr: Expression, warp: Sequence[int], box: float):
@@ -331,12 +334,27 @@ class _CoframeJet:
         return bool(self.insides(x[None])[0])
 
     def insides(self, pts: np.ndarray) -> np.ndarray:
-        """The chart's domain at each finite row of ``pts``: the box test stacked, then p's value kernel per point."""
+        """The chart's domain at each finite row of ``pts``: the box test stacked, then p's floor.
+
+        p's value kernel runs once per distinct warp argument, in the order
+        of the points, so the first point whose kernel raises raises.
+        """
         inside = (np.abs(pts) <= self.box).all(axis=1)
-        value = self.expr._value_kernel
-        for i, coords in zip(np.flatnonzero(inside).tolist(), pts[inside][:, self.warp].tolist()):
-            inside[i] = value(*coords) > P_FLOOR
+        value, above = self.expr._value_kernel, {}
+        for i, (coords, key) in zip(np.flatnonzero(inside).tolist(), self._arguments(pts[inside])):
+            if key not in above:
+                above[key] = value(*coords) > P_FLOOR
+            inside[i] = above[key]
         return inside
+
+    def _arguments(self, pts: np.ndarray):
+        """``(coords, key)`` of p's argument at each row of ``pts``: its floats and its bits.
+
+        Keyed on the bits, +0.0 and -0.0 stay apart, as p's derivatives may
+        take their sign.
+        """
+        args = pts[:, self.warp]
+        return zip(args.tolist(), map(tuple, args.view(np.uint64).tolist()))
 
     def jets(self, pts: np.ndarray, order: int, check: bool):
         """``(arrays, outside, alone)`` at the rows of ``pts``, the stacked form :class:`MetricField` takes.
@@ -356,11 +374,15 @@ class _CoframeJet:
         alone = ~(finite | outside)
         jetted = finite & ~outside
         kernel = self.expr._jet3_kernel if order == 3 else self.expr._jet_kernel
-        rows = []
-        for i, coords in zip(np.flatnonzero(jetted).tolist(), pts[jetted][:, self.warp].tolist()):
-            try:
-                row = kernel(*coords)
-            except Exception:  # MetricField.jets has jet raise it again, in the point's own slot
+        rows, known = [], {}
+        for i, (coords, key) in zip(np.flatnonzero(jetted).tolist(), self._arguments(pts[jetted])):
+            if key not in known:
+                try:
+                    known[key] = kernel(*coords)
+                except Exception:  # MetricField.jets has jet raise it again, in each point's own slot
+                    known[key] = None
+            row = known[key]
+            if row is None:
                 jetted[i], alone[i] = False, True
                 continue
             if check and not row[0] > P_FLOOR:

@@ -1,10 +1,13 @@
 import math
+import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geonull import exprcalc
 from geonull.exprcalc import (
     _FUNCTIONS,
     _FUNCTIONS3,
@@ -13,6 +16,7 @@ from geonull.exprcalc import (
     Call,
     Const,
     DomainError,
+    Expression,
     Jet2,
     Neg,
     ParseError,
@@ -724,6 +728,69 @@ def test_same_shape_kernels_share_code_and_keep_their_constants(sources, points)
             assert_matches_reference(expr, point)
         for kernel in ("_jet_kernel", "_jet3_kernel", "_value_kernel"):
             assert getattr(expr, kernel).__code__ is getattr(partner, kernel).__code__
+
+
+_SAME_SHAPE = "exp({g}*u)+{a}+{b}*u^{c}-log({d}+w*w)/{e}+sin({f}*w)"
+_MAGNITUDES = ("0", "0.0", "0.5", "2", "3.25", "7", "700", "1e999", "1e-320")
+_EXPONENTS = ("0", "1", "2", "3", "2.5", "0.5")
+
+
+def _same_shape_corpus(rng, size):
+    """Expressions of one shape: constants over sign, +-0.0, 1e999 and (non-)integer exponents; spans moved."""
+
+    def slot(text):
+        pad = lambda: rng.choice(["", " ", "  "])  # noqa: E731
+        return f"({pad()}{text}{pad()})" if rng.random() < 0.3 else text
+
+    def signed(node):  # the parser makes no negative constant, so flip some in the tree
+        if isinstance(node, Const):
+            return replace(node, value=-node.value) if rng.random() < 0.4 else node
+        if isinstance(node, Bin):
+            return replace(node, left=signed(node.left), right=signed(node.right))
+        if isinstance(node, Call):
+            return replace(node, arg=signed(node.arg))
+        return node
+
+    corpus = []
+    for _ in range(size):
+        template = "".join(ch + rng.choice(["", " "]) if ch in "+-*/^" else ch for ch in _SAME_SHAPE)
+        values = {k: slot(rng.choice(_MAGNITUDES)) for k in "abdefg"}
+        source = template.format(c=slot(rng.choice(_EXPONENTS)), **values)
+        expr = parse(source, ("u", "w"))
+        corpus.append(Expression(signed(expr.root), expr.variables, source))
+    return corpus
+
+
+def test_plan_bound_kernels_match_a_cold_emission():
+    # each kernel bound from the first expression's shape plan against the
+    # kernel emitted and compiled for its own tree with the plan cache cleared
+    plans = exprcalc._kernel_plan
+    corpus = _same_shape_corpus(random.Random(2026), 40)
+    points = [(0.5, 0.2), (-0.5, 0.2), (0.0, -0.0), (-0.0, 0.3), (2.0, 1e-300), (1.5, -3.0), (3.0, 2.5)]
+    kinds = set()
+    for order in (0, 2, 3):
+        build = lambda e: exprcalc._bind(exprcalc._Shape(e.root, e.n, order), e.source)  # noqa: E731
+        for expr in corpus:
+            plans.cache_clear()
+            build(corpus[0])
+            warm = build(expr)
+            assert plans.cache_info().misses == 1  # the first expression's plan served this one
+            plans.cache_clear()
+            cold = build(expr)
+            assert warm.__code__.co_code == cold.__code__.co_code
+            for point in points:
+                got, want = _outcome(lambda: warm(*point)), _outcome(lambda: cold(*point))
+                assert got[0] == want[0], (expr.source, order, point)
+                kinds.add(got[0])
+                if got[0] == "ok":  # a value, or a jet's tuple of parts
+                    bits = [_bits(part) for part in (got[1] if order else (got[1],))]
+                    assert bits == [_bits(part) for part in (want[1] if order else (want[1],))]
+                else:
+                    assert got[1] == want[1], (expr.source, point)  # message, fragment and offset
+    assert kinds == {"ok", "DomainError"}
+    for expr in corpus:  # and each is the tree walk's, from the plan the last build left
+        for point in points:
+            assert_matches_reference(expr, point)
 
 
 def test_value_skips_derivatives():

@@ -745,6 +745,29 @@ def test_benchmark_shaped_kernel_ride_jets_its_path_once(monkeypatch):
     assert (jetted.alone, jetted.stacked) == (3, 510)
 
 
+def test_benchmark_shaped_kernel_ride_calls_the_warp_kernel_once_a_stack(monkeypatch):
+    # the kernel geodesic moves v alone, so p's argument (x, u, w) keeps its bits
+    metric = catalog_conullity3("3.1+cos(0.9*u)+cos(1.2*w)")
+    expr = metric._jet.expr
+    kernel, calls = expr._jet_kernel, []
+    monkeypatch.setitem(vars(expr), "_jet_kernel", lambda *x: calls.append(x) or kernel(*x))
+    stack, stacks = metricspace._CoframeJet.jets, []
+
+    def counted_stack(self, pts, order, check):
+        before = len(calls)
+        arrays = stack(self, pts, order, check)
+        stacks.append(len(calls) - before)
+        return arrays
+
+    monkeypatch.setattr(metricspace._CoframeJet, "jets", counted_stack)
+    x0 = np.array([0.31, -0.42, 0.17, 0.38])
+    v0 = kernel_section(metric, x0)[0]
+    calls.clear()
+    geodesic(metric, x0, v0, 1.0, steps=256, frame=np.eye(4)[[0, 1, 3]])
+    assert stacks and all(n <= 1 for n in stacks)
+    assert len(calls) == 3 + len(stacks)  # the first step's three stages alone, then one call a stack
+
+
 @pytest.mark.parametrize("name", ["conullity3_leaves_chart", "conullity3_kernel", "backward"])
 def test_stacked_ride_jets_what_the_reference_jets(name, monkeypatch):
     metric, x0, v0, tmax, steps, truncated = STRAIGHT_RIDES[name]

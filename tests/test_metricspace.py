@@ -401,6 +401,43 @@ def test_jets_keep_each_fault_with_its_point():
         metric.contains_each(points[:2])
 
 
+def test_jets_call_the_warp_kernel_once_per_distinct_argument(monkeypatch):
+    # p's argument is (x, u); a point that differs only in v repeats it.  At
+    # x = +-0.0 the kernel's gradient differs in sign, so the two share no row
+    metric = catalog_sekigawa("sqrt(cos(x))")
+    expr = metric.annotations["p_expression"]
+    points = np.array([
+        [0.0, 1.5, 0.1],
+        [0.0, 1.5, -0.2],  # repeats point 0's argument
+        [-0.0, 1.5, 0.1],  # point 0's argument but for the sign of x
+        [2.0, -0.5, 0.1],  # sqrt of a negative: the kernel raises
+        [2.0, -0.5, 0.7],  # the same argument raises again
+        [1.5707963, 0.2, 0.1],  # p = 1.6e-4 is below the floor
+        [1.5707963, 0.2, -0.4],
+        [-0.0, 1.5, 2.0],
+        [0.3, 1.5, 5.0],  # outside the box, an argument no other point has so far
+        [0.3, 1.5, 0.0],
+    ])
+    distinct = [(0.0, 1.5), (-0.0, 1.5), (2.0, -0.5), (1.5707963, 0.2), (0.3, 1.5)]
+    assert expr.jet2(points[0][:2]).gradient.tobytes() != expr.jet2(points[2][:2]).gradient.tobytes()
+    calls = []
+    for name in ("_jet_kernel", "_jet3_kernel", "_value_kernel"):
+        kernel = getattr(expr, name)
+        monkeypatch.setitem(vars(expr), name, lambda *x, kernel=kernel: calls.append(x) or kernel(*x))
+    for order in (1, 2, 3):
+        for check in (True, False):
+            calls.clear()
+            metric._stacked.jets(points, order, check)
+            assert [np.array(x).tobytes() for x in calls] == [np.array(x).tobytes() for x in distinct]
+            faults = _assert_jets_are_jet(metric, points, order, check)
+            assert list(faults) == ([3, 4, 5, 6, 8] if check else [3, 4])
+    calls.clear()
+    assert metric.contains_each(points[[0, 1, 2, 5, 6, 7, 8, 9]]).tolist() == [1, 1, 1, 0, 0, 1, 0, 1]
+    assert [np.array(x).tobytes() for x in calls] == [np.array(x).tobytes() for x in [distinct[i] for i in (0, 1, 3, 4)]]
+    with pytest.raises(DomainError, match="sqrt of non-positive value"):  # the first argument that raises
+        metric.contains_each(points)
+
+
 def test_jets_keep_the_jet_of_a_coordinate_that_only_warns():
     # p does not read v, so an infinite v only warns in I + affine @ x: jet returns NaN-laden arrays
     metric = catalog_sekigawa("2+u*u")

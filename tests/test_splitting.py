@@ -434,14 +434,14 @@ def test_scan_domain_test_takes_p_from_the_jet(monkeypatch, capsys):
 
 
 def test_same_shape_warps_compile_their_kernel_code_once(monkeypatch, capsys):
-    code = exprcalc._kernel_code
+    plans = exprcalc._kernel_plan  # one emission and compile() per kernel shape
     compiled = []
 
     def spying(build, kind):
         def spy(*args):
-            misses = code.cache_info().misses
+            misses = plans.cache_info().misses
             kernel = build(*args)
-            compiled.extend([kind(*args)] * (code.cache_info().misses - misses))
+            compiled.extend([kind(*args)] * (plans.cache_info().misses - misses))
             return kernel
         return spy
 
@@ -459,7 +459,7 @@ def test_same_shape_warps_compile_their_kernel_code_once(monkeypatch, capsys):
         assert cli.main([command[0], "--metric", "conullity3", "--p", warp, *command[1:]]) == 0
         return capsys.readouterr().out
 
-    code.cache_clear()
+    plans.cache_clear()
     warm = []
     for command in commands:
         warm.append(run(command, warps[0]))
@@ -468,8 +468,8 @@ def test_same_shape_warps_compile_their_kernel_code_once(monkeypatch, capsys):
             assert run(command, warp)
         assert compiled == before  # a new warp of the same shape compiles nothing
     assert sorted(compiled) == ["jet2", "jet3", "value"]  # flow's path jets take jet2
-    # evicted code is compiled again, to the same output bytes
-    code.cache_clear()
+    # an evicted shape is emitted and compiled again, to the same output bytes
+    plans.cache_clear()
     assert [run(command, warps[0]) for command in commands] == warm
     assert sorted(compiled) == ["jet2", "jet2", "jet3", "jet3", "value", "value"]
 

@@ -14,7 +14,10 @@ transported frame starts from a built complement, having no preferred
 frame) and ``verify --suite all --json``; then three straight rides that
 ``flows.geodesic`` takes in stacked blocks: a conullity3 kernel ride that
 leaves the chart, one backward (``--tmax -1``) and polar's inward radial
-ray in custom mode, which stops at the r > 0.05 cutoff.  Argvs are only
+ray in custom mode, which stops at the r > 0.05 cutoff; then two scans of
+one warp shape, ``2+u^2.5`` (domain rows where u < 0) and ``2 + u ^ 2``
+(an integer power, with other spans), so a warm run takes the second's
+kernels from the first's shape plan.  Argvs are only
 ever appended, so every line of an earlier set stays.  Each argv runs in-process
 through ``geonull.cli.main`` against the sources next to this script;
 stderr (timings) is discarded.  A refactor that claims identical output
@@ -86,6 +89,8 @@ ARGVS = (
     ("flow", "--metric", "conullity3", "--point=0.1,0.2,2.9,0.4", "--tmax", "1"),
     ("flow", "--metric", "conullity3", "--point", "0.1,0.2,-0.3,0.4", "--tmax", "-1"),
     ("flow", "--metric", "polar", "--point", "1,0", "--direction", "-1,0", "--tmax", "2"),
+    ("scan", "--metric", "conullity3", "--p", "2+u^2.5", "--grid", "u=-1:1:3,w=0:0:1"),
+    ("scan", "--metric", "conullity3", "--p", "2 + u ^ 2", "--grid", "u=-1:1:3,w=0:0:1"),
 )
 
 
