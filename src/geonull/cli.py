@@ -46,10 +46,8 @@ import numpy as np
 
 from . import __version__, numcore
 from .curvature import (
-    _covariant_dr,
     _curvatures,
     _default_rel_tol,
-    _nabla_riemann,
     curvature_data,
     nullity,
     scalar_curvature,
@@ -83,8 +81,8 @@ from .splitting import (
     RiccatiBlowupError,
     _frame,
     _kinds,
-    _least_squares,
     _normal_form,
+    _solve,
     classify,
     evolve_along_nullity_geodesic,
     kernel_section,
@@ -352,6 +350,7 @@ def cmd_analyze(args, parser) -> int:
                 "matrix": matrix,
                 "normal_form_entries": None if normal_form is None else list(normal_form),
                 "triangular_residual": triangular_residual,
+                "solve_residual": residual,
                 "classification": {
                     "kind": inv.kind,
                     "trace": inv.trace,
@@ -427,7 +426,7 @@ def _parse_grid(spec, metric, parser):
 def _scan_rows(metric, points, rel_tol) -> list:
     """``(scal, nullity, conullity, kind)`` at each point, or None for a domain row.
 
-    The points go through :func:`_scan_chunk` in chunks whose nabla R, the
+    The points go through :func:`_scan_chunk` in chunks whose 3-jet, the
     largest stacked array at n^5 floats per point, fits
     :data:`SCAN_CHUNK_BYTES`.
     """
@@ -463,19 +462,18 @@ def _scan_chunk(metric, points, rel_tol) -> list:
     The chunk's jets, of order 3 where the metric has one, come from one
     ``MetricField.jets`` call, which jets no point outside the chart.  R,
     the scalar trace and the kernels are stacked over the points with a
-    jet; nabla R, both sides of the solve and the eigenvalues over those
-    with a line kernel (for a metric without a 3-jet, nabla R is each
-    point's stencil).  The frames and the least-squares solves run point by
-    point.  A stacked stage that raises is redone one point at a time: a
-    point whose jet or R fails is a domain row, one whose frame, nabla R or
+    jet; the splitting solve (``splitting._solve``) and the eigenvalues over
+    those with a line kernel, one stack per frame shape.  The frames are
+    each point's own.  A stacked stage that raises is redone one point at a
+    time: a point whose jet or R fails is a domain row, one whose frame or
     solve fails an ok row without a kind.  Where R's stage raises because
     some g fails ``invert``'s condition test, only those points are left
     out (domain rows) and the rest are redone stacked.
     """
     if rel_tol is None:
         rel_tol = _default_rel_tol(metric)
-    order = metric.max_order
-    jets, faults = metric.jets(points, order=order)
+    points = np.asarray(points, dtype=float)
+    jets, faults = metric.jets(points, order=metric.max_order)
     for exc in faults.values():
         if not isinstance(exc, _SCAN_FAULTS):
             raise exc
@@ -495,15 +493,8 @@ def _scan_chunk(metric, points, rel_tol) -> list:
 
     def classified(idx):
         parts = numcore._stack(curved[i][2] for i in idx)
-        if order == 3:
-            cov = _nabla_riemann(*(a[idx] for a in jets), parts)
-        else:  # the stencil step of splitting_tensor_from_curvature
-            cov = np.stack([
-                _covariant_dr(metric, points[i], gamma, rdown, h=1e-4, check=True)
-                for i, gamma, rdown in zip(idx, parts[1], parts[3])
-            ])
         t_vecs = np.stack([curved[i][1].basis[0] for i in idx])
-        solves = _least_squares(parts[3], cov, t_vecs, np.stack([frames[i] for i in idx]))
+        solves = _solve(metric, points[idx], [a[idx] for a in jets], parts, t_vecs, np.stack([frames[i] for i in idx]))
         gated = [j for j, (_, residual) in enumerate(solves) if residual <= SMOOTH_KERNEL_RESIDUAL]
         kinds = [""] * len(idx)
         if gated:

@@ -24,18 +24,21 @@ Gamma (d Gamma, d^2 Gamma) and of R (d R) follow from the jet by the product
 rule, and four Christoffel corrections make d R covariant.  So a point needs
 one jet.  For a metric without a 3-jet (``finite_difference_field``, a user
 field) ``_covariant_dr`` takes d R from central differences of R at
-x +/- h e_m instead, 2n more jets.  ``bianchi2_residual``,
-``covariant_riemann`` and the splitting tensor of every command use
-whichever the metric supports; ``CurvatureData.nabla_r`` is contracted on
-first access only, so a point without a splitting tensor never pays for it.
+x +/- h e_m instead, 2n more jets.  ``bianchi2_residual`` and
+``covariant_riemann`` use whichever the metric supports.  The splitting
+tensor's solve needs nabla R only with the kernel vector T in its first
+slot: ``_solve_sides`` builds R and -(nabla R)(T, ., ., .) from the 3-jet's
+lowered Christoffel symbols, T contracted into every product-rule term
+before an n^5 product is formed, so no command builds the n^5 entries of
+nabla R (``CurvatureData.nabla_r`` does, on first access, for the tests).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property, partial
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -78,10 +81,14 @@ def _t(a: np.ndarray, *axes: int) -> np.ndarray:
     return a.transpose(*range(a.ndim - len(axes)), *axes)
 
 
+def _bracket(dg: np.ndarray) -> np.ndarray:
+    """``s[..., j, k, m]`` = d_j g_km + d_k g_jm - d_m g_jk, twice the lowered Christoffel symbol Gamma_{m,jk}."""
+    return _t(dg, -1, -3, -2) + _t(dg, -3, -1, -2) - dg
+
+
 def _christoffel_from_jet(gi: np.ndarray, dg: np.ndarray) -> np.ndarray:
     """Gamma[..., l, j, k] from the inverse metric and first metric derivatives."""
-    s = _t(dg, -1, -3, -2) + _t(dg, -3, -1, -2) - dg
-    return 0.5 * np.einsum("...lm,...jkm->...ljk", gi, s)
+    return 0.5 * np.einsum("...lm,...jkm->...ljk", gi, _bracket(dg))
 
 
 def christoffel(metric: MetricField, x) -> np.ndarray:
@@ -108,7 +115,7 @@ def _riemann_parts(g, dg, d2g):
     """
     gi = invert(g)
     gamma = _christoffel_from_jet(gi, dg)
-    s = _t(dg, -1, -3, -2) + _t(dg, -3, -1, -2) - dg
+    s = _bracket(dg)
     # ds[..., j, k, m, i] = d_i s[..., j, k, m]
     ds = _t(d2g, -2, -4, -3, -1) + _t(d2g, -4, -2, -3, -1) - d2g
     dgi = -np.einsum("...ap,...pqd,...qb->...abd", gi, dg, gi)
@@ -166,6 +173,59 @@ def _christoffel_corrected(dr, gamma, rdown):
         - np.einsum("...pmk,...ijpl->...mijkl", gamma, rdown)
         - np.einsum("...pml,...ijkp->...mijkl", gamma, rdown)
     )
+
+
+def _solve_sides(g, dg, d2g, d3g, parts, t):
+    """``(rdown, rhs)``: R_ijkl and ``rhs[..., m, j, k, l]`` = -(nabla_m R)(T, j, k, l).
+
+    The two sides of the splitting solve, from a 3-jet, ``gamma`` and
+    ``ds`` of :func:`_riemann_parts` and T = ``t``.  Both come from Gamma
+    lowered, Gamma_{p,il} = s_ilp / 2:
+
+        R_ijkl = (d_i s_jkl - d_j s_ikl) / 2 - Gamma_{p,il} Gamma^p_jk
+                 + Gamma_{p,jl} Gamma^p_ik,
+        d_n (Gamma_{p,il} Gamma^p_jk) = d_n Gamma_{p,il} Gamma^p_jk
+                 + Gamma^p_il d_n Gamma_{p,jk} - Gamma^a_il d_n g_ab Gamma^b_jk,
+
+    so no term is raised by g^-1 and lowered again by g.  This R agrees
+    with :func:`_riemann_parts`' to rounding, and a solve whose two sides
+    share their rounding is the closer to the closed forms on an
+    ill-conditioned g.  T goes into every term of nabla R before a product
+    is formed, so each costs n^5, not n^6: the 3-jet with T in a
+    derivative slot (``dt``) and in a metric slot (``mt``), Gamma^p_mi T^i
+    (``gt``), d_n s_ilp T^i and R(T, ., ., .) (``rt``).  The terms pair up
+    under the antisymmetry in k, l, as do the last two of the four
+    Christoffel corrections.  Leading axes are a batch of points, each
+    bitwise the point alone.
+    """
+    gamma, ds = parts[1], parts[4]
+    *b, n = t.shape
+    # halving is exact, so the formulas' factors 1/2 go on T where they can
+    col, row, half = t[..., :, None], t[..., None, :], 0.5 * t[..., None, :]
+    # R: w[i, j, k, l] = d_i s_jkl / 2 - Gamma_{p,il} Gamma^p_jk
+    sg = (_bracket(dg).reshape(*b, n * n, n) @ gamma.reshape(*b, n, n * n)).reshape(*b, n, n, n, n)
+    w = 0.5 * (_t(ds, -1, -4, -3, -2) - _t(sg, -4, -2, -1, -3))
+    rdown = w - w.swapaxes(-3, -4)
+    # dt[a, b, c, d] = d_c d_d d_T g_ab / 2 and mt[a, c, d, e] = d_c d_d d_e (T^i g_ia) / 2
+    dt = (d3g.reshape(*b, n ** 4, n) @ half[..., 0, :, None]).reshape(*b, n, n, n, n)
+    mt = (half @ d3g.reshape(*b, n, n ** 4)).reshape(*b, n, n, n, n)
+    gt = (gamma.reshape(*b, n * n, n) @ col).reshape(*b, n, n)
+    rt = (row @ rdown.reshape(*b, n, n ** 3)).reshape(*b, n, n, n)
+    # p[l, b, n] = Gamma^a_il T^i d_n g_ab - d_n Gamma_{b,il} T^i
+    p = (
+        gt.swapaxes(-1, -2) @ dg.reshape(*b, n, n * n) - (half @ ds.reshape(*b, n, n ** 3)).reshape(*b, n, n * n)
+    ).reshape(*b, n, n, n)
+    # v[n, j, k, l]: the terms that the antisymmetry in k, l pairs up
+    v = (
+        _t(mt, -1, -2, -4, -3) - _t(dt, -1, -4, -3, -2)
+        + (gamma.reshape(*b, 1, n, n * n).swapaxes(-1, -2) @ _t(p, -1, -2, -3)).reshape(*b, n, n, n, n)
+        - _t(ds, -1, -4, -3, -2) @ (0.5 * gt)[..., None, None, :, :]
+        - _t(gamma, -2, -1, -3)[..., :, None, :, :] @ rt[..., None, :, :, :]
+    )
+    corrections = (gt.swapaxes(-1, -2) @ rdown.reshape(*b, n, n ** 3)).reshape(*b, n, n, n, n) + (
+        gamma.reshape(*b, n, n * n).swapaxes(-1, -2) @ rt.reshape(*b, n, n * n)
+    ).reshape(*b, n, n, n, n)
+    return rdown, v.swapaxes(-1, -2) - v + corrections
 
 
 def riemann(metric: MetricField, x):
@@ -301,10 +361,11 @@ class CurvatureData:
     ``scalar_trace`` is the double-trace scalar curvature, ``half_trace``
     half of it.  At conullity 2 the kernel's complement is one plane and
     ``nonflat_plane_curvature`` is its sectional curvature (else None);
-    :func:`sectional_range` gives the range over all planes.  ``nabla_r`` is
-    nabla R from the same jet when it was asked for and the metric has a
-    3-jet, else None; it is computed on first access, from that jet and the
-    terms R was built from.
+    :func:`sectional_range` gives the range over all planes.  The jet the
+    summary came from (of order 3 when nabla R was asked for and the metric
+    has a 3-jet) and :func:`_riemann_parts` of it feed the splitting solve.
+    ``nabla_r`` is the full nabla R from them, computed on first access, or
+    None without a 3-jet; no command reads it.
     """
 
     point: np.ndarray
@@ -316,11 +377,12 @@ class CurvatureData:
     half_trace: float
     nullity: NullityResult
     nonflat_plane_curvature: Optional[float]
-    _nabla_r: Optional[Callable[[], np.ndarray]] = dataclass_field(default=None, repr=False, compare=False)
+    _jet: tuple = dataclass_field(repr=False, compare=False)
+    _parts: tuple = dataclass_field(repr=False, compare=False)
 
     @cached_property
     def nabla_r(self) -> Optional[np.ndarray]:
-        return None if self._nabla_r is None else self._nabla_r()
+        return _nabla_riemann(*self._jet, self._parts) if len(self._jet) == 4 else None
 
 
 def _complement(g: np.ndarray, kernel_basis: np.ndarray) -> np.ndarray:
@@ -334,8 +396,8 @@ def curvature_data(
     """The curvature summary at x from one metric jet.
 
     With ``nabla_r`` set and a metric that has 3-jets that jet is of order
-    3 and the summary carries nabla R too; its other fields are bitwise
-    those of the order-2 jet.
+    3, which the splitting solve takes nabla R from; the summary's fields
+    are bitwise those of the order-2 jet.
     """
     if rel_tol is None:
         rel_tol = _default_rel_tol(metric)
@@ -359,7 +421,8 @@ def curvature_data(
         half_trace=0.5 * scal,
         nullity=nres,
         nonflat_plane_curvature=plane_curv,
-        _nabla_r=partial(_nabla_riemann, *jet, parts) if order == 3 else None,
+        _jet=jet,
+        _parts=parts,
     )
 
 

@@ -19,9 +19,11 @@ the samples measured so far and the message in ``aborted``.
 
 Every command takes C from nabla R: R(T, ...) vanishes along the kernel, so
 R(nabla_X T, ...) = -(nabla_X R)(T, ...), solved by least squares over the
-kernel's complement.  nabla R is the closed form that ``curvature_data(...,
-nabla_r=True)`` takes from the point's one 3-jet (for a metric without a
-3-jet, central differences of R: 2n more jets).  A solve residual above
+kernel's complement.  Every command solves through ``_solve``, for a
+stack of points at once: -(nabla R)(T, ...) in closed form from each
+point's one 3-jet, T contracted in before any n^5 product (for a metric
+without a 3-jet, nabla R from central differences of R: 2n more jets), then
+one SVD of all the points' systems.  A solve residual above
 ``SMOOTH_KERNEL_RESIDUAL`` means the kernel is no smooth line field there.
 A kernel-mode ``geonull flow`` request (256 steps, 9 samples) makes 522
 metric jets: 2m+1 of order 1 for the kernel geodesic and one of order 3 per
@@ -59,8 +61,8 @@ from .curvature import (
     _covariant_dr,
     _curvatures,
     _default_rel_tol,
-    _nabla_riemann,
     _nullity_at,
+    _solve_sides,
     curvature_data,
 )
 from .flows import GeodesicPath, _sample_indices, geodesic
@@ -92,6 +94,7 @@ _KINDS = np.array(["real", "nilpotent", "complex_pair", "zero"])
 # relative residual of the nabla R solve above which the kernel is not
 # taken to be a smooth line field near the point
 SMOOTH_KERNEL_RESIDUAL = 1e-5
+_EPS = np.finfo(float).eps
 
 
 class KernelDimensionError(ValueError):
@@ -344,46 +347,70 @@ def splitting_tensor_from_curvature(metric: MetricField, data: CurvatureData, h:
     -(nabla_X R)(T, ., ., .), and the flattened R is injective on the
     kernel's complement.  One least-squares solve over the complement basis
     (the chart's preferred frame, else the g-orthonormal complement of the
-    kernel) gives <nabla_{d_m} T, e_a> for every m.  nabla R is
-    ``data.nabla_r`` where ``data`` has it; else it comes from central
-    differences of R at x +/- h e_m, whose jets are domain-checked.
+    kernel) gives <nabla_{d_m} T, e_a> for every m.  (nabla R)(T, ...)
+    comes from ``data``'s 3-jet where it has one; else nabla R comes from
+    central differences of R at x +/- h e_m, whose jets are domain-checked.
     ``residual`` is the solve's residual relative to the right-hand side: above
     :data:`SMOOTH_KERNEL_RESIDUAL` the kernel does not extend as a smooth line
     field and the matrix means nothing.  The caller checks that the kernel
     at x is a line.
     """
     basis = _frame(metric, data.point, data.g, data.nullity.basis[0])
-    coef, residual = _solve(metric, data, data.nullity.basis[0], basis, h)
+    coef, residual = _solve(metric, data.point, data._jet, data._parts, data.nullity.basis[0], basis, h)[0]
     return -coef @ basis.T, residual
 
 
-def _solve(metric: MetricField, data: CurvatureData, t_vec, basis, h: float = 1e-4):
-    """``(coef, residual)``: :func:`splitting_tensor_from_curvature`'s solve for T = ``t_vec``.
+def _solve(metric: MetricField, points, jet, parts, t_vecs, bases, h: float = 1e-4) -> list:
+    """``[(coef, residual)]``: :func:`splitting_tensor_from_curvature`'s solve at each point of a stack.
 
-    ``coef[a, m]`` = <nabla_{d_m} T, e_a> for the rows e_a of ``basis``,
-    which span the kernel's complement.
+    ``points`` (leading axes a stack, or none for one point), their ``jet``
+    and :func:`~geonull.curvature._riemann_parts` of it, T = ``t_vecs`` and
+    the complement rows ``bases``.  ``coef[a, m]`` = <nabla_{d_m} T, e_a>
+    for the rows e_a of a point's basis, which span the kernel's complement.
+    From a 3-jet both sides, R and -(nabla R)(T, ...), come from the
+    lowered Christoffel symbols, T contracted in before any n^5 product
+    (``_solve_sides``); from a 2-jet R is ``parts``' and nabla R each
+    point's stencil of it at x +/- h e_m, its jets domain-checked,
+    contracted with T.
     """
-    cov = data.nabla_r
-    if cov is None:
-        cov = _covariant_dr(metric, data.point, data.christoffel, data.rdown, h, check=True)
-    return _least_squares(data.rdown, cov, t_vec, basis)[0]
+    if len(jet) == 4:
+        rdown, rhs = _solve_sides(*jet, parts, t_vecs)
+    else:
+        n, rdown = points.shape[-1], parts[3]
+        cov = np.stack([
+            _covariant_dr(metric, q, gamma, r, h, check=True)
+            for q, gamma, r in zip(points.reshape(-1, n), parts[1].reshape(-1, n, n, n), rdown.reshape(-1, n, n, n, n))
+        ]).reshape(rdown.shape[:-4] + (n,) * 5)
+        rhs = -np.einsum("...mijkl,...i->...mjkl", cov, t_vecs)
+    return _least_squares(rdown, rhs, bases)
 
 
-def _least_squares(rdown, cov, t_vec, basis) -> list:
-    """``[(coef, residual)]``: :func:`_solve` at each point of a stack (leading axes).
+def _least_squares(rdown, rhs, bases) -> list:
+    """``[(coef, residual)]``: :func:`_solve`'s least-squares step at each point of a stack (leading axes).
 
-    Both sides of every point's system come from one contraction each over
-    the stack; ``np.linalg.lstsq`` has no stacked form, so it runs per point.
+    Each point's system is R(e_a, j, k, l) coef[a, m] = ``rhs[m, j, k, l]``
+    over the rows e_a of its basis.  One SVD of all the systems gives
+    ``np.linalg.lstsq``'s minimum-norm solution, singular values at or below
+    eps max(rows, columns) sigma_max dropped as with its ``rcond=None``;
+    ``residual`` is |R coef - rhs| / |rhs| (Frobenius norms), 0.0 for a zero
+    right-hand side.  Each point's result is bitwise the point alone.  A
+    non-finite right-hand side raises ``FloatingPointError``.
     """
-    n, points = rdown.shape[-1], math.prod(rdown.shape[:-4])
-    lhs = np.einsum("...ijkl,...ai->...jkla", rdown, basis).reshape(points, n ** 3, basis.shape[-2])
-    rhs = -np.einsum("...mijkl,...i->...jklm", cov, t_vec).reshape(points, n ** 3, n)
-    out = []
-    for a, b in zip(lhs, rhs):
-        coef = np.linalg.lstsq(a, b, rcond=None)[0]
-        scale = float(np.linalg.norm(b))
-        out.append((coef, float(np.linalg.norm(a @ coef - b)) / scale if scale > 0.0 else 0.0))
-    return out
+    n, shape = rdown.shape[-1], rdown.shape[:-4]
+    # Frobenius norms by matmul, which raises on overflow under np.errstate as einsum does not
+    b = rhs.reshape(*shape, 1, n ** 4)
+    scale = np.sqrt(b @ b.swapaxes(-1, -2))[..., 0, 0]
+    if not math.isfinite(scale.sum()):
+        raise FloatingPointError("nabla R solve with a non-finite right-hand side")
+    b = b.reshape(*shape, n, n ** 3)
+    lhs_t = bases @ rdown.reshape(*shape, n, n ** 3)  # lhs_t[a, jkl] = R(e_a, j, k, l)
+    u, s, vh = np.linalg.svd(lhs_t.swapaxes(-1, -2), full_matrices=False)
+    keep = s > s[..., :1] * (_EPS * max(lhs_t.shape[-2:]))
+    # 1 / sigma for the singular values kept, 0 for those dropped
+    coef_t = ((b @ u) * (keep / np.where(keep, s, 1.0))[..., None, :]) @ vh
+    r = (coef_t @ lhs_t - b).reshape(*shape, 1, n ** 4)
+    residual = np.sqrt(r @ r.swapaxes(-1, -2))[..., 0, 0] / np.where(scale > 0.0, scale, 1.0)
+    return list(zip(coef_t.swapaxes(-1, -2).reshape(math.prod(shape), -1, n), residual.ravel().tolist()))
 
 
 def _frame_tensor(metric: MetricField, data: CurvatureData, reference, frame, dimension: int):
@@ -397,7 +424,7 @@ def _frame_tensor(metric: MetricField, data: CurvatureData, reference, frame, di
     :data:`SMOOTH_KERNEL_RESIDUAL`.
     """
     t_vec, basis = _t_and_complement(data.nullity, data.g, reference, data.point, dimension)
-    coef, residual = _solve(metric, data, t_vec, basis)
+    coef, residual = _solve(metric, data.point, data._jet, data._parts, t_vec, basis)[0]
     return _in_frame(coef, residual, data.g, basis, frame, data.point)
 
 
@@ -423,20 +450,17 @@ def _sample_tensors(metric: MetricField, path: GeodesicPath, indices, dimension:
     error that raises there (``curvature_data``'s plane curvature at a
     conullity-2 kernel, which C does not use, is left out).  The jets come
     from one :meth:`MetricField.jets` call, R and the kernels from one
-    stacked ``_curvatures``, and nabla R and both sides of the solve from
-    one stacked call per complement shape, as ``scan`` stacks its grid
-    points (for a metric without a 3-jet, nabla R is each node's stencil).
-    T, the complement, the least-squares solves and C in the frame are each
-    node's own.  A stage that raises is redone one node at a time, so each
-    error stays with its own node.
+    stacked ``_curvatures``, and the solves from one stacked :func:`_solve`
+    per complement shape, as ``scan`` stacks its grid points.  T, the
+    complement and C in the frame are each node's own.  A stage that raises
+    is redone one node at a time, so each error stays with its own node.
     """
     if not len(indices):
         return []
     if rel_tol is None:
         rel_tol = _default_rel_tol(metric)
-    order = 3 if metric.max_order >= 3 else 2
     points = path.points[indices]
-    jets, out = metric.jets(points, order=order)  # out: node -> C or the error raised
+    jets, out = metric.jets(points, order=metric.max_order)  # out: node -> C or the error raised
     curved, lines, solved = {}, {}, {}
 
     def advance(stage, idx, into: dict) -> list:
@@ -455,16 +479,9 @@ def _sample_tensors(metric: MetricField, path: GeodesicPath, indices, dimension:
         return [([p[k] for p in parts], res) for k, res in enumerate(kernels)]
 
     def solves(idx):
-        parts = numcore._stack(curved[j][0] for j in idx)
-        if order == 3:
-            cov = _nabla_riemann(*(a[idx] for a in jets), parts)
-        else:  # _solve's stencil
-            cov = np.stack([
-                _covariant_dr(metric, points[j], gamma, rdown, h=1e-4, check=True)
-                for j, gamma, rdown in zip(idx, parts[1], parts[3])
-            ])
         t_vecs, bases = (np.stack([lines[j][k] for j in idx]) for k in (0, 1))
-        return _least_squares(parts[3], cov, t_vecs, bases)
+        parts = numcore._stack(curved[j][0] for j in idx)
+        return _solve(metric, points[idx], [a[idx] for a in jets], parts, t_vecs, bases)
 
     live = advance(curvatures, [j for j in range(len(points)) if j not in out], curved)
     velocities = path.velocities[indices]

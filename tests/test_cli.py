@@ -387,7 +387,10 @@ def _faulty(metric, target, fault):
         g, dg, d2g, d3g = out
         if fault == "invert":
             return np.diag([1.0, 1.0, 1.0, 1e-13]), dg, d2g, d3g
-        return g, dg, d2g, np.full_like(d3g, 1.5e308)
+        # -1.5e308, but +1.5e308 where g's two indices agree: a constant 3-jet cancels in (nabla R)(T, ...)
+        d3g = np.full_like(d3g, -1.5e308)
+        d3g[range(4), range(4)] = 1.5e308
+        return g, dg, d2g, d3g
 
     return MetricField(
         metric.dim, metric.coordinates, jet, domain=metric.contains,

@@ -7,8 +7,11 @@ from geonull.curvature import (
     DegeneratePlaneError,
     _complement,
     _covariant_dr,
+    _nabla_riemann,
     _nullity_from,
     _riemann_from_jet,
+    _riemann_parts,
+    _solve_sides,
     bianchi2_residual,
     covariant_riemann,
     christoffel,
@@ -127,6 +130,61 @@ def test_analytic_nabla_r_matches_the_stencil_to_second_order(metric, pt):
     assert errors[1] <= 1e-7 * scale
     if errors[0] > 1e-9 * scale:  # above the rounding floor, halving h quarters the error
         assert 3.0 < errors[0] / errors[1] < 5.0
+
+
+# every catalog family with a 3-jet, and whether its nabla R vanishes
+_THREE_JET_FAMILIES = [
+    (catalog_conullity3("3+cos(u)+cos(w)+0.3*sin(x)"), False),
+    (catalog_sekigawa("2+u*u"), False),
+    (catalog_polar(), True),
+    (catalog_sphere(1.3), True),
+    *[(catalog_product(catalog_sphere(1.0), catalog_euclidean(k)), True) for k in (1, 2, 3, 4)],
+    (catalog_euclidean(3), True),
+]
+
+
+def _seeded_points(metric, count, seed):
+    """``count`` seeded points of ``metric``'s chart, the first coordinate kept off polar's r = 0 and the poles."""
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-0.9, 0.9, (count, metric.dim))
+    points[:, 0] = 0.3 + np.abs(points[:, 0])
+    return points
+
+
+@pytest.mark.parametrize("metric, vanishes", _THREE_JET_FAMILIES, ids=[m.name for m, _ in _THREE_JET_FAMILIES])
+def test_solve_sides_match_the_full_nabla_r_contracted(metric, vanishes):
+    # R and -(nabla R)(T, ...) from the lowered symbols against _riemann_parts' R and the full nabla R
+    # contracted with T, for the kernel's T (where there is a kernel) and a random T
+    rng = np.random.default_rng(7)
+    for pt in _seeded_points(metric, 5, 11):
+        jet = metric.jet(pt, order=3)
+        parts = _riemann_parts(*jet[:3])
+        kernel = _nullity_from(parts[3], jet[0], 1e-7).basis
+        cov = _nabla_riemann(*jet, parts)
+        gamma = np.abs(parts[1]).max()
+        for t in [*kernel[:1], rng.normal(size=metric.dim)]:
+            rdown, rhs = _solve_sides(*jet, parts, t)
+            oracle = -np.einsum("mijkl,i->mjkl", cov, t)
+            scale = np.abs(oracle).max()
+            if vanishes:  # both sides are rounding: size it by the product-rule terms
+                scale = np.abs(t).max() * max(np.abs(jet[3]).max(), gamma * np.abs(parts[4]).max())
+            assert np.abs(rhs - oracle).max() <= 64 * np.spacing(scale), metric.name
+            assert np.abs(rdown - parts[3]).max() <= 64 * np.spacing(max(np.abs(parts[3]).max(), gamma * gamma))
+
+
+@pytest.mark.parametrize(
+    "metric", [catalog_conullity3("3+cos(u)+cos(w)"), catalog_sekigawa("2+u*u")], ids=["conullity3", "sekigawa"]
+)
+def test_solve_sides_of_a_stack_are_each_points_own_bitwise(metric):
+    points = _seeded_points(metric, 16, 3)
+    jets, faults = metric.jets(points, order=3)
+    assert not faults
+    parts = _riemann_parts(*jets[:3])
+    t = np.random.default_rng(5).normal(size=(16, metric.dim))
+    stacked = _solve_sides(*jets, parts, t)
+    for i in range(16):
+        alone = _solve_sides(*(a[i] for a in jets), [p[i] for p in parts], t[i])
+        assert [a.tobytes() for a in alone] == [a[i].tobytes() for a in stacked]
 
 
 def test_curvature_data_with_nabla_r_shares_the_point_jet():

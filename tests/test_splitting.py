@@ -510,16 +510,80 @@ def test_analyze_request_makes_one_metric_jet(monkeypatch, capsys, argv):
     ids=["sphere", "product", "euclidean", "conullity3"],
 )
 def test_analyze_contracts_nabla_r_only_for_a_splitting_tensor(monkeypatch, capsys, argv, contractions):
+    # counts the solve's sides, R and the contracted (nabla R)(T, ...); the full nabla R is never built
     calls = []
-    nabla_riemann = curvature._nabla_riemann
+    solve_sides = splitting._solve_sides
 
     def counted(*args):
         calls.append(1)
-        return nabla_riemann(*args)
+        return solve_sides(*args)
 
-    monkeypatch.setattr(curvature, "_nabla_riemann", counted)
+    def full(*args):
+        raise AssertionError("analyze built the full nabla R")
+
+    monkeypatch.setattr(splitting, "_solve_sides", counted)
+    monkeypatch.setattr(curvature, "_nabla_riemann", full)
     assert cli.main(["analyze", *argv]) == 0
     assert len(calls) == contractions
+
+
+def _stacked_systems(metric, count, seed):
+    """``(rdown, rhs, bases)`` of the nabla R solve at ``count`` seeded points near the origin, stacked."""
+    points = np.random.default_rng(seed).uniform(-0.5, 0.5, (count, metric.dim))
+    jets, faults = metric.jets(points, order=3)
+    assert not faults
+    parts, _, kernels = curvature._curvatures(*jets[:3], 1e-7)
+    t_vecs = np.stack([res.basis[0] for res in kernels])
+    bases = np.stack([_complement(g, res.basis) for g, res in zip(jets[0], kernels)])
+    return (*curvature._solve_sides(*jets, parts, t_vecs), bases)
+
+
+def _lstsq(rdown, rhs, basis):
+    """``(coef, residual)`` of one point's system by ``np.linalg.lstsq``, the residual as the solve defines it."""
+    n = rdown.shape[-1]
+    a = np.einsum("ijkl,ai->jkla", rdown, basis).reshape(n ** 3, -1)
+    b = rhs.reshape(n, n ** 3).T
+    coef = np.linalg.lstsq(a, b, rcond=None)[0]
+    scale = np.linalg.norm(b)
+    return coef, np.linalg.norm(a @ coef - b) / scale if scale > 0.0 else 0.0
+
+
+@pytest.mark.parametrize(
+    "metric", [catalog_conullity3("3+cos(u)+cos(w)"), catalog_sekigawa("2+u*u")], ids=["conullity3", "sekigawa"]
+)
+def test_stacked_solve_is_each_points_own_bitwise_and_lstsqs(metric):
+    rdown, rhs, bases = _stacked_systems(metric, 16, 3)
+    stacked = splitting._least_squares(rdown, rhs, bases)
+    for i, (coef, residual) in enumerate(stacked):
+        (alone, alone_residual), = splitting._least_squares(rdown[i], rhs[i], bases[i])
+        assert (coef.tobytes(), residual) == (alone.tobytes(), alone_residual)
+        want, want_residual = _lstsq(rdown[i], rhs[i], bases[i])
+        assert np.abs(coef - want).max() <= 64 * np.spacing(np.abs(want).max())
+        assert residual < 1e-14 and want_residual < 1e-14
+
+
+def test_stacked_solve_matches_lstsq_off_the_range_on_zero_and_rank_deficient_systems():
+    rng = np.random.default_rng(9)
+    rdown, rhs, bases = rng.normal(size=(5, 4, 4, 4, 4)), rng.normal(size=(5, 4, 4, 4, 4)), rng.normal(size=(5, 3, 4))
+    rhs[1] = 0.0
+    bases[2, 2] = bases[2, 0]  # a repeated frame row: rank 2, lstsq's minimum-norm solution
+    bases[3, 1:] = 0.0  # rank 1
+    for i, (coef, residual) in enumerate(splitting._least_squares(rdown, rhs, bases)):
+        want, want_residual = _lstsq(rdown[i], rhs[i], bases[i])
+        assert np.abs(coef - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0), i
+        assert abs(residual - want_residual) <= 1e-13, i
+    assert splitting._least_squares(rdown[1], rhs[1], bases[1])[0][1] == 0.0
+    assert 0.5 < splitting._least_squares(rdown[0], rhs[0], bases[0])[0][1] < 1.0  # off the range of R
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_stacked_solve_of_a_non_finite_right_hand_side_raises(bad):
+    rdown, rhs, bases = _stacked_systems(conullity3(), 4, 3)
+    rhs[2, 1, 0, 2, 3] = bad
+    with pytest.raises(FloatingPointError, match="non-finite right-hand side"):
+        splitting._least_squares(rdown, rhs, bases)
+    # alone, the other points solve
+    assert splitting._least_squares(rdown[1], rhs[1], bases[1])[0][1] < 1e-14
 
 
 def test_classify_kinds():
@@ -868,7 +932,15 @@ def test_ride_aborting_at_a_middle_sample_reports_each_sample_alone(max_order):
         evolve_along_nullity_geodesic(metric, ORIGIN4, tmax=0.5, steps=16)
 
 
-@pytest.mark.parametrize("stage, ndim", [("_curvatures", 3), ("_nabla_riemann", 3), ("_least_squares", 5)])
+@pytest.mark.parametrize(
+    "stage, ndim",
+    [
+        ("_curvatures", 3),
+        # the id names the full nabla R that the contracted right-hand side replaced
+        pytest.param("_solve_sides", 3, id="_nabla_riemann-3"),
+        ("_least_squares", 5),
+    ],
+)
 def test_sample_stage_that_raises_is_redone_per_sample(monkeypatch, stage, ndim):
     metric, point = _SAMPLED_RIDES[0]
     want = _samples_of(evolve_along_nullity_geodesic(metric, point, tmax=0.5, steps=32))

@@ -1,9 +1,9 @@
-"""Compare ``scan``'s classification with two finite-difference ones.
+"""Compare ``scan``'s classification with two finite-difference ones and the full nabla R's.
 
 ``geonull scan``, ``analyze`` and ``flow`` take the splitting tensor from
-``splitting.splitting_tensor_from_curvature``, which solves it from nabla R
-in closed form from the point's metric 3-jet.  This compares three kinds
-per point:
+``splitting.splitting_tensor_from_curvature``, which solves it from
+-(nabla R)(T, ...) in closed form from the point's metric 3-jet, T
+contracted in before any n^5 product.  This compares four kinds per point:
 
 * ``richardson``: the kernel-field stencil of ``splitting.splitting_tensor``
   (the reference the tests compare the solve with);
@@ -11,7 +11,10 @@ per point:
   (``curvature._covariant_dr``, the solve's default step), under scan's
   residual gate;
 * ``analytic``: scan's own kind, from ``cli._scan_rows`` on all the points
-  of a warp (or of a fixed family) at once, as ``scan`` stacks a grid.
+  of a warp (or of a fixed family) at once, as ``scan`` stacks a grid;
+* ``full``: the solve from all n^5 entries of nabla R (``CurvatureData.nabla_r``)
+  contracted with T point by point, against R from ``_riemann_parts``,
+  under the same gate: the solve before T was contracted in.
 
 For random points of each warped catalog family (uniform in the chart box,
 points outside the chart skipped) it prints how often each triple of kinds
@@ -20,8 +23,12 @@ disagreement: the point, the warp p there, the relative residuals of both
 solves and the catalog's closed-form kind (``nilpotent`` wherever the
 curvature is nonzero).  An empty kind (``-``) means the point got no
 classification.  Exits 1 if the analytic kind is ever other than the closed
-form, or if it leaves more points of a family unclassified than the stencil
-does.
+form, or other than the full nabla R's where the full solve names a kind,
+or if it leaves more points of a family unclassified than the stencil
+does.  A point the analytic solve classifies and the full one leaves
+unclassified (its residual, from R and nabla R of different formulas, above
+the gate) is listed and counted apart: its kind is checked against the
+closed form.
 
 Run:  python3 tools/scan_kind_agreement.py [--points 1000] [--seed 2027]
 
@@ -57,6 +64,8 @@ from geonull.splitting import (  # noqa: E402
     AlignmentError,
     KernelDimensionError,
     NonUnitFieldError,
+    _frame,
+    _least_squares,
     classify,
     splitting_tensor,
     splitting_tensor_from_curvature,
@@ -66,18 +75,33 @@ FAULTS = (ChartDomainError, DomainError, SingularMatrixError, FloatingPointError
 WARPS_EVERY = 50
 
 
+def _kind(matrix, residual) -> str:
+    return classify(matrix, tol=cli.CLASSIFY_TOL).kind if residual <= SMOOTH_KERNEL_RESIDUAL else ""
+
+
 def _solve(metric, data):
     """``(kind, residual)`` of the nabla R solve on ``data``, as scan gates it."""
     try:
         matrix, residual = splitting_tensor_from_curvature(metric, data)
     except FAULTS:
         return "", None
-    kind = classify(matrix, tol=cli.CLASSIFY_TOL).kind if residual <= SMOOTH_KERNEL_RESIDUAL else ""
-    return kind, residual
+    return _kind(matrix, residual), residual
+
+
+def _full_kind(metric, data) -> str:
+    """The kind from all of ``data.nabla_r`` contracted with T, as the solve took it before contracting T in."""
+    t_vec = data.nullity.basis[0]
+    basis = _frame(metric, data.point, data.g, t_vec)
+    try:
+        rhs = -np.einsum("mijkl,i->mjkl", data.nabla_r, t_vec)
+        (coef, residual), = _least_squares(data.rdown, rhs, basis)
+    except FAULTS:
+        return ""
+    return _kind(-coef @ basis.T, residual)
 
 
 def _compare(metric, point, analytic):
-    """``((richardson, stencil, analytic) kinds, residuals, closed-form kind)``, or None off a line kernel.
+    """``((richardson, stencil, analytic) kinds, residuals, closed-form kind, full kind)``, or None off a line kernel.
 
     ``analytic`` is scan's kind at the point.
     """
@@ -91,10 +115,10 @@ def _compare(metric, point, analytic):
         richardson = classify(splitting_tensor(metric, point).matrix, tol=cli.CLASSIFY_TOL).kind
     except FAULTS + (KernelDimensionError, AlignmentError, NonUnitFieldError):
         richardson = ""
-    stencil, stencil_residual = _solve(metric, replace(data, _nabla_r=None))
+    stencil, stencil_residual = _solve(metric, replace(data, _jet=data._jet[:3]))  # no 3-jet: the stencil
     analytic_residual = _solve(metric, data)[1]
     closed = "nilpotent" if abs(data.scalar_trace) > 1e-8 else "zero"
-    return (richardson, stencil, analytic), (stencil_residual, analytic_residual), closed
+    return (richardson, stencil, analytic), (stencil_residual, analytic_residual), closed, _full_kind(metric, data)
 
 
 def _residual(value) -> str:
@@ -126,6 +150,7 @@ def main() -> int:
     tallies: dict = {}
     lines = []
     wrong = 0
+    differ, gated = [], []
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         for label, metric, p_vars, count in _families(rng, args.points):
             tally = tallies.setdefault(label, Counter())
@@ -138,10 +163,15 @@ def main() -> int:
                 if record is None:
                     tally["skipped"] += 1
                     continue
-                kinds, residuals, closed = record
+                kinds, residuals, closed, full = record
                 tally[kinds] += 1
                 if kinds[2] not in ("", closed):
                     wrong += 1
+                if kinds[2] != full:
+                    (differ if full else gated).append(
+                        f"{label}: point {','.join('%.17g' % c for c in point)} "
+                        f"analytic={kinds[2] or '-'} full={full or '-'}"
+                    )
                 if len(set(kinds)) > 1:
                     p = metric.annotations["p_expression"].value(point[list(p_vars)])
                     lines.append(
@@ -162,8 +192,14 @@ def main() -> int:
     for line in lines:
         print("  " + line)
     print(f"analytic kinds other than the closed form: {wrong}")
+    print(f"analytic kinds other than the full nabla R's: {len(differ)}")
+    for line in differ:
+        print("  " + line)
+    print(f"points only the analytic solve classifies (the full one's residual above the gate): {len(gated)}")
+    for line in gated:
+        print("  " + line)
     print(f"families the analytic kind leaves more unclassified than the stencil: {len(worse)}")
-    return 1 if wrong or worse else 0
+    return 1 if wrong or differ or worse else 0
 
 
 if __name__ == "__main__":
