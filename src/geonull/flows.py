@@ -87,8 +87,9 @@ __all__ = [
 
 # a stacked block of a ride takes as many RK4 steps as keep its largest
 # array, Gamma at the four stages of each step (4 n^3 floats), within this
-# many bytes
-RIDE_BLOCK_BYTES = 1 << 16
+# many bytes (64 steps at n = 4): each block has a fixed cost, and a flow
+# request's peak memory grows with the block, by about 1 MB from 1 << 16 to 1 << 18
+RIDE_BLOCK_BYTES = 1 << 17
 # an RK4 stage meeting one of these ends the path, truncated, instead of raising
 _STAGE_FAULTS = (ChartDomainError, DomainError, SingularMatrixError, FloatingPointError)
 
@@ -307,25 +308,21 @@ class _Ride:
         new = np.empty(len(points), dtype=bool)
         new[0] = points[0].tobytes() != self.held[0]
         new[1:] = np.any(bits[1:] != bits[:-1], axis=1)
-        jets = []  # (bytes, (g, dg) or the error raised) of the points jetted, in stage order
         # a ride's first step is jetted point by point, so a ride curved from
         # its first stage jets what the point-by-point loop jets
         alone = int(b == 0) if self.metric.stacked else e - b
-        ridden = self._jet_steps(points, new.tolist(), nodes, jets, bracket, alone)
-        # the held point where stage 1 repeats it, then the points jetted
+        ridden, g, dg, faults = self._jet_steps(points, new, nodes, bracket, alone)
         carried = int(not new[0])
-        entries = [self.held[:2]] * carried + jets
         index = np.cumsum(new[: 4 * ridden]) - 1 + carried  # stage -> entry
         if ridden:
-            used = [jet for _, jet in entries[: index[-1] + 1]]
+            used = index[-1] + 1
             try:
-                g = np.array([jet[0] for jet in used])
                 try:
-                    gi = invert(g)
+                    gi = invert(g[:used])
                 except SingularMatrixError:  # ride the steps before the first stage whose g fails
-                    gi, passed, _ = _invert_each(g)
+                    gi, passed, _ = _invert_each(g[:used])
                     ridden = int(np.argmin(passed[index])) // 4
-                gamma = _christoffel_from_jet(gi, np.array([jet[1] for jet in used]))
+                gamma = _christoffel_from_jet(gi, dg[:used])
                 stage_gamma = gamma[index[: 4 * ridden]]
                 stage_v = velocities[rows[:ridden]].reshape(-1, n)
                 accel = -np.einsum("...kij,...i,...j->...k", stage_gamma, stage_v, stage_v)
@@ -346,58 +343,73 @@ class _Ride:
         self.xs += list(nodes[1: ridden + 1])
         self.vs += list(velocities[np.minimum(np.arange(b + 1, b + ridden + 1), len(velocities) - 1), 0])
         self.ws += frames
+        stages = np.flatnonzero(new)
+
+        def key(k):  # the bytes of entry k's point
+            return points[stages[k - carried]].tobytes() if k >= carried else self.held[0]
+
         last = carried - 1
         if ridden:
             self.gs += list(g[index[: 4 * ridden: 4]])
             last = int(index[4 * ridden - 1])
-            self.held = (*entries[last], gamma[last])
-        self.ahead.extend(entries[last + 1:])
+            self.held = (key(last), (g[last], dg[last]), gamma[last])
+        self.ahead.extend((key(k), faults[k] if k in faults else (g[k], dg[k])) for k in range(last + 1, len(g)))
         return ridden == e - b
 
-    def _jet_steps(self, points, new: list, nodes, jets: list, bracket, alone: int) -> int:
-        """Jet the new stage points; the number of steps that stay straight and inside.
+    def _jet_steps(self, points, new, nodes, bracket, alone: int):
+        """Jet the new stage points: ``(ridden, g, dg, faults)``.
 
-        Stops at the first jet that raises (its error kept in ``jets``) or
-        whose bracket is not zero where ``bracket`` marks, and at the first
-        step whose next node leaves the chart, returning that step's number.
-        The first ``alone`` steps are jetted point by point, each jet
-        screened before the next is made.  The rest are jetted in one
+        ``ridden`` is the number of steps that stay straight and inside.
+        ``g`` and ``dg`` stack the entries: the held point's jet where stage
+        1 repeats it, then each point jetted, in stage order; ``faults``
+        maps the entry of a jet that raised to its error (its rows are
+        NaN).  Stops at the first jet that raises or whose bracket is not
+        zero where ``bracket`` marks, and at the first step whose next node
+        leaves the chart, returning that step's number.  The first
+        ``alone`` steps are jetted point by point, each jet screened before
+        the next is made.  The rest are jetted in one
         :meth:`MetricField.jets` call, up to the first step whose next node
         leaves the chart (one stacked domain test for their nodes), and
-        screened stacked; every point of that call is kept in ``jets``.
+        screened stacked; every point of that call is an entry.
         """
-        steps = len(nodes) - 1
+        steps, n = len(nodes) - 1, points.shape[1]
+        head = [] if new[0] else [self.held[1]]  # the entries before the stacked call
+        faults = {}
+
+        def entries(ridden, g=np.empty((0, n, n)), dg=np.empty((0, n, n, n))):
+            if head:
+                g = np.concatenate([[jet[0] for jet in head], g])
+                dg = np.concatenate([[jet[1] for jet in head], dg])
+            return ridden, g, dg, faults
+
         for i in range(alone):
             for s in range(4 * i, 4 * i + 4):
                 if not new[s]:
                     continue
-                key = points[s].tobytes()
                 try:
                     jet = self.metric.jet(points[s], order=1, check=False)
                 except Exception as exc:  # raised again when integrate reaches this stage
-                    jets.append((key, exc))
-                    return i
-                jets.append((key, jet))
+                    faults[len(head)] = exc
+                    head.append((np.full((n, n), np.nan), np.full((n, n, n), np.nan)))
+                    return entries(i)
+                head.append(jet)
                 if not _straight(jet[1][None], bracket)[0]:
-                    return i
+                    return entries(i)
             if not _in_chart(self.metric, nodes[i + 1: i + 2])[0]:
-                return i
+                return entries(i)
         if alone == steps:
-            return steps
+            return entries(steps)
         inside = _in_chart(self.metric, nodes[alone + 1:])
         # jet up to the step whose next node leaves the chart, which is not ridden
         end = steps if inside.all() else alone + int(np.argmin(inside)) + 1
-        stages = [s for s in range(4 * alone, 4 * end) if new[s]]
-        (g, dg), faults = self.metric.jets(points[stages], order=1, check=False)
-        straight = _straight(dg, bracket)
-        stop = None
-        for k, s in enumerate(stages):
-            jets.append((points[s].tobytes(), faults[k] if k in faults else (g[k], dg[k])))
-            if stop is None and (k in faults or not straight[k]):
-                stop = s // 4
-        if stop is not None:
-            return stop
-        return steps if inside.all() else end - 1
+        stages = 4 * alone + np.flatnonzero(new[4 * alone: 4 * end])
+        (g, dg), more = self.metric.jets(points[stages], order=1, check=False)
+        bent = ~_straight(dg, bracket)
+        bent[list(more)] = True
+        faults.update((len(head) + k, exc) for k, exc in more.items())
+        if bent.any():
+            return entries(int(stages[np.argmax(bent)]) // 4, g, dg)
+        return entries(steps if inside.all() else end - 1, g, dg)
 
     def _transport(self, stage_gamma, stage_v, steps: int) -> list:
         """The frames W after each of the first ``steps`` steps of a block, fewer at a float fault.

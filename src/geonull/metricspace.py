@@ -273,11 +273,12 @@ class _CoframeJet:
     ``|x^i| <= box`` where ``p > P_FLOOR``.
 
     :meth:`jets` is the stacked form: one raw kernel call per distinct warp
-    argument ``x[warp]`` (by its bits), its row shared by the points that
-    share the argument, and each array assembled once for the stack by the
-    same operations, so each point's arrays are bitwise :meth:`__call__`'s.
-    A kernel ride moves v, which p does not read, and mostly keeps the bits
-    of its warp argument, so its stack mostly makes one kernel call.
+    argument ``x[warp]`` (by its bits), looked up once per run of points
+    that repeat it, its row repeated over the points that share the
+    argument, and each array assembled once for the stack by the same
+    operations, so each point's arrays are bitwise :meth:`__call__`'s.  A
+    kernel ride moves v, which p does not read, and mostly keeps the bits of
+    its warp argument, so its stack is mostly one run and one kernel call.
     """
 
     def __init__(self, affine: np.ndarray, expr: Expression, warp: Sequence[int], box: float):
@@ -340,21 +341,27 @@ class _CoframeJet:
         of the points, so the first point whose kernel raises raises.
         """
         inside = (np.abs(pts) <= self.box).all(axis=1)
+        at = np.flatnonzero(inside)
         value, above = self.expr._value_kernel, {}
-        for i, (coords, key) in zip(np.flatnonzero(inside).tolist(), self._arguments(pts[inside])):
+        for start, stop, coords, key in self._runs(pts[inside]):
             if key not in above:
                 above[key] = value(*coords) > P_FLOOR
-            inside[i] = above[key]
+            inside[at[start:stop]] = above[key]
         return inside
 
-    def _arguments(self, pts: np.ndarray):
-        """``(coords, key)`` of p's argument at each row of ``pts``: its floats and its bits.
+    def _runs(self, pts: np.ndarray):
+        """``(start, stop, coords, key)`` of each run of rows of ``pts`` whose p arguments share their bits.
 
+        ``coords`` are the run's argument floats and ``key`` their bits.
         Keyed on the bits, +0.0 and -0.0 stay apart, as p's derivatives may
         take their sign.
         """
         args = pts[:, self.warp]
-        return zip(args.tolist(), map(tuple, args.view(np.uint64).tolist()))
+        bits = args.view(np.uint64)
+        new = np.ones(len(args), dtype=bool)
+        new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+        first, starts = args[new], np.flatnonzero(new).tolist()
+        return zip(starts, starts[1:] + [len(args)], first.tolist(), map(tuple, first.view(np.uint64).tolist()))
 
     def jets(self, pts: np.ndarray, order: int, check: bool):
         """``(arrays, outside, alone)`` at the rows of ``pts``, the stacked form :class:`MetricField` takes.
@@ -374,22 +381,23 @@ class _CoframeJet:
         alone = ~(finite | outside)
         jetted = finite & ~outside
         kernel = self.expr._jet3_kernel if order == 3 else self.expr._jet_kernel
-        rows, known = [], {}
-        for i, (coords, key) in zip(np.flatnonzero(jetted).tolist(), self._arguments(pts[jetted])):
+        at = np.flatnonzero(jetted)
+        rows, counts, known = [], [], {}
+        for start, stop, coords, key in self._runs(pts[jetted]):
             if key not in known:
                 try:
                     known[key] = kernel(*coords)
                 except Exception:  # MetricField.jets has jet raise it again, in each point's own slot
                     known[key] = None
-            row = known[key]
+            row, run = known[key], at[start:stop]
             if row is None:
-                jetted[i], alone[i] = False, True
-                continue
-            if check and not row[0] > P_FLOOR:
-                jetted[i], outside[i] = False, True
-                continue
-            rows.append(row)
-        arrays = self._assemble(pts[jetted], rows, order)
+                jetted[run], alone[run] = False, True
+            elif check and not row[0] > P_FLOOR:
+                jetted[run], outside[run] = False, True
+            else:
+                rows.append(row)
+                counts.append(stop - start)
+        arrays = self._assemble(pts[jetted], rows, counts, order)
         if not jetted.all():
             full = tuple(np.full((m,) + a.shape[1:], np.nan) for a in arrays)
             for f, a in zip(full, arrays):
@@ -397,10 +405,14 @@ class _CoframeJet:
             arrays = full
         return arrays, outside, alone
 
-    def _assemble(self, x: np.ndarray, rows: list, order: int) -> tuple:
-        """:meth:`__call__`'s arrays at the rows of ``x``, stacked, from their kernel rows."""
+    def _assemble(self, x: np.ndarray, rows: list, counts: list, order: int) -> tuple:
+        """:meth:`__call__`'s arrays at the rows of ``x``, stacked, from their kernel rows.
+
+        Each kernel row serves the next ``counts`` rows of ``x`` in turn.
+        """
         n, m, w = self.n, len(x), self.warp
-        columns = list(zip(*rows)) or [()] * (order + 1)
+        columns = [np.repeat(np.asarray(c, dtype=float), counts, axis=0) for c in zip(*rows)]
+        columns = columns or [()] * (order + 1)
         B = self.identity + (self.affine @ x[:, None, :, None])[..., 0]
         B[:, 0, 0] = columns[0]
         dB = np.repeat(self.affine[None], m, axis=0)

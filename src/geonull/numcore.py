@@ -4,13 +4,15 @@ Everything here targets the tiny matrices this package produces (metric
 blocks, splitting tensors and curvature operators up to 8x8, flattened
 curvature maps with at most 8 columns).  Eigenvalues come from LAPACK's
 Hessenberg QR; the complex-pair / nilpotent decision on them is
-``splitting.classify``'s, at an explicit tolerance.  The stacked stages of
-the package share one fallback, ``_each_alone``: a stage over a stack that
-raises is redone one item at a time, so each fault stays with its own item
-(``_stack`` stacks the items' results again for the next stage).  They are
-control flow inside a layer, not calls into this one, so other modules
-reach them through the module (``numcore._each_alone``): a tracer that
-takes every helper imported by name for a layer boundary leaves them be.
+``splitting.classify``'s, at an explicit tolerance.  An inverse's condition
+test takes an SVD only where the bound |A|_F |A^-1|_F cannot decide it.
+The stacked stages of the package share one fallback, ``_each_alone``: a
+stage over a stack that raises is redone one item at a time, so each fault
+stays with its own item (``_stack`` stacks the items' results again for the
+next stage).  They are control flow inside a layer, not calls into this
+one, so other modules reach them through the module
+(``numcore._each_alone``): a tracer that takes every helper imported by name
+for a layer boundary leaves them be.
 """
 
 from __future__ import annotations
@@ -71,23 +73,41 @@ def _invert_each(m):
     """``(inverse, passed, smallest)``: :func:`invert` for each matrix that passes its condition test.
 
     ``passed`` marks, over the leading axes, the matrices whose condition
-    number is at most 1e12, and ``smallest`` holds each one's smallest
-    singular value.  A passing matrix's inverse is bitwise what
-    :func:`invert` gives it alone; a failing one's is left zero.  One SVD
-    serves the whole stack.
+    number is at most 1e12.  A passing matrix's inverse is bitwise what
+    :func:`invert` gives it alone; a failing one's is left zero.
+
+    The bound ``|A|_F |A^-1|_F`` lies between cond_2 and n cond_2, so a
+    matrix whose bound is at most half the limit passes without an SVD (the
+    factor 2 covers the rounding of the bound and of the SVD).  The rest,
+    and the whole stack when ``inv`` finds a matrix singular, take one SVD
+    for the test; ``smallest`` holds their smallest singular values, NaN
+    where the bound decided.
     """
     a = _as_matrix(m, stack=True)
     if a.shape[-2] != a.shape[-1]:
         raise ValueError(f"cannot invert non-square matrix of shape {a.shape[-2:]}")
-    s = np.linalg.svd(a, compute_uv=False)
-    smallest = s[..., -1]
-    # a NaN singular value passes, as it passes Python's comparisons
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        passed = ~((smallest <= 0.0) | (s[..., 0] / smallest > COND_LIMIT))
-    if passed.all():
-        return np.linalg.inv(a), passed, smallest
-    inverse = np.zeros_like(a)
-    inverse[passed] = np.linalg.inv(a[passed])
+    try:
+        inverse = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        inverse = None
+        doubt = np.ones(a.shape[:-2], dtype=bool)
+    else:
+        with np.errstate(all="ignore"):  # an overflow only sends its matrix to the SVD
+            bound = (a * a).sum(axis=(-2, -1)) * (inverse * inverse).sum(axis=(-2, -1))
+        doubt = ~(bound <= (0.5 * COND_LIMIT) ** 2)
+    passed = np.array(~doubt)
+    smallest = np.full(a.shape[:-2], np.nan)
+    if doubt.any():
+        s = np.linalg.svd(a[doubt], compute_uv=False)
+        smallest[doubt] = s[:, -1]
+        # a NaN singular value passes, as it passes Python's comparisons
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            passed[doubt] = ~((s[:, -1] <= 0.0) | (s[:, 0] / s[:, -1] > COND_LIMIT))
+    if inverse is None:
+        inverse = np.zeros_like(a)
+        inverse[passed] = np.linalg.inv(a[passed])
+    elif not passed.all():
+        inverse[~passed] = 0.0
     return inverse, passed, smallest
 
 

@@ -400,9 +400,9 @@ def test_ride_in_small_blocks_gives_the_bits_of_one_block(name, monkeypatch):
 @pytest.mark.parametrize(
     "name, stacks",
     [
-        # blocks of 2**16 bytes of Gamma hold 32 steps at n = 4: the first
-        # inverts its 2 * 32 + 1 points, the second the held point and 2 * 32
-        ("conullity3_kernel", [(2 * 32 + 1, 4, 4)] * 2),
+        # a block of 2**17 bytes of Gamma holds 64 steps at n = 4, the whole
+        # ride: it inverts its 2 * 64 + 1 points
+        ("conullity3_kernel", [(2 * 64 + 1, 4, 4)]),
         # 256 steps a block at n = 2; the stacked pass stops at step 189,
         # whose next node is past the cutoff, and the point-by-point loop
         # redoes that step from its two jets already made
@@ -709,8 +709,10 @@ class _Jetted:
             return call(self, x, order)
 
         def counted_stack(self, pts, order, check):
-            spies.stacked += len(pts)
-            return stack(self, pts, order, check)
+            arrays, outside, alone = stack(self, pts, order, check)
+            # a point left alone is jetted by the per-point form, and counted there
+            spies.stacked += len(pts) - int(np.count_nonzero(alone))
+            return arrays, outside, alone
 
         monkeypatch.setattr(metricspace._CoframeJet, "__call__", counted_call)
         monkeypatch.setattr(metricspace._CoframeJet, "jets", counted_stack)
@@ -790,7 +792,7 @@ def test_ride_bending_mid_block_jets_at_most_the_rest_of_that_block(monkeypatch)
     # exp(-1/x^2) and its derivatives are exactly zero for |x| < 0.0366, so
     # the ride along x is straight up to there; past it the acceleration
     # grows until it moves the velocity's bits, within the first block of
-    # 32 steps (x up to 0.22)
+    # 64 steps (x up to 0.47)
     metric = catalog_conullity3("3+cos(u)+cos(w)+exp(-1/(x*x))")
     jetted = _Jetted(monkeypatch)
     points, reference = _ride_against_the_reference(
@@ -798,3 +800,21 @@ def test_ride_bending_mid_block_jets_at_most_the_rest_of_that_block(monkeypatch)
     )
     block = max(1, flows.RIDE_BLOCK_BYTES // (32 * 4**3))
     assert 0 < points - reference <= 4 * block
+
+
+@pytest.mark.parametrize("with_frame", [True, False], ids=["frame", "bare"])
+def test_ride_meeting_a_raising_jet_mid_block_truncates_like_the_reference(with_frame, monkeypatch):
+    # 0*sqrt(0.308-x) keeps p flat in x, so the ride along x is straight, but
+    # its jet raises past x = 0.308: first at node 20 (x = 0.3125), stage 4
+    # of step 19, whose stage 2 (x = 0.3047) still has a jet.  The stacked
+    # call jets up to that node and keeps its error for the point-by-point
+    # loop, which truncates there without jetting it again
+    metric = catalog_conullity3("3+cos(u)+cos(w)+0*sqrt(0.308-x)")
+    jetted = _Jetted(monkeypatch)
+    frame = np.eye(4) if with_frame else np.empty((0, 4))
+    points, reference = _ride_against_the_reference(
+        metric, [0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], 1.0, 64, frame, jetted
+    )
+    path = geodesic(metric, [0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], 1.0, steps=64, frame=frame)
+    assert path.truncated and path.exit_parameter == 19 / 64
+    assert points == reference and jetted.stacked > 0

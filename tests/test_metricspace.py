@@ -438,6 +438,35 @@ def test_jets_call_the_warp_kernel_once_per_distinct_argument(monkeypatch):
         metric.contains_each(points)
 
 
+def test_jets_look_up_the_warp_kernel_once_per_run_of_repeated_arguments(monkeypatch):
+    # p's argument is (x, u), with runs A A | B B | A | A- | B | A: A- is A
+    # but for the sign of x, kept apart; the kernel raises at B
+    metric = catalog_sekigawa("sqrt(cos(x))")
+    expr = metric.annotations["p_expression"]
+    a, a_minus, b = (0.0, 1.5), (-0.0, 1.5), (2.0, -0.5)
+    args = [a, a, b, b, a, a_minus, b, a]
+    points = np.array([[*arg, 0.1 * i] for i, arg in enumerate(args)])
+    calls = []
+    for name in ("_jet_kernel", "_jet3_kernel", "_value_kernel"):
+        kernel = getattr(expr, name)
+        monkeypatch.setitem(vars(expr), name, lambda *x, kernel=kernel: calls.append(x) or kernel(*x))
+    for order in (1, 2, 3):
+        for check in (True, False):
+            calls.clear()
+            _, outside, alone = metric._stacked.jets(points, order, check)
+            assert [np.array(x).tobytes() for x in calls] == [np.array(x).tobytes() for x in (a, b, a_minus)]
+            assert alone.tolist() == [arg == b for arg in args] and not outside.any()
+            assert list(_assert_jets_are_jet(metric, points, order, check)) == [2, 3, 6]
+    # a scan-shaped stack: every argument distinct, one kernel call each, in order
+    grid = np.array([[x, u, 0.2] for x in (-0.6, -0.2, 0.2, 0.6) for u in (-1.0, -0.3, 0.3, 1.0)])
+    for order in (1, 2, 3):
+        calls.clear()
+        _, outside, alone = metric._stacked.jets(grid, order, True)
+        assert [np.array(x).tobytes() for x in calls] == [row[:2].tobytes() for row in grid]
+        assert not (outside.any() or alone.any())
+        assert not _assert_jets_are_jet(metric, grid, order)
+
+
 def test_jets_keep_the_jet_of_a_coordinate_that_only_warns():
     # p does not read v, so an infinite v only warns in I + affine @ x: jet returns NaN-laden arrays
     metric = catalog_sekigawa("2+u*u")

@@ -9,6 +9,7 @@ from geonull.numcore import (
     KERNEL_ABS_FLOOR,
     SingularMatrixError,
     _each_alone,
+    _invert_each,
     _g_gram_schmidt,
     eigenvalues,
     invert,
@@ -56,6 +57,84 @@ def test_invert_of_a_stack_reports_its_first_failing_matrix():
     assert err.value.smallest_singular_value == 1e-14
     with pytest.raises(ValueError, match="non-square"):
         invert(np.zeros((3, 2, 3)))
+
+
+def _svd_invert_each(m):
+    """The condition test by one SVD of every matrix: the reference for the screened ``_invert_each``."""
+    a = np.asarray(m, dtype=float)
+    s = np.linalg.svd(a, compute_uv=False)
+    smallest = s[..., -1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        passed = ~((smallest <= 0.0) | (s[..., 0] / smallest > 1e12))
+    inverse = np.zeros_like(a)
+    inverse[passed] = np.linalg.inv(a[passed])
+    return inverse, passed, smallest
+
+
+def _invert_outcomes(m):
+    """``(_invert_each's outcome, invert's)`` next to the SVD reference's: bytes, or the error raised."""
+    try:
+        inverse, passed, smallest = _invert_each(m)
+    except Exception as exc:
+        ours = (type(exc), str(exc))
+    else:
+        # where an SVD was taken, its smallest singular value is the reference's
+        ref_smallest = _svd_invert_each(m)[2]
+        assert np.all(np.isnan(smallest) | (smallest == ref_smallest))
+        ours = (inverse.tobytes(), np.asarray(passed).tobytes())
+    try:
+        inverse, passed, smallest = _svd_invert_each(m)
+    except Exception as exc:
+        reference = (type(exc), str(exc))
+        text = reference
+    else:
+        reference = (inverse.tobytes(), np.asarray(passed).tobytes())
+        text = None
+        if not passed.all():
+            first = float(smallest.ravel()[int(np.argmin(passed.ravel()))])
+            text = (SingularMatrixError, str(SingularMatrixError("matrix is singular or ill-conditioned", first)))
+    try:
+        invert(m)
+        raised = None
+    except Exception as exc:
+        raised = (type(exc), str(exc))
+    return (ours, raised), (reference, text)
+
+
+def _conjugated_spectra(n: int, rng) -> np.ndarray:
+    """Q diag(s) Q^T for random orthogonal Q, at condition numbers from 1 to 1e14, around the 1e12 limit and twice below it."""
+    conds = [1.0, 1e3, 1e9, 1e10, 1e11, 4e11, 5e11, 6e11, 9e11, 0.99e12, 1e12, 1.01e12, 2e12, 1e13, 1e14]
+    out = []
+    for cond in conds:
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        s = np.geomspace(1.0, 1.0 / cond, n) if n > 1 else np.array([rng.uniform(0.5, 2.0)])
+        out.append((q * (s * rng.choice([-1.0, 1.0], n))) @ q.T)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_screened_invert_each_matches_the_svd_test(n):
+    rng = np.random.default_rng(30 + n)
+    spectra = _conjugated_spectra(n, rng)
+    scaled = np.concatenate([spectra, 1e-160 * spectra[:3], 1e160 * spectra[:3]])
+    singular = np.zeros((n, n))
+    singular[:, 0] = 1.0  # rank one: LU meets an exact zero pivot (for n = 1, the zero matrix)
+    nan, inf = spectra[0].copy(), spectra[0].copy()
+    nan[0, -1], inf[-1, 0] = np.nan, np.inf
+    stacks = [
+        spectra,
+        scaled,
+        np.concatenate([spectra[:6], singular[None], spectra[6:]]),
+        np.concatenate([spectra[:4], nan[None], spectra[4:]]),
+        np.concatenate([spectra[:4], inf[None], spectra[4:]]),
+        spectra.reshape(3, 5, n, n),
+    ]
+    with np.errstate(all="raise"):
+        for m in stacks + list(scaled) + [singular, nan, inf]:
+            ours, reference = _invert_outcomes(m)
+            assert ours == reference
+        # the bound alone decides the well-conditioned ones (n cond <= 8e10)
+        assert np.isnan(_invert_each(spectra)[2][:4]).all()
 
 
 def test_kernel_of_a_stack_is_each_kernel_bitwise():

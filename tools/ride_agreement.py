@@ -10,16 +10,19 @@ random direction, with a transported frame, a random step count and ``tmax``
 of either sign.  Half the conullity3 kernel rides run on a chart whose
 kernel grows to dimension 2 part-way along the ride, or whose higher jets
 raise further on, so that samples abort, or raise, or both, the error past
-the abort.  Each ride runs twice: through ``geodesic``, and through the
+the abort.  One ride in ten runs along x from a point with u = v = w = 0
+on a conullity3 chart whose jet raises past a drawn x, where the ride is
+straight: a stacked block meets the raising jet mid-block.  Each ride runs twice: through ``geodesic``, and through the
 point-by-point loop alone from node 0.  Both must give the same bytes for
 every field of the path.
 
 Points jetted are counted on the chart's coframe jet: one a call of its
-per-point form, and each point of a call of its stacked form.  A ride
-stacked to the end, or truncated where no jet of its stacked pass raised or
-failed the Christoffel-bracket screen, must jet what the loop jets; any
-other may jet more, up to one block's stage points (a block jets its stage
-points in one call, past a bend it does not know of yet), and never fewer.
+per-point form, and each point of a call of its stacked form that it does
+not leave to the per-point form.  A ride whose stacked pass met no jet that
+raised or failed the Christoffel-bracket screen, and that was stacked to
+the end or truncated, must jet what the loop jets; any other may jet more,
+up to one block's stage points (a block jets its stage points in one call,
+past a bend or a raising jet it does not know of yet), and never fewer.
 
 Each ride launched along the kernel also runs ``flow``'s Riccati check,
 ``splitting.evolve_along_nullity_geodesic``, which measures its samples
@@ -85,8 +88,8 @@ class _Spies:
             return call(self, x, order)
 
         def counted_jets(self, pts, order, check):
-            spies.jetted += len(pts)
             arrays, outside, alone = stacked(self, pts, order, check)
+            spies.jetted += len(pts) - int(np.count_nonzero(alone))
             spies.bent |= bool(alone.any())
             return arrays, outside, alone
 
@@ -105,6 +108,8 @@ class _Spies:
 def _ride(rng: random.Random):
     """(label, metric, x0, v0, frame, tmax, steps) of one drawn ride, or None off the chart."""
     a, b, c = rng.uniform(2.5, 4.0), rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5)
+    if rng.random() < 0.1:
+        return _raising_ride(rng, f"{a:.6f}+cos({b:.6f}*u)+cos({c:.6f}*w)")
     if rng.random() < 0.5:
         label, metric = "conullity3", catalog_conullity3(f"{a:.6f}+cos({b:.6f}*u)+cos({c:.6f}*w)")
     else:
@@ -125,6 +130,24 @@ def _ride(rng: random.Random):
         label += " kernel grows"
         metric = _kernel_grows(metric, x0[2], tmax * v0[2], rng)
     return label, metric, x0, v0, frame, tmax, steps
+
+
+def _raising_ride(rng: random.Random, warp: str):
+    """A ride along x from (x0, 0, 0, 0) on a conullity3 chart whose jet raises past a drawn x.
+
+    The warp gains ``0*sqrt(s*(limit-x))``, flat in x, so the ride is
+    straight (p's derivatives and the affine terms vanish along it) up to
+    ``limit``, past which the jet raises a DomainError: a stacked block
+    jets that point in one call with points before it, keeps its error,
+    and the point-by-point loop truncates there.
+    """
+    tmax = rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 4.0)
+    x0 = rng.uniform(-DEFAULT_BOX, DEFAULT_BOX)
+    limit = x0 + rng.uniform(0.05, 1.0) * tmax
+    metric = catalog_conullity3(f"{warp}+0*sqrt({math.copysign(1.0, tmax):g}*({limit:.6f}-x))")
+    frame = np.eye(4)[rng.sample(range(4), rng.randint(1, 4))]
+    x0 = np.array([x0, 0.0, 0.0, 0.0])
+    return "conullity3 raising off-kernel", metric, x0, np.array([1.0, 0.0, 0.0, 0.0]), frame, tmax, rng.randint(1, 300)
 
 
 def _kernel_grows(base, v_start: float, travel: float, rng: random.Random):
@@ -245,7 +268,7 @@ def main() -> int:
                                           _fields(path), _fields(reference)) if x != y]
             # a block of steps jets at most 4 stage points a step
             block = 4 * max(1, flows.RIDE_BLOCK_BYTES // (32 * metric.dim**3))
-            exact = not per_point or (path.truncated and not bent)
+            exact = not bent and (not per_point or path.truncated)
             differs = moved or jets < spies.jetted or jets > spies.jetted + (0 if exact else block)
             looped = spies.jetted  # before the sample checks jet more
             sampled = ""
