@@ -79,10 +79,10 @@ from .splitting import (
     KernelFieldError,
     NonUnitFieldError,
     RiccatiBlowupError,
-    _frame,
+    _frames,
     _kinds,
     _normal_form,
-    _solve,
+    _solve_each,
     classify,
     evolve_along_nullity_geodesic,
     kernel_section,
@@ -437,23 +437,28 @@ def _scan_rows(metric, points, rel_tol) -> list:
     ]
 
 
-def _curvature_rows(jets, rel_tol, idx) -> list:
-    """R's stage of :func:`_scan_chunk` at the points ``idx`` of ``jets``: ``(scal, kernel, parts of R)`` each.
+def _curvature_rows(jets, rel_tol, store, idx) -> list:
+    """R's stage of :func:`_scan_chunk` at the points ``idx`` of ``jets``: True at each, or False.
 
-    Where some g fails ``invert``'s condition test, those points get None,
-    as each fails alone too, and the rest are redone stacked.
+    The stage's arrays, :func:`_riemann_parts`' tensors, the scalar traces
+    and the kernels' sizes and bases, go into ``store`` at the chunk rows
+    ``idx`` (``numcore._put``).  Where some g fails ``invert``'s condition
+    test, those points get False, as each fails alone too, and the rest are
+    redone stacked.
     """
+    at = slice(None) if len(idx) == len(jets[0]) else idx  # a full slice copies nothing
     try:
-        parts, scal, kernels = _curvatures(*(a[idx] for a in jets[:3]), rel_tol)
+        parts, scal, kernels = _curvatures(*(a[at] for a in jets[:3]), rel_tol)
     except SingularMatrixError:
         passed = _invert_each(jets[0][idx])[1].tolist()
         if all(passed):
             raise
         kept = [i for i, ok in zip(idx, passed) if ok]
-        stage = functools.partial(_curvature_rows, jets, rel_tol)
-        rows = iter(numcore._each_alone(stage, kept, _SCAN_FAULTS, lambda exc: None))
-        return [next(rows) if ok else None for ok in passed]
-    return [(float(s), res, [p[j] for p in parts]) for j, (s, res) in enumerate(zip(scal, kernels))]
+        stage = functools.partial(_curvature_rows, jets, rel_tol, store)
+        rows = iter(numcore._each_alone(stage, kept, _SCAN_FAULTS, lambda exc: False))
+        return [ok and next(rows) for ok in passed]
+    numcore._put(store, len(jets[0]), idx, (*parts, scal, kernels.sizes, kernels.basis))
+    return [True] * len(idx)
 
 
 def _scan_chunk(metric, points, rel_tol) -> list:
@@ -462,13 +467,13 @@ def _scan_chunk(metric, points, rel_tol) -> list:
     The chunk's jets, of order 3 where the metric has one, come from one
     ``MetricField.jets`` call, which jets no point outside the chart.  R,
     the scalar trace and the kernels are stacked over the points with a
-    jet; the splitting solve (``splitting._solve``) and the eigenvalues over
-    those with a line kernel, one stack per frame shape.  The frames are
-    each point's own.  A stacked stage that raises is redone one point at a
-    time: a point whose jet or R fails is a domain row, one whose frame or
-    solve fails an ok row without a kind.  Where R's stage raises because
-    some g fails ``invert``'s condition test, only those points are left
-    out (domain rows) and the rest are redone stacked.
+    jet, and kept stacked over the chunk; the frames, the splitting solves
+    (``splitting._solve_each``, one per frame shape) and the eigenvalues
+    over those with a line kernel.  A stacked stage that raises is redone
+    one point at a time: a point whose jet or R fails is a domain row, one
+    whose frame or solve fails an ok row without a kind.  Where R's stage
+    raises because some g fails ``invert``'s condition test, only those
+    points are left out (domain rows) and the rest are redone stacked.
     """
     if rel_tol is None:
         rel_tol = _default_rel_tol(metric)
@@ -478,50 +483,34 @@ def _scan_chunk(metric, points, rel_tol) -> list:
         if not isinstance(exc, _SCAN_FAULTS):
             raise exc
     jetted = [i for i in range(len(points)) if i not in faults]
-
-    rows = numcore._each_alone(
-        functools.partial(_curvature_rows, jets, rel_tol), jetted, _SCAN_FAULTS, lambda exc: None
+    store = []
+    curved = numcore._each_alone(
+        functools.partial(_curvature_rows, jets, rel_tol, store), jetted, _SCAN_FAULTS, lambda exc: False
     )
-    curved = {i: c for i, c in zip(jetted, rows) if c is not None}
-    frames = {}
-    for i, (_, res, _) in curved.items():
-        if _splitting_defined(res):
-            try:
-                frames[i] = _frame(metric, points[i], jets[0][i], res.basis[0])
-            except _SCAN_FAULTS:
-                pass
+    curved = [i for i, ok in zip(jetted, curved) if ok]
+    if not curved:
+        return [None] * len(points)
+    *parts, scal, sizes, basis = store
+    lines = [i for i in curved if sizes[i] == 1] if metric.dim > 1 else []
 
     def classified(idx):
-        parts = numcore._stack(curved[i][2] for i in idx)
-        t_vecs = np.stack([curved[i][1].basis[0] for i in idx])
-        solves = _solve(metric, points[idx], [a[idx] for a in jets], parts, t_vecs, np.stack([frames[i] for i in idx]))
-        gated = [j for j, (_, residual) in enumerate(solves) if residual <= SMOOTH_KERNEL_RESIDUAL]
+        at = slice(None) if len(idx) == len(points) else idx  # a full slice copies nothing
+        t_vecs = basis[at, 0]
+        rows, kept = _frames(metric, points[at], jets[0][at], t_vecs)
+        solves = _solve_each(metric, points[at], [a[at] for a in jets], [p[at] for p in parts], t_vecs, rows, kept)
+        gated = [j for j, (_, residual, _) in enumerate(solves) if residual <= SMOOTH_KERNEL_RESIDUAL]
         kinds = [""] * len(idx)
         if gated:
-            matrices = np.stack([-solves[j][0] @ frames[idx[j]].T for j in gated])
+            matrices = np.stack([-solves[j][0] @ solves[j][2].T for j in gated])
             for j, kind in zip(gated, _kinds(matrices, eigenvalues(matrices), CLASSIFY_TOL).tolist()):
                 kinds[j] = kind
         return kinds
 
-    # frames of one shape stack; a built complement may have lost a row
-    by_shape = {}
-    for i, frame in frames.items():
-        by_shape.setdefault(frame.shape, []).append(i)
-    kinds = {}
-    for idx in by_shape.values():
-        kinds.update(zip(idx, numcore._each_alone(classified, idx, _SCAN_FAULTS, lambda exc: "")))
-    return [
-        (curved[i][0], curved[i][1].nullity, curved[i][1].conullity, kinds.get(i, "")) if i in curved else None
-        for i in range(len(points))
-    ]
-
-
-def _scan_worker(metric, point, rel_tol):
-    """``(scal, nullity, conullity, kind)`` at one grid point, or None for a domain row.
-
-    The one-point case of :func:`_scan_rows`.
-    """
-    return _scan_rows(metric, [point], rel_tol)[0]
+    kinds = dict(zip(lines, numcore._each_alone(classified, lines, _SCAN_FAULTS, lambda exc: "")))
+    rows = [None] * len(points)
+    for i in curved:
+        rows[i] = (float(scal[i]), int(sizes[i]), metric.dim - int(sizes[i]), kinds.get(i, ""))
+    return rows
 
 
 def cmd_scan(args, parser) -> int:

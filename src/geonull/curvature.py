@@ -35,6 +35,7 @@ nabla R (``CurvatureData.nabla_r`` does, on first access, for the tests).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
@@ -42,6 +43,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import numcore
 from .metricspace import MetricField
 from .numcore import (
     REL_TOL_ANALYTIC,
@@ -55,6 +57,7 @@ from .numcore import (
 __all__ = [
     "DegeneratePlaneError",
     "NullityResult",
+    "Nullities",
     "CurvatureData",
     "christoffel",
     "riemann",
@@ -299,27 +302,62 @@ def _default_rel_tol(metric: MetricField) -> float:
     return REL_TOL_ANALYTIC
 
 
-def _nullities_from(rdown: np.ndarray, g: np.ndarray, rel_tol: float) -> list:
-    """Kernels of v -> R(v, ., ., .) at a stack of points (leading axes), one SVD for all."""
-    n = g.shape[-1]
-    flat = rdown.reshape(-1, n, n ** 3).swapaxes(1, 2)
-    kernels = kernel(flat, rel_tol=rel_tol)
-    results = []
-    for kr, gq, rq in zip(kernels, g.reshape(-1, n, n), rdown.reshape(-1, n, n, n, n)):
-        rows = _g_gram_schmidt(kr.basis.T, gq, drop_tol=1e-10)
-        basis = np.array([_canonical_sign(v) for v in rows]).reshape(-1, n)
-        residuals = np.array(
-            [float(np.max(np.abs(np.einsum("ijkl,i->jkl", rq, v)))) for v in basis]
+@dataclass(frozen=True)
+class Nullities:
+    """:class:`NullityResult` of each point of a stack, stacked.
+
+    ``sizes[i]`` is point i's nullity, and the first ``sizes[i]`` rows of
+    ``basis[i]`` (n, n) and entries of ``residuals[i]`` (n,) are its
+    kernel rows and their residuals (the rest are 0).  Indexing (and so
+    iterating) gives point i's :class:`NullityResult`.
+    """
+
+    sizes: np.ndarray
+    basis: np.ndarray
+    residuals: np.ndarray
+    singular_values: np.ndarray
+    tolerances: np.ndarray
+
+    def __getitem__(self, i: int) -> NullityResult:
+        n, k = self.basis.shape[-1], int(self.sizes[i])
+        return NullityResult(
+            nullity=k,
+            conullity=n - k,
+            basis=self.basis[i, :k],
+            residuals=self.residuals[i, :k],
+            singular_values=self.singular_values[i],
+            tolerance_used=float(self.tolerances[i]),
         )
-        results.append(NullityResult(
-            nullity=basis.shape[0],
-            conullity=n - basis.shape[0],
-            basis=basis,
-            residuals=residuals,
-            singular_values=kr.singular_values,
-            tolerance_used=kr.tolerance_used,
-        ))
-    return results
+
+
+def _nullities_from(rdown: np.ndarray, g: np.ndarray, rel_tol: float) -> Nullities:
+    """Kernels of v -> R(v, ., ., .) at a stack of points (leading axes, flattened), stacked.
+
+    One SVD decides every point's kernel.  The points of each kernel size
+    take one stacked g-Gram-Schmidt of their kernel rows, with canonical
+    signs (dropping a row whose g-norm is below 1e-10), then canonical
+    signs again and the residuals max |R(v, ., ., .)|, so each point's
+    result is bitwise that of the point alone.
+    """
+    n = g.shape[-1]
+    g = g.reshape(-1, n, n)
+    r = rdown.reshape(-1, n, n, n, n)
+    kernels = kernel(r.reshape(-1, n, n ** 3).swapaxes(1, 2), rel_tol=rel_tol)
+    sizes = kernels.sizes.copy()
+    basis, residuals = np.zeros(g.shape), np.zeros(g.shape[:2])
+    for k, at in numcore._groups(sizes):
+        if not k:
+            continue
+        rows, kept = _g_gram_schmidt(_canonical_sign(kernels.rows[at, n - k:]), g[at], drop_tol=1e-10)
+        if not all(kept.ravel().tolist()):  # the accepted rows first, in order
+            rows = np.take_along_axis(rows, np.argsort(~kept, axis=1, kind="stable")[..., None], axis=1)
+            sizes[at] = kept.sum(axis=1)
+        rows = _canonical_sign(rows)
+        basis[at, :k] = rows
+        # a dropped row is zero, its residual too
+        rk = np.einsum("pijkl,pi->pjkl", r[at] if k == 1 else np.repeat(r[at], k, axis=0), rows.reshape(-1, n))
+        residuals[at, :k] = np.abs(rk.reshape(len(rk), -1)).max(axis=1).reshape(-1, k)
+    return Nullities(sizes, basis, residuals, kernels.singular_values, kernels.tolerances)
 
 
 def _curvatures(g, dg, d2g, rel_tol: float):
@@ -359,7 +397,9 @@ class CurvatureData:
     """One-stop curvature summary at a point.
 
     ``scalar_trace`` is the double-trace scalar curvature, ``half_trace``
-    half of it.  At conullity 2 the kernel's complement is one plane and
+    half of it.  ``complement`` is the g-orthonormal complement H of the
+    kernel, built from coordinate directions once, on first access, for
+    every reader.  At conullity 2 H is one plane and
     ``nonflat_plane_curvature`` is its sectional curvature (else None);
     :func:`sectional_range` gives the range over all planes.  The jet the
     summary came from (of order 3 when nabla R was asked for and the metric
@@ -376,18 +416,32 @@ class CurvatureData:
     scalar_trace: float
     half_trace: float
     nullity: NullityResult
-    nonflat_plane_curvature: Optional[float]
     _jet: tuple = dataclass_field(repr=False, compare=False)
     _parts: tuple = dataclass_field(repr=False, compare=False)
+
+    @cached_property
+    def complement(self) -> np.ndarray:
+        rows, kept = _complement(self.g, self.nullity.basis)
+        return rows[kept]
+
+    @cached_property
+    def nonflat_plane_curvature(self) -> Optional[float]:
+        if self.nullity.conullity != 2 or self.complement.shape[0] != 2:
+            return None
+        return _plane_curvature(self.rdown, self.g, *self.complement)[0]
 
     @cached_property
     def nabla_r(self) -> Optional[np.ndarray]:
         return _nabla_riemann(*self._jet, self._parts) if len(self._jet) == 4 else None
 
 
-def _complement(g: np.ndarray, kernel_basis: np.ndarray) -> np.ndarray:
-    # coordinate directions off the kernel; 1e-6 drops those (nearly) inside it
-    return _g_gram_schmidt(np.eye(g.shape[0]), g, prior=kernel_basis, drop_tol=1e-6)
+def _complement(g: np.ndarray, kernel_basis: np.ndarray):
+    """``(rows, kept)``: the g-orthonormal complement of the rows of ``kernel_basis`` at each point of a stack.
+
+    :func:`~geonull.numcore._g_gram_schmidt` of the coordinate directions
+    off the kernel; 1e-6 drops those (nearly) inside it.
+    """
+    return _g_gram_schmidt(np.eye(g.shape[-1]), g, prior=kernel_basis, drop_tol=1e-6)
 
 
 def curvature_data(
@@ -404,26 +458,28 @@ def curvature_data(
     pt = np.asarray(x, dtype=float)
     order = 3 if nabla_r and metric.max_order >= 3 else 2
     jet = metric.jet(pt, order=order)
-    parts, scal, (nres,) = _curvatures(*jet[:3], rel_tol)
-    g, (gi, gamma, rup, rdown), scal = jet[0], parts[:4], float(scal)
-    plane_curv = None
-    if nres.conullity == 2:
-        comp = _complement(g, nres.basis)
-        if comp.shape[0] == 2:
-            plane_curv = _plane_curvature(rdown, g, comp[0], comp[1])[0]
+    parts, scal, kernels = _curvatures(*jet[:3], rel_tol)
+    scal = float(scal)
     return CurvatureData(
         point=pt,
-        g=g,
-        christoffel=gamma,
-        rup=rup,
-        rdown=rdown,
+        g=jet[0],
+        christoffel=parts[1],
+        rup=parts[2],
+        rdown=parts[3],
         scalar_trace=scal,
         half_trace=0.5 * scal,
-        nullity=nres,
-        nonflat_plane_curvature=plane_curv,
+        nullity=kernels[0],
         _jet=jet,
         _parts=parts,
     )
+
+
+# np.triu_indices(k, 1) for k < 4, the index pairs a < b of the 2-vectors e_a ^ e_b
+# of a complement of dimension k (that call takes 18 µs, and its first 256 KB)
+_PAIRS = [
+    tuple(np.array([ab[i] for ab in itertools.combinations(range(k), 2)], dtype=np.intp) for i in (0, 1))
+    for k in range(4)
+]
 
 
 def sectional_range(data: CurvatureData):
@@ -433,11 +489,11 @@ def sectional_range(data: CurvatureData):
     eigenvalues on the 2-vectors of its complement H, and 0 if it is nonzero.
     ``(None, None)`` when n < 2, or dim H >= 4 where 2-vectors need not be planes.
     """
-    frame = _complement(data.g, data.nullity.basis)
+    frame = data.complement
     n, k = data.g.shape[0], frame.shape[0]
     if n < 2 or k >= 4:
         return None, None
-    a, b = np.triu_indices(k, 1)  # the 2-vectors e_a ^ e_b of H, a < b
+    a, b = _PAIRS[k]  # the 2-vectors e_a ^ e_b of H, a < b
     rh = np.einsum("ijkl,ai,bj,ck,dl->abcd", data.rdown, frame, frame, frame, frame)
     lam = list(np.linalg.eigvalsh(rh[a[:, None], b[:, None], b, a])) + [0.0] * (k < n)
     return float(min(lam)), float(max(lam))

@@ -210,8 +210,22 @@ def _straight(dg, bracket) -> np.ndarray:
 
 
 def _in_chart(metric: MetricField, xs) -> np.ndarray:
-    """``metric.contains`` at each row of ``xs``, False where it raises (:meth:`_Ride.integrate` meets the error again)."""
-    return np.array(numcore._each_alone(metric.contains_each, xs, Exception, lambda exc: False), dtype=bool)
+    """``metric.contains`` at each row of ``xs`` up to the first False, False from the first row where it raises.
+
+    Only the first False counts (:meth:`_Ride.integrate` meets the error
+    again there), so where the stacked test raises it is bisected to the
+    first raising row, and the rows after a False read False untested: at
+    most 1 + 2 ceil(log2 m) calls for m rows.
+    """
+    try:
+        return metric.contains_each(xs)
+    except Exception:
+        if len(xs) == 1:
+            return np.zeros(1, dtype=bool)
+    half = len(xs) // 2
+    head = _in_chart(metric, xs[:half])
+    tail = _in_chart(metric, xs[half:]) if head.all() else np.zeros(len(xs) - half, dtype=bool)
+    return np.concatenate([head, tail])
 
 
 def _frame_propagators(gammas, velocities, h: float) -> np.ndarray:
@@ -634,7 +648,7 @@ def flatness_probe(
         d2gs = d2g[np.ix_(idx, idx, idx, idx)]
         gi_leaf, gamma_leaf, rup_leaf, rleaf = _riemann_from_jet(gs, dgs, d2gs)
         max_curv = max(max_curv, float(np.max(np.abs(rleaf))))
-        tangent = _g_gram_schmidt(np.eye(metric.dim)[idx], g)
+        tangent = _g_gram_schmidt(np.eye(metric.dim)[idx], g)[0]  # drop_tol 0 keeps every row
         for a in idx:
             for b in idx:
                 vec = gamma[:, a, b]

@@ -108,7 +108,8 @@ class MetricField:
         Machine-checkable expected facts used by the verify suites.
     preferred_frame : callable, optional
         ``x -> (k, n)`` array of g-orthonormal rows spanning the complement
-        of the expected kernel, used as the default splitting-tensor basis.
+        of the expected kernel, used as the default splitting-tensor basis;
+        on a stack of points (m, n) it returns each point's rows (m, k, n).
     max_order : int
         The highest order ``jet`` supports, 2 or 3 (read-only).
     """
@@ -357,6 +358,8 @@ class _CoframeJet:
         take their sign.
         """
         args = pts[:, self.warp]
+        if len(args) == 1:  # one row is one run
+            return [(0, 1, args[0].tolist(), tuple(args[0].view(np.uint64).tolist()))]
         bits = args.view(np.uint64)
         new = np.ones(len(args), dtype=bool)
         new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
@@ -637,7 +640,10 @@ def catalog_conullity3(p, box: float = DEFAULT_BOX) -> MetricField:
     The chart's preferred orthonormal frame for the kernel complement is
     derived as the dual frame of the coframe (no frame components are
     hard-coded): with F_a the dual of the a-th coframe form, the rows are
-    (F_1 + F_3)/sqrt(2), F_0, (F_1 - F_3)/sqrt(2).
+    (F_1 + F_3)/sqrt(2), F_0, (F_1 - F_3)/sqrt(2).  It takes a point or a
+    stack of them, calls p's value once per run of points sharing their
+    p arguments and builds the rows elementwise, each point's bitwise its
+    own.
     """
     expr = _as_expression(p, ("x", "u", "w"))
     n = 4
@@ -651,15 +657,18 @@ def catalog_conullity3(p, box: float = DEFAULT_BOX) -> MetricField:
         j = expr.jet2(np.asarray(x, dtype=float)[[0, 1, 3]])
         return -2.0 * (j.hessian[1, 1] + j.hessian[2, 2]) / j.value
 
+    s = 1.0 / math.sqrt(2.0)
+    fixed_rows = np.array([[0.0, s, 0.0, s], [0.0] * n, [0.0, s, 0.0, -s]])  # F_0's row is filled per point
+
     def preferred_frame(x):
-        pt = np.asarray(x, dtype=float)
-        pval = expr.value(pt[[0, 1, 3]])
-        u, v, w = pt[1], pt[2], pt[3]
-        f0 = np.array([1.0, v + w, -(u + w), v - u]) / pval
-        s = 1.0 / math.sqrt(2.0)
-        e1 = np.array([0.0, s, 0.0, s])
-        e3 = np.array([0.0, s, 0.0, -s])
-        return np.vstack([e1, f0, e3])
+        pts = np.asarray(x, dtype=float)
+        stack = pts.reshape(-1, n)
+        runs = list(jet._runs(stack))
+        pval = np.repeat([expr.value(coords) for _, _, coords, _ in runs], [stop - start for start, stop, _, _ in runs])
+        u, v, w = stack.T[1:]
+        frames = np.repeat(fixed_rows[None], len(stack), axis=0)
+        frames[:, 1] = np.array([np.ones(len(stack)), v + w, -(u + w), v - u]).T / pval[:, None]
+        return frames.reshape(pts.shape[:-1] + (3, n))
 
     annotations = {
         "p_expression": expr,

@@ -8,11 +8,12 @@ Hessenberg QR; the complex-pair / nilpotent decision on them is
 test takes an SVD only where the bound |A|_F |A^-1|_F cannot decide it.
 The stacked stages of the package share one fallback, ``_each_alone``: a
 stage over a stack that raises is redone one item at a time, so each fault
-stays with its own item (``_stack`` stacks the items' results again for the
-next stage).  They are control flow inside a layer, not calls into this
-one, so other modules reach them through the module
+stays with its own item.  It is control flow inside a layer, not a call
+into this one, so other modules reach it through the module
 (``numcore._each_alone``): a tracer that takes every helper imported by name
-for a layer boundary leaves them be.
+for a layer boundary leaves it be.  The kernel stage is stacked too:
+``kernel`` decides every rank of a stack from one SVD call, and
+``_g_gram_schmidt`` orthonormalizes a stack candidate by candidate.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 __all__ = [
     "SingularMatrixError",
     "KernelResult",
+    "KernelStack",
     "invert",
     "kernel",
     "eigenvalues",
@@ -128,9 +130,33 @@ def _each_alone(stage, items, faults=Exception, failed=lambda exc: exc) -> list:
     return [_each_alone(stage, items[i: i + 1], faults, failed)[0] for i in range(len(items))]
 
 
-def _stack(rows) -> list:
-    """Tuples of arrays, one per point, as one stacked array per tuple position."""
-    return [np.stack(column) for column in zip(*rows)]
+def _groups(keys: np.ndarray) -> list:
+    """``(key, at)`` for each distinct value of the int array ``keys``, in increasing order.
+
+    ``at`` indexes the items with that key: a full slice, which copies
+    nothing, where all items share one key.
+    """
+    distinct = sorted(set(keys.tolist()))
+    if len(distinct) == 1:
+        return [(distinct[0], slice(None))]
+    return [(key, np.flatnonzero(keys == key)) for key in distinct]
+
+
+def _put(store: list, size: int, idx, arrays) -> None:
+    """Put ``arrays``, each stacked over the items ``idx`` of ``size``, at those rows of ``store``'s arrays.
+
+    A stage under :func:`_each_alone` keeps its stacked results this way,
+    whether it ran once over all the items or again over some of them.  The
+    first call makes ``store``'s arrays; one over all the items makes them
+    the given arrays, uncopied, as no other call follows it.
+    """
+    if not store:
+        if len(idx) == size:
+            store.extend(arrays)
+            return
+        store.extend(np.empty((size,) + a.shape[1:], a.dtype) for a in arrays)
+    for into, a in zip(store, arrays):
+        into[idx] = a
 
 
 @dataclass(frozen=True)
@@ -148,32 +174,90 @@ class KernelResult:
 
 
 def _canonical_sign(v: np.ndarray) -> np.ndarray:
-    lead = int(np.argmax(np.abs(v)))
-    return -v if v[lead] < 0 else v
+    """``v`` with each row (last axis) negated where its first largest-magnitude entry is negative."""
+    flat = v.reshape(-1, v.shape[-1])
+    lead = flat[np.arange(len(flat)), np.abs(flat).argmax(axis=1)]
+    return np.negative(v, out=v.copy(), where=(lead < 0).reshape(v.shape[:-1] + (1,)))
 
 
-def _g_gram_schmidt(candidates, g: np.ndarray, prior=(), drop_tol: float = 0.0) -> np.ndarray:
-    """Modified Gram-Schmidt in the inner product ``g``; rows in, rows out.
+def _g_gram_schmidt(candidates, g: np.ndarray, prior=None, drop_tol: float = 0.0):
+    """Modified Gram-Schmidt in the inner product ``g``, over a stack: ``(rows, kept)``.
 
-    Each candidate row is projected off the g-orthonormal rows of ``prior``
-    and off the rows accepted before it, then normalized.  A candidate whose
-    remaining g-norm is below ``drop_tol`` is dropped as dependent.  Returns
-    the accepted rows only, shape (k, n).  No sign is fixed.  Negating a row
-    leaves every projection off it bit for bit unchanged, so a caller may fix
-    the signs of the returned rows afterwards.
+    Leading axes of ``g`` (..., n, n) are a stack of points; ``candidates``
+    (k, n) or (..., k, n) and ``prior`` (..., p, n) broadcast against
+    them.  At each point each candidate row is projected off the
+    g-orthonormal rows of ``prior`` and off the rows accepted before it,
+    then normalized; one whose remaining g-norm is below ``drop_tol`` is
+    dropped as dependent.  ``rows`` (..., k, n) holds the accepted rows,
+    zero where ``kept`` (..., k) is False.  Each row is projected off all
+    the candidates still waiting at once, so each candidate meets the same
+    operations in the same order as alone, and each point's rows are
+    bitwise those of the point alone.  No sign is fixed.  Negating a row
+    leaves every projection off it bit for bit unchanged, so a caller may
+    fix the signs of the returned rows afterwards.
     """
-    rows = [np.asarray(u, dtype=float) for u in prior]
-    out = []
-    for v in np.array(candidates, dtype=float):
-        for u in rows:
-            v = v - float(u @ g @ v) * u
-        nrm = float(np.sqrt(max(v @ g @ v, 0.0)))
-        if nrm < drop_tol:
+    g = np.asarray(g, dtype=float)
+    candidates = np.asarray(candidates, dtype=float)
+    k, n = candidates.shape[-2:]
+    waiting = candidates[..., :, None, :]  # (..., k, 1, n): the candidates not yet normalized, as rows
+    accepted = []  # (c, row (..., 1, n), where it is kept or None for everywhere)
+
+    def off(u, on):
+        """``waiting`` projected off the row u (..., 1, n), where ``on`` (or everywhere for None)."""
+        ug, u = (u @ g)[..., None, :, :], u[..., None, :, :]
+        projected = waiting - (ug @ waiting.swapaxes(-1, -2)) * u
+        return projected if on is None else np.where(on[..., None, None, None], projected, waiting)
+
+    if prior is not None:
+        prior = np.asarray(prior, dtype=float)
+        for j in range(prior.shape[-2]):
+            waiting = off(prior[..., j: j + 1, :], None)
+    for c in range(k):
+        v, waiting = waiting[..., 0, :, :], waiting[..., 1:, :, :]
+        sq = v @ g @ v.swapaxes(-1, -2)
+        sq[sq < 0.0] = 0.0  # max(sq, 0.0): -0.0 and NaN stay
+        nrm = np.sqrt(sq)
+        low = nrm < drop_tol
+        if not any(low.ravel().tolist()):
+            v, on = v / nrm, None
+        elif all(low.ravel().tolist()):
             continue
-        v = v / nrm
-        rows.append(v)
-        out.append(v)
-    return np.array(out) if out else np.zeros((0, g.shape[0]))
+        else:
+            on = ~low[..., 0, 0]
+            v = np.divide(v, nrm, out=np.zeros(v.shape), where=~low)
+        accepted.append((c, v, on))
+        if c + 1 < k:
+            waiting = off(v, on)
+    batch = g.shape[:-2]
+    if accepted and len(accepted) == k and all(on is None for _, _, on in accepted):
+        return np.concatenate([v for _, v, _ in accepted], axis=-2), np.ones(batch + (k,), dtype=bool)
+    rows, kept = np.zeros(batch + (k, n)), np.zeros(batch + (k,), dtype=bool)
+    for c, v, on in accepted:
+        rows[..., c: c + 1, :] = v
+        kept[..., c] = True if on is None else on
+    return rows, kept
+
+
+@dataclass(frozen=True)
+class KernelStack:
+    """:func:`kernel` of each matrix of a stack, stacked.
+
+    ``rows[i]`` (cols, cols) holds matrix i's right singular vectors, and
+    its kernel basis is their last ``sizes[i]`` rows: those whose singular
+    value is below ``tolerances[i]``, or, for a numerically zero map, the
+    identity's rows.  Indexing (and so iterating) gives matrix i's
+    :class:`KernelResult`, whose basis columns have canonical signs.
+    """
+
+    rows: np.ndarray
+    sizes: np.ndarray
+    singular_values: np.ndarray
+    tolerances: np.ndarray
+
+    def __getitem__(self, i: int) -> KernelResult:
+        cols, k = self.rows.shape[-1], int(self.sizes[i])
+        basis = np.ascontiguousarray(_canonical_sign(self.rows[i, cols - k:]).T)
+        return KernelResult(basis, cols - k, self.singular_values[i], float(self.tolerances[i]))
 
 
 def kernel(m, rel_tol: float = REL_TOL_ANALYTIC):
@@ -182,9 +266,9 @@ def kernel(m, rel_tol: float = REL_TOL_ANALYTIC):
     When sigma_max is below the absolute floor 1e-12 the whole column space
     is returned (kernel of a numerically zero map).  Rows are unrestricted;
     columns are capped at 8 since kernels here live in tangent spaces.
-    A stack (..., rows, cols) takes one SVD call and gives a list of
-    results in C order.  Raises ``FloatingPointError`` for a non-finite
-    entry.
+    A stack (..., rows, cols) takes one SVD call and gives a
+    :class:`KernelStack` over its matrices in C order.  Raises
+    ``FloatingPointError`` for a non-finite entry.
     """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
@@ -197,18 +281,14 @@ def kernel(m, rel_tol: float = REL_TOL_ANALYTIC):
         raise FloatingPointError("kernel of a matrix with a non-finite entry")
     # reduced SVD already carries all right singular vectors unless the
     # matrix is wide, in which case the padded V supplies the extra kernel
-    _, sv, vts = np.linalg.svd(a, full_matrices=rows < cols)
-    results = []
-    for s, vt in zip(sv.reshape(-1, sv.shape[-1]), vts.reshape(-1, cols, cols)):
-        smax = float(s[0])
-        if smax <= KERNEL_ABS_FLOOR:
-            results.append(KernelResult(np.eye(cols), 0, s, KERNEL_ABS_FLOOR))
-            continue
-        tol = rel_tol * smax
-        small = [i for i in range(cols) if i >= s.size or s[i] < tol]
-        basis = np.column_stack([_canonical_sign(vt[i]) for i in small]) if small else np.zeros((cols, 0))
-        results.append(KernelResult(basis, cols - len(small), s, tol))
-    return results[0] if a.ndim == 2 else results
+    _, sv, vts = np.linalg.svd(a.reshape(-1, rows, cols), full_matrices=rows < cols)
+    tol = rel_tol * sv[:, 0]
+    sizes = cols - (sv >= tol[:, None]).sum(axis=1)
+    zero = sv[:, 0] <= KERNEL_ABS_FLOOR
+    if any(zero.tolist()):
+        tol[zero], sizes[zero], vts[zero] = KERNEL_ABS_FLOOR, cols, np.eye(cols)
+    stack = KernelStack(vts, sizes, sv, tol)
+    return stack[0] if a.ndim == 2 else stack
 
 
 def eigenvalues(m) -> np.ndarray:

@@ -167,15 +167,24 @@ def _section(res, g: np.ndarray, reference, pt: np.ndarray) -> np.ndarray:
 
 
 def _project(basis: np.ndarray, g: np.ndarray, reference, pt: np.ndarray) -> np.ndarray:
-    """The g-projection of ``reference`` onto the rows of ``basis``, normalized."""
-    ref = np.asarray(reference, dtype=float)
-    terms = [float(b @ g @ ref) * b for b in basis]
-    section = sum(terms[1:], terms[0])  # not 0 + ..., which turns -0.0 into +0.0
-    nrm = float(np.sqrt(section @ g @ section))
-    if nrm < 1e-8:
+    """The g-projection of ``reference`` onto the rows of ``basis``, normalized, at a point or each of a stack.
+
+    Leading axes of ``g``, ``basis`` (..., k, n), ``reference`` and ``pt``
+    are a stack of points, each bitwise the point alone.  Raises
+    :class:`AlignmentError` at the first point where the projection's
+    g-norm is below 1e-8.
+    """
+    ref = np.asarray(reference, dtype=float)[..., :, None]
+    rows = np.moveaxis(basis, -2, 0)
+    section = ((rows[0][..., None, :] @ g) @ ref)[..., 0] * rows[0]
+    for b in rows[1:]:  # summed in order from the first term, not 0 + ..., which turns -0.0 into +0.0
+        section = section + ((b[..., None, :] @ g) @ ref)[..., 0] * b
+    nrm = np.sqrt(section[..., None, :] @ g @ section[..., :, None])[..., 0]
+    low = nrm < 1e-8
+    if low.any():
         raise AlignmentError(
             "reference vector is orthogonal to the curvature kernel at "
-            + np.array2string(pt, precision=6)
+            + np.array2string(np.reshape(pt, (-1, g.shape[-1]))[np.argmax(low)], precision=6)
         )
     return section / nrm
 
@@ -230,20 +239,40 @@ class SplittingTensor:
         return 0.5 * (np.trace(m) ** 2 - np.trace(m @ m))
 
 
-def _frame(metric: MetricField, pt: np.ndarray, g: np.ndarray, t_vec: np.ndarray) -> np.ndarray:
-    """Rows spanning the complement of the unit ``t_vec`` at pt.
+def _frames(metric: MetricField, points: np.ndarray, g: np.ndarray, t_vecs: np.ndarray):
+    """``(rows, kept)``: rows spanning the complement of the unit T = ``t_vecs`` at each point of a stack.
 
-    The chart's preferred frame, else the g-orthonormal complement of
-    ``t_vec`` built from coordinate directions.
+    Leading axes are the stack (none for one point).  The chart's preferred
+    frame, every row kept, else the g-orthonormal complement of T built
+    from coordinate directions (:func:`~geonull.curvature._complement`),
+    which keeps the rows ``kept`` marks.
     """
     if metric.preferred_frame is not None:
-        return np.asarray(metric.preferred_frame(pt), dtype=float)
-    if g.shape[0] == 1:
+        rows = np.asarray(metric.preferred_frame(points), dtype=float)
+        return rows, np.ones(rows.shape[:-1], dtype=bool)
+    if g.shape[-1] == 1:
         raise AlignmentError(
-            f"T spans the tangent space at {np.array2string(pt, precision=6)}: "
+            f"T spans the tangent space at {np.array2string(np.reshape(points, (-1, 1))[0], precision=6)}: "
             "the splitting tensor has no complement to act on"
         )
-    return _complement(g, t_vec[None])
+    return _complement(g, t_vecs[..., None, :])
+
+
+def _frame(metric: MetricField, pt: np.ndarray, g: np.ndarray, t_vec: np.ndarray) -> np.ndarray:
+    """Rows spanning the complement of the unit ``t_vec`` at pt: :func:`_frames` at one point."""
+    rows, kept = _frames(metric, pt, g, t_vec)
+    return rows[kept]
+
+
+def _kernel_frame(metric: MetricField, data: CurvatureData) -> np.ndarray:
+    """:func:`_frame` of ``data``'s first kernel vector.
+
+    At a line kernel that is ``data.complement`` where the chart has no
+    preferred frame, the same bits, so its readers share one build.
+    """
+    if metric.preferred_frame is None and data.nullity.nullity == 1 and data.g.shape[0] > 1:
+        return data.complement
+    return _frame(metric, data.point, data.g, data.nullity.basis[0])
 
 
 def _stencil(x: np.ndarray, h: float) -> np.ndarray:
@@ -355,7 +384,7 @@ def splitting_tensor_from_curvature(metric: MetricField, data: CurvatureData, h:
     field and the matrix means nothing.  The caller checks that the kernel
     at x is a line.
     """
-    basis = _frame(metric, data.point, data.g, data.nullity.basis[0])
+    basis = _kernel_frame(metric, data)
     coef, residual = _solve(metric, data.point, data._jet, data._parts, data.nullity.basis[0], basis, h)[0]
     return -coef @ basis.T, residual
 
@@ -413,26 +442,37 @@ def _least_squares(rdown, rhs, bases) -> list:
     return list(zip(coef_t.swapaxes(-1, -2).reshape(math.prod(shape), -1, n), residual.ravel().tolist()))
 
 
+def _solve_each(metric: MetricField, points, jet, parts, t_vecs, rows, kept) -> list:
+    """``[(coef, residual, basis)]``: :func:`_solve` at each point of a stack over its ``rows`` that ``kept`` marks.
+
+    ``basis`` is the point's kept rows.  The points that keep as many rows
+    take one stacked solve, so each result is bitwise the point's own.
+    """
+    out = [None] * len(points)
+    for count, at in numcore._groups(kept.sum(axis=-1)):
+        idx = np.arange(len(points))[at]
+        bases = rows[at][kept[at]].reshape(len(idx), count, rows.shape[-1])
+        solves = _solve(metric, points[at], [a[at] for a in jet], [p[at] for p in parts], t_vecs[at], bases)
+        for j, (coef, residual), basis in zip(idx.tolist(), solves, bases):
+            out[j] = (coef, residual, basis)
+    return out
+
+
 def _frame_tensor(metric: MetricField, data: CurvatureData, reference, frame, dimension: int):
     """C_T at ``data.point`` in the rows of ``frame`` (spanning T's complement), from nabla R.
 
     T is the unit g-projection of ``reference`` onto the kernel, which must
-    have ``dimension``.  The solve runs over the kernel's complement H, so
-    C's rows along kernel directions inside T's complement are 0.  Raises
-    :class:`KernelDimensionError`, :class:`AlignmentError`, or
-    :class:`KernelFieldError` when the solve's residual is above
-    :data:`SMOOTH_KERNEL_RESIDUAL`.
+    have ``dimension``.  The solve runs over the kernel's complement H
+    (``data.complement``), so C's rows along kernel directions inside T's
+    complement are 0.  Raises :class:`KernelDimensionError`,
+    :class:`AlignmentError`, or :class:`KernelFieldError` when the solve's
+    residual is above :data:`SMOOTH_KERNEL_RESIDUAL`.
     """
-    t_vec, basis = _t_and_complement(data.nullity, data.g, reference, data.point, dimension)
-    coef, residual = _solve(metric, data.point, data._jet, data._parts, t_vec, basis)[0]
-    return _in_frame(coef, residual, data.g, basis, frame, data.point)
-
-
-def _t_and_complement(res, g: np.ndarray, reference, pt: np.ndarray, dimension: int):
-    """``(t_vec, basis)``: :func:`_frame_tensor`'s T and the complement H of the kernel ``res``."""
-    if res.nullity != dimension:
-        raise KernelDimensionError(dimension, res.nullity, pt)
-    return _project(res.basis, g, reference, pt), _complement(g, res.basis)
+    if data.nullity.nullity != dimension:
+        raise KernelDimensionError(dimension, data.nullity.nullity, data.point)
+    t_vec = _project(data.nullity.basis, data.g, reference, data.point)
+    coef, residual = _solve(metric, data.point, data._jet, data._parts, t_vec, data.complement)[0]
+    return _in_frame(coef, residual, data.g, data.complement, frame, data.point)
 
 
 def _in_frame(coef, residual: float, g: np.ndarray, basis, frame, pt: np.ndarray) -> np.ndarray:
@@ -447,59 +487,37 @@ def _sample_tensors(metric: MetricField, path: GeodesicPath, indices, dimension:
 
     Each entry is bitwise ``_frame_tensor(metric, curvature_data(metric, q,
     rel_tol, nabla_r=True), velocity, frame, dimension)`` at node q, or the
-    error that raises there (``curvature_data``'s plane curvature at a
-    conullity-2 kernel, which C does not use, is left out).  The jets come
-    from one :meth:`MetricField.jets` call, R and the kernels from one
-    stacked ``_curvatures``, and the solves from one stacked :func:`_solve`
-    per complement shape, as ``scan`` stacks its grid points.  T, the
-    complement and C in the frame are each node's own.  A stage that raises
-    is redone one node at a time, so each error stays with its own node.
+    error that raises there.  The jets come from one
+    :meth:`MetricField.jets` call; R and the kernels, T, the complements
+    and the solves (one per complement shape, :func:`_solve_each`) are
+    each stacked over the nodes, as ``scan`` stacks its grid points, and
+    only C in the frame is each node's own.  Where the stack raises, each
+    node is redone alone, so each error stays with its own node.
     """
     if not len(indices):
         return []
     if rel_tol is None:
         rel_tol = _default_rel_tol(metric)
-    points = path.points[indices]
+    points, velocities, frames = path.points[indices], path.velocities[indices], path.frame[indices]
     jets, out = metric.jets(points, order=metric.max_order)  # out: node -> C or the error raised
-    curved, lines, solved = {}, {}, {}
 
-    def advance(stage, idx, into: dict) -> list:
-        """The nodes of ``idx`` that ``stage`` passes, their results put ``into``; the rest go to ``out``."""
-        passed = []
-        for j, result in zip(idx, numcore._each_alone(stage, idx)):
-            if isinstance(result, Exception):
-                out[j] = result
-            else:
-                into[j] = result
-                passed.append(j)
-        return passed
+    def tensors(idx):
+        jet = [a[idx] for a in jets]
+        parts, _, kernels = _curvatures(*jet[:3], rel_tol)
+        wrong = kernels.sizes != dimension
+        if wrong.any():
+            first = int(np.argmax(wrong))
+            raise KernelDimensionError(dimension, int(kernels.sizes[first]), points[idx][first])
+        basis, g = kernels.basis[:, :dimension], jet[0]
+        t_vecs = _project(basis, g, velocities[idx], points[idx])
+        solves = _solve_each(metric, points[idx], jet, parts, t_vecs, *_complement(g, basis))
+        return [
+            _in_frame(coef, residual, g[j], h, frames[i], points[i])
+            for j, (i, (coef, residual, h)) in enumerate(zip(idx, solves))
+        ]
 
-    def curvatures(idx):
-        parts, _, kernels = _curvatures(*(a[idx] for a in jets[:3]), rel_tol)
-        return [([p[k] for p in parts], res) for k, res in enumerate(kernels)]
-
-    def solves(idx):
-        t_vecs, bases = (np.stack([lines[j][k] for j in idx]) for k in (0, 1))
-        parts = numcore._stack(curved[j][0] for j in idx)
-        return _solve(metric, points[idx], [a[idx] for a in jets], parts, t_vecs, bases)
-
-    live = advance(curvatures, [j for j in range(len(points)) if j not in out], curved)
-    velocities = path.velocities[indices]
-    live = advance(
-        lambda idx: [
-            _t_and_complement(curved[j][1], jets[0][j], velocities[j], points[j], dimension) for j in idx
-        ],
-        live, lines,
-    )
-    by_shape = {}  # a built complement may have lost a row
-    for j in live:
-        by_shape.setdefault(lines[j][1].shape, []).append(j)
-    live = [j for idx in by_shape.values() for j in advance(solves, idx, solved)]
-    frames = path.frame[indices]
-    advance(
-        lambda idx: [_in_frame(*solved[j], jets[0][j], lines[j][1], frames[j], points[j]) for j in idx],
-        live, out,
-    )
+    live = [j for j in range(len(points)) if j not in out]
+    out.update(zip(live, numcore._each_alone(tensors, live)))
     return [out[j] for j in range(len(points))]
 
 
@@ -705,7 +723,7 @@ def evolve_along_nullity_geodesic(
     data = curvature_data(metric, pt, rel_tol, nabla_r=True)
     section = _section(data.nullity, data.g, None, pt)
     k0 = data.nullity.nullity
-    frame = _frame(metric, pt, data.g, section)
+    frame = _kernel_frame(metric, data)
     start = _frame_tensor(metric, data, section, frame, k0)
     path = geodesic(metric, pt, section, tmax, steps=steps, frame=frame)
     indices = _sample_indices(path.times.size, samples)  # node 0 first

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from geonull import cli, splitting
+from geonull import cli, curvature, splitting
 from geonull.cli import main
 from geonull.exprcalc import DomainError
 from geonull.metricspace import CATALOG, MetricField, catalog_conullity3, finite_difference_field
@@ -145,6 +145,35 @@ def test_analyze_without_complement_has_no_splitting(capsys):
     doc = json.loads(out)
     assert (doc["nullity"]["nullity"], doc["nullity"]["conullity"]) == (1, 0)
     assert doc["splitting"] is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--metric", "sekigawa", "--p", "exp(u)", "--point", "0.2,-0.3,0.1"),
+        ("--metric", "sphere", "--point", "1.1,0.4"),
+        ("--metric", "polar", "--point", "1.3,0.7"),
+        ("--metric", "product", "--point", "1,0.5,0.2,-0.1"),
+        ("--metric", "conullity3", "--point", "0.1,0.2,-0.3,0.4"),
+        ("--metric", "euclidean", "--dim", "3", "--point", "0.1,-0.2,0.3"),
+    ],
+    ids=["sekigawa", "sphere", "polar", "product", "conullity3", "euclidean"],
+)
+def test_analyze_builds_the_kernels_complement_once(argv, capsys, monkeypatch):
+    # the plane curvature, the sectional range and a built splitting frame all
+    # read CurvatureData.complement (sekigawa's analyze built it three times,
+    # sphere's and product's twice)
+    builds = []
+    complement = curvature._complement
+
+    def counted(*args):
+        builds.append(args)
+        return complement(*args)
+
+    monkeypatch.setattr(curvature, "_complement", counted)
+    monkeypatch.setattr(splitting, "_complement", counted)
+    assert run_cli(capsys, "analyze", *argv)[0] == 0
+    assert len(builds) == 1
 
 
 def test_usage_errors_exit_one(capsys):
@@ -338,7 +367,7 @@ def _bitwise(rows):
 
 def _stacked_and_alone(metric, points):
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        return cli._scan_rows(metric, points, None), [cli._scan_worker(metric, pt, None) for pt in points]
+        return cli._scan_rows(metric, points, None), [cli._scan_rows(metric, [pt], None)[0] for pt in points]
 
 
 _SIDE = np.linspace(-1.5, 1.5, 4)
@@ -416,7 +445,7 @@ def test_scan_redoes_stacked_the_points_whose_g_can_be_inverted(monkeypatch):
     # exp(7 u w) leaves g too ill-conditioned to invert at points of each of the three chunks
     metric = catalog_conullity3("exp(7*u*w)")
     points = _scan_points(metric, u=np.linspace(-2, 2, 9), w=np.linspace(-2, 2, 9))
-    alone = [cli._scan_worker(metric, pt, None) for pt in points]
+    alone = [cli._scan_rows(metric, [pt], None)[0] for pt in points]
     sizes = []
     curvatures = cli._curvatures
 

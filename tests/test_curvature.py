@@ -5,7 +5,6 @@ import pytest
 
 from geonull.curvature import (
     DegeneratePlaneError,
-    _complement,
     _covariant_dr,
     _nabla_riemann,
     _nullity_from,
@@ -401,7 +400,7 @@ def test_sectional_range_ends_are_reached():
     for label, metric, pt in _range_cases():
         data = curvature_data(metric, pt)
         lo, hi = sectional_range(data)
-        frame = _complement(data.g, data.nullity.basis)
+        frame = data.complement
         if lo is None or frame.shape[0] < 2:
             continue
         reached = []

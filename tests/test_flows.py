@@ -818,3 +818,26 @@ def test_ride_meeting_a_raising_jet_mid_block_truncates_like_the_reference(with_
     path = geodesic(metric, [0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], 1.0, steps=64, frame=frame)
     assert path.truncated and path.exit_parameter == 19 / 64
     assert points == reference and jetted.stacked > 0
+
+
+def test_a_raising_domain_test_is_bisected_to_its_first_raising_node(monkeypatch):
+    # the block's 63-node domain test raises (p's sqrt past x = 0.308); only the
+    # first node that raises decides where the block stops, so the test is
+    # bisected to it instead of redone node by node (65 calls)
+    metric = catalog_conullity3("3+cos(u)+cos(w)+0*sqrt(0.308-x)")
+    calls = []
+    contains_each = MetricField.contains_each
+
+    def counted(self, pts):
+        calls.append(len(pts))
+        return contains_each(self, pts)
+
+    monkeypatch.setattr(MetricField, "contains_each", counted)
+    jetted = _Jetted(monkeypatch)
+    points, reference = _ride_against_the_reference(
+        metric, [0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], 1.0, 64, np.eye(4), jetted
+    )
+    assert points == reference
+    calls.clear()
+    geodesic(metric, [0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], 1.0, steps=64, frame=np.eye(4))
+    assert 63 in calls and len(calls) <= 2 + 2 * math.ceil(math.log2(64))

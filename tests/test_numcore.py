@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geonull.curvature import _complement, curvature_data
+from geonull.curvature import curvature_data
 from geonull.metricspace import catalog_conullity3
 from geonull.numcore import (
     KERNEL_ABS_FLOOR,
@@ -261,7 +261,7 @@ def test_eigenvalues_repeated_root_of_a_curvature_operator():
     # the operator on 2-vectors of the complement that sectional_range builds for
     # conullity3 --p 4-u*u-w*w at 0.1,0.2,-0.3,0.4; its eigenvalue 2/3.8 is double
     data = curvature_data(catalog_conullity3("4-u*u-w*w"), np.array([0.1, 0.2, -0.3, 0.4]))
-    frame = _complement(data.g, data.nullity.basis)
+    frame = data.complement
     a, b = np.triu_indices(frame.shape[0], 1)
     rh = np.einsum("ijkl,ai,bj,ck,dl->abcd", data.rdown, frame, frame, frame, frame)
     op = rh[a[:, None], b[:, None], b, a]
@@ -279,6 +279,12 @@ def test_dimension_cap():
     assert np.array_equal(eigenvalues(np.diag(np.arange(8.0, 0.0, -1.0))), np.arange(1.0, 9.0))
 
 
+def _accepted(*args, **kwargs):
+    """The rows ``_g_gram_schmidt`` accepts at its one point."""
+    rows, kept = _g_gram_schmidt(*args, **kwargs)
+    return rows[kept]
+
+
 def test_g_gram_schmidt_orthonormal_and_drops_dependent_rows():
     rng = np.random.default_rng(21)
     a = rng.standard_normal((4, 4))
@@ -286,30 +292,31 @@ def test_g_gram_schmidt_orthonormal_and_drops_dependent_rows():
     c = rng.standard_normal((3, 4))
     # the third candidate is a combination of the first two
     candidates = np.vstack([c[0], c[1], 2.0 * c[0] - 0.5 * c[1], c[2]])
-    rows = _g_gram_schmidt(candidates, g, drop_tol=1e-8)
-    assert rows.shape == (3, 4)
+    rows, kept = _g_gram_schmidt(candidates, g, drop_tol=1e-8)
+    assert kept.tolist() == [True, True, False, True] and not rows[2].any()
+    rows = rows[kept]
     assert np.allclose(rows @ g @ rows.T, np.eye(3), atol=1e-12)
     # rows after the prior ones are g-orthogonal to them as well
-    more = _g_gram_schmidt(np.eye(4), g, prior=rows, drop_tol=1e-8)
+    more = _accepted(np.eye(4), g, prior=rows, drop_tol=1e-8)
     assert more.shape == (1, 4)
     assert np.allclose(more @ g @ rows.T, 0.0, atol=1e-12)
-    assert _g_gram_schmidt(np.zeros((0, 4)), g).shape == (0, 4)
+    assert _accepted(np.zeros((0, 4)), g).shape == (0, 4)
 
 
 def test_g_gram_schmidt_ignores_the_sign_of_prior_rows():
     rng = np.random.default_rng(22)
     a = rng.standard_normal((5, 5))
     g = a @ a.T + 5.0 * np.eye(5)
-    prior = _g_gram_schmidt(rng.standard_normal((2, 5)), g)
+    prior = _accepted(rng.standard_normal((2, 5)), g)
     candidates = rng.standard_normal((3, 5))
-    base = _g_gram_schmidt(candidates, g, prior=prior)
+    base = _accepted(candidates, g, prior=prior)
     for i in range(2):
         flipped = prior.copy()
         flipped[i] = -flipped[i]
-        assert _g_gram_schmidt(candidates, g, prior=flipped).tobytes() == base.tobytes()
+        assert _accepted(candidates, g, prior=flipped).tobytes() == base.tobytes()
     # negating an accepted row before it is used leaves the later rows bitwise equal
-    first = _g_gram_schmidt(candidates[:1], g, prior=prior)
-    rest = _g_gram_schmidt(candidates[1:], g, prior=np.vstack([prior, -first]))
+    first = _accepted(candidates[:1], g, prior=prior)
+    rest = _accepted(candidates[1:], g, prior=np.vstack([prior, -first]))
     assert rest.tobytes() == base[1:].tobytes()
 
 

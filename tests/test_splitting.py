@@ -250,7 +250,7 @@ def _both_tensors(metric, point):
     matrix, residual = splitting_tensor_from_curvature(metric, data)
     basis = None
     if metric.preferred_frame is None:
-        basis = _complement(data.g, data.nullity.basis)
+        basis = data.complement
     return matrix, residual, splitting_tensor(metric, point, basis=basis).matrix
 
 
@@ -306,7 +306,7 @@ def test_nabla_r_kind_matches_stencil_kind(family):
             matrix, residual, stencil = _both_tensors(metric, pt)
             kinds = {classify(m, tol=cli.CLASSIFY_TOL).kind for m in (matrix, stencil)}
             assert kinds == {"nilpotent"}
-            assert cli._scan_worker(metric, pt, None)[3] == "nilpotent"
+            assert cli._scan_rows(metric, [pt], None)[0][3] == "nilpotent"
             assert residual <= 1e-7
 
 
@@ -318,7 +318,7 @@ def test_nabla_r_kind_near_the_warp_floor_is_nilpotent_or_none():
     kinds = []
     for _ in range(40):
         pt = np.array([rng.uniform(-3.0, 3.0), rng.uniform(-2.5, -1.5), rng.uniform(-3.0, 3.0)])
-        kinds.append(cli._scan_worker(metric, pt, None)[3])
+        kinds.append(cli._scan_rows(metric, [pt], None)[0][3])
     assert set(kinds) == {"nilpotent", ""}
     assert kinds.count("nilpotent") >= 20
 
@@ -354,7 +354,7 @@ def test_residual_gate_rejects_a_kernel_line_that_is_no_field(monkeypatch, capsy
     assert np.allclose(np.abs(data.nullity.basis[0]), [0.0, 1.0, 0.0], atol=1e-12)
     _, residual = splitting_tensor_from_curvature(metric, data)
     assert residual > 0.5 > splitting.SMOOTH_KERNEL_RESIDUAL
-    assert cli._scan_worker(metric, pt, None)[3] == ""
+    assert cli._scan_rows(metric, [pt], None)[0][3] == ""
     monkeypatch.setattr(cli, "_build_metric", lambda args, parser: metric)
     assert cli.main(["analyze", "--metric", "euclidean", "--point", "0.3,0,0.1"]) == 0
     error = json.loads(capsys.readouterr().out)["splitting"]["error"]
@@ -533,8 +533,9 @@ def _stacked_systems(metric, count, seed):
     jets, faults = metric.jets(points, order=3)
     assert not faults
     parts, _, kernels = curvature._curvatures(*jets[:3], 1e-7)
-    t_vecs = np.stack([res.basis[0] for res in kernels])
-    bases = np.stack([_complement(g, res.basis) for g, res in zip(jets[0], kernels)])
+    t_vecs = kernels.basis[:, 0]
+    rows, kept = _complement(jets[0], kernels.basis[:, :1])
+    bases = rows[kept].reshape(count, -1, metric.dim)
     return (*curvature._solve_sides(*jets, parts, t_vecs), bases)
 
 

@@ -37,8 +37,10 @@ by point, marking those that differ, and for a kernel ride how its samples
 ended, then how many rides the stacked pass took to the end, how many it
 handed over part-way or at the start, and how many were truncated, then
 the points jetted by the stacked rides and by the loop, in all and on the
-rides that jetted more, and how many kernel rides' samples differ.  Exits 1
-if any ride differs.
+rides that jetted more, and how many kernel rides' samples differ.  A ride
+whose stacked pass or loop raises an error that the stages do not catch
+differs too: its line names the error, and the run goes on (tallied as
+``raised``).  Exits 1 if any ride differs.
 
 Run:  python3 tools/ride_agreement.py [--rides 100] [--seed 2031]
 """
@@ -187,6 +189,13 @@ def _outcome(run) -> tuple:
         return ("raised", type(exc).__name__, str(exc))
 
 
+def _loop(metric, x0, v0, frame, tmax: float, steps: int):
+    """The path of the point-by-point RK4 loop alone from node 0."""
+    ride = flows._Ride(metric, tmax / steps, x0.copy(), v0.copy(), frame.copy())
+    ride.integrate(steps)
+    return ride.path()
+
+
 def _report_fields(report) -> tuple:
     return (report.start_matrix.tobytes(), report.sample_times.tobytes(),
             [c.tobytes() for c in report.measured], [p.tobytes() for p in report.predicted],
@@ -249,13 +258,23 @@ def main() -> int:
             label, metric, x0, v0, frame, tmax, steps = drawn
             stacks.clear()
             spies.reset()
-            path = flows.geodesic(metric, x0, v0, tmax, steps=steps, frame=frame)
+            path = _outcome(lambda: (flows.geodesic(metric, x0, v0, tmax, steps=steps, frame=frame),))
             jets, bent = spies.jetted, spies.bent
             stacked, per_point = stacks.count(True), stacks.count(False)
             spies.reset()
-            ride = flows._Ride(metric, tmax / steps, x0.copy(), v0.copy(), frame.copy())
-            ride.integrate(steps)
-            reference = ride.path()
+            reference = _outcome(lambda: (_loop(metric, x0, v0, frame, tmax, steps),))
+            head = (f"{label}: x0 {','.join('%.17g' % c for c in x0)} "
+                    f"v0 {','.join('%.17g' % c for c in v0)} tmax {tmax!r} steps {steps}")
+            if path[0] == "raised" or reference[0] == "raised":
+                # an error outside the stages' faults: the ride differs, and the run goes on
+                tally["raised"] += 1
+                differ += 1
+                print(f"DIFFERS {head}: " + "; ".join(
+                    f"{side} raised {out[1]}: {out[2]}" for side, out in (("stacked", path), ("loop", reference))
+                    if out[0] == "raised"
+                ))
+                continue
+            path, reference = path[1], reference[1]
             kind = ("stacked to the end" if not per_point else
                     "handed over part-way" if stacked else "handed over at the start")
             tally[kind + (", truncated" if path.truncated else "")] += 1
@@ -281,8 +300,7 @@ def main() -> int:
                          f"{len(together[3])} reached" + (", aborted" if together[6] else ""))
                 sampled = f", samples {ended}{'' if together == alone else ' DIFFER'}"
             differ += bool(differs)
-            print(f"{'DIFFERS ' if differs else ''}{label}: x0 {','.join('%.17g' % c for c in x0)} "
-                  f"v0 {','.join('%.17g' % c for c in v0)} tmax {tmax!r} steps {steps}: {kind}, "
+            print(f"{'DIFFERS ' if differs else ''}{head}: {kind}, "
                   f"moved {moved or '-'}, jetted {jets} vs {looped}{sampled}")
     for kind, count in sorted(tally.items()):
         print(f"{kind}: {count}")

@@ -17,7 +17,9 @@ leaves the chart, one backward (``--tmax -1``) and polar's inward radial
 ray in custom mode, which stops at the r > 0.05 cutoff; then two scans of
 one warp shape, ``2+u^2.5`` (domain rows where u < 0) and ``2 + u ^ 2``
 (an integer power, with other spans), so a warm run takes the second's
-kernels from the first's shape plan.  Argvs are only
+kernels from the first's shape plan; then a scan of product with a kernel of
+dimension 3 at every point and one of euclidean, where R is zero (the
+kernel stage's groups by kernel size).  Argvs are only
 ever appended, so every line of an earlier set stays.  Each argv runs in-process
 through ``geonull.cli.main`` against the sources next to this script;
 stderr (timings) is discarded.  A refactor that claims identical output
@@ -91,6 +93,8 @@ ARGVS = (
     ("flow", "--metric", "polar", "--point", "1,0", "--direction", "-1,0", "--tmax", "2"),
     ("scan", "--metric", "conullity3", "--p", "2+u^2.5", "--grid", "u=-1:1:3,w=0:0:1"),
     ("scan", "--metric", "conullity3", "--p", "2 + u ^ 2", "--grid", "u=-1:1:3,w=0:0:1"),
+    ("scan", "--metric", "product", "--dim", "5", "--grid", "theta=0.5:2.5:3,x1=-1:1:2"),
+    ("scan", "--metric", "euclidean", "--dim", "3", "--grid", "x0=-1:1:3"),
 )
 
 
