@@ -128,28 +128,56 @@ def _float_repr(x: float) -> str:
     return "%.17g" % x
 
 
+def _float_array(values) -> str:
+    """The JSON array of a list of floats: one format call for all, one a value where a nan or inf needs its ``null``."""
+    text = ("%.17g," * len(values) % tuple(values))[:-1]
+    if "n" in text:  # "nan" or "inf"
+        text = ",".join(map(_float_repr, values))
+    return "[" + text + "]"
+
+
+# the types _dumps writes; anything else goes through _plain first
+_PLAIN = frozenset({list, tuple, dict, float, str, int, bool, type(None)})
+_encode = _json.encoder.encode_basestring  # json.dumps(obj, ensure_ascii=False), unwrapped
+
+
+def _plain(obj):
+    """``obj`` as one of the :data:`_PLAIN` types: numpy arrays and scalars, and subclasses of those types, converted."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj)
+    for base in (str, list, tuple, dict):
+        if isinstance(obj, base):
+            return base(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
 def _dumps(obj) -> str:
     """Deterministic JSON: sorted keys, fixed float formatting, no spaces."""
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+    kind = type(obj)
+    if kind not in _PLAIN:
+        obj = _plain(obj)
+        kind = type(obj)
+    if kind is list or kind is tuple:
+        if all(type(v) is float for v in obj):
+            return _float_array(obj)
+        return "[" + ",".join(map(_dumps, obj)) + "]"
+    if kind is dict:
+        return "{" + ",".join(_encode(str(key)) + ":" + _dumps(obj[key]) for key in sorted(obj)) + "}"
+    if kind is float:
+        return _float_repr(obj)
+    if kind is str:
+        return _encode(obj)
+    if kind is bool:
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _float_repr(float(obj))
-    if isinstance(obj, str):
-        return _json.encoder.encode_basestring(obj)  # json.dumps(obj, ensure_ascii=False), unwrapped
-    if isinstance(obj, np.ndarray):
-        return _dumps(obj.tolist())
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_dumps(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        parts = []
-        for key in sorted(obj):
-            parts.append(_json.encoder.encode_basestring(str(key)) + ":" + _dumps(obj[key]))
-        return "{" + ",".join(parts) + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    if kind is int:
+        return str(obj)
+    return "null"
 
 
 def _emit(text: str, args) -> None:

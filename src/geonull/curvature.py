@@ -439,9 +439,14 @@ def _complement(g: np.ndarray, kernel_basis: np.ndarray):
     """``(rows, kept)``: the g-orthonormal complement of the rows of ``kernel_basis`` at each point of a stack.
 
     :func:`~geonull.numcore._g_gram_schmidt` of the coordinate directions
-    off the kernel; 1e-6 drops those (nearly) inside it.
+    off the kernel; 1e-6 drops those (nearly) inside it, so it stops once
+    every point has its n - k rows, and a kernel that fills the space has
+    none.
     """
-    return _g_gram_schmidt(np.eye(g.shape[-1]), g, prior=kernel_basis, drop_tol=1e-6)
+    n, k = g.shape[-1], kernel_basis.shape[-2]
+    if k == n:
+        return np.zeros(g.shape[:-2] + (n, n)), np.zeros(g.shape[:-2] + (n,), dtype=bool)
+    return _g_gram_schmidt(np.eye(n), g, prior=kernel_basis, drop_tol=1e-6, rank=n - k)
 
 
 def curvature_data(
@@ -493,10 +498,33 @@ def sectional_range(data: CurvatureData):
     n, k = data.g.shape[0], frame.shape[0]
     if n < 2 or k >= 4:
         return None, None
-    a, b = _PAIRS[k]  # the 2-vectors e_a ^ e_b of H, a < b
-    rh = np.einsum("ijkl,ai,bj,ck,dl->abcd", data.rdown, frame, frame, frame, frame)
-    lam = list(np.linalg.eigvalsh(rh[a[:, None], b[:, None], b, a])) + [0.0] * (k < n)
+    lam = list(np.linalg.eigvalsh(_plane_operator(data.rdown, frame))) + [0.0] * (k < n)
     return float(min(lam)), float(max(lam))
+
+
+def _plane_operator(rdown: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """The curvature operator on the 2-vectors e_a ^ e_b (a < b) of the rows of ``frame`` (k, n), k < 4.
+
+    Entry (p, q) is R(e_a, e_b, e_b', e_a') for the p-th pair (a, b) and the
+    q-th (a', b'): bitwise that entry of ``einsum("ijkl,ai,bj,ck,dl->abcd",
+    rdown, frame, frame, frame, frame)``, built without the other k^4 entries.
+    As the einsum does, each product R_ijkl f_ai f_bj f_ck f_dl is multiplied
+    left to right and the products are added to 0.0 one at a time, in the
+    memory order of ``rdown``'s axes (the order its iterator takes them).
+    """
+    n = rdown.shape[-1]
+    a, b = _PAIRS[frame.shape[0]]
+    if not len(a):  # k < 2: no 2-vectors
+        return np.zeros((0, 0))
+    rows = (a[:, None], b[:, None], b[None, :], a[None, :])  # the frame row each of R's axes takes, at entry (p, q)
+    order = sorted(range(4), key=lambda axis: -rdown.strides[axis])  # outermost in memory first
+    terms = rdown.transpose(order)
+    for axis, at in enumerate(rows):
+        shape = [1, 1, 1, 1]
+        shape[order.index(axis)] = n
+        terms = terms * frame[at].reshape(at.shape + tuple(shape))
+    sums = np.add.accumulate(terms.reshape(len(a), len(a), n**4), axis=-1)[..., -1]
+    return 0.0 + sums  # a sum from 0.0 differs from one that starts at its first term only at -0.0
 
 
 def _covariant_dr(metric: MetricField, pt: np.ndarray, gamma, r0, h: float, check: bool):

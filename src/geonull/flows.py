@@ -18,7 +18,8 @@ Where the acceleration is exactly zero every stage point is known before
 the ride: RK4's own float operations with Gamma = 0 give the velocity and
 the stage offsets, and the nodes are their sequential sum, bitwise the step
 loop's.  :func:`geodesic` rides such steps in stacked blocks, each holding
-at most :data:`RIDE_BLOCK_BYTES` of Gamma.  A block tests its nodes against
+at most :data:`RIDE_BLOCK_BYTES` of Gamma at its jet entries, 2 a step (128
+steps at n = 4, :func:`_block_steps`).  A block tests its nodes against
 the chart in one stacked call (:meth:`MetricField.contains_each`), jets the
 new stage points of its steps up to the first node outside the chart in one
 :meth:`MetricField.jets` call, and screens them stacked: a step is ridden
@@ -27,15 +28,17 @@ bracket d_j g_km + d_k g_jm - d_m g_jk exactly zero on the velocity's
 nonzero entries (the only ones Gamma(v, v) is built from).  A ride's first
 step is jetted point by point, each jet screened before the next is made,
 and so is every step on a chart without a stacked jet form.  The block then
-inverts g and builds Gamma in one stacked call each, checks that -Gamma(v,
-v) at every stage is bitwise the acceleration assumed, builds the frame's
-step matrices from that Gamma in one stacked call and moves the frame by
-one small matmul a step.  The first step it cannot vouch for (one that
-fails the screen or leaves the chart, a g that fails the inverse's
-condition test, a failed check, or a stacked call, step matrix or frame
-product that raises) is handed over: the point-by-point loop resumes at
-that step's node and takes the points the block jetted before jetting anew.
-So every path keeps its bytes.  A path that stays straight, that leaves the
+inverts g and builds Gamma in one stacked call each, and builds -Gamma(v, v)
+and the frame's B = -Gamma(v, .) once per distinct pair of jet entry and
+stage velocity (2 a step, not 4): only those (n,) and (n, n) arrays are
+gathered to the stages.  It checks that the acceleration at every stage is
+bitwise the one assumed, builds the frame's step matrices from the stages'
+B in one stacked call and moves the frame by one chain of small matmuls.
+The first step it cannot vouch for (one that fails the screen or leaves
+the chart, a g that fails the inverse's condition test, a failed check, or
+a stacked call, step matrix or frame product that raises) is handed over:
+the point-by-point loop resumes at that step's node and takes the points
+the block jetted before jetting anew.  So every path keeps its bytes.  A path that stays straight, that leaves the
 chart, or that is curved from its first stage makes the jets of the
 point-by-point loop.  One that bends mid-block, or whose g or check fails
 there, may have jetted the rest of that block: at most one block of stage
@@ -59,6 +62,7 @@ jet.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -86,9 +90,10 @@ __all__ = [
 ]
 
 # a stacked block of a ride takes as many RK4 steps as keep its largest
-# array, Gamma at the four stages of each step (4 n^3 floats), within this
-# many bytes (64 steps at n = 4): each block has a fixed cost, and a flow
-# request's peak memory grows with the block, by about 1 MB from 1 << 16 to 1 << 18
+# arrays, Gamma at each jet entry (2 entries a step on a straight path, n^3
+# floats each), within this many bytes (128 steps at n = 4, see
+# _block_steps): each block has a fixed cost, and a flow request's peak
+# memory grows with the block, by about 1 MB from 1 << 16 to 1 << 18
 RIDE_BLOCK_BYTES = 1 << 17
 # an RK4 stage meeting one of these ends the path, truncated, instead of raising
 _STAGE_FAULTS = (ChartDomainError, DomainError, SingularMatrixError, FloatingPointError)
@@ -193,6 +198,19 @@ def _coasting(v, h: float, steps: int):
     return tuple(np.array(part) for part in zip(*rows))
 
 
+def _block_steps(n: int) -> int:
+    """The RK4 steps of one stacked block at chart dimension n: its 2 jet entries a step keep Gamma within :data:`RIDE_BLOCK_BYTES`."""
+    return max(1, RIDE_BLOCK_BYTES // (16 * n**3))
+
+
+def _speeds(velocities):
+    """``(speed, speeds)``: the coasting table's stage velocities (rows, 4, n) as indices (rows, 4) into its distinct velocities, told apart by their bits."""
+    flat = velocities.reshape(-1, velocities.shape[-1])
+    seen = {}
+    speed = np.array([seen.setdefault(w.tobytes(), len(seen)) for w in flat])
+    return speed.reshape(velocities.shape[:2]), flat[np.unique(speed, return_index=True)[1]]
+
+
 def _straight(dg, bracket) -> np.ndarray:
     """Whether the Christoffel bracket is exactly zero at every entry ``bracket`` marks, at each point of a stack.
 
@@ -228,16 +246,23 @@ def _in_chart(metric: MetricField, xs) -> np.ndarray:
     return np.concatenate([head, tail])
 
 
-def _frame_propagators(gammas, velocities, h: float) -> np.ndarray:
-    """The RK4 step matrices P (m, n, n) of W' = -Gamma(v, W), from Gamma (m, 4, n, n, n) and v (m, 4, n) at each step's four stages.
+def _frame_rates(gammas, velocities) -> np.ndarray:
+    """B = -Gamma(v, .) (..., n, n), B[k, j] = -Gamma[k, i, j] v[i], from Gamma (..., n, n, n) and v (..., n).
 
-    The transport is linear, W' = W B^T with B[k, j] = -Gamma[k, i, j] v[i],
+    One einsum over the stack, so each B is bitwise the one built alone.
+    """
+    return -np.einsum("...kij,...i->...kj", gammas, velocities)
+
+
+def _frame_propagators(b, h: float) -> np.ndarray:
+    """The RK4 step matrices P (m, n, n) of W' = -Gamma(v, W), from B (m, 4, n, n) at each step's four stages.
+
+    The transport is linear, W' = W B^T with B from :func:`_frame_rates`,
     so one RK4 step is W -> W P^T with P = I + h/6 (S1 + 2 S2 + 2 S3 + S4),
     S1 = B1, S2 = B2 (I + h/2 S1), S3 = B3 (I + h/2 S2) and S4 = B4 (I + h
-    S3).  One einsum makes every B of the stack and one matmul each S, so
-    each step's P is bitwise the one built for that step alone.
+    S3).  One matmul makes each S of the stack, so each step's P is bitwise
+    the one built for that step alone.
     """
-    b = -np.einsum("...skij,...si->...skj", gammas, velocities)
     eye = np.eye(b.shape[-1])
     s1 = b[:, 0]
     s2 = b[:, 1] @ (eye + (0.5 * h) * s1)
@@ -250,10 +275,11 @@ def _frame_step(W, gammas, velocities, h: float) -> np.ndarray:
     """The rows W after one RK4 step of W' = -Gamma(v, W), from Gamma and v at the step's four stages.
 
     W P^T, with P the step's matrix from :func:`_frame_propagators` on a
-    stack of one: bitwise what a stacked block's transport makes of the
-    same step.
+    stack of one and its four B from :func:`_frame_rates`: bitwise what a
+    stacked block's transport makes of the same step.
     """
-    return W @ _frame_propagators(np.array(gammas)[None], np.array(velocities)[None], h)[0].T
+    b = _frame_rates(np.array(gammas), np.array(velocities))
+    return W @ _frame_propagators(b[None], h)[0].T
 
 
 class _Ride:
@@ -299,14 +325,15 @@ class _Ride:
         moving = v != 0.0  # the same entries at every stage of the ride
         # the bracket entries that Gamma(v, v) is built from
         bracket = moving[:, None, None] & moving[None, :, None] & np.ones(n, dtype=bool)
-        size = max(1, RIDE_BLOCK_BYTES // (32 * n**3))
+        table += _speeds(table[0])
+        size = _block_steps(n)
         start = 0
         while start < steps and self._block(start, min(steps, start + size), table, bracket):
             start += size
 
     def _block(self, b: int, e: int, table, bracket) -> bool:
         """Ride steps b..e-1 stacked; False when it handed over at one it could not vouch for."""
-        velocities, accelerations, offsets = table
+        velocities, accelerations, offsets, speed, speeds = table
         rows = np.minimum(np.arange(b, e), len(velocities) - 1)
         n = velocities.shape[-1]
         try:
@@ -328,6 +355,7 @@ class _Ride:
         ridden, g, dg, faults = self._jet_steps(points, new, nodes, bracket, alone)
         carried = int(not new[0])
         index = np.cumsum(new[: 4 * ridden]) - 1 + carried  # stage -> entry
+        framed = len(self.ws[-1]) > 0
         if ridden:
             used = index[-1] + 1
             try:
@@ -337,19 +365,25 @@ class _Ride:
                     gi, passed, _ = _invert_each(g[:used])
                     ridden = int(np.argmin(passed[index])) // 4
                 gamma = _christoffel_from_jet(gi, dg[:used])
-                stage_gamma = gamma[index[: 4 * ridden]]
-                stage_v = velocities[rows[:ridden]].reshape(-1, n)
-                accel = -np.einsum("...kij,...i,...j->...k", stage_gamma, stage_v, stage_v)
+                # the acceleration and B once per run of stages that share
+                # an entry and a velocity (2 a step on a straight block)
+                entry, at_speed = index[: 4 * ridden], speed[rows[:ridden]].reshape(-1)
+                first = np.ones(len(entry), dtype=bool)
+                first[1:] = (entry[1:] != entry[:-1]) | (at_speed[1:] != at_speed[:-1])
+                pair_gamma, pair_v = gamma[entry[first]], speeds[at_speed[first]]
+                pair_accel = -np.einsum("...kij,...i,...j->...k", pair_gamma, pair_v, pair_v)
+                pair_b = _frame_rates(pair_gamma, pair_v) if framed else None
             except _STAGE_FAULTS:
                 ridden = 0
             else:
+                stage_pair = np.cumsum(first) - 1
                 assumed = accelerations[rows[:ridden]].reshape(-1, n)
-                vouched = np.all(accel.view(np.uint64) == assumed.view(np.uint64), axis=1)
+                vouched = np.all(pair_accel[stage_pair].view(np.uint64) == assumed.view(np.uint64), axis=1)
                 vouched = vouched.reshape(ridden, 4).all(axis=1)
                 if not vouched.all():
                     ridden = int(np.argmin(vouched))
-        if ridden and len(self.ws[-1]):
-            frames = self._transport(stage_gamma, stage_v, ridden)
+        if ridden and framed:
+            frames = self._transport(pair_b[stage_pair[: 4 * ridden]].reshape(ridden, 4, n, n))
             ridden = len(frames)
         else:
             frames = self.ws[-1:] * ridden
@@ -425,21 +459,24 @@ class _Ride:
             return entries(int(stages[np.argmax(bent)]) // 4, g, dg)
         return entries(steps if inside.all() else end - 1, g, dg)
 
-    def _transport(self, stage_gamma, stage_v, steps: int) -> list:
-        """The frames W after each of the first ``steps`` steps of a block, fewer at a float fault.
+    def _transport(self, b) -> list:
+        """The frames W after each step of a block, fewer at a float fault, from B (steps, 4, n, n) at each step's stages.
 
         The steps' matrices are built in one stacked call, redone step by
-        step if it raises; the first step whose matrix or product raises
-        ends the block, and :meth:`integrate` meets the fault again there.
+        step if it raises, and the frame moves by one chain of products,
+        redone step by step if one raises; the first step whose matrix or
+        product raises ends the block, and :meth:`integrate` meets the fault
+        again there.
         """
-        n = stage_v.shape[-1]
-        gammas = stage_gamma[: 4 * steps].reshape(steps, 4, n, n, n)
-        velocities = stage_v[: 4 * steps].reshape(steps, 4, n)
         propagators = numcore._each_alone(
-            lambda i: _frame_propagators(gammas[i], velocities[i], self.h),
-            np.arange(steps), FloatingPointError, lambda exc: None,
+            lambda bs: _frame_propagators(bs, self.h), b, FloatingPointError, lambda exc: None,
         )
         W = self.ws[-1]
+        if isinstance(propagators, np.ndarray):
+            try:
+                return list(itertools.accumulate(propagators.transpose(0, 2, 1), np.matmul, initial=W))[1:]
+            except FloatingPointError:
+                pass
         frames = []
         for P in propagators:
             if P is None:

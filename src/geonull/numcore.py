@@ -180,7 +180,7 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
     return np.negative(v, out=v.copy(), where=(lead < 0).reshape(v.shape[:-1] + (1,)))
 
 
-def _g_gram_schmidt(candidates, g: np.ndarray, prior=None, drop_tol: float = 0.0):
+def _g_gram_schmidt(candidates, g: np.ndarray, prior=None, drop_tol: float = 0.0, rank=None):
     """Modified Gram-Schmidt in the inner product ``g``, over a stack: ``(rows, kept)``.
 
     Leading axes of ``g`` (..., n, n) are a stack of points; ``candidates``
@@ -194,13 +194,16 @@ def _g_gram_schmidt(candidates, g: np.ndarray, prior=None, drop_tol: float = 0.0
     operations in the same order as alone, and each point's rows are
     bitwise those of the point alone.  No sign is fixed.  Negating a row
     leaves every projection off it bit for bit unchanged, so a caller may
-    fix the signs of the returned rows afterwards.
+    fix the signs of the returned rows afterwards.  With ``rank`` set, the
+    candidates left once every point has ``rank`` rows are dropped
+    untested: the caller knows they would fall below ``drop_tol``.
     """
     g = np.asarray(g, dtype=float)
     candidates = np.asarray(candidates, dtype=float)
     k, n = candidates.shape[-2:]
     waiting = candidates[..., :, None, :]  # (..., k, 1, n): the candidates not yet normalized, as rows
     accepted = []  # (c, row (..., 1, n), where it is kept or None for everywhere)
+    have = 0  # rows kept at each point, an int while no row was dropped anywhere
 
     def off(u, on):
         """``waiting`` projected off the row u (..., 1, n), where ``on`` (or everywhere for None)."""
@@ -213,6 +216,8 @@ def _g_gram_schmidt(candidates, g: np.ndarray, prior=None, drop_tol: float = 0.0
         for j in range(prior.shape[-2]):
             waiting = off(prior[..., j: j + 1, :], None)
     for c in range(k):
+        if rank is not None and (have if type(have) is int else have.min()) >= rank:
+            break
         v, waiting = waiting[..., 0, :, :], waiting[..., 1:, :, :]
         sq = v @ g @ v.swapaxes(-1, -2)
         sq[sq < 0.0] = 0.0  # max(sq, 0.0): -0.0 and NaN stay
@@ -220,11 +225,13 @@ def _g_gram_schmidt(candidates, g: np.ndarray, prior=None, drop_tol: float = 0.0
         low = nrm < drop_tol
         if not any(low.ravel().tolist()):
             v, on = v / nrm, None
+            have += 1
         elif all(low.ravel().tolist()):
             continue
         else:
             on = ~low[..., 0, 0]
             v = np.divide(v, nrm, out=np.zeros(v.shape), where=~low)
+            have = have + on
         accepted.append((c, v, on))
         if c + 1 < k:
             waiting = off(v, on)

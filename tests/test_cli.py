@@ -797,3 +797,86 @@ def test_product_dimension_error_names_the_products_range(capsys, dim):
     code, out, err = run_cli(capsys, "analyze", "--metric", "product", "--dim", dim)
     assert code == 1 and out == ""
     assert f"product dimension {dim} outside supported range 3..6" in err
+
+
+def _reference_dumps(obj) -> str:
+    """The serializer ``cli._dumps`` replaced: one recursive call per value."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        return "null" if math.isnan(x) or math.isinf(x) else "%.17g" % x
+    if isinstance(obj, str):
+        return json.encoder.encode_basestring(obj)
+    if isinstance(obj, np.ndarray):
+        return _reference_dumps(obj.tolist())
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_reference_dumps(v) for v in obj) + "]"
+    if isinstance(obj, dict):
+        return "{" + ",".join(
+            json.encoder.encode_basestring(str(key)) + ":" + _reference_dumps(obj[key]) for key in sorted(obj)
+        ) + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def test_dumps_writes_the_bytes_of_the_per_value_serializer():
+    tiny = 5e-324
+    floats = [math.nan, math.inf, -math.inf, -0.0, 0.0, tiny, -tiny, 2.2250738585072009e-308, 1e308, 0.1, 1 / 3]
+    docs = [
+        floats,
+        tuple(floats),
+        np.array(floats),
+        np.array(floats).reshape(1, -1),
+        np.array(floats[3:]).reshape(2, 4),
+        np.array([[math.nan, 1.0], [2.0, -math.inf]]),
+        np.empty(0),
+        np.empty((0, 3)),
+        np.empty((2, 0)),
+        [],
+        (),
+        {},
+        [[], [1.0], [math.nan]],
+        [0, 1, -7, 2**63, True, False, None],
+        [1.0, 1, True],  # a float list with an int and a bool in it
+        [np.float64(-0.0), np.float64(math.nan), np.float64(tiny), 0.5],
+        np.float64(0.1),
+        np.float64(math.inf),
+        np.float32(0.1),
+        np.int64(-3),
+        np.bool_(True),
+        np.array(2.5),
+        np.array([1, 2, 3]),
+        np.array([True, False]),
+        {"b": [1.0, math.nan], "a": {"z": None, "y": "xé\"\n"}, "c": (np.float64(1e-310), -0.0)},
+        {4: [2.0], 3: np.zeros(2)},
+        "text",
+        -0.0,
+        math.nan,
+    ]
+    for doc in docs:
+        assert cli._dumps(doc) == _reference_dumps(doc), doc
+    with pytest.raises(TypeError):
+        cli._dumps({"a": object()})
+
+
+def test_dumps_writes_flow_and_analyze_documents_as_the_per_value_serializer(monkeypatch):
+    docs = []
+    real = cli._dumps
+
+    def spied(doc):
+        if type(doc) is dict and "command" in doc:  # a whole document, not a value within one
+            docs.append(doc)
+        return real(doc)
+
+    monkeypatch.setattr(cli, "_dumps", spied)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        main(["flow", "--metric", "conullity3", "--point", "0.1,0.2,0.3,0.4", "--steps", "32"])
+        main(["analyze", "--metric", "sekigawa", "--point", "0.2,0.3,0.1"])
+        main(["analyze", "--metric", "euclidean", "--dim", "2", "--point", "0,0"])
+    assert len(docs) == 3
+    for doc in docs:
+        assert real(doc) == _reference_dumps(doc)

@@ -7,7 +7,9 @@ from geonull.curvature import (
     DegeneratePlaneError,
     _covariant_dr,
     _nabla_riemann,
+    _PAIRS,
     _nullity_from,
+    _plane_operator,
     _riemann_from_jet,
     _riemann_parts,
     _solve_sides,
@@ -412,6 +414,36 @@ def test_sectional_range_ends_are_reached():
             reached.append(sectional(metric, pt, data.nullity.basis[0], frame[0]))
         assert abs(min(reached) - lo) <= 1e-12, label
         assert abs(max(reached) - hi) <= 1e-12, label
+
+
+@pytest.mark.parametrize(
+    "metric, low, high",
+    [
+        (catalog_conullity3("3.2+cos(0.7*u)+cos(1.1*w)"), [-0.9] * 4, [0.9] * 4),
+        (catalog_sekigawa("2+sin(x)+u*u"), [-0.9] * 3, [0.9] * 3),
+        (catalog_sphere(1.7), [0.3, -3.0], [2.8, 3.0]),
+        (catalog_product(catalog_sphere(1.0), catalog_euclidean(4)), [0.3] + [-0.9] * 5, [2.8] + [0.9] * 5),
+    ],
+    ids=["conullity3", "sekigawa", "sphere", "product6"],
+)
+def test_plane_operator_is_the_einsums_entries_bitwise(metric, low, high):
+    # sectional_range's operator: only the pair entries of the five-operand
+    # einsum, each summed in R's memory order, which _riemann_parts leaves
+    # other than C order; a C-ordered copy of R sums in its own order
+    pts = np.random.default_rng(47).uniform(low, high, (100, metric.dim))
+    checked = 0
+    for pt in pts:
+        data = curvature_data(metric, pt)
+        frame = data.complement
+        if frame.shape[0] >= 4:
+            continue
+        assert not data.rdown.flags.c_contiguous
+        a, b = _PAIRS[frame.shape[0]]
+        for rdown in (data.rdown, np.ascontiguousarray(data.rdown)):
+            rh = np.einsum("ijkl,ai,bj,ck,dl->abcd", rdown, frame, frame, frame, frame)
+            assert _plane_operator(rdown, frame).tobytes() == rh[a[:, None], b[:, None], b, a].tobytes()
+        checked += 1
+    assert checked == len(pts)
 
 
 @pytest.mark.parametrize(

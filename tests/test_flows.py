@@ -386,8 +386,8 @@ def test_ride_in_small_blocks_gives_the_bits_of_one_block(name, monkeypatch):
     whole = geodesic(counted, x0, v0, tmax, steps=steps, frame=frame)
     jets = len(calls)
     # one step a block, then three
-    for budget in (1, 3 * 32 * metric.dim**3):
-        monkeypatch.setattr(flows, "RIDE_BLOCK_BYTES", budget)
+    for block_steps in (1, 3):
+        monkeypatch.setattr(flows, "_block_steps", lambda n: block_steps)
         calls.clear()
         path = geodesic(counted, x0, v0, tmax, steps=steps, frame=frame)
         assert len(calls) == jets
@@ -400,10 +400,10 @@ def test_ride_in_small_blocks_gives_the_bits_of_one_block(name, monkeypatch):
 @pytest.mark.parametrize(
     "name, stacks",
     [
-        # a block of 2**17 bytes of Gamma holds 64 steps at n = 4, the whole
-        # ride: it inverts its 2 * 64 + 1 points
+        # a block of 2**17 bytes of Gamma holds 128 steps at n = 4, more than
+        # the whole ride: it inverts its 2 * 64 + 1 points
         ("conullity3_kernel", [(2 * 64 + 1, 4, 4)]),
-        # 256 steps a block at n = 2; the stacked pass stops at step 189,
+        # 1024 steps a block at n = 2; the stacked pass stops at step 189,
         # whose next node is past the cutoff, and the point-by-point loop
         # redoes that step from its two jets already made
         ("polar_inward", [(2 * 189 + 1, 2, 2), (2, 2), (2, 2)]),
@@ -431,8 +431,8 @@ def test_ride_inverts_g_once_per_block(name, stacks, monkeypatch):
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_stacked_ride_primitives_match_each_point(n):
     # the stacked ride's bytes rest on these: a stacked invert, Christoffel
-    # pass and acceleration einsum (on Gamma gathered per stage) give each
-    # matrix's own result bit for bit
+    # pass and acceleration einsum (on Gamma gathered per distinct entry and
+    # velocity) give each matrix's own result bit for bit
     rng = np.random.default_rng(n)
     a = rng.normal(size=(24, n, n))
     g = a @ a.transpose(0, 2, 1) + n * np.eye(n)
@@ -466,10 +466,20 @@ def test_stacked_frame_propagators_are_each_steps_own(n):
     for m in (1, 5, 32):
         gammas, velocities = _random_stages(rng, n, m)
         h = rng.choice([1.0, -1.0]) * rng.uniform(1e-3, 1.0)
-        stacked = flows._frame_propagators(gammas, velocities, h)
+        b = flows._frame_rates(gammas, velocities)
+        # B built once per entry and gathered to the stages that share it, as
+        # a block does, is bitwise B built per stage, per step and alone
+        index = np.sort(rng.integers(0, 4 * m, size=4 * m))
+        flat_gammas, flat_velocities = gammas.reshape(-1, n, n, n), velocities.reshape(-1, n)
+        per_entry = flows._frame_rates(flat_gammas, flat_velocities)[index]
+        assert per_entry.tobytes() == flows._frame_rates(flat_gammas[index], flat_velocities[index]).tobytes()
+        for stage, i in enumerate(index):
+            assert per_entry[stage].tobytes() == (-np.einsum("kij,i->kj", flat_gammas[i], flat_velocities[i])).tobytes()
+        assert b.tobytes() == flows._frame_rates(flat_gammas, flat_velocities).tobytes()
+        stacked = flows._frame_propagators(b, h)
         assert stacked.shape == (m, n, n)
         for i in range(m):
-            alone = flows._frame_propagators(gammas[i: i + 1], velocities[i: i + 1], h)[0]
+            alone = flows._frame_propagators(flows._frame_rates(gammas[i: i + 1], velocities[i: i + 1]), h)[0]
             assert stacked[i].tobytes() == alone.tobytes()
             # the step matrix is the one the documented step applies
             assert stacked[i].tobytes() == _step_matrix_step(eye, gammas[i], velocities[i], h).T.tobytes()
@@ -488,7 +498,7 @@ def test_frame_step_is_the_step_matrix_bitwise(n):
             gammas[1:3] = 0.0
             gammas[3], velocities[3] = gammas[0], -velocities[0]
         h = rng.choice([1.0, -1.0]) * rng.uniform(1e-3, 1.0)
-        P = flows._frame_propagators(gammas[None], velocities[None], h)[0]
+        P = flows._frame_propagators(flows._frame_rates(gammas, velocities)[None], h)[0]
         got = flows._frame_step(W, gammas, velocities, h)
         assert got.tobytes() == (W @ P.T).tobytes()
         assert got.tobytes() == _step_matrix_step(W, gammas, velocities, h).tobytes()
@@ -559,11 +569,11 @@ def test_a_fault_in_a_blocks_step_matrices_truncates_where_integrate_does(monkey
     built = []
     real = flows._frame_propagators
 
-    def spied(gammas, velocities, h):
+    def spied(b, h):
         try:
-            return real(gammas, velocities, h)
+            return real(b, h)
         except FloatingPointError:
-            built.append(len(gammas))
+            built.append(len(b))
             raise
 
     monkeypatch.setattr(flows, "_frame_propagators", spied)
@@ -791,15 +801,45 @@ def test_ride_curved_from_its_first_stage_jets_what_the_reference_jets(monkeypat
 def test_ride_bending_mid_block_jets_at_most_the_rest_of_that_block(monkeypatch):
     # exp(-1/x^2) and its derivatives are exactly zero for |x| < 0.0366, so
     # the ride along x is straight up to there; past it the acceleration
-    # grows until it moves the velocity's bits, within the first block of
-    # 64 steps (x up to 0.47)
+    # grows until it moves the velocity's bits, within the first block, which
+    # holds the whole 64-step ride (x up to 0.47)
     metric = catalog_conullity3("3+cos(u)+cos(w)+exp(-1/(x*x))")
     jetted = _Jetted(monkeypatch)
     points, reference = _ride_against_the_reference(
         metric, [-0.0301, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], 0.5, 64, np.eye(4), jetted
     )
-    block = max(1, flows.RIDE_BLOCK_BYTES // (32 * 4**3))
+    block = flows._block_steps(4)
     assert 0 < points - reference <= 4 * block
+
+
+# rides longer than a stacked block at n = 4: (metric, x0, v0, tmax, steps)
+BLOCK_RIDES = {
+    # h < 0 turns v's -0.0 entries into +0.0 at stage 2: the coasting table
+    # has two velocity rows, and the first step's stages two velocities
+    "two_velocity_rows": (catalog_conullity3("3+cos(u)+cos(w)"), [0.1, 0.0, -0.3, -0.0],
+                          [-0.0, 0.0, 1.0, -0.0], -1.0, 300),
+    # straight for two whole blocks, then bent (x past 0.0366) at step 266,
+    # mid-way through the third
+    "bends_mid_block": (catalog_conullity3("3+cos(u)+cos(w)+exp(-1/(x*x))"), [-0.0301, 0.0, 0.0, 0.0],
+                        [1.0, 0.0, 0.0, 0.0], 0.1, 400),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_RIDES))
+@pytest.mark.parametrize("one_step", [False, True], ids=["block", "one_step"])
+def test_ride_in_blocks_matches_the_reference(name, one_step, monkeypatch):
+    metric, x0, v0, tmax, steps = BLOCK_RIDES[name]
+    h = tmax / steps
+    assert len(flows._coasting(np.array(v0), h, steps)[0]) == (2 if name == "two_velocity_rows" else 1)
+    assert flows._block_steps(4) == 128
+    if one_step:
+        monkeypatch.setattr(flows, "_block_steps", lambda n: 1)
+    jetted = _Jetted(monkeypatch)
+    points, reference = _ride_against_the_reference(metric, x0, v0, tmax, steps, np.eye(4), jetted)
+    ride = flows._Ride(metric, h, np.array(x0, dtype=float), np.array(v0, dtype=float), np.eye(4))
+    ride.coast(steps)
+    assert len(ride.xs) - 1 == (steps if name == "two_velocity_rows" else 266)
+    assert jetted.stacked > 0 and 0 <= points - reference <= 4 * flows._block_steps(4)
 
 
 @pytest.mark.parametrize("with_frame", [True, False], ids=["frame", "bare"])

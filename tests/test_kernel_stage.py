@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from geonull.curvature import _complement, _nullities_from, _riemann_parts
+from geonull.numcore import _g_gram_schmidt
 from geonull.metricspace import catalog_conullity3, catalog_euclidean, catalog_product, catalog_sphere
 from geonull.splitting import AlignmentError, _project
 
@@ -148,6 +149,30 @@ def test_stacked_complements_and_projections_are_each_points_loop_bitwise(seed):
                 assert t[j].tobytes() == _projected(basis[j], g[i], references[i]).tobytes()
     # the points drop different coordinate directions, so the stacked masks differ
     assert len(dropped) > 3
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_a_complement_that_stops_at_its_rank_is_the_full_gram_schmidt_bitwise(seed):
+    # _complement stops once every point has its 4 - k rows, and a kernel of
+    # dimension 4 has none: the rows and the kept mask are those of every
+    # candidate taken, over the stack and for a stack of one
+    points = _points(seed)
+    rdown, g = np.stack([r for r, _ in points]), np.stack([q for _, q in points])
+    kernels = _nullities_from(rdown, g, REL_TOL)
+    for k in range(5):
+        at = np.flatnonzero(kernels.sizes == k)
+        basis = kernels.basis[at, :k]
+        for stack in [slice(None)] + [slice(j, j + 1) for j in range(len(at))]:
+            rows, kept = _complement(g[at][stack], basis[stack])
+            full_rows, full_kept = _g_gram_schmidt(np.eye(4), g[at][stack], prior=basis[stack], drop_tol=1e-6)
+            assert rows.tobytes() == full_rows.tobytes() and rows.shape == full_rows.shape
+            assert kept.tobytes() == full_kept.tobytes() and kept.shape == full_kept.shape
+            assert np.all(kept.sum(axis=-1) <= 4 - k)  # fewer where g is nearly singular
+    for dim in range(1, 7):  # euclidean's zero R: the kernel is the whole space
+        g = np.eye(dim)[None]
+        rows, kept = _complement(g, np.eye(dim)[None])
+        full_rows, full_kept = _g_gram_schmidt(np.eye(dim), g, prior=np.eye(dim)[None], drop_tol=1e-6)
+        assert (rows.tobytes(), kept.tobytes()) == (full_rows.tobytes(), full_kept.tobytes())
 
 
 def test_a_projection_orthogonal_to_one_points_kernel_raises_for_the_stack():

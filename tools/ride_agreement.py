@@ -286,7 +286,7 @@ def main() -> int:
             moved = [f for f, x, y in zip(FIELDS + ("gram_drift", "truncated", "exit_parameter"),
                                           _fields(path), _fields(reference)) if x != y]
             # a block of steps jets at most 4 stage points a step
-            block = 4 * max(1, flows.RIDE_BLOCK_BYTES // (32 * metric.dim**3))
+            block = 4 * flows._block_steps(metric.dim)
             exact = not bent and (not per_point or path.truncated)
             differs = moved or jets < spies.jetted or jets > spies.jetted + (0 if exact else block)
             looped = spies.jetted  # before the sample checks jet more
