@@ -16,13 +16,14 @@ from nabla R (``splitting.splitting_tensor_from_curvature``), so ``analyze``
 makes one metric jet per request and ``scan`` one per grid point; a
 kernel-mode ``flow`` makes 2m+1 for its kernel geodesic of m steps, which it
 jets and whose g it inverts in one stacked call per block of steps
-(``flows.geodesic``), one for the start tensor, which sample 0 (the start
-itself) reuses, and one for each of the 8 later samples: 522 at the default
-256 steps.  ``scan`` takes each chunk of grid points' jets from one stacked
+(``flows.geodesic``), one for the start, whose kernel sets the launch and
+which measures sample 0 (the start itself), and one for each of the 8
+later samples: 522 at the default 256 steps.  ``scan`` takes each chunk of grid points' jets from one stacked
 call and runs the rest of its curvature pipeline once per chunk, each stage
-stacked over the chunk (:func:`_scan_chunk`); ``flow``'s 8 later samples go
-through the same stacked stages together (``splitting._sample_tensors``), so
-a ride that aborts at a sample has jetted the samples past it too.
+stacked over the chunk (:func:`_scan_chunk`); ``flow``'s 9 samples, the start
+among them, go through the same stacked stages together
+(``splitting._sample_tensors``), so a ride that aborts at a sample has
+jetted the samples past it too.
 
 Exit codes: 0 success, 1 usage error, 2 domain error (a float overflow or
 a metric too ill-conditioned to invert included), 3 verification failure.

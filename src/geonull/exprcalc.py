@@ -262,26 +262,28 @@ _UNARY_PRECEDENCE = 30  # below ^, above * and /
 _RIGHT_ASSOCIATIVE = {"^"}
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str  # "num" | "name" | "op" | "end"
-    text: str
-    offset: int
+    """One token: ``kind`` is "num", "name", "op" or "end", ``offset`` its character offset."""
+
+    __slots__ = ("kind", "text", "offset")
+
+    def __init__(self, kind: str, text: str, offset: int):
+        self.kind, self.text, self.offset = kind, text, offset
 
 
 def _tokenize(source: str) -> list:
     tokens = []
     pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {source[pos]!r}", pos)
-        if m.lastgroup != "ws":
+    for m in _TOKEN_RE.finditer(source):
+        if m.start() != pos:  # a character no token starts with
+            break
+        kind = m.lastgroup
+        if kind != "ws":
             text = m.group()
-            if text == "−":  # unicode minus, accepted as '-'
-                text = "-"
-            tokens.append(_Token(m.lastgroup, text, pos))
+            tokens.append(_Token(kind, "-" if text == "−" else text, pos))  # unicode minus, accepted as '-'
         pos = m.end()
+    if pos < len(source):
+        raise ParseError(f"unexpected character {source[pos]!r}", pos)
     tokens.append(_Token("end", "", len(source)))
     return tokens
 

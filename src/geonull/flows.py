@@ -28,12 +28,14 @@ bracket d_j g_km + d_k g_jm - d_m g_jk exactly zero on the velocity's
 nonzero entries (the only ones Gamma(v, v) is built from).  A ride's first
 step is jetted point by point, each jet screened before the next is made,
 and so is every step on a chart without a stacked jet form.  The block then
-inverts g and builds Gamma in one stacked call each, and builds -Gamma(v, v)
-and the frame's B = -Gamma(v, .) once per distinct pair of jet entry and
-stage velocity (2 a step, not 4): only those (n,) and (n, n) arrays are
-gathered to the stages.  It checks that the acceleration at every stage is
-bitwise the one assumed, builds the frame's step matrices from the stages'
-B in one stacked call and moves the frame by one chain of small matmuls.
+inverts g in one stacked call and builds Gamma on the brackets the screen
+built, and builds -Gamma(v, v) and the frame's B = -Gamma(v, .) once per
+distinct pair of jet entry and stage velocity (2 a step, not 4): only
+those (n,) and (n, n) arrays are gathered to the stages, and Gamma only
+where some entry carries two pairs.  It checks that the acceleration at
+every stage is bitwise the one assumed, builds the frame's step matrices
+from the stages' B in one stacked call and moves the frame by one small
+matmul a step, written into the block's frames array.
 The first step it cannot vouch for (one that fails the screen or leaves
 the chart, a g that fails the inverse's condition test, a failed check, or
 a stacked call, step matrix or frame product that raises) is handed over:
@@ -62,7 +64,6 @@ jet.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -71,7 +72,7 @@ from typing import Optional
 import numpy as np
 
 from . import numcore
-from .curvature import _christoffel_from_jet, _nullity_at, _riemann_from_jet
+from .curvature import _bracket, _christoffel_from_jet, _nullity_at, _riemann_from_jet
 from .exprcalc import DomainError
 from .metricspace import ChartDomainError, MetricField
 from .numcore import SingularMatrixError, _g_gram_schmidt, _invert_each, invert
@@ -211,20 +212,21 @@ def _speeds(velocities):
     return speed.reshape(velocities.shape[:2]), flat[np.unique(speed, return_index=True)[1]]
 
 
-def _straight(dg, bracket) -> np.ndarray:
-    """Whether the Christoffel bracket is exactly zero at every entry ``bracket`` marks, at each point of a stack.
+def _straight(dg, bracket):
+    """``(straight, s)``: whether the Christoffel bracket is exactly zero at every entry ``bracket`` marks, at each point of a stack.
 
     ``dg`` is (m, n, n, n); the bracket is s[j, k, m] = d_j g_km + d_k
-    g_jm - d_m g_jk.  A float fault counts as not straight, at its own
-    point.
+    g_jm - d_m g_jk (:func:`~geonull.curvature._bracket`), returned (m, n,
+    n, n) so that Gamma is built on it.  A float fault counts as not
+    straight, at its own point, whose s is NaN.
     """
-
-    def zero(dg):
-        s = dg.transpose(0, 3, 1, 2) + dg.transpose(0, 1, 3, 2) - dg
-        return np.count_nonzero(s[:, bracket], axis=1) == 0
-
     faults = (FloatingPointError, RuntimeWarning)
-    return np.array(numcore._each_alone(zero, dg, faults, lambda exc: False), dtype=bool)
+    s = numcore._each_alone(_bracket, dg, faults, lambda exc: None)
+    raised = np.zeros(len(dg), dtype=bool)
+    if not isinstance(s, np.ndarray):
+        raised[:] = [b is None for b in s]
+        s = np.array([np.full(dg.shape[1:], np.nan) if b is None else b for b in s])
+    return (np.count_nonzero(s[:, bracket], axis=1) == 0) & ~raised, s
 
 
 def _in_chart(metric: MetricField, xs) -> np.ndarray:
@@ -283,12 +285,18 @@ def _frame_step(W, gammas, velocities, h: float) -> np.ndarray:
 
 
 class _Ride:
-    """One RK4 path being ridden: the nodes reached so far and the jets held for the stages ahead."""
+    """One RK4 path being ridden: the nodes reached so far and the jets held for the stages ahead.
+
+    The nodes, their velocities and frames, and g at each node a step left
+    are kept as arrays, one a stacked block and one row a point-by-point
+    step, which :meth:`path` joins once; a node's time is its number times h.
+    """
 
     def __init__(self, metric: MetricField, h: float, x, v, W):
         self.metric = metric
         self.h = h
-        self.times, self.xs, self.vs, self.ws = [0.0], [x], [v], [W]
+        self.reached = 0  # the steps ridden
+        self.xs, self.vs, self.ws = [x[None]], [v[None]], [W[None]]
         self.gs = []  # g at each node, from the stage-1 jet of the step leaving it
         self.truncated = False
         self.held = (None, None, None)  # bytes, (g, dg) and Gamma of the last point jetted
@@ -313,7 +321,7 @@ class _Ride:
 
     def coast(self, steps: int) -> None:
         """Ride stacked blocks of zero-acceleration steps, up to the first step it cannot vouch for."""
-        v = self.vs[0]
+        v = self.vs[0][0]
         if not np.all(np.isfinite(v)):  # a NaN raises no float error in _coasting
             return
         try:
@@ -339,7 +347,7 @@ class _Ride:
         try:
             with np.errstate(all="raise"):
                 # a sequential sum, so node i+1 is bitwise node i plus its offset
-                nodes = np.add.accumulate(np.concatenate([self.xs[-1][None], offsets[rows, 3]]))
+                nodes = np.add.accumulate(np.concatenate([self.xs[-1][-1:], offsets[rows, 3]]))
                 points = np.concatenate([nodes[:-1, None], nodes[:-1, None] + offsets[rows, :3]], axis=1)
         except FloatingPointError:
             return False
@@ -352,10 +360,10 @@ class _Ride:
         # a ride's first step is jetted point by point, so a ride curved from
         # its first stage jets what the point-by-point loop jets
         alone = int(b == 0) if self.metric.stacked else e - b
-        ridden, g, dg, faults = self._jet_steps(points, new, nodes, bracket, alone)
+        ridden, g, dg, s, faults = self._jet_steps(points, new, nodes, bracket, alone)
         carried = int(not new[0])
         index = np.cumsum(new[: 4 * ridden]) - 1 + carried  # stage -> entry
-        framed = len(self.ws[-1]) > 0
+        framed = self.ws[-1].shape[1] > 0
         if ridden:
             used = index[-1] + 1
             try:
@@ -364,13 +372,17 @@ class _Ride:
                 except SingularMatrixError:  # ride the steps before the first stage whose g fails
                     gi, passed, _ = _invert_each(g[:used])
                     ridden = int(np.argmin(passed[index])) // 4
-                gamma = _christoffel_from_jet(gi, dg[:used])
+                # _christoffel_from_jet's bits, on the screen's bracket
+                gamma = 0.5 * np.einsum("...lm,...jkm->...ljk", gi, s[:used])
                 # the acceleration and B once per run of stages that share
                 # an entry and a velocity (2 a step on a straight block)
                 entry, at_speed = index[: 4 * ridden], speed[rows[:ridden]].reshape(-1)
                 first = np.ones(len(entry), dtype=bool)
                 first[1:] = (entry[1:] != entry[:-1]) | (at_speed[1:] != at_speed[:-1])
-                pair_gamma, pair_v = gamma[entry[first]], speeds[at_speed[first]]
+                pairs = np.flatnonzero(first)
+                # Gamma itself where its entries are the pairs, one each, in order
+                pair_gamma = gamma if len(pairs) == used == entry[-1] + 1 else gamma[entry[pairs]]
+                pair_v = speeds[at_speed[pairs]]
                 pair_accel = -np.einsum("...kij,...i,...j->...k", pair_gamma, pair_v, pair_v)
                 pair_b = _frame_rates(pair_gamma, pair_v) if framed else None
             except _STAGE_FAULTS:
@@ -386,11 +398,7 @@ class _Ride:
             frames = self._transport(pair_b[stage_pair[: 4 * ridden]].reshape(ridden, 4, n, n))
             ridden = len(frames)
         else:
-            frames = self.ws[-1:] * ridden
-        self.times += [(i + 1) * self.h for i in range(b, b + ridden)]
-        self.xs += list(nodes[1: ridden + 1])
-        self.vs += list(velocities[np.minimum(np.arange(b + 1, b + ridden + 1), len(velocities) - 1), 0])
-        self.ws += frames
+            frames = np.repeat(self.ws[-1][-1:], ridden, axis=0)
         stages = np.flatnonzero(new)
 
         def key(k):  # the bytes of entry k's point
@@ -398,50 +406,55 @@ class _Ride:
 
         last = carried - 1
         if ridden:
-            self.gs += list(g[index[: 4 * ridden: 4]])
+            self.reached += ridden
+            self.xs.append(nodes[1: ridden + 1])
+            self.vs.append(velocities[np.minimum(np.arange(b + 1, b + ridden + 1), len(velocities) - 1), 0])
+            self.ws.append(frames)
+            self.gs.append(g[index[: 4 * ridden: 4]])
             last = int(index[4 * ridden - 1])
             self.held = (key(last), (g[last], dg[last]), gamma[last])
         self.ahead.extend((key(k), faults[k] if k in faults else (g[k], dg[k])) for k in range(last + 1, len(g)))
         return ridden == e - b
 
     def _jet_steps(self, points, new, nodes, bracket, alone: int):
-        """Jet the new stage points: ``(ridden, g, dg, faults)``.
+        """Jet the new stage points: ``(ridden, g, dg, s, faults)``.
 
         ``ridden`` is the number of steps that stay straight and inside.
-        ``g`` and ``dg`` stack the entries: the held point's jet where stage
-        1 repeats it, then each point jetted, in stage order; ``faults``
-        maps the entry of a jet that raised to its error (its rows are
-        NaN).  Stops at the first jet that raises or whose bracket is not
-        zero where ``bracket`` marks, and at the first step whose next node
-        leaves the chart, returning that step's number.  The first
-        ``alone`` steps are jetted point by point, each jet screened before
-        the next is made.  The rest are jetted in one
-        :meth:`MetricField.jets` call, up to the first step whose next node
-        leaves the chart (one stacked domain test for their nodes), and
+        ``g``, ``dg`` and the Christoffel brackets ``s`` of the screen stack
+        the entries: the held point's jet where stage 1 repeats it, then each
+        point jetted, in stage order; ``faults`` maps the entry of a jet that
+        raised to its error (its rows are NaN).  Stops at the first jet that
+        raises or whose bracket is not zero where ``bracket`` marks, and at
+        the first step whose next node leaves the chart, returning that
+        step's number.  The first ``alone`` steps are jetted point by point,
+        each jet screened before the next is made.  The rest are jetted in
+        one :meth:`MetricField.jets` call, up to the first step whose next
+        node leaves the chart (one stacked domain test for their nodes), and
         screened stacked; every point of that call is an entry.
         """
         steps, n = len(nodes) - 1, points.shape[1]
-        head = [] if new[0] else [self.held[1]]  # the entries before the stacked call
+        # the entries before the stacked call: (g, dg, s)
+        head = [] if new[0] else [(*self.held[1], _bracket(self.held[1][1]))]
         faults = {}
 
-        def entries(ridden, g=np.empty((0, n, n)), dg=np.empty((0, n, n, n))):
+        def entries(ridden, g=np.empty((0, n, n)), dg=np.empty((0, n, n, n)), s=np.empty((0, n, n, n))):
             if head:
-                g = np.concatenate([[jet[0] for jet in head], g])
-                dg = np.concatenate([[jet[1] for jet in head], dg])
-            return ridden, g, dg, faults
+                g, dg, s = (np.concatenate([[entry[k] for entry in head], a]) for k, a in enumerate((g, dg, s)))
+            return ridden, g, dg, s, faults
 
         for i in range(alone):
-            for s in range(4 * i, 4 * i + 4):
-                if not new[s]:
+            for st in range(4 * i, 4 * i + 4):
+                if not new[st]:
                     continue
                 try:
-                    jet = self.metric.jet(points[s], order=1, check=False)
+                    jet = self.metric.jet(points[st], order=1, check=False)
                 except Exception as exc:  # raised again when integrate reaches this stage
                     faults[len(head)] = exc
-                    head.append((np.full((n, n), np.nan), np.full((n, n, n), np.nan)))
+                    head.append((np.full((n, n), np.nan), np.full((n, n, n), np.nan), np.full((n, n, n), np.nan)))
                     return entries(i)
-                head.append(jet)
-                if not _straight(jet[1][None], bracket)[0]:
+                straight, s = _straight(jet[1][None], bracket)
+                head.append((*jet, s[0]))
+                if not straight[0]:
                     return entries(i)
             if not _in_chart(self.metric, nodes[i + 1: i + 2])[0]:
                 return entries(i)
@@ -452,50 +465,45 @@ class _Ride:
         end = steps if inside.all() else alone + int(np.argmin(inside)) + 1
         stages = 4 * alone + np.flatnonzero(new[4 * alone: 4 * end])
         (g, dg), more = self.metric.jets(points[stages], order=1, check=False)
-        bent = ~_straight(dg, bracket)
+        straight, s = _straight(dg, bracket)
+        bent = ~straight
         bent[list(more)] = True
         faults.update((len(head) + k, exc) for k, exc in more.items())
         if bent.any():
-            return entries(int(stages[np.argmax(bent)]) // 4, g, dg)
-        return entries(steps if inside.all() else end - 1, g, dg)
+            return entries(int(stages[np.argmax(bent)]) // 4, g, dg, s)
+        return entries(steps if inside.all() else end - 1, g, dg, s)
 
-    def _transport(self, b) -> list:
+    def _transport(self, b) -> np.ndarray:
         """The frames W after each step of a block, fewer at a float fault, from B (steps, 4, n, n) at each step's stages.
 
         The steps' matrices are built in one stacked call, redone step by
-        step if it raises, and the frame moves by one chain of products,
-        redone step by step if one raises; the first step whose matrix or
-        product raises ends the block, and :meth:`integrate` meets the fault
-        again there.
+        step if it raises, and the frame moves by one product a step, each
+        written into the block's frames array; the first step whose matrix
+        or product raises ends the block, and :meth:`integrate` meets the
+        fault again there.
         """
         propagators = numcore._each_alone(
             lambda bs: _frame_propagators(bs, self.h), b, FloatingPointError, lambda exc: None,
         )
-        W = self.ws[-1]
-        if isinstance(propagators, np.ndarray):
-            try:
-                return list(itertools.accumulate(propagators.transpose(0, 2, 1), np.matmul, initial=W))[1:]
-            except FloatingPointError:
-                pass
-        frames = []
-        for P in propagators:
+        W = self.ws[-1][-1]
+        frames = np.empty((len(b),) + W.shape)
+        for i, P in enumerate(propagators):
             if P is None:
-                break
+                return frames[:i]
             try:
-                W = W @ P.T
+                W = np.matmul(W, P.T, out=frames[i])
             except FloatingPointError:
-                break
-            frames.append(W)
+                return frames[:i]
         return frames
 
     def integrate(self, steps: int) -> None:
         """RK4 point by point from the last node reached, each stage taking Gamma from its own jet."""
         h = self.h
-        x, v, W = self.xs[-1], self.vs[-1], self.ws[-1]
-        for i in range(len(self.xs) - 1, steps):
+        x, v, W = self.xs[-1][-1], self.vs[-1][-1], self.ws[-1][-1]
+        for i in range(self.reached, steps):
             try:
                 g1, ax1, gamma1 = self.rates(x, v)
-                self.gs.append(g1)
+                self.gs.append(g1[None])
                 x2 = x + 0.5 * h * v
                 v2 = v + 0.5 * h * ax1
                 _, ax2, gamma2 = self.rates(x2, v2)
@@ -515,29 +523,31 @@ class _Ride:
                 self.truncated = True
                 break
             x, v, W = xn, vn, Wn
-            self.times.append((i + 1) * h)
-            self.xs.append(x)
-            self.vs.append(v)
-            self.ws.append(W)
+            self.reached += 1
+            self.xs.append(x[None])
+            self.vs.append(v[None])
+            self.ws.append(W[None])
 
     def path(self) -> GeodesicPath:
-        frames = np.array(self.ws)
+        frames = np.concatenate(self.ws)
         drift = 0.0
         if frames.shape[1]:
-            x = self.xs[-1]
-            if len(self.gs) < len(self.xs):
+            if sum(map(len, self.gs)) == self.reached:  # no step left the last node
+                x = self.xs[-1][-1]
                 key, jet, _ = self.held
-                self.gs.append(jet[0] if x.tobytes() == key else self.metric.jet(x, order=1, check=False)[0])
-            grams = frames @ np.array(self.gs) @ frames.transpose(0, 2, 1)
+                self.gs.append((jet[0] if x.tobytes() == key else self.metric.jet(x, order=1, check=False)[0])[None])
+            grams = frames @ np.concatenate(self.gs) @ frames.transpose(0, 2, 1)
             drift = float(np.max(np.abs(grams - grams[0])))
+        times = np.arange(self.reached + 1) * self.h
+        times[0] = 0.0  # not -0.0 when h < 0
         return GeodesicPath(
-            times=np.array(self.times),
-            points=np.array(self.xs),
-            velocities=np.array(self.vs),
+            times=times,
+            points=np.concatenate(self.xs),
+            velocities=np.concatenate(self.vs),
             frame=frames,
             gram_drift=drift,
             truncated=self.truncated,
-            exit_parameter=self.times[-1] if self.truncated else None,
+            exit_parameter=float(times[-1]) if self.truncated else None,
         )
 
 

@@ -62,6 +62,10 @@ DEFAULT_BOX = 3.0
 # warped charts keep clear of the p -> 0 metric degeneracy except when the
 # incompleteness probe deliberately drives toward it
 P_FLOOR = 1e-3
+# a stacked coframe jet of at least this many points contracts dB with B on
+# dB's nonzero columns only (_CoframeJet._half); on fewer, as on a scan
+# chunk of 16 or flow's 9 samples, the einsum over every column is faster
+_COLUMN_POINTS = 32
 
 
 class ChartDomainError(ValueError):
@@ -276,10 +280,15 @@ class _CoframeJet:
     :meth:`jets` is the stacked form: one raw kernel call per distinct warp
     argument ``x[warp]`` (by its bits), looked up once per run of points
     that repeat it, its row repeated over the points that share the
-    argument, and each array assembled once for the stack by the same
-    operations, so each point's arrays are bitwise :meth:`__call__`'s.  A
-    kernel ride moves v, which p does not read, and mostly keeps the bits of
-    its warp argument, so its stack is mostly one run and one kernel call.
+    argument, and each array assembled once for the stack, so each point's
+    arrays are bitwise :meth:`__call__`'s.  A kernel ride moves v, which p
+    does not read, and mostly keeps the bits of its warp argument, so its
+    stack is mostly one run and one kernel call.  A stack of at least
+    :data:`_COLUMN_POINTS` points, as a kernel ride's block, contracts dB
+    with B only on the coframe columns where dB has a nonzero entry
+    (``columns``, fixed by ``affine`` and the warp entry: column 0, ``dx``,
+    in both warped families), each entry summed as ``0.0 + sum_a`` in the
+    order of a, as :meth:`__call__`'s einsum sums it (:meth:`_half`).
     """
 
     def __init__(self, affine: np.ndarray, expr: Expression, warp: Sequence[int], box: float):
@@ -290,6 +299,9 @@ class _CoframeJet:
         self.warp = np.asarray(warp, dtype=int)
         self.warp_block = np.ix_(self.warp, self.warp)
         self.box = box
+        self.nonzero = affine.any(axis=(0, 2))  # the coframe columns where dB has a nonzero entry
+        self.nonzero[0] = True  # the warp entry B[0, 0]
+        self.columns = np.flatnonzero(self.nonzero)
 
     def __call__(self, x: np.ndarray, order: int):
         n = self.n
@@ -421,7 +433,7 @@ class _CoframeJet:
         dB = np.repeat(self.affine[None], m, axis=0)
         dB[:, 0, 0, w] = np.reshape(columns[1], (m, w.size))
         g = B.transpose(0, 2, 1) @ B
-        half = np.einsum("maik,maj->mijk", dB, B)
+        half = self._half(B, dB) if m >= _COLUMN_POINTS else np.einsum("maik,maj->mijk", dB, B)
         dg = half + half.transpose(0, 2, 1, 3)
         if order == 1:
             return g, dg
@@ -447,6 +459,30 @@ class _CoframeJet:
         d3g[:, 0] = row
         d3g[:, :, 0] += row
         return g, dg, d2g, d3g
+
+    def _half(self, B: np.ndarray, dB: np.ndarray) -> np.ndarray:
+        """``einsum("maik,maj->mijk", dB, B)`` over a stack, bitwise, contracted on :attr:`columns` only.
+
+        Each entry is ``0.0 + sum_a dB[a, i, k] B[a, j]``, summed in the
+        order of a with the points on the innermost axis.  An entry of a
+        zero column is the sum of 0 * B[a, j], +0.0 unless some B[a, j] is
+        not finite.  No float error is raised, as the einsum raises none.
+        """
+        m, n = len(B), self.n
+        half = np.zeros((m, n, n, n))
+        with np.errstate(all="ignore"):
+            b = np.ascontiguousarray(B.transpose(1, 2, 0))  # b[a, j, point]
+            d = np.ascontiguousarray(dB[:, :, self.columns].transpose(2, 1, 3, 0))  # d[column, a, k, point]
+            acc = 0.0 + b[0, None, :, None] * d[:, 0, None]
+            for a in range(1, n):
+                acc += b[a, None, :, None] * d[:, a, None]
+            half[:, self.columns] = acc.transpose(3, 0, 1, 2)
+            if self.columns.size < n and not np.isfinite(b).all():
+                zero = 0.0 + 0.0 * b[0]
+                for a in range(1, n):
+                    zero += 0.0 * b[a]
+                half[:, ~self.nonzero] = zero.T[:, None, :, None]
+        return half
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,14 @@ one SVD of all the points' systems.  A solve residual above
 ``SMOOTH_KERNEL_RESIDUAL`` means the kernel is no smooth line field there.
 A kernel-mode ``geonull flow`` request (256 steps, 9 samples) makes 522
 metric jets: 2m+1 of order 1 for the kernel geodesic and one of order 3 per
-tensor, the start's serving sample 0 (the start itself).  The 8 later
-samples are jetted in one call and measured together through ``scan``'s
-stacked stages (``_sample_tensors``), bitwise each sample's own, so a ride
-that aborts at a sample has jetted the samples past it too, at most 8 in
-all.  The 9 closed-form predictions share one stacked pole test and one
-stacked inverse (``_riccati_predictions``), also bitwise each time's own.
+tensor, the start's, which found the kernel and the frame, serving sample 0
+(the start itself).  After the ride the 8 later samples are jetted in one
+call, and all 9 are measured together through ``scan``'s stacked stages
+(``_sample_tensors``), bitwise each sample's own, in one nabla R solve, so
+a ride that aborts at a sample has jetted the samples past it too, at most
+8 in all.  The 9 closed-form predictions share one stacked pole test and
+one stacked inverse (``_riccati_predictions``), also bitwise each time's
+own.
 
 ``splitting_tensor`` is the reference that the tests compare the solve
 with and that ``verify`` runs: Richardson-extrapolated central differences
@@ -466,7 +468,8 @@ def _frame_tensor(metric: MetricField, data: CurvatureData, reference, frame, di
     (``data.complement``), so C's rows along kernel directions inside T's
     complement are 0.  Raises :class:`KernelDimensionError`,
     :class:`AlignmentError`, or :class:`KernelFieldError` when the solve's
-    residual is above :data:`SMOOTH_KERNEL_RESIDUAL`.
+    residual is above :data:`SMOOTH_KERNEL_RESIDUAL`.  The one-point form
+    of :func:`_sample_tensors`, which the tests compare it with.
     """
     if data.nullity.nullity != dimension:
         raise KernelDimensionError(dimension, data.nullity.nullity, data.point)
@@ -482,24 +485,26 @@ def _in_frame(coef, residual: float, g: np.ndarray, basis, frame, pt: np.ndarray
     return -(frame @ g @ basis.T) @ coef @ frame.T
 
 
-def _sample_tensors(metric: MetricField, path: GeodesicPath, indices, dimension: int, rel_tol) -> list:
+def _sample_tensors(metric: MetricField, path: GeodesicPath, indices, dimension: int, rel_tol, start_jet) -> list:
     """:func:`_frame_tensor` at each path node of ``indices``, T along its velocity, or the error it raises.
 
     Each entry is bitwise ``_frame_tensor(metric, curvature_data(metric, q,
     rel_tol, nabla_r=True), velocity, frame, dimension)`` at node q, or the
-    error that raises there.  The jets come from one
-    :meth:`MetricField.jets` call; R and the kernels, T, the complements
-    and the solves (one per complement shape, :func:`_solve_each`) are
-    each stacked over the nodes, as ``scan`` stacks its grid points, and
-    only C in the frame is each node's own.  Where the stack raises, each
-    node is redone alone, so each error stays with its own node.
+    error that raises there.  The first node is the path's start, whose jet
+    of order ``metric.max_order`` is ``start_jet``; the others' jets come
+    from one :meth:`MetricField.jets` call.  R and the kernels, T, the
+    complements and the solves (one per complement shape,
+    :func:`_solve_each`) are each stacked over the nodes, as ``scan``
+    stacks its grid points, and only C in the frame is each node's own.
+    Where the stack raises, each node is redone alone, so each error stays
+    with its own node.
     """
-    if not len(indices):
-        return []
     if rel_tol is None:
         rel_tol = _default_rel_tol(metric)
     points, velocities, frames = path.points[indices], path.velocities[indices], path.frame[indices]
-    jets, out = metric.jets(points, order=metric.max_order)  # out: node -> C or the error raised
+    later, faults = metric.jets(points[1:], order=metric.max_order)
+    jets = [np.concatenate([a[None], b]) for a, b in zip(start_jet, later)]
+    out = {j + 1: exc for j, exc in faults.items()}  # out: node -> C or the error raised
 
     def tensors(idx):
         jet = [a[idx] for a in jets]
@@ -709,10 +714,11 @@ def evolve_along_nullity_geodesic(
     there.  Each tensor comes from the nabla R solve of one metric 3-jet
     (:func:`_frame_tensor`), in the transported frame; ``h`` is the step of
     the divergence check only.  Sample 0 is x0 with its velocity and frame,
-    so its tensor is the start tensor; the others are measured together
-    (:func:`_sample_tensors`), bitwise each sample's own, and so are the
-    closed-form predictions (:func:`_riccati_predictions`).  Errors while
-    measuring the start tensor or integrating propagate.  The samples are
+    so its tensor is the start tensor: after the ride it is measured with the
+    others (:func:`_sample_tensors`), from the 3-jet that gave the kernel at
+    x0, bitwise each sample's own, and the closed-form predictions are built
+    from it (:func:`_riccati_predictions`), also together.  Errors while
+    integrating or measuring the start tensor propagate.  The samples are
     taken in order: a :class:`KernelDimensionError`,
     :class:`AlignmentError`, :class:`KernelFieldError` or
     :class:`RiccatiBlowupError` at a sample ends the ride with a partial
@@ -724,10 +730,12 @@ def evolve_along_nullity_geodesic(
     section = _section(data.nullity, data.g, None, pt)
     k0 = data.nullity.nullity
     frame = _kernel_frame(metric, data)
-    start = _frame_tensor(metric, data, section, frame, k0)
     path = geodesic(metric, pt, section, tmax, steps=steps, frame=frame)
     indices = _sample_indices(path.times.size, samples)  # node 0 first
-    tensors = [start] + _sample_tensors(metric, path, indices[1:], k0, rel_tol)
+    tensors = _sample_tensors(metric, path, indices, k0, rel_tol, data._jet)
+    start = tensors[0]
+    if isinstance(start, Exception):
+        raise start
     predictions = _riccati_predictions(start, path.times[indices])
     reached, measured, predicted, deviations = [], [], [], []
     aborted = None

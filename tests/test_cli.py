@@ -266,6 +266,51 @@ def test_float_fault_message_names_the_function_that_faulted(capsys):
     )
 
 
+def test_a_start_tensor_that_overflows_is_raised_from_the_solve(capsys):
+    # the start tensor is measured with the later samples, after the ride; its
+    # fault is raised as an error, not an abort, from where its solve raises it
+    code, out, err = run_cli(capsys, "flow", "--metric", "sekigawa", "--p", "1e300*u*u+1")
+    assert code == 2 and out == ""
+    assert err == (
+        "geonull: error: flow at the origin: overflow encountered in matmul (in splitting._least_squares)\n"
+    )
+
+
+def test_benchmark_shaped_flow_counts(capsys, monkeypatch):
+    # 522 points jetted (one 3-jet at x0, 513 for the ride, 8 samples), 4 SVDs
+    # (x0's kernel, the samples' kernels, their one nabla R solve, the
+    # predictions' pole test) and one nabla R solve, of the start and the 8 samples
+    counts = {"jet": 0, "jets": 0, "svd": 0}
+    solves = []
+    jet, jets, svd, solve = MetricField.jet, MetricField.jets, np.linalg.svd, splitting._solve
+
+    def counted_jet(self, x, order=2, check=True):
+        counts["jet"] += 1
+        return jet(self, x, order, check)
+
+    def counted_jets(self, points, order=2, check=True):
+        counts["jets"] += len(points)
+        return jets(self, points, order, check)
+
+    def counted_svd(*args, **kwargs):
+        counts["svd"] += 1
+        return svd(*args, **kwargs)
+
+    def counted_solve(metric, points, *args):
+        solves.append(np.shape(points))
+        return solve(metric, points, *args)
+
+    monkeypatch.setattr(MetricField, "jet", counted_jet)
+    monkeypatch.setattr(MetricField, "jets", counted_jets)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(splitting, "_solve", counted_solve)
+    code, out, _ = run_cli(capsys, "flow", "--metric", "conullity3", "--p", "3.1+cos(0.9*u)+cos(1.2*w)",
+                           "--point=0.31,-0.42,0.17,0.38", "--tmax", "1", "--steps", "256")
+    assert code == 0 and len(json.loads(out)["samples"]) == 9
+    assert counts["jet"] + counts["jets"] == 522 and counts["svd"] == 4
+    assert solves == [(9, 4)]
+
+
 @pytest.mark.parametrize("axis", [0, 2])
 def test_flow_direction_scale_does_not_matter(capsys, axis):
     # a huge or tiny direction is scaled before sqrt(v g v) can overflow or underflow

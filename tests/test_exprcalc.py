@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 from dataclasses import replace
@@ -882,3 +883,61 @@ def test_value_is_the_value_of_each_jet_bitwise(source, variables):
             except DomainError:  # a derivative the value does not take
                 pass
     assert raised < len(points)
+
+
+_ReferenceToken = collections.namedtuple("_ReferenceToken", "kind text offset")
+
+
+def _reference_tokenize(source: str) -> list:
+    """The tokenizer as a loop of ``re.match`` calls, one token record each."""
+    tokens, pos = [], 0
+    while pos < len(source):
+        m = exprcalc._TOKEN_RE.match(source, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {source[pos]!r}", pos)
+        if m.lastgroup != "ws":
+            tokens.append(_ReferenceToken(m.lastgroup, "-" if m.group() == "−" else m.group(), pos))
+        pos = m.end()
+    return tokens + [_ReferenceToken("end", "", len(source))]
+
+
+# the warps of tools/stdout_digest.py, the catalog's defaults and a benchmark-shaped
+# one, over the charts' coordinates
+_WARPS = [
+    "exp(u)", "4-u*u-w*w", "3.671764+cos(0.522086*u)+cos(0.998341*x)", "1+u*u*w", "1e300*u*u+1",
+    "exp(7*u*w)", "2+u^2.5", "2 + u ^ 2", "2+u*u", "3+cos(u)+cos(w)", "3.1+cos(0.9*u)+cos(1.2*w)",
+    "2 − u*u", "-(u)^-2+sqrt(log(3+w))/.5e1",
+]
+_MALFORMED = ["2+*u", "cos(u", "u)", "2 $ u", "1.5.3", "exp(u))", "foo(u)", "q+1", "u#", "(", "2+u−", "1e", "é", ")"]
+
+
+def _parsed(source: str):
+    """The tree, or the ParseError's message and offset."""
+    try:
+        return "ok", parse(source, ("x", "u", "v", "w"))
+    except ParseError as exc:
+        return "ParseError", (exc.message, exc.offset)
+
+
+def _kernel_text(expr, order: int) -> str:
+    shape = exprcalc._Shape(expr.root, expr.n, order)
+    kernel = exprcalc._Compiler(shape)
+    kernel.body(shape.nodes[0])
+    return "\n".join(kernel.lines)
+
+
+@pytest.mark.parametrize("source", _WARPS + _MALFORMED)
+def test_tokenizer_gives_the_reference_tokens_trees_kernels_and_errors(source, monkeypatch):
+    got = _parsed(source)
+    with monkeypatch.context() as m:
+        m.setattr(exprcalc, "_tokenize", _reference_tokenize)
+        want = _parsed(source)
+    assert got[0] == want[0] == ("ok" if source in _WARPS else "ParseError")
+    if got[0] == "ParseError":
+        assert got == want
+        return
+    tokens = [(t.kind, t.text, t.offset) for t in exprcalc._tokenize(source)]
+    assert tokens == [tuple(t) for t in _reference_tokenize(source)]
+    assert got[1].root == want[1].root  # node kinds, constants and spans
+    for order in (0, 2, 3):
+        assert _kernel_text(got[1], order) == _kernel_text(want[1], order)

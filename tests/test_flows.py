@@ -838,7 +838,7 @@ def test_ride_in_blocks_matches_the_reference(name, one_step, monkeypatch):
     points, reference = _ride_against_the_reference(metric, x0, v0, tmax, steps, np.eye(4), jetted)
     ride = flows._Ride(metric, h, np.array(x0, dtype=float), np.array(v0, dtype=float), np.eye(4))
     ride.coast(steps)
-    assert len(ride.xs) - 1 == (steps if name == "two_velocity_rows" else 266)
+    assert ride.reached == (steps if name == "two_velocity_rows" else 266)
     assert jetted.stacked > 0 and 0 <= points - reference <= 4 * flows._block_steps(4)
 
 
@@ -881,3 +881,38 @@ def test_a_raising_domain_test_is_bisected_to_its_first_raising_node(monkeypatch
     calls.clear()
     geodesic(metric, [0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], 1.0, steps=64, frame=np.eye(4))
     assert 63 in calls and len(calls) <= 2 + 2 * math.ceil(math.log2(64))
+
+
+# (metric, x0, v0 or None for the kernel's, tmax, steps): rides whose path
+# takes every route into the node, velocity, frame and g arrays
+PATH_RIDES = {
+    # three blocks of 128, 128 and 44 steps
+    "straight_300": (catalog_conullity3("3+cos(u)+cos(w)"), [0.1, 0.2, -0.3, 0.4], None, 1.0, 300),
+    "bends_mid_block": BLOCK_RIDES["bends_mid_block"],
+    "leaves_the_chart": (catalog_conullity3("3+cos(u)+cos(w)"), [0.1, 0.2, 2.9, 0.4], None, 1.0, 256),
+    "backward": (catalog_conullity3("3+cos(u)+cos(w)"), [0.1, 0.2, -0.3, 0.4], None, -1.0, 300),
+    # the launch velocity's -1.77e-20 entry bends the first stage: handed over at step 0
+    "sekigawa_first_step": (catalog_sekigawa("2+u*u"), [0.2, 0.3, 0.1], None, 0.5, 256),
+}
+
+
+@pytest.mark.parametrize("name", list(PATH_RIDES))
+def test_every_path_field_is_the_references(name):
+    metric, x0, v0, tmax, steps = PATH_RIDES[name]
+    if v0 is None:
+        v0 = kernel_section(metric, x0)[0]
+    frame = np.eye(metric.dim)[1:]
+    points, velocities, frames, drift, exit_parameter, _ = _reference_geodesic(metric, x0, v0, frame, tmax, steps)
+    h = tmax / steps
+    times = np.array([0.0] + [(i + 1) * h for i in range(len(points) - 1)])
+    path = geodesic(metric, x0, v0, tmax, steps=steps, frame=frame)
+    assert path.times.tobytes() == times.tobytes()
+    assert path.points.tobytes() == points.tobytes()
+    assert path.velocities.tobytes() == velocities.tobytes()
+    assert path.frame.tobytes() == frames.tobytes()
+    assert (path.gram_drift, path.truncated, path.exit_parameter) == (drift, exit_parameter is not None, exit_parameter)
+    assert path.truncated == (name == "leaves_the_chart")
+    ride = flows._Ride(metric, h, np.array(x0, dtype=float), np.array(v0, dtype=float), frame)
+    ride.coast(steps)
+    assert ride.reached == {"bends_mid_block": 266, "leaves_the_chart": len(points) - 1,
+                            "sekigawa_first_step": 0}.get(name, steps)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import traceback
 import warnings
@@ -539,3 +540,63 @@ def test_jets_validate_order_and_shape():
     arrays, faults = metric.jets(np.zeros((0, 4)), order=3)
     assert [a.shape for a in arrays] == [(0, 4, 4), (0,) + (4,) * 3, (0,) + (4,) * 4, (0,) + (4,) * 5]
     assert faults == {}
+
+
+# a benchmark-shaped warp, and exp(cos(x)), whose x-derivative at x = +0.0 is
+# -0.0: there the dx-derivative entries of half sum four -0.0 products, which
+# only the leading 0.0 + turns into +0.0, as the einsum does
+COFRAME_WARPS = [
+    (catalog_conullity3, "3.1+cos(0.9*u)+cos(1.2*w)", [0.0, -1.0, 0.0, 0.5]),
+    (catalog_conullity3, "exp(cos(x))", [0.0, -1.0, 0.0, 0.5]),
+    (catalog_sekigawa, "3.1+cos(0.9*u)+cos(1.2*x)", [0.0, -1.0, 0.5]),
+    (catalog_sekigawa, "exp(cos(x))", [0.0, -1.0, 0.5]),
+]
+COFRAME_IDS = ["conullity3", "conullity3_signed_sum", "sekigawa", "sekigawa_signed_sum"]
+
+
+def _coframe_stacks(n: int, warp, special, m: int):
+    """Stacks of m points: signed zeros on a grid, and random points with distinct and with repeated warp arguments."""
+    rng = np.random.default_rng(m)
+    grid = np.array(list(itertools.product([0.0, -0.0, 0.5, -1.0], repeat=n)))
+    signed = np.concatenate([[special], grid, rng.uniform(-1.5, 1.5, (m, n))])[:m]
+    distinct = rng.uniform(-1.5, 1.5, (m, n))
+    repeated = distinct.copy()
+    repeated[:, warp] = signed[0, warp]  # one warp argument, the points apart in v
+    return {"signed": signed, "distinct": distinct, "repeated": repeated}
+
+
+@pytest.mark.parametrize("m", [1, 8, 16, 257])
+@pytest.mark.parametrize("family, warp, special", COFRAME_WARPS, ids=COFRAME_IDS)
+def test_stacked_coframe_jets_contract_only_the_nonzero_column_to_the_points_bits(family, warp, special, m):
+    coframe = family(warp)._stacked
+    assert coframe.columns.tolist() == [0]  # dx, the warp entry's column
+    for kind, pts in _coframe_stacks(coframe.n, coframe.warp, special, m).items():
+        for order in (1, 2, 3):
+            arrays, outside, alone = coframe.jets(pts, order, check=False)
+            assert not (outside.any() or alone.any())
+            for i, pt in enumerate(pts):
+                for a, want in zip(arrays, coframe(pt, order)):
+                    assert a[i].tobytes() == want.tobytes(), (kind, order, pt)
+
+
+@pytest.mark.parametrize("family", [catalog_conullity3, catalog_sekigawa])
+def test_coframe_half_keeps_the_einsums_nan_pattern_and_raises_nothing(family):
+    coframe = family("2+u*u")._stacked
+    n, rng = coframe.n, np.random.default_rng(19)
+    for m in (1, 8, 16, 257):
+        B = np.eye(n) + (coframe.affine @ rng.uniform(-1.5, 1.5, (m, 1, n, 1)))[..., 0]
+        B[:, 0, 0] = rng.uniform(1.0, 3.0, m)
+        dB = np.repeat(coframe.affine[None], m, axis=0)
+        dB[:, 0, 0, coframe.warp] = rng.uniform(-1.0, 1.0, (m, coframe.warp.size))
+        for value in (np.inf, -np.inf, np.nan):
+            point, a, j = rng.integers(m), rng.integers(n), rng.integers(n)
+            entries = [(B, (point, a, j)), (B, (point, 0, 0)), (dB, (point, 0, 0, coframe.warp[-1]))]
+            for array, at in entries:
+                b, db = B.copy(), dB.copy()
+                (b if array is B else db)[at] = value
+                with np.errstate(all="raise"):  # as the command line sets it
+                    got = coframe._half(b, db)
+                with np.errstate(all="ignore"):
+                    want = np.einsum("maik,maj->mijk", db, b)
+                assert np.isnan(want).any()
+                assert got.tobytes() == want.tobytes(), (m, value, at)

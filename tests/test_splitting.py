@@ -158,7 +158,7 @@ def test_jets_per_evolution(m, s):
     report = evolve_along_nullity_geodesic(metric, [0.1, 0.2, -0.3, 0.4], tmax=0.5, steps=m, samples=s)
     assert report.aborted is None and report.sample_times.size == s
     # per tensor one order-3 jet gives the kernel, T and nabla R: the start's,
-    # which sample 0 (x0 itself) reuses, and one per later sample; 2m + 1 for
+    # which also measures sample 0 (x0 itself), and one per later sample; 2m + 1 for
     # the kernel geodesic with its frame (stage repeats reuse their jet, see
     # above): 522 at m = 256, s = 9, as in a kernel-mode flow request
     assert sorted(orders) == [1] * (2 * m + 1) + [3] * s
@@ -712,8 +712,7 @@ def test_stacked_riccati_predictions_keep_each_pole_at_its_time():
 def test_evolution_aborts_at_a_sample_on_a_pole(monkeypatch):
     # a start tensor with a pole at the sample t = 0.25: the walk stops there
     start = np.diag([4.0, 0.0, 0.0])
-    monkeypatch.setattr(splitting, "_frame_tensor", lambda *args: start)
-    monkeypatch.setattr(splitting, "_sample_tensors", lambda metric, path, indices, k0, rel_tol: [start] * len(indices))
+    monkeypatch.setattr(splitting, "_sample_tensors", lambda metric, path, indices, *rest: [start] * len(indices))
     report = evolve_along_nullity_geodesic(conullity3(), [0.1, 0.2, 0.0, 0.4], tmax=0.5, steps=16)
     assert report.sample_times.tolist() == [0.0, 0.0625, 0.125, 0.1875]
     with pytest.raises(RiccatiBlowupError) as exc:
@@ -883,7 +882,8 @@ def test_stacked_sample_tensors_are_each_samples_own_bitwise(metric, point):
     assert (metric.preferred_frame is None) == (metric.dim == 3)
     path = report.path
     indices = flows._sample_indices(path.times.size, 9)
-    stacked = splitting._sample_tensors(metric, path, indices, 1, None)
+    start_jet = curvature_data(metric, path.points[0], nabla_r=True)._jet
+    stacked = splitting._sample_tensors(metric, path, indices, 1, None, start_jet)
     for i, c in zip(indices, stacked):
         data = curvature_data(metric, path.points[i], nabla_r=True)
         alone = splitting._frame_tensor(metric, data, path.velocities[i], path.frame[i], 1)
@@ -950,7 +950,7 @@ def test_sample_stage_that_raises_is_redone_per_sample(monkeypatch, stage, ndim)
     sizes = []
 
     def stacked_fails(*args):
-        if args[0].ndim == ndim:  # the start's tensor is no stack
+        if args[0].ndim == ndim:  # the start's kernel (curvature_data) is no stack
             sizes.append(len(args[0]))
             if len(args[0]) > 1:
                 raise FloatingPointError("forced")
@@ -958,7 +958,8 @@ def test_sample_stage_that_raises_is_redone_per_sample(monkeypatch, stage, ndim)
 
     monkeypatch.setattr(splitting, stage, stacked_fails)
     report = evolve_along_nullity_geodesic(metric, point, tmax=0.5, steps=32)
-    assert sizes == [8] + [1] * 8
+    # the start's tensor is measured with the 8 later samples
+    assert sizes == [9] + [1] * 9
     assert _samples_of(report) == want
 
 

@@ -96,9 +96,9 @@ class _Spies:
             return arrays, outside, alone
 
         def screened(dg, bracket):
-            result = straight(dg, bracket)
+            result, s = straight(dg, bracket)
             spies.bent |= not result.all()
-            return result
+            return result, s
 
         coframe.__call__, coframe.jets = counted_call, counted_jets
         flows._straight = screened

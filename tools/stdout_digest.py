@@ -19,7 +19,10 @@ one warp shape, ``2+u^2.5`` (domain rows where u < 0) and ``2 + u ^ 2``
 (an integer power, with other spans), so a warm run takes the second's
 kernels from the first's shape plan; then a scan of product with a kernel of
 dimension 3 at every point and one of euclidean, where R is zero (the
-kernel stage's groups by kernel size).  Argvs are only
+kernel stage's groups by kernel size); then two conullity3 kernel rides,
+one of 300 steps (stacked blocks of 128, 128 and 44 steps, 9 samples) and
+one of a single step (2 samples), each measuring its start tensor with its
+later samples.  Argvs are only
 ever appended, so every line of an earlier set stays.  Each argv runs in-process
 through ``geonull.cli.main`` against the sources next to this script;
 stderr (timings) is discarded.  A refactor that claims identical output
@@ -95,6 +98,8 @@ ARGVS = (
     ("scan", "--metric", "conullity3", "--p", "2 + u ^ 2", "--grid", "u=-1:1:3,w=0:0:1"),
     ("scan", "--metric", "product", "--dim", "5", "--grid", "theta=0.5:2.5:3,x1=-1:1:2"),
     ("scan", "--metric", "euclidean", "--dim", "3", "--grid", "x0=-1:1:3"),
+    ("flow", "--metric", "conullity3", "--point", "0.1,0.2,-0.3,0.4", "--tmax", "1", "--steps", "300"),
+    ("flow", "--metric", "conullity3", "--point", "0.1,0.2,-0.3,0.4", "--tmax", "1", "--steps", "1"),
 )
 
 
