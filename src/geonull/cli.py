@@ -48,7 +48,6 @@ import numpy as np
 from . import __version__, numcore
 from .curvature import (
     _curvatures,
-    _default_rel_tol,
     curvature_data,
     nullity,
     scalar_curvature,
@@ -72,7 +71,7 @@ from .metricspace import (
     catalog_sekigawa,
     catalog_sphere,
 )
-from .numcore import SingularMatrixError, _invert_each, eigenvalues
+from .numcore import REL_TOL_ANALYTIC, SingularMatrixError, _invert_each, eigenvalues
 from .splitting import (
     SMOOTH_KERNEL_RESIDUAL,
     AlignmentError,
@@ -347,7 +346,7 @@ def _metric_doc(metric) -> dict:
         "name": metric.name,
         "dim": metric.dim,
         "coordinates": list(metric.coordinates),
-        "provenance": metric.provenance.kind,
+        "provenance": "analytic",
     }
 
 
@@ -411,7 +410,7 @@ def cmd_analyze(args, parser) -> int:
         },
         "splitting": splitting,
         "tolerances": {
-            "rel_tol": args.rel_tol if args.rel_tol is not None else _default_rel_tol(metric),
+            "rel_tol": args.rel_tol if args.rel_tol is not None else REL_TOL_ANALYTIC,
             "classify_tol": CLASSIFY_TOL,
         },
     }
@@ -493,21 +492,21 @@ def _curvature_rows(jets, rel_tol, store, idx) -> list:
 def _scan_chunk(metric, points, rel_tol) -> list:
     """:func:`_scan_rows` for one chunk: each curvature stage stacked over its points.
 
-    The chunk's jets, of order 3 where the metric has one, come from one
-    ``MetricField.jets`` call, which jets no point outside the chart.  R,
-    the scalar trace and the kernels are stacked over the points with a
-    jet, and kept stacked over the chunk; the frames, the splitting solves
-    (``splitting._solve_each``, one per frame shape) and the eigenvalues
-    over those with a line kernel.  A stacked stage that raises is redone
-    one point at a time: a point whose jet or R fails is a domain row, one
-    whose frame or solve fails an ok row without a kind.  Where R's stage
-    raises because some g fails ``invert``'s condition test, only those
-    points are left out (domain rows) and the rest are redone stacked.
+    The chunk's 3-jets come from one ``MetricField.jets`` call, which jets
+    no point outside the chart.  R, the scalar trace and the kernels are
+    stacked over the points with a jet, and kept stacked over the chunk;
+    the frames, the splitting solves (``splitting._solve_each``, one per
+    frame shape) and the eigenvalues over those with a line kernel.  A
+    stacked stage that raises is redone one point at a time: a point whose
+    jet or R fails is a domain row, one whose frame or solve fails an ok row
+    without a kind.  Where R's stage raises because some g fails
+    ``invert``'s condition test, only those points are left out (domain
+    rows) and the rest are redone stacked.
     """
     if rel_tol is None:
-        rel_tol = _default_rel_tol(metric)
+        rel_tol = REL_TOL_ANALYTIC
     points = np.asarray(points, dtype=float)
-    jets, faults = metric.jets(points, order=metric.max_order)
+    jets, faults = metric.jets(points, order=3)
     for exc in faults.values():
         if not isinstance(exc, _SCAN_FAULTS):
             raise exc
@@ -526,7 +525,7 @@ def _scan_chunk(metric, points, rel_tol) -> list:
         at = slice(None) if len(idx) == len(points) else idx  # a full slice copies nothing
         t_vecs = basis[at, 0]
         rows, kept = _frames(metric, points[at], jets[0][at], t_vecs)
-        solves = _solve_each(metric, points[at], [a[at] for a in jets], [p[at] for p in parts], t_vecs, rows, kept)
+        solves = _solve_each([a[at] for a in jets], [p[at] for p in parts], t_vecs, rows, kept)
         gated = [j for j, (_, residual, _) in enumerate(solves) if residual <= SMOOTH_KERNEL_RESIDUAL]
         kinds = [""] * len(idx)
         if gated:

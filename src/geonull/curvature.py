@@ -16,21 +16,21 @@ Conventions (all index placement follows these throughout the package):
 * ``cov[m, i, j, k, l]`` is (nabla_m R)_ijkl.
 
 ``nullity`` takes the kernel of v -> R(v, ., ., .) from an SVD of the lowered
-tensor flattened to n^3 x n (a tighter rank cutoff for analytic than for
-finite-difference jets) and g-orthonormalizes it; ``sectional_range`` reads
-the exact sectional range off the curvature operator on its complement.
-nabla R comes in closed form from a metric 3-jet: the derivatives of
-Gamma (d Gamma, d^2 Gamma) and of R (d R) follow from the jet by the product
-rule, and four Christoffel corrections make d R covariant.  So a point needs
-one jet.  For a metric without a 3-jet (``finite_difference_field``, a user
-field) ``_covariant_dr`` takes d R from central differences of R at
-x +/- h e_m instead, 2n more jets.  ``bianchi2_residual`` and
-``covariant_riemann`` use whichever the metric supports.  The splitting
-tensor's solve needs nabla R only with the kernel vector T in its first
-slot: ``_solve_sides`` builds R and -(nabla R)(T, ., ., .) from the 3-jet's
-lowered Christoffel symbols, T contracted into every product-rule term
-before an n^5 product is formed, so no command builds the n^5 entries of
-nabla R (``CurvatureData.nabla_r`` does, on first access, for the tests).
+tensor flattened to n^3 x n (rank cutoff ``REL_TOL_ANALYTIC`` relative to the
+largest singular value unless a ``rel_tol`` is given) and g-orthonormalizes
+it; ``sectional_range`` reads the exact sectional range off the curvature
+operator on its complement.  nabla R comes in closed form from a metric
+3-jet: the derivatives of Gamma (d Gamma, d^2 Gamma) and of R (d R) follow
+from the jet by the product rule, and four Christoffel corrections make d R
+covariant.  So a point needs one jet.  ``covariant_riemann``,
+``bianchi2_residual`` and ``curvature_data(..., nabla_r=True)`` ask the
+metric for that 3-jet, so a metric with 2-jets only raises ``ValueError``
+there.  The splitting tensor's solve needs nabla R only with the kernel
+vector T in its first slot: ``_solve_sides`` builds R and
+-(nabla R)(T, ., ., .) from the 3-jet's lowered Christoffel symbols, T
+contracted into every product-rule term before an n^5 product is formed,
+so no command builds the n^5 entries of nabla R (``CurvatureData.nabla_r``
+does, on first access, for the tests).
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from . import numcore
 from .metricspace import MetricField
 from .numcore import (
     REL_TOL_ANALYTIC,
-    REL_TOL_FINITE_DIFFERENCE,
     _canonical_sign,
     _g_gram_schmidt,
     invert,
@@ -296,12 +295,6 @@ class NullityResult:
     tolerance_used: float
 
 
-def _default_rel_tol(metric: MetricField) -> float:
-    if metric.provenance.kind == "finite-difference":
-        return REL_TOL_FINITE_DIFFERENCE
-    return REL_TOL_ANALYTIC
-
-
 @dataclass(frozen=True)
 class Nullities:
     """:class:`NullityResult` of each point of a stack, stacked.
@@ -381,7 +374,7 @@ def _nullity_from(rdown: np.ndarray, g: np.ndarray, rel_tol: float) -> NullityRe
 def _nullity_at(metric: MetricField, x, rel_tol: Optional[float] = None):
     """``(nullity, g, dg)`` at x: the kernel and the one metric jet it came from."""
     if rel_tol is None:
-        rel_tol = _default_rel_tol(metric)
+        rel_tol = REL_TOL_ANALYTIC
     g, dg, d2g = metric.jet(x)
     gi, gamma, rup, rdown = _riemann_from_jet(g, dg, d2g)
     return _nullity_from(rdown, g, rel_tol), g, dg
@@ -402,10 +395,10 @@ class CurvatureData:
     every reader.  At conullity 2 H is one plane and
     ``nonflat_plane_curvature`` is its sectional curvature (else None);
     :func:`sectional_range` gives the range over all planes.  The jet the
-    summary came from (of order 3 when nabla R was asked for and the metric
-    has a 3-jet) and :func:`_riemann_parts` of it feed the splitting solve.
-    ``nabla_r`` is the full nabla R from them, computed on first access, or
-    None without a 3-jet; no command reads it.
+    summary came from (of order 3 when nabla R was asked for) and
+    :func:`_riemann_parts` of it feed the splitting solve.  ``nabla_r`` is
+    the full nabla R from them, computed on first access, or None when
+    nabla R was not asked for; no command reads it.
     """
 
     point: np.ndarray
@@ -454,15 +447,14 @@ def curvature_data(
 ) -> CurvatureData:
     """The curvature summary at x from one metric jet.
 
-    With ``nabla_r`` set and a metric that has 3-jets that jet is of order
-    3, which the splitting solve takes nabla R from; the summary's fields
-    are bitwise those of the order-2 jet.
+    With ``nabla_r`` set that jet is of order 3, which the splitting solve
+    takes nabla R from (a metric with 2-jets only raises ``ValueError``);
+    the summary's fields are bitwise those of the order-2 jet.
     """
     if rel_tol is None:
-        rel_tol = _default_rel_tol(metric)
+        rel_tol = REL_TOL_ANALYTIC
     pt = np.asarray(x, dtype=float)
-    order = 3 if nabla_r and metric.max_order >= 3 else 2
-    jet = metric.jet(pt, order=order)
+    jet = metric.jet(pt, order=3 if nabla_r else 2)
     parts, scal, kernels = _curvatures(*jet[:3], rel_tol)
     scal = float(scal)
     return CurvatureData(
@@ -527,44 +519,18 @@ def _plane_operator(rdown: np.ndarray, frame: np.ndarray) -> np.ndarray:
     return 0.0 + sums  # a sum from 0.0 differs from one that starts at its first term only at -0.0
 
 
-def _covariant_dr(metric: MetricField, pt: np.ndarray, gamma, r0, h: float, check: bool):
-    """``cov[m, i, j, k, l]`` = (nabla_m R)_ijkl at pt from ``gamma`` and ``r0`` there.
-
-    The fallback for a metric without a 3-jet, and the test oracle of the
-    closed form: the partial term is a central difference of the lowered
-    tensor at pt +/- h e_m (2n metric jets, domain-checked when ``check`` is
-    set), accurate to O(h^2); the four Christoffel corrections make it
-    covariant.
-    """
-    n = metric.dim
-
-    def rdown_at(q):
-        return _riemann_from_jet(*metric.jet(q, check=check))[3]
-
-    dr = np.empty((n, n, n, n, n))
-    eye = np.eye(n)
-    for m in range(n):
-        dr[m] = (rdown_at(pt + h * eye[m]) - rdown_at(pt - h * eye[m])) / (2.0 * h)
-    return _christoffel_corrected(dr, gamma, r0)
+def covariant_riemann(metric: MetricField, x) -> np.ndarray:
+    """nabla R at x in closed form from one metric 3-jet."""
+    jet = metric.jet(np.asarray(x, dtype=float), order=3)
+    return _nabla_riemann(*jet, _riemann_parts(*jet[:3]))
 
 
-def covariant_riemann(metric: MetricField, x, h: float = 1e-4) -> np.ndarray:
-    """nabla R at x: closed form from one 3-jet, else the stencil of step h (points unchecked)."""
-    pt = np.asarray(x, dtype=float)
-    if metric.max_order >= 3:
-        jet = metric.jet(pt, order=3)
-        return _nabla_riemann(*jet, _riemann_parts(*jet[:3]))
-    gi, gamma, rup, r0 = _riemann_from_jet(*metric.jet(pt))
-    return _covariant_dr(metric, pt, gamma, r0, h, check=False)
-
-
-def bianchi2_residual(metric: MetricField, x, h: float = 1e-4) -> float:
+def bianchi2_residual(metric: MetricField, x) -> float:
     """Max-abs residual of the differential Bianchi identity at x.
 
     nabla R (:func:`covariant_riemann`) is summed cyclically over its first
-    three slots.  From a 3-jet the result is rounding noise; from the
-    stencil of a metric without one it is O(h^2) plus rounding noise.
+    three slots; the result is rounding noise.
     """
-    cov = covariant_riemann(metric, x, h)
+    cov = covariant_riemann(metric, x)
     cyc = cov + cov.transpose(1, 2, 0, 3, 4) + cov.transpose(2, 0, 1, 3, 4)
     return float(np.max(np.abs(cyc)))

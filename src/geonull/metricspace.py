@@ -5,8 +5,8 @@ symmetric positive-definite matrices, together with derivative access (the
 2-jet of g, and the 3-jet where ``max_order`` is 3) and a domain predicate
 that also rejects non-finite points.  Charts are immutable after
 construction and evaluation is pure, so fields can be shared freely across
-threads.  Every catalog family has closed-form 3-jets; a field built from
-finite differences, and a user field by default, has 2-jets only.
+threads.  Every catalog family has closed-form 3-jets; a user field has
+2-jets only unless it is built with ``max_order=3``.
 :meth:`MetricField.jets` jets a stack of points, each bitwise as
 :meth:`MetricField.jet` jets it or with the error it raises there.  The two
 warped families have a stacked form, which calls the warp's compiled jet
@@ -25,7 +25,7 @@ positive function p:
 For both families the coframe 1-forms are the ground truth: the metric, its
 jets, and any orthonormal frame are derived from them rather than hard-coded,
 and the jets of g are assembled exactly from the jets of p by the product
-rule (analytic provenance, no finite differences).  The coframe matrix is
+rule (no finite differences).  The coframe matrix is
 affine in the coordinates except for its warp entry p, so a jet of g costs
 one expression jet of p plus a few dense contractions.
 """
@@ -42,7 +42,6 @@ from .exprcalc import Expression, parse
 
 __all__ = [
     "ChartDomainError",
-    "Provenance",
     "MetricField",
     "CatalogEntry",
     "CATALOG",
@@ -52,8 +51,6 @@ __all__ = [
     "catalog_product",
     "catalog_sekigawa",
     "catalog_conullity3",
-    "fd_jet",
-    "finite_difference_field",
     "DEFAULT_BOX",
     "P_FLOOR",
 ]
@@ -73,12 +70,6 @@ class ChartDomainError(ValueError):
         pt = np.asarray(point, dtype=float)
         super().__init__(f"{message}: point {np.array2string(pt, precision=6)}")
         self.point = pt
-
-
-@dataclass(frozen=True)
-class Provenance:
-    kind: str  # "analytic" or "finite-difference"
-    step: Optional[float] = None
 
 
 class MetricField:
@@ -105,9 +96,6 @@ class MetricField:
     domain : callable, optional
         Predicate on finite points; defaults to all of R^n.  A point with a
         non-finite coordinate is outside every chart.
-    provenance : Provenance
-        Whether derivatives are analytic or finite-difference; downstream
-        rank tolerances key off this.
     annotations : dict, optional
         Machine-checkable expected facts used by the verify suites.
     preferred_frame : callable, optional
@@ -115,7 +103,9 @@ class MetricField:
         of the expected kernel, used as the default splitting-tensor basis;
         on a stack of points (m, n) it returns each point's rows (m, k, n).
     max_order : int
-        The highest order ``jet`` supports, 2 or 3 (read-only).
+        The highest order ``jet`` supports, 2 or 3 (read-only).  nabla R
+        and the splitting tensor need 3; asking a field of 2 for a 3-jet
+        raises ``ValueError``.
     """
 
     def __init__(
@@ -124,7 +114,6 @@ class MetricField:
         coordinates: Sequence[str],
         jet: Callable,
         domain: Optional[Callable] = None,
-        provenance: Provenance = Provenance("analytic"),
         name: str = "",
         annotations: Optional[dict] = None,
         preferred_frame: Optional[Callable] = None,
@@ -140,7 +129,6 @@ class MetricField:
         self.coordinates = tuple(coordinates)
         self._jet = jet
         self._domain = domain if domain is not None else (lambda x: True)
-        self.provenance = provenance
         self.name = name or "metric"
         self.annotations = dict(annotations or {})
         self.preferred_frame = preferred_frame
@@ -599,19 +587,11 @@ def catalog_product(a: MetricField, b: MetricField) -> MetricField:
     def domain(x):
         return a.contains(x[:na]) and b.contains(x[na:])
 
-    kinds = {a.provenance.kind, b.provenance.kind}
-    steps = [p.step for p in (a.provenance, b.provenance) if p.step is not None]
-    provenance = (
-        Provenance("analytic")
-        if kinds == {"analytic"}
-        else Provenance("finite-difference", max(steps) if steps else None)
-    )
     return MetricField(
         n,
         a.coordinates + coords_b,
         jet,
         domain=domain,
-        provenance=provenance,
         name=f"product({a.name}, {b.name})",
         annotations={"factor_dims": (a.dim, b.dim)},
         max_order=min(a.max_order, b.max_order),
@@ -723,56 +703,6 @@ def catalog_conullity3(p, box: float = DEFAULT_BOX) -> MetricField:
         annotations=annotations,
         preferred_frame=preferred_frame,
         max_order=3,
-    )
-
-
-# ---------------------------------------------------------------------------
-# finite-difference jets
-
-
-def fd_jet(field: MetricField, x, h: float = 2e-4):
-    """Second-order central-difference 2-jet of g; fallback derivative provider.
-
-    Raises :class:`ChartDomainError` if a stencil point leaves the domain,
-    so the base point should be interior by a margin of 2h.
-    """
-    pt = np.asarray(x, dtype=float)
-    n = field.dim
-    g0 = field.g(pt)
-    eye = np.eye(n)
-    gp = [field.g(pt + h * eye[k]) for k in range(n)]
-    gm = [field.g(pt - h * eye[k]) for k in range(n)]
-    dg = np.stack([(gp[k] - gm[k]) / (2.0 * h) for k in range(n)], axis=2)
-    d2g = np.zeros((n, n, n, n))
-    for k in range(n):
-        d2g[:, :, k, k] = (gp[k] - 2.0 * g0 + gm[k]) / (h * h)
-        for l in range(k + 1, n):
-            gpp = field.g(pt + h * eye[k] + h * eye[l])
-            gpm = field.g(pt + h * eye[k] - h * eye[l])
-            gmp = field.g(pt - h * eye[k] + h * eye[l])
-            gmm = field.g(pt - h * eye[k] - h * eye[l])
-            mixed = (gpp - gpm - gmp + gmm) / (4.0 * h * h)
-            d2g[:, :, k, l] = mixed
-            d2g[:, :, l, k] = mixed
-    return g0, dg, d2g
-
-
-def finite_difference_field(field: MetricField, h: float = 2e-4) -> MetricField:
-    """Wrap ``field`` so its jets come from :func:`fd_jet` (value access only)."""
-
-    def jet(x, order):
-        g, dg, d2g = fd_jet(field, x, h)
-        return (g, dg) if order == 1 else (g, dg, d2g)
-
-    return MetricField(
-        field.dim,
-        field.coordinates,
-        jet,
-        domain=field._domain,
-        provenance=Provenance("finite-difference", h),
-        name=f"fd({field.name})",
-        annotations=field.annotations,
-        preferred_frame=field.preferred_frame,
     )
 
 

@@ -30,15 +30,13 @@ __all__ = [
     "kernel",
     "eigenvalues",
     "REL_TOL_ANALYTIC",
-    "REL_TOL_FINITE_DIFFERENCE",
 ]
 
 MAX_DIM = 8
 COND_LIMIT = 1e12
 KERNEL_ABS_FLOOR = 1e-12
-# default rank tolerances, keyed to how metric derivatives were obtained
+# default rank tolerance, for curvature from analytic metric jets
 REL_TOL_ANALYTIC = 1e-7
-REL_TOL_FINITE_DIFFERENCE = 1e-4
 
 
 class SingularMatrixError(ValueError):

@@ -21,9 +21,8 @@ Every command takes C from nabla R: R(T, ...) vanishes along the kernel, so
 R(nabla_X T, ...) = -(nabla_X R)(T, ...), solved by least squares over the
 kernel's complement.  Every command solves through ``_solve``, for a
 stack of points at once: -(nabla R)(T, ...) in closed form from each
-point's one 3-jet, T contracted in before any n^5 product (for a metric
-without a 3-jet, nabla R from central differences of R: 2n more jets), then
-one SVD of all the points' systems.  A solve residual above
+point's one 3-jet, T contracted in before any n^5 product, then one SVD of
+all the points' systems.  A solve residual above
 ``SMOOTH_KERNEL_RESIDUAL`` means the kernel is no smooth line field there.
 A kernel-mode ``geonull flow`` request (256 steps, 9 samples) makes 522
 metric jets: 2m+1 of order 1 for the kernel geodesic and one of order 3 per
@@ -60,16 +59,14 @@ from .curvature import (
     CurvatureData,
     _christoffel_from_jet,
     _complement,
-    _covariant_dr,
     _curvatures,
-    _default_rel_tol,
     _nullity_at,
     _solve_sides,
     curvature_data,
 )
 from .flows import GeodesicPath, _sample_indices, geodesic
 from .metricspace import MetricField
-from .numcore import eigenvalues, invert
+from .numcore import REL_TOL_ANALYTIC, eigenvalues, invert
 
 __all__ = [
     "AlignmentError",
@@ -371,7 +368,7 @@ def _normal_form(matrix: np.ndarray, tol: float):
     return residual, None
 
 
-def splitting_tensor_from_curvature(metric: MetricField, data: CurvatureData, h: float = 1e-4):
+def splitting_tensor_from_curvature(metric: MetricField, data: CurvatureData):
     """``(matrix, residual)``: C_T at ``data.point`` from nabla R, T the first kernel vector.
 
     Differentiating R(T, ., ., .) = 0 along X gives R(nabla_X T, ., ., .) =
@@ -379,41 +376,30 @@ def splitting_tensor_from_curvature(metric: MetricField, data: CurvatureData, h:
     kernel's complement.  One least-squares solve over the complement basis
     (the chart's preferred frame, else the g-orthonormal complement of the
     kernel) gives <nabla_{d_m} T, e_a> for every m.  (nabla R)(T, ...)
-    comes from ``data``'s 3-jet where it has one; else nabla R comes from
-    central differences of R at x +/- h e_m, whose jets are domain-checked.
+    comes from the 3-jet of ``data``, which ``curvature_data(...,
+    nabla_r=True)`` keeps (a 2-jet raises ``ValueError``).
     ``residual`` is the solve's residual relative to the right-hand side: above
     :data:`SMOOTH_KERNEL_RESIDUAL` the kernel does not extend as a smooth line
     field and the matrix means nothing.  The caller checks that the kernel
     at x is a line.
     """
     basis = _kernel_frame(metric, data)
-    coef, residual = _solve(metric, data.point, data._jet, data._parts, data.nullity.basis[0], basis, h)[0]
+    coef, residual = _solve(data._jet, data._parts, data.nullity.basis[0], basis)[0]
     return -coef @ basis.T, residual
 
 
-def _solve(metric: MetricField, points, jet, parts, t_vecs, bases, h: float = 1e-4) -> list:
+def _solve(jet, parts, t_vecs, bases) -> list:
     """``[(coef, residual)]``: :func:`splitting_tensor_from_curvature`'s solve at each point of a stack.
 
-    ``points`` (leading axes a stack, or none for one point), their ``jet``
-    and :func:`~geonull.curvature._riemann_parts` of it, T = ``t_vecs`` and
-    the complement rows ``bases``.  ``coef[a, m]`` = <nabla_{d_m} T, e_a>
-    for the rows e_a of a point's basis, which span the kernel's complement.
-    From a 3-jet both sides, R and -(nabla R)(T, ...), come from the
-    lowered Christoffel symbols, T contracted in before any n^5 product
-    (``_solve_sides``); from a 2-jet R is ``parts``' and nabla R each
-    point's stencil of it at x +/- h e_m, its jets domain-checked,
-    contracted with T.
+    The points' 3-``jet`` (leading axes a stack, or none for one point) and
+    :func:`~geonull.curvature._riemann_parts` of it, T = ``t_vecs`` and the
+    complement rows ``bases``.  ``coef[a, m]`` = <nabla_{d_m} T, e_a> for
+    the rows e_a of a point's basis, which span the kernel's complement.
+    Both sides, R and -(nabla R)(T, ...), come from the lowered Christoffel
+    symbols, T contracted in before any n^5 product (``_solve_sides``).
     """
-    if len(jet) == 4:
-        rdown, rhs = _solve_sides(*jet, parts, t_vecs)
-    else:
-        n, rdown = points.shape[-1], parts[3]
-        cov = np.stack([
-            _covariant_dr(metric, q, gamma, r, h, check=True)
-            for q, gamma, r in zip(points.reshape(-1, n), parts[1].reshape(-1, n, n, n), rdown.reshape(-1, n, n, n, n))
-        ]).reshape(rdown.shape[:-4] + (n,) * 5)
-        rhs = -np.einsum("...mijkl,...i->...mjkl", cov, t_vecs)
-    return _least_squares(rdown, rhs, bases)
+    g, dg, d2g, d3g = jet
+    return _least_squares(*_solve_sides(g, dg, d2g, d3g, parts, t_vecs), bases)
 
 
 def _least_squares(rdown, rhs, bases) -> list:
@@ -444,17 +430,17 @@ def _least_squares(rdown, rhs, bases) -> list:
     return list(zip(coef_t.swapaxes(-1, -2).reshape(math.prod(shape), -1, n), residual.ravel().tolist()))
 
 
-def _solve_each(metric: MetricField, points, jet, parts, t_vecs, rows, kept) -> list:
+def _solve_each(jet, parts, t_vecs, rows, kept) -> list:
     """``[(coef, residual, basis)]``: :func:`_solve` at each point of a stack over its ``rows`` that ``kept`` marks.
 
     ``basis`` is the point's kept rows.  The points that keep as many rows
     take one stacked solve, so each result is bitwise the point's own.
     """
-    out = [None] * len(points)
+    out = [None] * len(t_vecs)
     for count, at in numcore._groups(kept.sum(axis=-1)):
-        idx = np.arange(len(points))[at]
+        idx = np.arange(len(t_vecs))[at]
         bases = rows[at][kept[at]].reshape(len(idx), count, rows.shape[-1])
-        solves = _solve(metric, points[at], [a[at] for a in jet], [p[at] for p in parts], t_vecs[at], bases)
+        solves = _solve([a[at] for a in jet], [p[at] for p in parts], t_vecs[at], bases)
         for j, (coef, residual), basis in zip(idx.tolist(), solves, bases):
             out[j] = (coef, residual, basis)
     return out
@@ -474,7 +460,7 @@ def _frame_tensor(metric: MetricField, data: CurvatureData, reference, frame, di
     if data.nullity.nullity != dimension:
         raise KernelDimensionError(dimension, data.nullity.nullity, data.point)
     t_vec = _project(data.nullity.basis, data.g, reference, data.point)
-    coef, residual = _solve(metric, data.point, data._jet, data._parts, t_vec, data.complement)[0]
+    coef, residual = _solve(data._jet, data._parts, t_vec, data.complement)[0]
     return _in_frame(coef, residual, data.g, data.complement, frame, data.point)
 
 
@@ -490,9 +476,9 @@ def _sample_tensors(metric: MetricField, path: GeodesicPath, indices, dimension:
 
     Each entry is bitwise ``_frame_tensor(metric, curvature_data(metric, q,
     rel_tol, nabla_r=True), velocity, frame, dimension)`` at node q, or the
-    error that raises there.  The first node is the path's start, whose jet
-    of order ``metric.max_order`` is ``start_jet``; the others' jets come
-    from one :meth:`MetricField.jets` call.  R and the kernels, T, the
+    error that raises there.  The first node is the path's start, whose
+    3-jet is ``start_jet``; the others' 3-jets come from one
+    :meth:`MetricField.jets` call.  R and the kernels, T, the
     complements and the solves (one per complement shape,
     :func:`_solve_each`) are each stacked over the nodes, as ``scan``
     stacks its grid points, and only C in the frame is each node's own.
@@ -500,9 +486,9 @@ def _sample_tensors(metric: MetricField, path: GeodesicPath, indices, dimension:
     with its own node.
     """
     if rel_tol is None:
-        rel_tol = _default_rel_tol(metric)
+        rel_tol = REL_TOL_ANALYTIC
     points, velocities, frames = path.points[indices], path.velocities[indices], path.frame[indices]
-    later, faults = metric.jets(points[1:], order=metric.max_order)
+    later, faults = metric.jets(points[1:], order=3)
     jets = [np.concatenate([a[None], b]) for a, b in zip(start_jet, later)]
     out = {j + 1: exc for j, exc in faults.items()}  # out: node -> C or the error raised
 
@@ -515,7 +501,7 @@ def _sample_tensors(metric: MetricField, path: GeodesicPath, indices, dimension:
             raise KernelDimensionError(dimension, int(kernels.sizes[first]), points[idx][first])
         basis, g = kernels.basis[:, :dimension], jet[0]
         t_vecs = _project(basis, g, velocities[idx], points[idx])
-        solves = _solve_each(metric, points[idx], jet, parts, t_vecs, *_complement(g, basis))
+        solves = _solve_each(jet, parts, t_vecs, *_complement(g, basis))
         return [
             _in_frame(coef, residual, g[j], h, frames[i], points[i])
             for j, (i, (coef, residual, h)) in enumerate(zip(idx, solves))

@@ -5,7 +5,6 @@ import pytest
 
 from geonull.curvature import (
     DegeneratePlaneError,
-    _covariant_dr,
     _nabla_riemann,
     _PAIRS,
     _nullity_from,
@@ -30,8 +29,8 @@ from geonull.metricspace import (
     catalog_product,
     catalog_sekigawa,
     catalog_sphere,
-    finite_difference_field,
 )
+from oracles import finite_difference_field, nabla_r_stencil
 
 
 def test_polar_christoffel_closed_form():
@@ -115,18 +114,17 @@ def test_second_bianchi_residual_is_small():
     for metric, pt in CATALOG_POINTS:
         scale = max(1.0, float(np.abs(covariant_riemann(metric, pt)).max()))
         assert bianchi2_residual(metric, pt) <= 1e-12 * scale, metric.name
-    # the stencil of a field without a 3-jet only to O(h^2)
-    fd = finite_difference_field(catalog_sekigawa("exp(u)"), h=1e-3)
-    assert fd.max_order == 2
-    assert bianchi2_residual(fd, [0.3, -0.2, 0.5]) < 1e-3
+    # the stencil of R of finite-difference jets only to O(h^2)
+    cov = nabla_r_stencil(finite_difference_field(catalog_sekigawa("exp(u)"), h=1e-3), [0.3, -0.2, 0.5])
+    cyc = cov + cov.transpose(1, 2, 0, 3, 4) + cov.transpose(2, 0, 1, 3, 4)
+    assert np.abs(cyc).max() < 1e-3
 
 
 @pytest.mark.parametrize("metric, pt", CATALOG_POINTS, ids=[m.name for m, _ in CATALOG_POINTS])
 def test_analytic_nabla_r_matches_the_stencil_to_second_order(metric, pt):
     pt = np.asarray(pt, dtype=float)
     cov = covariant_riemann(metric, pt)
-    gi, gamma, rup, rdown = _riemann_from_jet(*metric.jet(pt))
-    errors = [np.abs(_covariant_dr(metric, pt, gamma, rdown, h, check=False) - cov).max() for h in (2e-4, 1e-4)]
+    errors = [np.abs(nabla_r_stencil(metric, pt, h) - cov).max() for h in (2e-4, 1e-4)]
     scale = max(1.0, float(np.abs(cov).max()))
     assert errors[1] <= 1e-7 * scale
     if errors[0] > 1e-9 * scale:  # above the rounding floor, halving h quarters the error
@@ -198,8 +196,6 @@ def test_curvature_data_with_nabla_r_shares_the_point_jet():
     for name in ("g", "christoffel", "rup", "rdown"):
         assert getattr(full, name).tobytes() == getattr(plain, name).tobytes()
     assert (full.scalar_trace, full.nullity.basis.tobytes()) == (plain.scalar_trace, plain.nullity.basis.tobytes())
-    # a field without a 3-jet leaves nabla R to the caller's stencil
-    assert curvature_data(finite_difference_field(metric), pt, nabla_r=True).nabla_r is None
 
 
 def test_nullity_of_model_families():
@@ -233,20 +229,21 @@ def test_nullity_basis_is_g_orthonormal():
 def test_curvature_data_nullity_is_nullity_bitwise():
     rng = np.random.default_rng(31)
     cases = [
-        (catalog_euclidean(3), lambda: rng.uniform(-1.0, 1.0, 3)),
-        (catalog_sphere(1.0), lambda: np.array([rng.uniform(0.3, 2.8), rng.uniform(-3.0, 3.0)])),
-        (catalog_polar(), lambda: np.array([rng.uniform(0.5, 2.0), rng.uniform(-3.0, 3.0)])),
+        (catalog_euclidean(3), lambda: rng.uniform(-1.0, 1.0, 3), None),
+        (catalog_sphere(1.0), lambda: np.array([rng.uniform(0.3, 2.8), rng.uniform(-3.0, 3.0)]), None),
+        (catalog_polar(), lambda: np.array([rng.uniform(0.5, 2.0), rng.uniform(-3.0, 3.0)]), None),
         (catalog_product(catalog_sphere(1.0), catalog_euclidean(2)),
-         lambda: np.array([rng.uniform(0.3, 2.8), *rng.uniform(-1.0, 1.0, 3)])),
-        (catalog_sekigawa("exp(u)"), lambda: rng.uniform(-1.0, 1.0, 3)),
-        (catalog_conullity3("3+cos(u)+cos(w)"), lambda: rng.uniform(-1.0, 1.0, 4)),
-        (finite_difference_field(catalog_sekigawa("2+u*u")), lambda: rng.uniform(-1.0, 1.0, 3)),
+         lambda: np.array([rng.uniform(0.3, 2.8), *rng.uniform(-1.0, 1.0, 3)]), None),
+        (catalog_sekigawa("exp(u)"), lambda: rng.uniform(-1.0, 1.0, 3), None),
+        (catalog_conullity3("3+cos(u)+cos(w)"), lambda: rng.uniform(-1.0, 1.0, 4), None),
+        # finite-difference jets, read at the looser rank cutoff that suits truncation error
+        (finite_difference_field(catalog_sekigawa("2+u*u")), lambda: rng.uniform(-1.0, 1.0, 3), 1e-4),
     ]
-    for metric, draw in cases:
+    for metric, draw, rel_tol in cases:
         for _ in range(4):
             pt = draw()
-            via_data = curvature_data(metric, pt).nullity
-            direct = nullity(metric, pt)
+            via_data = curvature_data(metric, pt, rel_tol).nullity
+            direct = nullity(metric, pt, rel_tol)
             assert (via_data.nullity, via_data.conullity) == (direct.nullity, direct.conullity)
             for name in ("basis", "residuals", "singular_values"):
                 a, b = getattr(via_data, name), getattr(direct, name)
@@ -265,10 +262,11 @@ def test_nullity_basis_has_canonical_signs():
     assert res.basis.tolist() == [[1.0, 0.0], [2.0, -1.0]]
 
 
-def test_nullity_with_finite_difference_provenance():
+def test_nullity_of_finite_difference_jets_at_a_looser_tolerance():
+    # finite-difference jets read at the looser rank cutoff that suits truncation error: the analytic kernel
     analytic = catalog_sekigawa("exp(u)")
     fd = finite_difference_field(analytic)
-    res_fd = nullity(fd, [0.1, 0.2, -0.3])
+    res_fd = nullity(fd, [0.1, 0.2, -0.3], rel_tol=1e-4)
     res_an = nullity(analytic, [0.1, 0.2, -0.3])
     assert (res_fd.nullity, res_fd.conullity) == (res_an.nullity, res_an.conullity)
     assert res_fd.tolerance_used > res_an.tolerance_used

@@ -11,16 +11,14 @@ from geonull.metricspace import (
     CATALOG,
     ChartDomainError,
     MetricField,
-    Provenance,
     catalog_conullity3,
     catalog_euclidean,
     catalog_polar,
     catalog_product,
     catalog_sekigawa,
     catalog_sphere,
-    fd_jet,
-    finite_difference_field,
 )
+from oracles import fd_jet, finite_difference_field
 
 
 def sekigawa_metric_by_hand(p_fn, x, u, v):
@@ -242,7 +240,7 @@ def test_product_dimension_cap():
 def test_finite_difference_field_wrapper():
     base = catalog_sekigawa("exp(u)")
     fd = finite_difference_field(base, h=2e-4)
-    assert fd.provenance == Provenance("finite-difference", 2e-4)
+    assert (fd.name, fd.max_order) == ("fd(sekigawa(p=exp(u)))", 2)
     pt = np.array([0.2, -0.1, 0.4])
     g, dg, d2g = fd.jet(pt)
     gb, dgb, d2gb = base.jet(pt)

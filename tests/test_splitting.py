@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from geonull import cli, curvature, exprcalc, flows, splitting
-from geonull.curvature import _complement, curvature_data, nullity
+from geonull.curvature import _complement, bianchi2_residual, covariant_riemann, curvature_data, nullity
 from geonull.flows import geodesic, nullity_geodesic_check
 from geonull.metricspace import (
     ChartDomainError,
@@ -31,6 +31,7 @@ from geonull.splitting import (
     splitting_tensor_from_curvature,
     trace_det_evolution,
 )
+from oracles import stencil_splitting_tensor
 
 ORIGIN4 = [0.0, 0.0, 0.0, 0.0]
 
@@ -97,7 +98,7 @@ def test_default_field_is_the_sign_flip_field_bitwise(metric, dim):
         assert got.normal_form_entries == want.normal_form_entries
 
 
-def _counting(metric, max_order=2):
+def _counting(metric, max_order=3):
     """``metric`` behind a jet that records the order of every call."""
     orders = []
 
@@ -106,8 +107,7 @@ def _counting(metric, max_order=2):
         return metric.jet(x, order=order, check=False)
 
     counted = MetricField(
-        metric.dim, metric.coordinates, jet,
-        provenance=metric.provenance, preferred_frame=metric.preferred_frame, max_order=max_order,
+        metric.dim, metric.coordinates, jet, preferred_frame=metric.preferred_frame, max_order=max_order,
     )
     return counted, orders
 
@@ -154,7 +154,7 @@ def test_jets_per_transport_and_nullity_geodesic_check():
 
 @pytest.mark.parametrize("m, s", [(16, 5), (256, 9)])
 def test_jets_per_evolution(m, s):
-    metric, orders = _counting(conullity3(), max_order=3)
+    metric, orders = _counting(conullity3())
     report = evolve_along_nullity_geodesic(metric, [0.1, 0.2, -0.3, 0.4], tmax=0.5, steps=m, samples=s)
     assert report.aborted is None and report.sample_times.size == s
     # per tensor one order-3 jet gives the kernel, T and nabla R: the start's,
@@ -339,17 +339,27 @@ def _hessian_line_warp():
         dg[2, 2] = 2.0 * f * df
         if order == 1:
             return g, dg
+        hess = np.diag([1.0, y, 0.0])
         d2g = np.zeros((3, 3, 3, 3))
-        d2g[2, 2] = 2.0 * (np.outer(df, df) + f * np.diag([1.0, y, 0.0]))
-        return g, dg, d2g
+        d2g[2, 2] = 2.0 * (np.outer(df, df) + f * hess)
+        if order == 2:
+            return g, dg, d2g
+        dhess = np.zeros((3, 3, 3))
+        dhess[1, 1, 1] = 1.0  # d_y H_yy, the one nonzero derivative of Hess f
+        d3g = np.zeros((3,) * 5)
+        # d_klm (f^2) = 2 (H_kl f_m + f_k H_lm + f_l H_km + f d_m H_kl)
+        d3g[2, 2] = 2.0 * (
+            hess[:, :, None] * df + df[:, None, None] * hess[None] + df[None, :, None] * hess[:, None] + f * dhess
+        )
+        return g, dg, d2g, d3g
 
-    return MetricField(3, ("x", "y", "z"), jet, name="hessian_line_warp")
+    return MetricField(3, ("x", "y", "z"), jet, name="hessian_line_warp", max_order=3)
 
 
 def test_residual_gate_rejects_a_kernel_line_that_is_no_field(monkeypatch, capsys):
     metric = _hessian_line_warp()
     pt = np.array([0.3, 0.0, 0.1])
-    data = curvature_data(metric, pt)
+    data = curvature_data(metric, pt, nabla_r=True)
     assert data.nullity.nullity == 1
     assert np.allclose(np.abs(data.nullity.basis[0]), [0.0, 1.0, 0.0], atol=1e-12)
     _, residual = splitting_tensor_from_curvature(metric, data)
@@ -369,26 +379,44 @@ def test_residual_gate_rejects_a_kernel_line_that_is_no_field(monkeypatch, capsy
     ids=["preferred_frame", "built_complement"],
 )
 def test_jets_per_nabla_r_tensor(metric, point):
+    # the point's 3-jet gives g, Gamma, R, the kernel and nabla R, and the tensor no jet
     counted, orders = _counting(metric)
-    data = curvature_data(counted, point)
-    orders.clear()
-    splitting_tensor_from_curvature(counted, data)
-    # without a 3-jet: two stencil points per axis; g, Gamma, R and the
-    # kernel at x come from data
-    assert orders == [2] * (2 * metric.dim)
-    # with one, the point's 3-jet gives nabla R too, and the tensor no jet
-    counted, orders = _counting(metric, max_order=3)
     data = curvature_data(counted, point, nabla_r=True)
     assert orders == [3]
     splitting_tensor_from_curvature(counted, data)
     assert orders == [3]
 
 
+@pytest.mark.parametrize(
+    "needs_nabla_r",
+    [
+        lambda metric, pt: curvature_data(metric, pt, nabla_r=True),
+        covariant_riemann,
+        bianchi2_residual,
+        lambda metric, pt: cli._scan_rows(metric, [pt], None),
+        evolve_along_nullity_geodesic,
+    ],
+    ids=["curvature_data", "covariant_riemann", "bianchi2_residual", "scan_rows", "evolve"],
+)
+def test_a_field_of_2_jets_raises_wherever_nabla_r_is_needed(needs_nabla_r):
+    # nabla R takes a 3-jet: a field of 2-jets raises where one is asked for, before any point is jetted
+    metric, orders = _counting(conullity3(), max_order=2)
+    with pytest.raises(ValueError, match=r"^order must be 1\.\.2 for metric, got 3$"):
+        needs_nabla_r(metric, [0.1, 0.2, -0.3, 0.4])
+    assert orders == []
+
+
+def test_a_field_of_2_jets_gives_curvature_and_its_kernel():
+    metric, orders = _counting(conullity3(), max_order=2)
+    assert curvature_data(metric, [0.1, 0.2, -0.3, 0.4]).nullity.nullity == 1 and orders == [2]
+
+
 def test_nabla_r_tensor_from_the_3_jet_matches_the_stencil_of_r():
     metric = conullity3()
     pt = [0.1, 0.2, -0.3, 0.4]
-    analytic = splitting_tensor_from_curvature(metric, curvature_data(metric, pt, nabla_r=True))
-    stencil = splitting_tensor_from_curvature(metric, curvature_data(metric, pt))
+    data = curvature_data(metric, pt, nabla_r=True)
+    analytic = splitting_tensor_from_curvature(metric, data)
+    stencil = stencil_splitting_tensor(metric, data)
     assert np.max(np.abs(analytic[0] - stencil[0])) < 1e-8
     assert analytic[1] < 1e-13  # no step noise in the right-hand side
 
@@ -768,13 +796,13 @@ def test_evolution_stops_where_the_kernel_changes_dimension():
 
     def grows_past_v(q, order):
         # the kernel geodesic from the origin runs along v = t; past v = 0.28
-        # the curvature (order-2 jets only, so the path is unchanged) is that
+        # the curvature (order-2+ jets only, so the path is unchanged) is that
         # of S^2 x R^2, whose kernel is the (v, w) plane
-        if order == 2 and q[2] > 0.28:
-            return plane_kernel.jet([1.0, 0.5, q[2], q[3]], check=False)
+        if order >= 2 and q[2] > 0.28:
+            return plane_kernel.jet([1.0, 0.5, q[2], q[3]], order=order, check=False)
         return base.jet(q, order=order, check=False)
 
-    metric = MetricField(4, base.coordinates, grows_past_v, domain=base.contains)
+    metric = MetricField(4, base.coordinates, grows_past_v, domain=base.contains, max_order=3)
     report = evolve_along_nullity_geodesic(metric, ORIGIN4, tmax=0.5, steps=16)
     assert report.aborted.startswith("curvature kernel has dimension 2, expected 1")
     assert report.sample_times.tolist() == [0.0, 0.0625, 0.125, 0.1875, 0.25]
@@ -870,9 +898,10 @@ def _samples_of(report):
 _SAMPLED_RIDES = [
     (catalog_conullity3("3+cos(0.9*u)+cos(1.2*w)+0.3*sin(x)"), [0.1, 0.2, -0.3, 0.4]),
     (catalog_sekigawa("2+u*u"), [0.2, 0.3, 0.1]),
-    (_counting(conullity3(), max_order=2)[0], [0.1, 0.2, -0.3, 0.4]),
+    # no stacked form: the samples' jets are taken point by point
+    (_counting(conullity3())[0], [0.1, 0.2, -0.3, 0.4]),
 ]
-_SAMPLED_IDS = ["conullity3", "sekigawa_built_complement", "no_3_jet"]
+_SAMPLED_IDS = ["conullity3", "sekigawa_built_complement", "unstacked"]
 
 
 @pytest.mark.parametrize("metric, point", _SAMPLED_RIDES, ids=_SAMPLED_IDS)
@@ -903,7 +932,7 @@ def test_sample_zero_is_the_start_tensor_bitwise(metric, point):
     assert report.measured[0].tobytes() == report.start_matrix.tobytes() == alone.tobytes()
 
 
-def _kernel_grows_past(v_grow, v_fail, max_order):
+def _kernel_grows_past(v_grow, v_fail):
     """conullity3 whose order-2+ jets past v = ``v_grow`` are those of S^2 x R^2 (kernel the (v, w)
     plane) and past v = ``v_fail`` raise; the order-1 jets, and so the kernel ride from the origin
     along v = t, are unchanged."""
@@ -917,19 +946,18 @@ def _kernel_grows_past(v_grow, v_fail, max_order):
             return plane_kernel.jet([1.0, 0.5, q[2], q[3]], order=order, check=False)
         return base.jet(q, order=order, check=False)
 
-    return MetricField(4, base.coordinates, jet, domain=base.contains, max_order=max_order)
+    return MetricField(4, base.coordinates, jet, domain=base.contains, max_order=3)
 
 
-@pytest.mark.parametrize("max_order", [2, 3])
-def test_ride_aborting_at_a_middle_sample_reports_each_sample_alone(max_order):
+def test_ride_aborting_at_a_middle_sample_reports_each_sample_alone():
     # samples every 0.0625 in v: the one at 0.3125 aborts, the last (0.5) cannot be jetted
-    metric = _kernel_grows_past(0.28, 0.45, max_order)
+    metric = _kernel_grows_past(0.28, 0.45)
     report = evolve_along_nullity_geodesic(metric, ORIGIN4, tmax=0.5, steps=16)
     assert report.aborted.startswith("curvature kernel has dimension 2, expected 1")
     assert report.sample_times.tolist() == [0.0, 0.0625, 0.125, 0.1875, 0.25]
     assert _samples_of(report) == _each_sample(metric, report)
     # a sample's error that no abort comes before is raised, as measured alone
-    metric = _kernel_grows_past(math.inf, 0.28, max_order)
+    metric = _kernel_grows_past(math.inf, 0.28)
     with pytest.raises(ValueError, match="no jet at v = 0.3125"):
         evolve_along_nullity_geodesic(metric, ORIGIN4, tmax=0.5, steps=16)
 

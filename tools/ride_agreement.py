@@ -174,7 +174,7 @@ def _kernel_grows(base, v_start: float, travel: float, rng: random.Random):
         return base.jet(q, order=order, check=False)
 
     return MetricField(base.dim, base.coordinates, jet, domain=base.contains,
-                       preferred_frame=base.preferred_frame, max_order=rng.choice((2, 3)))
+                       preferred_frame=base.preferred_frame, max_order=3)
 
 
 _ABORTS = (splitting.KernelDimensionError, splitting.AlignmentError, splitting.KernelFieldError,

@@ -8,8 +8,8 @@ contracted in before any n^5 product.  This compares four kinds per point:
 * ``richardson``: the kernel-field stencil of ``splitting.splitting_tensor``
   (the reference the tests compare the solve with);
 * ``stencil``: the same solve with nabla R from central differences of R
-  (``curvature._covariant_dr``, the solve's default step), under scan's
-  residual gate;
+  at x +/- 1e-4 e_m (``stencil_splitting_tensor`` of ``tests/oracles.py``),
+  under scan's residual gate;
 * ``analytic``: scan's own kind, from ``cli._scan_rows`` on all the points
   of a warp (or of a fixed family) at once, as ``scan`` stacks a grid;
 * ``full``: the solve from all n^5 entries of nabla R (``CurvatureData.nabla_r``)
@@ -42,12 +42,12 @@ import os
 import random
 import sys
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(1, os.path.join(ROOT, "tests"))
 
 from geonull import cli  # noqa: E402
 from geonull.curvature import curvature_data  # noqa: E402
@@ -70,6 +70,7 @@ from geonull.splitting import (  # noqa: E402
     splitting_tensor,
     splitting_tensor_from_curvature,
 )
+from oracles import stencil_splitting_tensor  # noqa: E402
 
 FAULTS = (ChartDomainError, DomainError, SingularMatrixError, FloatingPointError)
 WARPS_EVERY = 50
@@ -79,10 +80,10 @@ def _kind(matrix, residual) -> str:
     return classify(matrix, tol=cli.CLASSIFY_TOL).kind if residual <= SMOOTH_KERNEL_RESIDUAL else ""
 
 
-def _solve(metric, data):
-    """``(kind, residual)`` of the nabla R solve on ``data``, as scan gates it."""
+def _solve(solve, metric, data):
+    """``(kind, residual)`` of ``solve(metric, data)``, a nabla R solve, as scan gates it."""
     try:
-        matrix, residual = splitting_tensor_from_curvature(metric, data)
+        matrix, residual = solve(metric, data)
     except FAULTS:
         return "", None
     return _kind(matrix, residual), residual
@@ -115,8 +116,8 @@ def _compare(metric, point, analytic):
         richardson = classify(splitting_tensor(metric, point).matrix, tol=cli.CLASSIFY_TOL).kind
     except FAULTS + (KernelDimensionError, AlignmentError, NonUnitFieldError):
         richardson = ""
-    stencil, stencil_residual = _solve(metric, replace(data, _jet=data._jet[:3]))  # no 3-jet: the stencil
-    analytic_residual = _solve(metric, data)[1]
+    stencil, stencil_residual = _solve(stencil_splitting_tensor, metric, data)
+    analytic_residual = _solve(splitting_tensor_from_curvature, metric, data)[1]
     closed = "nilpotent" if abs(data.scalar_trace) > 1e-8 else "zero"
     return (richardson, stencil, analytic), (stencil_residual, analytic_residual), closed, _full_kind(metric, data)
 
