@@ -468,7 +468,7 @@ def _scan_rows(metric, points, rel_tol) -> list:
 def _curvature_rows(jets, rel_tol, store, idx) -> list:
     """R's stage of :func:`_scan_chunk` at the points ``idx`` of ``jets``: True at each, or False.
 
-    The stage's arrays, :func:`_riemann_parts`' tensors, the scalar traces
+    The stage's arrays, :func:`~geonull.curvature._riemann`'s tensors, the scalar traces
     and the kernels' sizes and bases, go into ``store`` at the chunk rows
     ``idx`` (``numcore._put``).  Where some g fails ``invert``'s condition
     test, those points get False, as each fails alone too, and the rest are

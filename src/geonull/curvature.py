@@ -11,6 +11,10 @@ Conventions (all index placement follows these throughout the package):
 * ``rdown[i, j, k, l]`` is R_ijkl = g_lm R^m_ijk, so the sectional curvature
   of span{X, Y} has numerator R_ijkl X^i Y^j Y^k X^l and the unit round
   sphere comes out at +1.
+* R is built lowered, from the lowered Christoffel symbols Gamma_{m,jk} =
+  s_jkm / 2 (``_riemann``): every command reads that one ``rdown``, and
+  ``rup`` is raised from it by g^-1 only where a public name returns it
+  (``riemann``, ``CurvatureData.rup``).
 * The scalar curvature is the double trace g^{il} g^{jk} R_ijkl, which is
   +2 on the unit sphere.
 * ``cov[m, i, j, k, l]`` is (nabla_m R)_ijkl.
@@ -20,17 +24,16 @@ tensor flattened to n^3 x n (rank cutoff ``REL_TOL_ANALYTIC`` relative to the
 largest singular value unless a ``rel_tol`` is given) and g-orthonormalizes
 it; ``sectional_range`` reads the exact sectional range off the curvature
 operator on its complement.  nabla R comes in closed form from a metric
-3-jet: the derivatives of Gamma (d Gamma, d^2 Gamma) and of R (d R) follow
-from the jet by the product rule, and four Christoffel corrections make d R
-covariant.  So a point needs one jet.  ``covariant_riemann``,
-``bianchi2_residual`` and ``curvature_data(..., nabla_r=True)`` ask the
-metric for that 3-jet, so a metric with 2-jets only raises ``ValueError``
-there.  The splitting tensor's solve needs nabla R only with the kernel
-vector T in its first slot: ``_solve_sides`` builds R and
--(nabla R)(T, ., ., .) from the 3-jet's lowered Christoffel symbols, T
-contracted into every product-rule term before an n^5 product is formed,
-so no command builds the n^5 entries of nabla R (``CurvatureData.nabla_r``
-does, on first access, for the tests).
+3-jet: the derivative of R's lowered formula follows from the jet by the
+product rule, and four Christoffel corrections make it covariant.  So a
+point needs one jet.  ``covariant_riemann``, ``bianchi2_residual`` and
+``curvature_data(..., nabla_r=True)`` ask the metric for that 3-jet, so a
+metric with 2-jets only raises ``ValueError`` there.  The splitting
+tensor's solve needs nabla R only with the kernel vector T in its first
+slot: ``_solve_rhs`` builds -(nabla R)(T, ., ., .), T contracted into every
+product-rule term before an n^5 product is formed, so no command builds the
+n^5 entries of nabla R (``_nabla_riemann`` does, one coordinate vector T at
+a time, for ``covariant_riemann`` and ``CurvatureData.nabla_r``).
 """
 
 from __future__ import annotations
@@ -99,115 +102,60 @@ def christoffel(metric: MetricField, x) -> np.ndarray:
     return _christoffel_from_jet(invert(g), dg)
 
 
-def _riemann_from_jet(g, dg, d2g):
-    """``(gi, gamma, rup, rdown)``: the inverse metric and the tensors built on it.
+def _riemann(g, dg, d2g):
+    """``(gi, gamma, s, ds, rdown)``: R_ijkl from a 2-jet, and the tensors it is built on.
 
-    Leading axes of the jet are a batch of points; each point's tensors are
-    bitwise those of the point alone.
-    """
-    return _riemann_parts(g, dg, d2g)[:4]
-
-
-def _riemann_parts(g, dg, d2g):
-    """:func:`_riemann_from_jet`'s tensors, then ``ds``, ``dgi`` and ``dgamma``.
-
-    ``ds[..., j, k, m, i]`` is d_i of the bracket s_jkm = d_j g_km + d_k g_jm
-    - d_m g_jk, ``dgi[..., a, b, i]`` = d_i g^ab and ``dgamma[..., i, l, j, k]``
-    = d_i Gamma^l_jk.
-    """
-    gi = invert(g)
-    gamma = _christoffel_from_jet(gi, dg)
-    s = _bracket(dg)
-    # ds[..., j, k, m, i] = d_i s[..., j, k, m]
-    ds = _t(d2g, -2, -4, -3, -1) + _t(d2g, -4, -2, -3, -1) - d2g
-    dgi = -np.einsum("...ap,...pqd,...qb->...abd", gi, dg, gi)
-    dgamma = 0.5 * (
-        np.einsum("...lmi,...jkm->...iljk", dgi, s) + np.einsum("...lm,...jkmi->...iljk", gi, ds)
-    )
-    rup = (
-        _t(dgamma, -3, -4, -2, -1)
-        - _t(dgamma, -3, -2, -4, -1)
-        + np.einsum("...lim,...mjk->...lijk", gamma, gamma)
-        - np.einsum("...ljm,...mik->...lijk", gamma, gamma)
-    )
-    rdown = np.einsum("...lm,...mijk->...ijkl", g, rup)
-    return gi, gamma, rup, rdown, ds, dgi, dgamma
-
-
-def _nabla_riemann(g, dg, d2g, d3g, parts):
-    """nabla R from a 3-jet and :func:`_riemann_parts` of its 2-jet.
-
-    By the product rule: with X[a, j, k, i] = s_jka,i / 2 - d_i g_ab
-    Gamma^b_jk, d_i Gamma^l_jk = g^la X[a, j, k, i], so d_n d_i Gamma^l_jk =
-    d_n g^la X[a, j, k, i] + g^la d_n X[a, j, k, i].  The derivative of
-    R^l_ijk is then that of its defining sum, d R_ijkl lowers it, and the
-    Christoffel corrections make it covariant.  Leading axes of the jet are
-    a batch of points.
-    """
-    gi, gamma, rup, rdown, ds, dgi, dgamma = parts
-    # d2s[..., j, k, m, i, n] = d_n d_i s[..., j, k, m]
-    d2s = _t(d3g, -3, -5, -4, -2, -1) + _t(d3g, -5, -3, -4, -2, -1) - d3g
-    x = 0.5 * _t(ds, -2, -4, -3, -1) - np.einsum("...abi,...bjk->...ajki", dg, gamma)
-    dx = (
-        0.5 * _t(d2s, -3, -5, -4, -2, -1)
-        - np.einsum("...abin,...bjk->...ajkin", d2g, gamma)
-        - np.einsum("...abi,...nbjk->...ajkin", dg, dgamma)
-    )
-    # d2gamma[..., n, i, l, j, k] = d_n d_i Gamma^l_jk
-    d2gamma = np.einsum("...lan,...ajki->...niljk", dgi, x) + np.einsum("...la,...ajkin->...niljk", gi, dx)
-    # w[..., n, l, i, j, k]: d_n of the terms of R^l_ijk that the antisymmetry in i, j pairs up
-    w = (
-        _t(d2gamma, -5, -3, -4, -2, -1)
-        + np.einsum("...nlim,...mjk->...nlijk", dgamma, gamma)
-        + np.einsum("...lim,...nmjk->...nlijk", gamma, dgamma)
-    )
-    drup = w - _t(w, -5, -4, -2, -3, -1)
-    drdown = np.einsum("...lmn,...mijk->...nijkl", dg, rup) + np.einsum("...lm,...nmijk->...nijkl", g, drup)
-    return _christoffel_corrected(drdown, gamma, rdown)
-
-
-def _christoffel_corrected(dr, gamma, rdown):
-    """nabla R from the partial derivatives ``dr[..., m, i, j, k, l]`` = d_m R_ijkl."""
-    return (
-        dr
-        - np.einsum("...pmi,...pjkl->...mijkl", gamma, rdown)
-        - np.einsum("...pmj,...ipkl->...mijkl", gamma, rdown)
-        - np.einsum("...pmk,...ijpl->...mijkl", gamma, rdown)
-        - np.einsum("...pml,...ijkp->...mijkl", gamma, rdown)
-    )
-
-
-def _solve_sides(g, dg, d2g, d3g, parts, t):
-    """``(rdown, rhs)``: R_ijkl and ``rhs[..., m, j, k, l]`` = -(nabla_m R)(T, j, k, l).
-
-    The two sides of the splitting solve, from a 3-jet, ``gamma`` and
-    ``ds`` of :func:`_riemann_parts` and T = ``t``.  Both come from Gamma
-    lowered, Gamma_{p,il} = s_ilp / 2:
+    ``s`` is :func:`_bracket`'s s_jkm, twice the lowered Christoffel symbol
+    Gamma_{m,jk}, ``ds[..., j, k, m, i]`` = d_i s_jkm, ``gamma`` is
+    Gamma^l_jk = g^lm s_jkm / 2 (:func:`_christoffel_from_jet`'s bits) and
+    ``gi`` = g^-1.  R is built lowered,
 
         R_ijkl = (d_i s_jkl - d_j s_ikl) / 2 - Gamma_{p,il} Gamma^p_jk
                  + Gamma_{p,jl} Gamma^p_ik,
+
+    so g^-1 enters only through Gamma^p_jk, and no term is raised by g^-1
+    and lowered again by g: on an ill-conditioned g this R is the closer to
+    the jet's own.  Leading axes of the jet are a batch of points; each
+    point's tensors are bitwise those of the point alone.
+    """
+    *b, n = g.shape[:-1]
+    gi = invert(g)
+    s = _bracket(dg)
+    gamma = 0.5 * np.einsum("...lm,...jkm->...ljk", gi, s)
+    ds = _t(d2g, -2, -4, -3, -1) + _t(d2g, -4, -2, -3, -1) - d2g
+    # w[i, j, k, l] = d_i s_jkl / 2 - Gamma_{p,il} Gamma^p_jk, from sg[i, l, j, k] = s_ilp Gamma^p_jk
+    sg = (s.reshape(*b, n * n, n) @ gamma.reshape(*b, n, n * n)).reshape(*b, n, n, n, n)
+    w = 0.5 * (_t(ds, -1, -4, -3, -2) - _t(sg, -4, -2, -1, -3))
+    return gi, gamma, s, ds, w - w.swapaxes(-3, -4)
+
+
+def _raised(gi, rdown):
+    """``rup[..., l, i, j, k]`` = R^l_ijk = g^lm R_ijkm, raised from the lowered R."""
+    return np.einsum("...lm,...ijkm->...lijk", gi, rdown)
+
+
+def _solve_rhs(dg, d3g, parts, t):
+    """``rhs[..., m, j, k, l]`` = -(nabla_m R)(T, j, k, l), the right-hand side of the splitting solve.
+
+    From a 3-jet's ``dg`` and ``d3g``, :func:`_riemann` of its 2-jet and T
+    = ``t``, with Gamma lowered, Gamma_{p,il} = s_ilp / 2, as R is:
+
         d_n (Gamma_{p,il} Gamma^p_jk) = d_n Gamma_{p,il} Gamma^p_jk
                  + Gamma^p_il d_n Gamma_{p,jk} - Gamma^a_il d_n g_ab Gamma^b_jk,
 
-    so no term is raised by g^-1 and lowered again by g.  This R agrees
-    with :func:`_riemann_parts`' to rounding, and a solve whose two sides
-    share their rounding is the closer to the closed forms on an
-    ill-conditioned g.  T goes into every term of nabla R before a product
-    is formed, so each costs n^5, not n^6: the 3-jet with T in a
-    derivative slot (``dt``) and in a metric slot (``mt``), Gamma^p_mi T^i
-    (``gt``), d_n s_ilp T^i and R(T, ., ., .) (``rt``).  The terms pair up
-    under the antisymmetry in k, l, as do the last two of the four
-    Christoffel corrections.  Leading axes are a batch of points, each
+    so no term is raised by g^-1 and lowered again by g, and the solve's
+    two sides share their rounding.  T goes into every term of nabla R
+    before a product is formed, so each costs n^5, not n^6: the 3-jet with
+    T in a derivative slot (``dt``) and in a metric slot (``mt``),
+    Gamma^p_mi T^i (``gt``), d_n s_ilp T^i and R(T, ., ., .) (``rt``).  The
+    terms pair up under the antisymmetry in k, l, as do the last two of the
+    four Christoffel corrections.  Leading axes are a batch of points, each
     bitwise the point alone.
     """
-    gamma, ds = parts[1], parts[4]
+    gamma, ds, rdown = parts[1], parts[3], parts[4]
     *b, n = t.shape
     # halving is exact, so the formulas' factors 1/2 go on T where they can
     col, row, half = t[..., :, None], t[..., None, :], 0.5 * t[..., None, :]
-    # R: w[i, j, k, l] = d_i s_jkl / 2 - Gamma_{p,il} Gamma^p_jk
-    sg = (_bracket(dg).reshape(*b, n * n, n) @ gamma.reshape(*b, n, n * n)).reshape(*b, n, n, n, n)
-    w = 0.5 * (_t(ds, -1, -4, -3, -2) - _t(sg, -4, -2, -1, -3))
-    rdown = w - w.swapaxes(-3, -4)
     # dt[a, b, c, d] = d_c d_d d_T g_ab / 2 and mt[a, c, d, e] = d_c d_d d_e (T^i g_ia) / 2
     dt = (d3g.reshape(*b, n ** 4, n) @ half[..., 0, :, None]).reshape(*b, n, n, n, n)
     mt = (half @ d3g.reshape(*b, n, n ** 4)).reshape(*b, n, n, n, n)
@@ -227,14 +175,25 @@ def _solve_sides(g, dg, d2g, d3g, parts, t):
     corrections = (gt.swapaxes(-1, -2) @ rdown.reshape(*b, n, n ** 3)).reshape(*b, n, n, n, n) + (
         gamma.reshape(*b, n, n * n).swapaxes(-1, -2) @ rt.reshape(*b, n, n * n)
     ).reshape(*b, n, n, n, n)
-    return rdown, v.swapaxes(-1, -2) - v + corrections
+    return v.swapaxes(-1, -2) - v + corrections
+
+
+def _nabla_riemann(dg, d3g, parts):
+    """nabla R, ``cov[..., m, i, j, k, l]`` = (nabla_m R)_ijkl, from a 3-jet and :func:`_riemann` of its 2-jet.
+
+    :func:`_solve_rhs` with T each coordinate vector in turn, so the full
+    tensor comes from the formulas the splitting solve uses.  No command
+    builds it.
+    """
+    n = dg.shape[-1]
+    eye = np.broadcast_to(np.eye(n), (*dg.shape[:-3], n, n))
+    return -np.stack([_solve_rhs(dg, d3g, parts, eye[..., i, :]) for i in range(n)], axis=-4)
 
 
 def riemann(metric: MetricField, x):
     """Curvature tensors ``(rup, rdown)`` at x (see module conventions)."""
-    g, dg, d2g = metric.jet(x)
-    gi, gamma, rup, rdown = _riemann_from_jet(g, dg, d2g)
-    return rup, rdown
+    gi, gamma, s, ds, rdown = _riemann(*metric.jet(x))
+    return _raised(gi, rdown), rdown
 
 
 def _plane_curvature(rdown: np.ndarray, g: np.ndarray, X, Y):
@@ -261,9 +220,8 @@ def sectional(metric: MetricField, x, X, Y) -> float:
     below 1e-12 relative to the product of the squared lengths.
     """
     g, dg, d2g = metric.jet(x)
-    gi, gamma, rup, rdown = _riemann_from_jet(g, dg, d2g)
     value, gram, scale = _plane_curvature(
-        rdown, g, np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+        _riemann(g, dg, d2g)[4], g, np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
     )
     if scale <= 0.0 or gram <= 1e-12 * scale:
         raise DegeneratePlaneError(gram)
@@ -272,8 +230,7 @@ def sectional(metric: MetricField, x, X, Y) -> float:
 
 def scalar_curvature(metric: MetricField, x) -> float:
     """Double-trace scalar curvature g^{il} g^{jk} R_ijkl (unit sphere: +2)."""
-    g, dg, d2g = metric.jet(x)
-    gi, gamma, rup, rdown = _riemann_from_jet(g, dg, d2g)
+    gi, gamma, s, ds, rdown = _riemann(*metric.jet(x))
     return float(np.einsum("il,jk,ijkl->", gi, gi, rdown))
 
 
@@ -356,12 +313,12 @@ def _nullities_from(rdown: np.ndarray, g: np.ndarray, rel_tol: float) -> Nulliti
 def _curvatures(g, dg, d2g, rel_tol: float):
     """``(parts, scalar traces, nullities)`` from 2-jets whose leading axes are a stack of points.
 
-    ``parts`` are :func:`_riemann_parts`' tensors.  One inversion of g, one
+    ``parts`` are :func:`_riemann`'s tensors.  One inversion of g, one
     scalar-trace contraction and one kernel SVD serve the whole stack; each
     point's results are bitwise those of the point alone.
     """
-    parts = _riemann_parts(g, dg, d2g)
-    gi, rdown = parts[0], parts[3]
+    parts = _riemann(g, dg, d2g)
+    gi, rdown = parts[0], parts[4]
     scal = np.einsum("...il,...jk,...ijkl->...", gi, gi, rdown)
     return parts, scal, _nullities_from(rdown, g, rel_tol)
 
@@ -376,8 +333,7 @@ def _nullity_at(metric: MetricField, x, rel_tol: Optional[float] = None):
     if rel_tol is None:
         rel_tol = REL_TOL_ANALYTIC
     g, dg, d2g = metric.jet(x)
-    gi, gamma, rup, rdown = _riemann_from_jet(g, dg, d2g)
-    return _nullity_from(rdown, g, rel_tol), g, dg
+    return _nullity_from(_riemann(g, dg, d2g)[4], g, rel_tol), g, dg
 
 
 def nullity(metric: MetricField, x, rel_tol: Optional[float] = None) -> NullityResult:
@@ -394,17 +350,18 @@ class CurvatureData:
     kernel, built from coordinate directions once, on first access, for
     every reader.  At conullity 2 H is one plane and
     ``nonflat_plane_curvature`` is its sectional curvature (else None);
-    :func:`sectional_range` gives the range over all planes.  The jet the
-    summary came from (of order 3 when nabla R was asked for) and
-    :func:`_riemann_parts` of it feed the splitting solve.  ``nabla_r`` is
-    the full nabla R from them, computed on first access, or None when
-    nabla R was not asked for; no command reads it.
+    :func:`sectional_range` gives the range over all planes.  ``rdown`` is
+    R built lowered (:func:`_riemann`); ``rup`` is raised from it by g^-1
+    on first access, as no command reads it.  The jet the summary came from
+    (of order 3 when nabla R was asked for) and :func:`_riemann` of it feed
+    the splitting solve.  ``nabla_r`` is the full nabla R from them,
+    computed on first access, or None when nabla R was not asked for; no
+    command reads it.
     """
 
     point: np.ndarray
     g: np.ndarray
     christoffel: np.ndarray
-    rup: np.ndarray
     rdown: np.ndarray
     scalar_trace: float
     half_trace: float
@@ -418,6 +375,10 @@ class CurvatureData:
         return rows[kept]
 
     @cached_property
+    def rup(self) -> np.ndarray:
+        return _raised(self._parts[0], self.rdown)
+
+    @cached_property
     def nonflat_plane_curvature(self) -> Optional[float]:
         if self.nullity.conullity != 2 or self.complement.shape[0] != 2:
             return None
@@ -425,7 +386,7 @@ class CurvatureData:
 
     @cached_property
     def nabla_r(self) -> Optional[np.ndarray]:
-        return _nabla_riemann(*self._jet, self._parts) if len(self._jet) == 4 else None
+        return _nabla_riemann(self._jet[1], self._jet[3], self._parts) if len(self._jet) == 4 else None
 
 
 def _complement(g: np.ndarray, kernel_basis: np.ndarray):
@@ -461,8 +422,7 @@ def curvature_data(
         point=pt,
         g=jet[0],
         christoffel=parts[1],
-        rup=parts[2],
-        rdown=parts[3],
+        rdown=parts[4],
         scalar_trace=scal,
         half_trace=0.5 * scal,
         nullity=kernels[0],
@@ -499,21 +459,21 @@ def _plane_operator(rdown: np.ndarray, frame: np.ndarray) -> np.ndarray:
 
     Entry (p, q) is R(e_a, e_b, e_b', e_a') for the p-th pair (a, b) and the
     q-th (a', b'): bitwise that entry of ``einsum("ijkl,ai,bj,ck,dl->abcd",
-    rdown, frame, frame, frame, frame)``, built without the other k^4 entries.
-    As the einsum does, each product R_ijkl f_ai f_bj f_ck f_dl is multiplied
-    left to right and the products are added to 0.0 one at a time, in the
-    memory order of ``rdown``'s axes (the order its iterator takes them).
+    rdown, frame, frame, frame, frame)`` on a C-ordered R, as :func:`_riemann`
+    builds it, without the other k^4 entries.  As the einsum does, each
+    product R_ijkl f_ai f_bj f_ck f_dl is multiplied left to right and the
+    products are added to 0.0 one at a time, in C order, whatever the layout
+    of ``rdown``.
     """
     n = rdown.shape[-1]
     a, b = _PAIRS[frame.shape[0]]
     if not len(a):  # k < 2: no 2-vectors
         return np.zeros((0, 0))
     rows = (a[:, None], b[:, None], b[None, :], a[None, :])  # the frame row each of R's axes takes, at entry (p, q)
-    order = sorted(range(4), key=lambda axis: -rdown.strides[axis])  # outermost in memory first
-    terms = rdown.transpose(order)
+    terms = rdown
     for axis, at in enumerate(rows):
         shape = [1, 1, 1, 1]
-        shape[order.index(axis)] = n
+        shape[axis] = n
         terms = terms * frame[at].reshape(at.shape + tuple(shape))
     sums = np.add.accumulate(terms.reshape(len(a), len(a), n**4), axis=-1)[..., -1]
     return 0.0 + sums  # a sum from 0.0 differs from one that starts at its first term only at -0.0
@@ -522,7 +482,7 @@ def _plane_operator(rdown: np.ndarray, frame: np.ndarray) -> np.ndarray:
 def covariant_riemann(metric: MetricField, x) -> np.ndarray:
     """nabla R at x in closed form from one metric 3-jet."""
     jet = metric.jet(np.asarray(x, dtype=float), order=3)
-    return _nabla_riemann(*jet, _riemann_parts(*jet[:3]))
+    return _nabla_riemann(jet[1], jet[3], _riemann(*jet[:3]))
 
 
 def bianchi2_residual(metric: MetricField, x) -> float:

@@ -72,7 +72,7 @@ from typing import Optional
 import numpy as np
 
 from . import numcore
-from .curvature import _bracket, _christoffel_from_jet, _nullity_at, _riemann_from_jet
+from .curvature import _bracket, _christoffel_from_jet, _nullity_at, _riemann
 from .exprcalc import DomainError
 from .metricspace import ChartDomainError, MetricField
 from .numcore import SingularMatrixError, _g_gram_schmidt, _invert_each, invert
@@ -361,6 +361,7 @@ class _Ride:
         # its first stage jets what the point-by-point loop jets
         alone = int(b == 0) if self.metric.stacked else e - b
         ridden, g, dg, s, faults = self._jet_steps(points, new, nodes, bracket, alone)
+        head = len(dg[0])  # the entries jetted before the stacked call
         carried = int(not new[0])
         index = np.cumsum(new[: 4 * ridden]) - 1 + carried  # stage -> entry
         framed = self.ws[-1].shape[1] > 0
@@ -372,8 +373,12 @@ class _Ride:
                 except SingularMatrixError:  # ride the steps before the first stage whose g fails
                     gi, passed, _ = _invert_each(g[:used])
                     ridden = int(np.argmin(passed[index])) // 4
-                # _christoffel_from_jet's bits, on the screen's bracket
-                gamma = 0.5 * np.einsum("...lm,...jkm->...ljk", gi, s[:used])
+                # _christoffel_from_jet's bits, on the screen's bracket: each of
+                # its two parts writes into its own rows of Gamma, uncopied
+                gamma = np.empty((used, n, n, n))
+                for at, part in ((slice(0, head), s[0]), (slice(head, used), s[1])):
+                    np.einsum("...lm,...jkm->...ljk", gi[at], part[: len(gamma[at])], out=gamma[at])
+                gamma *= 0.5
                 # the acceleration and B once per run of stages that share
                 # an entry and a velocity (2 a step on a straight block)
                 entry, at_speed = index[: 4 * ridden], speed[rows[:ridden]].reshape(-1)
@@ -404,6 +409,9 @@ class _Ride:
         def key(k):  # the bytes of entry k's point
             return points[stages[k - carried]].tobytes() if k >= carried else self.held[0]
 
+        def jet(k):  # entry k's (g, dg)
+            return g[k], dg[0][k] if k < head else dg[1][k - head]
+
         last = carried - 1
         if ridden:
             self.reached += ridden
@@ -412,17 +420,19 @@ class _Ride:
             self.ws.append(frames)
             self.gs.append(g[index[: 4 * ridden: 4]])
             last = int(index[4 * ridden - 1])
-            self.held = (key(last), (g[last], dg[last]), gamma[last])
-        self.ahead.extend((key(k), faults[k] if k in faults else (g[k], dg[k])) for k in range(last + 1, len(g)))
+            self.held = (key(last), jet(last), gamma[last])
+        self.ahead.extend((key(k), faults[k] if k in faults else jet(k)) for k in range(last + 1, len(g)))
         return ridden == e - b
 
     def _jet_steps(self, points, new, nodes, bracket, alone: int):
         """Jet the new stage points: ``(ridden, g, dg, s, faults)``.
 
         ``ridden`` is the number of steps that stay straight and inside.
-        ``g``, ``dg`` and the Christoffel brackets ``s`` of the screen stack
-        the entries: the held point's jet where stage 1 repeats it, then each
-        point jetted, in stage order; ``faults`` maps the entry of a jet that
+        The entries are the held point's jet where stage 1 repeats it, then
+        each point jetted, in stage order.  ``g`` stacks them; ``dg`` and
+        the Christoffel brackets ``s`` of the screen are each a pair of
+        stacks, the entries jetted before the stacked call and those of the
+        call, which are not copied.  ``faults`` maps the entry of a jet that
         raised to its error (its rows are NaN).  Stops at the first jet that
         raises or whose bracket is not zero where ``bracket`` marks, and at
         the first step whose next node leaves the chart, returning that
@@ -438,9 +448,9 @@ class _Ride:
         faults = {}
 
         def entries(ridden, g=np.empty((0, n, n)), dg=np.empty((0, n, n, n)), s=np.empty((0, n, n, n))):
-            if head:
-                g, dg, s = (np.concatenate([[entry[k] for entry in head], a]) for k, a in enumerate((g, dg, s)))
-            return ridden, g, dg, s, faults
+            first = [np.array([entry[k] for entry in head]).reshape(-1, *a.shape[1:])
+                     for k, a in enumerate((g, dg, s))]
+            return ridden, np.concatenate([first[0], g]), (first[1], dg), (first[2], s), faults
 
         for i in range(alone):
             for st in range(4 * i, 4 * i + 4):
@@ -693,7 +703,7 @@ def flatness_probe(
         gs = g[sel]
         dgs = dg[np.ix_(idx, idx, idx)]
         d2gs = d2g[np.ix_(idx, idx, idx, idx)]
-        gi_leaf, gamma_leaf, rup_leaf, rleaf = _riemann_from_jet(gs, dgs, d2gs)
+        rleaf = _riemann(gs, dgs, d2gs)[4]
         max_curv = max(max_curv, float(np.max(np.abs(rleaf))))
         tangent = _g_gram_schmidt(np.eye(metric.dim)[idx], g)[0]  # drop_tol 0 keeps every row
         for a in idx:

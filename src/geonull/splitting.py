@@ -61,7 +61,7 @@ from .curvature import (
     _complement,
     _curvatures,
     _nullity_at,
-    _solve_sides,
+    _solve_rhs,
     curvature_data,
 )
 from .flows import GeodesicPath, _sample_indices, geodesic
@@ -392,14 +392,16 @@ def _solve(jet, parts, t_vecs, bases) -> list:
     """``[(coef, residual)]``: :func:`splitting_tensor_from_curvature`'s solve at each point of a stack.
 
     The points' 3-``jet`` (leading axes a stack, or none for one point) and
-    :func:`~geonull.curvature._riemann_parts` of it, T = ``t_vecs`` and the
+    :func:`~geonull.curvature._riemann` of it, T = ``t_vecs`` and the
     complement rows ``bases``.  ``coef[a, m]`` = <nabla_{d_m} T, e_a> for
     the rows e_a of a point's basis, which span the kernel's complement.
     Both sides, R and -(nabla R)(T, ...), come from the lowered Christoffel
-    symbols, T contracted in before any n^5 product (``_solve_sides``).
+    symbols, T contracted in before any n^5 product (``_solve_rhs``).  A
+    2-jet raises ``ValueError``.
     """
-    g, dg, d2g, d3g = jet
-    return _least_squares(*_solve_sides(g, dg, d2g, d3g, parts, t_vecs), bases)
+    if len(jet) != 4:
+        raise ValueError("the nabla R solve needs the point's 3-jet: curvature_data(..., nabla_r=True)")
+    return _least_squares(parts[4], _solve_rhs(jet[1], jet[3], parts, t_vecs), bases)
 
 
 def _least_squares(rdown, rhs, bases) -> list:
@@ -414,9 +416,12 @@ def _least_squares(rdown, rhs, bases) -> list:
     non-finite right-hand side raises ``FloatingPointError``.
     """
     n, shape = rdown.shape[-1], rdown.shape[:-4]
-    # Frobenius norms by matmul, which raises on overflow under np.errstate as einsum does not
     b = rhs.reshape(*shape, 1, n ** 4)
-    scale = np.sqrt(b @ b.swapaxes(-1, -2))[..., 0, 0]
+    # both norms' squares are summed at the scale 2^-e of the largest |rhs entry|:
+    # exact, so the residual has the unscaled bits, and no finite system overflows
+    e = np.frexp(np.abs(b).max(axis=-1, keepdims=True))[1]
+    scaled = np.ldexp(b, -e)
+    scale = np.sqrt(scaled @ scaled.swapaxes(-1, -2))[..., 0, 0]
     if not math.isfinite(scale.sum()):
         raise FloatingPointError("nabla R solve with a non-finite right-hand side")
     b = b.reshape(*shape, n, n ** 3)
@@ -425,7 +430,7 @@ def _least_squares(rdown, rhs, bases) -> list:
     keep = s > s[..., :1] * (_EPS * max(lhs_t.shape[-2:]))
     # 1 / sigma for the singular values kept, 0 for those dropped
     coef_t = ((b @ u) * (keep / np.where(keep, s, 1.0))[..., None, :]) @ vh
-    r = (coef_t @ lhs_t - b).reshape(*shape, 1, n ** 4)
+    r = np.ldexp((coef_t @ lhs_t - b).reshape(*shape, 1, n ** 4), -e)
     residual = np.sqrt(r @ r.swapaxes(-1, -2))[..., 0, 0] / np.where(scale > 0.0, scale, 1.0)
     return list(zip(coef_t.swapaxes(-1, -2).reshape(math.prod(shape), -1, n), residual.ravel().tolist()))
 

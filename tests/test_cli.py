@@ -216,7 +216,7 @@ def test_domain_errors_exit_two(capsys):
         (("flow", "--metric", "conullity3", "--steps", "4", "--seed", "3"), 1),
         (("analyze", "--metric", "sphere", "--radius", "1e300", "--point", "1,0"), 1),
         (("analyze", "--metric", "sekigawa", "--p", "1e10+u"), 2),
-        (("analyze", "--metric", "sekigawa", "--p", "1e300*u*u+1"), 2),
+        (("analyze", "--metric", "sekigawa", "--p", "1e300*u+1"), 2),
         (("analyze", "--metric", "sekigawa", "--p", "2+u/1e-300"), 2),
         (("analyze", "--metric", "sphere", "--point", "1,0", "--seed", "7"), 1),
         (("scan", "--metric", "conullity3", "--grid", "u=0:1:2", "--fd-step", "1e-4"), 1),
@@ -238,7 +238,7 @@ def test_rejected_input_exit_codes(capsys, argv, expected):
     [
         (("analyze", "--metric", "sekigawa", "--p", "1e300*u*u+1", "--point", "0,1,0"),
          "analyze --point 0,1,0"),
-        (("analyze", "--metric", "sekigawa", "--p", "1e300*u*u+1"), "analyze at the origin"),
+        (("analyze", "--metric", "sekigawa", "--p", "1e300*u+1"), "analyze at the origin"),
         (("flow", "--metric", "sekigawa", "--p", "1e300*u*u+1", "--point", "0,0.5,0"),
          "flow --point 0,0.5,0"),
         (("flow", "--metric", "conullity3", "--p", "1e200*u*u+1", "--point", "0,1,0,0",
@@ -266,14 +266,22 @@ def test_float_fault_message_names_the_function_that_faulted(capsys):
     )
 
 
-def test_a_start_tensor_that_overflows_is_raised_from_the_solve(capsys):
-    # the start tensor is measured with the later samples, after the ride; its
-    # fault is raised as an error, not an abort, from where its solve raises it
-    code, out, err = run_cli(capsys, "flow", "--metric", "sekigawa", "--p", "1e300*u*u+1")
-    assert code == 2 and out == ""
-    assert err == (
-        "geonull: error: flow at the origin: overflow encountered in matmul (in splitting._least_squares)\n"
-    )
+def test_a_huge_but_finite_solve_is_solved(capsys):
+    # p = 1e300 u^2 + 1 at the origin: R and the solve's right-hand side reach
+    # 2e300, whose squares overflow, but C = [[0, 0], [1, 0]] (|C| = 1 / p); the
+    # solve sums its squares scaled by a power of two
+    code, out, _ = run_cli(capsys, "analyze", "--metric", "sekigawa", "--p", "1e300*u*u+1")
+    assert code == 0
+    splitting = json.loads(out)["splitting"]
+    assert splitting["classification"]["kind"] == "nilpotent"
+    assert np.abs(np.array(splitting["matrix"]) - [[0.0, 0.0], [1.0, 0.0]]).max() < 1e-15
+    assert splitting["solve_residual"] < 1e-15
+    # flow measures the start tensor with its later samples, after the ride
+    code, out, _ = run_cli(capsys, "flow", "--metric", "sekigawa", "--p", "1e300*u*u+1")
+    assert code == 0
+    report = json.loads(out)
+    assert np.abs(np.array(report["samples"][0]["C"]) - [[0.0, 0.0], [1.0, 0.0]]).max() < 1e-15
+    assert report["max_deviation"] < 1e-15
 
 
 def test_benchmark_shaped_flow_counts(capsys, monkeypatch):
@@ -370,11 +378,12 @@ def test_scan_without_complement_rows_are_ok(capsys):
 
 
 def test_scan_rows_that_overflow_are_domain_rows(capsys):
-    # p = 1e300 u^2 + 1: finite curvature at u = 0, an overflowing metric at u = 1
+    # p = 1e300 u^2 + 1: finite curvature at u = 0, whose nilpotent C has a
+    # right-hand side of 2e300, and an overflowing metric at u = 1
     code, out, _ = run_cli(capsys, "scan", "--metric", "sekigawa", "--p", "1e300*u*u+1", "--grid", "u=0:1:2")
     assert code == 0
     rows = out.split("\r\n")[1:]
-    assert rows[0].endswith(",1,2,,ok") and rows[1:] == ["0,1,0,,,,,domain", ""]
+    assert rows[0].endswith(",1,2,nilpotent,ok") and rows[1:] == ["0,1,0,,,,,domain", ""]
     # p = 1e10 + u: g is too ill-conditioned to invert anywhere; p = 2 + u/1e-300:
     # the derivative of u/1e-300 divides by 1e-300^2, which underflows to zero
     for p in ("1e10+u", "2+u/1e-300"):

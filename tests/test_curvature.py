@@ -5,13 +5,14 @@ import pytest
 
 from geonull.curvature import (
     DegeneratePlaneError,
+    _curvatures,
     _nabla_riemann,
     _PAIRS,
     _nullity_from,
     _plane_operator,
-    _riemann_from_jet,
-    _riemann_parts,
-    _solve_sides,
+    _raised,
+    _riemann,
+    _solve_rhs,
     bianchi2_residual,
     covariant_riemann,
     christoffel,
@@ -30,7 +31,13 @@ from geonull.metricspace import (
     catalog_sekigawa,
     catalog_sphere,
 )
-from oracles import finite_difference_field, nabla_r_stencil
+from oracles import (
+    finite_difference_field,
+    longdouble_riemann,
+    nabla_r_stencil,
+    raised_nabla_riemann,
+    raised_riemann,
+)
 
 
 def test_polar_christoffel_closed_form():
@@ -151,39 +158,43 @@ def _seeded_points(metric, count, seed):
 
 
 @pytest.mark.parametrize("metric, vanishes", _THREE_JET_FAMILIES, ids=[m.name for m, _ in _THREE_JET_FAMILIES])
-def test_solve_sides_match_the_full_nabla_r_contracted(metric, vanishes):
-    # R and -(nabla R)(T, ...) from the lowered symbols against _riemann_parts' R and the full nabla R
-    # contracted with T, for the kernel's T (where there is a kernel) and a random T
+def test_solve_rhs_matches_the_full_nabla_r_contracted(metric, vanishes):
+    # -(nabla R)(T, ...) from the lowered symbols against the oracle's full nabla R, by the product rule
+    # on R^l_ijk, contracted with T, for the kernel's T (where there is a kernel), a random T and each
+    # coordinate vector (the package's full nabla R); R lowered against R raised and lowered again
     rng = np.random.default_rng(7)
     for pt in _seeded_points(metric, 5, 11):
         jet = metric.jet(pt, order=3)
-        parts = _riemann_parts(*jet[:3])
-        kernel = _nullity_from(parts[3], jet[0], 1e-7).basis
-        cov = _nabla_riemann(*jet, parts)
+        parts = _riemann(*jet[:3])
+        rdown = parts[4]
+        kernel = _nullity_from(rdown, jet[0], 1e-7).basis
+        cov = raised_nabla_riemann(*jet)
+        full = _nabla_riemann(jet[1], jet[3], parts)
         gamma = np.abs(parts[1]).max()
-        for t in [*kernel[:1], rng.normal(size=metric.dim)]:
-            rdown, rhs = _solve_sides(*jet, parts, t)
+        cases = [(t, _solve_rhs(jet[1], jet[3], parts, t)) for t in [*kernel[:1], rng.normal(size=metric.dim)]]
+        for t, rhs in cases + [(e, -full[:, i]) for i, e in enumerate(np.eye(metric.dim))]:
             oracle = -np.einsum("mijkl,i->mjkl", cov, t)
             scale = np.abs(oracle).max()
             if vanishes:  # both sides are rounding: size it by the product-rule terms
-                scale = np.abs(t).max() * max(np.abs(jet[3]).max(), gamma * np.abs(parts[4]).max())
+                scale = np.abs(t).max() * max(np.abs(jet[3]).max(), gamma * np.abs(parts[3]).max())
             assert np.abs(rhs - oracle).max() <= 64 * np.spacing(scale), metric.name
-            assert np.abs(rdown - parts[3]).max() <= 64 * np.spacing(max(np.abs(parts[3]).max(), gamma * gamma))
+        raised = raised_riemann(*jet[:3])
+        assert np.abs(rdown - raised).max() <= 64 * np.spacing(max(np.abs(raised).max(), gamma * gamma))
 
 
 @pytest.mark.parametrize(
     "metric", [catalog_conullity3("3+cos(u)+cos(w)"), catalog_sekigawa("2+u*u")], ids=["conullity3", "sekigawa"]
 )
-def test_solve_sides_of_a_stack_are_each_points_own_bitwise(metric):
+def test_solve_rhs_of_a_stack_is_each_points_own_bitwise(metric):
     points = _seeded_points(metric, 16, 3)
     jets, faults = metric.jets(points, order=3)
     assert not faults
-    parts = _riemann_parts(*jets[:3])
+    parts = _riemann(*jets[:3])
     t = np.random.default_rng(5).normal(size=(16, metric.dim))
-    stacked = _solve_sides(*jets, parts, t)
+    stacked = _solve_rhs(jets[1], jets[3], parts, t)
     for i in range(16):
-        alone = _solve_sides(*(a[i] for a in jets), [p[i] for p in parts], t[i])
-        assert [a.tobytes() for a in alone] == [a[i].tobytes() for a in stacked]
+        alone = _solve_rhs(jets[1][i], jets[3][i], [p[i] for p in parts], t[i])
+        assert alone.tobytes() == stacked[i].tobytes()
 
 
 def test_curvature_data_with_nabla_r_shares_the_point_jet():
@@ -426,8 +437,8 @@ def test_sectional_range_ends_are_reached():
 )
 def test_plane_operator_is_the_einsums_entries_bitwise(metric, low, high):
     # sectional_range's operator: only the pair entries of the five-operand
-    # einsum, each summed in R's memory order, which _riemann_parts leaves
-    # other than C order; a C-ordered copy of R sums in its own order
+    # einsum on R, which _riemann builds C-ordered, each summed in C order;
+    # R laid out otherwise gives the same bits
     pts = np.random.default_rng(47).uniform(low, high, (100, metric.dim))
     checked = 0
     for pt in pts:
@@ -435,10 +446,11 @@ def test_plane_operator_is_the_einsums_entries_bitwise(metric, low, high):
         frame = data.complement
         if frame.shape[0] >= 4:
             continue
-        assert not data.rdown.flags.c_contiguous
+        assert data.rdown.flags.c_contiguous
         a, b = _PAIRS[frame.shape[0]]
-        for rdown in (data.rdown, np.ascontiguousarray(data.rdown)):
-            rh = np.einsum("ijkl,ai,bj,ck,dl->abcd", rdown, frame, frame, frame, frame)
+        rh = np.einsum("ijkl,ai,bj,ck,dl->abcd", data.rdown, frame, frame, frame, frame)
+        mixed = np.moveaxis(np.ascontiguousarray(np.moveaxis(data.rdown, 0, 2)), 2, 0)  # neither C nor F
+        for rdown in (data.rdown, np.asfortranarray(data.rdown), mixed):
             assert _plane_operator(rdown, frame).tobytes() == rh[a[:, None], b[:, None], b, a].tobytes()
         checked += 1
     assert checked == len(pts)
@@ -457,7 +469,54 @@ def test_riemann_of_a_stack_is_each_point_bitwise(metric, low):
     # leading axes of the jet are a batch; a single point is the batch of no axes
     pts = np.random.default_rng(31).uniform(low, 0.9, (200, metric.dim))
     jets = [metric.jet(p) for p in pts]
-    stacked = _riemann_from_jet(*(np.array(a) for a in zip(*jets)))
+    stacked = _riemann(*(np.array(a) for a in zip(*jets)))
     for i, jet in enumerate(jets):
-        for many, one in zip(stacked, _riemann_from_jet(*jet)):
+        for many, one in zip(stacked, _riemann(*jet)):
             assert many[i].tobytes() == one.tobytes()
+
+
+def test_r_at_an_ill_conditioned_g_is_the_jets_own_to_rounding():
+    # the digest's sekigawa exp(u) point, cond g = 1.2e4: R is of order 1e-2 and the terms it is
+    # built from of order 10, so both formulas are judged against the size of those terms; R built
+    # lowered is within 1e-12 of the jet's R evaluated in long double, R raised through g^-1 and
+    # lowered again is not (2.4e-11 and 3.2e-8 of max |R| apart)
+    metric = catalog_sekigawa("exp(u)")
+    jet = metric.jet([-0.5129016867312783, -2.5422821854087916, 1.0267175751331235])
+    assert np.linalg.cond(jet[0]) > 1e4
+    reference = longdouble_riemann(*jet)
+    gi, gamma, s, ds, rdown = _riemann(*jet)
+    terms = max(np.abs(ds).max(), np.abs(s).max() * np.abs(gamma).max())
+    lowered = float(np.abs(rdown - reference).max()) / terms
+    raised = float(np.abs(raised_riemann(*jet) - reference).max()) / terms
+    assert lowered <= 1e-12 < raised
+    assert 100 * lowered < raised
+
+
+@pytest.mark.parametrize("shape", [(12,), (3, 4)], ids=["one_axis", "two_axes"])
+def test_one_r_of_a_mixed_stack_is_each_points_own_bitwise(shape):
+    # points of two charts of dimension 4 in one stack: R, the tensors it is built on, the raised
+    # R, the scalar traces and the kernels of each point are bitwise those of the point alone
+    charts = [catalog_conullity3("3+cos(u)+cos(w)"), catalog_product(catalog_sphere(1.0), catalog_euclidean(2))]
+    pts = np.random.default_rng(41).uniform(0.3, 0.9, (12, 4))
+    jets = [charts[i % 2].jet(p) for i, p in enumerate(pts)]
+    stack = [np.array(a).reshape(*shape, *a[0].shape) for a in zip(*jets)]
+    parts, scal, kernels = _curvatures(*stack, 1e-7)
+    many = [a.reshape(12, *a.shape[len(shape):]) for a in (*parts, _raised(parts[0], parts[4]), scal)]
+    for i, jet in enumerate(jets):
+        alone, alone_scal, alone_kernels = _curvatures(*jet, 1e-7)
+        for stacked, one in zip(many, (*alone, _raised(alone[0], alone[4]), alone_scal)):
+            assert stacked[i].tobytes() == np.asarray(one).tobytes()
+        assert kernels[i].basis.tobytes() == alone_kernels[0].basis.tobytes()
+    assert {kernels[i].nullity for i in range(12)} == {1, 2}
+
+
+@pytest.mark.parametrize("metric, pt", CATALOG_POINTS, ids=[m.name for m, _ in CATALOG_POINTS])
+def test_raised_r_lowers_back_to_r(metric, pt):
+    # g_lm R^m_ijk = R_ijkl to rounding, for riemann's and CurvatureData's R^l_ijk alike
+    rup, rdown = riemann(metric, pt)
+    data = curvature_data(metric, pt)
+    assert (data.rup.tobytes(), data.rdown.tobytes()) == (rup.tobytes(), rdown.tobytes())
+    g = metric.g(np.asarray(pt, dtype=float))
+    lowered = np.einsum("lm,mijk->ijkl", g, rup)
+    scale = np.abs(g).max() * np.abs(rup).max() * len(g)
+    assert np.abs(lowered - rdown).max() <= 16 * np.spacing(max(scale, np.abs(rdown).max()))

@@ -891,8 +891,11 @@ PATH_RIDES = {
     "bends_mid_block": BLOCK_RIDES["bends_mid_block"],
     "leaves_the_chart": (catalog_conullity3("3+cos(u)+cos(w)"), [0.1, 0.2, 2.9, 0.4], None, 1.0, 256),
     "backward": (catalog_conullity3("3+cos(u)+cos(w)"), [0.1, 0.2, -0.3, 0.4], None, -1.0, 300),
-    # the launch velocity's -1.77e-20 entry bends the first stage: handed over at step 0
-    "sekigawa_first_step": (catalog_sekigawa("2+u*u"), [0.2, 0.3, 0.1], None, 0.5, 256),
+    # a launch velocity with a -1.77e-20 entry in x bends the first stage: handed over at step 0
+    "sekigawa_first_step": (catalog_sekigawa("2+u*u"), [0.2, 0.3, 0.1],
+                            [-float.fromhex("0x1.4f104219d2d0fp-66"), -0.0, 1.0], 0.5, 256),
+    # the kernel's own launch velocity, [0, 1.5e-18, 1], rides straight in one stacked block
+    "sekigawa_kernel": (catalog_sekigawa("2+u*u"), [0.2, 0.3, 0.1], None, 0.5, 256),
 }
 
 

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from geonull.curvature import _complement, _nullities_from, _riemann_parts
+from geonull.curvature import _complement, _nullities_from, _riemann
 from geonull.numcore import _g_gram_schmidt
 from geonull.metricspace import catalog_conullity3, catalog_euclidean, catalog_product, catalog_sphere
 from geonull.splitting import AlignmentError, _project
@@ -94,7 +94,7 @@ def _points(seed):
     for metric, count in charts:
         for pt in rng.uniform(0.3, 1.2, (count, 4)):  # inside every chart here
             g, dg, d2g = metric.jet(pt)
-            out.append((_riemann_parts(g, dg, d2g)[3], g))
+            out.append((_riemann(g, dg, d2g)[4], g))
     flips = np.eye(4)
     flips[:2, :2] = [[1.0, 2.0], [2.0, 5.0]]
     out += [(np.zeros((4,) * 4), flips), (np.zeros((4,) * 4), np.diag([1.0, 1.0, 1.0, 1e-24]))]
@@ -102,18 +102,18 @@ def _points(seed):
     return [out[i] for i in order]
 
 
-def _as_riemann_parts_lays_out(rdown):
-    """``rdown`` with the strides of :func:`_riemann_parts`' R, whose last axis varies slowest."""
+def _last_axis_slowest(rdown):
+    """``rdown`` laid out with its last axis varying slowest, as R raised and lowered again by einsum comes out."""
     return np.ascontiguousarray(np.moveaxis(rdown, -1, -4)).transpose(0, 2, 3, 4, 1)
 
 
-@pytest.mark.parametrize("layout", ["contiguous", "riemann_parts"])
+@pytest.mark.parametrize("layout", ["contiguous", "last_axis_slowest"])
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_stacked_kernels_are_each_points_loop_bitwise(seed, layout):
     points = _points(seed)
     rdown, g = np.stack([r for r, _ in points]), np.stack([q for _, q in points])
-    if layout == "riemann_parts":
-        rdown = _as_riemann_parts_lays_out(rdown)
+    if layout == "last_axis_slowest":
+        rdown = _last_axis_slowest(rdown)
         assert not rdown.flags.c_contiguous and rdown.strides[-1] > rdown.strides[-2]
     stacked = _nullities_from(rdown, g, REL_TOL)
     assert {int(k) for k in stacked.sizes} == {0, 1, 2, 3, 4}

@@ -12,9 +12,11 @@ contracted in before any n^5 product.  This compares four kinds per point:
   under scan's residual gate;
 * ``analytic``: scan's own kind, from ``cli._scan_rows`` on all the points
   of a warp (or of a fixed family) at once, as ``scan`` stacks a grid;
-* ``full``: the solve from all n^5 entries of nabla R (``CurvatureData.nabla_r``)
-  contracted with T point by point, against R from ``_riemann_parts``,
-  under the same gate: the solve before T was contracted in.
+* ``full``: the solve from all n^5 entries of nabla R by the product rule
+  on R^l_ijk (``raised_nabla_riemann`` of ``tests/oracles.py``, the
+  formulas the solve took before T was contracted in) contracted with T
+  point by point, against ``CurvatureData.rdown`` (R built lowered, the
+  one R of every command), under the same gate.
 
 For random points of each warped catalog family (uniform in the chart box,
 points outside the chart skipped) it prints how often each triple of kinds
@@ -70,7 +72,7 @@ from geonull.splitting import (  # noqa: E402
     splitting_tensor,
     splitting_tensor_from_curvature,
 )
-from oracles import stencil_splitting_tensor  # noqa: E402
+from oracles import raised_nabla_riemann, stencil_splitting_tensor  # noqa: E402
 
 FAULTS = (ChartDomainError, DomainError, SingularMatrixError, FloatingPointError)
 WARPS_EVERY = 50
@@ -90,11 +92,11 @@ def _solve(solve, metric, data):
 
 
 def _full_kind(metric, data) -> str:
-    """The kind from all of ``data.nabla_r`` contracted with T, as the solve took it before contracting T in."""
+    """The kind from all of the oracle's nabla R contracted with T, as the solve took it before contracting T in."""
     t_vec = data.nullity.basis[0]
     basis = _frame(metric, data.point, data.g, t_vec)
     try:
-        rhs = -np.einsum("mijkl,i->mjkl", data.nabla_r, t_vec)
+        rhs = -np.einsum("mijkl,i->mjkl", raised_nabla_riemann(*metric.jet(data.point, order=3)), t_vec)
         (coef, residual), = _least_squares(data.rdown, rhs, basis)
     except FAULTS:
         return ""

@@ -7,7 +7,7 @@ ill-conditioned g of sekigawa ``exp(u)``; ``scan`` on conullity3, on
 sekigawa (no preferred frame), on the concave warp (domain rows and points
 near p -> 0), on a grid mixing domain rows with nullity 1, 2 and 4, on
 sekigawa ``1e300*u*u+1`` (an overflowing domain row after an ok row whose
-nabla R overflows) and on a grid of three scan chunks where g cannot be
+nabla R solve has a right-hand side of 2e300) and on a grid of three scan chunks where g cannot be
 inverted at some points of each (the stacked stages redone point by
 point); ``flow`` in both modes (kernel mode also on sekigawa, whose
 transported frame starts from a built complement, having no preferred
@@ -22,7 +22,9 @@ dimension 3 at every point and one of euclidean, where R is zero (the
 kernel stage's groups by kernel size); then two conullity3 kernel rides,
 one of 300 steps (stacked blocks of 128, 128 and 44 steps, 9 samples) and
 one of a single step (2 samples), each measuring its start tensor with its
-later samples.  Argvs are only
+later samples; then a scan of sekigawa ``exp(u)`` on a grid from the
+ill-conditioned point of the ``analyze`` above (cond g = 1.2e4), where the
+rounding of R shows most, toward p's larger values.  Argvs are only
 ever appended, so every line of an earlier set stays.  Each argv runs in-process
 through ``geonull.cli.main`` against the sources next to this script;
 stderr (timings) is discarded.  A refactor that claims identical output
@@ -100,6 +102,11 @@ ARGVS = (
     ("scan", "--metric", "euclidean", "--dim", "3", "--grid", "x0=-1:1:3"),
     ("flow", "--metric", "conullity3", "--point", "0.1,0.2,-0.3,0.4", "--tmax", "1", "--steps", "300"),
     ("flow", "--metric", "conullity3", "--point", "0.1,0.2,-0.3,0.4", "--tmax", "1", "--steps", "1"),
+    (
+        "scan", "--metric", "sekigawa", "--p", "exp(u)",
+        "--point=-0.5129016867312783,-2.5422821854087916,1.0267175751331235",
+        "--grid", "u=-2.5422821854087916:-1.5422821854087916:3,v=1.0267175751331235:2.0267175751331235:3",
+    ),
 )
 
 
