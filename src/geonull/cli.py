@@ -11,19 +11,14 @@ Output contracts:
 * Identical invocations produce byte-identical stdout; wall-clock timings
   go to stderr only.
 
-``analyze``, ``scan`` and kernel-mode ``flow`` solve the splitting tensor
-from nabla R (``splitting.splitting_tensor_from_curvature``), so ``analyze``
-makes one metric jet per request and ``scan`` one per grid point; a
-kernel-mode ``flow`` makes 2m+1 for its kernel geodesic of m steps, which it
-jets and whose g it inverts in one stacked call per block of steps
-(``flows.geodesic``), one for the start, whose kernel sets the launch and
-which measures sample 0 (the start itself), and one for each of the 8
-later samples: 522 at the default 256 steps.  ``scan`` takes each chunk of grid points' jets from one stacked
-call and runs the rest of its curvature pipeline once per chunk, each stage
-stacked over the chunk (:func:`_scan_chunk`); ``flow``'s 9 samples, the start
-among them, go through the same stacked stages together
-(``splitting._sample_tensors``), so a ride that aborts at a sample has
-jetted the samples past it too.
+``analyze``, ``scan`` and kernel-mode ``flow`` measure the splitting tensor
+through one pipeline, ``splitting._pipeline``: R, the kernel, T, the solve
+rows, the nabla R solve and its gate, each stage stacked over its points.
+``analyze`` runs it on its point, from its one metric jet; ``scan`` on each
+chunk of grid points, jetted in one call; ``flow`` on its 9 samples, the
+start among them, after a kernel geodesic of m steps jetted and inverted in
+one stacked call per block of steps (``flows.geodesic``): 2m+1 jets, one for
+the start and one for each of the 8 later samples (522 at 256 steps).
 
 Exit codes: 0 success, 1 usage error, 2 domain error (a float overflow or
 a metric too ill-conditioned to invert included), 3 verification failure.
@@ -45,9 +40,8 @@ import traceback
 
 import numpy as np
 
-from . import __version__, numcore
+from . import __version__
 from .curvature import (
-    _curvatures,
     curvature_data,
     nullity,
     scalar_curvature,
@@ -71,7 +65,7 @@ from .metricspace import (
     catalog_sekigawa,
     catalog_sphere,
 )
-from .numcore import REL_TOL_ANALYTIC, SingularMatrixError, _invert_each, eigenvalues
+from .numcore import REL_TOL_ANALYTIC, SingularMatrixError
 from .splitting import (
     SMOOTH_KERNEL_RESIDUAL,
     AlignmentError,
@@ -79,17 +73,14 @@ from .splitting import (
     KernelFieldError,
     NonUnitFieldError,
     RiccatiBlowupError,
-    _frames,
-    _kinds,
     _normal_form,
-    _solve_each,
+    _pipeline,
     classify,
     evolve_along_nullity_geodesic,
     kernel_section,
     riccati_closed_form,
     riccati_ode,
     splitting_tensor,
-    splitting_tensor_from_curvature,
     trace_det_evolution,
 )
 
@@ -354,22 +345,22 @@ def _metric_doc(metric) -> dict:
 # analyze
 
 
-def _splitting_defined(nullity) -> bool:
-    """A 1-dim kernel with a nonzero complement for the tensor to act on."""
-    return nullity.nullity == 1 and nullity.conullity > 0
-
-
 def cmd_analyze(args, parser) -> int:
     started = time.perf_counter()
     metric = _build_metric(args, parser)
     point = _parse_point(args, metric, parser)
-    data = curvature_data(metric, point, rel_tol=args.rel_tol, nabla_r=True)
+    stack = _pipeline(metric, point[None], [a[None] for a in metric.jet(point, order=3)], {}, args.rel_tol)
+    if stack.errors[0] is not None:
+        raise stack.errors[0]
+    data = stack.data(0)
     smin, smax = sectional_range(data)
-    splitting = None
-    if _splitting_defined(data.nullity):
-        matrix, residual = splitting_tensor_from_curvature(metric, data)
-        if residual > SMOOTH_KERNEL_RESIDUAL:
-            splitting = {"error": str(KernelFieldError(residual, point))}
+    splitting, solve = None, stack.tensors[0]
+    if isinstance(solve, Exception):
+        raise solve
+    if solve is not None:
+        matrix, residual, _ = solve
+        if isinstance(matrix, KernelFieldError):
+            splitting = {"error": str(matrix)}
         else:
             inv = classify(matrix, tol=CLASSIFY_TOL)
             # the gate bounds the solve's error: smaller entries on or below the diagonal are noise
@@ -465,79 +456,24 @@ def _scan_rows(metric, points, rel_tol) -> list:
     ]
 
 
-def _curvature_rows(jets, rel_tol, store, idx) -> list:
-    """R's stage of :func:`_scan_chunk` at the points ``idx`` of ``jets``: True at each, or False.
-
-    The stage's arrays, :func:`~geonull.curvature._riemann`'s tensors, the scalar traces
-    and the kernels' sizes and bases, go into ``store`` at the chunk rows
-    ``idx`` (``numcore._put``).  Where some g fails ``invert``'s condition
-    test, those points get False, as each fails alone too, and the rest are
-    redone stacked.
-    """
-    at = slice(None) if len(idx) == len(jets[0]) else idx  # a full slice copies nothing
-    try:
-        parts, scal, kernels = _curvatures(*(a[at] for a in jets[:3]), rel_tol)
-    except SingularMatrixError:
-        passed = _invert_each(jets[0][idx])[1].tolist()
-        if all(passed):
-            raise
-        kept = [i for i, ok in zip(idx, passed) if ok]
-        stage = functools.partial(_curvature_rows, jets, rel_tol, store)
-        rows = iter(numcore._each_alone(stage, kept, _SCAN_FAULTS, lambda exc: False))
-        return [ok and next(rows) for ok in passed]
-    numcore._put(store, len(jets[0]), idx, (*parts, scal, kernels.sizes, kernels.basis))
-    return [True] * len(idx)
-
-
 def _scan_chunk(metric, points, rel_tol) -> list:
-    """:func:`_scan_rows` for one chunk: each curvature stage stacked over its points.
+    """:func:`_scan_rows` for one chunk: its 3-jets from one ``MetricField.jets`` call, then ``splitting._pipeline`` over them.
 
-    The chunk's 3-jets come from one ``MetricField.jets`` call, which jets
-    no point outside the chart.  R, the scalar trace and the kernels are
-    stacked over the points with a jet, and kept stacked over the chunk;
-    the frames, the splitting solves (``splitting._solve_each``, one per
-    frame shape) and the eigenvalues over those with a line kernel.  A
-    stacked stage that raises is redone one point at a time: a point whose
-    jet or R fails is a domain row, one whose frame or solve fails an ok row
-    without a kind.  Where R's stage raises because some g fails
-    ``invert``'s condition test, only those points are left out (domain
-    rows) and the rest are redone stacked.
+    A point whose jet, R or kernel fails is a domain row; one whose nabla R
+    solve fails, or whose residual fails the gate, an ok row without a kind.
+    An error outside :data:`_SCAN_FAULTS` is raised.
     """
-    if rel_tol is None:
-        rel_tol = REL_TOL_ANALYTIC
     points = np.asarray(points, dtype=float)
-    jets, faults = metric.jets(points, order=3)
-    for exc in faults.values():
-        if not isinstance(exc, _SCAN_FAULTS):
+    stack = _pipeline(metric, points, *metric.jets(points, order=3), rel_tol)
+    for exc in stack.errors + stack.tensors:
+        if isinstance(exc, Exception) and not isinstance(exc, _SCAN_FAULTS):
             raise exc
-    jetted = [i for i in range(len(points)) if i not in faults]
-    store = []
-    curved = numcore._each_alone(
-        functools.partial(_curvature_rows, jets, rel_tol, store), jetted, _SCAN_FAULTS, lambda exc: False
-    )
-    curved = [i for i, ok in zip(jetted, curved) if ok]
-    if not curved:
-        return [None] * len(points)
-    *parts, scal, sizes, basis = store
-    lines = [i for i in curved if sizes[i] == 1] if metric.dim > 1 else []
-
-    def classified(idx):
-        at = slice(None) if len(idx) == len(points) else idx  # a full slice copies nothing
-        t_vecs = basis[at, 0]
-        rows, kept = _frames(metric, points[at], jets[0][at], t_vecs)
-        solves = _solve_each([a[at] for a in jets], [p[at] for p in parts], t_vecs, rows, kept)
-        gated = [j for j, (_, residual, _) in enumerate(solves) if residual <= SMOOTH_KERNEL_RESIDUAL]
-        kinds = [""] * len(idx)
-        if gated:
-            matrices = np.stack([-solves[j][0] @ solves[j][2].T for j in gated])
-            for j, kind in zip(gated, _kinds(matrices, eigenvalues(matrices), CLASSIFY_TOL).tolist()):
-                kinds[j] = kind
-        return kinds
-
-    kinds = dict(zip(lines, numcore._each_alone(classified, lines, _SCAN_FAULTS, lambda exc: "")))
+    kinds = stack.kinds(CLASSIFY_TOL)
     rows = [None] * len(points)
-    for i in curved:
-        rows[i] = (float(scal[i]), int(sizes[i]), metric.dim - int(sizes[i]), kinds.get(i, ""))
+    for i, exc in enumerate(stack.errors):
+        if exc is None:
+            size = int(stack.kernels.sizes[i])
+            rows[i] = (float(stack.scal[i]), size, metric.dim - size, kinds[i])
     return rows
 
 

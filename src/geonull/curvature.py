@@ -347,10 +347,11 @@ class CurvatureData:
 
     ``scalar_trace`` is the double-trace scalar curvature, ``half_trace``
     half of it.  ``complement`` is the g-orthonormal complement H of the
-    kernel, built from coordinate directions once, on first access, for
-    every reader.  At conullity 2 H is one plane and
-    ``nonflat_plane_curvature`` is its sectional curvature (else None);
-    :func:`sectional_range` gives the range over all planes.  ``rdown`` is
+    kernel, built from coordinate directions once, on first access (or by
+    the splitting pipeline, as its solve rows), for every reader.  At
+    conullity 2 H is one plane and ``nonflat_plane_curvature`` is its
+    sectional curvature (else None); :func:`sectional_range` gives the
+    range over all planes.  ``rdown`` is
     R built lowered (:func:`_riemann`); ``rup`` is raised from it by g^-1
     on first access, as no command reads it.  The jet the summary came from
     (of order 3 when nabla R was asked for) and :func:`_riemann` of it feed
@@ -417,18 +418,12 @@ def curvature_data(
     pt = np.asarray(x, dtype=float)
     jet = metric.jet(pt, order=3 if nabla_r else 2)
     parts, scal, kernels = _curvatures(*jet[:3], rel_tol)
-    scal = float(scal)
-    return CurvatureData(
-        point=pt,
-        g=jet[0],
-        christoffel=parts[1],
-        rdown=parts[4],
-        scalar_trace=scal,
-        half_trace=0.5 * scal,
-        nullity=kernels[0],
-        _jet=jet,
-        _parts=parts,
-    )
+    return _summary(pt, jet, parts, float(scal), kernels[0])
+
+
+def _summary(point, jet, parts, scal: float, nullity: NullityResult) -> CurvatureData:
+    """The :class:`CurvatureData` at ``point`` of its ``jet``, :func:`_riemann`'s ``parts`` of it, its scalar trace and its kernel."""
+    return CurvatureData(point, jet[0], parts[1], parts[4], scal, 0.5 * scal, nullity, tuple(jet), tuple(parts))
 
 
 # np.triu_indices(k, 1) for k < 4, the index pairs a < b of the 2-vectors e_a ^ e_b

@@ -64,9 +64,13 @@ def invert(m) -> np.ndarray:
     """
     inverse, passed, smallest = _invert_each(m)
     if not passed.all():
-        first = int(np.argmin(passed.ravel()))
-        raise SingularMatrixError("matrix is singular or ill-conditioned", float(smallest.ravel()[first]))
+        raise _singular(float(smallest.ravel()[np.argmin(passed.ravel())]))
     return inverse
+
+
+def _singular(smallest: float) -> SingularMatrixError:
+    """The error :func:`invert` raises for a matrix whose smallest singular value is ``smallest``."""
+    return SingularMatrixError("matrix is singular or ill-conditioned", smallest)
 
 
 def _invert_each(m):

@@ -19,21 +19,21 @@ the samples measured so far and the message in ``aborted``.
 
 Every command takes C from nabla R: R(T, ...) vanishes along the kernel, so
 R(nabla_X T, ...) = -(nabla_X R)(T, ...), solved by least squares over the
-kernel's complement.  Every command solves through ``_solve``, for a
-stack of points at once: -(nabla R)(T, ...) in closed form from each
-point's one 3-jet, T contracted in before any n^5 product, then one SVD of
-all the points' systems.  A solve residual above
+kernel's complement or the chart's preferred frame.  ``scan`` on each chunk
+of grid points, ``analyze`` on its one point and a kernel-mode ``geonull
+flow`` on its 9 samples measure C through one pipeline (``_pipeline``), each
+stage stacked over the points, each point's outcome bitwise its own alone:
+R and the kernel from each point's one 3-jet, T, the solve rows, -(nabla
+R)(T, ...) in closed form, T contracted in before any n^5 product, one SVD
+of all the systems (``_solve``), and the gate: a solve residual above
 ``SMOOTH_KERNEL_RESIDUAL`` means the kernel is no smooth line field there.
-A kernel-mode ``geonull flow`` request (256 steps, 9 samples) makes 522
-metric jets: 2m+1 of order 1 for the kernel geodesic and one of order 3 per
-tensor, the start's, which found the kernel and the frame, serving sample 0
-(the start itself).  After the ride the 8 later samples are jetted in one
-call, and all 9 are measured together through ``scan``'s stacked stages
-(``_sample_tensors``), bitwise each sample's own, in one nabla R solve, so
-a ride that aborts at a sample has jetted the samples past it too, at most
-8 in all.  The 9 closed-form predictions share one stacked pole test and
-one stacked inverse (``_riccati_predictions``), also bitwise each time's
-own.
+A 256-step flow makes 522 metric jets: 2m+1 of order 1 for the kernel
+geodesic and one of order 3 per tensor, the start's, which found the kernel
+and the frame, serving sample 0.  The 8 later samples are jetted in one
+call after the ride (``_sample_tensors``), so a ride that aborts at a sample
+has jetted the samples past it too.  The 9 closed-form predictions share
+one stacked pole test and one stacked inverse (``_riccati_predictions``),
+also bitwise each time's own.
 
 ``splitting_tensor`` is the reference that the tests compare the solve
 with and that ``verify`` runs: Richardson-extrapolated central differences
@@ -49,24 +49,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
-from typing import Callable, Optional
+from functools import cached_property, partial
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import numcore
 from .curvature import (
     CurvatureData,
+    Nullities,
     _christoffel_from_jet,
     _complement,
     _curvatures,
     _nullity_at,
     _solve_rhs,
+    _summary,
     curvature_data,
 )
 from .flows import GeodesicPath, _sample_indices, geodesic
 from .metricspace import MetricField
-from .numcore import REL_TOL_ANALYTIC, eigenvalues, invert
+from .numcore import REL_TOL_ANALYTIC, SingularMatrixError, eigenvalues, invert
 
 __all__ = [
     "AlignmentError",
@@ -257,23 +259,6 @@ def _frames(metric: MetricField, points: np.ndarray, g: np.ndarray, t_vecs: np.n
     return _complement(g, t_vecs[..., None, :])
 
 
-def _frame(metric: MetricField, pt: np.ndarray, g: np.ndarray, t_vec: np.ndarray) -> np.ndarray:
-    """Rows spanning the complement of the unit ``t_vec`` at pt: :func:`_frames` at one point."""
-    rows, kept = _frames(metric, pt, g, t_vec)
-    return rows[kept]
-
-
-def _kernel_frame(metric: MetricField, data: CurvatureData) -> np.ndarray:
-    """:func:`_frame` of ``data``'s first kernel vector.
-
-    At a line kernel that is ``data.complement`` where the chart has no
-    preferred frame, the same bits, so its readers share one build.
-    """
-    if metric.preferred_frame is None and data.nullity.nullity == 1 and data.g.shape[0] > 1:
-        return data.complement
-    return _frame(metric, data.point, data.g, data.nullity.basis[0])
-
-
 def _stencil(x: np.ndarray, h: float) -> np.ndarray:
     """The 4n stencil points, per axis e: x + h e, x - h e, x + 2h e, x - 2h e."""
     points = []
@@ -329,7 +314,10 @@ def splitting_tensor(
     t_norm = float(np.sqrt(t0 @ g @ t0))
     if abs(t_norm - 1.0) > 1e-6 and not allow_non_unit:
         raise NonUnitFieldError(t_norm)
-    basis = _frame(metric, pt, g, t0 / t_norm) if basis is None else np.asarray(basis, dtype=float)
+    if basis is None:
+        rows, kept = _frames(metric, pt, g, t0 / t_norm)
+        basis = rows[kept]
+    basis = np.asarray(basis, dtype=float)
     if basis.ndim != 2 or basis.shape[1] != n:
         raise ValueError("basis must be rows of chart-dimension vectors")
 
@@ -383,7 +371,8 @@ def splitting_tensor_from_curvature(metric: MetricField, data: CurvatureData):
     field and the matrix means nothing.  The caller checks that the kernel
     at x is a line.
     """
-    basis = _kernel_frame(metric, data)
+    rows, kept = _frames(metric, data.point, data.g, data.nullity.basis[0])
+    basis = rows[kept]
     coef, residual = _solve(data._jet, data._parts, data.nullity.basis[0], basis)[0]
     return -coef @ basis.T, residual
 
@@ -435,86 +424,145 @@ def _least_squares(rdown, rhs, bases) -> list:
     return list(zip(coef_t.swapaxes(-1, -2).reshape(math.prod(shape), -1, n), residual.ravel().tolist()))
 
 
-def _solve_each(jet, parts, t_vecs, rows, kept) -> list:
-    """``[(coef, residual, basis)]``: :func:`_solve` at each point of a stack over its ``rows`` that ``kept`` marks.
+class _Stack(NamedTuple):
+    """:func:`_pipeline`'s outcome at each point of a stack.
 
-    ``basis`` is the point's kept rows.  The points that keep as many rows
-    take one stacked solve, so each result is bitwise the point's own.
+    ``errors[i]`` is the error point i's jet, R or kernel raised, else None,
+    and row i of ``jets``, ``parts`` (:func:`~geonull.curvature._riemann`'s
+    tensors), ``scal`` and ``kernels`` is the point's.  ``tensors[i]`` is
+    then ``(C, residual, rows)``, C a :class:`KernelFieldError` past the
+    gate, or the error its T, rows or solve raised, or None (no tensor asked).
     """
-    out = [None] * len(t_vecs)
-    for count, at in numcore._groups(kept.sum(axis=-1)):
-        idx = np.arange(len(t_vecs))[at]
-        bases = rows[at][kept[at]].reshape(len(idx), count, rows.shape[-1])
-        solves = _solve([a[at] for a in jet], [p[at] for p in parts], t_vecs[at], bases)
-        for j, (coef, residual), basis in zip(idx.tolist(), solves, bases):
-            out[j] = (coef, residual, basis)
-    return out
+
+    points: np.ndarray
+    jets: list
+    parts: list
+    scal: np.ndarray
+    kernels: Nullities
+    errors: list
+    tensors: list
+    on_complement: bool
+
+    def data(self, i: int) -> CurvatureData:
+        """Point i's curvature summary; where its solve rows are the kernel's complement, they are its ``complement`` too."""
+        data = _summary(self.points[i], [a[i] for a in self.jets], [p[i] for p in self.parts],
+                        float(self.scal[i]), self.kernels[i])
+        if self.on_complement and isinstance(self.tensors[i], tuple):
+            vars(data)["complement"] = self.tensors[i][2]  # where the cached_property keeps its value
+        return data
+
+    def kinds(self, tol: float) -> list:
+        """:func:`classify`'s kind of each point's C at ``tol``, from one stacked eigenvalue call, or "" where it has none."""
+        kinds = [""] * len(self.tensors)
+        gated = [i for i, t in enumerate(self.tensors) if isinstance(t, tuple) and isinstance(t[0], np.ndarray)]
+        if gated:
+            matrices = np.stack([self.tensors[i][0] for i in gated])
+            for i, kind in zip(gated, _kinds(matrices, eigenvalues(matrices), tol).tolist()):
+                kinds[i] = kind
+        return kinds
 
 
-def _frame_tensor(metric: MetricField, data: CurvatureData, reference, frame, dimension: int):
-    """C_T at ``data.point`` in the rows of ``frame`` (spanning T's complement), from nabla R.
+def _curved(jets, rel_tol: float, store: list, idx) -> list:
+    """:func:`_pipeline`'s curvature stage at the points ``idx`` of ``jets``: None at each, or the error raised there.
 
-    T is the unit g-projection of ``reference`` onto the kernel, which must
-    have ``dimension``.  The solve runs over the kernel's complement H
-    (``data.complement``), so C's rows along kernel directions inside T's
-    complement are 0.  Raises :class:`KernelDimensionError`,
-    :class:`AlignmentError`, or :class:`KernelFieldError` when the solve's
-    residual is above :data:`SMOOTH_KERNEL_RESIDUAL`.  The one-point form
-    of :func:`_sample_tensors`, which the tests compare it with.
+    R's tensors, the scalar traces and the kernels go into ``store``
+    (``numcore._put``).  Where some g fails ``invert``'s condition test,
+    those points get ``invert``'s error and the rest are stacked again.
     """
-    if data.nullity.nullity != dimension:
-        raise KernelDimensionError(dimension, data.nullity.nullity, data.point)
-    t_vec = _project(data.nullity.basis, data.g, reference, data.point)
-    coef, residual = _solve(data._jet, data._parts, t_vec, data.complement)[0]
-    return _in_frame(coef, residual, data.g, data.complement, frame, data.point)
+    size = len(jets[0])
+    at = slice(None) if len(idx) == size else idx  # a full slice copies nothing
+    try:
+        parts, scal, kernels = _curvatures(jets[0][at], jets[1][at], jets[2][at], rel_tol)
+    except SingularMatrixError:
+        _, passed, smallest = numcore._invert_each(jets[0][idx])
+        passed = passed.tolist()
+        if all(passed):
+            raise
+        stage = partial(_curved, jets, rel_tol, store)
+        kept = iter(numcore._each_alone(stage, [i for i, ok in zip(idx, passed) if ok]))
+        return [next(kept) if ok else numcore._singular(s) for ok, s in zip(passed, smallest.tolist())]
+    numcore._put(store, size, idx, (*parts, scal, kernels.sizes, kernels.basis, kernels.residuals,
+                                    kernels.singular_values, kernels.tolerances))
+    return [None] * len(idx)
 
 
-def _in_frame(coef, residual: float, g: np.ndarray, basis, frame, pt: np.ndarray) -> np.ndarray:
-    """:func:`_frame_tensor`'s C from the solve over H = rows of ``basis``, gated on its residual."""
-    if residual > SMOOTH_KERNEL_RESIDUAL:
-        raise KernelFieldError(residual, pt)
-    return -(frame @ g @ basis.T) @ coef @ frame.T
+def _pipeline(metric: MetricField, points, jets, faults, rel_tol, references=None, frames=None, dimension=1) -> _Stack:
+    """The splitting tensor's chain at each point of a stack: R, the kernel, T, the solve rows, the solve and its gate.
 
-
-def _sample_tensors(metric: MetricField, path: GeodesicPath, indices, dimension: int, rel_tol, start_jet) -> list:
-    """:func:`_frame_tensor` at each path node of ``indices``, T along its velocity, or the error it raises.
-
-    Each entry is bitwise ``_frame_tensor(metric, curvature_data(metric, q,
-    rel_tol, nabla_r=True), velocity, frame, dimension)`` at node q, or the
-    error that raises there.  The first node is the path's start, whose
-    3-jet is ``start_jet``; the others' 3-jets come from one
-    :meth:`MetricField.jets` call.  R and the kernels, T, the
-    complements and the solves (one per complement shape,
-    :func:`_solve_each`) are each stacked over the nodes, as ``scan``
-    stacks its grid points, and only C in the frame is each node's own.
-    Where the stack raises, each node is redone alone, so each error stays
-    with its own node.
+    ``jets`` are the points' 3-jets, stacked as ``MetricField.jets`` gives
+    them, and ``faults`` maps each point whose jet raised to its error.
+    Each stage runs once, stacked over the points that reach it: R, the
+    scalar trace and the kernel (:func:`_curved`); T, the first vector of a
+    line kernel with a complement, or, given ``references``, the unit
+    g-projection of each point's reference onto its kernel, which must have
+    ``dimension``; the solve rows, the chart's preferred frame or else
+    (always, given ``references``) the kernel's complement; the solves
+    (:func:`_solve`) and the gate, C in the solve rows or in the rows of
+    each point's ``frames``.  A stacked stage that raises is redone one
+    point at a time, so each error stays with its own point.
     """
     if rel_tol is None:
         rel_tol = REL_TOL_ANALYTIC
-    points, velocities, frames = path.points[indices], path.velocities[indices], path.frame[indices]
+    points = np.asarray(points, dtype=float)
+    size, store = len(points), []
+    errors = [faults.get(i) for i in range(size)]
+    live = [i for i in range(size) if errors[i] is None]
+    for i, exc in zip(live, numcore._each_alone(partial(_curved, jets, rel_tol, store), live)):
+        errors[i] = exc
+    tensors = [None] * size
+    if not store:
+        return _Stack(points, jets, None, None, None, errors, tensors, False)
+    parts, scal, kernels = store[:5], store[5], Nullities(*store[6:])
+    sizes, asked = kernels.sizes.tolist(), []
+    for i in range(size):
+        if errors[i] is not None or references is None and (sizes[i] != 1 or metric.dim == 1):
+            continue  # without references, only a line kernel with a complement is asked for a tensor
+        if sizes[i] == dimension:
+            asked.append(i)
+        else:
+            tensors[i] = KernelDimensionError(dimension, sizes[i], points[i])
+
+    def solved(idx):
+        at = slice(None) if len(idx) == size else idx
+        g, basis = jets[0][at], kernels.basis[at, :dimension]
+        if references is None:
+            t_vecs = basis[:, 0]
+            rows, kept = _frames(metric, points[at], g, t_vecs)
+        else:
+            t_vecs = _project(basis, g, references[at], points[at])
+            rows, kept = _complement(g, basis)
+        # each point keeps as many rows, or the reshape raises and each point is solved alone
+        bases = rows[kept].reshape(len(idx), -1, rows.shape[-1])
+        jet, prt = (jets, parts) if len(idx) == size else ([a[at] for a in jets], [p[at] for p in parts])
+        out = []
+        for i, (coef, residual), h in zip(idx, _solve(jet, prt, t_vecs, bases), bases):
+            if residual > SMOOTH_KERNEL_RESIDUAL:
+                matrix = KernelFieldError(residual, points[i])
+            elif frames is None:
+                matrix = -coef @ h.T
+            else:
+                matrix = -(frames[i] @ jets[0][i] @ h.T) @ coef @ frames[i].T
+            out.append((matrix, residual, h))
+        return out
+
+    for i, tensor in zip(asked, numcore._each_alone(solved, asked)):
+        tensors[i] = tensor
+    on_complement = references is not None or metric.preferred_frame is None
+    return _Stack(points, jets, parts, scal, kernels, errors, tensors, on_complement)
+
+
+def _sample_tensors(metric: MetricField, path: GeodesicPath, indices, dimension: int, rel_tol, start_jet) -> list:
+    """:func:`_pipeline`'s C at each path node of ``indices``, T along its velocity, in its frame, or the error raised there.
+
+    The first node is the path's start, whose 3-jet is ``start_jet``; the
+    others' 3-jets come from one :meth:`MetricField.jets` call.
+    """
+    points = path.points[indices]
     later, faults = metric.jets(points[1:], order=3)
     jets = [np.concatenate([a[None], b]) for a, b in zip(start_jet, later)]
-    out = {j + 1: exc for j, exc in faults.items()}  # out: node -> C or the error raised
-
-    def tensors(idx):
-        jet = [a[idx] for a in jets]
-        parts, _, kernels = _curvatures(*jet[:3], rel_tol)
-        wrong = kernels.sizes != dimension
-        if wrong.any():
-            first = int(np.argmax(wrong))
-            raise KernelDimensionError(dimension, int(kernels.sizes[first]), points[idx][first])
-        basis, g = kernels.basis[:, :dimension], jet[0]
-        t_vecs = _project(basis, g, velocities[idx], points[idx])
-        solves = _solve_each(jet, parts, t_vecs, *_complement(g, basis))
-        return [
-            _in_frame(coef, residual, g[j], h, frames[i], points[i])
-            for j, (i, (coef, residual, h)) in enumerate(zip(idx, solves))
-        ]
-
-    live = [j for j in range(len(points)) if j not in out]
-    out.update(zip(live, numcore._each_alone(tensors, live)))
-    return [out[j] for j in range(len(points))]
+    stack = _pipeline(metric, points, jets, {j + 1: exc for j, exc in faults.items()}, rel_tol,
+                      path.velocities[indices], path.frame[indices], dimension)
+    return [exc or (t[0] if isinstance(t, tuple) else t) for exc, t in zip(stack.errors, stack.tensors)]
 
 
 @dataclass(frozen=True)
@@ -703,8 +751,8 @@ def evolve_along_nullity_geodesic(
     (:func:`kernel_section`): at x0 the first kernel basis vector, which is
     also the launch velocity, and at each sample the geodesic's velocity
     there.  Each tensor comes from the nabla R solve of one metric 3-jet
-    (:func:`_frame_tensor`), in the transported frame; ``h`` is the step of
-    the divergence check only.  Sample 0 is x0 with its velocity and frame,
+    (:func:`_pipeline`), in the transported frame; ``h`` is the step of the
+    divergence check only.  Sample 0 is x0 with its velocity and frame,
     so its tensor is the start tensor: after the ride it is measured with the
     others (:func:`_sample_tensors`), from the 3-jet that gave the kernel at
     x0, bitwise each sample's own, and the closed-form predictions are built
@@ -720,8 +768,8 @@ def evolve_along_nullity_geodesic(
     data = curvature_data(metric, pt, rel_tol, nabla_r=True)
     section = _section(data.nullity, data.g, None, pt)
     k0 = data.nullity.nullity
-    frame = _kernel_frame(metric, data)
-    path = geodesic(metric, pt, section, tmax, steps=steps, frame=frame)
+    rows, kept = _frames(metric, pt, data.g, section)
+    path = geodesic(metric, pt, section, tmax, steps=steps, frame=rows[kept])
     indices = _sample_indices(path.times.size, samples)  # node 0 first
     tensors = _sample_tensors(metric, path, indices, k0, rel_tol, data._jet)
     start = tensors[0]

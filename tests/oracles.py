@@ -12,6 +12,8 @@ calls them.
   corrections; accurate to O(h^2).
 * :func:`stencil_splitting_tensor`: the splitting tensor's least-squares
   solve with that nabla R contracted with T.
+* :func:`stack_of_one` and :func:`tensor_alone`: the package's splitting
+  pipeline at one point alone, the reference for each point of a stack.
 * :func:`raised_riemann`: R by way of R^l_ijk, raised through g^-1 and
   lowered again by g, whose rounding the lowered R is held against, and
   :func:`raised_nabla_riemann`, nabla R by the product rule on R^l_ijk,
@@ -29,7 +31,7 @@ import numpy as np
 
 from geonull.curvature import _bracket, _riemann, _t
 from geonull.metricspace import MetricField
-from geonull.splitting import _kernel_frame, _least_squares
+from geonull.splitting import _least_squares, _pipeline
 
 
 def fd_jet(field: MetricField, x, h: float = 2e-4):
@@ -112,15 +114,41 @@ def nabla_r_stencil(metric: MetricField, x, h: float = 1e-4, check: bool = False
 def stencil_splitting_tensor(metric: MetricField, data, h: float = 1e-4):
     """``(matrix, residual)`` of ``splitting_tensor_from_curvature`` with nabla R from :func:`nabla_r_stencil`.
 
-    The same least-squares solve over the same complement basis, against
-    ``data.rdown``, with the right-hand side -(nabla R)(T, ...) from the
-    stencil of step h, its jets domain-checked.
+    The same least-squares solve over the same rows as the package's
+    pipeline at ``data``'s jet, against ``data.rdown``, with the right-hand
+    side -(nabla R)(T, ...) from the stencil of step h, its jets
+    domain-checked.
     """
-    basis = _kernel_frame(metric, data)
+    solve = stack_of_one(metric, data.point, jet=data._jet).tensors[0]
+    if isinstance(solve, Exception):
+        raise solve
+    basis = solve[2]
     cov = nabla_r_stencil(metric, data.point, h, check=True)
     rhs = -np.einsum("mijkl,i->mjkl", cov, data.nullity.basis[0])
     (coef, residual), = _least_squares(data.rdown, rhs, basis)
     return -coef @ basis.T, residual
+
+
+def stack_of_one(metric: MetricField, point, reference=None, frame=None, dimension: int = 1, jet=None):
+    """``splitting._pipeline`` at ``point`` alone, from ``jet`` or the point's own 3-jet.
+
+    With ``reference``, T is its projection onto a kernel of ``dimension``
+    and C is taken in the rows of ``frame``, as ``flow`` measures a sample.
+    """
+    pt = np.asarray(point, dtype=float)
+    jet = metric.jet(pt, order=3) if jet is None else jet
+    along = () if reference is None else (np.asarray(reference, dtype=float)[None], np.asarray(frame)[None], dimension)
+    return _pipeline(metric, pt[None], [a[None] for a in jet], {}, None, *along)
+
+
+def tensor_alone(metric: MetricField, point, reference, frame, dimension: int = 1, jet=None) -> np.ndarray:
+    """C of :func:`stack_of_one` at ``point`` in the rows of ``frame``, or the error raised there, its gate's included."""
+    stack = stack_of_one(metric, point, reference, frame, dimension, jet)
+    outcome = stack.errors[0] or stack.tensors[0]
+    outcome = outcome[0] if isinstance(outcome, tuple) else outcome  # C, or the gate's error
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _raised_parts(g, dg, d2g):

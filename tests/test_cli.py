@@ -1,4 +1,6 @@
+import ast
 import contextlib
+import csv
 import gc
 import io
 import itertools
@@ -509,19 +511,60 @@ def test_scan_redoes_stacked_the_points_whose_g_can_be_inverted(monkeypatch):
     points = _scan_points(metric, u=np.linspace(-2, 2, 9), w=np.linspace(-2, 2, 9))
     alone = [cli._scan_rows(metric, [pt], None)[0] for pt in points]
     sizes = []
-    curvatures = cli._curvatures
+    curvatures = splitting._curvatures
 
     def counted(g, *rest):
         sizes.append(len(g))
         return curvatures(g, *rest)
 
-    monkeypatch.setattr(cli, "_curvatures", counted)
+    monkeypatch.setattr(splitting, "_curvatures", counted)
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         stacked = cli._scan_rows(metric, points, None)
     assert _bitwise(stacked) == _bitwise(alone)
     # each chunk's points with a jet, then those whose g passes, and none alone
     assert sizes == [22, 16, 26, 25, 11, 6]
     assert stacked.count(None) == 81 - 16 - 25 - 6
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--metric", "conullity3", "--grid", "u=-1.5:1.5:4,w=-1.5:1.5:4"),
+        ("--metric", "sekigawa", "--p", "exp(u)", "--grid", "x=-1:1:4,u=-1:1:4"),
+    ],
+    ids=["conullity3", "sekigawa"],
+)
+def test_analyze_prints_the_tensor_and_kind_of_the_point_inside_a_scan_stack(capsys, argv):
+    # the digest's two scans: at each line-kernel point, analyze's C is the pipeline's C
+    # in the grid's stack, and its kind is scan's
+    code, out, _ = run_cli(capsys, "scan", *argv)
+    assert code == 0
+    metric = cli._build_metric(cli._build_parser().parse_args(["scan", *argv]), None)
+    rows = [row for row in csv.reader(io.StringIO(out))][1:]
+    points = np.array([[float(c) for c in row[:metric.dim]] for row in rows])
+    stack = splitting._pipeline(metric, points, *metric.jets(points, order=3), None)
+    lines = [i for i, row in enumerate(rows) if row[-4] == "1"]
+    assert len(lines) == 16
+    for i in lines:
+        point = ",".join(rows[i][:metric.dim])
+        code, out, _ = run_cli(capsys, "analyze", *argv[:-2], f"--point={point}")
+        assert code == 0
+        splitting_doc = json.loads(out)["splitting"]
+        assert np.array(splitting_doc["matrix"]).tobytes() == stack.tensors[i][0].tobytes()
+        assert splitting_doc["classification"]["kind"] == rows[i][-2] == "nilpotent"
+
+
+def test_cli_runs_no_stage_of_the_splitting_pipeline_itself():
+    # every command measures C through splitting._pipeline: cli.py imports none of its stages
+    with open(cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"_curvatures", "_invert_each", "_frames", "_kinds", "_solve_each"}
+    numcore_uses = {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "numcore"
+    }
+    assert not numcore_uses & {"_each_alone", "_put"}
 
 
 @pytest.mark.parametrize("p, grid", [

@@ -31,7 +31,7 @@ from geonull.splitting import (
     splitting_tensor_from_curvature,
     trace_det_evolution,
 )
-from oracles import stencil_splitting_tensor
+from oracles import stencil_splitting_tensor, tensor_alone
 
 ORIGIN4 = [0.0, 0.0, 0.0, 0.0]
 
@@ -386,7 +386,7 @@ def test_a_solve_from_curvature_data_without_its_3_jet_says_so(metric, point):
     with pytest.raises(ValueError, match=message):
         splitting_tensor_from_curvature(metric, data)
     with pytest.raises(ValueError, match=message):
-        splitting._frame_tensor(metric, data, data.nullity.basis[0], data.complement[:2], 1)
+        tensor_alone(metric, point, data.nullity.basis[0], data.complement[:2], jet=data._jet)
 
 
 @pytest.mark.parametrize(
@@ -854,8 +854,8 @@ def test_evolution_tensor_takes_t_along_the_velocity():
     data = curvature_data(metric, [0.1, 0.2, -0.3, 0.4], nabla_r=True)
     frame = metric.preferred_frame(data.point)
     t = data.nullity.basis[0]
-    along = splitting._frame_tensor(metric, data, 3.0 * t, frame, 1)
-    against = splitting._frame_tensor(metric, data, -t, frame, 1)
+    along = tensor_alone(metric, data.point, 3.0 * t, frame)
+    against = tensor_alone(metric, data.point, -t, frame)
     p = 3.0 + math.cos(0.2) + math.cos(0.4)
     assert along[0, 1] == pytest.approx(math.sqrt(2.0) / p, abs=1e-12)
     assert np.max(np.abs(along + against)) < 1e-15
@@ -866,13 +866,13 @@ def test_evolution_gates_the_nabla_r_residual(monkeypatch):
     with pytest.raises(splitting.KernelFieldError) as exc:
         evolve_along_nullity_geodesic(_hessian_line_warp(), [0.3, 0.0, 0.1], tmax=0.2, steps=8)
     assert exc.value.residual > 0.5
-    gate = splitting._in_frame  # the start tensor and every sample pass it
-    rough = np.array([0.1, 0.2, 0.25 + 1e-9, 0.4])
+    solve = splitting._solve  # the start tensor and every sample pass the gate
 
-    def rough_past_quarter(coef, residual, g, basis, frame, pt):
-        return gate(coef, 1.0 if pt[2] > rough[2] else residual, g, basis, frame, pt)
+    def rough_past_quarter(*args):
+        # the 9 samples in one stack, in time order 0.0625 apart: those past t = 0.25 get residual 1
+        return [(coef, 1.0 if j > 4 else residual) for j, (coef, residual) in enumerate(solve(*args))]
 
-    monkeypatch.setattr(splitting, "_in_frame", rough_past_quarter)
+    monkeypatch.setattr(splitting, "_solve", rough_past_quarter)
     report = evolve_along_nullity_geodesic(conullity3(), [0.1, 0.2, 0.0, 0.4], tmax=0.5, steps=16)
     assert report.aborted.startswith("curvature kernel is not a smooth line field near point")
     assert report.sample_times.tolist() == [0.0, 0.0625, 0.125, 0.1875, 0.25]
@@ -884,16 +884,15 @@ _ABORTS = (KernelDimensionError, AlignmentError, splitting.KernelFieldError, Ric
 def _each_sample(metric, report, samples=9):
     """``(times, measured, predicted, deviations, aborted)`` bytes of the ride's samples, each measured alone.
 
-    The reference for the stacked samples: one ``curvature_data`` and one
-    ``_frame_tensor`` per sample, in order, stopping at the first abort
-    error and raising any other error.
+    The reference for the stacked samples: the pipeline on each sample
+    alone (``tensor_alone``), in order, stopping at the first abort error and
+    raising any other error.
     """
     path, start = report.path, report.start_matrix
     times, measured, predicted, deviations, aborted = [], [], [], [], None
     for i in flows._sample_indices(path.times.size, samples):
         try:
-            data = curvature_data(metric, path.points[i], nabla_r=True)
-            c = splitting._frame_tensor(metric, data, path.velocities[i], path.frame[i], report.kernel_dimension)
+            c = tensor_alone(metric, path.points[i], path.velocities[i], path.frame[i], report.kernel_dimension)
             pred = riccati_closed_form(start, float(path.times[i]))
         except _ABORTS as exc:
             aborted = str(exc)
@@ -930,8 +929,7 @@ def test_stacked_sample_tensors_are_each_samples_own_bitwise(metric, point):
     start_jet = curvature_data(metric, path.points[0], nabla_r=True)._jet
     stacked = splitting._sample_tensors(metric, path, indices, 1, None, start_jet)
     for i, c in zip(indices, stacked):
-        data = curvature_data(metric, path.points[i], nabla_r=True)
-        alone = splitting._frame_tensor(metric, data, path.velocities[i], path.frame[i], 1)
+        alone = tensor_alone(metric, path.points[i], path.velocities[i], path.frame[i])
         assert c.tobytes() == alone.tobytes()
     assert [c.tobytes() for c in report.measured[1:]] == [c.tobytes() for c in stacked[1:]]
     assert _samples_of(report) == _each_sample(metric, report)
@@ -942,8 +940,7 @@ def test_sample_zero_is_the_start_tensor_bitwise(metric, point):
     # x0 with its launch velocity and frame: measured alone, it is the start tensor
     report = evolve_along_nullity_geodesic(metric, point, tmax=0.5, steps=8)
     path = report.path
-    data = curvature_data(metric, path.points[0], nabla_r=True)
-    alone = splitting._frame_tensor(metric, data, path.velocities[0], path.frame[0], 1)
+    alone = tensor_alone(metric, path.points[0], path.velocities[0], path.frame[0])
     assert report.sample_times[0] == 0.0
     assert report.measured[0].tobytes() == report.start_matrix.tobytes() == alone.tobytes()
 
@@ -1005,6 +1002,46 @@ def test_sample_stage_that_raises_is_redone_per_sample(monkeypatch, stage, ndim)
     # the start's tensor is measured with the 8 later samples
     assert sizes == [9] + [1] * 9
     assert _samples_of(report) == want
+
+
+def test_a_singular_g_at_a_later_sample_leaves_the_others_stacked(monkeypatch):
+    # sample 5's 3-jet has a g that invert rejects: R's stage drops that sample and
+    # restacks the other 8, none of them measured alone
+    base, point = _SAMPLED_RIDES[0]
+    indices = flows._sample_indices(33, 9)
+    target = []
+
+    def jet(x, order):
+        out = base.jet(x, order=order, check=False)
+        if order == 3 and target and np.array_equal(x, target[0]):
+            return (np.diag([1.0, 1.0, 1.0, 1e-13]),) + tuple(out[1:])
+        return out
+
+    metric = MetricField(4, base.coordinates, jet, domain=base.contains, preferred_frame=base.preferred_frame,
+                         max_order=3)
+    clean = evolve_along_nullity_geodesic(metric, point, tmax=0.5, steps=32)
+    path = clean.path
+    assert clean.aborted is None and clean.sample_times.size == 9
+    target.append(path.points[indices[5]])
+    real, sizes = splitting._curvatures, []
+
+    def counted(g, *rest):
+        if g.ndim == 3:  # the start's kernel (curvature_data) is no stack
+            sizes.append(len(g))
+        return real(g, *rest)
+
+    monkeypatch.setattr(splitting, "_curvatures", counted)
+    with pytest.raises(SingularMatrixError) as raised:
+        evolve_along_nullity_geodesic(metric, point, tmax=0.5, steps=32)
+    assert sizes == [9, 8]
+    with pytest.raises(SingularMatrixError) as alone:
+        tensor_alone(metric, target[0], path.velocities[indices[5]], path.frame[indices[5]])
+    assert str(raised.value) == str(alone.value)
+    tensors = splitting._sample_tensors(metric, path, indices, 1, None, curvature_data(metric, point, nabla_r=True)._jet)
+    assert str(tensors[5]) == str(alone.value)
+    assert [c.tobytes() for j, c in enumerate(tensors) if j != 5] == [
+        c.tobytes() for j, c in enumerate(clean.measured) if j != 5
+    ]
 
 
 def test_sample_fault_stays_with_its_sample(monkeypatch):

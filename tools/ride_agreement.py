@@ -26,11 +26,12 @@ past a bend or a raising jet it does not know of yet), and never fewer.
 
 Each ride launched along the kernel also runs ``flow``'s Riccati check,
 ``splitting.evolve_along_nullity_geodesic``, which measures its samples
-together, and the same check with each sample measured alone (one
-``curvature_data`` and one ``_frame_tensor`` per sample, in order, up to
-the first error).  Both must give the same bytes for the start tensor and
-every sample's time, tensor, prediction and deviation, and the same
-``aborted`` message, or raise the same error.
+together, and the same check with each sample measured alone (the
+splitting pipeline on each sample alone, ``tensor_alone`` of
+``tests/oracles.py``, in order, up to the first error).  Both must give
+the same bytes for the start tensor and every sample's time, tensor,
+prediction and deviation, and the same ``aborted`` message, or raise the
+same error.
 
 It prints one line per ride, with the points it jetted stacked and point
 by point, marking those that differ, and for a kernel ride how its samples
@@ -58,6 +59,7 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(1, os.path.join(ROOT, "tests"))
 
 from geonull import flows, metricspace, splitting  # noqa: E402
 from geonull.curvature import curvature_data  # noqa: E402
@@ -71,6 +73,7 @@ from geonull.metricspace import (  # noqa: E402
     catalog_sphere,
 )
 from geonull.splitting import evolve_along_nullity_geodesic, kernel_section  # noqa: E402
+from oracles import tensor_alone  # noqa: E402
 
 FIELDS = ("times", "points", "velocities", "frame")
 
@@ -207,14 +210,14 @@ def _each_sample(metric, x0, tmax: float, steps: int, samples: int = 9) -> tuple
     data = curvature_data(metric, x0, nabla_r=True)
     section = splitting._section(data.nullity, data.g, None, x0)
     k0 = data.nullity.nullity
-    frame = splitting._frame(metric, x0, data.g, section)
-    start = splitting._frame_tensor(metric, data, section, frame, k0)
+    rows, kept = splitting._frames(metric, x0, data.g, section)  # the start frame, as the check takes it
+    frame = rows[kept]
+    start = tensor_alone(metric, x0, section, frame, k0, jet=data._jet)
     path = flows.geodesic(metric, x0, section, tmax, steps=steps, frame=frame)
     times, measured, predicted, deviations, aborted = [], [], [], [], None
     for i in flows._sample_indices(path.times.size, samples):
         try:
-            data = curvature_data(metric, path.points[i], nabla_r=True)
-            c = splitting._frame_tensor(metric, data, path.velocities[i], path.frame[i], k0)
+            c = tensor_alone(metric, path.points[i], path.velocities[i], path.frame[i], k0)
             pred = splitting.riccati_closed_form(start, float(path.times[i]))
         except _ABORTS as exc:
             aborted = str(exc)

@@ -1,9 +1,9 @@
 """Compare ``scan``'s classification with two finite-difference ones and the full nabla R's.
 
 ``geonull scan``, ``analyze`` and ``flow`` take the splitting tensor from
-``splitting.splitting_tensor_from_curvature``, which solves it from
--(nabla R)(T, ...) in closed form from the point's metric 3-jet, T
-contracted in before any n^5 product.  This compares four kinds per point:
+one pipeline, ``splitting._pipeline``, which solves it from -(nabla R)(T,
+...) in closed form from the point's metric 3-jet, T contracted in before
+any n^5 product.  This compares four kinds per point:
 
 * ``richardson``: the kernel-field stencil of ``splitting.splitting_tensor``
   (the reference the tests compare the solve with);
@@ -15,8 +15,11 @@ contracted in before any n^5 product.  This compares four kinds per point:
 * ``full``: the solve from all n^5 entries of nabla R by the product rule
   on R^l_ijk (``raised_nabla_riemann`` of ``tests/oracles.py``, the
   formulas the solve took before T was contracted in) contracted with T
-  point by point, against ``CurvatureData.rdown`` (R built lowered, the
-  one R of every command), under the same gate.
+  point by point, against R built lowered (the one R of every command),
+  over the pipeline's solve rows, under the same gate.
+
+Each point's R, kernel, solve rows and residual come from the pipeline on
+that point alone (``stack_of_one`` of ``tests/oracles.py``).
 
 For random points of each warped catalog family (uniform in the chart box,
 points outside the chart skipped) it prints how often each triple of kinds
@@ -52,7 +55,6 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(1, os.path.join(ROOT, "tests"))
 
 from geonull import cli  # noqa: E402
-from geonull.curvature import curvature_data  # noqa: E402
 from geonull.exprcalc import DomainError  # noqa: E402
 from geonull.metricspace import (  # noqa: E402
     DEFAULT_BOX,
@@ -66,13 +68,11 @@ from geonull.splitting import (  # noqa: E402
     AlignmentError,
     KernelDimensionError,
     NonUnitFieldError,
-    _frame,
     _least_squares,
     classify,
     splitting_tensor,
-    splitting_tensor_from_curvature,
 )
-from oracles import raised_nabla_riemann, stencil_splitting_tensor  # noqa: E402
+from oracles import raised_nabla_riemann, stack_of_one, stencil_splitting_tensor  # noqa: E402
 
 FAULTS = (ChartDomainError, DomainError, SingularMatrixError, FloatingPointError)
 WARPS_EVERY = 50
@@ -91,10 +91,14 @@ def _solve(solve, metric, data):
     return _kind(matrix, residual), residual
 
 
-def _full_kind(metric, data) -> str:
-    """The kind from all of the oracle's nabla R contracted with T, as the solve took it before contracting T in."""
+def _full_kind(metric, data, basis) -> str:
+    """The kind from all of the oracle's nabla R contracted with T, as the solve took it before contracting T in.
+
+    The solve runs over the rows ``basis`` of the pipeline's solve, "" where it has none.
+    """
+    if basis is None:
+        return ""
     t_vec = data.nullity.basis[0]
-    basis = _frame(metric, data.point, data.g, t_vec)
     try:
         rhs = -np.einsum("mijkl,i->mjkl", raised_nabla_riemann(*metric.jet(data.point, order=3)), t_vec)
         (coef, residual), = _least_squares(data.rdown, rhs, basis)
@@ -109,19 +113,25 @@ def _compare(metric, point, analytic):
     ``analytic`` is scan's kind at the point.
     """
     try:
-        data = curvature_data(metric, point, nabla_r=True)
+        stack = stack_of_one(metric, point)
     except FAULTS:
         return None
-    if not cli._splitting_defined(data.nullity):
+    error, solve = stack.errors[0], stack.tensors[0]
+    for exc in (error, solve):
+        if isinstance(exc, Exception) and not isinstance(exc, FAULTS):
+            raise exc
+    if error is not None or solve is None:  # no curvature, or no line kernel with a complement
         return None
+    data, solved = stack.data(0), isinstance(solve, tuple)
     try:
         richardson = classify(splitting_tensor(metric, point).matrix, tol=cli.CLASSIFY_TOL).kind
     except FAULTS + (KernelDimensionError, AlignmentError, NonUnitFieldError):
         richardson = ""
     stencil, stencil_residual = _solve(stencil_splitting_tensor, metric, data)
-    analytic_residual = _solve(splitting_tensor_from_curvature, metric, data)[1]
+    analytic_residual = solve[1] if solved else None
     closed = "nilpotent" if abs(data.scalar_trace) > 1e-8 else "zero"
-    return (richardson, stencil, analytic), (stencil_residual, analytic_residual), closed, _full_kind(metric, data)
+    full = _full_kind(metric, data, solve[2] if solved else None)
+    return (richardson, stencil, analytic), (stencil_residual, analytic_residual), closed, full
 
 
 def _residual(value) -> str:
