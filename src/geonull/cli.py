@@ -133,7 +133,10 @@ _encode = _json.encoder.encode_basestring  # json.dumps(obj, ensure_ascii=False)
 
 
 def _plain(obj):
-    """``obj`` as one of the :data:`_PLAIN` types: numpy arrays and scalars, and subclasses of those types, converted."""
+    """``obj`` as one of the :data:`_PLAIN` types: numpy arrays and scalars, and subclasses of those types, converted.
+
+    A record (a NamedTuple, such as a report) raises: it is no JSON array.
+    """
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, np.bool_):
@@ -143,7 +146,7 @@ def _plain(obj):
     if isinstance(obj, (float, np.floating)):
         return float(obj)
     for base in (str, list, tuple, dict):
-        if isinstance(obj, base):
+        if isinstance(obj, base) and not hasattr(obj, "_fields"):
             return base(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 

@@ -40,9 +40,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -234,8 +233,7 @@ def scalar_curvature(metric: MetricField, x) -> float:
     return float(np.einsum("il,jk,ijkl->", gi, gi, rdown))
 
 
-@dataclass(frozen=True)
-class NullityResult:
+class NullityResult(NamedTuple):
     """Kernel of the curvature operator at one point.
 
     ``basis`` has the kernel vectors as rows, orthonormal in the metric inner
@@ -252,21 +250,26 @@ class NullityResult:
     tolerance_used: float
 
 
-@dataclass(frozen=True)
 class Nullities:
     """:class:`NullityResult` of each point of a stack, stacked.
 
     ``sizes[i]`` is point i's nullity, and the first ``sizes[i]`` rows of
     ``basis[i]`` (n, n) and entries of ``residuals[i]`` (n,) are its
     kernel rows and their residuals (the rest are 0).  Indexing (and so
-    iterating) gives point i's :class:`NullityResult`.
+    iterating) gives point i's :class:`NullityResult`.  Immutable.
     """
 
-    sizes: np.ndarray
-    basis: np.ndarray
-    residuals: np.ndarray
-    singular_values: np.ndarray
-    tolerances: np.ndarray
+    __slots__ = ("sizes", "basis", "residuals", "singular_values", "tolerances")
+
+    def __init__(self, sizes: np.ndarray, basis: np.ndarray, residuals: np.ndarray,
+                 singular_values: np.ndarray, tolerances: np.ndarray):
+        for name, value in zip(self.__slots__, (sizes, basis, residuals, singular_values, tolerances)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
 
     def __getitem__(self, i: int) -> NullityResult:
         n, k = self.basis.shape[-1], int(self.sizes[i])
@@ -341,7 +344,6 @@ def nullity(metric: MetricField, x, rel_tol: Optional[float] = None) -> NullityR
     return _nullity_at(metric, x, rel_tol)[0]
 
 
-@dataclass(frozen=True)
 class CurvatureData:
     """One-stop curvature summary at a point.
 
@@ -357,18 +359,19 @@ class CurvatureData:
     (of order 3 when nabla R was asked for) and :func:`_riemann` of it feed
     the splitting solve.  ``nabla_r`` is the full nabla R from them,
     computed on first access, or None when nabla R was not asked for; no
-    command reads it.
+    command reads it.  Immutable; the fields and the values computed on
+    first access live in the instance ``__dict__``.
     """
 
-    point: np.ndarray
-    g: np.ndarray
-    christoffel: np.ndarray
-    rdown: np.ndarray
-    scalar_trace: float
-    half_trace: float
-    nullity: NullityResult
-    _jet: tuple = dataclass_field(repr=False, compare=False)
-    _parts: tuple = dataclass_field(repr=False, compare=False)
+    def __init__(self, point: np.ndarray, g: np.ndarray, christoffel: np.ndarray, rdown: np.ndarray,
+                 scalar_trace: float, half_trace: float, nullity: NullityResult, _jet: tuple, _parts: tuple):
+        vars(self).update(point=point, g=g, christoffel=christoffel, rdown=rdown, scalar_trace=scalar_trace,
+                          half_trace=half_trace, nullity=nullity, _jet=_jet, _parts=_parts)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
 
     @cached_property
     def complement(self) -> np.ndarray:

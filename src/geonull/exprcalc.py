@@ -49,9 +49,8 @@ import math
 import re
 import types
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -92,34 +91,35 @@ class DomainError(ArithmeticError):
 # 2-jets
 
 
-@dataclass(frozen=True)
 class Jet2:
     """Value, gradient, and Hessian of a scalar function at a point.
 
     The Hessian is stored exactly symmetric: the constructor keeps the upper
     triangle and mirrors it, so symmetry is structural rather than a
-    floating-point accident.
+    floating-point accident.  Immutable.
     """
 
-    value: float
-    gradient: np.ndarray
-    hessian: np.ndarray
+    __slots__ = ("value", "gradient", "hessian")
 
-    def __post_init__(self):
-        g = np.asarray(self.gradient, dtype=float)
-        h = np.asarray(self.hessian, dtype=float)
-        upper = np.triu(h)
-        object.__setattr__(self, "value", float(self.value))
-        object.__setattr__(self, "gradient", g)
-        object.__setattr__(self, "hessian", upper + upper.T - np.diag(np.diag(upper)))
+    def __init__(self, value: float, gradient, hessian):
+        upper = np.triu(np.asarray(hessian, dtype=float))
+        self._fill(float(value), np.asarray(gradient, dtype=float), upper + upper.T - np.diag(np.diag(upper)))
+
+    def _fill(self, value: float, gradient: np.ndarray, hessian: np.ndarray) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "gradient", gradient)
+        object.__setattr__(self, "hessian", hessian)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def _from_normal_form(cls, value: float, gradient, hessian) -> "Jet2":
         """Skip the constructor's rewrite of a Hessian already in its output form."""
         jet = object.__new__(cls)
-        object.__setattr__(jet, "value", value)
-        object.__setattr__(jet, "gradient", np.array(gradient, dtype=float))
-        object.__setattr__(jet, "hessian", np.array(hessian, dtype=float))
+        jet._fill(value, np.array(gradient, dtype=float), np.array(hessian, dtype=float))
         return jet
 
     @staticmethod
@@ -188,41 +188,61 @@ class Jet2:
 # ---------------------------------------------------------------------------
 # AST
 
+# A node is a record whose last field is its span, the (start, end) character
+# offsets of its source text.  Equality and hashing leave the span out, so a
+# reparsed tree equals the original, and a node equals only a node of its
+# own kind.
 Span = tuple
 
 
-@dataclass(frozen=True)
-class Const:
+def _node(cls):
+    """Give the node record ``cls`` equality and hashing that leave its span out."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self[:-1] == other[:-1]
+
+    def __ne__(self, other):
+        return not __eq__(self, other)
+
+    def __hash__(self):
+        return hash((type(self).__name__, self[:-1]))
+
+    cls.__eq__, cls.__ne__, cls.__hash__ = __eq__, __ne__, __hash__
+    return cls
+
+
+@_node
+class Const(NamedTuple):
     value: float
-    span: Span = field(default=(0, 0), compare=False, repr=False)
+    span: Span = (0, 0)
 
 
-@dataclass(frozen=True)
-class Var:
+@_node
+class Var(NamedTuple):
     index: int
     name: str
-    span: Span = field(default=(0, 0), compare=False, repr=False)
+    span: Span = (0, 0)
 
 
-@dataclass(frozen=True)
-class Neg:
+@_node
+class Neg(NamedTuple):
     child: "Node"
-    span: Span = field(default=(0, 0), compare=False, repr=False)
+    span: Span = (0, 0)
 
 
-@dataclass(frozen=True)
-class Bin:
+@_node
+class Bin(NamedTuple):
     op: str
     left: "Node"
     right: "Node"
-    span: Span = field(default=(0, 0), compare=False, repr=False)
+    span: Span = (0, 0)
 
 
-@dataclass(frozen=True)
-class Call:
+@_node
+class Call(NamedTuple):
     fn: str
     arg: "Node"
-    span: Span = field(default=(0, 0), compare=False, repr=False)
+    span: Span = (0, 0)
 
 
 Node = Union[Const, Var, Neg, Bin, Call]
@@ -355,7 +375,7 @@ class _Parser:
                 raise ParseError("unbalanced parentheses", closing.offset)
             self.advance()
             # the span takes in the parentheses, so an error names a balanced fragment
-            return replace(node, span=(tok.offset, closing.offset + 1))
+            return node._replace(span=(tok.offset, closing.offset + 1))
         if tok.text == "-":
             self.advance()
             child = self.parse_expr(_UNARY_PRECEDENCE)
@@ -363,18 +383,34 @@ class _Parser:
         raise ParseError("empty operand", tok.offset)
 
 
-@dataclass(frozen=True)
 class Expression:
     """Parsed expression bound to an ordered coordinate list.
 
     Each kernel over plain floats (see :class:`_Compiler`) is built by the
-    first call that needs it, from code compiled once per expression shape;
-    equality and hashing use only ``root``, ``variables`` and ``source``.
+    first call that needs it, from code compiled once per expression shape,
+    and kept in the instance ``__dict__``; equality, hashing and repr use
+    only ``root``, ``variables`` and ``source``.  Immutable.
     """
 
-    root: Node
-    variables: tuple
-    source: str
+    def __init__(self, root: Node, variables: tuple, source: str):
+        vars(self).update(root=root, variables=variables, source=source)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return self.root, self.variables, self.source
+
+    def __eq__(self, other):
+        return type(other) is Expression and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"Expression(root={self.root!r}, variables={self.variables!r}, source={self.source!r})"
 
     @property
     def n(self) -> int:

@@ -66,8 +66,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -104,8 +103,7 @@ class LaunchError(ValueError):
     """No launch velocity: a trivial curvature kernel or a zero direction."""
 
 
-@dataclass(frozen=True)
-class GeodesicPath:
+class GeodesicPath(NamedTuple):
     """RK4 geodesic record: times (m+1,), points and velocities (m+1, n).
 
     ``frame`` (m+1, k, n) holds the k rows transported along the path (k = 0
@@ -565,7 +563,10 @@ def _sample_indices(nodes: int, samples: int) -> np.ndarray:
     """Indices of up to ``samples`` evenly spaced nodes, first and last included."""
     if samples < 2 or nodes < 2:
         return np.array([0, nodes - 1] if nodes > 1 else [0])
-    return np.unique(np.linspace(0, nodes - 1, samples).round().astype(int))
+    # linspace rises, so the rounded indices are sorted: keep each run's first
+    # (np.unique would load numpy.ma into the process for its mask test)
+    idx = np.linspace(0, nodes - 1, samples).round().astype(int)
+    return idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
 
 
 def sampled_path(path: GeodesicPath, samples: int):
@@ -574,8 +575,7 @@ def sampled_path(path: GeodesicPath, samples: int):
     return path.times[idx], path.points[idx], path.velocities[idx]
 
 
-@dataclass(frozen=True)
-class NullityGeodesicReport:
+class NullityGeodesicReport(NamedTuple):
     """Check that a geodesic launched into the curvature kernel stays there."""
 
     path: GeodesicPath
@@ -642,8 +642,7 @@ def nullity_geodesic_check(
     )
 
 
-@dataclass(frozen=True)
-class FlatnessReport:
+class FlatnessReport(NamedTuple):
     """Flat + totally geodesic check for a coordinate slice distribution.
 
     ``max_leaf_curvature`` is the largest lowered curvature entry of the
@@ -716,8 +715,7 @@ def flatness_probe(
     return FlatnessReport(coords, checked, max_curv, max_ii)
 
 
-@dataclass(frozen=True)
-class IncompletenessReport:
+class IncompletenessReport(NamedTuple):
     """Where a coordinate ray leaves the chart and how the metric looks there.
 
     ``exit_parameter`` is the boundary crossing t* of x0 + t * direction

@@ -33,8 +33,7 @@ one expression jet of p plus a few dense contractions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -718,8 +717,7 @@ def _catalog_product_entry(radius: float, dim: int) -> MetricField:
     return catalog_product(sphere, catalog_euclidean(dim - 2))
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """A named metric family with its checkable expected facts."""
 
     name: str

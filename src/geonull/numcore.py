@@ -18,7 +18,7 @@ for a layer boundary leaves it be.  The kernel stage is stacked too:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -161,8 +161,7 @@ def _put(store: list, size: int, idx, arrays) -> None:
         into[idx] = a
 
 
-@dataclass(frozen=True)
-class KernelResult:
+class KernelResult(NamedTuple):
     """Orthonormal kernel basis from an SVD rank decision.
 
     ``basis`` has one column per kernel vector; ``rank + basis.shape[1]``
@@ -247,7 +246,6 @@ def _g_gram_schmidt(candidates, g: np.ndarray, prior=None, drop_tol: float = 0.0
     return rows, kept
 
 
-@dataclass(frozen=True)
 class KernelStack:
     """:func:`kernel` of each matrix of a stack, stacked.
 
@@ -256,12 +254,19 @@ class KernelStack:
     value is below ``tolerances[i]``, or, for a numerically zero map, the
     identity's rows.  Indexing (and so iterating) gives matrix i's
     :class:`KernelResult`, whose basis columns have canonical signs.
+    Immutable.
     """
 
-    rows: np.ndarray
-    sizes: np.ndarray
-    singular_values: np.ndarray
-    tolerances: np.ndarray
+    __slots__ = ("rows", "sizes", "singular_values", "tolerances")
+
+    def __init__(self, rows: np.ndarray, sizes: np.ndarray, singular_values: np.ndarray, tolerances: np.ndarray):
+        for name, value in zip(self.__slots__, (rows, sizes, singular_values, tolerances)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
 
     def __getitem__(self, i: int) -> KernelResult:
         cols, k = self.rows.shape[-1], int(self.sizes[i])

@@ -48,7 +48,6 @@ size about eps^(1/2), which is why ``classify`` takes an explicit tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property, partial
 from typing import Callable, NamedTuple, Optional
 
@@ -212,8 +211,7 @@ def _kernel_field(metric: MetricField, reference, dimension: int, rel_tol) -> Ca
     return _pointwise(section)
 
 
-@dataclass(frozen=True)
-class SplittingTensor:
+class SplittingTensor(NamedTuple):
     """Splitting tensor at a point.
 
     ``matrix[i, j] = -<nabla_{basis[j]} T, basis[i]>_g`` for the
@@ -565,8 +563,7 @@ def _sample_tensors(metric: MetricField, path: GeodesicPath, indices, dimension:
     return [exc or (t[0] if isinstance(t, tuple) else t) for exc, t in zip(stack.errors, stack.tensors)]
 
 
-@dataclass(frozen=True)
-class BlockInvariants:
+class BlockInvariants(NamedTuple):
     """Spectral classification of a splitting-tensor matrix.
 
     ``kind`` is one of ``zero``, ``nilpotent``, ``real``, ``complex_pair``;
@@ -688,7 +685,6 @@ def trace_det_evolution(trace0: float, det0: float, t: float):
     return (trace0 - 2.0 * t * det0) / denom, det0 / denom
 
 
-@dataclass(frozen=True)
 class EvolutionReport:
     """Measured-versus-predicted splitting tensor along a kernel geodesic.
 
@@ -700,20 +696,23 @@ class EvolutionReport:
     ``aborted`` holds a message, the ride stopped at the sample it names.
     ``divergence_residual`` is the worst over those samples of
     |div T + tr C|, with div T from an independent finite-difference
-    divergence of the kernel field, computed on first access.
+    divergence of the kernel field, computed on first access.  Immutable;
+    the fields and that value live in the instance ``__dict__``.
     """
 
-    path: GeodesicPath
-    kernel_dimension: int
-    start_matrix: np.ndarray
-    sample_times: np.ndarray
-    measured: tuple
-    predicted: tuple
-    deviations: tuple
-    max_error: float
-    basis_gram_drift: float
-    aborted: Optional[str]
-    _divergence: Callable[[], float] = dataclass_field(repr=False, compare=False)
+    def __init__(self, path: GeodesicPath, kernel_dimension: int, start_matrix: np.ndarray,
+                 sample_times: np.ndarray, measured: tuple, predicted: tuple, deviations: tuple,
+                 max_error: float, basis_gram_drift: float, aborted: Optional[str],
+                 _divergence: Callable[[], float]):
+        vars(self).update(path=path, kernel_dimension=kernel_dimension, start_matrix=start_matrix,
+                          sample_times=sample_times, measured=measured, predicted=predicted,
+                          deviations=deviations, max_error=max_error, basis_gram_drift=basis_gram_drift,
+                          aborted=aborted, _divergence=_divergence)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
 
     @cached_property
     def divergence_residual(self) -> float:

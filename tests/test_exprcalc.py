@@ -1,7 +1,6 @@
 import collections
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -745,11 +744,11 @@ def _same_shape_corpus(rng, size):
 
     def signed(node):  # the parser makes no negative constant, so flip some in the tree
         if isinstance(node, Const):
-            return replace(node, value=-node.value) if rng.random() < 0.4 else node
+            return node._replace(value=-node.value) if rng.random() < 0.4 else node
         if isinstance(node, Bin):
-            return replace(node, left=signed(node.left), right=signed(node.right))
+            return node._replace(left=signed(node.left), right=signed(node.right))
         if isinstance(node, Call):
-            return replace(node, arg=signed(node.arg))
+            return node._replace(arg=signed(node.arg))
         return node
 
     corpus = []

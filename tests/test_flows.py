@@ -116,6 +116,15 @@ def test_sampled_path_endpoints_and_count():
     assert vels.shape == (9, 2)
 
 
+def test_sample_indices_are_the_sorted_distinct_rounded_linspace():
+    # np.unique is the reference; the flows code avoids it, as it loads numpy.ma
+    for nodes in range(2, 70):
+        for samples in range(2, 90):
+            got = flows._sample_indices(nodes, samples)
+            want = np.unique(np.linspace(0, nodes - 1, samples).round().astype(int))
+            assert got.dtype == want.dtype and np.array_equal(got, want), (nodes, samples)
+
+
 def test_parallel_transport_matches_velocity_along_geodesic():
     # the velocity of a geodesic is itself parallel: a frame row started at
     # v0 tracks it, and another row keeps its metric pairing with it
