@@ -17,8 +17,9 @@ rows, the nabla R solve and its gate, each stage stacked over its points.
 ``analyze`` runs it on its point, from its one metric jet; ``scan`` on each
 chunk of grid points, jetted in one call; ``flow`` on its 9 samples, the
 start among them, after a kernel geodesic of m steps jetted and inverted in
-one stacked call per block of steps (``flows.geodesic``): 2m+1 jets, one for
-the start and one for each of the 8 later samples (522 at 256 steps).
+one stacked call per block of steps (``flows.geodesic``, one block at 256
+steps): 2m jets past the start, whose one 3-jet serves the ride's first
+stage, and one for each of the 8 later samples (521 at 256 steps).
 
 Exit codes: 0 success, 1 usage error, 2 domain error (a float overflow or
 a metric too ill-conditioned to invert included), 3 verification failure.

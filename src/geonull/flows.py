@@ -12,22 +12,27 @@ to the same bits.  A stage at the bit-identical point of the stage before
 it reuses that jet's g and Gamma: on a kernel geodesic the acceleration is
 exactly zero, stage 3 lands on stage 2's point and the next step's stage 1
 on stage 4's, so an m-step path costs 2m+1 jets where it costs 4m+1 in
-general (with a frame).
+general (with a frame).  A ride may start from a jet of x0 already made
+(:func:`_geodesic`; the Riccati check rides from its start's 3-jet), held as
+its first stage's: one jet fewer, the same bits.
 
 Where the acceleration is exactly zero every stage point is known before
 the ride: RK4's own float operations with Gamma = 0 give the velocity and
 the stage offsets, and the nodes are their sequential sum, bitwise the step
 loop's.  :func:`geodesic` rides such steps in stacked blocks, each holding
-at most :data:`RIDE_BLOCK_BYTES` of Gamma at its jet entries, 2 a step (128
-steps at n = 4, :func:`_block_steps`).  A block tests its nodes against
-the chart in one stacked call (:meth:`MetricField.contains_each`), jets the
-new stage points of its steps up to the first node outside the chart in one
-:meth:`MetricField.jets` call, and screens them stacked: a step is ridden
-only if each of its jets is made without raising and has a Christoffel
-bracket d_j g_km + d_k g_jm - d_m g_jk exactly zero on the velocity's
-nonzero entries (the only ones Gamma(v, v) is built from).  A ride's first
-step is jetted point by point, each jet screened before the next is made,
-and so is every step on a chart without a stacked jet form.  The block then
+at most :data:`RIDE_BLOCK_BYTES` of Gamma at its jet entries, 2 a step (256
+steps at n = 4, :func:`_block_steps`, so a flow request's ride is one
+block).  A block tests its nodes against the chart in one stacked call
+(:meth:`MetricField.contains_each`), jets the new stage points of its steps
+up to the first node outside the chart in one :meth:`MetricField.jets`
+call, and screens them stacked: a step is ridden only if each of its jets
+is made without raising and has a Christoffel bracket d_j g_km + d_k g_jm -
+d_m g_jk exactly zero on the velocity's nonzero entries (the only ones
+Gamma(v, v) is built from).  A ride's first stage is screened alone before
+that call, from its own jet or the start's jet the ride holds, so a ride
+curved from its first stage hands over with no stacked call; every step on
+a chart without a stacked jet form is jetted point by point, each jet
+screened before the next is made.  The block then
 inverts g in one stacked call and builds Gamma on the brackets the screen
 built, and builds -Gamma(v, v) and the frame's B = -Gamma(v, .) once per
 distinct pair of jet entry and stage velocity (2 a step, not 4): only
@@ -91,10 +96,10 @@ __all__ = [
 
 # a stacked block of a ride takes as many RK4 steps as keep its largest
 # arrays, Gamma at each jet entry (2 entries a step on a straight path, n^3
-# floats each), within this many bytes (128 steps at n = 4, see
-# _block_steps): each block has a fixed cost, and a flow request's peak
-# memory grows with the block, by about 1 MB from 1 << 16 to 1 << 18
-RIDE_BLOCK_BYTES = 1 << 17
+# floats each), within this many bytes (256 steps at n = 4, see
+# _block_steps, so a flow request's 256-step ride is one block): each block
+# has a fixed cost, and a flow request's peak memory grows with the block
+RIDE_BLOCK_BYTES = 1 << 18
 # an RK4 stage meeting one of these ends the path, truncated, instead of raising
 _STAGE_FAULTS = (ChartDomainError, DomainError, SingularMatrixError, FloatingPointError)
 
@@ -142,6 +147,18 @@ def geodesic(
     are ridden in stacked blocks, the rest point by point, to the same bits
     (see the module docstring).
     """
+    return _geodesic(metric, x0, v0, tmax, steps, frame)
+
+
+def _geodesic(metric: MetricField, x0, v0, tmax: float, steps: int, frame, start=None) -> GeodesicPath:
+    """:func:`geodesic`, riding from ``start``, the ``(g, dg, Gamma)`` of a jet at x0 already made, when given.
+
+    ``start`` must be bitwise what an order-1 jet at x0 and
+    :func:`~geonull.curvature._christoffel_from_jet` of it give (the leading
+    arrays of a higher-order jet are): the ride holds it as the jet of its
+    first stage, so the path's bytes are :func:`geodesic`'s, with one jet
+    fewer.
+    """
     if steps < 1:
         raise ValueError("steps must be positive")
     if tmax == 0:
@@ -156,7 +173,7 @@ def geodesic(
         raise ValueError("frame must be rows of chart-dimension vectors")
     if not metric.contains(x):
         raise ChartDomainError(f"geodesic start outside domain of {metric.name}", x)
-    ride = _Ride(metric, tmax / steps, x, v, W)
+    ride = _Ride(metric, tmax / steps, x, v, W, start)
     ride.coast(steps)
     ride.integrate(steps)
     return ride.path()
@@ -198,7 +215,10 @@ def _coasting(v, h: float, steps: int):
 
 
 def _block_steps(n: int) -> int:
-    """The RK4 steps of one stacked block at chart dimension n: its 2 jet entries a step keep Gamma within :data:`RIDE_BLOCK_BYTES`."""
+    """The RK4 steps of one stacked block at chart dimension n: its 2 jet entries a step keep Gamma within :data:`RIDE_BLOCK_BYTES`.
+
+    256 at n = 4, a flow request's whole ride; 2048 at n = 2 and 606 at n = 3.
+    """
     return max(1, RIDE_BLOCK_BYTES // (16 * n**3))
 
 
@@ -290,14 +310,15 @@ class _Ride:
     step, which :meth:`path` joins once; a node's time is its number times h.
     """
 
-    def __init__(self, metric: MetricField, h: float, x, v, W):
+    def __init__(self, metric: MetricField, h: float, x, v, W, start=None):
         self.metric = metric
         self.h = h
         self.reached = 0  # the steps ridden
         self.xs, self.vs, self.ws = [x[None]], [v[None]], [W[None]]
         self.gs = []  # g at each node, from the stage-1 jet of the step leaving it
         self.truncated = False
-        self.held = (None, None, None)  # bytes, (g, dg) and Gamma of the last point jetted
+        # bytes, (g, dg) and Gamma of the last point jetted, or of x0's jet in ``start``
+        self.held = (None, None, None) if start is None else (x.tobytes(), start[:2], start[2])
         # (bytes, (g, dg) or the error raised) of the points a stacked block
         # jetted past the node it handed over at, in stage order
         self.ahead = deque()
@@ -355,9 +376,9 @@ class _Ride:
         new = np.empty(len(points), dtype=bool)
         new[0] = points[0].tobytes() != self.held[0]
         new[1:] = np.any(bits[1:] != bits[:-1], axis=1)
-        # a ride's first step is jetted point by point, so a ride curved from
-        # its first stage jets what the point-by-point loop jets
-        alone = int(b == 0) if self.metric.stacked else e - b
+        # a ride's first stage is jetted and screened alone, so a ride curved
+        # from its first stage jets what the point-by-point loop jets
+        alone = int(b == 0) if self.metric.stacked else 4 * (e - b)
         ridden, g, dg, s, faults = self._jet_steps(points, new, nodes, bracket, alone)
         head = len(dg[0])  # the entries jetted before the stacked call
         carried = int(not new[0])
@@ -376,6 +397,7 @@ class _Ride:
                 gamma = np.empty((used, n, n, n))
                 for at, part in ((slice(0, head), s[0]), (slice(head, used), s[1])):
                     np.einsum("...lm,...jkm->...ljk", gi[at], part[: len(gamma[at])], out=gamma[at])
+                del s, part  # the brackets, as large as Gamma, are not kept through the transport
                 gamma *= 0.5
                 # the acceleration and B once per run of stages that share
                 # an entry and a velocity (2 a step on a straight block)
@@ -434,15 +456,16 @@ class _Ride:
         raised to its error (its rows are NaN).  Stops at the first jet that
         raises or whose bracket is not zero where ``bracket`` marks, and at
         the first step whose next node leaves the chart, returning that
-        step's number.  The first ``alone`` steps are jetted point by point,
-        each jet screened before the next is made.  The rest are jetted in
-        one :meth:`MetricField.jets` call, up to the first step whose next
-        node leaves the chart (one stacked domain test for their nodes), and
-        screened stacked; every point of that call is an entry.
+        step's number.  The held point's jet is screened too (a seeded
+        start's first screen).  The first ``alone`` stages are jetted point
+        by point, each jet screened before the next is made and each node
+        tested as its step's stages are done.  The rest are jetted in one
+        :meth:`MetricField.jets` call, up to the first step whose next node
+        leaves the chart (one stacked domain test for the nodes not yet
+        tested), and screened stacked; every point of that call is an entry.
         """
         steps, n = len(nodes) - 1, points.shape[1]
-        # the entries before the stacked call: (g, dg, s)
-        head = [] if new[0] else [(*self.held[1], _bracket(self.held[1][1]))]
+        head = []  # the entries before the stacked call: (g, dg, s)
         faults = {}
 
         def entries(ridden, g=np.empty((0, n, n)), dg=np.empty((0, n, n, n)), s=np.empty((0, n, n, n))):
@@ -450,28 +473,32 @@ class _Ride:
                      for k, a in enumerate((g, dg, s))]
             return ridden, np.concatenate([first[0], g]), (first[1], dg), (first[2], s), faults
 
-        for i in range(alone):
-            for st in range(4 * i, 4 * i + 4):
-                if not new[st]:
-                    continue
+        if not new[0]:
+            straight, s = _straight(self.held[1][1][None], bracket)
+            head.append((*self.held[1], s[0]))
+            if not straight[0]:
+                return entries(0)
+        for st in range(alone):
+            if new[st]:
                 try:
                     jet = self.metric.jet(points[st], order=1, check=False)
                 except Exception as exc:  # raised again when integrate reaches this stage
                     faults[len(head)] = exc
                     head.append((np.full((n, n), np.nan), np.full((n, n, n), np.nan), np.full((n, n, n), np.nan)))
-                    return entries(i)
+                    return entries(st // 4)
                 straight, s = _straight(jet[1][None], bracket)
                 head.append((*jet, s[0]))
                 if not straight[0]:
-                    return entries(i)
-            if not _in_chart(self.metric, nodes[i + 1: i + 2])[0]:
-                return entries(i)
-        if alone == steps:
+                    return entries(st // 4)
+            if st % 4 == 3 and not _in_chart(self.metric, nodes[st // 4 + 1: st // 4 + 2])[0]:
+                return entries(st // 4)
+        if alone == 4 * steps:
             return entries(steps)
-        inside = _in_chart(self.metric, nodes[alone + 1:])
+        tested = alone // 4  # the steps whose next node the loop tested
+        inside = _in_chart(self.metric, nodes[tested + 1:])
         # jet up to the step whose next node leaves the chart, which is not ridden
-        end = steps if inside.all() else alone + int(np.argmin(inside)) + 1
-        stages = 4 * alone + np.flatnonzero(new[4 * alone: 4 * end])
+        end = steps if inside.all() else tested + int(np.argmin(inside)) + 1
+        stages = alone + np.flatnonzero(new[alone: 4 * end])
         (g, dg), more = self.metric.jets(points[stages], order=1, check=False)
         straight, s = _straight(dg, bracket)
         bent = ~straight

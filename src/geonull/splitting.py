@@ -27,11 +27,12 @@ R and the kernel from each point's one 3-jet, T, the solve rows, -(nabla
 R)(T, ...) in closed form, T contracted in before any n^5 product, one SVD
 of all the systems (``_solve``), and the gate: a solve residual above
 ``SMOOTH_KERNEL_RESIDUAL`` means the kernel is no smooth line field there.
-A 256-step flow makes 522 metric jets: 2m+1 of order 1 for the kernel
-geodesic and one of order 3 per tensor, the start's, which found the kernel
-and the frame, serving sample 0.  The 8 later samples are jetted in one
-call after the ride (``_sample_tensors``), so a ride that aborts at a sample
-has jetted the samples past it too.  The 9 closed-form predictions share
+A 256-step flow makes 521 metric jets: one of order 3 per tensor, the
+start's, which found the kernel and the frame, serving sample 0 and the
+kernel geodesic's first stage (its g, dg and Gamma are bitwise an order-1
+jet's), and 2m of order 1 for the rest of the geodesic.  The 8 later
+samples are jetted in one call after the ride (``_sample_tensors``), so a
+ride that aborts at a sample has jetted the samples past it too.  The 9 closed-form predictions share
 one stacked pole test and one stacked inverse (``_riccati_predictions``),
 also bitwise each time's own.
 
@@ -65,7 +66,7 @@ from .curvature import (
     _summary,
     curvature_data,
 )
-from .flows import GeodesicPath, _sample_indices, geodesic
+from .flows import GeodesicPath, _geodesic, _sample_indices
 from .metricspace import MetricField
 from .numcore import REL_TOL_ANALYTIC, SingularMatrixError, eigenvalues, invert
 
@@ -768,7 +769,8 @@ def evolve_along_nullity_geodesic(
     section = _section(data.nullity, data.g, None, pt)
     k0 = data.nullity.nullity
     rows, kept = _frames(metric, pt, data.g, section)
-    path = geodesic(metric, pt, section, tmax, steps=steps, frame=rows[kept])
+    # the ride holds the start's jet as its first stage's: g, dg and Gamma of the 3-jet
+    path = _geodesic(metric, pt, section, tmax, steps, rows[kept], (data.g, data._jet[1], data.christoffel))
     indices = _sample_indices(path.times.size, samples)  # node 0 first
     tensors = _sample_tensors(metric, path, indices, k0, rel_tol, data._jet)
     start = tensors[0]

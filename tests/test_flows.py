@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from geonull import flows, metricspace
-from geonull.curvature import _christoffel_from_jet
+from geonull.curvature import _christoffel_from_jet, curvature_data
 from geonull.exprcalc import DomainError
 from geonull.flows import (
     LaunchError,
@@ -409,10 +409,10 @@ def test_ride_in_small_blocks_gives_the_bits_of_one_block(name, monkeypatch):
 @pytest.mark.parametrize(
     "name, stacks",
     [
-        # a block of 2**17 bytes of Gamma holds 128 steps at n = 4, more than
+        # a block of 2**18 bytes of Gamma holds 256 steps at n = 4, more than
         # the whole ride: it inverts its 2 * 64 + 1 points
         ("conullity3_kernel", [(2 * 64 + 1, 4, 4)]),
-        # 1024 steps a block at n = 2; the stacked pass stops at step 189,
+        # 2048 steps a block at n = 2; the stacked pass stops at step 189,
         # whose next node is past the cutoff, and the point-by-point loop
         # redoes that step from its two jets already made
         ("polar_inward", [(2 * 189 + 1, 2, 2), (2, 2), (2, 2)]),
@@ -761,9 +761,9 @@ def test_benchmark_shaped_kernel_ride_jets_its_path_once(monkeypatch):
     v0 = kernel_section(metric, x0)[0]
     jetted = _Jetted(monkeypatch)
     points, reference = _ride_against_the_reference(metric, x0, v0, 1.0, 256, np.eye(4)[[0, 1, 3]], jetted)
-    # the first step's stages 1, 2 and 4 alone, then the rest of the path stacked
+    # the first stage alone, screened before the rest of the path is jetted stacked
     assert points == reference == 2 * 256 + 1
-    assert (jetted.alone, jetted.stacked) == (3, 510)
+    assert (jetted.alone, jetted.stacked) == (1, 512)
 
 
 def test_benchmark_shaped_kernel_ride_calls_the_warp_kernel_once_a_stack(monkeypatch):
@@ -786,7 +786,7 @@ def test_benchmark_shaped_kernel_ride_calls_the_warp_kernel_once_a_stack(monkeyp
     calls.clear()
     geodesic(metric, x0, v0, 1.0, steps=256, frame=np.eye(4)[[0, 1, 3]])
     assert stacks and all(n <= 1 for n in stacks)
-    assert len(calls) == 3 + len(stacks)  # the first step's three stages alone, then one call a stack
+    assert len(calls) == 1 + len(stacks)  # the first stage alone, then one call a stack
 
 
 @pytest.mark.parametrize("name", ["conullity3_leaves_chart", "conullity3_kernel", "backward"])
@@ -827,8 +827,8 @@ BLOCK_RIDES = {
     # has two velocity rows, and the first step's stages two velocities
     "two_velocity_rows": (catalog_conullity3("3+cos(u)+cos(w)"), [0.1, 0.0, -0.3, -0.0],
                           [-0.0, 0.0, 1.0, -0.0], -1.0, 300),
-    # straight for two whole blocks, then bent (x past 0.0366) at step 266,
-    # mid-way through the third
+    # straight for one whole block, then bent (x past 0.0366) at step 266,
+    # mid-way through the second
     "bends_mid_block": (catalog_conullity3("3+cos(u)+cos(w)+exp(-1/(x*x))"), [-0.0301, 0.0, 0.0, 0.0],
                         [1.0, 0.0, 0.0, 0.0], 0.1, 400),
 }
@@ -840,7 +840,7 @@ def test_ride_in_blocks_matches_the_reference(name, one_step, monkeypatch):
     metric, x0, v0, tmax, steps = BLOCK_RIDES[name]
     h = tmax / steps
     assert len(flows._coasting(np.array(v0), h, steps)[0]) == (2 if name == "two_velocity_rows" else 1)
-    assert flows._block_steps(4) == 128
+    assert flows._block_steps(4) == 256
     if one_step:
         monkeypatch.setattr(flows, "_block_steps", lambda n: 1)
     jetted = _Jetted(monkeypatch)
@@ -870,7 +870,7 @@ def test_ride_meeting_a_raising_jet_mid_block_truncates_like_the_reference(with_
 
 
 def test_a_raising_domain_test_is_bisected_to_its_first_raising_node(monkeypatch):
-    # the block's 63-node domain test raises (p's sqrt past x = 0.308); only the
+    # the block's 64-node domain test raises (p's sqrt past x = 0.308); only the
     # first node that raises decides where the block stops, so the test is
     # bisected to it instead of redone node by node (65 calls)
     metric = catalog_conullity3("3+cos(u)+cos(w)+0*sqrt(0.308-x)")
@@ -889,13 +889,13 @@ def test_a_raising_domain_test_is_bisected_to_its_first_raising_node(monkeypatch
     assert points == reference
     calls.clear()
     geodesic(metric, [0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], 1.0, steps=64, frame=np.eye(4))
-    assert 63 in calls and len(calls) <= 2 + 2 * math.ceil(math.log2(64))
+    assert 64 in calls and len(calls) <= 1 + 2 * math.ceil(math.log2(64))
 
 
 # (metric, x0, v0 or None for the kernel's, tmax, steps): rides whose path
 # takes every route into the node, velocity, frame and g arrays
 PATH_RIDES = {
-    # three blocks of 128, 128 and 44 steps
+    # two blocks of 256 and 44 steps
     "straight_300": (catalog_conullity3("3+cos(u)+cos(w)"), [0.1, 0.2, -0.3, 0.4], None, 1.0, 300),
     "bends_mid_block": BLOCK_RIDES["bends_mid_block"],
     "leaves_the_chart": (catalog_conullity3("3+cos(u)+cos(w)"), [0.1, 0.2, 2.9, 0.4], None, 1.0, 256),
@@ -928,3 +928,54 @@ def test_every_path_field_is_the_references(name):
     ride.coast(steps)
     assert ride.reached == {"bends_mid_block": 266, "leaves_the_chart": len(points) - 1,
                             "sekigawa_first_step": 0}.get(name, steps)
+
+
+# kernel starts as flow rides them, from the start's 3-jet: (metric, x0, v0
+# or None for the kernel's, tmax)
+SEEDED_STARTS = {
+    "conullity3": (catalog_conullity3("3+cos(u)+cos(w)"), [0.1, 0.2, -0.3, 0.4], None, 1.0),
+    "sekigawa_2+u*u": (catalog_sekigawa("2+u*u"), [0.2, 0.3, 0.1], None, 0.5),
+    # an ill-conditioned g (cond 1.2e4)
+    "sekigawa_exp": (catalog_sekigawa("exp(u)"), [-0.5129016867312783, -2.5422821854087916, 1.0267175751331235],
+                     None, 0.5),
+    # curved at stage 1: the seeded jet fails the screen, and the loop holds it
+    "sekigawa_curved_at_stage_1": PATH_RIDES["sekigawa_first_step"][:4],
+}
+
+
+@pytest.mark.parametrize("name", list(SEEDED_STARTS))
+def test_a_seeded_ride_is_the_unseeded_geodesic_bitwise(name, monkeypatch):
+    metric, x0, v0, tmax = SEEDED_STARTS[name]
+    x0 = np.array(x0)
+    data = curvature_data(metric, x0, nabla_r=True)
+    v0 = kernel_section(metric, x0)[0] if v0 is None else np.array(v0)
+    frame = np.eye(metric.dim)[1:]
+    jetted = _Jetted(monkeypatch)
+    whole = geodesic(metric, x0, v0, tmax, steps=256, frame=frame)
+    unseeded = jetted.points
+    stacks, alone = [], []  # the stacked jet calls, and the points jetted alone
+    jets, call = MetricField.jets, metricspace._CoframeJet.__call__
+
+    def counted_jets(self, points, order=2, check=True):
+        stacks.append(len(points))
+        return jets(self, points, order, check)
+
+    def counted_call(self, x, order):
+        alone.append(x.tobytes())
+        return call(self, x, order)
+
+    monkeypatch.setattr(MetricField, "jets", counted_jets)
+    monkeypatch.setattr(metricspace._CoframeJet, "__call__", counted_call)
+    jetted.alone = jetted.stacked = 0
+    path = flows._geodesic(metric, x0, v0, tmax, 256, frame, (data.g, data._jet[1], data.christoffel))
+    for field in ("times", "points", "velocities", "frame"):
+        assert getattr(path, field).tobytes() == getattr(whole, field).tobytes()
+    assert (path.gram_drift, path.truncated, path.exit_parameter) == (
+        whole.gram_drift, whole.truncated, whole.exit_parameter)
+    # the start's jet serves the first stage: one point fewer, never x0 again
+    assert jetted.points == unseeded - 1 and x0.tobytes() not in alone
+    if name == "sekigawa_curved_at_stage_1":
+        # handed over at the screen of the held jet, before any stacked call
+        assert not stacks and len(alone) == unseeded - 1
+    else:
+        assert len(stacks) == 1 and not alone

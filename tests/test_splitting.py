@@ -158,10 +158,11 @@ def test_jets_per_evolution(m, s):
     report = evolve_along_nullity_geodesic(metric, [0.1, 0.2, -0.3, 0.4], tmax=0.5, steps=m, samples=s)
     assert report.aborted is None and report.sample_times.size == s
     # per tensor one order-3 jet gives the kernel, T and nabla R: the start's,
-    # which also measures sample 0 (x0 itself), and one per later sample; 2m + 1 for
-    # the kernel geodesic with its frame (stage repeats reuse their jet, see
-    # above): 522 at m = 256, s = 9, as in a kernel-mode flow request
-    assert sorted(orders) == [1] * (2 * m + 1) + [3] * s
+    # which also measures sample 0 (x0 itself) and serves the kernel
+    # geodesic's first stage, and one per later sample; 2m for the rest of
+    # that geodesic with its frame (stage repeats reuse their jet, see
+    # above): 521 at m = 256, s = 9, as in a kernel-mode flow request
+    assert sorted(orders) == [1] * (2 * m) + [3] * s
     assert orders[0] == 3
 
 

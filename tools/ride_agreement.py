@@ -24,6 +24,12 @@ the end or truncated, must jet what the loop jets; any other may jet more,
 up to one block's stage points (a block jets its stage points in one call,
 past a bend or a raising jet it does not know of yet), and never fewer.
 
+Each ride launched along the kernel also runs from a seeded start, as
+``flow`` rides it: ``flows._geodesic`` holding the g, dg and Gamma of the
+start's 3-jet (``curvature_data``) as its first stage's jet.  It must give
+the unseeded ride's bytes, and so the loop's, for every field of the path,
+and jet one point fewer.
+
 Each ride launched along the kernel also runs ``flow``'s Riccati check,
 ``splitting.evolve_along_nullity_geodesic``, which measures its samples
 together, and the same check with each sample measured alone (the
@@ -38,7 +44,10 @@ by point, marking those that differ, and for a kernel ride how its samples
 ended, then how many rides the stacked pass took to the end, how many it
 handed over part-way or at the start, and how many were truncated, then
 the points jetted by the stacked rides and by the loop, in all and on the
-rides that jetted more, and how many kernel rides' samples differ.  A ride
+rides that jetted more, and how many kernel rides' samples differ.  Then
+the calls of the per-point jet on each side, and for the kernel rides the
+points jetted and per-point jet calls with and without the seeded start,
+and how many seeded rides differ.  A ride
 whose stacked pass or loop raises an error that the stages do not catch
 differs too: its line names the error, and the run goes on (tallied as
 ``raised``).  Exits 1 if any ride differs.
@@ -79,10 +88,10 @@ FIELDS = ("times", "points", "velocities", "frame")
 
 
 class _Spies:
-    """Counts of the points the coframe jets, and whether a stacked pass met a bend or a failing jet."""
+    """Counts of the points the coframe jets, those of its per-point form, and whether a stacked pass met a bend or a failing jet."""
 
     def __init__(self):
-        self.jetted = 0
+        self.jetted = self.alone = 0
         self.bent = False
         coframe = metricspace._CoframeJet
         call, stacked, straight = coframe.__call__, coframe.jets, flows._straight
@@ -90,6 +99,7 @@ class _Spies:
 
         def counted_call(self, x, order):
             spies.jetted += 1
+            spies.alone += 1
             return call(self, x, order)
 
         def counted_jets(self, pts, order, check):
@@ -107,7 +117,7 @@ class _Spies:
         flows._straight = screened
 
     def reset(self) -> None:
-        self.jetted, self.bent = 0, False
+        self.jetted, self.alone, self.bent = 0, 0, False
 
 
 def _ride(rng: random.Random):
@@ -229,6 +239,14 @@ def _each_sample(metric, x0, tmax: float, steps: int, samples: int = 9) -> tuple
     return start.tobytes(), np.array(times).tobytes(), measured, predicted, deviations, aborted
 
 
+def _seeded(metric, x0, v0, frame, tmax: float, steps: int, spies: _Spies):
+    """``(path, points jetted, per-point jet calls)`` of the ride from the start's 3-jet, as ``flow`` rides it."""
+    data = curvature_data(metric, x0, nabla_r=True)
+    spies.reset()
+    path = flows._geodesic(metric, x0, v0, tmax, steps, frame, (data.g, data._jet[1], data.christoffel))
+    return path, spies.jetted, spies.alone
+
+
 def _fields(path) -> tuple:
     return tuple(getattr(path, f).tobytes() for f in FIELDS) + (
         repr(path.gram_drift), path.truncated, repr(path.exit_parameter))
@@ -251,8 +269,10 @@ def main() -> int:
     spies = _Spies()
     tally = Counter()
     jetted = Counter()
+    single = Counter()  # per-point jet calls
     differ = 0
     samples_differ = 0
+    seeded_differ = 0
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         while sum(tally.values()) < args.rides:
             drawn = _ride(rng)
@@ -262,7 +282,7 @@ def main() -> int:
             stacks.clear()
             spies.reset()
             path = _outcome(lambda: (flows.geodesic(metric, x0, v0, tmax, steps=steps, frame=frame),))
-            jets, bent = spies.jetted, spies.bent
+            jets, jet_calls, bent = spies.jetted, spies.alone, spies.bent
             stacked, per_point = stacks.count(True), stacks.count(False)
             spies.reset()
             reference = _outcome(lambda: (_loop(metric, x0, v0, frame, tmax, steps),))
@@ -283,6 +303,8 @@ def main() -> int:
             tally[kind + (", truncated" if path.truncated else "")] += 1
             jetted["stacked"] += jets
             jetted["loop"] += spies.jetted
+            single["stacked"] += jet_calls
+            single["loop"] += spies.alone
             if jets > spies.jetted:
                 jetted["stacked, rides jetting more"] += jets
                 jetted["loop, rides jetting more"] += spies.jetted
@@ -295,6 +317,16 @@ def main() -> int:
             looped = spies.jetted  # before the sample checks jet more
             sampled = ""
             if not label.endswith("off-kernel"):
+                # the seeded start: the unseeded ride's bytes, one point fewer jetted
+                seeded = _outcome(lambda: _seeded(metric, x0, v0, frame, tmax, steps, spies))
+                same = seeded[0] == "report" and _fields(seeded[1]) == _fields(path) and seeded[2] == jets - 1
+                if seeded[0] == "report":
+                    jetted["seeded"] += seeded[2]
+                    jetted["unseeded"] += jets
+                    single["seeded"] += seeded[3]
+                    single["unseeded"] += jet_calls
+                seeded_differ += not same
+                differs = differs or not same
                 together = _outcome(lambda: _report_fields(evolve_along_nullity_geodesic(metric, x0, tmax, steps)))
                 alone = _outcome(lambda: _each_sample(metric, x0, tmax, steps))
                 samples_differ += together != alone
@@ -302,6 +334,8 @@ def main() -> int:
                 ended = (f"raised {together[1]}" if together[0] == "raised" else
                          f"{len(together[3])} reached" + (", aborted" if together[6] else ""))
                 sampled = f", samples {ended}{'' if together == alone else ' DIFFER'}"
+                sampled += "" if same else (f", seeded start raised {seeded[1]}: {seeded[2]}" if seeded[0] == "raised"
+                                            else f", seeded start DIFFERS (jetted {seeded[2]})")
             differ += bool(differs)
             print(f"{'DIFFERS ' if differs else ''}{head}: {kind}, "
                   f"moved {moved or '-'}, jetted {jets} vs {looped}{sampled}")
@@ -309,6 +343,12 @@ def main() -> int:
         print(f"{kind}: {count}")
     for kind in ("stacked", "loop", "stacked, rides jetting more", "loop, rides jetting more"):
         print(f"points jetted, {kind}: {jetted[kind]}")
+    for kind in ("stacked", "loop"):
+        print(f"per-point jet calls, {kind}: {single[kind]}")
+    for kind in ("seeded", "unseeded"):
+        print(f"kernel rides, points jetted, {kind} start: {jetted[kind]}")
+        print(f"kernel rides, per-point jet calls, {kind} start: {single[kind]}")
+    print(f"kernel rides whose seeded start differs from the unseeded ride: {seeded_differ}")
     print(f"kernel rides whose samples differ from each sample measured alone: {samples_differ}")
     print(f"rides differing from the point-by-point loop: {differ}")
     return 1 if differ else 0
