@@ -58,15 +58,12 @@ from .splitting import (
     EvolutionReport,
     KernelDimensionError,
     KernelFieldError,
-    NonUnitFieldError,
     RiccatiBlowupError,
-    SplittingTensor,
     classify,
     evolve_along_nullity_geodesic,
     kernel_section,
     riccati_closed_form,
     riccati_ode,
-    splitting_tensor,
     trace_det_evolution,
 )
 
@@ -92,13 +89,11 @@ __all__ = [
     "KernelResult",
     "LaunchError",
     "MetricField",
-    "NonUnitFieldError",
     "NullityGeodesicReport",
     "NullityResult",
     "ParseError",
     "RiccatiBlowupError",
     "SingularMatrixError",
-    "SplittingTensor",
     "bianchi2_residual",
     "catalog_conullity3",
     "catalog_euclidean",
@@ -128,7 +123,6 @@ __all__ = [
     "sampled_path",
     "scalar_curvature",
     "sectional",
-    "splitting_tensor",
     "to_source",
     "trace_det_evolution",
 ]

@@ -11,15 +11,17 @@ Output contracts:
 * Identical invocations produce byte-identical stdout; wall-clock timings
   go to stderr only.
 
-``analyze``, ``scan`` and kernel-mode ``flow`` measure the splitting tensor
-through one pipeline, ``splitting._pipeline``: R, the kernel, T, the solve
-rows, the nabla R solve and its gate, each stage stacked over its points.
-``analyze`` runs it on its point, from its one metric jet; ``scan`` on each
-chunk of grid points, jetted in one call; ``flow`` on its 9 samples, the
-start among them, after a kernel geodesic of m steps jetted and inverted in
-one stacked call per block of steps (``flows.geodesic``, one block at 256
-steps): 2m jets past the start, whose one 3-jet serves the ride's first
-stage, and one for each of the 8 later samples (521 at 256 steps).
+``analyze``, ``scan``, kernel-mode ``flow`` and ``verify`` measure the
+splitting tensor through one pipeline, ``splitting._pipeline``: R, the
+kernel, T, the solve rows, the nabla R solve and its gate, each stage
+stacked over its points.  ``analyze`` runs it on its point, from its one
+metric jet; ``scan`` on each chunk of grid points, jetted in one call;
+``flow`` on its 9 samples, the start among them, after a kernel geodesic of
+m steps jetted and inverted in one stacked call per block of steps
+(``flows.geodesic``, one block at 256 steps): 2m jets past the start, whose
+one 3-jet serves the ride's first stage, and one for each of the 8 later
+samples (521 at 256 steps); ``verify`` on its suites' points, taking C as
+``analyze`` or ``flow`` takes it.
 
 Exit codes: 0 success, 1 usage error, 2 domain error (a float overflow or
 a metric too ill-conditioned to invert included), 3 verification failure.
@@ -72,16 +74,14 @@ from .splitting import (
     AlignmentError,
     KernelDimensionError,
     KernelFieldError,
-    NonUnitFieldError,
     RiccatiBlowupError,
+    _divergence_residual,
     _normal_form,
     _pipeline,
     classify,
     evolve_along_nullity_geodesic,
-    kernel_section,
     riccati_closed_form,
     riccati_ode,
-    splitting_tensor,
     trace_det_evolution,
 )
 
@@ -595,6 +595,22 @@ def _suite_rng(seed: int, suite: str) -> np.random.Generator:
     return np.random.default_rng((int(seed), SUITE_ORDER.index(suite)))
 
 
+def _splitting_tensors(metric, points, references=None, dimension: int = 1) -> list:
+    """C at each of ``points`` from one ``jets`` call and one stack of the commands' pipeline.
+
+    T is each point's reference projected onto a kernel of ``dimension``,
+    as kernel-mode ``flow`` takes it, or without ``references`` a line
+    kernel's, as ``analyze`` takes it.  The first error met is raised.
+    """
+    jets, faults = metric.jets(points, order=3)
+    stack = _pipeline(metric, points, jets, faults, None, references, dimension=dimension)
+    outcomes = stack.outcomes()
+    for i, c in enumerate(outcomes):
+        if not isinstance(c, np.ndarray):  # an error, or no tensor asked: a kernel that is no line
+            raise c if c is not None else KernelDimensionError(1, int(stack.kernels.sizes[i]), points[i])
+    return outcomes
+
+
 def _suite_euclidean(seed: int) -> list:
     rng = _suite_rng(seed, "euclidean")
     metric = catalog_euclidean(4)
@@ -609,7 +625,7 @@ def _suite_euclidean(seed: int) -> list:
     checks.append(_check("riemann_vanishes", 0.0, worst_r, 1e-12))
     checks.append(_check("nullity_full", 4, worst_nullity, passed=worst_nullity == 4))
     try:
-        splitting_tensor(metric, pts[0])
+        _splitting_tensors(metric, pts[:1], np.eye(4)[:1])
         outcome = "no error"
     except KernelDimensionError:
         outcome = "KernelDimensionError"
@@ -652,24 +668,18 @@ def _suite_product(seed: int) -> list:
     checks = []
     worst_conullity = 2
     kernel_leak = 0.0
-    worst_c = 0.0
-    ref = np.array([0.0, 0.0, 1.0, 0.0])
-    for _ in range(8):
-        pt = np.array([
-            rng.uniform(0.3, math.pi - 0.3),
-            rng.uniform(-3.0, 3.0),
-            rng.uniform(-2.0, 2.0),
-            rng.uniform(-2.0, 2.0),
-        ])
+    pts = rng.uniform([0.3, -3.0, -2.0, -2.0], [math.pi - 0.3, 3.0, 2.0, 2.0], (8, 4))
+    for pt in pts:
         res = nullity(metric, pt)
         if res.conullity != 2:
             worst_conullity = res.conullity
         kernel_leak = max(kernel_leak, float(np.max(np.abs(res.basis[:, :2]))))
-        st = splitting_tensor(metric, pt, field=lambda q: kernel_section(metric, q, reference=ref)[0])
-        worst_c = max(worst_c, float(np.max(np.abs(st.matrix))))
+    # T = d/dz on the 2-dimensional kernel, as kernel-mode flow measures it
+    tensors = _splitting_tensors(metric, pts, np.tile([0.0, 0.0, 1.0, 0.0], (8, 1)), 2)
+    worst_c = max(float(np.max(np.abs(c))) for c in tensors)
     checks.append(_check("conullity_two", 2, worst_conullity, passed=worst_conullity == 2))
     checks.append(_check("kernel_equals_flat_factor", 0.0, kernel_leak, 1e-8))
-    checks.append(_check("splitting_tensor_vanishes", 0.0, worst_c, 1e-6))
+    checks.append(_check("splitting_tensor_vanishes", 0.0, worst_c, 1e-12))
     return checks
 
 
@@ -749,14 +759,13 @@ def _suite_conullity3(seed: int) -> list:
     checks.append(_check("nullity_one_where_curved", True, conullity_ok, passed=conullity_ok))
 
     origin = np.zeros(4)
-    st = splitting_tensor(metric, origin)
+    c, = _splitting_tensors(metric, origin[None])  # as analyze measures it
     expected = np.zeros((3, 3))
     expected[0, 1] = math.sqrt(2.0) / 5.0
     checks.append(
-        _check("splitting_matrix_at_origin", 0.0,
-               float(np.max(np.abs(st.matrix - expected))), 1e-4)
+        _check("splitting_matrix_at_origin", 0.0, float(np.max(np.abs(c - expected))), 1e-12)
     )
-    inv = classify(st.matrix, tol=CLASSIFY_TOL)
+    inv = classify(c, tol=CLASSIFY_TOL)
     checks.append(
         _check("splitting_nilpotent_at_origin", "nilpotent", inv.kind,
                passed=inv.kind == "nilpotent")
@@ -773,8 +782,9 @@ def _suite_conullity3(seed: int) -> list:
     rode = report.aborted is None
     checks.append(_check("riccati_evolution_matches", 0.0, report.max_error, 1e-4,
                          passed=rode and report.max_error <= 1e-4))
-    checks.append(_check("divergence_is_minus_trace", 0.0, report.divergence_residual, 1e-4,
-                         passed=rode and report.divergence_residual <= 1e-4))
+    divergence = _divergence_residual(metric, report)
+    checks.append(_check("divergence_is_minus_trace", 0.0, divergence, 1e-4,
+                         passed=rode and divergence <= 1e-4))
 
     incomplete = catalog_conullity3("4-u*u-w*w")
     probe2 = incompleteness_probe(incomplete, origin, np.array([0.0, 1.0, 0.0, 0.0]))
@@ -990,7 +1000,7 @@ def main(argv=None) -> int:
         print(f"geonull: error: {_fault_site(args)}: {exc} (in {_fault_function(exc)})", file=sys.stderr)
         return EXIT_DOMAIN
     except (ChartDomainError, DomainError, KernelDimensionError, AlignmentError, KernelFieldError,
-            NonUnitFieldError, RiccatiBlowupError, LaunchError, SingularMatrixError) as exc:
+            RiccatiBlowupError, LaunchError, SingularMatrixError) as exc:
         print(f"geonull: error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -417,10 +417,12 @@ class _CoframeJet:
         columns = columns or [()] * (order + 1)
         B = self.identity + (self.affine @ x[:, None, :, None])[..., 0]
         B[:, 0, 0] = columns[0]
-        dB = np.repeat(self.affine[None], m, axis=0)
-        dB[:, 0, 0, w] = np.reshape(columns[1], (m, w.size))
+        grad = np.reshape(columns[1], (m, w.size))
         g = B.transpose(0, 2, 1) @ B
-        half = self._half(B, dB) if m >= _COLUMN_POINTS else np.einsum("maik,maj->mijk", dB, B)
+        if m < _COLUMN_POINTS or order > 1:  # the einsum and the higher orders read dB whole
+            dB = np.repeat(self.affine[None], m, axis=0)
+            dB[:, 0, 0, w] = grad
+        half = self._half(B, grad) if m >= _COLUMN_POINTS else np.einsum("maik,maj->mijk", dB, B)
         dg = half + half.transpose(0, 2, 1, 3)
         if order == 1:
             return g, dg
@@ -447,19 +449,23 @@ class _CoframeJet:
         d3g[:, :, 0] += row
         return g, dg, d2g, d3g
 
-    def _half(self, B: np.ndarray, dB: np.ndarray) -> np.ndarray:
+    def _half(self, B: np.ndarray, grad: np.ndarray) -> np.ndarray:
         """``einsum("maik,maj->mijk", dB, B)`` over a stack, bitwise, contracted on :attr:`columns` only.
 
-        Each entry is ``0.0 + sum_a dB[a, i, k] B[a, j]``, summed in the
-        order of a with the points on the innermost axis.  An entry of a
-        zero column is the sum of 0 * B[a, j], +0.0 unless some B[a, j] is
-        not finite.  No float error is raised, as the einsum raises none.
+        Only those columns of dB are built, from ``affine`` and ``grad``,
+        the warp entry's gradient at each point.  Each entry is ``0.0 +
+        sum_a dB[a, i, k] B[a, j]``, summed in the order of a with the
+        points on the innermost axis.  An entry of a zero column is the sum
+        of 0 * B[a, j], +0.0 unless some B[a, j] is not finite.  No float
+        error is raised, as the einsum raises none.
         """
         m, n = len(B), self.n
         half = np.zeros((m, n, n, n))
         with np.errstate(all="ignore"):
             b = np.ascontiguousarray(B.transpose(1, 2, 0))  # b[a, j, point]
-            d = np.ascontiguousarray(dB[:, :, self.columns].transpose(2, 1, 3, 0))  # d[column, a, k, point]
+            # d[column, a, k, point]; column 0 is the warp entry's
+            d = np.repeat(self.affine[:, self.columns].transpose(1, 0, 2)[..., None], m, axis=-1)
+            d[0, 0, self.warp] = grad.T
             acc = 0.0 + b[0, None, :, None] * d[:, 0, None]
             for a in range(1, n):
                 acc += b[a, None, :, None] * d[:, a, None]
@@ -767,7 +773,7 @@ CATALOG = {
         lambda radius=1.0, dim=4, **_: _catalog_product_entry(float(radius), int(dim)),
         (
             ("kernel of curvature = flat factor, conullity 2", "curvature.nullity"),
-            ("splitting tensor vanishes", "splitting.splitting_tensor"),
+            ("splitting tensor vanishes", "verify product: splitting_tensor_vanishes"),
         ),
         (math.pi / 2,),
     ),
@@ -789,7 +795,8 @@ CATALOG = {
         (
             ("kernel of curvature = span{d/dv}, conullity 3", "curvature.nullity"),
             ("double-trace scalar curvature equals -(2/p)(d2p/du2 + d2p/dw2)", "curvature.scalar_curvature"),
-            ("splitting tensor strictly upper triangular with entry sqrt(2)/p", "splitting.splitting_tensor"),
+            ("splitting tensor strictly upper triangular with entry sqrt(2)/p",
+             "verify conullity3: splitting_matrix_at_origin, splitting_nilpotent_at_origin"),
             ("span{du,dv,dw} flat and totally geodesic", "flows.flatness_probe"),
         ),
     ),

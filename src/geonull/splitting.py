@@ -36,20 +36,19 @@ ride that aborts at a sample has jetted the samples past it too.  The 9 closed-f
 one stacked pole test and one stacked inverse (``_riccati_predictions``),
 also bitwise each time's own.
 
-``splitting_tensor`` is the reference that the tests compare the solve
-with and that ``verify`` runs: Richardson-extrapolated central differences
-of the unit projection of a reference vector onto the kernel
-(``kernel_section``) on 4n stencil points, one metric jet each.  The
-divergence check |div T + tr C| uses the same stencil, so
-``EvolutionReport.divergence_residual`` computes it on first access only.
-Either way a nilpotent matrix perturbed by eps shows spurious eigenvalues of
-size about eps^(1/2), which is why ``classify`` takes an explicit tolerance.
+``verify`` measures C through the same pipeline, and div T for its check
+|div T + tr C| (``_divergence_residual``) by Richardson central differences
+of the unit kernel section (``kernel_section``) on 4n stencil points, which
+no command runs; the tests' reference C is a stencil of T too
+(``tests/oracles.py``).  A nilpotent matrix perturbed by eps shows spurious
+eigenvalues of size about eps^(1/2), which is why ``classify`` takes an
+explicit tolerance.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -58,7 +57,6 @@ from . import numcore
 from .curvature import (
     CurvatureData,
     Nullities,
-    _christoffel_from_jet,
     _complement,
     _curvatures,
     _nullity_at,
@@ -74,14 +72,10 @@ __all__ = [
     "AlignmentError",
     "KernelDimensionError",
     "KernelFieldError",
-    "NonUnitFieldError",
     "RiccatiBlowupError",
-    "SplittingTensor",
     "BlockInvariants",
     "EvolutionReport",
     "kernel_section",
-    "splitting_tensor",
-    "splitting_tensor_from_curvature",
     "classify",
     "riccati_closed_form",
     "riccati_ode",
@@ -120,15 +114,6 @@ class KernelFieldError(ValueError):
             f"residual {residual:.3e} exceeds {SMOOTH_KERNEL_RESIDUAL:g}"
         )
         self.residual = residual
-
-
-class NonUnitFieldError(ValueError):
-    def __init__(self, norm: float):
-        super().__init__(
-            f"field is not unit length (|T|_g = {norm:.6g}); "
-            "pass allow_non_unit=True to accept it"
-        )
-        self.norm = norm
 
 
 class RiccatiBlowupError(ArithmeticError):
@@ -190,16 +175,10 @@ def _project(basis: np.ndarray, g: np.ndarray, reference, pt: np.ndarray) -> np.
     return section / nrm
 
 
-def _pointwise(field: Callable) -> Callable:
-    """A field of one point as a field of stacked points."""
-    return lambda points: np.array([np.asarray(field(q), dtype=float) for q in points])
-
-
 def _kernel_field(metric: MetricField, reference, dimension: int, rel_tol) -> Callable:
-    """``points -> rows kernel_section(metric, q, reference, rel_tol)[0]``, q in points.
+    """``q -> kernel_section(metric, q, reference, rel_tol)[0]``, bitwise.
 
     A kernel of any other ``dimension`` at q raises :class:`KernelDimensionError`.
-    The points are taken in order, so the first one that fails raises.
     """
 
     def section(q):
@@ -209,34 +188,7 @@ def _kernel_field(metric: MetricField, reference, dimension: int, rel_tol) -> Ca
             raise KernelDimensionError(dimension, res.nullity, q)
         return t
 
-    return _pointwise(section)
-
-
-class SplittingTensor(NamedTuple):
-    """Splitting tensor at a point.
-
-    ``matrix[i, j] = -<nabla_{basis[j]} T, basis[i]>_g`` for the
-    g-orthonormal complement ``basis`` (rows); ``normal_form_entries`` holds
-    (a, b, c) = (C[0,1], C[1,2], C[0,2]) when the matrix is 3x3 and strictly
-    upper triangular to within ``triangular_residual`` (None otherwise).
-    """
-
-    point: np.ndarray
-    matrix: np.ndarray
-    basis: np.ndarray
-    field_value: np.ndarray
-    step: float
-    triangular_residual: float
-    normal_form_entries: Optional[tuple]
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix))
-
-    @property
-    def det_block(self) -> float:
-        m = self.matrix
-        return 0.5 * (np.trace(m) ** 2 - np.trace(m @ m))
+    return section
 
 
 def _frames(metric: MetricField, points: np.ndarray, g: np.ndarray, t_vecs: np.ndarray):
@@ -276,77 +228,11 @@ def _richardson(values: np.ndarray, h: float) -> np.ndarray:
     return (4.0 * ((fp - fm) / (2.0 * h)) - (fp2 - fm2) / (2.0 * (2.0 * h))) / 3.0
 
 
-def splitting_tensor(
-    metric: MetricField,
-    x,
-    basis=None,
-    field: Optional[Callable] = None,
-    h: float = 1e-4,
-    rel_tol: Optional[float] = None,
-    allow_non_unit: bool = False,
-) -> SplittingTensor:
-    """Measure C_T at x by Richardson-extrapolated central differences of T.
-
-    ``field`` maps points to kernel vectors (default: the
-    :func:`kernel_section` of a 1-dimensional curvature kernel, aligned to
-    its value at x; any other kernel dimension raises
-    :class:`KernelDimensionError`); ``basis`` gives the complement
-    rows (default: the chart's preferred frame, else a coordinate-built
-    complement).  A non-unit field raises :class:`NonUnitFieldError` unless
-    ``allow_non_unit`` is set, since the splitting tensor is defined through
-    a unit T.  One jet at x gives g, dg and, for the default field, the
-    kernel and T there (an order-1 jet, for a given field); the field is
-    then called once per stencil point.
-    """
-    pt = np.asarray(x, dtype=float)
-    n = metric.dim
-    if field is None:
-        res, g, dg = _nullity_at(metric, pt, rel_tol)
-        if res.nullity != 1:
-            raise KernelDimensionError(1, res.nullity, pt)
-        t0 = _project(res.basis, g, res.basis[0], pt)  # the section referenced to itself
-        sections = _kernel_field(metric, res.basis[0], 1, rel_tol)
-    else:
-        g, dg = metric.jet(pt, order=1)
-        sections = _pointwise(field)
-        t0 = sections(pt[None])[0]
-    t_norm = float(np.sqrt(t0 @ g @ t0))
-    if abs(t_norm - 1.0) > 1e-6 and not allow_non_unit:
-        raise NonUnitFieldError(t_norm)
-    if basis is None:
-        rows, kept = _frames(metric, pt, g, t0 / t_norm)
-        basis = rows[kept]
-    basis = np.asarray(basis, dtype=float)
-    if basis.ndim != 2 or basis.shape[1] != n:
-        raise ValueError("basis must be rows of chart-dimension vectors")
-
-    # dT[k, j] ~ d T^k / d x^j
-    values = sections(_stencil(pt, h)).reshape(n, 4, n)
-    dT = np.empty((n, n))
-    for j in range(n):
-        dT[:, j] = _richardson(values[j], h)
-    gamma = _christoffel_from_jet(invert(g), dg)
-    # nabla_{e_j} T = e_j^m (dT[., m] + Gamma[., m, a] T^a)
-    full = dT + np.einsum("kma,a->km", gamma, t0)
-    cov = np.einsum("km,jm->kj", full, basis)  # column j: nabla_{basis[j]} T
-    matrix = -np.einsum("ik,kj->ij", basis @ g, cov)
-    residual, normal_form = _normal_form(matrix, 50.0 * h * h + 1e-8)
-    return SplittingTensor(
-        point=pt,
-        matrix=matrix,
-        basis=basis,
-        field_value=t0,
-        step=h,
-        triangular_residual=residual,
-        normal_form_entries=normal_form,
-    )
-
-
 def _normal_form(matrix: np.ndarray, tol: float):
-    """``(triangular_residual, normal_form_entries)`` of :class:`SplittingTensor` for ``matrix``.
+    """``(triangular_residual, normal_form_entries)`` of a splitting-tensor ``matrix`` C.
 
-    The entries are (C[0,1], C[1,2], C[0,2]) when the matrix is 3x3 and its
-    largest entry on or below the diagonal is below ``tol``, else None.
+    The residual is C's largest entry on or below the diagonal; the entries are
+    (C[0,1], C[1,2], C[0,2]) when C is 3x3 and the residual is below ``tol``, else None.
     """
     strict_upper = np.triu(matrix, k=1)
     residual = float(np.max(np.abs(matrix - strict_upper)))
@@ -355,37 +241,16 @@ def _normal_form(matrix: np.ndarray, tol: float):
     return residual, None
 
 
-def splitting_tensor_from_curvature(metric: MetricField, data: CurvatureData):
-    """``(matrix, residual)``: C_T at ``data.point`` from nabla R, T the first kernel vector.
-
-    Differentiating R(T, ., ., .) = 0 along X gives R(nabla_X T, ., ., .) =
-    -(nabla_X R)(T, ., ., .), and the flattened R is injective on the
-    kernel's complement.  One least-squares solve over the complement basis
-    (the chart's preferred frame, else the g-orthonormal complement of the
-    kernel) gives <nabla_{d_m} T, e_a> for every m.  (nabla R)(T, ...)
-    comes from the 3-jet of ``data``, which ``curvature_data(...,
-    nabla_r=True)`` keeps (a 2-jet raises ``ValueError``).
-    ``residual`` is the solve's residual relative to the right-hand side: above
-    :data:`SMOOTH_KERNEL_RESIDUAL` the kernel does not extend as a smooth line
-    field and the matrix means nothing.  The caller checks that the kernel
-    at x is a line.
-    """
-    rows, kept = _frames(metric, data.point, data.g, data.nullity.basis[0])
-    basis = rows[kept]
-    coef, residual = _solve(data._jet, data._parts, data.nullity.basis[0], basis)[0]
-    return -coef @ basis.T, residual
-
-
 def _solve(jet, parts, t_vecs, bases) -> list:
-    """``[(coef, residual)]``: :func:`splitting_tensor_from_curvature`'s solve at each point of a stack.
+    """``[(coef, residual)]``: the nabla R solve for C_T at each point of a stack.
 
-    The points' 3-``jet`` (leading axes a stack, or none for one point) and
-    :func:`~geonull.curvature._riemann` of it, T = ``t_vecs`` and the
-    complement rows ``bases``.  ``coef[a, m]`` = <nabla_{d_m} T, e_a> for
-    the rows e_a of a point's basis, which span the kernel's complement.
-    Both sides, R and -(nabla R)(T, ...), come from the lowered Christoffel
-    symbols, T contracted in before any n^5 product (``_solve_rhs``).  A
-    2-jet raises ``ValueError``.
+    R(nabla_X T, ...) = -(nabla_X R)(T, ...), R injective on the kernel's
+    complement: from the points' 3-``jet`` (leading axes a stack, or none
+    for one point) and :func:`~geonull.curvature._riemann` of it, T =
+    ``t_vecs`` and the complement rows ``bases``, ``coef[a, m]`` =
+    <nabla_{d_m} T, e_a> for the rows e_a of a point's basis.  Both sides
+    come from the lowered Christoffel symbols, T contracted in before any
+    n^5 product (``_solve_rhs``).  A 2-jet raises ``ValueError``.
     """
     if len(jet) != 4:
         raise ValueError("the nabla R solve needs the point's 3-jet: curvature_data(..., nabla_r=True)")
@@ -459,6 +324,10 @@ class _Stack(NamedTuple):
             for i, kind in zip(gated, _kinds(matrices, eigenvalues(matrices), tol).tolist()):
                 kinds[i] = kind
         return kinds
+
+    def outcomes(self) -> list:
+        """Each point's C, or the first error met there, the gate's included; None where no tensor was asked."""
+        return [exc or (t[0] if isinstance(t, tuple) else t) for exc, t in zip(self.errors, self.tensors)]
 
 
 def _curved(jets, rel_tol: float, store: list, idx) -> list:
@@ -559,9 +428,8 @@ def _sample_tensors(metric: MetricField, path: GeodesicPath, indices, dimension:
     points = path.points[indices]
     later, faults = metric.jets(points[1:], order=3)
     jets = [np.concatenate([a[None], b]) for a, b in zip(start_jet, later)]
-    stack = _pipeline(metric, points, jets, {j + 1: exc for j, exc in faults.items()}, rel_tol,
-                      path.velocities[indices], path.frame[indices], dimension)
-    return [exc or (t[0] if isinstance(t, tuple) else t) for exc, t in zip(stack.errors, stack.tensors)]
+    return _pipeline(metric, points, jets, {j + 1: exc for j, exc in faults.items()}, rel_tol,
+                     path.velocities[indices], path.frame[indices], dimension).outcomes()
 
 
 class BlockInvariants(NamedTuple):
@@ -686,7 +554,7 @@ def trace_det_evolution(trace0: float, det0: float, t: float):
     return (trace0 - 2.0 * t * det0) / denom, det0 / denom
 
 
-class EvolutionReport:
+class EvolutionReport(NamedTuple):
     """Measured-versus-predicted splitting tensor along a kernel geodesic.
 
     The geodesic starts with velocity T; the complement basis is parallel
@@ -695,38 +563,27 @@ class EvolutionReport:
     through ``start_matrix`` at t = 0.  ``measured``, ``predicted`` and
     ``deviations`` (max-abs entry gaps) cover the samples reached: when
     ``aborted`` holds a message, the ride stopped at the sample it names.
-    ``divergence_residual`` is the worst over those samples of
-    |div T + tr C|, with div T from an independent finite-difference
-    divergence of the kernel field, computed on first access.  Immutable;
-    the fields and that value live in the instance ``__dict__``.
     """
 
-    def __init__(self, path: GeodesicPath, kernel_dimension: int, start_matrix: np.ndarray,
-                 sample_times: np.ndarray, measured: tuple, predicted: tuple, deviations: tuple,
-                 max_error: float, basis_gram_drift: float, aborted: Optional[str],
-                 _divergence: Callable[[], float]):
-        vars(self).update(path=path, kernel_dimension=kernel_dimension, start_matrix=start_matrix,
-                          sample_times=sample_times, measured=measured, predicted=predicted,
-                          deviations=deviations, max_error=max_error, basis_gram_drift=basis_gram_drift,
-                          aborted=aborted, _divergence=_divergence)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"field {name!r} is read-only")
-
-    __delattr__ = __setattr__
-
-    @cached_property
-    def divergence_residual(self) -> float:
-        return self._divergence()
+    path: GeodesicPath
+    kernel_dimension: int
+    start_matrix: np.ndarray
+    sample_times: np.ndarray
+    measured: tuple
+    predicted: tuple
+    deviations: tuple
+    max_error: float
+    basis_gram_drift: float
+    aborted: Optional[str]
 
 
 def _fd_divergence(metric: MetricField, x: np.ndarray, field: Callable, h: float) -> float:
-    """(1/sqrt(det g)) d_k (sqrt(det g) T^k) by central differences."""
+    """(1/sqrt(det g)) d_k (sqrt(det g) T^k) by Richardson central differences, T = ``field(q)``."""
     n = metric.dim
 
     def weighted(q):
         g = metric.jet(q, order=1, check=False)[0]
-        return math.sqrt(float(np.linalg.det(g))) * field(q[None])[0]
+        return math.sqrt(float(np.linalg.det(g))) * field(q)
 
     values = np.array([weighted(q) for q in _stencil(x, h)]).reshape(n, 4, n)
     total = 0.0
@@ -736,13 +593,28 @@ def _fd_divergence(metric: MetricField, x: np.ndarray, field: Callable, h: float
     return total / math.sqrt(float(np.linalg.det(g0)))
 
 
+def _divergence_residual(metric: MetricField, report: EvolutionReport) -> float:
+    """The worst over ``report``'s samples of |div T + tr C|, div T from a stencil of step 1e-4.
+
+    T is the kernel's unit section along the geodesic's velocity at each
+    sample, at the default rank tolerance: a measure of -tr C independent
+    of the nabla R solve.
+    """
+    path, worst = report.path, 0.0
+    for t, c in zip(report.sample_times, report.measured):
+        i = int(np.flatnonzero(path.times == t)[0])
+        field = _kernel_field(metric, path.velocities[i], report.kernel_dimension, None)
+        div_fd = _fd_divergence(metric, path.points[i], field, 1e-4)
+        worst = max(worst, abs(div_fd + float(np.trace(c))))
+    return worst
+
+
 def evolve_along_nullity_geodesic(
     metric: MetricField,
     x0,
     tmax: float = 0.4,
     steps: int = 256,
     samples: int = 9,
-    h: float = 1e-4,
     rel_tol: Optional[float] = None,
 ) -> EvolutionReport:
     """Ride a kernel geodesic and compare C against the Riccati closed form.
@@ -751,14 +623,13 @@ def evolve_along_nullity_geodesic(
     (:func:`kernel_section`): at x0 the first kernel basis vector, which is
     also the launch velocity, and at each sample the geodesic's velocity
     there.  Each tensor comes from the nabla R solve of one metric 3-jet
-    (:func:`_pipeline`), in the transported frame; ``h`` is the step of the
-    divergence check only.  Sample 0 is x0 with its velocity and frame,
-    so its tensor is the start tensor: after the ride it is measured with the
-    others (:func:`_sample_tensors`), from the 3-jet that gave the kernel at
-    x0, bitwise each sample's own, and the closed-form predictions are built
-    from it (:func:`_riccati_predictions`), also together.  Errors while
-    integrating or measuring the start tensor propagate.  The samples are
-    taken in order: a :class:`KernelDimensionError`,
+    (:func:`_pipeline`), in the transported frame.  Sample 0 is x0 with its
+    velocity and frame, so its tensor is the start tensor: after the ride it
+    is measured with the others (:func:`_sample_tensors`), from the 3-jet
+    that gave the kernel at x0, bitwise each sample's own, and the
+    closed-form predictions are built from it (:func:`_riccati_predictions`),
+    also together.  Errors while integrating or measuring the start tensor
+    propagate.  The samples are taken in order: a :class:`KernelDimensionError`,
     :class:`AlignmentError`, :class:`KernelFieldError` or
     :class:`RiccatiBlowupError` at a sample ends the ride with a partial
     report whose ``aborted`` holds the message, and any other error at a
@@ -793,14 +664,6 @@ def evolve_along_nullity_geodesic(
         predicted.append(pred)
         deviations.append(float(np.max(np.abs(c - pred))))
 
-    def divergence_residual() -> float:
-        worst = 0.0
-        for i, c in zip(reached, measured):
-            field = _kernel_field(metric, path.velocities[i], k0, rel_tol)
-            div_fd = _fd_divergence(metric, path.points[i], field, h)
-            worst = max(worst, abs(div_fd + float(np.trace(c))))
-        return worst
-
     return EvolutionReport(
         path=path,
         kernel_dimension=k0,
@@ -812,5 +675,4 @@ def evolve_along_nullity_geodesic(
         max_error=max([0.0, *deviations]),
         basis_gram_drift=path.gram_drift,
         aborted=aborted,
-        _divergence=divergence_residual,
     )

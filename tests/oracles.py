@@ -5,6 +5,11 @@ in closed form.  These are the forms that the tests and
 ``tools/scan_kind_agreement.py`` compare them with; nothing in the package
 calls them.
 
+* :func:`splitting_tensor`: C from Richardson-extrapolated central
+  differences of the kernel field T (the package's ``kernel_section``) on
+  4n stencil points, one metric jet each, the reference for the nabla R
+  solve; :class:`SplittingTensor` is its record.
+
 * :func:`fd_jet` and :func:`finite_difference_field`: a metric 2-jet from
   central differences of g (a field of 2-jets only).
 * :func:`nabla_r_stencil`: nabla R from central differences of R at
@@ -21,17 +26,31 @@ calls them.
 * :func:`longdouble_riemann`: R lowered in ``np.longdouble`` from a float64
   jet, the reference for the rounding of both.
 
-The Richardson kernel-field stencil (``splitting.splitting_tensor``) stays in
-the package, since ``verify`` runs it.
+The package keeps the stencil points and the Richardson step
+(``splitting._stencil``, ``splitting._richardson``) and the one-point kernel
+field (``splitting._kernel_field``) for its divergence check only.
 """
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple, Optional
+
 import numpy as np
 
-from geonull.curvature import _bracket, _riemann, _t
+from geonull.curvature import _bracket, _christoffel_from_jet, _nullity_at, _riemann, _t
 from geonull.metricspace import MetricField
-from geonull.splitting import _least_squares, _pipeline
+from geonull.numcore import invert
+from geonull.splitting import (
+    KernelDimensionError,
+    _frames,
+    _kernel_field,
+    _least_squares,
+    _normal_form,
+    _pipeline,
+    _project,
+    _richardson,
+    _stencil,
+)
 
 
 def fd_jet(field: MetricField, x, h: float = 2e-4):
@@ -112,7 +131,7 @@ def nabla_r_stencil(metric: MetricField, x, h: float = 1e-4, check: bool = False
 
 
 def stencil_splitting_tensor(metric: MetricField, data, h: float = 1e-4):
-    """``(matrix, residual)`` of ``splitting_tensor_from_curvature`` with nabla R from :func:`nabla_r_stencil`.
+    """``(matrix, residual)`` of the package's nabla R solve at ``data``'s point, nabla R from :func:`nabla_r_stencil`.
 
     The same least-squares solve over the same rows as the package's
     pipeline at ``data``'s jet, against ``data.rdown``, with the right-hand
@@ -141,14 +160,124 @@ def stack_of_one(metric: MetricField, point, reference=None, frame=None, dimensi
     return _pipeline(metric, pt[None], [a[None] for a in jet], {}, None, *along)
 
 
-def tensor_alone(metric: MetricField, point, reference, frame, dimension: int = 1, jet=None) -> np.ndarray:
-    """C of :func:`stack_of_one` at ``point`` in the rows of ``frame``, or the error raised there, its gate's included."""
-    stack = stack_of_one(metric, point, reference, frame, dimension, jet)
-    outcome = stack.errors[0] or stack.tensors[0]
-    outcome = outcome[0] if isinstance(outcome, tuple) else outcome  # C, or the gate's error
+def tensor_alone(metric: MetricField, point, reference=None, frame=None, dimension: int = 1, jet=None):
+    """C of :func:`stack_of_one` at ``point``, or the error raised there, its gate's included.
+
+    Given ``reference``, C is in the rows of ``frame``; without one, as
+    ``analyze`` measures it, and None where the kernel is no line.
+    """
+    outcome = stack_of_one(metric, point, reference, frame, dimension, jet).outcomes()[0]
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
+
+
+class NonUnitFieldError(ValueError):
+    def __init__(self, norm: float):
+        super().__init__(
+            f"field is not unit length (|T|_g = {norm:.6g}); "
+            "pass allow_non_unit=True to accept it"
+        )
+        self.norm = norm
+
+
+def _pointwise(field: Callable) -> Callable:
+    """A field of one point as a field of stacked points."""
+    return lambda points: np.array([np.asarray(field(q), dtype=float) for q in points])
+
+
+class SplittingTensor(NamedTuple):
+    """Splitting tensor at a point.
+
+    ``matrix[i, j] = -<nabla_{basis[j]} T, basis[i]>_g`` for the
+    g-orthonormal complement ``basis`` (rows); ``normal_form_entries`` holds
+    (a, b, c) = (C[0,1], C[1,2], C[0,2]) when the matrix is 3x3 and strictly
+    upper triangular to within ``triangular_residual`` (None otherwise).
+    """
+
+    point: np.ndarray
+    matrix: np.ndarray
+    basis: np.ndarray
+    field_value: np.ndarray
+    step: float
+    triangular_residual: float
+    normal_form_entries: Optional[tuple]
+
+    @property
+    def trace(self) -> float:
+        return float(np.trace(self.matrix))
+
+    @property
+    def det_block(self) -> float:
+        m = self.matrix
+        return 0.5 * (np.trace(m) ** 2 - np.trace(m @ m))
+
+
+def splitting_tensor(
+    metric: MetricField,
+    x,
+    basis=None,
+    field: Optional[Callable] = None,
+    h: float = 1e-4,
+    rel_tol: Optional[float] = None,
+    allow_non_unit: bool = False,
+) -> SplittingTensor:
+    """Measure C_T at x by Richardson-extrapolated central differences of T.
+
+    ``field`` maps points to kernel vectors (default: the
+    ``kernel_section`` of a 1-dimensional curvature kernel, aligned to
+    its value at x; any other kernel dimension raises
+    ``KernelDimensionError``); ``basis`` gives the complement
+    rows (default: the chart's preferred frame, else a coordinate-built
+    complement).  A non-unit field raises :class:`NonUnitFieldError` unless
+    ``allow_non_unit`` is set, since the splitting tensor is defined through
+    a unit T.  One jet at x gives g, dg and, for the default field, the
+    kernel and T there (an order-1 jet, for a given field); the field is
+    then called once per stencil point, in order, so the first stencil
+    point that fails raises.
+    """
+    pt = np.asarray(x, dtype=float)
+    n = metric.dim
+    if field is None:
+        res, g, dg = _nullity_at(metric, pt, rel_tol)
+        if res.nullity != 1:
+            raise KernelDimensionError(1, res.nullity, pt)
+        t0 = _project(res.basis, g, res.basis[0], pt)  # the section referenced to itself
+        sections = _pointwise(_kernel_field(metric, res.basis[0], 1, rel_tol))
+    else:
+        g, dg = metric.jet(pt, order=1)
+        sections = _pointwise(field)
+        t0 = sections(pt[None])[0]
+    t_norm = float(np.sqrt(t0 @ g @ t0))
+    if abs(t_norm - 1.0) > 1e-6 and not allow_non_unit:
+        raise NonUnitFieldError(t_norm)
+    if basis is None:
+        rows, kept = _frames(metric, pt, g, t0 / t_norm)
+        basis = rows[kept]
+    basis = np.asarray(basis, dtype=float)
+    if basis.ndim != 2 or basis.shape[1] != n:
+        raise ValueError("basis must be rows of chart-dimension vectors")
+
+    # dT[k, j] ~ d T^k / d x^j
+    values = sections(_stencil(pt, h)).reshape(n, 4, n)
+    dT = np.empty((n, n))
+    for j in range(n):
+        dT[:, j] = _richardson(values[j], h)
+    gamma = _christoffel_from_jet(invert(g), dg)
+    # nabla_{e_j} T = e_j^m (dT[., m] + Gamma[., m, a] T^a)
+    full = dT + np.einsum("kma,a->km", gamma, t0)
+    cov = np.einsum("km,jm->kj", full, basis)  # column j: nabla_{basis[j]} T
+    matrix = -np.einsum("ik,kj->ij", basis @ g, cov)
+    residual, normal_form = _normal_form(matrix, 50.0 * h * h + 1e-8)
+    return SplittingTensor(
+        point=pt,
+        matrix=matrix,
+        basis=basis,
+        field_value=t0,
+        step=h,
+        triangular_residual=residual,
+        normal_form_entries=normal_form,
+    )
 
 
 def _raised_parts(g, dg, d2g):

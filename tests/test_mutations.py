@@ -8,11 +8,12 @@ the program as it is.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from geonull import flows
+from geonull import flows, splitting
 from geonull.cli import EXIT_VERIFY, main
 
 # kernel-mode flows: the default conullity3 start, and the digest's sekigawa ride
@@ -59,3 +60,26 @@ def test_frame_not_transported_fails_its_verify_checks(capsys, monkeypatch):
     assert _failing_checks(broken) == {
         "transport_preserves_gram", "riccati_evolution_matches", "divergence_is_minus_trace",
     }
+
+
+def _solve_scaled(monkeypatch):
+    """Every solved C scaled by 1.01: the least-squares step scales each coefficient matrix after its residual."""
+    least_squares = splitting._least_squares
+    monkeypatch.setattr(splitting, "_least_squares",
+                        lambda *args: [(1.01 * coef, residual) for coef, residual in least_squares(*args)])
+
+
+def test_solve_scaling_fails_the_splitting_matrix_check(capsys, monkeypatch):
+    entry = math.sqrt(2.0) / 5.0  # the normal form's sqrt(2)/p at the origin, p = 5
+    code, sound = _run(capsys, "verify", "--suite", "all", "--json")
+    assert code == 0 and not _failing_checks(sound)
+    code, doc = _run(capsys, "analyze", "--metric", "conullity3")
+    assert code == 0 and abs(doc["splitting"]["normal_form_entries"][0] - entry) < 1e-15
+    _solve_scaled(monkeypatch)
+    code, broken = _run(capsys, "verify", "--suite", "all", "--json")
+    # C' = C^2 and tr C = 0 hold for 1.01 C too, since the catalog's C squares to 0:
+    # only the check of C against its closed form sees the scale
+    assert code == EXIT_VERIFY and not broken["passed"]
+    assert _failing_checks(broken) == {"splitting_matrix_at_origin"}
+    code, doc = _run(capsys, "analyze", "--metric", "conullity3")
+    assert code == 0 and abs(doc["splitting"]["normal_form_entries"][0] - 1.01 * entry) < 1e-15  # 0.28567

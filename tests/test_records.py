@@ -17,7 +17,7 @@ from geonull import exprcalc, metricspace, numcore
 from geonull.curvature import _curvatures, curvature_data, nullity
 from geonull.flows import flatness_probe, geodesic, incompleteness_probe, nullity_geodesic_check
 from geonull.metricspace import catalog_conullity3, catalog_sekigawa
-from geonull.splitting import classify, evolve_along_nullity_geodesic, splitting_tensor
+from geonull.splitting import classify, evolve_along_nullity_geodesic
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -88,7 +88,6 @@ def _records():
         ("NullityGeodesicReport", nullity_geodesic_check(_C3, _C3_POINT, tmax=0.2, steps=8, samples=3)),
         ("FlatnessReport", flatness_probe(_C3, _C3_POINT, ("u", "v", "w"), samples=2)),
         ("IncompletenessReport", incompleteness_probe(sek, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0])),
-        ("SplittingTensor", splitting_tensor(_C3, _C3_POINT)),
         ("BlockInvariants", classify(np.array([[0.0, 1.0], [0.0, 0.0]]))),
         ("EvolutionReport", evolve_along_nullity_geodesic(_C3, _C3_POINT, tmax=0.1, steps=8, samples=3)),
     ]

@@ -5,8 +5,8 @@ one pipeline, ``splitting._pipeline``, which solves it from -(nabla R)(T,
 ...) in closed form from the point's metric 3-jet, T contracted in before
 any n^5 product.  This compares four kinds per point:
 
-* ``richardson``: the kernel-field stencil of ``splitting.splitting_tensor``
-  (the reference the tests compare the solve with);
+* ``richardson``: the kernel-field stencil (``splitting_tensor`` of
+  ``tests/oracles.py``, the reference the tests compare the solve with);
 * ``stencil``: the same solve with nabla R from central differences of R
   at x +/- 1e-4 e_m (``stencil_splitting_tensor`` of ``tests/oracles.py``),
   under scan's residual gate;
@@ -67,12 +67,10 @@ from geonull.splitting import (  # noqa: E402
     SMOOTH_KERNEL_RESIDUAL,
     AlignmentError,
     KernelDimensionError,
-    NonUnitFieldError,
     _least_squares,
     classify,
-    splitting_tensor,
 )
-from oracles import raised_nabla_riemann, stack_of_one, stencil_splitting_tensor  # noqa: E402
+from oracles import raised_nabla_riemann, splitting_tensor, stack_of_one, stencil_splitting_tensor  # noqa: E402
 
 FAULTS = (ChartDomainError, DomainError, SingularMatrixError, FloatingPointError)
 WARPS_EVERY = 50
@@ -125,7 +123,7 @@ def _compare(metric, point, analytic):
     data, solved = stack.data(0), isinstance(solve, tuple)
     try:
         richardson = classify(splitting_tensor(metric, point).matrix, tol=cli.CLASSIFY_TOL).kind
-    except FAULTS + (KernelDimensionError, AlignmentError, NonUnitFieldError):
+    except FAULTS + (KernelDimensionError, AlignmentError):
         richardson = ""
     stencil, stencil_residual = _solve(stencil_splitting_tensor, metric, data)
     analytic_residual = solve[1] if solved else None
