@@ -30,9 +30,7 @@ a metric too ill-conditioned to invert included), 3 verification failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json as _json
 import math
 import os
@@ -481,37 +479,30 @@ def _scan_chunk(metric, points, rel_tol) -> list:
     return rows
 
 
+def _scan_csv(coordinates, points, results) -> str:
+    """The scan's CSV: the header, then each point's row, CRLF-ended; no field needs quoting.
+
+    One format call writes every coordinate, and one per row the rest.
+    """
+    row = ",".join(["%.17g"] * len(coordinates))
+    coords = ("\n".join([row] * len(points)) % tuple(points.ravel().tolist())).split("\n")
+    lines = [",".join(coordinates) + ",scal,nullity,conullity,classification,status"]
+    lines += [text + (",,,,,domain" if res is None else ",%.17g,%d,%d,%s,ok" % res) for text, res in zip(coords, results)]
+    return "\r\n".join(lines) + "\r\n"
+
+
 def cmd_scan(args, parser) -> int:
     started = time.perf_counter()
     metric = _build_metric(args, parser)
     base = _parse_point(args, metric, parser)
     axes = _parse_grid(args.grid, metric, parser)
-    # decompose the flat index with the last axis least significant, giving
+    # each axis's sample index at each point, the last axis varying fastest:
     # lexicographic (row-major) order in the axes as written in --grid
-    points = []
-    counts = [values.size for _, values in axes]
-    total = int(np.prod(counts))
-    for flat in range(total):
-        rem = flat
-        pt = base.copy()
-        for axis in range(len(axes) - 1, -1, -1):
-            coord, values = axes[axis]
-            pt[coord] = values[rem % values.size]
-            rem //= values.size
-        points.append(pt)
-    results = _scan_rows(metric, points, args.rel_tol)
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(list(metric.coordinates) + ["scal", "nullity", "conullity", "classification", "status"])
-    for pt, res in zip(points, results):
-        coords = ["%.17g" % c for c in pt]
-        if res is None:
-            writer.writerow(coords + ["", "", "", "", "domain"])
-        else:
-            scal, nul, conul, kind = res
-            writer.writerow(coords + ["%.17g" % scal, str(nul), str(conul), kind, "ok"])
-    _emit(buf.getvalue(), args)
+    index = np.indices([values.size for _, values in axes]).reshape(len(axes), -1)
+    points = np.repeat(base[None], index.shape[1], axis=0)
+    for (coord, values), at in zip(axes, index):
+        points[:, coord] = values[at]
+    _emit(_scan_csv(metric.coordinates, points, _scan_rows(metric, points, args.rel_tol)), args)
     _timing("scan", started)
     return EXIT_OK
 
@@ -819,14 +810,14 @@ def _suite_conullity3(seed: int) -> list:
 def _suite_riccati(seed: int) -> list:
     rng = _suite_rng(seed, "riccati")
     checks = []
-    worst_ode = 0.0
+    starts, times = [], []
     for _ in range(100):
         a = rng.uniform(-1.0, 1.0, (3, 3))
         norm = float(np.linalg.norm(a, 2))
-        c0 = a if norm <= 1.0 else a / norm
-        t = float(rng.uniform(0.0, 0.5))
-        diff = riccati_ode(c0, t, steps=200) - riccati_closed_form(c0, t)
-        worst_ode = max(worst_ode, float(np.max(np.abs(diff))))
+        starts.append(a if norm <= 1.0 else a / norm)
+        times.append(float(rng.uniform(0.0, 0.5)))
+    closed = [riccati_closed_form(c0, t) for c0, t in zip(starts, times)]
+    worst_ode = float(np.max(np.abs(riccati_ode(np.array(starts), np.array(times), steps=200) - closed)))
     checks.append(_check("ode_matches_closed_form", 0.0, worst_ode, 1e-7))
 
     tr1, det1 = trace_det_evolution(0.0, 1.0, 1.0)

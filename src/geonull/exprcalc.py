@@ -438,8 +438,7 @@ class Expression:
         exactly symmetric.  Raises :meth:`jet2`'s :class:`DomainError`, or
         one that only a third derivative meets.
         """
-        value, gradient, hessian, third = self._jet3_kernel(*_coordinates(self, point))
-        return value, np.array(gradient), np.array(hessian), np.array(third)
+        return _parts(self._jet3_kernel(*_coordinates(self, point)), self.n, 3)
 
     def value(self, point) -> float:
         """The value alone, with the domain checks of :meth:`jet2`.
@@ -497,7 +496,15 @@ def eval_jet2(expr: Expression, point) -> Jet2:
     naming the offending subexpression; a non-finite coordinate raises it
     naming the coordinate, with the whole source as the fragment.
     """
-    return Jet2._from_normal_form(*expr._jet_kernel(*_coordinates(expr, point)))
+    return Jet2._from_normal_form(*_parts(expr._jet_kernel(*_coordinates(expr, point)), expr.n, 2))
+
+
+def _parts(row: tuple, n: int, order: int) -> tuple:
+    """A jet kernel's flat ``row`` as its value, gradient and Hessian, and at order 3 its third derivatives."""
+    flat = np.array(row)
+    g, h = 1 + n, 1 + n + n * n
+    parts = row[0], flat[1:g], flat[g:h].reshape(n, n)
+    return parts + (flat[h:].reshape(n, n, n),) if order == 3 else parts
 
 
 def _coordinates(expr: Expression, point) -> list:
@@ -536,10 +543,11 @@ def _int_power3(v: float, k: int) -> tuple:
 def _compile_jet(root: Node, n: int, source: str, order: int) -> Callable:
     """The jet kernel of ``root`` over ``n`` coordinates, of order 2 or 3.
 
-    It takes the coordinates as ``n`` float arguments.  It returns the value,
-    the gradient and the Hessian as tuples of floats, in the form ``Jet2``'s
-    constructor gives them, and at order 3 the third derivatives as an
-    n x n x n nested tuple mirrored from the entries i <= j <= k.
+    It takes the coordinates as ``n`` float arguments and returns one flat
+    tuple of floats: the value, the gradient, the Hessian's rows in the form
+    ``Jet2``'s constructor gives them, and at order 3 the n x n x n third
+    derivatives in C order, mirrored from the entries i <= j <= k
+    (:func:`_parts` splits it).
     """
     return _bind(_Shape(root, n, order), source)
 
@@ -629,10 +637,6 @@ def _bind(shape: _Shape, source: str) -> Callable:
     return types.FunctionType(code, namespace)
 
 
-def _tuple(items) -> str:
-    return "(" + "".join(f"{item}, " for item in items) + ")"
-
-
 class _Compiler:
     """Emit one kernel as straight-line Python over float locals.
 
@@ -679,21 +683,17 @@ class _Compiler:
         if self.value_kernel:
             self.emit(f"return {self.value(root)}")
             return
-        n = self.n
+        cells = itertools.product(range(self.n), repeat=2)
         parts = self.jet(root, final=True)
-        cell = dict(zip(self.pairs, parts[2]))
-        rows = [[cell[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
-        result = [parts[0], _tuple(parts[1]), _tuple(_tuple(row) for row in rows)]
+        upper = dict(zip(self.pairs, parts[2]))
+        result = [parts[0], *parts[1], *(upper[min(i, j), max(i, j)] for i, j in cells)]
         if self.order == 3:
             for d in parts[3]:
                 if d != "0.0":  # a local, not a constant's zero: give a zero the + sign
                     self.emit(f"{d} = {d} + 0.0 - 0.0")
             cube = dict(zip(self.triples, parts[3]))
-            result.append(_tuple(
-                _tuple(_tuple(cube[tuple(sorted((i, j, k)))] for k in range(n)) for j in range(n))
-                for i in range(n)
-            ))
-        self.emit(f"return {', '.join(result)}")
+            result += [cube[tuple(sorted(ijk))] for ijk in itertools.product(range(self.n), repeat=3)]
+        self.emit("return (" + "".join(f"{entry}, " for entry in result) + ")")
 
     def emit(self, line: str) -> None:
         self.lines.append(self.indent + line)

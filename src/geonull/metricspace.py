@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .exprcalc import Expression, parse
+from .exprcalc import Expression, _coordinates, parse
 
 __all__ = [
     "ChartDomainError",
@@ -257,25 +257,32 @@ class _CoframeJet:
     """Assemble the jet of g = B^T B from the jet of the coframe matrix B.
 
     B is the affine matrix ``I + affine @ x`` except for the warp entry
-    ``B[0, 0] = p(x[warp])``, whose derivatives come from one expression jet
-    (:meth:`Expression.jet2`, or :meth:`Expression.jet3` at order 3, whose
-    lower orders are the same bits); every other entry has a constant
-    gradient and no higher derivative.  So d3g is the symmetrized products
-    of d3B, d2B and dB with B and dB in row 0 only.  The chart is the box
-    ``|x^i| <= box`` where ``p > P_FLOOR``.
+    ``B[0, 0] = p(x[warp])``, whose derivatives come from one call of p's
+    compiled jet kernel (its 2-jet kernel, or its 3-jet kernel at order 3,
+    whose lower orders are the same bits), a flat row of floats; every
+    other entry has a constant gradient and no higher derivative.  So d3g
+    is the symmetrized products of d3B, d2B and dB with B and dB in row 0
+    only.  The chart is the box ``|x^i| <= box`` where ``p > P_FLOOR``.
 
-    :meth:`jets` is the stacked form: one raw kernel call per distinct warp
-    argument ``x[warp]`` (by its bits), looked up once per run of points
-    that repeat it, its row repeated over the points that share the
-    argument, and each array assembled once for the stack, so each point's
-    arrays are bitwise :meth:`__call__`'s.  A kernel ride moves v, which p
-    does not read, and mostly keeps the bits of its warp argument, so its
-    stack is mostly one run and one kernel call.  A stack of at least
-    :data:`_COLUMN_POINTS` points, as a kernel ride's block, contracts dB
-    with B only on the coframe columns where dB has a nonzero entry
-    (``columns``, fixed by ``affine`` and the warp entry: column 0, ``dx``,
-    in both warped families), each entry summed as ``0.0 + sum_a`` in the
-    order of a, as :meth:`__call__`'s einsum sums it (:meth:`_half`).
+    One assembly, :meth:`_assemble`, serves every stack size: a stack's
+    kernel rows become one array, and each of g's arrays is built once for
+    the stack; :meth:`__call__` jets one point as a stack of one.
+    :meth:`jets` makes one raw kernel call per distinct warp argument
+    ``x[warp]`` (by its bits), looked up once per run of points that repeat
+    it, its row repeated over the points that share the argument, so each
+    point's arrays are bitwise its own :meth:`__call__`'s.  A kernel ride
+    moves v, which p does not read, and mostly keeps the bits of its warp
+    argument, so its stack is mostly one run and one kernel call.  dB is
+    nonzero only on the coframe columns ``columns`` (fixed by ``affine``
+    and the warp entry: column 0, ``dx``, in both warped families) and d2B
+    only in the warp entry.  So d2g's terms d2B B and dB dB are built on
+    those columns alone (:meth:`_second`), and on a stack of at least
+    :data:`_COLUMN_POINTS` points, as a kernel ride's block, so is dg's dB
+    B (:meth:`_half`): each entry summed as ``0.0 + sum_a`` in the order of
+    a, bitwise the dense einsum over every column (``tests/oracles.py``
+    keeps it), every other entry +0.0.  A single point, for which they are
+    faster, and a stack where B, dB or p's Hessian holds a non-finite
+    entry, for their NaN pattern, take d2g's einsums.
     """
 
     def __init__(self, affine: np.ndarray, expr: Expression, warp: Sequence[int], box: float):
@@ -284,51 +291,16 @@ class _CoframeJet:
         self.affine = affine
         self.expr = expr
         self.warp = np.asarray(warp, dtype=int)
-        self.warp_block = np.ix_(self.warp, self.warp)
         self.box = box
         self.nonzero = affine.any(axis=(0, 2))  # the coframe columns where dB has a nonzero entry
         self.nonzero[0] = True  # the warp entry B[0, 0]
         self.columns = np.flatnonzero(self.nonzero)
 
     def __call__(self, x: np.ndarray, order: int):
-        n = self.n
-        if order == 3:
-            value, gradient, hessian, third = self.expr.jet3(x[self.warp])
-        else:
-            p = self.expr.jet2(x[self.warp])
-            value, gradient, hessian = p.value, p.gradient, p.hessian
-        B = self.identity + self.affine @ x
-        B[0, 0] = value
-        dB = self.affine.copy()
-        dB[0, 0, self.warp] = gradient
-        g = B.T @ B
-        half = np.einsum("aik,aj->ijk", dB, B)
-        dg = half + half.transpose(1, 0, 2)
-        if order == 1:
-            return g, dg
-        d2B = np.zeros((n, n, n, n))
-        d2B[0, 0][self.warp_block] = hessian
-        s = np.einsum("aikl,aj->ijkl", d2B, B)
-        d2g = s + s.transpose(1, 0, 2, 3)
-        cross = np.einsum("aik,ajl->ijkl", dB, dB)
-        d2g = d2g + cross + cross.transpose(0, 1, 3, 2)
-        if order == 2:
-            return g, dg, d2g
-        d2p = d2B[0, 0]
-        d3p = np.zeros((n, n, n))
-        d3p[np.ix_(self.warp, self.warp, self.warp)] = third
-        b, db = B[0], dB[0]
-        # row[j, k, l, m]: the terms of d_klm g_0j with the derivatives of B[0, 0] on the left
-        row = (
-            b[:, None, None, None] * d3p
-            + d2p[None, :, :, None] * db[:, None, None, :]
-            + d2p[None, :, None, :] * db[:, None, :, None]
-            + d2p[None, None, :, :] * db[:, :, None, None]
-        )
-        d3g = np.zeros((n,) * 5)
-        d3g[0] = row
-        d3g[:, 0] += row
-        return g, dg, d2g, d3g
+        """The jet at one point: :meth:`_assemble` on a stack of one."""
+        kernel = self.expr._jet3_kernel if order == 3 else self.expr._jet_kernel
+        row = kernel(*_coordinates(self.expr, x[self.warp]))
+        return tuple(a[0] for a in self._assemble(x[None], [row], [1], order))
 
     def inside(self, x: np.ndarray) -> bool:
         """The chart's domain at a finite point."""
@@ -408,16 +380,17 @@ class _CoframeJet:
         return arrays, outside, alone
 
     def _assemble(self, x: np.ndarray, rows: list, counts: list, order: int) -> tuple:
-        """:meth:`__call__`'s arrays at the rows of ``x``, stacked, from their kernel rows.
+        """The jet's arrays at the rows of ``x``, stacked, from their flat kernel rows.
 
         Each kernel row serves the next ``counts`` rows of ``x`` in turn.
         """
-        n, m, w = self.n, len(x), self.warp
-        columns = [np.repeat(np.asarray(c, dtype=float), counts, axis=0) for c in zip(*rows)]
-        columns = columns or [()] * (order + 1)
+        n, m, w, k = self.n, len(x), self.warp, self.warp.size
+        g_end, h_end = 1 + k, 1 + k + k * k
+        flat = np.array(rows, dtype=float).reshape(len(rows), h_end + (k**3 if order == 3 else 0))
+        flat = np.repeat(flat, counts, axis=0) if len(rows) < m else flat
         B = self.identity + (self.affine @ x[:, None, :, None])[..., 0]
-        B[:, 0, 0] = columns[0]
-        grad = np.reshape(columns[1], (m, w.size))
+        B[:, 0, 0] = flat[:, 0]
+        grad = flat[:, 1:g_end]
         g = B.transpose(0, 2, 1) @ B
         if m < _COLUMN_POINTS or order > 1:  # the einsum and the higher orders read dB whole
             dB = np.repeat(self.affine[None], m, axis=0)
@@ -426,17 +399,21 @@ class _CoframeJet:
         dg = half + half.transpose(0, 2, 1, 3)
         if order == 1:
             return g, dg
-        d2B = np.zeros((m, n, n, n, n))
-        d2B[:, 0, 0, w[:, None], w] = np.reshape(columns[2], (m, w.size, w.size))
-        s = np.einsum("maikl,maj->mijkl", d2B, B)
+        d2p = np.zeros((m, n, n))
+        d2p[:, w[:, None], w] = flat[:, g_end:h_end].reshape(m, k, k)
+        if m > 1 and np.isfinite(B).all() and np.isfinite(flat[:, 1:h_end]).all():
+            s, cross = self._second(B, dB, d2p)
+        else:  # one point's einsums are faster; a non-finite entry takes their NaN pattern
+            d2B = np.zeros((m, n, n, n, n))
+            d2B[:, 0, 0] = d2p
+            s = np.einsum("maikl,maj->mijkl", d2B, B)
+            cross = np.einsum("maik,majl->mijkl", dB, dB)
         d2g = s + s.transpose(0, 2, 1, 3, 4)
-        cross = np.einsum("maik,majl->mijkl", dB, dB)
         d2g = d2g + cross + cross.transpose(0, 1, 2, 4, 3)
         if order == 2:
             return g, dg, d2g
-        d2p = d2B[:, 0, 0]
         d3p = np.zeros((m, n, n, n))
-        d3p[:, w[:, None, None], w[:, None], w] = np.reshape(columns[3], (m,) + (w.size,) * 3)
+        d3p[:, w[:, None, None], w[:, None], w] = flat[:, h_end:].reshape(m, k, k, k)
         b, db = B[:, 0], dB[:, 0]
         row = (
             b[:, :, None, None, None] * d3p[:, None]
@@ -448,6 +425,28 @@ class _CoframeJet:
         d3g[:, 0] = row
         d3g[:, :, 0] += row
         return g, dg, d2g, d3g
+
+    def _second(self, B: np.ndarray, dB: np.ndarray, d2p: np.ndarray) -> tuple:
+        """``einsum("maikl,maj->mijkl", d2B, B)`` and ``einsum("maik,majl->mijkl", dB, dB)`` at finite entries, bitwise.
+
+        d2B is p's Hessian ``d2p`` in the warp entry B[0, 0] alone, so the
+        first is ``0.0 + d2p B[0, j]`` at i = 0; the second is ``0.0 +
+        sum_a dB[a, i, k] dB[a, j, l]``, summed in the order of a, where i
+        and j are both in :attr:`columns`.  Every other entry sums products
+        with a zero factor, +0.0.  No float error is raised, as the einsums
+        raise none.
+        """
+        m, n, c = len(B), self.n, self.columns
+        s, cross = np.zeros((m, n, n, n, n)), np.zeros((m, n, n, n, n))  # one block of both raised flow's peak RSS
+        d = dB[:, :, c]  # d[point, a, column, k]
+        with np.errstate(all="ignore"):
+            s[:, 0] = 0.0 + B[:, 0, :, None, None] * d2p[:, None]
+            terms = d[:, :, :, None, :, None] * d[:, :, None, :, None, :]  # [point, a, column, column', k, l]
+            acc = 0.0 + terms[:, 0]
+            for a in range(1, n):
+                acc += terms[:, a]
+        cross[:, c[:, None], c] = acc
+        return s, cross
 
     def _half(self, B: np.ndarray, grad: np.ndarray) -> np.ndarray:
         """``einsum("maik,maj->mijk", dB, B)`` over a stack, bitwise, contracted on :attr:`columns` only.
@@ -662,8 +661,9 @@ def catalog_conullity3(p, box: float = DEFAULT_BOX) -> MetricField:
     derived as the dual frame of the coframe (no frame components are
     hard-coded): with F_a the dual of the a-th coframe form, the rows are
     (F_1 + F_3)/sqrt(2), F_0, (F_1 - F_3)/sqrt(2).  It takes a point or a
-    stack of them, calls p's value once per run of points sharing their
-    p arguments and builds the rows elementwise, each point's bitwise its
+    stack of them, jetted points, so finite: it calls p's raw value kernel,
+    with no coordinate check, once per run of points sharing their p
+    arguments and builds the rows elementwise, each point's bitwise its
     own.
     """
     expr = _as_expression(p, ("x", "u", "w"))
@@ -685,7 +685,8 @@ def catalog_conullity3(p, box: float = DEFAULT_BOX) -> MetricField:
         pts = np.asarray(x, dtype=float)
         stack = pts.reshape(-1, n)
         runs = list(jet._runs(stack))
-        pval = np.repeat([expr.value(coords) for _, _, coords, _ in runs], [stop - start for start, stop, _, _ in runs])
+        value = expr._value_kernel
+        pval = np.repeat([value(*coords) for _, _, coords, _ in runs], [stop - start for start, stop, _, _ in runs])
         u, v, w = stack.T[1:]
         frames = np.repeat(fixed_rows[None], len(stack), axis=0)
         frames[:, 1] = np.array([np.ones(len(stack)), v + w, -(u + w), v - u]).T / pval[:, None]

@@ -521,12 +521,18 @@ def _riccati_predictions(c0, times) -> list:
     return [c if ok else alone(t) for t, c, ok in zip(times, predictions, passed)]
 
 
-def riccati_ode(c0, tmax: float, steps: int = 200) -> np.ndarray:
-    """RK4 integration of C' = C^2 from C(0) = c0 up to tmax."""
+def riccati_ode(c0, tmax, steps: int = 200) -> np.ndarray:
+    """RK4 integration of C' = C^2 from C(0) = c0 up to tmax.
+
+    ``c0`` may carry leading stack axes, with ``tmax`` one time for all its
+    matrices or one per matrix; each matrix is integrated as it would be
+    alone.  A blowup raises at the first step where some matrix blows up,
+    for the first such matrix in C order.
+    """
     c = np.asarray(c0, dtype=float).copy()
     if steps < 1:
         raise ValueError("steps must be positive")
-    h = tmax / steps
+    h = np.asarray(tmax, dtype=float)[..., None, None] / steps
     for i in range(steps):
         k1 = c @ c
         c2 = c + 0.5 * h * k1
@@ -536,8 +542,10 @@ def riccati_ode(c0, tmax: float, steps: int = 200) -> np.ndarray:
         c4 = c + h * k3
         k4 = c4 @ c4
         c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(c)) or np.max(np.abs(c)) > BLOWUP_LIMIT:
-            raise RiccatiBlowupError((i + 1) * h, "matrix norm exceeded the blowup limit")
+        blown = ~np.isfinite(c).all(axis=(-2, -1)) | (np.abs(c).max(axis=(-2, -1)) > BLOWUP_LIMIT)
+        if blown.any():
+            step = np.broadcast_to(h[..., 0, 0], blown.shape)[blown][0]
+            raise RiccatiBlowupError(float((i + 1) * step), "matrix norm exceeded the blowup limit")
     return c
 
 

@@ -25,6 +25,11 @@ calls them.
   which the solve's right-hand side is held against.
 * :func:`longdouble_riemann`: R lowered in ``np.longdouble`` from a float64
   jet, the reference for the rounding of both.
+* :func:`coframe_jet`: a warped chart's jet at one point by dense einsums
+  over every coframe row and column, the reference for
+  ``metricspace._CoframeJet._assemble`` at every stack size.
+* :func:`scan_csv`: ``scan``'s CSV by ``csv.writer``, the reference for
+  ``cli._scan_csv``.
 
 The package keeps the stencil points and the Richardson step
 (``splitting._stencil``, ``splitting._richardson``) and the one-point kernel
@@ -33,6 +38,8 @@ field (``splitting._kernel_field``) for its divergence check only.
 
 from __future__ import annotations
 
+import csv
+import io
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -363,3 +370,69 @@ def longdouble_riemann(g, dg, d2g):
     ds = _t(d2g, -2, -4, -3, -1) + _t(d2g, -4, -2, -3, -1) - d2g
     w = (_t(ds, -1, -4, -3, -2) - np.einsum("ilp,pjk->ijkl", s, gamma)) / 2
     return w - w.swapaxes(0, 1)
+
+
+def coframe_jet(coframe, x, order: int):
+    """A warped chart's jet at one point by dense einsums: ``metricspace._CoframeJet._assemble``'s reference.
+
+    B = I + affine x with p's value in B[0, 0], from p's jet (its 2-jet, or
+    its 3-jet at order 3); g = B^T B and its derivatives by the product rule
+    over every coframe row and column.
+    """
+    n = coframe.n
+    if order == 3:
+        value, gradient, hessian, third = coframe.expr.jet3(x[coframe.warp])
+    else:
+        p = coframe.expr.jet2(x[coframe.warp])
+        value, gradient, hessian = p.value, p.gradient, p.hessian
+    B = coframe.identity + coframe.affine @ x
+    B[0, 0] = value
+    dB = coframe.affine.copy()
+    dB[0, 0, coframe.warp] = gradient
+    g = B.T @ B
+    half = np.einsum("aik,aj->ijk", dB, B)
+    dg = half + half.transpose(1, 0, 2)
+    if order == 1:
+        return g, dg
+    d2B = np.zeros((n, n, n, n))
+    d2B[0, 0][np.ix_(coframe.warp, coframe.warp)] = hessian
+    s = np.einsum("aikl,aj->ijkl", d2B, B)
+    d2g = s + s.transpose(1, 0, 2, 3)
+    cross = np.einsum("aik,ajl->ijkl", dB, dB)
+    d2g = d2g + cross + cross.transpose(0, 1, 3, 2)
+    if order == 2:
+        return g, dg, d2g
+    d2p = d2B[0, 0]
+    d3p = np.zeros((n, n, n))
+    d3p[np.ix_(coframe.warp, coframe.warp, coframe.warp)] = third
+    b, db = B[0], dB[0]
+    # row[j, k, l, m]: the terms of d_klm g_0j with the derivatives of B[0, 0] on the left
+    row = (
+        b[:, None, None, None] * d3p
+        + d2p[None, :, :, None] * db[:, None, None, :]
+        + d2p[None, :, None, :] * db[:, None, :, None]
+        + d2p[None, None, :, :] * db[:, :, None, None]
+    )
+    d3g = np.zeros((n,) * 5)
+    d3g[0] = row
+    d3g[:, 0] += row
+    return g, dg, d2g, d3g
+
+
+def scan_csv(coordinates, points, results) -> str:
+    """``scan``'s CSV by ``csv.writer``: a header, then one row per point, CRLF line ends.
+
+    ``results`` holds each point's ``(scal, nullity, conullity, kind)``, or
+    None for a domain row.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(list(coordinates) + ["scal", "nullity", "conullity", "classification", "status"])
+    for pt, res in zip(points, results):
+        coords = ["%.17g" % c for c in pt]
+        if res is None:
+            writer.writerow(coords + ["", "", "", "", "domain"])
+        else:
+            scal, nul, conul, kind = res
+            writer.writerow(coords + ["%.17g" % scal, str(nul), str(conul), kind, "ok"])
+    return buf.getvalue()

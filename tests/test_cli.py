@@ -2,6 +2,7 @@ import ast
 import contextlib
 import csv
 import gc
+import importlib.util
 import io
 import itertools
 import json
@@ -19,6 +20,7 @@ from geonull.cli import main
 from geonull.exprcalc import DomainError
 from geonull.metricspace import CATALOG, MetricField, catalog_conullity3
 from geonull.splitting import evolve_along_nullity_geodesic
+from oracles import scan_csv
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -261,7 +263,7 @@ def test_float_fault_message_names_the_function_that_faulted(capsys):
     )
     assert code == 2 and out == ""
     # g = B^T B overflows; before 3.11 Python records no class in a code object
-    function = "_CoframeJet.__call__" if sys.version_info >= (3, 11) else "__call__"
+    function = "_CoframeJet._assemble" if sys.version_info >= (3, 11) else "_assemble"
     assert err == (
         "geonull: error: flow --point 0,0.9,0,0: overflow encountered in matmul"
         f" (in metricspace.{function})\n"
@@ -986,3 +988,41 @@ def test_dumps_writes_flow_and_analyze_documents_as_the_per_value_serializer(mon
     assert len(docs) == 3
     for doc in docs:
         assert real(doc) == _reference_dumps(doc)
+
+
+def _digest_argvs() -> tuple:
+    """``ARGVS`` of tools/stdout_digest.py."""
+    spec = importlib.util.spec_from_file_location("stdout_digest", os.path.join(ROOT, "tools", "stdout_digest.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.ARGVS
+
+
+# every scan of the digest set (among them a --point= base and a 3-axis grid
+# with domain rows), and one more with both
+SCAN_CSV_ARGVS = [argv for argv in _digest_argvs() if argv[0] == "scan"] + [
+    ("scan", "--metric", "conullity3", "--p", "1+u*u*w", "--point=0.25,0,0.5,0", "--grid", "w=-1:1:3,u=-1:1:3,v=1:-1:2"),
+]
+
+
+@pytest.mark.parametrize("argv", SCAN_CSV_ARGVS, ids=range(len(SCAN_CSV_ARGVS)))
+def test_scan_csv_is_csv_writers_bytes(argv, capsys, monkeypatch):
+    written, real = [], cli._scan_csv
+
+    def spy(coordinates, points, results):
+        text = real(coordinates, points, results)
+        written.append((text, scan_csv(coordinates, points, results)))
+        return text
+
+    monkeypatch.setattr(cli, "_scan_csv", spy)
+    assert main(list(argv)) == 0
+    (text, want), = written
+    assert text == want == capsys.readouterr().out
+
+
+def test_scan_csv_argvs_hold_point_bases_and_three_axes_with_domain_rows(capsys):
+    assert sum(any(word.startswith("--point=") for word in argv) for argv in SCAN_CSV_ARGVS) == 2
+    three_axes = [argv for argv in SCAN_CSV_ARGVS if argv[-1].count("=") == 3]
+    assert len(three_axes) == 2
+    for argv in three_axes:
+        assert main(list(argv)) == 0 and ",domain\r\n" in capsys.readouterr().out

@@ -18,7 +18,7 @@ from geonull.metricspace import (
     catalog_sekigawa,
     catalog_sphere,
 )
-from oracles import fd_jet, finite_difference_field
+from oracles import coframe_jet, fd_jet, finite_difference_field
 
 
 def sekigawa_metric_by_hand(p_fn, x, u, v):
@@ -519,8 +519,8 @@ def test_jets_redo_a_float_fault_point_by_point():
         for order in (1, 2, 3):
             faults = _assert_jets_are_jet(metric, points, order)
             assert list(faults) == [1] and isinstance(faults[1], FloatingPointError)
-            # the fault is raised where jet raises it
-            assert traceback.extract_tb(faults[1].__traceback__)[-1].name == "__call__"
+            # the fault is raised where jet raises it: in the assembly of its stack of one
+            assert [f.name for f in traceback.extract_tb(faults[1].__traceback__)[-2:]] == ["__call__", "_assemble"]
     assert calls == [3, 3, 3]
     # without the float errors raised, the same stack is one stacked call and no fault
     with np.errstate(all="ignore"):
@@ -573,8 +573,66 @@ def test_stacked_coframe_jets_contract_only_the_nonzero_column_to_the_points_bit
             arrays, outside, alone = coframe.jets(pts, order, check=False)
             assert not (outside.any() or alone.any())
             for i, pt in enumerate(pts):
-                for a, want in zip(arrays, coframe(pt, order)):
+                for a, want in zip(arrays, coframe_jet(coframe, pt, order)):
                     assert a[i].tobytes() == want.tobytes(), (kind, order, pt)
+
+
+# the warps above, sekigawa exp(u), and a warp whose gradient is -0.0 at u = -0.0
+ASSEMBLY_WARPS = COFRAME_WARPS + [
+    (catalog_sekigawa, "exp(u)", [0.0, -1.0, 0.5]),
+    (catalog_conullity3, "2+u*u+w*w", [0.0, -0.0, 0.3, -0.0]),
+]
+
+
+@pytest.mark.parametrize("m", [1, 16, 40])  # 40 is above _COLUMN_POINTS
+@pytest.mark.parametrize("family, warp, special", ASSEMBLY_WARPS, ids=COFRAME_IDS + ["sekigawa_exp", "signed_gradient"])
+def test_coframe_assembly_is_the_dense_einsums_bit_for_bit(family, warp, special, m, monkeypatch):
+    coframe = family(warp)._stacked
+    second, columns = coframe._second, []
+    monkeypatch.setattr(coframe, "_second", lambda *a: columns.append(len(a[0])) or second(*a))
+    stacks = _coframe_stacks(coframe.n, coframe.warp, special, m)
+    stacks.update(zero=np.zeros((m, coframe.n)), small=1e-3 * stacks["distinct"], large=1e3 * stacks["distinct"])
+    for kind, pts in stacks.items():
+        for order in (1, 2, 3):
+            kernel = coframe.expr._jet3_kernel if order == 3 else coframe.expr._jet_kernel
+            rows, kept = [], []
+            for pt in pts:
+                try:
+                    row = kernel(*pt[coframe.warp].tolist())
+                except DomainError:  # exp(u) overflows at u = 1e3
+                    continue
+                if abs(row[0]) < 1e150:  # and g = B^T B with it at u = 500
+                    rows.append(row)
+                    kept.append(pt)
+            kept = np.array(kept).reshape(-1, coframe.n)
+            columns.clear()
+            with np.errstate(over="raise", divide="raise", invalid="raise"):  # as the command line sets it
+                arrays = coframe._assemble(kept, rows, [1] * len(rows), order)
+            # the column terms, no einsum, but for one point, whose einsums are faster
+            assert columns == ([len(kept)] if order > 1 and len(kept) > 1 else [])
+            for i, pt in enumerate(kept):
+                for a, want in zip(arrays, coframe_jet(coframe, pt, order)):
+                    assert a[i].tobytes() == want.tobytes(), (kind, order, pt)
+
+
+@pytest.mark.parametrize("m", [1, 16, 40])
+def test_coframe_assembly_takes_the_einsums_at_a_non_finite_jet_entry(m, monkeypatch):
+    # at u = 0.5 the warp's value and gradient are finite, its Hessian is not
+    coframe = catalog_sekigawa("2+u*u*u*1.6e308")._stacked
+    pts = np.random.default_rng(m).uniform(-0.4, 0.4, (m, 3))
+    pts[m // 2, 1] = 0.5
+    second, columns = coframe._second, []
+    monkeypatch.setattr(coframe, "_second", lambda *a: columns.append(len(a[0])) or second(*a))
+    for order in (2, 3):
+        kernel = coframe.expr._jet3_kernel if order == 3 else coframe.expr._jet_kernel
+        rows = [kernel(*pt[coframe.warp].tolist()) for pt in pts]
+        assert not np.isfinite(rows[m // 2]).all() and np.isfinite(rows[m // 2][:3]).all()
+        with np.errstate(all="ignore"):
+            arrays = coframe._assemble(pts, rows, [1] * m, order)
+            for i, pt in enumerate(pts):
+                for a, want in zip(arrays, coframe_jet(coframe, pt, order)):
+                    assert a[i].tobytes() == want.tobytes(), (order, pt)
+    assert columns == []
 
 
 @pytest.mark.parametrize("family", [catalog_conullity3, catalog_sekigawa])

@@ -476,13 +476,13 @@ def test_scan_request_makes_one_third_order_jet_per_point(monkeypatch, capsys):
 
 def test_scan_domain_test_takes_p_from_the_jet(monkeypatch, capsys):
     values = []
-    value = exprcalc.Expression.value
+    compile_value = exprcalc._compile_value
 
-    def counted(self, point):
-        values.append(tuple(point))
-        return value(self, point)
+    def counted(*args):
+        kernel = compile_value(*args)
+        return lambda *x: values.append(x) or kernel(*x)
 
-    monkeypatch.setattr(exprcalc.Expression, "value", counted)
+    monkeypatch.setattr(exprcalc, "_compile_value", counted)  # p's raw value kernel, spied on
     assert cli.main(["scan", "--metric", "conullity3", "--grid", "u=-1.5:1.5:4,w=-1.5:1.5:4"]) == 0
     assert capsys.readouterr().out.count("nilpotent") == 16
     # only the preferred frame evaluates p apart from the jet, once per point
@@ -782,6 +782,24 @@ def test_riccati_ode_matches_closed_form():
     ode = riccati_ode(c0, 0.3, steps=200)
     closed = riccati_closed_form(c0, 0.3)
     assert np.allclose(ode, closed, atol=1e-10)
+
+
+def test_stacked_riccati_ode_is_each_matrix_alone():
+    rng = np.random.default_rng(16)
+    starts = rng.uniform(-1.0, 1.0, (2, 5, 3, 3))
+    times = rng.uniform(0.0, 0.5, (2, 5))
+    stacked = riccati_ode(starts, times, steps=50)
+    for at in np.ndindex(times.shape):
+        assert stacked[at].tobytes() == riccati_ode(starts[at], times[at], steps=50).tobytes()
+    # one time for every matrix
+    assert riccati_ode(starts, 0.3).tobytes() == np.array([riccati_ode(c, 0.3) for c in starts.reshape(-1, 3, 3)]).tobytes()
+    # C = 2 blows up near t = 1/2, C = 3 near 1/3: the first step where a matrix blows up
+    # raises for the first such matrix in C order, at that matrix's own time
+    with pytest.raises(RiccatiBlowupError) as exc:
+        riccati_ode([[[0.1]], [[3.0]], [[2.0]], [[3.0]]], [1.0, 1.0, 0.5, 1.0])
+    with pytest.raises(RiccatiBlowupError) as alone:
+        riccati_ode([[3.0]], 1.0)
+    assert exc.value.t == alone.value.t
 
 
 def test_trace_det_evolution_laws():

@@ -24,7 +24,8 @@ one of 300 steps (stacked blocks of 128, 128 and 44 steps, 9 samples) and
 one of a single step (2 samples), each measuring its start tensor with its
 later samples; then a scan of sekigawa ``exp(u)`` on a grid from the
 ill-conditioned point of the ``analyze`` above (cond g = 1.2e4), where the
-rounding of R shows most, toward p's larger values.  Argvs are only
+rounding of R shows most, toward p's larger values; then a scan on three
+axes with domain rows, which pins the order of a grid's rows.  Argvs are only
 ever appended, so every line of an earlier set stays.  Each argv runs in-process
 through ``geonull.cli.main`` against the sources next to this script;
 stderr (timings) is discarded.  A refactor that claims identical output
@@ -107,6 +108,7 @@ ARGVS = (
         "--point=-0.5129016867312783,-2.5422821854087916,1.0267175751331235",
         "--grid", "u=-2.5422821854087916:-1.5422821854087916:3,v=1.0267175751331235:2.0267175751331235:3",
     ),
+    ("scan", "--metric", "conullity3", "--p", "1+u*u*w", "--grid", "u=-1:1:3,v=-1:1:2,w=-1:1:3"),
 )
 
 
